@@ -25,9 +25,18 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import erfc
 
 from repro.apps.gcmc.particles import ParticleSystem
+
+
+def erfc(x: np.ndarray) -> np.ndarray:
+    """``scipy.special.erfc``, imported by the first energy evaluation:
+    the import is half of ``import repro.cli``'s cost and only GCMC
+    runs need it.  The first call rebinds this name to SciPy's ufunc, so
+    later calls pay nothing."""
+    global erfc
+    from scipy.special import erfc
+    return erfc(x)
 
 
 def pair_energy_with_set(system: ParticleSystem, pos: np.ndarray,

@@ -15,7 +15,8 @@ The ring (bucket) algorithms split an ``n``-element operand vector into
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable
 
 
@@ -25,11 +26,20 @@ class Partition:
 
     n: int
     sizes: tuple[int, ...]
+    #: ``offsets[b]`` is where block ``b`` starts (``offsets[p] == n``):
+    #: the prefix sums of ``sizes``, computed once per instance.
+    offsets: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    #: Per-instance memo for objects derived from this partition (the
+    #: schedule builders intern their block intervals here).
+    memo: dict = field(init=False, repr=False, compare=False,
+                       default_factory=dict)
 
     def __post_init__(self) -> None:
-        if sum(self.sizes) != self.n:
+        offsets = tuple(accumulate(self.sizes, initial=0))
+        if offsets[-1] != self.n:
             raise ValueError(
                 f"block sizes {self.sizes} do not cover {self.n} elements")
+        object.__setattr__(self, "offsets", offsets)
 
     @property
     def p(self) -> int:
@@ -39,11 +49,10 @@ class Partition:
         return self.sizes[block]
 
     def offset(self, block: int) -> int:
-        return sum(self.sizes[:block])
+        return self.offsets[block]
 
     def slice_of(self, block: int) -> slice:
-        off = self.offset(block)
-        return slice(off, off + self.sizes[block])
+        return slice(self.offsets[block], self.offsets[block + 1])
 
     def max_size(self) -> int:
         return max(self.sizes)

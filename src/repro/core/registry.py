@@ -19,7 +19,7 @@ label                        composition
 The registry is table-driven: :func:`register_stack` maps a label to a
 factory ``Machine -> Communicator``, and :func:`make_communicator` looks
 labels up in the table.  The paper's six stacks are registered below;
-extension stacks (like ``tuned``) register themselves on import without
+extension stacks (like ``tuned``) are registered the same way without
 touching this module's figure-ordering tuples — :data:`STACKS` stays
 exactly the Fig.-9 label set, so figure drivers, the chaos harness and
 the sanitizer sweep never pick up experimental stacks by accident.
@@ -125,16 +125,17 @@ def _make_rckmpi(machine: Machine) -> Communicator:
     return RCKMPICommunicator(machine)
 
 
+def _make_tuned(machine: Machine) -> Communicator:
+    from repro.sched.select import TunedCommunicator
+    return TunedCommunicator(machine)
+
+
 register_stack("blocking", _make_blocking)
 register_stack("ircce", _make_ircce)
 register_stack("lightweight", _make_lightweight)
 register_stack("lightweight_balanced", _make_lightweight_balanced)
 register_stack("mpb", _make_mpb)
 register_stack("rckmpi", _make_rckmpi)
-
-# The tuned stack registers itself; importing here keeps one-stop lookup
-# (`make_communicator(machine, "tuned")` works with no extra import) while
-# the figure tuples above stay untouched.
-from repro.sched.select import install_tuned_stack  # noqa: E402
-
-install_tuned_stack()
+# Table-driven selection (repro.sched.select); the figure tuples above
+# stay untouched.
+register_stack("tuned", _make_tuned)

@@ -1,6 +1,7 @@
 """Schedule-IR collective engine.
 
-One algorithm repertoire, expressed as data (:mod:`repro.sched.ir`),
+One algorithm repertoire, expressed as data (:mod:`repro.sched.ir`:
+per-rank step objects and an interconvertible columnar step table),
 built by pure functions (:mod:`repro.sched.builders`), executed by a
 single lowering engine on every point-to-point stack
 (:mod:`repro.sched.engine`), priced by an analytic cost model
@@ -22,6 +23,7 @@ from repro.sched.chunking import (
     PIPELINE_BUILDERS,
     chunk_bounds,
     chunk_schedule,
+    chunk_table,
 )
 from repro.sched.engine import parse_sched_algo, run_schedule, schedule_for
 from repro.sched.ir import (
@@ -35,6 +37,7 @@ from repro.sched.ir import (
     Schedule,
     Send,
     Step,
+    StepTable,
 )
 from repro.sched.synth import (
     build_synth_schedule,
@@ -57,6 +60,7 @@ __all__ = [
     "Schedule",
     "Send",
     "Step",
+    "StepTable",
     "all_schedules",
     "build_schedule",
     "build_synth_schedule",
@@ -64,6 +68,7 @@ __all__ = [
     "candidate_names",
     "chunk_bounds",
     "chunk_schedule",
+    "chunk_table",
     "parse_sched_algo",
     "run_schedule",
     "schedule_for",

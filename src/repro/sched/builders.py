@@ -14,15 +14,29 @@ stack at p in {2, 47, 48}).
 Builders are pure functions of ``(p, n, partition, root)``; schedules
 are cached per argument tuple (they are immutable and rank-complete, so
 one instance serves a whole simulation).
+
+The O(p^2) phases (rings, pairwise alltoall) are emitted directly in
+columnar form — table rows over a ``(rank, round)`` grid, see
+``docs/schedules.md`` — so pricing them never builds a step object; the
+O(p log p) tree phases stay per-rank step lists.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
+
+import numpy as np
 
 from repro.core.blocks import Partition
 from repro.sched.ir import (
+    F_CHARGED,
+    F_REDUCE,
+    F_SEND_FIRST,
+    IN,
+    OP_COPY,
+    OP_EXCHANGE,
+    WORK,
     CopyBlock,
     Exchange,
     Interval,
@@ -32,6 +46,9 @@ from repro.sched.ir import (
     Schedule,
     Send,
     Step,
+    encode_steps,
+    make_table,
+    step_rows,
 )
 
 
@@ -44,16 +61,15 @@ def _largest_pow2_below(p: int) -> int:
 
 def _block_iv(buf: str, part: Partition, lo_block: int,
               hi_block: Optional[int] = None) -> Interval:
-    """Interval covering blocks ``[lo_block, hi_block]`` (inclusive)."""
+    """Interval covering blocks ``[lo_block, hi_block]`` (inclusive),
+    interned per partition."""
     hi_block = lo_block if hi_block is None else hi_block
-    lo = part.offset(lo_block)
-    hi = part.offset(hi_block) + part.size(hi_block)
-    return Interval(buf, lo, hi)
-
-
-def _ring_send_first(me: int) -> bool:
-    """RCCE_comm's odd-even rule (``exchange.ring_send_first``)."""
-    return me % 2 == 0
+    key = (buf, lo_block, hi_block)
+    iv = part.memo.get(key)
+    if iv is None:
+        iv = part.memo[key] = Interval(buf, part.offsets[lo_block],
+                                       part.offsets[hi_block + 1])
+    return iv
 
 
 def _pair_send_first(me: int, partner: int) -> bool:
@@ -67,42 +83,54 @@ def _init_copy(me: int, n: int, work_lo: int = 0) -> CopyBlock:
                      Interval("work", work_lo, work_lo + n))
 
 
+def _init_copy_rows(ranks, n: int, work_lo=0) -> np.ndarray:
+    """:func:`_init_copy` for every rank in ``ranks``, as table rows."""
+    return step_rows(ranks, -1, OP_COPY, sbuf=IN, shi=n,
+                     rbuf=WORK, rlo=work_lo, rhi=np.add(work_lo, n))
+
+
+def _tree_rows(per_rank_steps: Sequence[Sequence[Step]]) -> np.ndarray:
+    """Per-rank step lists over buffers ``in``/``work`` -> table rows
+    (buffer sizes only matter to ``Rotate``, which no tree phase has)."""
+    return encode_steps(per_rank_steps, {"in": 0, "work": 0})[0]
+
+
 # --------------------------------------------------------------------- #
 # Ring phases (reduce_scatter.py / allgather.py)
 # --------------------------------------------------------------------- #
-def _ring_reduce_scatter_steps(me: int, p: int, part: Partition,
-                               shift: int = 0) -> list[Step]:
+def _ring_rows(p: int, part: Partition, shift: int, first_send: int,
+               round_base: int, flags: int) -> np.ndarray:
+    """One ring phase over buffer ``work`` as a ``(rank, round)`` grid.
+
+    In round ``r`` virtual rank ``vme`` sends block ``vme + first_send -
+    r`` to its right neighbour and receives the block before it from
+    the left; ``send_first`` is RCCE_comm's odd-even rule
+    (``exchange.ring_send_first``).
+    """
+    me = np.arange(p)[:, None]
+    r = np.arange(p - 1)[None, :]
+    send_block = (me - shift + first_send - r) % p
+    recv_block = (send_block - 1) % p
+    offsets = np.asarray(part.offsets)
+    return step_rows(
+        me, round_base + r, OP_EXCHANGE,
+        speer=(me + 1) % p, sbuf=WORK,
+        slo=offsets[send_block], shi=offsets[send_block + 1],
+        rpeer=(me - 1) % p, rbuf=WORK,
+        rlo=offsets[recv_block], rhi=offsets[recv_block + 1],
+        flags=flags | F_SEND_FIRST * (me % 2 == 0))
+
+
+def _ring_reduce_scatter_rows(p: int, part: Partition,
+                              shift: int = 0) -> np.ndarray:
     """Port of ``ring_reduce_scatter``'s round loop over buffer ``work``."""
-    steps: list[Step] = []
-    right, left = (me + 1) % p, (me - 1) % p
-    vme = (me - shift) % p
-    send_first = _ring_send_first(me)
-    for r in range(p - 1):
-        send_block = (vme - 1 - r) % p
-        recv_block = (vme - 2 - r) % p
-        steps.append(Exchange(
-            send_peer=right, send=_block_iv("work", part, send_block),
-            recv_peer=left, recv=_block_iv("work", part, recv_block),
-            send_first=send_first, reduce=True, round=r))
-    return steps
+    return _ring_rows(p, part, shift, -1, 0, F_REDUCE)
 
 
-def _ring_allgather_blocks_steps(me: int, p: int, part: Partition,
-                                 shift: int = 0,
-                                 round_base: int = 0) -> list[Step]:
+def _ring_allgather_blocks_rows(p: int, part: Partition, shift: int = 0,
+                                round_base: int = 0) -> np.ndarray:
     """Port of ``ring_allgather_blocks``'s round loop over ``work``."""
-    steps: list[Step] = []
-    right, left = (me + 1) % p, (me - 1) % p
-    vme = (me - shift) % p
-    send_first = _ring_send_first(me)
-    for r in range(p - 1):
-        send_block = (vme - r) % p
-        recv_block = (vme - 1 - r) % p
-        steps.append(Exchange(
-            send_peer=right, send=_block_iv("work", part, send_block),
-            recv_peer=left, recv=_block_iv("work", part, recv_block),
-            send_first=send_first, round=round_base + r))
-    return steps
+    return _ring_rows(p, part, shift, 0, round_base, 0)
 
 
 # --------------------------------------------------------------------- #
@@ -203,15 +231,13 @@ def _binomial_gather_steps(me: int, p: int, root: int,
 def build_rsag_allreduce(p: int, n: int, part: Partition,
                          root: int) -> Schedule:
     """Ring ReduceScatter + ring Allgather (``rsag_allreduce``)."""
-    plans = []
-    for me in range(p):
-        steps: list[Step] = [_init_copy(me, n)]
-        if p > 1:
-            steps += _ring_reduce_scatter_steps(me, p, part)
-            steps += _ring_allgather_blocks_steps(me, p, part)
-        plans.append(tuple(steps))
-    return Schedule("allreduce", "rsag", p, n, {"in": n, "work": n},
-                    tuple(plans), {"part_sizes": part.sizes, "root": 0})
+    blocks = [_init_copy_rows(np.arange(p), n)]
+    if p > 1:
+        blocks += [_ring_reduce_scatter_rows(p, part),
+                   _ring_allgather_blocks_rows(p, part)]
+    return Schedule.from_table(
+        "allreduce", "rsag", p, n, {"in": n, "work": n},
+        make_table(blocks), {"part_sizes": part.sizes, "root": 0})
 
 
 def build_reduce_bcast_allreduce(p: int, n: int, part: Partition,
@@ -348,16 +374,14 @@ def build_rsg_reduce(p: int, n: int, part: Partition,
                      root: int) -> Schedule:
     """Ring ReduceScatter (root-relative vranks) + binomial gather
     (``reduce_scatter_gather_reduce``)."""
-    plans = []
-    for me in range(p):
-        steps: list[Step] = [_init_copy(me, n)]
-        if p > 1:
-            steps += _ring_reduce_scatter_steps(me, p, part, shift=root)
-            steps += _binomial_gather_steps(me, p, root, part)
-        plans.append(tuple(steps))
-    return Schedule("reduce", "rsg", p, n, {"in": n, "work": n},
-                    tuple(plans),
-                    {"part_sizes": part.sizes, "root": root})
+    blocks = [_init_copy_rows(np.arange(p), n)]
+    if p > 1:
+        blocks += [_ring_reduce_scatter_rows(p, part, shift=root),
+                   _tree_rows([_binomial_gather_steps(me, p, root, part)
+                               for me in range(p)])]
+    return Schedule.from_table(
+        "reduce", "rsg", p, n, {"in": n, "work": n},
+        make_table(blocks), {"part_sizes": part.sizes, "root": root})
 
 
 # --------------------------------------------------------------------- #
@@ -382,18 +406,14 @@ def build_scatter_allgather_bcast(p: int, n: int, part: Partition,
                                   root: int) -> Schedule:
     """Binomial scatter of blocks + ring allgather
     (``scatter_allgather_bcast``)."""
-    plans = []
-    for me in range(p):
-        steps: list[Step] = []
-        if me == root:
-            steps.append(_init_copy(me, n))
-        if p > 1:
-            steps += _binomial_scatter_steps(me, p, root, part)
-            steps += _ring_allgather_blocks_steps(me, p, part, shift=root)
-        plans.append(tuple(steps))
-    return Schedule("bcast", "scatter_allgather", p, n,
-                    {"in": n, "work": n}, tuple(plans),
-                    {"part_sizes": part.sizes, "root": root})
+    blocks = [_init_copy_rows(root, n)]
+    if p > 1:
+        blocks += [_tree_rows([_binomial_scatter_steps(me, p, root, part)
+                               for me in range(p)]),
+                   _ring_allgather_blocks_rows(p, part, shift=root)]
+    return Schedule.from_table(
+        "bcast", "scatter_allgather", p, n, {"in": n, "work": n},
+        make_table(blocks), {"part_sizes": part.sizes, "root": root})
 
 
 # --------------------------------------------------------------------- #
@@ -402,25 +422,14 @@ def build_scatter_allgather_bcast(p: int, n: int, part: Partition,
 def build_ring_allgather(p: int, n: int, part: Partition,
                          root: int) -> Schedule:
     """Port of ``ring_allgather`` (row exchange over the ``(p, n)``
-    result, flattened)."""
-
-    def row(i: int) -> Interval:
-        return Interval("work", i * n, (i + 1) * n)
-
-    plans = []
-    for me in range(p):
-        steps: list[Step] = [_init_copy(me, n, work_lo=me * n)]
-        right, left = (me + 1) % p, (me - 1) % p
-        send_first = _ring_send_first(me)
-        for r in range(p - 1):
-            steps.append(Exchange(
-                send_peer=right, send=row((me - r) % p),
-                recv_peer=left, recv=row((me - 1 - r) % p),
-                send_first=send_first, round=r))
-        plans.append(tuple(steps))
-    return Schedule("allgather", "ring", p, n,
-                    {"in": n, "work": p * n}, tuple(plans),
-                    {"rows": p, "root": 0})
+    result, flattened): the block ring over ``p`` rows of ``n``."""
+    ranks = np.arange(p)
+    rows_of_n = Partition(p * n, (n,) * p)
+    blocks = [_init_copy_rows(ranks, n, work_lo=ranks * n),
+              _ring_allgather_blocks_rows(p, rows_of_n)]
+    return Schedule.from_table(
+        "allgather", "ring", p, n, {"in": n, "work": p * n},
+        make_table(blocks), {"rows": p, "root": 0})
 
 
 def build_bruck_allgather(p: int, n: int, part: Partition,
@@ -453,42 +462,32 @@ def build_bruck_allgather(p: int, n: int, part: Partition,
 # --------------------------------------------------------------------- #
 def build_ring_reduce_scatter(p: int, n: int, part: Partition,
                               root: int) -> Schedule:
-    plans = []
-    for me in range(p):
-        steps: list[Step] = [_init_copy(me, n)]
-        if p > 1:
-            steps += _ring_reduce_scatter_steps(me, p, part)
-        plans.append(tuple(steps))
-    return Schedule("reduce_scatter", "ring", p, n,
-                    {"in": n, "work": n}, tuple(plans),
-                    {"part_sizes": part.sizes, "root": 0})
+    blocks = [_init_copy_rows(np.arange(p), n)]
+    if p > 1:
+        blocks.append(_ring_reduce_scatter_rows(p, part))
+    return Schedule.from_table(
+        "reduce_scatter", "ring", p, n, {"in": n, "work": n},
+        make_table(blocks), {"part_sizes": part.sizes, "root": 0})
 
 
 def build_pairwise_alltoall(p: int, n: int, part: Partition,
                             root: int) -> Schedule:
     """Port of ``pairwise_alltoall`` (round ``r`` pairs ``me`` with
-    ``(r - me) % p``; ``n`` is the per-destination row length)."""
-
-    def row(buf: str, i: int) -> Interval:
-        return Interval(buf, i * n, (i + 1) * n)
-
-    plans = []
-    for me in range(p):
-        steps: list[Step] = []
-        for r in range(p):
-            partner = (r - me) % p
-            if partner == me:
-                steps.append(CopyBlock(row("in", me), row("work", me),
-                                       charged=True, round=r))
-            else:
-                steps.append(Exchange(
-                    send_peer=partner, send=row("in", partner),
-                    recv_peer=partner, recv=row("work", partner),
-                    send_first=_pair_send_first(me, partner), round=r))
-        plans.append(tuple(steps))
-    return Schedule("alltoall", "pairwise", p, n,
-                    {"in": p * n, "work": p * n}, tuple(plans),
-                    {"rows": p, "root": 0})
+    ``(r - me) % p``; ``n`` is the per-destination row length; the
+    self-pairing round is the charged local copy of the own row)."""
+    me = np.arange(p)[:, None]
+    r = np.arange(p)[None, :]
+    partner = (r - me) % p
+    own = partner == me
+    peer = np.where(own, -1, partner)
+    rows = step_rows(
+        me, r, np.where(own, OP_COPY, OP_EXCHANGE),
+        speer=peer, sbuf=IN, slo=partner * n, shi=(partner + 1) * n,
+        rpeer=peer, rbuf=WORK, rlo=partner * n, rhi=(partner + 1) * n,
+        flags=np.where(own, F_CHARGED, F_SEND_FIRST * (me < partner)))
+    return Schedule.from_table(
+        "alltoall", "pairwise", p, n, {"in": p * n, "work": p * n},
+        make_table([rows]), {"rows": p, "root": 0})
 
 
 def build_recursive_doubling_scan(p: int, n: int, part: Partition,

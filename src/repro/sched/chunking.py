@@ -27,22 +27,28 @@ prefix and name parsing live in :mod:`repro.sched.synth`.
 
 from __future__ import annotations
 
-import dataclasses
+import numpy as np
 
 from repro.core.blocks import Partition
+from repro.sched.builders import _init_copy_rows
 from repro.sched.ir import (
-    CopyBlock,
-    Exchange,
-    Interval,
-    Recv,
-    ReduceRecv,
-    Rotate,
+    F_REDUCE,
+    F_REVERSED,
+    F_SEND_FIRST,
+    FLAGS,
+    OP,
+    OP_EXCHANGE,
+    OP_RECV,
+    OP_REDUCE_RECV,
+    OP_SEND,
+    RBUF,
+    SIDES,
+    WORK,
     Schedule,
-    Send,
-    Step,
+    StepTable,
+    make_table,
+    step_rows,
 )
-
-from repro.sched.builders import _init_copy
 
 
 def chunk_bounds(lo: int, hi: int, c: int) -> list[tuple[int, int]]:
@@ -68,51 +74,50 @@ def chunk_bounds(lo: int, hi: int, c: int) -> list[tuple[int, int]]:
     return bounds
 
 
-def _split_iv(iv: Interval, c: int) -> list[Interval]:
-    return [Interval(iv.buf, lo, hi)
-            for lo, hi in chunk_bounds(iv.lo, iv.hi, c)]
+def chunk_table(table: StepTable, c: int) -> StepTable:
+    """Split every transfer of ``table`` into up to ``c`` sub-transfers.
 
-
-def _chunk_step(step: Step, c: int) -> list[Step]:
-    """Rewrite one step into its per-chunk sub-steps.
-
-    Communication steps split into up to ``c`` sub-transfers carrying
-    the original round tag (the BSP phase structure is preserved; only
-    the message granularity changes).  An exchange whose two sides have
-    different lengths (uneven partitions, Bruck) pairs sub-intervals
-    index-wise and lets the shorter side run out — the tail sub-steps
-    go one-sided, exactly mirroring the partner's split of the equal-
-    length interval.  Local steps (copies, rotations) stay whole: they
-    pay an affine per-call cost, so splitting them only adds startup.
+    Communication rows repeat ``min(c, nels)`` times (``np.repeat``)
+    carrying their phase, so the BSP structure is preserved and only the
+    message granularity changes; sub-row ``k`` covers sub-range ``k`` of
+    :func:`chunk_bounds`.  An exchange whose two sides have different
+    lengths (uneven partitions, Bruck) pairs sub-ranges index-wise and
+    lets the shorter side run out — the tail sub-steps go one-sided
+    (and stop folding once the receive side is gone), exactly mirroring
+    the partner's split of the equal-length interval.  Local rows
+    (copies, rotations) stay whole: they pay an affine per-call cost,
+    so splitting them only adds startup.
     """
-    if isinstance(step, (Send, Recv, ReduceRecv)):
-        ivs = _split_iv(step.data, c)
-        if len(ivs) == 1:
-            return [step]
-        return [dataclasses.replace(step, data=iv) for iv in ivs]
-    if isinstance(step, Exchange):
-        sends = _split_iv(step.send, c) if step.send is not None else []
-        recvs = _split_iv(step.recv, c) if step.recv is not None else []
-        parts = max(len(sends), len(recvs))
-        if parts == 1:
-            return [step]
-        out: list[Step] = []
-        for k in range(parts):
-            s = sends[k] if k < len(sends) else None
-            r = recvs[k] if k < len(recvs) else None
-            out.append(Exchange(
-                send_peer=step.send_peer if s is not None else None,
-                send=s,
-                recv_peer=step.recv_peer if r is not None else None,
-                recv=r,
-                send_first=step.send_first,
-                reduce=step.reduce and r is not None,
-                reversed_fold=step.reversed_fold and r is not None,
-                round=step.round))
-        return out
-    if isinstance(step, (CopyBlock, Rotate)):
-        return [step]
-    raise TypeError(f"unknown schedule step {step!r}")
+    rows = table.rows
+    comm = rows[:, OP] <= OP_EXCHANGE
+    # Sub-ranges per side: chunk_bounds' ``max(1, min(c, nels))``, or 0
+    # where the row has no such side to split.
+    own = [np.where(comm & (rows[:, buf] >= 0),
+                    np.clip(rows[:, hi] - rows[:, lo], 1, c), 0)
+           for _, buf, lo, hi in SIDES]
+    counts = np.maximum(np.maximum(own[0], own[1]), 1)
+    src = np.repeat(np.arange(len(rows)), counts)
+    k = np.arange(len(src)) - np.repeat(np.cumsum(counts) - counts, counts)
+    out = rows[src]
+    comm = comm[src]
+    for (peer, buf, lo, hi), parts in zip(SIDES, own):
+        parts = parts[src]
+        live = k < parts          # sub-step k still has this side
+        gone = comm & ~live       # ... or the side ran out before k
+        base, extra = np.divmod(out[:, hi] - out[:, lo],
+                                np.maximum(parts, 1))
+        start = out[:, lo] + k * base + np.minimum(k, extra)
+        out[:, hi] = np.where(live, start + base + (k < extra),
+                              np.where(gone, 0, out[:, hi]))
+        out[:, lo] = np.where(live, start, np.where(gone, 0, out[:, lo]))
+        out[gone, peer] = -1
+        out[gone, buf] = -1
+    # A split exchange folds only where it still receives (an unsplit
+    # row keeps its flags as built).
+    out[(counts[src] > 1) & (out[:, RBUF] < 0), FLAGS] &= ~(F_REDUCE
+                                                            | F_REVERSED)
+    out.setflags(write=False)
+    return StepTable(out, table.bufs)
 
 
 def chunk_schedule(sched: Schedule, c: int) -> Schedule:
@@ -121,24 +126,75 @@ def chunk_schedule(sched: Schedule, c: int) -> Schedule:
     ``c <= 1`` returns the schedule unchanged.  The result is renamed
     ``<name>+c<c>`` and records the chunk layout in ``meta`` (the cost
     memo keys on it — see :func:`repro.sched.cost.schedule_cost_key`).
+    A table -> table transform: neither schedule's ``plans`` are built.
     """
     if c <= 1:
         return sched
-    plans = tuple(
-        tuple(sub for step in plan for sub in _chunk_step(step, c))
-        for plan in sched.plans)
     meta = dict(sched.meta)
     meta["chunks"] = c
     meta["base"] = sched.name
-    return Schedule(sched.kind, f"{sched.name}+c{c}", sched.p, sched.n,
-                    dict(sched.buffers), plans, meta)
+    return Schedule.from_table(
+        sched.kind, f"{sched.name}+c{c}", sched.p, sched.n,
+        dict(sched.buffers), chunk_table(sched.table, c), meta)
 
 
 # --------------------------------------------------------------------- #
 # Pipelined chain builders
 # --------------------------------------------------------------------- #
-def _chain_meta(root: int, c: int) -> dict:
-    return {"root": root, "chunks": c}
+def _chain_rows(p: int, n: int, c: int, pos, source, dest, recv_op: int,
+                fold: int = 0, round_base: int = 0) -> np.ndarray:
+    """The chunks of ``work[0:n]`` streaming down a rank chain, as a
+    ``(rank, slot)`` grid of table rows.
+
+    ``pos[r]`` is rank ``r``'s position along the chain (the chunks
+    start at position 0), ``source[r]``/``dest[r]`` its neighbours.  In
+    slot ``j`` a rank receives chunk ``j`` from its source (unless it
+    heads the chain or the chunks have run out) and forwards chunk
+    ``j - 1`` to its dest (unless it ends the chain or ``j == 0``);
+    slot ``j`` is round ``pos - 1 + j``, so chunk ``k`` crosses the hop
+    from position ``d`` to ``d + 1`` in round ``d + k``.  A slot with
+    both sides is one full-duplex exchange; a receive-only slot is a
+    ``recv_op`` row; ``fold`` holds the reduce flags of the exchanges.
+    """
+    bounds = np.array(chunk_bounds(0, n, c))
+    parts = len(bounds)
+    pos = np.asarray(pos)[:, None]
+    j = np.arange(parts + 1)[None, :]
+    recv = (pos > 0) & (j < parts)
+    send = (pos < p - 1) & (j >= 1)
+    op = np.where(recv, np.where(send, OP_EXCHANGE, recv_op), OP_SEND)
+    got, sent = bounds[np.minimum(j, parts - 1)], bounds[np.maximum(j - 1, 0)]
+    rows = step_rows(
+        np.arange(p)[:, None], round_base + pos - 1 + j, op,
+        speer=np.where(send, np.asarray(dest)[:, None], -1),
+        sbuf=np.where(send, WORK, -1),
+        slo=sent[..., 0] * send, shi=sent[..., 1] * send,
+        rpeer=np.where(recv, np.asarray(source)[:, None], -1),
+        rbuf=np.where(recv, WORK, -1),
+        rlo=got[..., 0] * recv, rhi=got[..., 1] * recv,
+        flags=(fold * (recv & (op == OP_EXCHANGE))
+               | F_SEND_FIRST * (recv & send)))
+    return rows[(recv | send).ravel()]
+
+
+def _chain_schedule(kind: str, p: int, n: int, root: int, c: int,
+                    blocks: list) -> Schedule:
+    return Schedule.from_table(
+        kind, f"pipeline_c{c}", p, n, {"in": n, "work": n},
+        make_table(blocks), {"root": root, "chunks": c})
+
+
+def _bcast_chain_rows(p: int, n: int, root: int, c: int,
+                      round_base: int = 0) -> np.ndarray:
+    ranks = np.arange(p)
+    return _chain_rows(p, n, c, (ranks - root) % p, (ranks - 1) % p,
+                       (ranks + 1) % p, OP_RECV, round_base=round_base)
+
+
+def _reduce_chain_rows(p: int, n: int, root: int, c: int) -> np.ndarray:
+    ranks = np.arange(p)
+    return _chain_rows(p, n, c, p - 1 - (ranks - root) % p, (ranks + 1) % p,
+                       (ranks - 1) % p, OP_REDUCE_RECV, F_REDUCE)
 
 
 def build_pipeline_bcast(p: int, n: int, part: Partition, root: int,
@@ -151,38 +207,8 @@ def build_pipeline_bcast(p: int, n: int, part: Partition, root: int,
     whole vector reaches the last rank after ``p + c - 2`` rounds of
     ``n/c``-element messages.
     """
-    bounds = chunk_bounds(0, n, c)
-    parts = len(bounds)
-
-    def iv(k: int) -> Interval:
-        return Interval("work", bounds[k][0], bounds[k][1])
-
-    plans = []
-    for me in range(p):
-        d = (me - root) % p
-        steps: list[Step] = []
-        if me == root:
-            steps.append(_init_copy(me, n))
-            if p > 1:
-                nxt = (me + 1) % p
-                for k in range(parts):
-                    steps.append(Send(nxt, iv(k), round=k))
-        elif d == p - 1:
-            prev = (me - 1) % p
-            for k in range(parts):
-                steps.append(Recv(prev, iv(k), round=d - 1 + k))
-        else:
-            prev, nxt = (me - 1) % p, (me + 1) % p
-            steps.append(Recv(prev, iv(0), round=d - 1))
-            for k in range(1, parts):
-                steps.append(Exchange(
-                    send_peer=nxt, send=iv(k - 1),
-                    recv_peer=prev, recv=iv(k),
-                    send_first=True, round=d - 1 + k))
-            steps.append(Send(nxt, iv(parts - 1), round=d - 1 + parts))
-        plans.append(tuple(steps))
-    return Schedule("bcast", f"pipeline_c{c}", p, n, {"in": n, "work": n},
-                    tuple(plans), _chain_meta(root, c))
+    return _chain_schedule("bcast", p, n, root, c, [
+        _init_copy_rows(root, n), _bcast_chain_rows(p, n, root, c)])
 
 
 def build_pipeline_reduce(p: int, n: int, part: Partition, root: int,
@@ -194,41 +220,8 @@ def build_pipeline_reduce(p: int, n: int, part: Partition, root: int,
     folding chunk ``k`` while forwarding the already-folded chunk
     ``k - 1``.
     """
-    bounds = chunk_bounds(0, n, c)
-    parts = len(bounds)
-
-    def iv(k: int) -> Interval:
-        return Interval("work", bounds[k][0], bounds[k][1])
-
-    plans = []
-    for me in range(p):
-        d = (me - root) % p
-        steps: list[Step] = [_init_copy(me, n)]
-        if p > 1:
-            if d == p - 1:
-                down = (me - 1) % p
-                for k in range(parts):
-                    steps.append(Send(down, iv(k), round=k))
-            elif d == 0:
-                up = (me + 1) % p
-                for k in range(parts):
-                    steps.append(ReduceRecv(up, iv(k),
-                                            round=p - 2 + k))
-            else:
-                up, down = (me + 1) % p, (me - 1) % p
-                base = p - 2 - d
-                steps.append(ReduceRecv(up, iv(0), round=base))
-                for k in range(1, parts):
-                    steps.append(Exchange(
-                        send_peer=down, send=iv(k - 1),
-                        recv_peer=up, recv=iv(k),
-                        send_first=True, reduce=True,
-                        round=base + k))
-                steps.append(Send(down, iv(parts - 1),
-                                  round=base + parts))
-        plans.append(tuple(steps))
-    return Schedule("reduce", f"pipeline_c{c}", p, n, {"in": n, "work": n},
-                    tuple(plans), _chain_meta(root, c))
+    return _chain_schedule("reduce", p, n, root, c, [
+        _init_copy_rows(np.arange(p), n), _reduce_chain_rows(p, n, root, c)])
 
 
 def build_pipeline_scan(p: int, n: int, part: Partition, root: int,
@@ -237,46 +230,16 @@ def build_pipeline_scan(p: int, n: int, part: Partition, root: int,
 
     Rank ``me`` folds the incoming prefix of ranks ``0..me-1`` into its
     operand chunk by chunk (``op(received, local)``, the scan
-    convention) and forwards the completed prefix downstream — ``p + c``
-    rounds of ``n/c`` messages against recursive doubling's
+    convention; every receive is an exchange, one-sided where nothing
+    is forwarded) and forwards the completed prefix downstream —
+    ``p + c`` rounds of ``n/c`` messages against recursive doubling's
     ``log2(p)`` rounds of whole vectors.
     """
-    bounds = chunk_bounds(0, n, c)
-    parts = len(bounds)
-
-    def iv(k: int) -> Interval:
-        return Interval("work", bounds[k][0], bounds[k][1])
-
-    plans = []
-    for me in range(p):
-        steps: list[Step] = [_init_copy(me, n)]
-        if p > 1:
-            if me == 0:
-                for k in range(parts):
-                    steps.append(Send(me + 1, iv(k), round=k))
-            else:
-                fold = dict(reduce=True, reversed_fold=True)
-                steps.append(Exchange(
-                    send_peer=None, send=None,
-                    recv_peer=me - 1, recv=iv(0),
-                    send_first=False, round=me - 1, **fold))
-                for k in range(1, parts):
-                    if me < p - 1:
-                        steps.append(Exchange(
-                            send_peer=me + 1, send=iv(k - 1),
-                            recv_peer=me - 1, recv=iv(k),
-                            send_first=True, round=me - 1 + k, **fold))
-                    else:
-                        steps.append(Exchange(
-                            send_peer=None, send=None,
-                            recv_peer=me - 1, recv=iv(k),
-                            send_first=False, round=me - 1 + k, **fold))
-                if me < p - 1:
-                    steps.append(Send(me + 1, iv(parts - 1),
-                                      round=me - 1 + parts))
-        plans.append(tuple(steps))
-    return Schedule("scan", f"pipeline_c{c}", p, n, {"in": n, "work": n},
-                    tuple(plans), _chain_meta(0, c))
+    ranks = np.arange(p)
+    return _chain_schedule("scan", p, n, 0, c, [
+        _init_copy_rows(ranks, n),
+        _chain_rows(p, n, c, ranks, ranks - 1, ranks + 1, OP_EXCHANGE,
+                    F_REDUCE | F_REVERSED)])
 
 
 def build_pipeline_allreduce(p: int, n: int, part: Partition, root: int,
@@ -288,21 +251,11 @@ def build_pipeline_allreduce(p: int, n: int, part: Partition, root: int,
     rarely — but the synthesizer prices it like any other candidate
     instead of us deciding by hand.
     """
-    red = build_pipeline_reduce(p, n, part, 0, c)
-    bc = build_pipeline_bcast(p, n, part, 0, c)
     parts = len(chunk_bounds(0, n, c))
     offset = p + parts - 1  # first free round index after the reduce
-    plans = []
-    for me in range(p):
-        steps = list(red.plans[me])
-        for step in bc.plans[me]:
-            if isinstance(step, CopyBlock):
-                continue  # the reduce phase already staged "work"
-            steps.append(dataclasses.replace(
-                step, round=step.round + offset))
-        plans.append(tuple(steps))
-    return Schedule("allreduce", f"pipeline_c{c}", p, n,
-                    {"in": n, "work": n}, tuple(plans), _chain_meta(0, c))
+    return _chain_schedule("allreduce", p, n, 0, c, [
+        _init_copy_rows(np.arange(p), n), _reduce_chain_rows(p, n, 0, c),
+        _bcast_chain_rows(p, n, 0, c, round_base=offset)])
 
 
 #: kind -> chain-pipeline builder (parameterized over the chunk count).

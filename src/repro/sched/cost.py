@@ -32,10 +32,19 @@ default ``overhead=None`` every function below behaves exactly as before
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Mapping, Optional
+
+import numpy as np
 
 from repro.hw.timing import LatencyModel
 from repro.sched.ir import (
+    F_CHARGED,
+    F_REDUCE,
+    FLAGS,
+    OP,
+    PHASE,
+    RANK,
+    SIDES,
     CopyBlock,
     Exchange,
     Recv,
@@ -43,6 +52,7 @@ from repro.sched.ir import (
     Rotate,
     Schedule,
     Send,
+    decode_row,
 )
 
 #: The paper's element type: IEEE doubles.
@@ -69,10 +79,6 @@ class SoftwareOverhead:
     send_ps: int = 0
     recv_ps: int = 0
     call_ps: int = 0
-
-
-#: The all-zero overhead used when ``overhead=None`` is passed.
-_NO_OVERHEAD = SoftwareOverhead()
 
 
 def message_cost(model: LatencyModel, src: int, dst: int,
@@ -157,7 +163,7 @@ def _copy_pair_cost(model: LatencyModel, src: int, dst: int,
 
 def step_cost(model: LatencyModel, step, rank: int, *,
               blocking: bool = False,
-              buffers: Optional[dict] = None,
+              buffers: Optional[Mapping[str, int]] = None,
               overhead: Optional[SoftwareOverhead] = None) -> int:
     """Price one IR step as seen by ``rank`` (picoseconds).
 
@@ -179,24 +185,26 @@ def step_cost(model: LatencyModel, step, rank: int, *,
       endpoint's CPU performs just its own write and read while the
       partner copies concurrently.
     """
-    if overhead is None:
-        return _step_cost_hw(model, step, rank, blocking=blocking,
-                             buffers=buffers)
     ov = overhead
-    if isinstance(step, Send):
-        return (ov.send_ps
-                + message_cost(model, rank, step.peer, step.data.nels)
-                + handshake_cost(model, rank, step.peer))
-    if isinstance(step, Recv):
-        return (ov.recv_ps
-                + message_cost(model, step.peer, rank, step.data.nels)
-                + handshake_cost(model, step.peer, rank))
-    if isinstance(step, ReduceRecv):
-        return (ov.recv_ps
-                + message_cost(model, step.peer, rank, step.data.nels)
-                + handshake_cost(model, step.peer, rank)
-                + model.reduce_doubles(step.data.nels))
+    if isinstance(step, (Send, Recv, ReduceRecv)):
+        src, dst = ((rank, step.peer) if isinstance(step, Send)
+                    else (step.peer, rank))
+        cost = message_cost(model, src, dst, step.data.nels)
+        if ov is not None:
+            cost += ((ov.send_ps if isinstance(step, Send) else ov.recv_ps)
+                     + handshake_cost(model, src, dst))
+        if isinstance(step, ReduceRecv):
+            cost += model.reduce_doubles(step.data.nels)
+        return cost
     if isinstance(step, Exchange):
+        fold = (model.reduce_doubles(step.recv.nels)
+                if step.reduce and step.recv.nels else 0)
+        if ov is None:
+            out = (message_cost(model, rank, step.send_peer, step.send.nels)
+                   if step.send_peer is not None else 0)
+            inn = (message_cost(model, step.recv_peer, rank, step.recv.nels)
+                   if step.recv_peer is not None else 0)
+            return (out + inn if blocking else max(out, inn)) + fold
         cost = 0
         copies = []
         # On the blocking stack the exchange is a rendezvous in lockstep
@@ -225,39 +233,7 @@ def step_cost(model: LatencyModel, step, rank: int, *,
         # covers asymmetric block sizes).
         if copies:
             cost += sum(copies) if blocking else max(copies)
-        if step.reduce and step.recv.nels:
-            cost += model.reduce_doubles(step.recv.nels)
-        return cost
-    if isinstance(step, CopyBlock):
-        if step.charged:
-            return model.private_copy_bytes(step.src.nels * ELEMENT_BYTES)
-        return 0
-    if isinstance(step, Rotate):
-        nels = buffers[step.buf] if buffers is not None else 0
-        return model.private_copy_bytes(nels * ELEMENT_BYTES)
-    raise TypeError(f"unknown schedule step {step!r}")
-
-
-def _step_cost_hw(model: LatencyModel, step, rank: int, *,
-                  blocking: bool = False,
-                  buffers: Optional[dict] = None) -> int:
-    """The hardware-only regime (the selector's historical behavior)."""
-    if isinstance(step, Send):
-        return message_cost(model, rank, step.peer, step.data.nels)
-    if isinstance(step, Recv):
-        return message_cost(model, step.peer, rank, step.data.nels)
-    if isinstance(step, ReduceRecv):
-        return (message_cost(model, step.peer, rank, step.data.nels)
-                + model.reduce_doubles(step.data.nels))
-    if isinstance(step, Exchange):
-        out = (message_cost(model, rank, step.send_peer, step.send.nels)
-               if step.send_peer is not None else 0)
-        inn = (message_cost(model, step.recv_peer, rank, step.recv.nels)
-               if step.recv_peer is not None else 0)
-        cost = out + inn if blocking else max(out, inn)
-        if step.reduce and step.recv.nels:
-            cost += model.reduce_doubles(step.recv.nels)
-        return cost
+        return cost + fold
     if isinstance(step, CopyBlock):
         if step.charged:
             return model.private_copy_bytes(step.src.nels * ELEMENT_BYTES)
@@ -278,15 +254,15 @@ def schedule_cost_key(sched: Schedule, *, blocking: bool,
     it was built with, the **chunk layout** (``meta["chunks"]`` — a
     chunked variant must never collide with its base builder or with a
     different chunk count, even though all share the base's step
-    shapes), the pricing regime, and a structural hash of the plans —
-    so a hand-mutated schedule (the verifier's broken fixtures) can
-    never be served its pristine namesake's estimate.
+    shapes), the pricing regime, and the digest of the step table — so
+    a hand-mutated schedule (the verifier's broken fixtures) can never
+    be served its pristine namesake's estimate.
     """
     meta = sched.meta
     sizes = meta.get("part_sizes")
     return ("schedcost", sched.kind, sched.name, sched.p, sched.n,
             tuple(sizes) if sizes is not None else None,
-            meta.get("root"), meta.get("chunks"), hash(sched.plans),
+            meta.get("root"), meta.get("chunks"), sched.digest,
             blocking, overhead)
 
 
@@ -312,17 +288,78 @@ def invalidate_schedule_costs(model: LatencyModel) -> int:
     return dropped
 
 
+def _pair_classes(model: LatencyModel) -> np.ndarray:
+    """``classes[a, b]``: which core pairs price alike (ids from 1).
+
+    Every MPB/flag latency depends on an (accessor, owner) pair only
+    through the routed hop count in either direction (weighted links
+    make XY routes asymmetric), the chip crossings, and whether the two
+    are the same core — so steps collapse onto a handful of classes even
+    for pairwise alltoall's p*(p-1) distinct core pairs.  Built once per
+    model, stashed alongside its other memoized latencies.
+    """
+    memo = (model._memo[model.config.erratum_enabled]
+            if model._cache_enabled else None)
+    classes = memo.get("pairclass") if memo is not None else None
+    if classes is None:
+        topo = model.topology
+        # Routing is per tile: price one core of each, then fan out.
+        heads = [topo.cores_of_tile(t)[0] for t in range(topo.num_tiles)]
+        tile_hops = np.array([[topo.hops(a, b) for b in heads]
+                              for a in heads])
+        tile = np.array([topo.tile_of(core) for core in topo.cores()])
+        hops = tile_hops[tile[:, None], tile]
+        chip = tile // topo.tiles_per_chip
+        traits = np.stack([hops, hops.T, abs(chip[:, None] - chip),
+                           np.eye(len(tile), dtype=hops.dtype)])
+        _, ids = np.unique(traits.reshape(4, -1), axis=1,
+                           return_inverse=True)
+        classes = 1 + ids.reshape(hops.shape)
+        if memo is not None:
+            memo["pairclass"] = classes
+    return classes
+
+
+def _step_keys(rows: np.ndarray, classes: np.ndarray) -> np.ndarray:
+    """One key per row such that equal keys mean equal :func:`step_cost`:
+    opcode, the priced flags, each side's pair class (0: no peer) and
+    element count + 1 (0: no such side).  Packed into one int64 column
+    when the ranges allow, else left as the five columns."""
+    rank = rows[:, RANK]
+    sides = []
+    for peer, buf, lo, hi in SIDES:
+        sides.append(np.where(rows[:, peer] >= 0,
+                              classes[rank, rows[:, peer]], 0))
+        sides.append(np.where(rows[:, buf] >= 0,
+                              rows[:, hi] - rows[:, lo] + 1, 0))
+    cols = [rows[:, OP] * 16 + (rows[:, FLAGS] & (F_REDUCE | F_CHARGED)),
+            *sides]
+    spans = [int(col.max()) + 1 for col in cols]
+    if np.prod([float(span) for span in spans]) >= 2.0 ** 62:
+        return np.stack(cols, axis=1)
+    key = cols[0]
+    for col, span in zip(cols[1:], spans[1:]):
+        key = key * span + col
+    return key
+
+
 def estimate_schedule_cost(sched: Schedule, model: LatencyModel, *,
                            blocking: bool = False,
                            overhead: Optional[SoftwareOverhead] = None) -> int:
     """BSP estimate of the schedule makespan (picoseconds).
 
-    Sums, over the ordered sequence of round tags, the maximum per-rank
-    cost of that round.  Untagged steps are grouped by their position
-    relative to the tagged rounds (prologue before, epilogue after).
-    With ``overhead`` set, every message side additionally pays the
-    stack's per-call software cost and the total includes one
-    collective-layer entry charge (``overhead.call_ps``).
+    Sums, over the phases, the maximum per-rank cost of that phase: a
+    phase is one round tag, or the untagged prologue (steps before a
+    rank's first tagged one) or epilogue (after it).  With ``overhead``
+    set, every message side additionally pays the stack's per-call
+    software cost and the total includes one collective-layer entry
+    charge (``overhead.call_ps``).
+
+    One vector pass over the schedule's step table: every *distinct*
+    step shape (:func:`_step_keys`) is priced once through
+    :func:`step_cost` — which stays the single definition of a step's
+    price — then gathered, summed per (phase, rank), maximized per
+    phase.  ``sched.plans`` is not touched.
 
     Whole-schedule results are memoized in the model's per-erratum
     table under :func:`schedule_cost_key` — the synthesizer prices the
@@ -339,95 +376,25 @@ def estimate_schedule_cost(sched: Schedule, model: LatencyModel, *,
         cached = sched_memo.get(cache_key)
         if cached is not None:
             return cached
-    # phase key -> rank -> accumulated cost.  Phases are ordered by
-    # first appearance on any rank; untagged prologue/epilogue steps get
-    # sentinel keys that sort before/after every real round.
-    phases: dict[object, dict[int, int]] = {}
-    order: list[object] = []
-    buffers = dict(sched.buffers)
-    # Per-call step-cost memo (overhead regime only, where the analytic
-    # engine prices thousands of steps per schedule).  Every overhead
-    # cost is a pure function of the step *shape* and the mesh hop
-    # distance to the peer — hops are symmetric and all MPB/flag
-    # latencies depend on the core pair only through them — so steps
-    # collapse onto a handful of (shape, hops, nels) keys even for
-    # pairwise alltoall's p*(p-1) distinct core pairs.
-    step_memo: dict = {}
-    hop_table = None
-    if overhead is not None:
-        # Hop lookups happen once per step; the coordinate arithmetic in
-        # Topology.hops costs more than the pricing it keys, so build the
-        # full pairwise table once per model (stashed alongside the
-        # model's other memoized latencies).
-        memo = (model._memo[model.config.erratum_enabled]
-                if model._cache_enabled else None)
-        hop_table = memo.get("hoptbl") if memo is not None else None
-        if hop_table is None:
-            topo = model.topology
-            n = topo.num_cores
-            if topo.chips > 1:
-                # Hops alone no longer determine the latency: the
-                # inter-chip tier depends on the crossing count, so the
-                # memo key must carry both.
-                hop_table = [[(topo.hops(a, b), topo.chip_crossings(a, b))
-                              for b in range(n)] for a in range(n)]
-            else:
-                hop_table = [[topo.hops(a, b) for b in range(n)]
-                             for a in range(n)]
-            if memo is not None:
-                memo["hoptbl"] = hop_table
-    for rank, plan in enumerate(sched.plans):
-        seen_round = False
-        for step in plan:
-            if step.round is not None:
-                key: object = ("round", step.round)
-                seen_round = True
-            elif not seen_round:
-                key = ("pre", None)
-            else:
-                key = ("post", None)
-            if key not in phases:
-                phases[key] = {}
-                order.append(key)
-            bucket = phases[key]
-            if overhead is None:
-                cost = step_cost(model, step, rank, blocking=blocking,
-                                 buffers=buffers, overhead=None)
-            else:
-                cls = step.__class__
-                row = hop_table[rank]
-                if cls is Exchange:
-                    sp, rp = step.send_peer, step.recv_peer
-                    memo_key = (
-                        1,
-                        row[sp] if sp is not None else -1,
-                        step.send.nels if sp is not None else -1,
-                        row[rp] if rp is not None else -1,
-                        step.recv.nels if rp is not None else -1,
-                        step.reduce)
-                elif cls is Send:
-                    memo_key = (2, row[step.peer], step.data.nels)
-                elif cls is Recv:
-                    memo_key = (3, row[step.peer], step.data.nels)
-                elif cls is ReduceRecv:
-                    memo_key = (4, row[step.peer], step.data.nels)
-                elif cls is CopyBlock:
-                    memo_key = (5, step.src.nels if step.charged else -1)
-                elif cls is Rotate:
-                    memo_key = (6, step.buf)
-                else:
-                    memo_key = None
-                cost = (step_memo.get(memo_key)
-                        if memo_key is not None else None)
-                if cost is None:
-                    cost = step_cost(model, step, rank, blocking=blocking,
-                                     buffers=buffers, overhead=overhead)
-                    if memo_key is not None:
-                        step_memo[memo_key] = cost
-            bucket[rank] = bucket.get(rank, 0) + cost
-    total = sum(max(phases[key].values()) for key in order)
-    if overhead is not None:
-        total += overhead.call_ps
+    table = sched.table
+    rows = table.rows
+    total = overhead.call_ps if overhead is not None else 0
+    if len(rows):
+        keys = _step_keys(rows, _pair_classes(model))
+        _, first, inverse = np.unique(
+            keys, axis=0 if keys.ndim == 2 else None,
+            return_index=True, return_inverse=True)
+        prices = np.array(
+            [step_cost(model, decode_row(row, table.bufs, {}), row[RANK],
+                       blocking=blocking, buffers=sched.buffers,
+                       overhead=overhead)
+             for row in rows[first].tolist()], dtype=np.int64)
+        # Dense (phase, rank) cells; PRE/POST are phases like any round.
+        # Costs are >= 0, so a rank's empty cell never wins the max.
+        phases, phase = np.unique(rows[:, PHASE], return_inverse=True)
+        cells = np.zeros((len(phases), sched.p), dtype=np.int64)
+        np.add.at(cells, (phase, rows[:, RANK]), prices[inverse.ravel()])
+        total += int(cells.max(axis=1).sum())
     if cache_key is not None:
         sched_memo[cache_key] = total
     return total

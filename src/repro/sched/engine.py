@@ -36,7 +36,6 @@ import numpy as np
 from repro.core.exchange import full_exchange
 from repro.core.ops import ReduceOp, SUM
 from repro.obs.spans import span
-from repro.sched.builders import build_schedule
 from repro.sched.ir import (
     CopyBlock,
     Exchange,
@@ -169,6 +168,10 @@ def schedule_for(comm: "Communicator", kind: str, name: str, p: int,
     partition behavior (``synth/rsag+c4`` consumes the communicator's
     block partition exactly like ``rsag`` does); pipelines take none.
     """
+    # Imported here: builders -> core.blocks -> core (package) ->
+    # core.comm -> this module would otherwise be an import cycle.
+    from repro.sched.builders import build_schedule
+
     effective = name
     if name.startswith("synth/"):
         from repro.sched.synth import base_builder

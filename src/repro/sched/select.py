@@ -21,6 +21,7 @@ table file (just slower on first use per point).
 from __future__ import annotations
 
 import json
+import logging
 import pathlib
 from dataclasses import dataclass, field
 from typing import Generator, Iterable, Optional, Sequence
@@ -35,6 +36,8 @@ from repro.hw.machine import CoreEnv, Machine
 from repro.hw.timing import LatencyModel
 from repro.sched.builders import SCHEDULED_KINDS, build_schedule, builder_names
 from repro.sched.cost import estimate_schedule_cost
+
+_log = logging.getLogger(__name__)
 
 #: On-disk table format version.  Schema 2 adds per-topology sub-tables
 #: (the ``topologies`` payload); schema-1 files still load, as tables
@@ -328,7 +331,13 @@ class TunedCommunicator(Communicator):
                     else default_table_path())
             try:
                 self._table = SelectionTable.load(path)
-            except (OSError, ValueError, json.JSONDecodeError):
+            except FileNotFoundError:
+                self._table = None  # no table: price on the fly
+            except (OSError, ValueError) as exc:
+                _log.warning(
+                    "selection table %s is unusable (%s: %s); falling "
+                    "back to pricing candidates with the cost model",
+                    path, type(exc).__name__, exc)
                 self._table = None
         return self._table
 
@@ -395,15 +404,3 @@ class TunedCommunicator(Communicator):
         if algo is None:
             algo = self.pick_algo("scan", env.size, sendbuf.size)
         return super().scan(env, sendbuf, op, algo)
-
-
-def make_tuned(machine: Machine) -> TunedCommunicator:
-    return TunedCommunicator(machine)
-
-
-def install_tuned_stack() -> None:
-    """Register the ``tuned`` stack (idempotent; called by the registry)."""
-    from repro.core.registry import _FACTORIES, register_stack
-
-    if "tuned" not in _FACTORIES:
-        register_stack("tuned", make_tuned)

@@ -40,7 +40,6 @@ numpy interpreter (:mod:`repro.sched.interp`) — ``verify=True`` makes
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -126,7 +125,7 @@ def _build_synth_cached(kind: str, name: str, p: int, n: int,
             build_schedule(kind, base, p, n, part=part, root=root), c)
     # The schedule's own name is the full registry name (cost memo keys
     # and span labels stay unambiguous); chunk layout is already in meta.
-    return dataclasses.replace(sched, name=name)
+    return sched.renamed(name)
 
 
 def build_synth_schedule(kind: str, name: str, p: int, n: int, *,
@@ -195,12 +194,6 @@ class SynthResult:
         return next(c for c in self.candidates if not c.synthesized)
 
 
-def _schedule_rounds(sched: Schedule) -> int:
-    rounds = {step.round for plan in sched.plans for step in plan
-              if step.round is not None}
-    return len(rounds)
-
-
 def default_model(config: Optional[SCCConfig] = None) -> LatencyModel:
     """A fresh memoized model over the config's topology (tune's model)."""
     config = config if config is not None else SCCConfig()
@@ -237,7 +230,7 @@ def synthesize(kind: str, p: int, n: int,
             cost=estimate_schedule_cost(sched, model, blocking=blocking),
             latency_cost=estimate_schedule_cost(
                 _resolve(kind, name, p, n_lat), model, blocking=blocking),
-            rounds=_schedule_rounds(sched),
+            rounds=sched.rounds,
             steps=sched.total_steps()))
     cands.sort(key=lambda c: (c.cost, c.latency_cost, c.name))
     frontier = tuple(sorted(

@@ -83,6 +83,26 @@ class TestPartitionObject:
                 covered.extend(range(s.start, s.stop))
             assert covered == list(range(575))
 
+    def test_offsets_are_the_prefix_sums(self):
+        part = standard_partition(575, 48)
+        assert part.offsets == tuple(sum(part.sizes[:b])
+                                     for b in range(part.p + 1))
+        assert [part.offset(b) for b in range(49)] == list(part.offsets)
+        # derived state stays out of equality and hashing
+        assert part == Partition(575, part.sizes)
+        assert hash(part) == hash(Partition(575, part.sizes))
+
+    def test_block_intervals_are_interned_per_partition(self):
+        from repro.sched.builders import _block_iv
+
+        part = balanced_partition(70, 5)
+        assert _block_iv("work", part, 2) is _block_iv("work", part, 2)
+        assert _block_iv("work", part, 1, 3) is _block_iv("work", part, 1, 3)
+        iv = _block_iv("work", part, 1, 3)
+        assert (iv.lo, iv.hi) == (part.offset(1), part.offset(4))
+        assert _block_iv("work", balanced_partition(70, 5), 2) \
+            is not _block_iv("work", part, 2)
+
     def test_inconsistent_sizes_rejected(self):
         with pytest.raises(ValueError):
             Partition(10, (3, 3))

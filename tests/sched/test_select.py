@@ -1,6 +1,7 @@
 """Cost model, selection table, and the tuned stack."""
 
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -220,11 +221,27 @@ class TestTunedStack:
         _, comm = self.make(table=table)
         assert comm.pick_algo("scan", 4, 64) == "sched:synth/pipeline_c4"
 
-    def test_pick_falls_back_to_cost_model(self, tmp_path):
+    def test_pick_falls_back_to_cost_model(self, tmp_path, caplog):
         _, comm = self.make(table_path=tmp_path / "missing.json")
-        name = comm.pick_algo("allreduce", 4, 16)
+        with caplog.at_level(logging.WARNING, logger="repro.sched.select"):
+            name = comm.pick_algo("allreduce", 4, 16)
         assert name.startswith("sched:")
         assert known_algorithm("allreduce", name.removeprefix("sched:"))
+        assert not caplog.records  # a missing table is the quiet default
+
+    def test_damaged_table_falls_back_with_a_warning(self, tmp_path, caplog):
+        path = tmp_path / "truncated.json"
+        text = default_table_path().read_text()
+        path.write_text(text[:len(text) // 2])
+        _, comm = self.make(table_path=path)
+        with caplog.at_level(logging.WARNING, logger="repro.sched.select"):
+            name = comm.pick_algo("allreduce", 4, 16)
+            comm.pick_algo("allreduce", 4, 32)  # loaded (and warned) once
+        assert known_algorithm("allreduce", name.removeprefix("sched:"))
+        [record] = caplog.records
+        assert record.name == "repro.sched.select"
+        assert str(path) in record.getMessage()
+        assert "JSONDecodeError" in record.getMessage()
 
     def test_collectives_correct(self):
         machine, comm = self.make()
