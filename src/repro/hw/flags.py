@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Generator
 
-from repro.sim.events import Gate, Timeout
+from repro.sim.events import Gate, Interrupt
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.hw.machine import Core, Machine
@@ -62,12 +62,17 @@ class Flag:
             # sync with :meth:`repro.hw.machine.Core.consume`.
             cpu = core.cpu
             if cpu._locked or cpu._queue:
-                yield cpu.acquire()
+                grant = cpu.acquire()
+                try:
+                    yield grant
+                except Interrupt:
+                    cpu.abandon(grant)
+                    raise
             else:
                 cpu._locked = True
             try:
                 if cost > 0:
-                    yield Timeout(machine.sim, cost)
+                    yield cost
                 core.account.states["overhead"] += cost
             finally:
                 queue = cpu._queue

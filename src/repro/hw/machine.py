@@ -24,7 +24,7 @@ from repro.hw.timing import LatencyModel
 from repro.hw.topology import Topology
 from repro.sim.clock import ps_to_us
 from repro.sim.engine import Simulator
-from repro.sim.events import Event, Timeout
+from repro.sim.events import Event, Interrupt, Timeout
 from repro.sim.resources import FifoLock
 from repro.sim.trace import TimeAccount, Tracer
 
@@ -53,20 +53,25 @@ class Core:
         """Occupy the core for ``duration_ps``, accounted under ``state``.
 
         The fault-free path is the kernel's hottest generator (one call
-        per modeled latency charge), so it inlines the lock fast path, the
-        timeout push and the account update; the fault-aware path keeps
-        the readable layered form.
+        per modeled latency charge), so it inlines the lock fast path
+        (and :meth:`FifoLock.acquired`) and the account update; the
+        fault-aware path keeps the readable layered form.
         """
         machine = self.machine
         if machine.faults is None:
             cpu = self.cpu
             if cpu._locked or cpu._queue:
-                yield cpu.acquire()
+                grant = cpu.acquire()
+                try:
+                    yield grant
+                except Interrupt:
+                    cpu.abandon(grant)
+                    raise
             else:
                 cpu._locked = True
             try:
                 if duration_ps > 0:
-                    yield Timeout(machine.sim, duration_ps)
+                    yield duration_ps
                 self.account.states[state] += duration_ps
             finally:
                 queue = cpu._queue
@@ -78,7 +83,7 @@ class Core:
         faults = machine.faults
         stall = faults.stall_ps(self.core_id) if duration_ps > 0 else 0
         if not self.cpu.try_acquire():
-            yield self.cpu.acquire()
+            yield from self.cpu.acquired()
         try:
             if stall > 0:
                 yield machine.sim.timeout(stall)
@@ -114,18 +119,18 @@ class Core:
             yield from self.consume(duration_ps, state)
             return
         if not self.cpu.try_acquire():
-            yield self.cpu.acquire()
+            yield from self.cpu.acquired()
         try:
             port = ports[owner_core]
             t0 = machine.sim._now
             if not port.try_acquire():
-                yield port.acquire()
+                yield from port.acquired()
             stall = machine.sim._now - t0
             if stall:
                 self.account.add("wait_port", stall)
             try:
                 if duration_ps > 0:
-                    yield Timeout(machine.sim, duration_ps)
+                    yield duration_ps
                 self.account.add(state, duration_ps)
             finally:
                 port.release()

@@ -230,11 +230,9 @@ class NonBlockingLayer:
                    dst: int) -> Generator:
         tracer = self.machine.sim.tracer
         lock = self._send_lock(env.core_id)
-        grant = lock.acquire()
         try:
-            yield grant
+            yield from lock.acquired()
         except Interrupt:
-            lock.abandon(grant)
             return None
         if tracer.enabled:
             tracer.emit(env.now, f"core{env.core_id}", "send.begin", dst)
@@ -258,12 +256,7 @@ class NonBlockingLayer:
             if src == ANY:
                 src = yield from self._match_any(env, req)
             lock = self._recv_lock(env.core_id, env.core_of_rank(src))
-            grant = lock.acquire()
-            try:
-                yield grant
-            except Interrupt:
-                lock.abandon(grant)
-                raise
+            yield from lock.acquired()
             try:
                 yield from self._proto._recv_body(
                     env, raw_out[:req.nbytes], src)

@@ -83,11 +83,9 @@ class RCKMPIP2P(NonBlockingLayer):
     def _send_proc(self, env: CoreEnv, req: Request, raw: np.ndarray,
                    dst: int) -> Generator:
         lock = self._send_lock(env.core_id)
-        grant = lock.acquire()
         try:
-            yield grant
+            yield from lock.acquired()
         except Interrupt:
-            lock.abandon(grant)
             return None
         dst_core = env.core_of_rank(dst)
         chan = self._channel(env.core_id, dst_core)
@@ -114,11 +112,9 @@ class RCKMPIP2P(NonBlockingLayer):
         chan = self._channel(src_core, env.core_id)
         # Concurrent receives from one channel drain it in issue order.
         lock = self._recv_lock(env.core_id, src_core)
-        grant = lock.acquire()
         try:
-            yield grant
+            yield from lock.acquired()
         except Interrupt:
-            lock.abandon(grant)
             return None
         try:
             yield from self._drain(env, req, raw_out, src_core, chan)

@@ -8,7 +8,8 @@ minimal, fast, generator-based process model in the style of SimPy:
   (533 MHz cores, 800 MHz mesh/DRAM) coexist without floating-point drift.
 * :class:`~repro.sim.events.Event` and friends — one-shot waitables.
 * :class:`~repro.sim.process.Process` — a simulated thread of control
-  wrapped around a Python generator.  Processes ``yield`` events to wait.
+  wrapped around a Python generator.  Processes ``yield`` events, or a
+  number of picoseconds to hold, to wait.
 * :class:`~repro.sim.events.Gate` — a level-triggered boolean signal used to
   model the SCC's MPB synchronization flags.
 * :class:`~repro.sim.clock.Clock` — cycle/time conversion for a frequency

@@ -1,8 +1,11 @@
 """The discrete-event loop.
 
 Time is an integer count of picoseconds.  The heap holds ``(time, seq,
-event)`` entries; ``seq`` is a monotonically increasing insertion counter
-that makes simultaneous events process in a deterministic order.
+item)`` entries; ``seq`` is a monotonically increasing insertion counter
+that makes simultaneous entries process in a deterministic order.  An item
+is an :class:`~repro.sim.events.Event` (its callbacks run) or a process's
+:class:`~repro.sim.process.ParkingToken` (its generator is resumed) — the
+loops dispatch both through ``item._process()``.
 
 The run loops are deliberately flat: a collective sweep pushes tens of
 millions of events through this file, so the hot loops bind the heap and
@@ -25,7 +28,7 @@ from repro.sim.errors import (
     WatchdogTimeout,
 )
 from repro.sim.events import AllOf, AnyOf, Event, Gate, Timeout
-from repro.sim.process import Process
+from repro.sim.process import ParkingToken, Process
 from repro.sim.trace import Tracer
 
 _heappush = heapq.heappush
@@ -60,10 +63,13 @@ class Simulator:
     pause_gc: bool = True
 
     def __init__(self, tracer: Optional[Tracer] = None):
-        self._heap: list[tuple[int, int, Event]] = []
+        self._heap: list[tuple[int, int, Event | ParkingToken]] = []
         self._now: int = 0
         self._seq: int = 0
         self._processes: dict[int, Process] = {}
+        #: Parking token of the process whose generator is running, until
+        #: a lock, semaphore or gate claims it for a wait; None otherwise.
+        self._active: Optional[ParkingToken] = None
         self.tracer = tracer if tracer is not None else Tracer(enabled=False)
         #: Total events dispatched by this simulator (perf accounting).
         self.events_processed: int = 0
@@ -98,7 +104,7 @@ class Simulator:
         """Register a generator as a simulated process, started at `now`.
 
         The process removes itself from the registry when its generator
-        finishes (see :meth:`Process.__call__`), so no cleanup callback is
+        finishes (see :meth:`ParkingToken._process`), so no cleanup callback is
         registered here — keeping the event's inline callback slot free
         for the actual waiter.
         """
@@ -107,6 +113,22 @@ class Simulator:
         return proc
 
     # -- scheduling (kernel internal) ---------------------------------------
+    def _waiter(self, label: tuple[str, str]) -> Event | ParkingToken:
+        """What a lock, semaphore or gate queues for a wait that starts now.
+
+        Called from a running process it is that process's parking token
+        (claimed: the process must yield it next, see
+        :meth:`ParkingToken._process`); called from outside any process,
+        or for a second wait in one step, a plain one-shot event.
+        """
+        waiter = self._active
+        if waiter is None:
+            waiter = Event(self)
+        else:
+            self._active = None
+        waiter.label = label
+        return waiter
+
     def _schedule(self, event: Event, delay: int = 0) -> None:
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
@@ -176,9 +198,9 @@ class Simulator:
             if proc.triggered:
                 continue
             event = proc.waiting_on
-            if event is None:
-                primitive, target = "<unknown>", "<unknown>"
-            elif event.label is not None:
+            if event is None:  # parked on its own token
+                event = proc._token
+            if event.label is not None:
                 primitive, target = event.label
             elif isinstance(event, Process):
                 primitive, target = "wait_process", event.name

@@ -6,20 +6,23 @@ waiting generator via ``send``) or an exception (delivered via ``throw``).
 
 A :class:`Gate` is a *level*-triggered boolean used to model the SCC's MPB
 synchronization flags: it can be set and cleared repeatedly, and hands out
-fresh one-shot events to processes that want to wait for a particular level.
+one-shot waits to processes that want to wait for a particular level.
 
 Hot-path layout
 ---------------
-A collective simulation allocates one event per protocol step (hundreds of
-thousands per sweep point), and the overwhelmingly common shape is *one
-callback per event* (the waiting process).  The callback storage is
-therefore split into an inline first-callback slot (``_cb1``) plus a list
-that is only allocated for the rare second subscriber, and triggering
-pushes straight onto the simulator's heap instead of going through
-:meth:`Simulator._schedule`.  Dispatch order is exactly registration
-order, so virtual time is bit-identical to the straightforward
-list-of-callbacks implementation (``tests/bench/test_kernel_identity.py``
-pins this).
+Events are for what has several subscribers or outlives one wait (process
+completion, ``AllOf``/``AnyOf``, ``sim.timeout()``); the waits that make
+up a collective's hundreds of thousands of dispatches — timed holds, lock
+grants, gate waits — park the process on its reusable
+:class:`~repro.sim.process.ParkingToken` instead and allocate nothing.
+For the events that remain the common shape is still *one callback per
+event* (the waiting process), so the callback storage is an inline
+first-callback slot (``_cb1``) plus a list that is only allocated for the
+rare second subscriber, and triggering pushes straight onto the
+simulator's heap instead of going through :meth:`Simulator._schedule`.
+Dispatch order is exactly registration order, so virtual time is
+bit-identical to the straightforward list-of-callbacks implementation
+(``tests/bench/test_kernel_identity.py`` pins this).
 """
 
 from __future__ import annotations
@@ -254,10 +257,11 @@ class Gate:
     """A level-triggered boolean flag with waiters.
 
     Models an MPB synchronization flag.  ``set()``/``clear()`` change the
-    level; ``wait_true()``/``wait_false()`` return one-shot events that fire
-    when the flag reaches the requested level (immediately, if it is already
-    there).  An optional ``notify_delay`` models the time between the flag
-    being written by one core and the polling core observing the new value.
+    level; ``wait_true()``/``wait_false()`` return one-shot waits (see
+    :meth:`Simulator._waiter`) that fire when the flag reaches the requested
+    level (immediately, if it is already there).  An optional
+    ``notify_delay`` models the time between the flag being written by one
+    core and the polling core observing the new value.
     """
 
     __slots__ = ("sim", "name", "_value", "_true_waiters", "_false_waiters",
@@ -308,8 +312,7 @@ class Gate:
         ``notify_delay`` ps are added between the level change and the
         waiter resuming (models the final successful poll's read latency).
         """
-        event = Event(self.sim)
-        event.label = self._label_true
+        event = self.sim._waiter(self._label_true)
         if self._value:
             event.succeed(True, delay=notify_delay)
         else:
@@ -317,8 +320,7 @@ class Gate:
         return event
 
     def wait_false(self, notify_delay: int = 0) -> Event:
-        event = Event(self.sim)
-        event.label = self._label_false
+        event = self.sim._waiter(self._label_false)
         if not self._value:
             event.succeed(False, delay=notify_delay)
         else:

@@ -2,34 +2,151 @@
 
 from __future__ import annotations
 
+from heapq import heappush as _heappush
 from typing import TYPE_CHECKING, Any, Generator
 
 from repro.sim.errors import SimulationError
-from repro.sim.events import Event, Interrupt, Timeout
+from repro.sim.events import Event, Interrupt
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Simulator
+
+#: Diagnostics of a process parked on a timed hold / not yet started: the
+#: strings the ``Timeout`` and bootstrap ``Event`` these replace printed.
+_HOLD_LABEL = ("wait_event", "Timeout")
+_START_LABEL = ("wait_event", "Event")
+
+
+class ParkingToken:
+    """A process's reusable heap entry: popping it resumes the generator.
+
+    Timed holds, lock/semaphore grants and gate level waits — nearly every
+    wait of a collective — have exactly one subscriber, the process that
+    started them.  Instead of a fresh :class:`Event` per wait, the process
+    parks on this one token: a hold pushes it on the heap directly, and
+    :class:`~repro.sim.resources.FifoLock`, ``Semaphore`` and
+    :class:`~repro.sim.events.Gate` queue it and later :meth:`succeed` it
+    exactly where they would an event, so ``(time, seq)`` order is that of
+    the event-per-wait kernel.
+
+    ``proc`` is cleared when the process is interrupted (the token is
+    *retired*: it may still sit on the heap or in a waiter queue, and must
+    wake nobody) and when the generator finishes — the token and its
+    process must not keep each other alive, because runs pause the cyclic
+    collector.
+    """
+
+    __slots__ = ("sim", "proc", "label", "_value", "__weakref__")
+
+    def __init__(self, sim: "Simulator", proc: "Process"):
+        self.sim = sim
+        self.proc: Process | None = proc
+        #: ``(primitive, target)`` of the current wait (diagnostics).
+        self.label = _START_LABEL
+        self._value: Any = None
+
+    def succeed(self, value: Any = None, delay: int = 0) -> None:
+        """Resume the parked process with ``value``, ``delay`` ps from now."""
+        if delay < 0:
+            raise SimulationError(
+                f"cannot schedule into the past (delay={delay})")
+        self._value = value
+        sim = self.sim
+        _heappush(sim._heap, (sim._now + delay, sim._seq, self))
+        sim._seq += 1
+
+    def _process(self, event: Event | None = None) -> None:
+        """Run the generator to its next wait.
+
+        The run loop's dispatch when the token is popped from the heap;
+        with ``event``, the callback of an event the process yielded.
+        """
+        proc = self.proc
+        if proc is None:
+            return  # retired: a wake-up for an abandoned wait
+        sim = self.sim
+        sim._active = self
+        try:
+            if event is None:
+                target = proc.generator.send(self._value)
+            else:
+                proc.waiting_on = None
+                if event._failed:
+                    target = proc.generator.throw(event._value)
+                else:
+                    target = proc.generator.send(event._value)
+        except StopIteration as stop:
+            self._finish(proc).succeed(stop.value)
+            return
+        except BaseException as exc:
+            self._finish(proc).fail(exc)
+            return
+        # A lock, semaphore or gate that handed this token out took it
+        # from the active slot, so an empty slot means "already queued or
+        # granted": the process has to park on it, nothing else.
+        claimed = sim._active is None
+        sim._active = None
+        proc.wait_since = now = sim._now
+        if claimed:
+            if target is self:
+                return
+            what = f"its pending {self.label[0]}({self.label[1]})"
+        elif target.__class__ is int and target >= 0:
+            self.label = _HOLD_LABEL
+            self._value = None
+            _heappush(sim._heap, (now + target, sim._seq, self))
+            sim._seq += 1
+            return
+        elif isinstance(target, Event):
+            proc.waiting_on = target
+            if target._cb1 is None and not target.processed:
+                target._cb1 = self  # inline of add_callback's common case
+            else:
+                target.add_callback(self)
+            return
+        else:
+            what = ("an Event, a non-negative int (picoseconds to hold) or "
+                    "a wait obtained from a lock, semaphore or gate")
+        self._finish(proc).fail(SimulationError(
+            f"process {proc.name!r} yielded {target!r}; "
+            f"processes may only yield {what}"))
+
+    __call__ = _process
+
+    def _finish(self, proc: "Process") -> "Process":
+        self.proc = None
+        sim = self.sim
+        sim._active = None
+        sim._processes.pop(id(proc), None)
+        return proc
 
 
 class Process(Event):
     """A simulated thread of control.
 
-    A process wraps a generator.  Each value the generator yields must be an
-    :class:`Event`; the process suspends until that event fires, at which
-    point the event's value is sent back into the generator (or its
-    exception thrown in).  The process itself is an event that fires with
-    the generator's return value, so processes can wait on each other.
+    A process wraps a generator.  The generator may yield
+
+    * an :class:`Event` — the process suspends until it fires, and the
+      event's value is sent back in (or its exception thrown in);
+    * a non-negative ``int`` — hold for that many picoseconds (what
+      ``yield sim.timeout(n)`` does, without allocating the event);
+    * the wait returned by ``FifoLock.acquire()``, ``Semaphore.acquire()``
+      or ``Gate.wait_*()`` when called from the running process — its own
+      :class:`ParkingToken`, which must be the next thing it yields.
+
+    The process itself is an event that fires with the generator's return
+    value, so processes can wait on each other.
 
     ``interrupt()`` abandons the current wait and throws
-    :class:`~repro.sim.events.Interrupt` into the generator.  The process
-    registers *itself* as the awaited event's callback (no per-wait closure
-    allocation); a wakeup is recognised as current by identity — the firing
-    event must still be :attr:`waiting_on` — so a wakeup from an abandoned
-    event is stale and ignored even if it fires at the same simulated
-    instant as the interrupt.
+    :class:`~repro.sim.events.Interrupt` into the generator.  Every wait
+    wakes the process through its token, and interrupting retires the
+    token and gives the process a new one, so a wake-up from the abandoned
+    wait is ignored even if it fires at the same simulated instant as the
+    interrupt.
     """
 
-    __slots__ = ("generator", "name", "_waiting", "waiting_on", "wait_since")
+    __slots__ = ("generator", "name", "_token", "waiting_on", "wait_since",
+                 "__weakref__")
 
     def __init__(self, sim: "Simulator", generator: Generator, name: str = ""):
         if not hasattr(generator, "send") or not hasattr(generator, "throw"):
@@ -40,14 +157,14 @@ class Process(Event):
         super().__init__(sim)
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "") or "process"
-        self._waiting = False
-        #: The event this process is currently parked on (diagnostics and
-        #: stale-wakeup detection).
+        #: The event this process is parked on, or None while it is parked
+        #: on its own token (diagnostics).
         self.waiting_on: Event | None = None
         #: Simulated time at which the current wait began.
         self.wait_since: int = sim._now
         # Bootstrap: resume once at the current instant.
-        self._wait_on(Event(sim).succeed())
+        self._token = ParkingToken(sim, self)
+        self._token.succeed()
 
     @property
     def is_alive(self) -> bool:
@@ -57,68 +174,19 @@ class Process(Event):
         """Throw :class:`Interrupt` into the process at the current instant."""
         if self.triggered:
             raise SimulationError(f"cannot interrupt completed process {self.name}")
-        if not self._waiting:
+        if self.sim._active is self._token:
             raise SimulationError(
                 f"cannot interrupt process {self.name} that is not waiting"
             )
-        # _wait_on repoints waiting_on at the kick event, which invalidates
-        # the abandoned wait: its later firing fails the identity check.
-        kick = Event(self.sim)
+        # Retiring the token invalidates the abandoned wait, whichever
+        # kind it was: the heap, a waiter queue or an event's callback
+        # slot may still hold it, and it now wakes nobody.
+        self._token.proc = None
+        self._token = ParkingToken(self.sim, self)
+        self.waiting_on = kick = Event(self.sim)
+        self.wait_since = self.sim._now
         kick.fail(Interrupt(cause))
-        self._wait_on(kick)
-
-    def _wait_on(self, event: Event) -> None:
-        self._waiting = True
-        self.waiting_on = event
-        self.wait_since = self.sim._now
-        if event.processed:
-            event.add_callback(self)
-        elif event._cb1 is None:
-            event._cb1 = self
-        elif event.callbacks is None:
-            event.callbacks = [self]
-        else:
-            event.callbacks.append(self)
-
-    def __call__(self, event: Event) -> None:
-        """Resume from ``event`` (the process is its own wakeup callback)."""
-        if self.triggered or event is not self.waiting_on:
-            return  # stale wakeup from an abandoned wait
-        self._waiting = False
-        try:
-            if event._failed:
-                next_event = self.generator.throw(event._value)
-            else:
-                next_event = self.generator.send(event._value)
-        except StopIteration as stop:
-            self.sim._processes.pop(id(self), None)
-            self.succeed(stop.value)
-            return
-        except BaseException as exc:
-            self.sim._processes.pop(id(self), None)
-            self.fail(exc)
-            return
-        cls = next_event.__class__
-        if cls is not Timeout and cls is not Event and \
-                not isinstance(next_event, Event):
-            self.sim._processes.pop(id(self), None)
-            self.fail(SimulationError(
-                f"process {self.name!r} yielded {next_event!r}; "
-                "processes may only yield Event instances"
-            ))
-            return
-        self._waiting = True
-        self.waiting_on = next_event
-        self.wait_since = self.sim._now
-        # Inline add_callback (one call per dispatched event saved).
-        if next_event.processed:
-            next_event.add_callback(self)
-        elif next_event._cb1 is None:
-            next_event._cb1 = self
-        elif next_event.callbacks is None:
-            next_event.callbacks = [self]
-        else:
-            next_event.callbacks.append(self)
+        kick.add_callback(self._token)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "done" if self.triggered else "alive"

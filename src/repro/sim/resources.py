@@ -14,7 +14,7 @@ from collections import deque
 from typing import TYPE_CHECKING, Generator
 
 from repro.sim.errors import SimulationError
-from repro.sim.events import Event
+from repro.sim.events import Event, Interrupt
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Simulator
@@ -43,9 +43,9 @@ class FifoLock:
         return len(self._queue)
 
     def acquire(self) -> Event:
-        """Event that fires when the caller holds the lock."""
-        event = Event(self.sim)
-        event.label = self._label
+        """Wait (see :meth:`Simulator._waiter`) that fires when the caller
+        holds the lock."""
+        event = self.sim._waiter(self._label)
         if not self._locked and not self._queue:
             self._locked = True
             event.succeed()
@@ -64,16 +64,24 @@ class FifoLock:
         """Back out of an :meth:`acquire` that may or may not have been
         granted yet (used when the waiting process is interrupted).
 
-        If the event is still queued it is removed; if the grant already
-        fired, the lock is released on the abandoner's behalf.
+        If the wait is still queued it is removed; otherwise the grant
+        already fired, and the lock is released on the abandoner's behalf.
         """
         try:
             self._queue.remove(event)
-            return
         except ValueError:
-            pass
-        if event.triggered:
             self.release()
+
+    def acquired(self) -> Generator:
+        """Wait for the lock, backing out of the queue if interrupted
+        meanwhile.  Use via ``yield from``, then ``try``/``finally`` the
+        :meth:`release`."""
+        grant = self.acquire()
+        try:
+            yield grant
+        except Interrupt:
+            self.abandon(grant)
+            raise
 
     def release(self) -> None:
         if not self._locked:
@@ -85,7 +93,7 @@ class FifoLock:
 
     def holding(self, duration_ps: int) -> Generator:
         """Acquire, hold for ``duration_ps``, release.  Use via ``yield from``."""
-        yield self.acquire()
+        yield from self.acquired()
         try:
             if duration_ps > 0:
                 yield self.sim.timeout(duration_ps)
@@ -117,8 +125,7 @@ class Semaphore:
         return self._count
 
     def acquire(self) -> Event:
-        event = Event(self.sim)
-        event.label = self._label
+        event = self.sim._waiter(self._label)
         if self._count > 0 and not self._queue:
             self._count -= 1
             event.succeed()

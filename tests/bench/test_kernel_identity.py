@@ -1,22 +1,38 @@
-"""Bit-identity golden pins for the slimmed simulator kernel.
+"""Bit-identity golden pins for the simulator kernel.
 
-The event-loop optimizations (inline first-callback slots, direct heap
-pushes, ``Timeout.__init__`` writing its slots without the ``super()``
-chain, the GC pause, the per-channel lock caches) are pure wall-clock
-work: they must not move virtual time or the event count by a single
-unit.  These tests pin both for representative collectives — any kernel
-change that alters dispatch order, event accounting, or modeled latency
-shows up here as an exact-value mismatch, not a tolerance creep.
+Kernel optimizations (inline first-callback slots, direct heap pushes, the
+GC pause, the per-channel lock caches, and the direct-resume parking
+tokens that replaced the per-wait ``Timeout``/``Event``) are pure
+wall-clock work: they must not move virtual time or the event count by a
+single unit.  Any kernel change that alters dispatch order, event
+accounting, or modeled latency shows up here as an exact-value mismatch,
+not a tolerance creep.
 
-The constants were produced by the straightforward pre-optimization
-kernel and re-verified against the slimmed one; sizes 553/554 exercise
-the padded-tail path (RCCE's extra put/get call, the paper's period-4
-spikes).
+``GOLDEN`` pins rank 0's elapsed time and the event count of four
+kernels; its constants were produced by the straightforward
+pre-optimization kernel.  ``DIGESTS`` pins *every* rank's exit
+picosecond and *every* core's ``TimeAccount`` for all seven stacks, plus
+a seeded fault-jitter run and an iRCCE cancel scenario; they were
+recorded on the Event-per-wait kernel (commit b3b0ef1) by running this
+file as a script, before the token kernel existed.  Sizes 552/554
+exercise the padded-tail path (RCCE's extra put/get call, the paper's
+period-4 spikes); p=47 the non-power-of-two paths.
 """
 
+import hashlib
+
+import numpy as np
 import pytest
 
+from repro.bench.runner import program_for
 from repro.bench.wallclock import kernel_events_metric
+from repro.core.ops import SUM
+from repro.core.registry import make_communicator
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import FaultPlan
+from repro.hw.config import SCCConfig
+from repro.hw.machine import Machine
+from repro.ircce.api import IRCCE
 
 #: (stack, size) -> (events processed, simulated elapsed microseconds).
 GOLDEN = {
@@ -41,3 +57,129 @@ def test_kernel_is_deterministic_across_repeats():
     b = kernel_events_metric(size=552, cores=48, repeats=1)
     assert a["events"] == b["events"]
     assert a["simulated_us"] == b["simulated_us"]
+
+
+# -- whole-run digests ------------------------------------------------------
+JITTER_PLAN = FaultPlan(mesh_jitter_prob=0.2, flag_stale_prob=0.1,
+                        core_stall_prob=0.05, seed=11)
+
+
+def _digest(machine: Machine, exits: list) -> str:
+    """Event count, every rank's exit ps, every core's time account."""
+    accounts = [sorted(core.account.states.items())
+                for core in machine.cores]
+    text = repr((machine.sim.events_processed, exits, accounts))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def allreduce_digest(stack: str, cores: int, size: int,
+                     plan: FaultPlan | None = None) -> str:
+    machine = Machine(SCCConfig())
+    if plan is not None:
+        FaultInjector(plan).install(machine)
+    comm = make_communicator(machine, stack)
+    rng = np.random.default_rng(20120901)
+    inputs = [rng.normal(size=size) for _ in range(cores)]
+    measured = program_for("allreduce", comm, inputs, SUM)
+
+    def program(env):
+        yield from measured(env)
+        return env.now
+
+    result = machine.run_spmd(program, ranks=list(range(cores)))
+    return _digest(machine, result.values)
+
+
+def cancel_digest() -> str:
+    """Rank 0 cancels a receive queued behind another on the channel lock,
+    then the one holding it, then completes a real transfer."""
+    machine = Machine(SCCConfig())
+    layer = IRCCE(machine)
+
+    def program(env):
+        if env.rank == 0:
+            out = np.empty(8)
+            held = yield from layer.irecv(env, np.empty(8), 1)
+            queued = yield from layer.irecv(env, np.empty(8), 1)
+            yield from env.compute(1000)
+            yield from layer.cancel(env, queued)
+            yield from layer.cancel(env, held)
+            req = yield from layer.irecv(env, out, 2)
+            yield from layer.wait(env, req)
+            assert out[0] == 3.0
+        elif env.rank == 2:
+            yield from env.compute(5000)
+            req = yield from layer.isend(env, np.full(8, 3.0), 0)
+            yield from layer.wait(env, req)
+        else:
+            yield from env.compute(0)
+        return env.now
+
+    result = machine.run_spmd(program, ranks=list(range(4)))
+    return _digest(machine, result.values)
+
+
+def digest_for(key) -> str:
+    if key == "jitter":
+        return allreduce_digest("lightweight", 8, 552, JITTER_PLAN)
+    if key == "cancel":
+        return cancel_digest()
+    return allreduce_digest(*key)  # (stack, cores, size)
+
+
+DIGESTS: dict = {
+    ("blocking", 2, 552): "bd2634ff2b4cf69d",
+    ("blocking", 2, 554): "c94bfbdd4087cbce",
+    ("blocking", 47, 552): "76f6cdd2f23ebeed",
+    ("blocking", 47, 554): "7faf1fdd25d5f720",
+    ("blocking", 48, 552): "4dd9fc6cdd9b933e",
+    ("blocking", 48, 554): "ecacb734a623eb83",
+    ("ircce", 2, 552): "60f751900f735eed",
+    ("ircce", 2, 554): "a60c906a6567f3ed",
+    ("ircce", 47, 552): "fd44c8625d9f6ac2",
+    ("ircce", 47, 554): "4cef3790a16417bb",
+    ("ircce", 48, 552): "2bf991c2c8642fcc",
+    ("ircce", 48, 554): "cb4d3dee2067568a",
+    ("lightweight", 2, 552): "7f83edb4ef646834",
+    ("lightweight", 2, 554): "ceb73b16384c7235",
+    ("lightweight", 47, 552): "fd981f86c2ef320e",
+    ("lightweight", 47, 554): "f68339e3298aff97",
+    ("lightweight", 48, 552): "b714fa496613eb50",
+    ("lightweight", 48, 554): "0eee07d860219a16",
+    ("lightweight_balanced", 2, 552): "7f83edb4ef646834",
+    ("lightweight_balanced", 2, 554): "ceb73b16384c7235",
+    ("lightweight_balanced", 47, 552): "4d190db173d251ca",
+    ("lightweight_balanced", 47, 554): "7722f2fb913f8a2c",
+    ("lightweight_balanced", 48, 552): "0bf1224ccf070ab6",
+    ("lightweight_balanced", 48, 554): "b948ab00022cb6f3",
+    ("mpb", 2, 552): "8f2fcce9038c4aaf",
+    ("mpb", 2, 554): "1cbbc8a8bc0d21ce",
+    ("mpb", 47, 552): "2e99dff6cc7b7383",
+    ("mpb", 47, 554): "ef5726028690d9e3",
+    ("mpb", 48, 552): "3ab033905b3ea8ca",
+    ("mpb", 48, 554): "46c0ddd38175a41f",
+    ("rckmpi", 2, 552): "b7a715d4358263f0",
+    ("rckmpi", 2, 554): "12cbfa8f62ce70fb",
+    ("rckmpi", 47, 552): "624e7f4c27e19ea6",
+    ("rckmpi", 47, 554): "8c47778809dfa467",
+    ("rckmpi", 48, 552): "148af952f62d352e",
+    ("rckmpi", 48, 554): "2431db0083ec2eaa",
+    ("tuned", 2, 552): "7f83edb4ef646834",
+    ("tuned", 2, 554): "ceb73b16384c7235",
+    ("tuned", 47, 552): "4d190db173d251ca",
+    ("tuned", 47, 554): "7722f2fb913f8a2c",
+    ("tuned", 48, 552): "0bf1224ccf070ab6",
+    ("tuned", 48, 554): "b948ab00022cb6f3",
+    "jitter": "c799202317ed76bb",
+    "cancel": "ef08f38dde64ba4a",
+}
+
+
+@pytest.mark.parametrize("key", list(DIGESTS), ids=str)
+def test_every_rank_and_account_identical(key):
+    assert digest_for(key) == DIGESTS[key]
+
+
+if __name__ == "__main__":  # regenerate: PYTHONPATH=src python <this file>
+    import pprint
+    pprint.pprint({key: digest_for(key) for key in DIGESTS}, sort_dicts=False)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.hw.config import SCCConfig
 from repro.hw.machine import Machine
+from repro.sim import Interrupt
 
 
 def small_machine(**over):
@@ -161,6 +162,80 @@ class TestCore:
         m.sim.process(waiter())
         m.sim.run()
         assert core.account.get("wait_flag") == 777
+
+
+class TestInterruptedWhileQueued:
+    """A process interrupted while queued for a lock must back out of the
+    queue: the grant would otherwise go to a dead waiter and the next
+    user of the core (or MPB port) would block forever."""
+
+    PS = 1_000_000
+
+    def _run(self, m, holder, charge, locks):
+        """``holder`` owns the lock for 1 us; a victim queues behind it
+        with ``charge()`` and is interrupted at 100 ps; a third process
+        then makes the same charge and must get through."""
+        sim = m.sim
+
+        def victim():
+            try:
+                yield from charge()
+            except Interrupt:
+                return "interrupted"
+
+        def attacker(target):
+            yield sim.timeout(100)
+            target.interrupt()
+
+        def third():
+            yield sim.timeout(200)
+            yield from charge()
+            return sim.now
+
+        sim.process(holder, name="holder")
+        v = sim.process(victim(), name="victim")
+        sim.process(attacker(v), name="attacker")
+        t = sim.process(third(), name="third")
+        sim.run()  # DeadlockError when the grant leaks
+        assert v.value == "interrupted"
+        assert t.value > self.PS
+        assert not any(lock.locked or lock.queue_length for lock in locks)
+
+    def test_core_consume(self):
+        m = small_machine()
+        core = m.cores[0]
+        self._run(m, core.consume(self.PS, "compute"),
+                  lambda: core.consume(500, "compute"), [core.cpu])
+
+    def test_core_consume_with_fault_injector(self):
+        from repro.faults.injector import FaultInjector
+        from repro.faults.plan import FaultPlan
+        m = small_machine()
+        FaultInjector(FaultPlan()).install(m)
+        core = m.cores[0]
+        self._run(m, core.consume(self.PS, "compute"),
+                  lambda: core.consume(500, "compute"), [core.cpu])
+
+    def test_flag_write(self):
+        m = small_machine()
+        core = m.cores[0]
+        flag = m.flag(1, "sync")
+        self._run(m, core.consume(self.PS, "compute"),
+                  lambda: flag.set_by(core), [core.cpu])
+        assert flag.value  # written once, by the third process
+
+    def test_consume_at_mpb_cpu_queue(self):
+        m = small_machine(model_mpb_contention=True)
+        core = m.cores[0]
+        self._run(m, core.consume(self.PS, "compute"),
+                  lambda: core.consume_at_mpb(1, 500),
+                  [core.cpu, m.mpb_ports[1]])
+
+    def test_consume_at_mpb_port_queue(self):
+        m = small_machine(model_mpb_contention=True)
+        self._run(m, m.cores[0].consume_at_mpb(2, self.PS),
+                  lambda: m.cores[1].consume_at_mpb(2, 500),
+                  [m.cores[0].cpu, m.cores[1].cpu, m.mpb_ports[2]])
 
 
 class TestCoreEnv:

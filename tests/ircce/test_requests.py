@@ -1,10 +1,15 @@
 """Unit tests for the non-blocking request machinery (iRCCE + lightweight)."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from repro.hw.config import SCCConfig
 from repro.hw.machine import Machine
+from repro.core.ops import SUM
+from repro.core.registry import make_communicator
 from repro.ircce.api import ANY, IRCCE
 from repro.ircce.requests import RequestError
 from repro.lwnb.api import LWNB
@@ -333,3 +338,53 @@ class TestOverheadOrdering:
             return m.run_spmd(program).elapsed_ps
 
         assert run(LWNB) < run(IRCCE)
+
+
+class TestReclaimedWithoutCyclicGC:
+    """Runs pause the cyclic collector, so request sub-processes have to
+    die by reference counting once their request is dropped."""
+
+    def test_finished_isend_process_is_freed_once_waited_on(self, layer_cls):
+        m = machine(4)
+        layer = layer_cls(m)
+
+        def program(env):
+            if env.rank == 0:
+                req = yield from layer.isend(env, np.zeros(8), 1)
+                refs = weakref.ref(req.proc), weakref.ref(req.proc._token)
+                yield from layer.wait(env, req)
+                del req
+                return [ref() for ref in refs]
+            if env.rank == 1:
+                req = yield from layer.irecv(env, np.empty(8), 0)
+                yield from layer.wait(env, req)
+            yield from env.compute(0)
+
+        gc.disable()
+        try:
+            result = m.run_spmd(program)
+        finally:
+            gc.enable()
+        assert result.values[0] == [None, None]
+
+    def test_object_count_is_flat_over_a_long_ring(self):
+        """200 ring Allreduces on ``lightweight_balanced``: nothing the
+        kernel allocates per round may pile up until the collector runs."""
+        m = machine(4)
+        comm = make_communicator(m, "lightweight_balanced")
+        data = np.arange(64.0)
+
+        def program(env):
+            counts = {}
+            for rnd in range(1, 201):
+                yield from comm.allreduce(env, data, SUM)
+                if env.rank == 0 and rnd in (50, 200):
+                    counts[rnd] = len(gc.get_objects())
+            return counts
+
+        gc.disable()
+        try:
+            counts = m.run_spmd(program).values[0]
+        finally:
+            gc.enable()
+        assert counts[200] - counts[50] < 50

@@ -168,16 +168,40 @@ def test_process_exception_propagates_to_waiter():
     assert b.failed
 
 
-def test_yielding_non_event_fails_process():
+def _assert_yield_fails_process(value):
     sim = Simulator()
 
     def bad(sim):
-        yield 42
+        yield value
 
     p = sim.process(bad(sim))
     sim.run(check_deadlock=False)
     assert p.failed
     assert isinstance(p.value, SimulationError)
+    assert repr(value) in str(p.value)
+
+
+def test_yielding_non_event_fails_process():
+    _assert_yield_fails_process("soon")
+
+
+@pytest.mark.parametrize("value", [-1, True, 2.5])
+def test_only_a_non_negative_int_is_a_hold(value):
+    _assert_yield_fails_process(value)
+
+
+def test_yielding_an_int_holds_that_many_picoseconds():
+    sim = Simulator()
+
+    def proc(sim):
+        got = yield 42
+        yield 0
+        return (got, sim.now)
+
+    p = sim.process(proc(sim))
+    sim.run()
+    assert p.value == (None, 42)
+    assert sim.events_processed == 4  # start, two holds, completion
 
 
 def test_schedule_into_past_rejected():

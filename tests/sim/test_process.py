@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.sim import Interrupt, Simulator
+from repro.sim import Event, Interrupt, Simulator
 from repro.sim.errors import SimulationError
+from repro.sim.resources import FifoLock
 
 
 def test_process_requires_generator():
@@ -146,3 +147,109 @@ class TestInterrupt:
         sim.run(check_deadlock=False)
         assert v.failed
         assert isinstance(v.value, Interrupt)
+
+
+class TestParkingToken:
+    """Inside a process, lock/semaphore/gate waits are the process's own
+    reusable token; outside one they stay plain events."""
+
+    def test_waits_outside_a_process_are_plain_events(self):
+        sim = Simulator()
+        lock = FifoLock(sim)
+        assert type(lock.acquire()) is Event
+        assert type(sim.gate().wait_true()) is Event
+
+        def proc(sim):
+            yield 5
+
+        sim.process(proc(sim))
+        sim.run()
+        assert type(lock.acquire()) is Event  # no stale active process
+
+    def test_waits_inside_a_process_reuse_one_token(self):
+        sim = Simulator()
+        lock = FifoLock(sim)
+        gate = sim.gate(value=True)
+        seen = []
+
+        def proc(sim):
+            for wait in (lock.acquire, gate.wait_true, lock.release):
+                token = wait()
+                if token is not None:
+                    seen.append(token)
+                    got = yield token
+            return got
+
+        p = sim.process(proc(sim))
+        sim.run()
+        assert seen[0] is seen[1] and type(seen[0]) is not Event
+        assert p.value is True  # the gate level, as the event delivered
+
+    def test_interrupted_gate_wait_is_not_resumed_by_a_later_set(self):
+        sim = Simulator()
+        gate = sim.gate()
+        resumes = []
+
+        def victim(sim):
+            try:
+                yield gate.wait_true()
+            except Interrupt:
+                resumes.append(("interrupt", sim.now))
+            yield 1000
+            resumes.append(("hold", sim.now))
+
+        def attacker(sim, target):
+            yield 10
+            target.interrupt()
+            yield 10
+            gate.set()  # wakes the retired token: must resume nobody
+
+        v = sim.process(victim(sim))
+        sim.process(attacker(sim, v))
+        sim.run()
+        assert resumes == [("interrupt", 10), ("hold", 1010)]
+
+    @pytest.mark.parametrize("then", ["hold", "event", "other"])
+    def test_claimed_wait_must_be_yielded_next(self, then):
+        """A token queued on a lock cannot also serve another wait."""
+        sim = Simulator()
+        lock = FifoLock(sim, name="cpu0")
+        lock.try_acquire()
+
+        def bad(sim):
+            lock.acquire()
+            yield {"hold": 5, "event": sim.timeout(5), "other": "x"}[then]
+
+        p = sim.process(bad(sim))
+        sim.run(check_deadlock=False)
+        assert p.failed and isinstance(p.value, SimulationError)
+        assert "pending acquire(cpu0)" in str(p.value)
+
+    def test_second_wait_in_one_step_is_a_plain_event(self):
+        sim = Simulator()
+        a, b = FifoLock(sim), FifoLock(sim)
+
+        def proc(sim):
+            first, second = a.acquire(), b.acquire()
+            assert type(second) is Event
+            yield first
+            yield second
+            return sim.now
+
+        p = sim.process(proc(sim))
+        sim.run()
+        assert p.value == 0 and a.locked and b.locked
+
+    def test_yielding_an_unclaimed_token_fails_the_process(self):
+        sim = Simulator()
+        lock = FifoLock(sim)
+
+        def bad(sim):
+            token = lock.acquire()
+            yield token
+            yield token  # nothing will ever wake it
+
+        p = sim.process(bad(sim))
+        sim.run(check_deadlock=False)
+        assert p.failed and isinstance(p.value, SimulationError)
+

@@ -14,7 +14,7 @@ import pytest
 from repro.sim import DeadlockError, Simulator
 from repro.sim.errors import WaitInfo, WatchdogTimeout
 from repro.sim.events import Gate
-from repro.sim.resources import FifoLock
+from repro.sim.resources import FifoLock, Semaphore
 
 
 def test_deadlock_carries_waitinfo_for_gate_waiters():
@@ -78,6 +78,52 @@ def test_deadlock_waitinfo_covers_lock_waiters():
     by_name = {i.process: i for i in exc_info.value.blocked}
     assert by_name["contender"].primitive == "acquire"
     assert by_name["contender"].target == "mpbport7"
+
+
+def test_waits_parked_on_the_process_token_keep_their_diagnostics():
+    """Holds, lock/semaphore grants and flag waits park on the process's
+    reusable token instead of an event of their own; the
+    ``primitive(target)`` strings are those the events printed."""
+    from repro.hw.config import SCCConfig
+    from repro.hw.machine import Machine
+
+    m = Machine(SCCConfig(mesh_cols=2, mesh_rows=1))
+    sim = m.sim
+    lock = FifoLock(sim, name="cpu9")
+    assert lock.try_acquire()
+    window = Semaphore(sim, 0, name="rckmpi.win.0-1")
+    flag = m.flag(3, "rcce.sent.0")
+
+    def holding(sim):
+        yield 1_000_000
+
+    def locked(sim):
+        yield lock.acquire()
+
+    def starved(sim):
+        yield window.acquire()
+
+    def polling(sim):
+        yield from flag.wait_set(m.cores[0])
+
+    procs = [sim.process(body(sim), name=body.__name__)
+             for body in (holding, locked, starved, polling)]
+    with pytest.raises(WatchdogTimeout) as exc_info:
+        sim.run_until_processes(procs, watchdog_ps=1000)
+    assert [i.describe() for i in exc_info.value.blocked] == [
+        "holding: blocked in wait_event(Timeout) for 0 ps",
+        "locked: blocked in acquire(cpu9) for 0 ps",
+        "starved: blocked in acquire(rckmpi.win.0-1) for 0 ps",
+        "polling: blocked in wait_set(flag[3].rcce.sent.0) for 0 ps",
+    ]
+    # Past the hold the heap drains: the other three are a deadlock.
+    with pytest.raises(DeadlockError) as exc_info:
+        sim.run()
+    assert [i.describe() for i in exc_info.value.blocked] == [
+        "locked: blocked in acquire(cpu9) for 1000000 ps",
+        "starved: blocked in acquire(rckmpi.win.0-1) for 1000000 ps",
+        "polling: blocked in wait_set(flag[3].rcce.sent.0) for 1000000 ps",
+    ]
 
 
 def test_watchdog_fires_on_livelock():
