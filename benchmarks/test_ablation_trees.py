@@ -13,8 +13,7 @@ order of magnitude) is what this ablation locks in.
 
 import numpy as np
 
-from repro.core.bcast import binomial_bcast
-from repro.core.reduce import binomial_reduce
+from repro.core.ops import SUM
 from repro.core.registry import make_communicator
 from repro.hw.config import SCCConfig
 from repro.hw.machine import Machine
@@ -50,7 +49,7 @@ def _tree_bcast_program(machine, rcce, comm):
 
     def program(env):
         buf = data.copy() if env.rank == 0 else np.empty(N)
-        yield from binomial_bcast(comm, env, buf, 0)
+        yield from comm.bcast(env, buf, 0, algo="binomial")
     return program
 
 
@@ -62,11 +61,9 @@ def _native_reduce_program(machine, rcce, comm):
 
 
 def _tree_reduce_program(machine, rcce, comm):
-    from repro.core.ops import SUM
-
     def program(env):
         vec = np.full(N, float(env.rank))
-        yield from binomial_reduce(comm, env, vec, SUM, root=0)
+        yield from comm.reduce(env, vec, SUM, root=0, algo="binomial")
     return program
 
 

@@ -780,14 +780,12 @@ def synth_winner_scenarios(stack: str = "lightweight_balanced",
         for p, n, algo in rows:
             if "synth/" not in algo:
                 continue
+            # One scenario per algorithm, however the table spells it.
+            algo = algo.removeprefix("sched:")
             prev = best.get((kind, algo))
             if prev is None or (p, -n) > (prev[0], -prev[1]):
                 best[(kind, algo)] = (int(p), int(n))
-    # The table stores bare builder labels; the communicators dispatch
-    # schedule-engine algorithms through the ``sched:`` prefix.
-    scenarios = [collective_scenario(
-                     kind, stack, p, n,
-                     algo=algo if algo.startswith("sched:") else f"sched:{algo}")
+    scenarios = [collective_scenario(kind, stack, p, n, algo=algo)
                  for (kind, algo), (p, n) in sorted(best.items())]
     return scenarios[:limit] if limit is not None else scenarios
 

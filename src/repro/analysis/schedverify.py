@@ -358,6 +358,10 @@ def simulate_schedule(sched: Schedule):
     return state
 
 
+#: Kinds whose postcondition is stated over ``meta["part_sizes"]``.
+_PARTITION_KINDS = ("reduce_scatter", "scatter", "gather")
+
+
 def _expected_work(sched: Schedule, rank: int):
     """Element index -> expected multiset; None entries are don't-care."""
     p, n = sched.p, sched.n
@@ -384,14 +388,28 @@ def _expected_work(sched: Schedule, rank: int):
     elif kind == "scan":
         for j in range(n):
             expected[j] = {(s, j): 1 for s in range(rank + 1)}
-    elif kind == "reduce_scatter":
+    elif kind == "exscan":
+        if rank:  # rank 0's result is undefined
+            for j in range(n):
+                expected[n + j] = {(s, j): 1 for s in range(rank)}
+    elif kind in _PARTITION_KINDS:
         sizes = sched.meta.get("part_sizes")
         if sizes is None:
             return expected
         part = Partition(n, tuple(sizes))
-        block = part.slice_of(rank)
-        for j in range(block.start, block.stop):
-            expected[j] = {(s, j): 1 for s in range(p)}
+        if kind == "reduce_scatter":
+            block = part.slice_of(rank)
+            for j in range(block.start, block.stop):
+                expected[j] = {(s, j): 1 for s in range(p)}
+        elif kind == "scatter":
+            block = part.slice_of((rank - root) % p)
+            for j in range(block.start, block.stop):
+                expected[j] = {(root, j): 1}
+        elif rank == root:  # gather: vrank v's block comes from its owner
+            for v in range(p):
+                block = part.slice_of(v)
+                for j in range(block.start, block.stop):
+                    expected[j] = {((v + root) % p, j): 1}
     return expected
 
 
@@ -405,11 +423,11 @@ def _classify(actual: dict, expected: dict) -> str:
 
 
 def _check_dataflow(sched: Schedule) -> list[ScheduleDiagnostic]:
-    if sched.kind == "reduce_scatter" and \
+    if sched.kind in _PARTITION_KINDS and \
             sched.meta.get("part_sizes") is None:
         return [ScheduleDiagnostic(
             "bad-meta", sched.label, None, None,
-            "reduce_scatter schedule lacks part_sizes metadata")]
+            f"{sched.kind} schedule lacks part_sizes metadata")]
     state = simulate_schedule(sched)
     out = []
     for rank in range(sched.p):
@@ -471,12 +489,15 @@ def assert_valid_schedule(sched: Schedule, *,
 
 
 def verify_repertoire(ps=(1, 2, 3, 4, 5, 7, 8, 48),
-                      sizes=(1, 2, 8, 70)) -> int:
-    """Verify every shipped builder across a (p, n) grid; returns the
-    number of schedules checked.  Raises on the first bad schedule —
-    the static-checks gate (`tools/run_static_checks.py`) calls this."""
+                      sizes=(1, 2, 8, 70), kinds=None) -> int:
+    """Verify every shipped builder of ``kinds`` (default: the kinds
+    with an algorithm choice) across a (p, n) grid; returns the number
+    of schedules checked.  Raises on the first bad schedule — the
+    static-checks gate (`tools/run_static_checks.py`) calls this."""
     from repro.core.blocks import balanced_partition, standard_partition
-    from repro.sched.builders import all_schedules
+    from repro.sched.builders import SCHEDULED_KINDS, all_schedules
+
+    kinds = SCHEDULED_KINDS if kinds is None else kinds
 
     checked = 0
     for p in ps:
@@ -485,7 +506,7 @@ def verify_repertoire(ps=(1, 2, 3, 4, 5, 7, 8, 48),
                 part = partitioner(n, p)
                 for root in (0,) if p == 1 else (0, p - 1):
                     for sched in all_schedules(p, n, part=part,
-                                               root=root):
+                                               root=root, kinds=kinds):
                         assert_valid_schedule(sched)
                         checked += 1
     return checked

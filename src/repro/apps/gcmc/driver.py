@@ -252,7 +252,7 @@ def gcmc_program(env: CoreEnv, comm: Communicator, cfg: GCMCConfig,
     """Algorithm 1, run by every rank.
 
     ``algo`` forces one Allreduce algorithm for every energy reduction
-    (``rsag``, ``recursive_doubling``, ``sched:<builder>``, ...) instead
+    (``rsag``, ``recursive_doubling``, ``synth/rsag+c2``, ...) instead
     of the stack's size-based selection — the hook the ensemble
     verification layer uses to put *non-default* collective algorithms
     under the statistical correctness gate.

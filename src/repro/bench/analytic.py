@@ -3,9 +3,10 @@
 Every sweep point the benchmark layer runs is one deterministic SPMD
 simulation (:func:`~repro.bench.runner.measure_collective`).  The analytic
 engine replaces that simulation — for the points it can express — with a
-closed-form estimate: the point's algorithm is resolved to a schedule from
-the builder repertoire (:mod:`repro.sched.builders`) and priced through
-the BSP cost model (:mod:`repro.sched.cost`) over the machine's memoized
+closed-form estimate: the point's algorithm is resolved by the stack's own
+:meth:`~repro.core.comm.Communicator.resolve`, built from the repertoire
+(:mod:`repro.sched.builders`) and priced through the BSP cost model
+(:mod:`repro.sched.cost`) over the machine's memoized
 :class:`~repro.hw.timing.LatencyModel`, *plus* the calibrated per-call
 software overheads of the point's stack (RCCE call cycles, request
 issue/complete cycles, collective entry).  One point costs microseconds
@@ -28,7 +29,8 @@ points outside the model:
 * ``barrier`` (no schedule builder; latency is all flag traffic),
 * the ``rckmpi`` stack (a different channel model entirely),
 * the MPB-direct Allreduce (``algo="mpb"`` or the ``mpb`` stack's
-  long-vector default — no builder exists for it),
+  long-vector default — it is not a schedule),
+* ``synth/...`` names (the tuned stack's pipelined picks),
 * non-identity ``rank_order`` (the cost model prices rank *r* at core
   *r*),
 * single-rank launches and unknown algorithm names (the simulator is
@@ -64,9 +66,8 @@ from typing import TYPE_CHECKING, Optional, Sequence
 from repro.hw.config import SCCConfig
 from repro.hw.machine import Machine
 from repro.hw.timing import LatencyModel
-from repro.sched.builders import BUILDERS, DEFAULT_ALGOS
 from repro.sched.cost import SoftwareOverhead, estimate_schedule_cost
-from repro.sched.engine import parse_sched_algo, schedule_for
+from repro.sched.engine import schedule_for
 from repro.sim.clock import ps_to_us
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -230,42 +231,18 @@ def _stack_context(stack: str, config: SCCConfig) -> Optional[_StackContext]:
     return ctx
 
 
-def _resolve_schedule_name(comm: "Communicator", kind: str, size: int,
-                           cores: int, algo: Optional[str]) -> Optional[str]:
-    """The builder name the point would execute, or None (must simulate).
-
-    Mirrors the communicator dispatch exactly: explicit ``sched:<name>``
-    labels pass through, explicit native names map to the builder of the
-    same name (every native algorithm has a bit-identical builder port —
-    ``tests/sched/test_engine_golden.py``), and ``None`` resolves the
-    stack's default: the tuned stack's table pick, or the seed's
-    512-byte short/long rule (``mpb`` long vectors have no builder and
-    fall back to the simulator).
-    """
-    from repro.sched.select import TunedCommunicator
-
-    if algo is None:
-        if isinstance(comm, TunedCommunicator):
-            algo = comm.pick_algo(kind, cores, size)
-        else:
-            nbytes = size * 8  # doubles, like Communicator._is_long
-            long = nbytes >= comm.long_threshold_bytes
-            if kind == "allreduce" and comm.use_mpb_allreduce and long:
-                return None  # MPB-direct: no builder
-            short_algo, long_algo = DEFAULT_ALGOS[kind]
-            algo = long_algo if long else short_algo
-    name = parse_sched_algo(algo)
-    if name is None:
-        name = algo  # native label; builders share the native names
-    if name.startswith("hier/"):
-        from repro.sched.hier import parse_hier_name
-
-        try:
-            parse_hier_name(kind, name)
-        except KeyError:
-            return None
-        return name
-    if name not in BUILDERS.get(kind, ()):
+def _priced_schedule_name(comm: "Communicator", kind: str, size: int,
+                          cores: int, algo: Optional[str]) -> Optional[str]:
+    """The name the point would execute (:meth:`Communicator.resolve`,
+    the same call the simulated collective makes), or None when the
+    simulator must answer: unknown names (it is the authority on the
+    error), the MPB-direct Allreduce (not a schedule) and ``synth/...``
+    names (outside the calibrated overhead regime)."""
+    try:
+        name = comm.resolve(kind, cores, size, size * 8, algo)  # doubles
+    except KeyError:
+        return None
+    if name == "mpb" or name.startswith("synth/"):
         return None
     return name
 
@@ -288,8 +265,8 @@ def analytic_latency_us(point: "SweepPoint") -> Optional[float]:
     ctx = _stack_context(point.stack, point.config)
     if ctx is None:
         return None
-    name = _resolve_schedule_name(ctx.comm, point.kind, point.size,
-                                  point.cores, point.algo)
+    name = _priced_schedule_name(ctx.comm, point.kind, point.size,
+                                 point.cores, point.algo)
     if name is None:
         return None
     sched = schedule_for(ctx.comm, point.kind, name, point.cores,

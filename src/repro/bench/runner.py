@@ -83,8 +83,8 @@ def program_for(kind: str, comm: Communicator, inputs: list[np.ndarray],
     """Build the per-rank SPMD program measuring one collective call.
 
     ``algo`` overrides the communicator's size-based algorithm selection
-    (a native algorithm name, or ``sched:<name>`` for the schedule
-    engine — see ``docs/schedules.md``).  ``barrier`` takes no algorithm.
+    with an algorithm name (``sched:`` prefix optional — see
+    ``docs/schedules.md``).  ``barrier`` takes no algorithm.
     """
     if algo is not None and kind == "barrier":
         raise KeyError("barrier takes no algorithm override")

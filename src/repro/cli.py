@@ -9,7 +9,7 @@ Examples::
     python -m repro stepwise
     python -m repro sweep allreduce --stacks blocking mpb --sizes 552:577:4
     python -m repro sweep allreduce --stacks tuned --sizes 552:577:4 \\
-        --algorithm sched:recursive_halving
+        --algorithm recursive_halving
     python -m repro sweep --topology cluster:2x24 --kinds allreduce
     python -m repro info --topology torus:6x4
     python -m repro tune --topology cluster:2x24
@@ -712,8 +712,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "docs/topologies.md")
     psweep.add_argument("--algorithm", default=None,
                         help="override the per-size algorithm selection "
-                             "(native name like 'rsag', or "
-                             "'sched:<name>' for the schedule engine)")
+                             "with an algorithm name like 'rsag' "
+                             "('sched:' prefix optional)")
     psweep.add_argument("--engine", choices=("sim", "analytic", "auto"),
                         default="sim",
                         help="pricing backend: simulate every point "
@@ -750,7 +750,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "REPRO_BENCH_CACHE_DIR)")
     pbench.add_argument("--algorithm", default=None,
                         help="override the per-size algorithm selection "
-                             "(native name or 'sched:<name>')")
+                             "with an algorithm name ('sched:' prefix "
+                             "optional)")
     pbench.add_argument("--engine", choices=("sim", "analytic", "auto"),
                         default="sim",
                         help="pricing backend: simulate every point "
@@ -978,8 +979,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "base seed)")
     pcheck.add_argument("--algorithm", default=None,
                         help="force one Allreduce algorithm for every "
-                             "energy reduction (native name or "
-                             "'sched:<name>')")
+                             "energy reduction (algorithm name, "
+                             "'sched:' prefix optional)")
     pcheck.add_argument("--profile", default="off",
                         choices=["off", "light", "default", "heavy"],
                         help="chaos profile to run the candidate under")

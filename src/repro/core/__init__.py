@@ -9,9 +9,15 @@ Public surface:
 * :mod:`~repro.core.blocks` — standard vs balanced block partitioning
   (optimization C, Fig. 6),
 * :mod:`~repro.core.ops` — reduction operators,
-* the individual algorithms (ring ReduceScatter/Allgather, pairwise
-  Alltoall, binomial trees, scatter-allgather Broadcast, MPB-direct
-  Allreduce) for direct use and ablation.
+* what the schedule IR cannot express: the MPB-direct Allreduce
+  (:mod:`~repro.core.mpb_allreduce`) and the dissemination barrier
+  (:mod:`~repro.core.barrier`).
+
+The collective algorithms themselves (ring ReduceScatter/Allgather,
+pairwise Alltoall, binomial trees, scatter-allgather Broadcast, ...) are
+schedule builders in :mod:`repro.sched.builders`; name one with
+``algo=`` on any :class:`~repro.core.comm.Communicator` method
+(:meth:`~repro.core.comm.Communicator.resolve` lists what is valid).
 """
 
 from repro.core.blocks import (

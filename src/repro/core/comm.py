@@ -1,5 +1,5 @@
 """The communicator: one object bundling a point-to-point layer, a block
-partitioner and algorithm selections into an MPI-like collective API.
+partitioner and the algorithm decision into an MPI-like collective API.
 
 All collective methods are SPMD generators: every rank of the launch calls
 the same method with its own arguments and ``yield from``s it.
@@ -9,6 +9,13 @@ the same method with its own arguments and ``yield from``s it.
     def program(env):
         result = yield from comm.allreduce(env, my_vector)
         return result
+
+Every collective is ``span`` + entry overhead + one schedule run: the
+algorithms themselves are data (:mod:`repro.sched.builders`) executed by
+:func:`repro.sched.engine.run_schedule`, and :meth:`Communicator.resolve`
+is the only place that decides which one a call runs.  What the schedule
+IR cannot express stays here as code: the MPB-direct Allreduce
+(:mod:`repro.core.mpb_allreduce`) and the barriers.
 
 (See :mod:`repro.core.registry` for the stack names of the paper's
 figures.)
@@ -20,23 +27,20 @@ from typing import Generator, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.core import allreduce as _allreduce
-from repro.core import alltoall as _alltoall
-from repro.core import alt_algorithms as _alt
-from repro.core import bcast as _bcast
-from repro.core import reduce as _reduce
-from repro.core import scan as _scan
-from repro.core.allgather import ring_allgather
 from repro.core.barrier import dissemination_barrier
 from repro.core.blocks import Partition, Partitioner, standard_partition
 from repro.core.mpb_allreduce import mpb_allreduce
 from repro.core.ops import ReduceOp, SUM
-from repro.core.reduce_scatter import ring_reduce_scatter
 from repro.hw.machine import CoreEnv, Machine
 from repro.ircce.requests import NonBlockingLayer
 from repro.obs.spans import span
 from repro.rcce.api import RCCE
-from repro.sched.engine import parse_sched_algo, run_schedule
+from repro.sched.engine import run_schedule
+
+#: RCCE_comm's rule: operands of at least this many bytes run their
+#: kind's long-message algorithm (ring / scatter based), smaller ones
+#: the binomial trees.
+LONG_THRESHOLD_BYTES = 512
 
 
 class Communicator:
@@ -47,16 +51,12 @@ class Communicator:
                  partitioner: Partitioner = standard_partition,
                  *,
                  name: str = "",
-                 use_mpb_allreduce: bool = False,
-                 long_threshold_bytes: int = 512):
+                 use_mpb_allreduce: bool = False):
         self.machine = machine
         self.p2p = p2p
         self.partitioner = partitioner
         self.name = name or p2p.name
         self.use_mpb_allreduce = use_mpb_allreduce
-        #: Vectors at least this large use the long-message algorithms
-        #: (ring/scatter-based); smaller ones use binomial trees.
-        self.long_threshold_bytes = long_threshold_bytes
 
     # -- plumbing ------------------------------------------------------------
     @property
@@ -73,8 +73,61 @@ class Communicator:
             env.latency.core_cycles(self.machine.config.collective_call_cycles),
             "overhead")
 
-    def _is_long(self, buf: np.ndarray) -> bool:
-        return buf.nbytes >= self.long_threshold_bytes
+    def resolve(self, kind: str, p: int, n: int, nbytes: int,
+                algo: Optional[str] = None) -> str:
+        """The algorithm one call of ``kind`` runs — the single decision
+        point, shared by the collectives below, the analytic engine and
+        anything else that must know what a call will execute.
+
+        ``n`` is the operand length in elements (per destination row for
+        alltoall) and ``nbytes`` its size.  ``algo=None`` applies the
+        stack's default: the short/long pair of
+        :data:`~repro.sched.builders.DEFAULT_ALGOS` split at
+        :data:`LONG_THRESHOLD_BYTES`, with the ``mpb`` stack's long
+        Allreduce going to the MPB-direct algorithm.  An explicit name
+        is a schedule builder, a ``synth/...`` or ``hier/g<G>`` name, or
+        ``mpb`` (Allreduce only); a ``sched:`` prefix is accepted and
+        means nothing.  Returns ``"mpb"`` or a name
+        :func:`~repro.sched.builders.build_schedule` accepts; raises
+        :class:`KeyError` listing the known names otherwise.
+        """
+        # Imported here: repro.sched.builders imports this package.
+        from repro.sched.builders import (DEFAULT_ALGOS, builder_names,
+                                          known_algorithm)
+
+        if algo is None:
+            short, long = DEFAULT_ALGOS[kind]
+            if nbytes < LONG_THRESHOLD_BYTES:
+                return short
+            if kind == "allreduce" and self.use_mpb_allreduce:
+                return "mpb"
+            return long
+        name = algo[len("sched:"):] if algo.startswith("sched:") else algo
+        mpb_ok = kind == "allreduce"
+        if known_algorithm(kind, name) or (mpb_ok and name == "mpb"):
+            return name
+        raise KeyError(
+            f"unknown {kind} algorithm {algo!r}; known: "
+            f"{', '.join(builder_names(kind))}"
+            f"{', mpb (MPB-direct)' if mpb_ok else ''}, synthesized "
+            f"'synth/pipeline_c<c>' and 'synth/<base>+c<c>', "
+            f"hierarchical 'hier/g<G>' (bcast, reduce, allreduce); "
+            f"a 'sched:' prefix is optional")
+
+    def _collective(self, env: CoreEnv, kind: str, buf: np.ndarray,
+                    algo: Optional[str], op: ReduceOp = SUM,
+                    root: int = 0) -> Generator:
+        """One call of a kind with an algorithm choice: span, entry
+        overhead, then the resolved algorithm."""
+        with span(env, kind, buf.size):
+            yield from self._enter(env)
+            rows = env.size if kind == "alltoall" else 1
+            name = self.resolve(kind, env.size, buf.size // rows,
+                                buf.nbytes // rows, algo)
+            if name == "mpb":
+                return (yield from mpb_allreduce(self, env, buf, op))
+            return (yield from run_schedule(self, env, kind, name, buf,
+                                            op=op, root=root))
 
     # -- point-to-point (blocking semantics over either layer) -------------
     def send(self, env: CoreEnv, data: np.ndarray, dst: int) -> Generator:
@@ -106,220 +159,75 @@ class Communicator:
         """Broadcast ``buf`` from ``root``; every rank's ``buf`` is filled
         in place and returned.
 
-        ``algo`` overrides the size-based selection: ``binomial``,
-        ``scatter_allgather``, or any ``sched:<builder>`` label (see
-        :mod:`repro.sched`).
+        ``algo`` overrides the size-based selection (see
+        :meth:`resolve`): ``binomial``, ``scatter_allgather``, or a
+        ``synth/...`` / ``hier/g<G>`` name.
         """
-        with span(env, "bcast", buf.size):
-            yield from self._enter(env)
-            if env.size == 1:
-                return buf
-            sched_name = parse_sched_algo(algo)
-            if sched_name is not None:
-                result = yield from run_schedule(self, env, "bcast",
-                                                 sched_name, buf, root=root)
-                return result
-            if algo is None:
-                algo = ("scatter_allgather" if self._is_long(buf)
-                        else "binomial")
-            if algo == "scatter_allgather":
-                yield from _bcast.scatter_allgather_bcast(self, env, buf,
-                                                          root)
-            elif algo == "binomial":
-                yield from _bcast.binomial_bcast(self, env, buf, root)
-            else:
-                raise KeyError(f"unknown bcast algorithm {algo!r}")
-            return buf
+        return self._collective(env, "bcast", buf, algo, root=root)
 
     def reduce(self, env: CoreEnv, sendbuf: np.ndarray, op: ReduceOp = SUM,
                root: int = 0, algo: Optional[str] = None) -> Generator:
         """Reduce to ``root``; returns the result there, None elsewhere.
 
-        ``algo`` overrides the size-based selection: ``binomial``,
-        ``rsg`` (ring ReduceScatter + binomial gather), or any
-        ``sched:<builder>`` label.
+        ``algo``: ``binomial``, ``rsg`` (ring ReduceScatter + binomial
+        gather), or a ``synth/...`` / ``hier/g<G>`` name.
         """
-        with span(env, "reduce", sendbuf.size):
-            yield from self._enter(env)
-            if env.size == 1:
-                return sendbuf.copy()
-            sched_name = parse_sched_algo(algo)
-            if sched_name is not None:
-                result = yield from run_schedule(
-                    self, env, "reduce", sched_name, sendbuf, op=op,
-                    root=root)
-                return result
-            if algo is None:
-                algo = "rsg" if self._is_long(sendbuf) else "binomial"
-            if algo == "rsg":
-                result = yield from _reduce.reduce_scatter_gather_reduce(
-                    self, env, sendbuf, op, root)
-            elif algo == "binomial":
-                result = yield from _reduce.binomial_reduce(
-                    self, env, sendbuf, op, root)
-            else:
-                raise KeyError(f"unknown reduce algorithm {algo!r}")
-            return result
+        return self._collective(env, "reduce", sendbuf, algo, op, root)
 
     def allreduce(self, env: CoreEnv, sendbuf: np.ndarray,
                   op: ReduceOp = SUM, algo: Optional[str] = None) -> Generator:
         """Allreduce; returns the reduced vector on every rank.
 
-        ``algo`` overrides the stack's size-based selection; one of
-        ``rsag`` (ring ReduceScatter+Allgather), ``reduce_bcast``
-        (binomial trees), ``recursive_doubling``, ``recursive_halving``
-        (Rabenseifner), ``mpb`` (the MPB-direct algorithm), or any
-        ``sched:<builder>`` label executed by the schedule engine.
+        ``algo``: ``rsag`` (ring ReduceScatter+Allgather),
+        ``reduce_bcast`` (binomial trees), ``recursive_doubling``,
+        ``recursive_halving`` (Rabenseifner), ``mpb`` (the MPB-direct
+        algorithm), or a ``synth/...`` / ``hier/g<G>`` name.
         """
-        with span(env, "allreduce", sendbuf.size):
-            yield from self._enter(env)
-            if env.size == 1:
-                return sendbuf.copy()
-            sched_name = parse_sched_algo(algo)
-            if sched_name is not None:
-                result = yield from run_schedule(
-                    self, env, "allreduce", sched_name, sendbuf, op=op)
-                return result
-            if algo is None:
-                if self.use_mpb_allreduce and self._is_long(sendbuf):
-                    algo = "mpb"
-                elif self._is_long(sendbuf):
-                    algo = "rsag"
-                else:
-                    algo = "reduce_bcast"
-            if algo == "mpb":
-                faults = self.machine.faults
-                if faults is not None:
-                    # Graceful degradation: count MPB-allreduce epochs per
-                    # rank and consult the injector's rank-consistent
-                    # verdicts — every rank sees the same epoch number and
-                    # the same threshold crossing, so either all ranks
-                    # enter the MPB algorithm or all fall back to the
-                    # private-memory ring (a split decision would deadlock
-                    # the handshake).
-                    epoch = env.data.get("mpbar.epoch", 0)
-                    env.data["mpbar.epoch"] = epoch + 1
-                    if faults.mpb_degraded(epoch):
-                        faults.record("mpb_fallback", f"core{env.core_id}",
-                                      {"epoch": epoch, "algo": "rsag"})
-                        with span(env, "fallback", epoch):
-                            result = yield from _allreduce.rsag_allreduce(
-                                self, env, sendbuf, op)
-                        return result
-                    result = yield from mpb_allreduce(
-                        self, env, sendbuf, op, fault_epoch=epoch)
-                else:
-                    result = yield from mpb_allreduce(self, env, sendbuf, op)
-            elif algo == "rsag":
-                result = yield from _allreduce.rsag_allreduce(
-                    self, env, sendbuf, op)
-            elif algo == "reduce_bcast":
-                result = yield from _allreduce.reduce_bcast_allreduce(
-                    self, env, sendbuf, op)
-            elif algo == "recursive_doubling":
-                result = yield from _alt.recursive_doubling_allreduce(
-                    self, env, sendbuf, op)
-            elif algo == "recursive_halving":
-                result = yield from _alt.recursive_halving_allreduce(
-                    self, env, sendbuf, op)
-            else:
-                raise KeyError(f"unknown allreduce algorithm {algo!r}")
-            return result
+        return self._collective(env, "allreduce", sendbuf, algo, op)
 
     def scan(self, env: CoreEnv, sendbuf: np.ndarray,
              op: ReduceOp = SUM, algo: Optional[str] = None) -> Generator:
         """Inclusive prefix reduction: rank r returns fold(ranks 0..r).
 
-        ``algo``: ``recursive_doubling`` (default) or a
-        ``sched:<builder>`` label.
+        ``algo``: ``recursive_doubling`` (default) or a ``synth/...``
+        name.
         """
-        with span(env, "scan", sendbuf.size):
-            yield from self._enter(env)
-            if env.size == 1:
-                return sendbuf.copy()
-            sched_name = parse_sched_algo(algo)
-            if sched_name is not None:
-                result = yield from run_schedule(
-                    self, env, "scan", sched_name, sendbuf, op=op)
-                return result
-            if algo not in (None, "recursive_doubling"):
-                raise KeyError(f"unknown scan algorithm {algo!r}")
-            result = yield from _scan.recursive_doubling_scan(self, env,
-                                                              sendbuf, op)
-            return result
+        return self._collective(env, "scan", sendbuf, algo, op)
 
     def exscan(self, env: CoreEnv, sendbuf: np.ndarray,
                op: ReduceOp = SUM) -> Generator:
         """Exclusive prefix reduction (None at rank 0)."""
         with span(env, "exscan", sendbuf.size):
             yield from self._enter(env)
-            if env.size == 1:
-                return None
-            result = yield from _scan.exscan_from_scan(self, env, sendbuf,
-                                                       op)
-            return result
+            return (yield from run_schedule(
+                self, env, "exscan", "recursive_doubling", sendbuf, op=op))
 
     def reduce_scatter(self, env: CoreEnv, sendbuf: np.ndarray,
                        op: ReduceOp = SUM,
                        algo: Optional[str] = None) -> Generator:
-        """Ring ReduceScatter; returns ``(my_block, partition)`` where
+        """ReduceScatter; returns ``(my_block, partition)`` where
         ``my_block`` is the reduced block ``env.rank``.
 
-        ``algo``: ``ring`` (default) or a ``sched:<builder>`` label.
+        ``algo``: ``ring`` (default) or a ``synth/...`` name.
         """
-        with span(env, "reduce_scatter", sendbuf.size):
-            yield from self._enter(env)
-            sched_name = parse_sched_algo(algo)
-            if sched_name is not None:
-                result = yield from run_schedule(
-                    self, env, "reduce_scatter", sched_name, sendbuf,
-                    op=op)
-                return result
-            if algo not in (None, "ring"):
-                raise KeyError(
-                    f"unknown reduce_scatter algorithm {algo!r}")
-            result = yield from ring_reduce_scatter(self, env, sendbuf, op)
-            return result
+        return self._collective(env, "reduce_scatter", sendbuf, algo, op)
 
     def allgather(self, env: CoreEnv, sendbuf: np.ndarray,
                   algo: Optional[str] = None) -> Generator:
         """Allgather; returns the ``(p, n)`` matrix of contributions.
 
-        ``algo``: ``ring`` (default) or ``bruck``.
+        ``algo``: ``ring`` (default), ``bruck`` or a ``synth/...`` name.
         """
-        with span(env, "allgather", sendbuf.size):
-            yield from self._enter(env)
-            sched_name = parse_sched_algo(algo)
-            if sched_name is not None:
-                result = yield from run_schedule(
-                    self, env, "allgather", sched_name, sendbuf)
-                return result
-            if algo in (None, "ring"):
-                result = yield from ring_allgather(self, env, sendbuf)
-            elif algo == "bruck":
-                result = yield from _alt.bruck_allgather(self, env, sendbuf)
-            else:
-                raise KeyError(f"unknown allgather algorithm {algo!r}")
-            return result
+        return self._collective(env, "allgather", sendbuf, algo)
 
     def alltoall(self, env: CoreEnv, sendbuf: np.ndarray,
                  algo: Optional[str] = None) -> Generator:
-        """Pairwise Alltoall of the ``(p, n)`` matrix ``sendbuf``.
+        """Alltoall of the ``(p, n)`` matrix ``sendbuf`` (row j goes to
+        rank j); returns the ``(p, n)`` matrix of received rows.
 
-        ``algo``: ``pairwise`` (default).
+        ``algo``: ``pairwise`` (default) or a ``synth/...`` name.
         """
-        with span(env, "alltoall", sendbuf.size):
-            yield from self._enter(env)
-            sched_name = parse_sched_algo(algo)
-            if sched_name is not None:
-                result = yield from run_schedule(
-                    self, env, "alltoall", sched_name, sendbuf)
-                return result
-            if algo not in (None, "pairwise"):
-                raise KeyError(f"unknown alltoall algorithm {algo!r}")
-            result = yield from _alltoall.pairwise_alltoall(self, env,
-                                                            sendbuf)
-            return result
+        return self._collective(env, "alltoall", sendbuf, algo)
 
     def scatter(self, env: CoreEnv, sendbuf: Optional[np.ndarray],
                 root: int = 0) -> Generator:
@@ -331,13 +239,8 @@ class Communicator:
             if sendbuf is None:
                 raise ValueError(
                     "scatter requires a full-size buffer per rank")
-            part = self.partition(sendbuf.size, env.size)
-            if env.size == 1:
-                return sendbuf.copy()
-            yield from _bcast.binomial_scatter_ranges(self, env, sendbuf,
-                                                      part, root)
-            vrank = (env.rank - root) % env.size
-            return sendbuf[part.slice_of(vrank)].copy()
+            return (yield from run_schedule(
+                self, env, "scatter", "binomial", sendbuf, root=root))
 
     def gather(self, env: CoreEnv, block: np.ndarray, total_size: int,
                root: int = 0) -> Generator:
@@ -350,18 +253,20 @@ class Communicator:
         with span(env, "gather", total_size):
             yield from self._enter(env)
             part = self.partition(total_size, env.size)
-            vrank = (env.rank - root) % env.size
-            if block.size != part.size(vrank):
-                raise ValueError(
-                    f"rank {env.rank} passed a block of {block.size} "
-                    f"elements; partition expects {part.size(vrank)}")
-            vector = np.empty(total_size, dtype=block.dtype)
-            vector[part.slice_of(vrank)] = block
-            if env.size == 1:
-                return vector
-            yield from _reduce.binomial_gather_blocks(self, env, vector,
-                                                      part, root)
-            return vector if env.rank == root else None
+            return (yield from self._gather(env, block, part, root))
+
+    def _gather(self, env: CoreEnv, block: np.ndarray, part: Partition,
+                root: int) -> Generator:
+        vrank = (env.rank - root) % env.size
+        if block.size != part.size(vrank):
+            raise ValueError(
+                f"rank {env.rank} passed a block of {block.size} "
+                f"elements; its share of the {part.n}-element vector is "
+                f"{part.size(vrank)}")
+        vector = np.empty(part.n, dtype=block.dtype)
+        vector[part.slice_of(vrank)] = block
+        return (yield from run_schedule(
+            self, env, "gather", "binomial", vector, root=root, part=part))
 
     def scatterv(self, env: CoreEnv, sendbuf: Optional[np.ndarray],
                  counts: Sequence[int], root: int = 0) -> Generator:
@@ -371,22 +276,14 @@ class Communicator:
         ``counts``."""
         with span(env, "scatterv", int(sum(counts))):
             yield from self._enter(env)
-            part = Partition(int(sum(counts)),
-                             tuple(int(c) for c in counts))
+            part = _counts_partition("scatterv", counts, env.size)
             if sendbuf is None or sendbuf.size != part.n:
                 raise ValueError(
                     f"scatterv needs a {part.n}-element buffer on every "
                     f"rank")
-            vrank = (env.rank - root) % env.size
-            if env.size == 1:
-                return sendbuf.copy()
-            if len(counts) != env.size:
-                raise ValueError(
-                    f"scatterv got {len(counts)} counts for {env.size} "
-                    f"ranks")
-            yield from _bcast.binomial_scatter_ranges(self, env, sendbuf,
-                                                      part, root)
-            return sendbuf[part.slice_of(vrank)].copy()
+            return (yield from run_schedule(
+                self, env, "scatter", "binomial", sendbuf, root=root,
+                part=part))
 
     def gatherv(self, env: CoreEnv, block: np.ndarray,
                 counts: Sequence[int], root: int = 0) -> Generator:
@@ -395,24 +292,8 @@ class Communicator:
         concatenation (in vrank order), others None."""
         with span(env, "gatherv", int(sum(counts))):
             yield from self._enter(env)
-            if len(counts) != env.size:
-                raise ValueError(
-                    f"gatherv got {len(counts)} counts for {env.size} "
-                    f"ranks")
-            part = Partition(int(sum(counts)),
-                             tuple(int(c) for c in counts))
-            vrank = (env.rank - root) % env.size
-            if block.size != part.size(vrank):
-                raise ValueError(
-                    f"rank {env.rank} passed {block.size} elements; counts "
-                    f"say {part.size(vrank)}")
-            vector = np.empty(part.n, dtype=block.dtype)
-            vector[part.slice_of(vrank)] = block
-            if env.size == 1:
-                return vector
-            yield from _reduce.binomial_gather_blocks(self, env, vector,
-                                                      part, root)
-            return vector if env.rank == root else None
+            part = _counts_partition("gatherv", counts, env.size)
+            return (yield from self._gather(env, block, part, root))
 
     def split(self, env: CoreEnv, color: Optional[int],
               key: Optional[int] = None) -> Generator:
@@ -448,3 +329,10 @@ class Communicator:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<Communicator {self.name!r} p2p={self.p2p.name} "
                 f"partitioner={self.partitioner.__name__}>")
+
+
+def _counts_partition(what: str, counts: Sequence[int], p: int) -> Partition:
+    if len(counts) != p:
+        raise ValueError(
+            f"{what} got {len(counts)} counts for {p} ranks")
+    return Partition(int(sum(counts)), tuple(int(c) for c in counts))

@@ -40,6 +40,7 @@ from repro.hw.flags import Flag
 from repro.hw.machine import CoreEnv
 from repro.hw.mpb import MPBRegion, as_bytes
 from repro.obs.spans import span
+from repro.sched.engine import run_schedule
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.comm import Communicator
@@ -74,19 +75,36 @@ def _pair_flags(env: CoreEnv, producer: int, half: int) -> tuple[Flag, Flag]:
 
 
 def mpb_allreduce(comm: "Communicator", env: CoreEnv, sendbuf: np.ndarray,
-                  op: ReduceOp, fault_epoch: int | None = None) -> Generator:
+                  op: ReduceOp) -> Generator:
     """Allreduce working directly on the MPBs.  Returns the result vector.
 
-    ``fault_epoch`` is the communicator's per-call epoch counter under
-    fault injection; a "faulty" epoch (a rank-consistent classification
-    by the injector) gets aggressive payload corruption on the double
-    buffers, which the producer-side write-verify loop below detects and
-    repairs (or converts into a typed
-    :class:`~repro.faults.errors.MPBFaultError`).
+    Under fault injection every rank counts its MPB-allreduce calls
+    (epochs).  A "faulty" epoch (a rank-consistent classification by the
+    injector) gets aggressive payload corruption on the double buffers,
+    which the producer-side write-verify loop below detects and repairs
+    (or converts into a typed
+    :class:`~repro.faults.errors.MPBFaultError`); once the injector
+    declares the MPB path degraded, the call falls back to the
+    private-memory ring (the ``rsag`` schedule).
     """
     p, me = env.size, env.rank
     if p == 1:
         return sendbuf.copy()
+    faults = env.machine.faults
+    fault_epoch = None
+    if faults is not None:
+        # Every rank sees the same epoch number and the same threshold
+        # crossing, so either all ranks enter the MPB algorithm or all
+        # fall back (a split decision would deadlock the handshake).
+        fault_epoch = env.data.get("mpbar.epoch", 0)
+        # repro-lint: allow=mpb-direct-write (CoreEnv.data is the rank's dict)
+        env.data["mpbar.epoch"] = fault_epoch + 1
+        if faults.mpb_degraded(fault_epoch):
+            faults.record("mpb_fallback", f"core{env.core_id}",
+                          {"epoch": fault_epoch, "algo": "rsag"})
+            with span(env, "fallback", fault_epoch):
+                return (yield from run_schedule(
+                    comm, env, "allreduce", "rsag", sendbuf, op=op))
     part = comm.partition(sendbuf.size, p)
     half_bytes = _halves(env, me)[0].size
     max_block_bytes = part.max_size() * sendbuf.itemsize
@@ -126,8 +144,7 @@ def mpb_allreduce(comm: "Communicator", env: CoreEnv, sendbuf: np.ndarray,
 
     round_overhead = lat.core_cycles(cfg.mpb_round_overhead_cycles)
 
-    faults = env.machine.faults
-    epoch_faulty = (faults is not None and fault_epoch is not None
+    epoch_faulty = (faults is not None
                     and faults.mpb_epoch_faulty(fault_epoch))
     # Write-verify is armed only when the plan can actually corrupt
     # payloads; a plan without corruption keeps the exact baseline timing.

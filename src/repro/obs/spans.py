@@ -12,7 +12,8 @@ mesh transfer, reduce op).  This module provides
   With a disabled tracer it is a shared no-op object: one attribute check
   and no allocation per call site.
 * :class:`Span` / :func:`extract_spans` — reassemble the begin/end pairs
-  into a properly nested span tree per actor (collective > round > phase).
+  into a properly nested span tree per actor (collective > schedule >
+  round > phase).
 * :func:`phase_times` / :func:`round_times` — attribute *exclusive* time
   (time inside a span but outside its children) to phase names, and
   per-round totals, the numbers the wait-profile table and the search/
@@ -34,6 +35,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 COLLECTIVE_SPANS = ("allreduce", "reduce", "reduce_scatter", "allgather",
                     "alltoall", "bcast", "barrier", "scan", "exscan",
                     "scatter", "gather", "scatterv", "gatherv", "split")
+#: Opened by the schedule executor around every algorithm run; its detail
+#: is the ``kind:name`` label of what :meth:`Communicator.resolve` chose.
+#: It names the algorithm rather than a phase of it, so
+#: :func:`phase_times` books its exclusive time on the enclosing
+#: collective span.
+SCHEDULE_SPAN = "schedule"
 ROUND_SPAN = "round"
 PHASE_SPANS = ("sync", "copy", "transfer", "reduce", "send", "recv",
                "retry", "fallback")
@@ -98,7 +105,7 @@ def span(env: Any, name: str, detail: Any = None) -> Any:
     ``yield from``s; begin/end read ``env.now`` at entry/exit)::
 
         with span(env, "round", r):
-            yield from full_exchange(...)
+            yield from run_exchange(...)
 
     ``env`` is anything with ``now``, ``core_id`` and a reachable tracer
     (a :class:`~repro.hw.machine.CoreEnv`).  Disabled tracer and no
@@ -191,12 +198,11 @@ def phase_times(spans: Iterable[Span],
     """
     out: dict = {}
     for sp in spans:
-        excl = sp.exclusive_ps()
-        if by_actor:
-            bucket = out.setdefault(sp.actor, {})
-        else:
-            bucket = out
-        bucket[sp.name] = bucket.get(sp.name, 0) + excl
+        name = sp.name
+        if name == SCHEDULE_SPAN and sp.parent is not None:
+            name = sp.parent.name
+        bucket = out.setdefault(sp.actor, {}) if by_actor else out
+        bucket[name] = bucket.get(name, 0) + sp.exclusive_ps()
     return out
 
 

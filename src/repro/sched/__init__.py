@@ -18,6 +18,7 @@ from repro.sched.builders import (
     all_schedules,
     build_schedule,
     builder_names,
+    known_algorithm,
 )
 from repro.sched.chunking import (
     PIPELINE_BUILDERS,
@@ -25,7 +26,7 @@ from repro.sched.chunking import (
     chunk_schedule,
     chunk_table,
 )
-from repro.sched.engine import parse_sched_algo, run_schedule, schedule_for
+from repro.sched.engine import run_schedule, schedule_for
 from repro.sched.ir import (
     COMM_STEPS,
     CopyBlock,
@@ -69,7 +70,7 @@ __all__ = [
     "chunk_bounds",
     "chunk_schedule",
     "chunk_table",
-    "parse_sched_algo",
+    "known_algorithm",
     "run_schedule",
     "schedule_for",
     "synthesize",

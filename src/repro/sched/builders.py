@@ -1,15 +1,14 @@
 """Pure schedule builders: the algorithm repertoire as data.
 
-Each builder ports one seed algorithm — the inline bodies of
-``repro.core.{allreduce,reduce,bcast,allgather,reduce_scatter,alltoall,
-scan}`` and the :mod:`repro.core.alt_algorithms` repertoire — into a
-:class:`~repro.sched.ir.Schedule`, preserving the exact round structure,
-exchange intervals, arithmetic charge sites and deadlock-avoidance
-orderings (odd-even for rings, rank comparison for pairwise exchanges).
-The engine executing a builder's output is therefore bit-identical in
-virtual time to the seed generator it was ported from (the golden test
-``tests/sched/test_engine_golden.py`` asserts this for every kind x
-stack at p in {2, 47, 48}).
+Each builder states one collective algorithm — RCCE_comm's rings,
+binomial trees and scatter/allgather broadcast, plus the MPICH-family
+alternatives (recursive doubling/halving, Bruck) — as a
+:class:`~repro.sched.ir.Schedule`: its round structure, exchange
+intervals, arithmetic charge sites and deadlock-avoidance orderings
+(odd-even for rings, rank comparison for pairwise exchanges).  This is
+the only implementation of these algorithms; the virtual time the
+executor charges for them is pinned, per stack and rank, in
+``tests/sched/test_engine_golden.py``.
 
 Builders are pure functions of ``(p, n, partition, root)``; schedules
 are cached per argument tuple (they are immutable and rank-complete, so
@@ -73,7 +72,8 @@ def _block_iv(buf: str, part: Partition, lo_block: int,
 
 
 def _pair_send_first(me: int, partner: int) -> bool:
-    """Rank-comparison rule (``exchange.pairwise_send_first``)."""
+    """Rank-comparison rule: the deadlock-free order of a symmetric
+    pairwise exchange on the blocking stack."""
     return me < partner
 
 
@@ -96,7 +96,7 @@ def _tree_rows(per_rank_steps: Sequence[Sequence[Step]]) -> np.ndarray:
 
 
 # --------------------------------------------------------------------- #
-# Ring phases (reduce_scatter.py / allgather.py)
+# Ring phases
 # --------------------------------------------------------------------- #
 def _ring_rows(p: int, part: Partition, shift: int, first_send: int,
                round_base: int, flags: int) -> np.ndarray:
@@ -104,8 +104,8 @@ def _ring_rows(p: int, part: Partition, shift: int, first_send: int,
 
     In round ``r`` virtual rank ``vme`` sends block ``vme + first_send -
     r`` to its right neighbour and receives the block before it from
-    the left; ``send_first`` is RCCE_comm's odd-even rule
-    (``exchange.ring_send_first``).
+    the left; ``send_first`` is RCCE_comm's odd-even rule (even ranks
+    send first, Fig. 4).
     """
     me = np.arange(p)[:, None]
     r = np.arange(p - 1)[None, :]
@@ -123,22 +123,25 @@ def _ring_rows(p: int, part: Partition, shift: int, first_send: int,
 
 def _ring_reduce_scatter_rows(p: int, part: Partition,
                               shift: int = 0) -> np.ndarray:
-    """Port of ``ring_reduce_scatter``'s round loop over buffer ``work``."""
+    """The ring (bucket) ReduceScatter rounds of Fig. 2: round ``r``
+    sends the partial sum of block ``vme - 1 - r`` and folds in block
+    ``vme - 2 - r``; rank ``me`` ends up owning block ``me - shift``."""
     return _ring_rows(p, part, shift, -1, 0, F_REDUCE)
 
 
 def _ring_allgather_blocks_rows(p: int, part: Partition, shift: int = 0,
                                 round_base: int = 0) -> np.ndarray:
-    """Port of ``ring_allgather_blocks``'s round loop over ``work``."""
+    """Circulate partition blocks until ``work`` is complete everywhere
+    (rank ``me`` starts out owning block ``me - shift``)."""
     return _ring_rows(p, part, shift, 0, round_base, 0)
 
 
 # --------------------------------------------------------------------- #
-# Binomial-tree phases (reduce.py / bcast.py)
+# Binomial-tree phases
 # --------------------------------------------------------------------- #
 def _binomial_reduce_steps(me: int, p: int, root: int,
                            data: Interval) -> list[Step]:
-    """Port of ``binomial_reduce`` (whole-vector tree to ``root``)."""
+    """Whole-vector binomial reduction tree to ``root``."""
     steps: list[Step] = []
     vrank = (me - root) % p
     mask = 1
@@ -155,7 +158,7 @@ def _binomial_reduce_steps(me: int, p: int, root: int,
 
 def _binomial_bcast_steps(me: int, p: int, root: int,
                           data: Interval) -> list[Step]:
-    """Port of ``binomial_bcast`` (whole-vector tree from ``root``)."""
+    """Whole-vector binomial broadcast tree from ``root``."""
     steps: list[Step] = []
     vrank = (me - root) % p
     mask = 1
@@ -174,7 +177,9 @@ def _binomial_bcast_steps(me: int, p: int, root: int,
 
 def _binomial_scatter_steps(me: int, p: int, root: int,
                             part: Partition) -> list[Step]:
-    """Port of ``binomial_scatter_ranges`` (contiguous vrank subtrees)."""
+    """Binomial scatter of partition blocks in root-relative vrank
+    space: the subtree of vrank ``v`` reached with mask ``m`` covers
+    blocks ``[v, min(v + m, p))``, a contiguous element range."""
     steps: list[Step] = []
     vrank = (me - root) % p
     mask = 1
@@ -202,7 +207,8 @@ def _binomial_scatter_steps(me: int, p: int, root: int,
 
 def _binomial_gather_steps(me: int, p: int, root: int,
                            part: Partition) -> list[Step]:
-    """Port of ``binomial_gather_blocks`` (subtree ranges to ``root``)."""
+    """Binomial gather of partition blocks to ``root`` (the scatter's
+    mirror: subtrees hand up contiguous vrank ranges)."""
     steps: list[Step] = []
     vrank = (me - root) % p
     extent = 1
@@ -230,7 +236,8 @@ def _binomial_gather_steps(me: int, p: int, root: int,
 # --------------------------------------------------------------------- #
 def build_rsag_allreduce(p: int, n: int, part: Partition,
                          root: int) -> Schedule:
-    """Ring ReduceScatter + ring Allgather (``rsag_allreduce``)."""
+    """Ring ReduceScatter + ring Allgather (the paper's long-vector
+    Allreduce, Section IV-A)."""
     blocks = [_init_copy_rows(np.arange(p), n)]
     if p > 1:
         blocks += [_ring_reduce_scatter_rows(p, part),
@@ -242,7 +249,7 @@ def build_rsag_allreduce(p: int, n: int, part: Partition,
 
 def build_reduce_bcast_allreduce(p: int, n: int, part: Partition,
                                  root: int) -> Schedule:
-    """Binomial Reduce to 0 + binomial Broadcast (``reduce_bcast``)."""
+    """Binomial Reduce to rank 0 + binomial Broadcast (short vectors)."""
     whole = Interval("work", 0, n)
     plans = []
     for me in range(p):
@@ -257,7 +264,8 @@ def build_reduce_bcast_allreduce(p: int, n: int, part: Partition,
 
 def _fold_in_steps(me: int, p: int, pow2: int,
                    whole: Interval) -> list[Step]:
-    """Port of ``alt_algorithms._fold_in`` (excess ranks go passive)."""
+    """Non-power-of-two prologue: ranks ``>= pow2`` hand their vector
+    to ``me - pow2`` and go passive."""
     rest = p - pow2
     if me >= pow2:
         return [Send(me - pow2, whole)]
@@ -268,7 +276,7 @@ def _fold_in_steps(me: int, p: int, pow2: int,
 
 def _fold_out_steps(me: int, p: int, pow2: int,
                     whole: Interval) -> list[Step]:
-    """Port of ``alt_algorithms._fold_out`` (results back to passives)."""
+    """Mirror of :func:`_fold_in_steps`: results back to the passives."""
     rest = p - pow2
     if me >= pow2:
         return [Recv(me - pow2, whole)]
@@ -279,7 +287,8 @@ def _fold_out_steps(me: int, p: int, pow2: int,
 
 def build_recursive_doubling_allreduce(p: int, n: int, part: Partition,
                                        root: int) -> Schedule:
-    """Port of ``recursive_doubling_allreduce``."""
+    """log2(p) full-vector exchange rounds: latency-optimal for short
+    vectors, bandwidth-hungry for long ones."""
     whole = Interval("work", 0, n)
     pow2 = _largest_pow2_below(p)
     plans = []
@@ -305,7 +314,8 @@ def build_recursive_doubling_allreduce(p: int, n: int, part: Partition,
 
 def build_recursive_halving_allreduce(p: int, n: int, part: Partition,
                                       root: int) -> Schedule:
-    """Port of ``recursive_halving_allreduce`` (Rabenseifner)."""
+    """Rabenseifner: recursive-halving reduce-scatter + recursive-
+    doubling allgather."""
     whole = Interval("work", 0, n)
     pow2 = _largest_pow2_below(p)
     plans = []
@@ -372,8 +382,8 @@ def build_binomial_reduce(p: int, n: int, part: Partition,
 
 def build_rsg_reduce(p: int, n: int, part: Partition,
                      root: int) -> Schedule:
-    """Ring ReduceScatter (root-relative vranks) + binomial gather
-    (``reduce_scatter_gather_reduce``)."""
+    """RCCE_comm's long-vector Reduce: ring ReduceScatter (blocks
+    labelled in root-relative vrank space) + binomial gather."""
     blocks = [_init_copy_rows(np.arange(p), n)]
     if p > 1:
         blocks += [_ring_reduce_scatter_rows(p, part, shift=root),
@@ -404,8 +414,8 @@ def build_binomial_bcast(p: int, n: int, part: Partition,
 
 def build_scatter_allgather_bcast(p: int, n: int, part: Partition,
                                   root: int) -> Schedule:
-    """Binomial scatter of blocks + ring allgather
-    (``scatter_allgather_bcast``)."""
+    """RCCE_comm's long-message Broadcast: binomial scatter of blocks +
+    ring allgather."""
     blocks = [_init_copy_rows(root, n)]
     if p > 1:
         blocks += [_tree_rows([_binomial_scatter_steps(me, p, root, part)
@@ -421,8 +431,8 @@ def build_scatter_allgather_bcast(p: int, n: int, part: Partition,
 # --------------------------------------------------------------------- #
 def build_ring_allgather(p: int, n: int, part: Partition,
                          root: int) -> Schedule:
-    """Port of ``ring_allgather`` (row exchange over the ``(p, n)``
-    result, flattened): the block ring over ``p`` rows of ``n``."""
+    """Standalone ring Allgather (Fig. 9a): the block ring over the
+    ``p`` rows of ``n`` of the flattened ``(p, n)`` result."""
     ranks = np.arange(p)
     rows_of_n = Partition(p * n, (n,) * p)
     blocks = [_init_copy_rows(ranks, n, work_lo=ranks * n),
@@ -434,7 +444,8 @@ def build_ring_allgather(p: int, n: int, part: Partition,
 
 def build_bruck_allgather(p: int, n: int, part: Partition,
                           root: int) -> Schedule:
-    """Port of ``bruck_allgather`` (local-index rows + final rotation)."""
+    """Bruck: ceil(log2 p) rounds with doubling block counts over
+    local-index rows, then the final local rotation."""
     plans = []
     for me in range(p):
         steps: list[Step] = [_init_copy(me, n)]
@@ -472,9 +483,10 @@ def build_ring_reduce_scatter(p: int, n: int, part: Partition,
 
 def build_pairwise_alltoall(p: int, n: int, part: Partition,
                             root: int) -> Schedule:
-    """Port of ``pairwise_alltoall`` (round ``r`` pairs ``me`` with
-    ``(r - me) % p``; ``n`` is the per-destination row length; the
-    self-pairing round is the charged local copy of the own row)."""
+    """Pairwise exchange: round ``r`` pairs ``me`` with ``(r - me) %
+    p`` — an involution, so each round is a perfect matching (``n`` is
+    the per-destination row length; the self-pairing round is the
+    charged local copy of the own row)."""
     me = np.arange(p)[:, None]
     r = np.arange(p)[None, :]
     partner = (r - me) % p
@@ -490,31 +502,88 @@ def build_pairwise_alltoall(p: int, n: int, part: Partition,
         make_table([rows]), {"rows": p, "root": 0})
 
 
+def _scan_steps(me: int, p: int, whole: Interval) -> list[Step]:
+    """Recursive-doubling prefix rounds (Hillis-Steele over ranks): in
+    round k rank ``me`` folds in the partial prefix of ``me - 2^k``.
+    Every edge points upward, so send-then-receive is cycle-free on the
+    blocking stack; the fold order is ``op(received, local)``."""
+    steps: list[Step] = []
+    stride = 1
+    while stride < p:
+        send_peer = me + stride if me + stride < p else None
+        recv_peer = me - stride if me - stride >= 0 else None
+        if send_peer is not None or recv_peer is not None:
+            steps.append(Exchange(
+                send_peer=send_peer,
+                send=whole if send_peer is not None else None,
+                recv_peer=recv_peer,
+                recv=whole if recv_peer is not None else None,
+                send_first=True,
+                reduce=recv_peer is not None,
+                reversed_fold=True))
+        stride <<= 1
+    return steps
+
+
 def build_recursive_doubling_scan(p: int, n: int, part: Partition,
                                   root: int) -> Schedule:
-    """Port of ``recursive_doubling_scan`` (Hillis-Steele over ranks:
-    all edges point upward, fold order ``op(received, local)``)."""
+    """Inclusive prefix reduction in ceil(log2 p) rounds."""
+    whole = Interval("work", 0, n)
+    plans = tuple((_init_copy(me, n), *_scan_steps(me, p, whole))
+                  for me in range(p))
+    return Schedule("scan", "recursive_doubling", p, n,
+                    {"in": n, "work": n}, plans, {"root": 0})
+
+
+# --------------------------------------------------------------------- #
+# Kinds with one fixed algorithm: Exscan, Scatter(v), Gather(v)
+# --------------------------------------------------------------------- #
+def build_exscan(p: int, n: int, part: Partition, root: int) -> Schedule:
+    """Exclusive prefix: the inclusive scan over ``work[0:n]``, then every
+    rank hands its prefix to ``me + 1``, which receives it into
+    ``work[n:2n]`` (rank 0's result is undefined, MPI-style)."""
     whole = Interval("work", 0, n)
     plans = []
     for me in range(p):
-        steps: list[Step] = [_init_copy(me, n)]
-        stride = 1
-        while stride < p:
-            send_peer = me + stride if me + stride < p else None
-            recv_peer = me - stride if me - stride >= 0 else None
-            if send_peer is not None or recv_peer is not None:
-                steps.append(Exchange(
-                    send_peer=send_peer,
-                    send=whole if send_peer is not None else None,
-                    recv_peer=recv_peer,
-                    recv=whole if recv_peer is not None else None,
-                    send_first=True,
-                    reduce=recv_peer is not None,
-                    reversed_fold=True))
-            stride <<= 1
+        steps = [_init_copy(me, n), *_scan_steps(me, p, whole)]
+        up = me + 1 if me + 1 < p else None
+        down = me - 1 if me >= 1 else None
+        if up is not None or down is not None:
+            steps.append(Exchange(
+                send_peer=up, send=whole if up is not None else None,
+                recv_peer=down,
+                recv=Interval("work", n, 2 * n) if down is not None
+                else None,
+                send_first=True))
         plans.append(tuple(steps))
-    return Schedule("scan", "recursive_doubling", p, n,
-                    {"in": n, "work": n}, tuple(plans), {"root": 0})
+    return Schedule("exscan", "recursive_doubling", p, n,
+                    {"in": n, "work": 2 * n}, tuple(plans), {"root": 0})
+
+
+def build_binomial_scatter(p: int, n: int, part: Partition,
+                           root: int) -> Schedule:
+    """Scatter(v): the root stages its vector, the tree hands every
+    vrank its block of ``part`` (any block sizes, empty ones included)."""
+    plans = tuple(
+        (*([_init_copy(me, n)] if me == root else []),
+         *_binomial_scatter_steps(me, p, root, part))
+        for me in range(p))
+    return Schedule("scatter", "binomial", p, n, {"in": n, "work": n},
+                    plans, {"part_sizes": part.sizes, "root": root})
+
+
+def build_binomial_gather(p: int, n: int, part: Partition,
+                          root: int) -> Schedule:
+    """Gather(v): rank ``me`` holds block ``vrank(me)`` of ``part`` at
+    its place in ``in``; the tree assembles the vector at ``root``."""
+    plans = []
+    for me in range(p):
+        own = _block_iv("work", part, (me - root) % p)
+        plans.append((CopyBlock(Interval("in", own.lo, own.hi), own),
+                      *_binomial_gather_steps(me, p, root, part)))
+    return Schedule("gather", "binomial", p, n, {"in": n, "work": n},
+                    tuple(plans),
+                    {"part_sizes": part.sizes, "root": root})
 
 
 # --------------------------------------------------------------------- #
@@ -522,8 +591,8 @@ def build_recursive_doubling_scan(p: int, n: int, part: Partition,
 # --------------------------------------------------------------------- #
 Builder = Callable[[int, int, Partition, int], Schedule]
 
-#: (kind -> name -> builder).  Names double as ``algo="sched:<name>"``
-#: labels on the :class:`~repro.core.comm.Communicator` methods.
+#: (kind -> name -> builder).  Names are the ``algo=`` values of the
+#: :class:`~repro.core.comm.Communicator` methods.
 BUILDERS: dict[str, dict[str, Builder]] = {
     "allreduce": {
         "rsag": build_rsag_allreduce,
@@ -552,9 +621,14 @@ BUILDERS: dict[str, dict[str, Builder]] = {
     "scan": {
         "recursive_doubling": build_recursive_doubling_scan,
     },
+    # One algorithm each, no ``algo=`` argument: not in DEFAULT_ALGOS.
+    "exscan": {"recursive_doubling": build_exscan},
+    "scatter": {"binomial": build_binomial_scatter},
+    "gather": {"binomial": build_binomial_gather},
 }
 
-#: The seed's size-based defaults: (short-vector algo, long-vector algo).
+#: RCCE_comm's size-based defaults: (short-vector algo, long-vector
+#: algo); :meth:`repro.core.comm.Communicator.resolve` applies them.
 DEFAULT_ALGOS: dict[str, tuple[str, str]] = {
     "allreduce": ("reduce_bcast", "rsag"),
     "reduce": ("binomial", "rsg"),
@@ -565,8 +639,14 @@ DEFAULT_ALGOS: dict[str, tuple[str, str]] = {
     "scan": ("recursive_doubling", "recursive_doubling"),
 }
 
-#: Kinds with at least one schedule builder.
-SCHEDULED_KINDS: tuple[str, ...] = tuple(BUILDERS)
+#: Kinds with an algorithm choice: what ``tune``, ``synth`` and the
+#: selection table range over.
+SCHEDULED_KINDS: tuple[str, ...] = tuple(DEFAULT_ALGOS)
+
+#: Kinds with exactly one builder (``scatterv``/``gatherv`` run the
+#: ``scatter``/``gather`` schedule over their own counts).
+FIXED_KINDS: tuple[str, ...] = tuple(
+    kind for kind in BUILDERS if kind not in DEFAULT_ALGOS)
 
 
 def builder_names(kind: str) -> tuple[str, ...]:
@@ -577,6 +657,25 @@ def builder_names(kind: str) -> tuple[str, ...]:
         raise KeyError(
             f"no schedule builders for collective kind {kind!r}; "
             f"known: {sorted(BUILDERS)}") from None
+
+
+def known_algorithm(kind: str, name: str) -> bool:
+    """True iff ``name`` resolves for ``kind`` — a hand builder, a
+    well-formed synthesized ``synth/...`` name, or a hierarchical
+    ``hier/g<G>`` name."""
+    if name in BUILDERS.get(kind, ()):
+        return True
+    if name.startswith("synth/"):
+        from repro.sched.synth import parse_synth_name as parse
+    elif name.startswith("hier/"):
+        from repro.sched.hier import parse_hier_name as parse
+    else:
+        return False
+    try:
+        parse(kind, name)
+    except KeyError:
+        return False
+    return True
 
 
 @lru_cache(maxsize=1024)
@@ -597,14 +696,13 @@ def build_schedule(kind: str, name: str, p: int, n: int, *,
     ``part`` is the block partition used by the ring/scatter phases
     (obtained from the communicator so the stack's partitioner — the
     paper's optimization C — is respected); whole-vector algorithms
-    ignore it.  ``root`` matters for ``reduce`` and ``bcast`` only.
+    ignore it.  ``root`` matters for the rooted kinds only.
 
     ``synth/``-prefixed names resolve through the synthesizer's
     parameterized families (:mod:`repro.sched.synth`) and ``hier/``
     names through the hierarchical builders (:mod:`repro.sched.hier`)
     instead of this registry, so both are reachable wherever a builder
-    name is (``algo="sched:synth/..."``, selection tables, the tuned
-    stack).
+    name is (``algo="synth/..."``, selection tables, the tuned stack).
     """
     if kind not in BUILDERS:
         raise KeyError(
@@ -631,8 +729,11 @@ def build_schedule(kind: str, name: str, p: int, n: int, *,
 
 def all_schedules(p: int, n: int, *,
                   part: Optional[Partition] = None,
-                  root: int = 0) -> Iterable[Schedule]:
-    """Every builder's schedule at one ``(p, n)`` — the verifier's sweep."""
-    for kind in BUILDERS:
+                  root: int = 0,
+                  kinds: Sequence[str] = SCHEDULED_KINDS
+                  ) -> Iterable[Schedule]:
+    """Every builder's schedule of ``kinds`` at one ``(p, n)`` — the
+    verifier's sweep."""
+    for kind in kinds:
         for name in builder_names(kind):
             yield build_schedule(kind, name, p, n, part=part, root=root)

@@ -1,6 +1,6 @@
 """Chunked and pipelined schedule transforms (the synthesis levers).
 
-Two ways to grow the repertoire beyond the 13 hand-ported builders
+Two ways to grow the repertoire beyond the 13 hand-written builders
 (:mod:`repro.sched.builders`), both following SCCL's playbook
 (PAPERS.md): treat an algorithm as data and rewrite it.
 

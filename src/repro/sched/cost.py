@@ -89,7 +89,7 @@ def message_cost(model: LatencyModel, src: int, dst: int,
     its own buffer and raises the receiver's flag; the receiver notices
     and pulls the payload across the mesh.  Zero-length vectors still
     pay the flag handshake — the protocol runs regardless, which is why
-    the seed's empty-block ring steps are not free.
+    the empty-block ring steps are not free.
 
     The composed cost is memoized in the model's own per-erratum-level
     table (like every primitive it is built from), so ``invalidate()``

@@ -1,30 +1,23 @@
 """The schedule executor: lowering IR steps onto any p2p stack.
 
-One engine replaces the per-(kind, stack) generator zoo: it walks the
-calling rank's step list and lowers each step onto the communicator's
-primitives — the *same* primitives the seed algorithms used, in the same
-order, with the same scratch-buffer discipline and arithmetic charge
-sites:
+One engine runs every collective algorithm: it walks the calling rank's
+step list and lowers each step onto the communicator's primitives:
 
 * :class:`~repro.sched.ir.Send`/:class:`~repro.sched.ir.Recv` lower to
   ``comm.send``/``comm.recv`` (RCCE rendezvous on the blocking stack,
   ``isend``/``irecv`` + ``wait`` elsewhere);
-* both-sided :class:`~repro.sched.ir.Exchange` lowers to
-  :func:`~repro.core.exchange.full_exchange`, honouring the baked-in
-  ``send_first`` on the blocking stack and issuing exactly one send and
-  one receive request elsewhere (within LWNB's single-outstanding-request
-  budget);
-* one-sided exchanges (the prefix-scan edges) issue their single
-  operation and complete it with ``wait_all``, mirroring
-  ``repro.core.scan``'s posture on both stack families;
-* reductions charge ``latency.reduce_doubles`` exactly where the seed
-  did: unconditionally for tree folds, only for non-empty blocks in the
-  ring reduce-scatter.
+* :class:`~repro.sched.ir.Exchange` honours the baked-in ``send_first``
+  on the blocking stack and issues exactly one send and one receive
+  request elsewhere, completed by one ``wait_all`` (within LWNB's
+  single-outstanding-request budget); one-sided exchanges (the
+  prefix-scan edges) issue their single operation the same way;
+* reductions charge ``latency.reduce_doubles``: unconditionally for tree
+  folds, only for non-empty blocks in the ring reduce-scatter.
 
-Executing a default schedule is therefore bit-identical in virtual time
-to the seed path on every stack (``tests/sched/test_engine_golden.py``).
-Spans annotate the run with the schedule label and the builder's round
-tags; like all obs spans they are timing-free.
+The virtual time this charges per algorithm, stack and rank is pinned in
+``tests/sched/test_engine_golden.py``.  Spans annotate the run with the
+schedule label and the builder's round tags; like all obs spans they are
+timing-free.
 """
 
 from __future__ import annotations
@@ -33,7 +26,6 @@ from typing import TYPE_CHECKING, Generator, Optional
 
 import numpy as np
 
-from repro.core.exchange import full_exchange
 from repro.core.ops import ReduceOp, SUM
 from repro.obs.spans import span
 from repro.sched.ir import (
@@ -48,13 +40,16 @@ from repro.sched.ir import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.blocks import Partition
     from repro.core.comm import Communicator
     from repro.hw.machine import CoreEnv
 
-#: Kinds whose builders consume the communicator's block partition.
+#: Builders that consume a block partition (the communicator's, unless
+#: the caller brings its own: scatterv/gatherv counts).
 _PARTITIONED = {
     ("allreduce", "rsag"), ("reduce", "rsg"),
     ("bcast", "scatter_allgather"), ("reduce_scatter", "ring"),
+    ("scatter", "binomial"), ("gather", "binomial"),
 }
 
 
@@ -93,7 +88,7 @@ def _run_step(comm: "Communicator", env: "CoreEnv", step,
         target = _view(buffers, step.data)
         tmp = np.empty_like(target)
         yield from comm.recv(env, tmp, step.peer)
-        # Tree folds charge unconditionally (binomial_reduce, _fold_in).
+        # Tree folds charge unconditionally.
         yield from env.consume(env.latency.reduce_doubles(target.size),
                                "compute")
         target[:] = op(target, tmp)
@@ -119,41 +114,43 @@ def _run_step(comm: "Communicator", env: "CoreEnv", step,
 def _run_exchange(comm: "Communicator", env: "CoreEnv", step: Exchange,
                   buffers: dict[str, np.ndarray],
                   op: ReduceOp) -> Generator:
+    """Send ``step.send`` while receiving ``step.recv`` (either side may
+    be absent: the prefix-scan edges).
+
+    RCCE's doubly-synchronizing calls deadlock unless the two sides of a
+    pair order them oppositely (Fig. 4), so the blocking stack follows
+    the builder's baked ``send_first``; the non-blocking stacks issue
+    both requests and synchronize once (Fig. 5), overlapping the copies.
+    """
     send_view = (_view(buffers, step.send)
                  if step.send is not None else None)
     recv_view = (_view(buffers, step.recv)
                  if step.recv is not None else None)
-    if step.reduce:
-        # Receive into scratch, fold after completion (ring RS posture).
-        recv_buf = np.empty_like(recv_view)
-    else:
-        recv_buf = recv_view
-    if step.send_peer is not None and step.recv_peer is not None:
-        yield from full_exchange(comm, env, send_view, step.send_peer,
-                                 recv_buf, step.recv_peer,
-                                 step.send_first)
-    elif comm.blocking:
-        # One-sided edge (scan): the baked order, blocking calls.
-        if send_view is not None:
-            yield from comm.p2p.send(env, send_view, step.send_peer)
+    # A folding receive lands in scratch and is folded after completion.
+    recv_buf = np.empty_like(recv_view) if step.reduce else recv_view
+    p2p = comm.p2p
+    if comm.blocking:
+        if send_view is not None and step.send_first:
+            yield from p2p.send(env, send_view, step.send_peer)
         if recv_buf is not None:
-            yield from comm.p2p.recv(env, recv_buf, step.recv_peer)
+            yield from p2p.recv(env, recv_buf, step.recv_peer)
+        if send_view is not None and not step.send_first:
+            yield from p2p.send(env, send_view, step.send_peer)
     else:
         reqs = []
         if send_view is not None:
-            req = yield from comm.p2p.isend(env, send_view.copy(),
-                                            step.send_peer)
-            reqs.append(req)
+            reqs.append((yield from p2p.isend(env, send_view,
+                                              step.send_peer)))
         if recv_buf is not None:
-            req = yield from comm.p2p.irecv(env, recv_buf, step.recv_peer)
-            reqs.append(req)
-        if reqs:
-            yield from comm.p2p.wait_all(env, reqs)
+            reqs.append((yield from p2p.irecv(env, recv_buf,
+                                              step.recv_peer)))
+        yield from p2p.wait_all(env, reqs)
     if step.reduce:
         nels = recv_view.size
         if nels:
-            yield from env.consume(env.latency.reduce_doubles(nels),
-                                   "compute")
+            with span(env, "reduce", nels):
+                yield from env.consume(env.latency.reduce_doubles(nels),
+                                       "compute")
             if step.reversed_fold:
                 recv_view[:] = op(recv_buf, recv_view)
             else:
@@ -161,37 +158,43 @@ def _run_exchange(comm: "Communicator", env: "CoreEnv", step: Exchange,
 
 
 def schedule_for(comm: "Communicator", kind: str, name: str, p: int,
-                 n: int, root: int = 0) -> Schedule:
-    """Resolve the schedule instance for one collective call.
+                 n: int, root: int = 0,
+                 part: Optional["Partition"] = None) -> Schedule:
+    """The schedule instance for one collective call.
 
-    A synthesized chunked transform inherits its base builder's
-    partition behavior (``synth/rsag+c4`` consumes the communicator's
-    block partition exactly like ``rsag`` does); pipelines take none.
+    ``part`` defaults to the communicator's block partition for the
+    builders that consume one.  A synthesized chunked transform inherits
+    its base builder's partition behavior (``synth/rsag+c4`` consumes
+    the partition exactly like ``rsag`` does); pipelines take none.
     """
     # Imported here: builders -> core.blocks -> core (package) ->
     # core.comm -> this module would otherwise be an import cycle.
     from repro.sched.builders import build_schedule
 
-    effective = name
-    if name.startswith("synth/"):
-        from repro.sched.synth import base_builder
+    if part is None:
+        effective = name
+        if name.startswith("synth/"):
+            from repro.sched.synth import base_builder
 
-        effective = base_builder(kind, name)
-    part = (comm.partition(n, p)
-            if (kind, effective) in _PARTITIONED else None)
+            effective = base_builder(kind, name)
+        if (kind, effective) in _PARTITIONED:
+            part = comm.partition(n, p)
     return build_schedule(kind, name, p, n, part=part, root=root)
 
 
 def run_schedule(comm: "Communicator", env: "CoreEnv", kind: str,
                  name: str, sendbuf: np.ndarray, *, op: ReduceOp = SUM,
-                 root: int = 0) -> Generator:
+                 root: int = 0,
+                 part: Optional["Partition"] = None) -> Generator:
     """Execute schedule ``kind:name`` for this rank's collective call.
 
     Buffer conventions: ``"in"`` aliases the caller's (flattened)
     operand and is only read; ``"work"`` is a fresh result buffer.  The
-    per-kind result extraction matches the native methods (bcast fills
-    the caller's buffer in place; reduce_scatter returns
-    ``(block, partition)``; allgather/alltoall return ``(p, n)``).
+    result is the kind's MPI-style return value (bcast fills the
+    caller's buffer in place; reduce_scatter returns ``(block,
+    partition)``; allgather/alltoall return ``(p, n)``; rooted kinds
+    return None off the root).  ``part`` replaces the communicator's
+    block partition (scatterv/gatherv counts).
     """
     p, me = env.size, env.rank
     if kind == "alltoall":
@@ -202,28 +205,24 @@ def run_schedule(comm: "Communicator", env: "CoreEnv", kind: str,
         n = sendbuf.size // p
     else:
         n = sendbuf.size
-    sched = schedule_for(comm, kind, name, p, n, root)
+    sched = schedule_for(comm, kind, name, p, n, root, part)
     flat_in = sendbuf.reshape(-1)
     work = np.empty(sched.buffers["work"], dtype=sendbuf.dtype)
     buffers = {"in": flat_in, "work": work}
     yield from _run_steps(comm, env, sched, buffers, op)
     if kind in ("allreduce", "scan"):
         return work
-    if kind == "reduce":
+    if kind in ("reduce", "gather"):
         return work if me == root else None
     if kind == "bcast":
         flat_in[:] = work
         return sendbuf
     if kind in ("allgather", "alltoall"):
         return work.reshape(p, n)
-    if kind == "reduce_scatter":
-        part = comm.partition(n, p)
-        return work[part.slice_of(me)].copy(), part
+    if kind in ("reduce_scatter", "scatter"):
+        part = part if part is not None else comm.partition(n, p)
+        block = work[part.slice_of((me - root) % p)].copy()
+        return (block, part) if kind == "reduce_scatter" else block
+    if kind == "exscan":
+        return work[n:] if me > 0 else None
     raise KeyError(f"unknown scheduled collective kind {kind!r}")
-
-
-def parse_sched_algo(algo: Optional[str]) -> Optional[str]:
-    """``"sched:<name>"`` -> ``<name>``; anything else -> None."""
-    if algo is not None and algo.startswith("sched:"):
-        return algo[len("sched:"):]
-    return None

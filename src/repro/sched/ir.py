@@ -83,7 +83,7 @@ class ReduceRecv:
 
     The binomial-tree step: receives into a scratch buffer, charges the
     reduction arithmetic, then stores ``op(data, received)`` into
-    ``data`` (operand order as in the seed trees).
+    ``data`` (in that operand order).
     """
 
     peer: int
@@ -95,11 +95,10 @@ class ReduceRecv:
 class Exchange:
     """A (possibly one-sided) full-duplex exchange — the ring/pairwise step.
 
-    Both-sided: lowered as :func:`repro.core.exchange.full_exchange`
-    (ordered send/recv on the blocking stack per ``send_first``; paired
-    ``isend`` + ``irecv`` + one ``wait_all`` on the non-blocking ones).
-    One-sided (scan edges): the single operation, completed with
-    ``wait_all`` on the non-blocking stacks.
+    Both-sided: ordered send/recv on the blocking stack per
+    ``send_first``; paired ``isend`` + ``irecv`` + one ``wait_all`` on
+    the non-blocking ones.  One-sided (scan edges): the single
+    operation, completed with ``wait_all`` on the non-blocking stacks.
 
     With ``reduce`` set the received vector is folded into ``recv``
     (charging the arithmetic only for non-empty blocks, like the ring
@@ -132,8 +131,8 @@ class CopyBlock:
     """Local copy ``dst[:] = src``.
 
     ``charged`` copies pay :meth:`LatencyModel.private_copy_bytes` (the
-    pairwise-alltoall self-row); uncharged ones model the free
-    bookkeeping assignments of the seed algorithms (operand staging).
+    pairwise-alltoall self-row); uncharged ones are free
+    bookkeeping assignments (operand staging).
     """
 
     src: Interval

@@ -10,10 +10,10 @@ tune``).
 
 :class:`TunedCommunicator` — registered as stack ``"tuned"`` — is the
 lightweight_balanced composition with one change: when the caller does
-not force an algorithm, collectives run the table's pick through the
-schedule engine (``algo="sched:<name>"``) instead of the built-in
-threshold.  Points missing from the table fall back to pricing the
-candidates on the fly against the machine's own memoized
+not force an algorithm, :meth:`TunedCommunicator.resolve` returns the
+table's pick instead of applying the built-in threshold.  Points
+missing from the table fall back to pricing the candidates on the fly
+against the machine's own memoized
 :class:`~repro.hw.timing.LatencyModel`, so the stack works without a
 table file (just slower on first use per point).
 """
@@ -24,17 +24,15 @@ import json
 import logging
 import pathlib
 from dataclasses import dataclass, field
-from typing import Generator, Iterable, Optional, Sequence
-
-import numpy as np
+from typing import Iterable, Optional, Sequence
 
 from repro.core.blocks import balanced_partition
 from repro.core.comm import Communicator
-from repro.core.ops import ReduceOp, SUM
 from repro.hw.config import SCCConfig
-from repro.hw.machine import CoreEnv, Machine
+from repro.hw.machine import Machine
 from repro.hw.timing import LatencyModel
-from repro.sched.builders import SCHEDULED_KINDS, build_schedule, builder_names
+from repro.sched.builders import (SCHEDULED_KINDS, build_schedule,
+                                   builder_names, known_algorithm)
 from repro.sched.cost import estimate_schedule_cost
 
 _log = logging.getLogger(__name__)
@@ -59,31 +57,6 @@ def default_table_path() -> pathlib.Path:
     """``benchmarks/results/selection_table.json`` in the repo tree."""
     repo_root = pathlib.Path(__file__).resolve().parents[3]
     return repo_root / "benchmarks" / "results" / "selection_table.json"
-
-
-def known_algorithm(kind: str, name: str) -> bool:
-    """True iff ``name`` resolves for ``kind`` — a hand builder, a
-    well-formed synthesized ``synth/...`` name, or a hierarchical
-    ``hier/g<G>`` name."""
-    if name in builder_names(kind):
-        return True
-    if name.startswith("synth/"):
-        from repro.sched.synth import parse_synth_name
-
-        try:
-            parse_synth_name(kind, name)
-        except KeyError:
-            return False
-        return True
-    if name.startswith("hier/"):
-        from repro.sched.hier import parse_hier_name
-
-        try:
-            parse_hier_name(kind, name)
-        except KeyError:
-            return False
-        return True
-    return False
 
 
 def select_algo(kind: str, p: int, n: int, model: LatencyModel, *,
@@ -307,9 +280,9 @@ def build_selection_table(
 class TunedCommunicator(Communicator):
     """lightweight_balanced + table-driven schedule selection.
 
-    Explicit ``algo=`` arguments pass through untouched (including
-    native names), so every seed behavior stays reachable; only the
-    *default* selection changes.
+    Only the *default* decision changes (:meth:`resolve` with
+    ``algo=None``); explicit ``algo=`` arguments resolve exactly as on
+    any other stack.
     """
 
     def __init__(self, machine: Machine, *,
@@ -323,7 +296,6 @@ class TunedCommunicator(Communicator):
         self._table_loaded = table is not None
         self._fallback_picks: dict = {}
 
-    # -- selection -------------------------------------------------------
     def _load_table(self) -> Optional[SelectionTable]:
         if not self._table_loaded:
             self._table_loaded = True
@@ -342,7 +314,8 @@ class TunedCommunicator(Communicator):
         return self._table
 
     def pick_algo(self, kind: str, p: int, n: int) -> str:
-        """Resolve the schedule name for one call (``sched:`` prefixed)."""
+        """The table's winner at the nearest tabulated point of this
+        machine's topology, else the cost model's (memoized per point)."""
         table = self._load_table()
         topology = self.machine.config.topology_key()
         name = (table.pick(kind, p, n, topology=topology)
@@ -354,53 +327,11 @@ class TunedCommunicator(Communicator):
                 name = select_algo(kind, p, n, self.machine.latency,
                                    blocking=self.blocking)
                 self._fallback_picks[key] = name
-        return f"sched:{name}"
+        return name
 
-    # -- collectives -----------------------------------------------------
-    def allreduce(self, env: CoreEnv, sendbuf: np.ndarray,
-                  op: ReduceOp = SUM,
-                  algo: Optional[str] = None) -> Generator:
-        if algo is None:
-            algo = self.pick_algo("allreduce", env.size, sendbuf.size)
-        return super().allreduce(env, sendbuf, op, algo)
-
-    def reduce(self, env: CoreEnv, sendbuf: np.ndarray,
-               op: ReduceOp = SUM, root: int = 0,
-               algo: Optional[str] = None) -> Generator:
-        if algo is None:
-            algo = self.pick_algo("reduce", env.size, sendbuf.size)
-        return super().reduce(env, sendbuf, op, root, algo)
-
-    def bcast(self, env: CoreEnv, buf: np.ndarray, root: int = 0,
-              algo: Optional[str] = None) -> Generator:
-        if algo is None:
-            algo = self.pick_algo("bcast", env.size, buf.size)
-        return super().bcast(env, buf, root, algo)
-
-    def allgather(self, env: CoreEnv, sendbuf: np.ndarray,
-                  algo: Optional[str] = None) -> Generator:
-        if algo is None:
-            algo = self.pick_algo("allgather", env.size, sendbuf.size)
-        return super().allgather(env, sendbuf, algo)
-
-    def reduce_scatter(self, env: CoreEnv, sendbuf: np.ndarray,
-                       op: ReduceOp = SUM,
-                       algo: Optional[str] = None) -> Generator:
-        if algo is None:
-            algo = self.pick_algo("reduce_scatter", env.size,
-                                  sendbuf.size)
-        return super().reduce_scatter(env, sendbuf, op, algo)
-
-    def alltoall(self, env: CoreEnv, sendbuf: np.ndarray,
-                 algo: Optional[str] = None) -> Generator:
-        if algo is None:
-            algo = self.pick_algo("alltoall", env.size,
-                                  sendbuf.size // env.size)
-        return super().alltoall(env, sendbuf, algo)
-
-    def scan(self, env: CoreEnv, sendbuf: np.ndarray,
-             op: ReduceOp = SUM,
-             algo: Optional[str] = None) -> Generator:
-        if algo is None:
-            algo = self.pick_algo("scan", env.size, sendbuf.size)
-        return super().scan(env, sendbuf, op, algo)
+    def resolve(self, kind: str, p: int, n: int, nbytes: int,
+                algo: Optional[str] = None) -> str:
+        # A single rank has nothing to tune.
+        if algo is None and p > 1:
+            return self.pick_algo(kind, p, n)
+        return super().resolve(kind, p, n, nbytes, algo)

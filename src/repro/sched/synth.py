@@ -30,8 +30,8 @@ registry prefix is ``synth/``:
 * ``synth/<base>+c<c>`` — the hand builder ``<base>`` with every
   transfer split into ``c`` sub-messages.
 
-``build_schedule`` resolves them (so ``algo="sched:synth/..."`` works
-on every communicator), the selector prices them, and ``python -m
+``build_schedule`` resolves them (so ``algo="synth/..."`` works on
+every communicator), the selector prices them, and ``python -m
 repro tune`` folds the winners into the committed selection table.
 Every emitted schedule passes :mod:`repro.analysis.schedverify` and the
 numpy interpreter (:mod:`repro.sched.interp`) — ``verify=True`` makes

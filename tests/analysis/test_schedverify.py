@@ -1,5 +1,7 @@
 """The static schedule verifier: clean repertoire, flagged fixtures."""
 
+import dataclasses
+
 import pytest
 
 from repro.analysis.sched_fixtures import broken_schedules
@@ -11,8 +13,8 @@ from repro.analysis.schedverify import (
     verify_repertoire,
     verify_schedule,
 )
-from repro.core.blocks import standard_partition
-from repro.sched.builders import all_schedules, build_schedule
+from repro.core.blocks import Partition, standard_partition
+from repro.sched.builders import FIXED_KINDS, all_schedules, build_schedule
 from repro.sched.ir import Interval, Recv, Schedule, Send
 
 
@@ -24,6 +26,34 @@ def test_shipped_repertoire_is_clean():
 
 def test_verify_repertoire_sweep():
     assert verify_repertoire(ps=(1, 2, 3, 5), sizes=(1, 8)) > 0
+
+
+def test_fixed_kinds_sweep():
+    # scatter(v)/gather(v)/exscan have no algo= choice, so the default
+    # sweep skips them; p x n x 2 partitions x 2 roots x 3 kinds.
+    assert FIXED_KINDS == ("exscan", "scatter", "gather")
+    assert verify_repertoire(ps=(2, 5, 47), sizes=(1, 70),
+                             kinds=FIXED_KINDS) == 3 * 2 * 2 * 2 * 3
+
+
+@pytest.mark.parametrize("kind,name,rank,rule", [
+    # The root never stages its vector: nothing real is scattered.
+    ("scatter", "binomial", 2, "missing-contribution"),
+    # A leaf keeps its block to itself: unmatched receive at its parent.
+    ("gather", "binomial", 4, "unmatched-recv"),
+    # The last hand-down is dropped: rank 4 never gets its prefix.
+    ("exscan", "recursive_doubling", 3, "unmatched-recv"),
+])
+def test_fixed_kind_mutations_are_flagged(kind, name, rank, rule):
+    part = Partition(11, (3, 0, 4, 1, 3))  # uneven, one empty block
+    sched = build_schedule(kind, name, 5, 11, part=part, root=2)
+    assert verify_schedule(sched) == []
+    plans = list(sched.plans)
+    drop = 0 if kind == "scatter" else -1
+    plans[rank] = tuple(s for i, s in enumerate(plans[rank])
+                        if i != drop % len(plans[rank]))
+    broken = dataclasses.replace(sched, plans=tuple(plans))
+    assert rule in {d.rule for d in verify_schedule(broken)}
 
 
 @pytest.mark.parametrize("name", sorted(broken_schedules()))

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from repro.core import make_communicator
+from repro.core.registry import available_stacks
 from repro.hw import Machine, SCCConfig
 from repro.obs.spans import (
     COLLECTIVE_SPANS,
+    SCHEDULE_SPAN,
     collective_spans,
     extract_spans,
     phase_times,
@@ -115,6 +117,35 @@ class TestAttribution:
         assert rounds[1] == {"core0": 10}
 
 
+class TestScheduleSpan:
+    """``schedule`` names the algorithm; it is not a phase of its own."""
+
+    RECORDS = [
+        rec(0, "core0", "allreduce.begin", 8),
+        rec(2, "core0", "schedule.begin", "allreduce:reduce_bcast"),
+        rec(3, "core0", "send.begin"),
+        rec(9, "core0", "send.end"),
+        rec(12, "core0", "schedule.end", "allreduce:reduce_bcast"),
+        rec(12, "core0", "allreduce.end", 8),
+    ]
+
+    def test_exclusive_time_is_booked_on_the_collective(self):
+        times = phase_times(extract_spans(self.RECORDS))
+        # allreduce: 2 of its own + the schedule's 10 - 6.
+        assert times == {"allreduce": 2 + 4, "send": 6}
+
+    def test_by_actor_and_additivity(self):
+        spans = extract_spans(self.RECORDS)
+        assert phase_times(spans, by_actor=True) == {
+            "core0": {"allreduce": 6, "send": 6}}
+        top = sum(s.duration_ps for s in spans if s.depth == 0)
+        assert sum(phase_times(spans).values()) == top
+
+    def test_orphan_schedule_span_keeps_its_name(self):
+        spans = extract_spans(self.RECORDS[1:-1])
+        assert phase_times(spans) == {"schedule": 4, "send": 6}
+
+
 class TestSpanContextManager:
     def test_disabled_tracer_is_shared_noop(self):
         class Env:
@@ -171,11 +202,13 @@ class TestInstrumentedCollectives:
         assert all(s.name == "allreduce" for s in tops)
 
     def test_rounds_nest_under_collective(self, traced):
+        # The MPB-direct Allreduce is native code: no schedule span.
         rounds = [s for s in traced if s.name == "round"]
         assert rounds
         assert all(s.parent is not None
                    and s.parent.name in COLLECTIVE_SPANS + ("round",)
                    for s in rounds)
+        assert not [s for s in traced if s.name == SCHEDULE_SPAN]
 
     def test_phases_nest_under_rounds(self, traced):
         phases = [s for s in traced if s.name in ("sync", "reduce")
@@ -183,6 +216,27 @@ class TestInstrumentedCollectives:
         assert phases
         assert all(s.parent.name in ("round", "allreduce")
                    for s in phases)
+
+    @pytest.mark.parametrize("stack", available_stacks())
+    def test_rounds_nest_under_a_schedule_span_on_every_stack(self, stack):
+        tracer = Tracer(enabled=True)
+        machine = Machine(SCCConfig(), tracer=tracer)
+        comm = make_communicator(machine, stack)
+
+        def program(env):
+            yield from comm.reduce_scatter(env, np.arange(16.0))
+
+        machine.run_spmd(program, ranks=list(range(4)))
+        spans = extract_spans(tracer.records)
+        rounds = [s for s in spans if s.name == "round"]
+        assert len(rounds) == 4 * 3
+        for s in rounds:
+            assert s.parent.name == SCHEDULE_SPAN
+            assert s.parent.detail == "reduce_scatter:ring"
+            assert s.parent.parent.name == "reduce_scatter"
+        folds = [s for s in spans if s.name == "reduce"]
+        assert folds and all(s.parent.name == "round" for s in folds)
+        assert SCHEDULE_SPAN not in phase_times(spans)
 
     def test_spans_cover_positive_time_within_parent(self, traced):
         for s in traced:

@@ -212,21 +212,19 @@ class TestTunedStack:
         table = SelectionTable()
         table.record("allreduce", 4, 16, "recursive_doubling")
         _, comm = self.make(table=table)
-        assert comm.pick_algo("allreduce", 4, 16) == \
-            "sched:recursive_doubling"
+        assert comm.pick_algo("allreduce", 4, 16) == "recursive_doubling"
 
     def test_pick_accepts_synth_table_entry(self):
         table = SelectionTable()
         table.record("scan", 4, 64, "synth/pipeline_c4")
         _, comm = self.make(table=table)
-        assert comm.pick_algo("scan", 4, 64) == "sched:synth/pipeline_c4"
+        assert comm.pick_algo("scan", 4, 64) == "synth/pipeline_c4"
 
     def test_pick_falls_back_to_cost_model(self, tmp_path, caplog):
         _, comm = self.make(table_path=tmp_path / "missing.json")
         with caplog.at_level(logging.WARNING, logger="repro.sched.select"):
             name = comm.pick_algo("allreduce", 4, 16)
-        assert name.startswith("sched:")
-        assert known_algorithm("allreduce", name.removeprefix("sched:"))
+        assert known_algorithm("allreduce", name)
         assert not caplog.records  # a missing table is the quiet default
 
     def test_damaged_table_falls_back_with_a_warning(self, tmp_path, caplog):
@@ -237,7 +235,7 @@ class TestTunedStack:
         with caplog.at_level(logging.WARNING, logger="repro.sched.select"):
             name = comm.pick_algo("allreduce", 4, 16)
             comm.pick_algo("allreduce", 4, 32)  # loaded (and warned) once
-        assert known_algorithm("allreduce", name.removeprefix("sched:"))
+        assert known_algorithm("allreduce", name)
         [record] = caplog.records
         assert record.name == "repro.sched.select"
         assert str(path) in record.getMessage()

@@ -85,9 +85,13 @@ def _run_sched_verify() -> str:
                                             verify_repertoire,
                                             verify_schedule,
                                             verify_synth_repertoire)
+    from repro.sched.builders import FIXED_KINDS
 
     try:
         checked = verify_repertoire()
+        # scatter(v)/gather(v)/exscan: one builder each, no algo= choice.
+        checked += verify_repertoire(ps=(*range(2, 10), 47, 48),
+                                     kinds=FIXED_KINDS)
     except ScheduleVerifyError as err:
         print(f"FAIL sched-verify (shipped repertoire)\n{err}")
         return "FAIL"
