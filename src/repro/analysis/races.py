@@ -749,6 +749,7 @@ def collective_scenario(kind: str, stack: str, cores: int, size: int,
         from repro.core.ops import SUM
         from repro.core.registry import make_communicator
 
+        machine.config.check_rank_count(cores)
         comm = make_communicator(machine, stack)
         rng = np.random.default_rng(seed)
         inputs = [rng.normal(size=size) for _ in range(cores)]

@@ -2,6 +2,8 @@
 
 * :mod:`repro.bench.runner` — measure one collective on one stack at one
   vector size (simulated latency), plus sweeps over sizes and stacks.
+* :mod:`repro.bench.executor` — the one points -> latencies path
+  (``run_sweep``: worker pool, result cache, pricing engines).
 * :mod:`repro.bench.report` — series/table formatting, speedup statistics.
 * :mod:`repro.bench.figures` — the per-figure experiment definitions
   (which collective, which stacks, which sweep) for Fig. 6, Fig. 9a–f and
@@ -9,7 +11,6 @@
 """
 
 from repro.bench.runner import (
-    CollectiveBench,
     default_sizes,
     measure_collective,
     sweep,
@@ -22,7 +23,6 @@ from repro.bench.report import (
 )
 
 __all__ = [
-    "CollectiveBench",
     "Series",
     "default_sizes",
     "format_series_table",

@@ -38,17 +38,17 @@ points outside the model:
 
 Engine selection
 ----------------
-``run_sweep``/``sweep``/``bench`` accept ``engine``:
+``run_sweep``, ``sweep()`` and the ``sweep`` command accept ``engine``:
 
 * ``"sim"`` (default) — simulate every point; bit-identical to the seed.
 * ``"analytic"`` — estimate every expressible point, simulate the rest.
 * ``"auto"`` — like ``analytic``, but a deterministic sample of the
-  estimated points (``REPRO_BENCH_VALIDATE``, default 3 per sweep) is
-  *also* simulated and the relative drift checked against
-  ``REPRO_BENCH_DRIFT_TOL`` (default :data:`DEFAULT_DRIFT_TOL`).  Drift
-  beyond tolerance raises :class:`EngineDriftError` naming the offending
-  points — the estimate is never silently wrong by more than the
-  tolerance on the validated sample.
+  estimated points (:data:`DEFAULT_VALIDATE` per sweep) is *also*
+  simulated and the relative drift checked against
+  :data:`DEFAULT_DRIFT_TOL`.  Drift beyond tolerance raises
+  :class:`EngineDriftError` naming the offending points — the estimate
+  is never silently wrong by more than the tolerance on the validated
+  sample.
 
 Analytic estimates never touch the on-disk result cache: the cache
 stores *simulated* latencies and an estimate must not shadow one (or
@@ -59,7 +59,6 @@ read anyway.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -77,7 +76,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Engine names accepted by the sweep layer.
 ENGINES = ("sim", "analytic", "auto")
 
-#: Default relative-error tolerance for auto-mode cross-validation.
+#: Relative-error tolerance of auto-mode cross-validation.
 #: Calibrated against the full (kind x stack x size) grid at
 #: p in {2, 47, 48}: typical drift is within +/-15%, the worst measured
 #: point (blocking reduce_scatter, short vectors) sits at +34%, and the
@@ -85,7 +84,7 @@ ENGINES = ("sim", "analytic", "auto")
 #: per-family drift table this was derived from.
 DEFAULT_DRIFT_TOL = 0.40
 
-#: Default number of points cross-validated per auto-mode sweep.
+#: Points cross-validated per auto-mode sweep.
 DEFAULT_VALIDATE = 3
 
 
@@ -109,42 +108,7 @@ class EngineDriftError(RuntimeError):
         super().__init__(
             f"analytic engine drifted beyond +/-{tolerance:.0%} of the "
             f"simulator on {len(drifts)} validated point(s): {worst}{more}. "
-            f"Re-run with --engine sim, or raise REPRO_BENCH_DRIFT_TOL "
-            f"if the deviation is understood (see docs/engines.md).")
-
-
-def default_validate() -> int:
-    """The ``REPRO_BENCH_VALIDATE`` knob: sampled sim runs per auto sweep
-    (0 disables cross-validation)."""
-    value = os.environ.get("REPRO_BENCH_VALIDATE",
-                           str(DEFAULT_VALIDATE)).strip()
-    try:
-        count = int(value)
-    except ValueError:
-        raise ValueError(
-            f"malformed REPRO_BENCH_VALIDATE value {value!r}: expected "
-            f"a non-negative point count") from None
-    if count < 0:
-        raise ValueError(
-            f"REPRO_BENCH_VALIDATE must be >= 0, got {count}")
-    return count
-
-
-def default_drift_tol() -> float:
-    """The ``REPRO_BENCH_DRIFT_TOL`` knob: relative-error bound for
-    auto-mode cross-validation."""
-    value = os.environ.get("REPRO_BENCH_DRIFT_TOL",
-                           str(DEFAULT_DRIFT_TOL)).strip()
-    try:
-        tol = float(value)
-    except ValueError:
-        raise ValueError(
-            f"malformed REPRO_BENCH_DRIFT_TOL value {value!r}: expected "
-            f"a relative error like 0.35") from None
-    if tol <= 0:
-        raise ValueError(
-            f"REPRO_BENCH_DRIFT_TOL must be positive, got {tol}")
-    return tol
+            f"Re-run with --engine sim (see docs/engines.md).")
 
 
 def validation_sample(count: int, k: int) -> list[int]:

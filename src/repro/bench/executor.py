@@ -7,7 +7,7 @@ into an execution plan with three accelerators stacked on top of the
 unchanged per-point simulation:
 
 1. **Parallel fan-out** — points are distributed over a
-   ``multiprocessing`` worker pool (``--jobs`` on ``python -m repro bench``,
+   ``multiprocessing`` worker pool (``--jobs`` on ``python -m repro sweep``,
    or the ``REPRO_BENCH_JOBS`` environment knob; ``0`` means "all CPUs").
    Each point is a self-contained simulation seeded identically to the
    sequential path, and results are reassembled in submission order, so
@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import multiprocessing
 import os
 import pathlib
@@ -49,6 +50,8 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from repro.hw.config import SCCConfig
+
+_log = logging.getLogger(__name__)
 
 #: Bumped manually when the *meaning* of a cache entry changes (schema,
 #: units).  Simulator behaviour changes are caught automatically by the
@@ -173,15 +176,27 @@ class ResultCache:
         return self.root / fp[:2] / f"{fp}.json"
 
     def get(self, fp: str) -> Optional[float]:
-        """Cached latency for a fingerprint, or None (any read problem —
-        missing file, truncated JSON, schema drift — is a miss)."""
+        """Cached latency for a fingerprint, or None.
+
+        A missing entry is a silent miss.  An entry that exists but is
+        truncated, not JSON or of another schema is a miss too (the
+        re-simulated point overwrites it), logged with its path.
+        """
+        path = self.path_for(fp)
         try:
-            with open(self.path_for(fp)) as fh:
+            with open(path) as fh:
                 record = json.load(fh)
-            if record.get("schema") != CACHE_SCHEMA:
-                return None
+            if record["schema"] != CACHE_SCHEMA:
+                raise ValueError(f"schema {record['schema']!r}, "
+                                 f"expected {CACHE_SCHEMA}")
             return float(record["latency_us"])
-        except (OSError, ValueError, KeyError, TypeError):
+        except FileNotFoundError:
+            return None
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            _log.warning(
+                "result cache entry %s is unusable (%s: %s); "
+                "re-simulating the point",
+                path, type(exc).__name__, exc)
             return None
 
     def put(self, fp: str, latency_us: float, point: SweepPoint) -> None:
@@ -323,8 +338,9 @@ def run_sweep(points: Sequence[SweepPoint], *,
       point, simulation for the rest;
     * ``"auto"`` — ``analytic`` plus a deterministic sample of the
       estimated points re-run through the simulator
-      (``REPRO_BENCH_VALIDATE`` points); any sampled point whose
-      estimate drifts beyond ``REPRO_BENCH_DRIFT_TOL`` raises
+      (:data:`~repro.bench.analytic.DEFAULT_VALIDATE` points); any
+      sampled point whose estimate drifts beyond
+      :data:`~repro.bench.analytic.DEFAULT_DRIFT_TOL` raises
       :class:`~repro.bench.analytic.EngineDriftError`.
 
     Analytic estimates are never written to (or read from) the result
@@ -332,11 +348,11 @@ def run_sweep(points: Sequence[SweepPoint], *,
     are ordinary simulations and use the cache as usual.
     """
     from repro.bench.analytic import (
+        DEFAULT_DRIFT_TOL,
+        DEFAULT_VALIDATE,
         ENGINES,
         EngineDriftError,
         analytic_latency_us,
-        default_drift_tol,
-        default_validate,
         validation_sample,
     )
 
@@ -373,7 +389,7 @@ def run_sweep(points: Sequence[SweepPoint], *,
             validate_idx = [
                 analytic_idx[j]
                 for j in validation_sample(len(analytic_idx),
-                                           default_validate())]
+                                           DEFAULT_VALIDATE)]
 
     to_sim = sim_idx + validate_idx  # disjoint by construction
     fingerprints: dict[int, str] = {}
@@ -407,18 +423,17 @@ def run_sweep(points: Sequence[SweepPoint], *,
     max_drift = 0.0
     drifts: list[tuple[str, float, float, float]] = []
     if validate_idx:
-        tolerance = default_drift_tol()
         for i in validate_idx:
             sim_us = sim_values[i]
             ana_us = latencies[i]
             drift = (ana_us - sim_us) / sim_us if sim_us else 0.0
             if abs(drift) > abs(max_drift):
                 max_drift = drift
-            if abs(drift) > tolerance:
+            if abs(drift) > DEFAULT_DRIFT_TOL:
                 drifts.append((points[i].describe(), ana_us, sim_us, drift))
         if drifts:
             drifts.sort(key=lambda d: -abs(d[3]))
-            raise EngineDriftError(drifts, tolerance)
+            raise EngineDriftError(drifts, DEFAULT_DRIFT_TOL)
 
     return SweepOutcome(
         latencies=latencies,  # type: ignore[arg-type]  # all filled above

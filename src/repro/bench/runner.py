@@ -22,17 +22,18 @@ Environment knobs honoured by the benchmark suite:
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
+from repro.bench.executor import SweepPoint, run_sweep
 from repro.core.comm import Communicator
 from repro.core.ops import SUM, ReduceOp
 from repro.core.registry import make_communicator
 from repro.hw.config import SCCConfig
-from repro.hw.machine import Machine
+from repro.hw.machine import Machine, SPMDResult
 from repro.sim.clock import ps_to_us
+from repro.sim.trace import Tracer
 
 #: Collective kinds the runner knows how to drive.
 KINDS = ("allreduce", "reduce", "reduce_scatter", "allgather", "alltoall",
@@ -122,6 +123,46 @@ def program_for(kind: str, comm: Communicator, inputs: list[np.ndarray],
     return program
 
 
+def launch_collective(kind: str, stack: str, size: int, *,
+                      cores: Optional[int] = None,
+                      config: Optional[SCCConfig] = None,
+                      op: ReduceOp = SUM,
+                      rank_order: Optional[Sequence[int]] = None,
+                      seed: int = 20120901,
+                      algo: Optional[str] = None,
+                      tracer: Optional[Tracer] = None,
+                      observer=None) -> tuple[Machine, SPMDResult]:
+    """Run one collective on a fresh machine; the launch recipe every
+    measurement, profile and checker run shares.
+
+    ``size`` is the per-rank vector length in doubles (the paper's x axis).
+    ``rank_order`` maps ranks to physical cores (default: identity, i.e.
+    RCCE's natural core numbering); pass
+    ``machine.topology.snake_ring_order()`` for the topology-aware mapping
+    ablation.  ``algo`` overrides the algorithm selection (see
+    :func:`program_for`).  ``tracer`` is handed to the machine;
+    ``observer`` is anything with ``install(machine)`` (sanitizer, race
+    detector, fault injector, traffic counters), installed before the
+    communicator is built.  Returns the machine and its
+    :class:`~repro.hw.machine.SPMDResult`; ``result.values[0]`` is rank
+    0's latency in picoseconds.
+    """
+    cores = cores if cores is not None else default_cores()
+    config = config if config is not None else SCCConfig()
+    # Validate before paying for machine construction, so an invalid rank
+    # count fails fast with check_rank_count's message.
+    config.check_rank_count(cores)
+    machine = Machine(config, tracer=tracer)
+    if observer is not None:
+        observer.install(machine)
+    comm = make_communicator(machine, stack)
+    rng = np.random.default_rng(seed)
+    inputs = [rng.normal(size=size) for _ in range(cores)]
+    program = program_for(kind, comm, inputs, op, algo)
+    ranks = list(rank_order) if rank_order is not None else list(range(cores))
+    return machine, machine.run_spmd(program, ranks=ranks)
+
+
 def measure_collective(kind: str, stack: str, size: int, *,
                        cores: Optional[int] = None,
                        config: Optional[SCCConfig] = None,
@@ -129,79 +170,39 @@ def measure_collective(kind: str, stack: str, size: int, *,
                        rank_order: Optional[Sequence[int]] = None,
                        seed: int = 20120901,
                        algo: Optional[str] = None) -> float:
-    """Simulated latency (microseconds, rank-0 view) of one collective.
-
-    ``size`` is the per-rank vector length in doubles (the paper's x axis).
-    ``rank_order`` maps ranks to physical cores (default: identity, i.e.
-    RCCE's natural core numbering); pass
-    ``machine.topology.snake_ring_order()`` for the topology-aware mapping
-    ablation.  ``algo`` overrides the algorithm selection (see
-    :func:`program_for`).
-    """
-    cores = cores if cores is not None else default_cores()
-    config = config if config is not None else SCCConfig()
-    # Validate before paying for machine construction, so an invalid rank
-    # count fails fast with check_rank_count's message.
-    config.check_rank_count(cores)
-    machine = Machine(config)
-    comm = make_communicator(machine, stack)
-    rng = np.random.default_rng(seed)
-    inputs = [rng.normal(size=size) for _ in range(cores)]
-    program = program_for(kind, comm, inputs, op, algo)
-    ranks = list(rank_order) if rank_order is not None else list(range(cores))
-    result = machine.run_spmd(program, ranks=ranks)
+    """Simulated latency (microseconds, rank-0 view) of one collective;
+    arguments as for :func:`launch_collective`."""
+    _machine, result = launch_collective(
+        kind, stack, size, cores=cores, config=config, op=op,
+        rank_order=rank_order, seed=seed, algo=algo)
     return ps_to_us(result.values[0])
 
 
-@dataclass
-class CollectiveBench:
-    """A configured sweep: one collective, several stacks, many sizes.
+def sweep_points(kind: str, stacks: Sequence[str], sizes: Sequence[int],
+                 cores: Optional[int] = None, *,
+                 algo: Optional[str] = None,
+                 topology: Optional[str] = None) -> list[SweepPoint]:
+    """The plan of one sweep: a point per (stack, size), stacks-major.
 
-    :meth:`run` executes through :mod:`repro.bench.executor`: points fan
-    out over a worker pool (``jobs``; default ``REPRO_BENCH_JOBS``) and
-    already-simulated points are served from the on-disk result cache
-    (``cache``; default ``REPRO_BENCH_CACHE``).  Both layers are
-    bit-identical to the plain sequential loop — see
-    ``docs/performance.md``.
+    ``topology`` is a registry spec (``repro.hw.topo``, e.g.
+    ``"cluster:2x24"``): every point's machine is built on that shape,
+    and ``cores`` defaults to the shape's full core count instead of
+    the benchmark default.
     """
+    config = SCCConfig(topology=topology)
+    if cores is None:
+        cores = config.num_cores if topology is not None else default_cores()
+    return [SweepPoint(kind=kind, stack=stack, size=n, cores=cores,
+                       config=config, algo=algo)
+            for stack in stacks for n in sizes]
 
-    kind: str
-    stacks: Sequence[str]
-    sizes: Sequence[int] = field(default_factory=default_sizes)
-    cores: int = field(default_factory=default_cores)
-    config_factory: Callable[[], SCCConfig] = SCCConfig
-    op: ReduceOp = SUM
-    seed: int = 20120901
-    algo: Optional[str] = None
 
-    def points(self) -> list["SweepPoint"]:
-        """The executor plan: one point per (stack, size), stacks-major."""
-        from repro.bench.executor import SweepPoint
-
-        return [
-            SweepPoint(kind=self.kind, stack=stack, size=n,
-                       cores=self.cores, op=self.op.name, seed=self.seed,
-                       config=self.config_factory(), algo=self.algo)
-            for stack in self.stacks
-            for n in self.sizes
-        ]
-
-    def run(self, *, jobs: Optional[int] = None,
-            cache=None, engine: str = "sim") -> dict[str, list[float]]:
-        """latencies[stack] = [us per size].
-
-        ``engine`` selects the pricing backend per point — ``"sim"``
-        (default, simulate everything), ``"analytic"`` (closed-form
-        estimates where expressible) or ``"auto"`` (analytic with
-        sampled simulator cross-validation).  See ``docs/engines.md``.
-        """
-        from repro.bench.executor import run_sweep
-
-        outcome = run_sweep(self.points(), jobs=jobs, cache=cache,
-                            engine=engine)
-        values = iter(outcome.latencies)
-        return {stack: [next(values) for _ in self.sizes]
-                for stack in self.stacks}
+def latencies_by_stack(latencies: Sequence[float], stacks: Sequence[str],
+                       sizes: Sequence[int]) -> dict[str, list[float]]:
+    """Regroup a :func:`sweep_points` plan's flat result:
+    ``{stack: [us per size]}``."""
+    values = iter(latencies)
+    return {stack: [next(values) for _ in sizes] for stack in stacks}
 
 
 def sweep(kind: str, stacks: Sequence[str],
@@ -211,26 +212,18 @@ def sweep(kind: str, stacks: Sequence[str],
           cache=None, algo: Optional[str] = None,
           engine: str = "sim",
           topology: Optional[str] = None) -> dict[str, list[float]]:
-    """Convenience wrapper around :class:`CollectiveBench`.
+    """latencies[stack] = [us per size] of one collective.
 
-    ``topology`` is a registry spec (``repro.hw.topo``, e.g.
-    ``"cluster:2x24"``): every point's machine is built on that shape,
-    and ``cores`` defaults to the shape's full core count instead of
-    the benchmark default.
+    Runs :func:`sweep_points` through
+    :func:`~repro.bench.executor.run_sweep`, which documents ``jobs``
+    (worker processes; default ``REPRO_BENCH_JOBS``), ``cache`` (the
+    on-disk result cache; default ``REPRO_BENCH_CACHE``) and ``engine``
+    (``"sim"``, ``"analytic"`` or ``"auto"`` — see ``docs/engines.md``).
+    ``sizes`` defaults to :func:`default_sizes`.
     """
-    if cores is None:
-        if topology is not None:
-            from repro.hw.topo import get_topology
-
-            cores = get_topology(topology).num_cores
-        else:
-            cores = default_cores()
-    bench = CollectiveBench(
-        kind, stacks,
-        sizes=list(sizes) if sizes is not None else default_sizes(),
-        cores=cores,
-        config_factory=((lambda: SCCConfig(topology=topology))
-                        if topology is not None else SCCConfig),
-        algo=algo,
-    )
-    return bench.run(jobs=jobs, cache=cache, engine=engine)
+    sizes = list(sizes) if sizes is not None else default_sizes()
+    outcome = run_sweep(
+        sweep_points(kind, stacks, sizes, cores, algo=algo,
+                     topology=topology),
+        jobs=jobs, cache=cache, engine=engine)
+    return latencies_by_stack(outcome.latencies, stacks, sizes)

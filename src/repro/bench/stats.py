@@ -22,6 +22,11 @@ class CommStats:
     by_pair: dict[tuple[int, int], tuple[int, int]] = field(
         default_factory=dict)
 
+    def install(self, machine: Machine) -> "CommStats":
+        """Become ``machine``'s traffic counters (counting starts now)."""
+        machine.services["p2p.stats"] = self
+        return self
+
     def record(self, src: int, dst: int, nbytes: int) -> None:
         msgs, total = self.by_pair.get((src, dst), (0, 0))
         self.by_pair[(src, dst)] = (msgs + 1, total + nbytes)
@@ -59,6 +64,4 @@ class CommStats:
 def comm_stats(machine: Machine) -> CommStats:
     """The machine's traffic counters (created on first use)."""
     stats = machine.services.get("p2p.stats")
-    if stats is None:
-        stats = machine.services["p2p.stats"] = CommStats()
-    return stats
+    return stats if stats is not None else CommStats().install(machine)

@@ -13,8 +13,7 @@ Examples::
     python -m repro sweep --topology cluster:2x24 --kinds allreduce
     python -m repro info --topology torus:6x4
     python -m repro tune --topology cluster:2x24
-    python -m repro bench allreduce --stacks blocking mpb --jobs 4
-    python -m repro bench --smoke
+    python -m repro sweep allreduce --stacks blocking mpb --jobs 4
     python -m repro tune --cores 8 48 --sizes 16,64,256,600
     python -m repro tune --kinds scan bcast --cores 8
     python -m repro synth --smoke
@@ -34,6 +33,7 @@ from typing import Optional, Sequence
 
 from repro.apps.gcmc.config import GCMCConfig
 from repro.apps.gcmc.driver import run_gcmc
+from repro.bench.executor import ResultCache, run_sweep
 from repro.bench.figures import (
     FIG9_PANELS,
     FIG10_STACKS,
@@ -42,7 +42,14 @@ from repro.bench.figures import (
     fig10,
 )
 from repro.bench.report import Series, format_series_table
-from repro.bench.runner import KINDS, default_cores, measure_collective, sweep
+from repro.bench.runner import (
+    KINDS,
+    latencies_by_stack,
+    launch_collective,
+    measure_collective,
+    parse_sizes_spec,
+    sweep_points,
+)
 from repro.core.registry import STACKS, available_stacks, make_communicator
 from repro.hw.config import CLOCK_PRESETS, SCCConfig
 from repro.hw.machine import Machine
@@ -51,10 +58,15 @@ from repro.sched.builders import SCHEDULED_KINDS
 
 
 def _parse_sizes(spec: str) -> list[int]:
+    """A ``--sizes`` value: ``start:stop:step`` or a comma list."""
     if ":" in spec:
-        start, stop, step = (int(x) for x in spec.split(":"))
-        return list(range(start, stop, step))
-    return [int(x) for x in spec.split(",")]
+        return parse_sizes_spec(spec, source="--sizes")
+    try:
+        return [int(x) for x in spec.split(",")]
+    except ValueError:
+        raise ValueError(
+            f"malformed --sizes spec {spec!r}: expected 'start:stop:step' "
+            f"or a comma list of integers, e.g. '552,576'") from None
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
@@ -133,76 +145,28 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         return 2
     sizes = (_parse_sizes(args.sizes) if args.sizes
              else list(SWEEP_DEFAULT_SIZES))
+    cache = (False if args.no_cache
+             else ResultCache(args.cache_dir) if args.cache_dir else None)
     for kind in kinds:
-        data = sweep(kind, args.stacks, sizes, cores=args.cores,
-                     algo=args.algorithm, engine=args.engine,
-                     topology=args.topology)
+        points = sweep_points(kind, args.stacks, sizes, args.cores,
+                              algo=args.algorithm, topology=args.topology)
+        outcome = run_sweep(points, jobs=args.jobs, cache=cache,
+                            engine=args.engine)
+        data = latencies_by_stack(outcome.latencies, args.stacks, sizes)
         if len(kinds) > 1:
             print(f"== {kind} ==")
         series = [Series.from_lists(stack, sizes, data[stack])
                   for stack in args.stacks]
         print(format_series_table(series))
-    return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench.executor import ResultCache, SweepPoint, run_sweep
-    from repro.bench.runner import default_sizes
-    from repro.bench.wallclock import (
-        collect_baseline,
-        format_baseline,
-        write_baseline,
-    )
-
-    if args.smoke:
-        data = collect_baseline(smoke=True, jobs=args.jobs,
-                                cores=args.cores,
-                                sizes=(_parse_sizes(args.sizes)
-                                       if args.sizes else None))
-        out = args.wallclock_out or "BENCH_wallclock.json"
-        write_baseline(out, data)
-        print(format_baseline(data))
-        print(f"wrote {out}")
-        return 0
-
-    sizes = _parse_sizes(args.sizes) if args.sizes else default_sizes()
-    config = SCCConfig(topology=args.topology)
-    if args.cores is not None:
-        cores = args.cores
-    elif args.topology is not None:
-        cores = config.num_cores
-    else:
-        cores = default_cores()
-    cache = (False if args.no_cache
-             else ResultCache(args.cache_dir) if args.cache_dir else None)
-    points = [SweepPoint(kind=args.kind, stack=stack, size=n, cores=cores,
-                         config=config, algo=args.algorithm)
-              for stack in args.stacks for n in sizes]
-    outcome = run_sweep(points, jobs=args.jobs, cache=cache,
-                        engine=args.engine)
-    values = iter(outcome.latencies)
-    data = {stack: [next(values) for _ in sizes] for stack in args.stacks}
-    series = [Series.from_lists(stack, sizes, data[stack])
-              for stack in args.stacks]
-    print(format_series_table(series))
-    accounting = (f"{outcome.points} points in {outcome.wall_s:.2f}s "
-                  f"(jobs={outcome.jobs}, cache hits {outcome.hits}, "
-                  f"simulated {outcome.misses}")
-    if outcome.analytic:
-        accounting += f", analytic {outcome.analytic}"
-    if outcome.validated:
-        accounting += (f", validated {outcome.validated} "
-                       f"[max drift {outcome.max_drift:+.1%}]")
-    print(accounting + ")")
-    if args.wallclock_out:
-        payload = {
-            "kind": args.kind, "stacks": list(args.stacks), "sizes": sizes,
-            "cores": cores, "points": outcome.points,
-            "wall_s": round(outcome.wall_s, 4), "jobs": outcome.jobs,
-            "cache_hits": outcome.hits, "simulated": outcome.misses,
-        }
-        write_baseline(args.wallclock_out, payload)
-        print(f"wrote {args.wallclock_out}")
+        accounting = (f"{outcome.points} points in {outcome.wall_s:.2f}s "
+                      f"(jobs={outcome.jobs}, cache hits {outcome.hits}, "
+                      f"simulated {outcome.misses}")
+        if outcome.analytic:
+            accounting += f", analytic {outcome.analytic}"
+        if outcome.validated:
+            accounting += (f", validated {outcome.validated} "
+                           f"[max drift {outcome.max_drift:+.1%}]")
+        print(accounting + ")")
     return 0
 
 
@@ -428,11 +392,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_sanitize(args: argparse.Namespace) -> int:
-    import numpy as np
-
     from repro.analysis.sanitizer import Sanitizer
-    from repro.bench.runner import program_for
-    from repro.core.ops import SUM
 
     kinds = tuple(args.kinds) if args.kinds else KINDS
     stacks = tuple(args.stacks) if args.stacks else tuple(STACKS)
@@ -440,13 +400,9 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
     for kind in kinds:
         for stack in stacks:
             for cores in args.cores:
-                machine = Machine(SCCConfig())
-                san = Sanitizer().install(machine)
-                comm = make_communicator(machine, stack)
-                rng = np.random.default_rng(20120901)
-                inputs = [rng.normal(size=args.size) for _ in range(cores)]
-                program = program_for(kind, comm, inputs, SUM)
-                machine.run_spmd(program, ranks=list(range(cores)))
+                san = Sanitizer()
+                launch_collective(kind, stack, args.size, cores=cores,
+                                  observer=san)
                 label = f"{kind}/{stack} p={cores} n={args.size}"
                 if san.total_findings:
                     total += san.total_findings
@@ -691,7 +647,8 @@ def build_parser() -> argparse.ArgumentParser:
     pstep.add_argument("--cores", type=int, default=48)
     pstep.set_defaults(func=_cmd_stepwise)
 
-    psweep = sub.add_parser("sweep", help="custom latency sweep")
+    psweep = sub.add_parser(
+        "sweep", help="custom latency sweep (parallel, cached)")
     psweep.add_argument("kind", nargs="?", choices=list(KINDS),
                         default=None)
     psweep.add_argument("--kinds", nargs="+", choices=list(KINDS),
@@ -721,50 +678,16 @@ def build_parser() -> argparse.ArgumentParser:
                              "(analytic), or analytic with sampled sim "
                              "cross-validation (auto); see "
                              "docs/engines.md")
-    psweep.set_defaults(func=_cmd_sweep)
-
-    pbench = sub.add_parser(
-        "bench",
-        help="parallel, cached sweep engine + wall-clock baseline")
-    pbench.add_argument("kind", nargs="?", choices=list(KINDS),
-                        default="allreduce")
-    pbench.add_argument("--stacks", nargs="+",
-                        choices=list(available_stacks()),
-                        default=["blocking", "lightweight_balanced"])
-    pbench.add_argument("--sizes", default=None,
-                        help="start:stop:step or comma list "
-                             "(default: REPRO_BENCH_SIZES)")
-    pbench.add_argument("--cores", type=int, default=None)
-    pbench.add_argument("--topology", default=None,
-                        help="topology registry spec for every point "
-                             "(e.g. 'cluster:2x24'); --cores defaults to "
-                             "the shape's full core count")
-    pbench.add_argument("--jobs", type=int, default=None,
+    psweep.add_argument("--jobs", type=int, default=None,
                         help="worker processes (default REPRO_BENCH_JOBS "
                              "or 1; 0 = all CPUs)")
-    pbench.add_argument("--no-cache", action="store_true",
+    psweep.add_argument("--no-cache", action="store_true",
                         help="bypass the on-disk result cache")
-    pbench.add_argument("--cache-dir", default=None,
+    psweep.add_argument("--cache-dir", default=None,
                         help="cache directory (default "
                              "benchmarks/results/.cache or "
                              "REPRO_BENCH_CACHE_DIR)")
-    pbench.add_argument("--algorithm", default=None,
-                        help="override the per-size algorithm selection "
-                             "with an algorithm name ('sched:' prefix "
-                             "optional)")
-    pbench.add_argument("--engine", choices=("sim", "analytic", "auto"),
-                        default="sim",
-                        help="pricing backend: simulate every point "
-                             "(sim, default), closed-form BSP estimate "
-                             "(analytic), or analytic with sampled sim "
-                             "cross-validation (auto); see "
-                             "docs/engines.md")
-    pbench.add_argument("--smoke", action="store_true",
-                        help="run the wall-clock smoke baseline and write "
-                             "BENCH_wallclock.json")
-    pbench.add_argument("--wallclock-out", default=None,
-                        help="write wall-clock numbers to this JSON file")
-    pbench.set_defaults(func=_cmd_bench)
+    psweep.set_defaults(func=_cmd_sweep)
 
     pprof = sub.add_parser(
         "profile",

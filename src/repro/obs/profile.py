@@ -21,11 +21,9 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
 
-import numpy as np
-
-from repro.bench.runner import default_cores, program_for
+from repro.bench.runner import default_cores, launch_collective
+from repro.bench.stats import CommStats
 from repro.core.ops import SUM, ReduceOp
-from repro.core.registry import make_communicator
 from repro.hw.config import SCCConfig
 from repro.hw.machine import Machine, SPMDResult
 from repro.obs.export import (
@@ -149,25 +147,19 @@ def profile_collective(kind: str, stack: str, size: int, *,
                        seed: int = 20120901) -> CollectiveProfile:
     """Run one collective under the profiler.
 
-    Mirrors :func:`repro.bench.runner.measure_collective` (same program,
-    same seed, same rank-0 timing convention) but keeps the machine,
-    trace records and spans for analysis.  ``trace=False`` measures with
+    The same launch as :func:`repro.bench.runner.measure_collective`
+    (:func:`~repro.bench.runner.launch_collective`: same program, same
+    seed, same rank-0 timing convention), keeping the machine, trace
+    records and spans for analysis.  ``trace=False`` measures with
     the tracer disabled — the zero-overhead path; simulated time is
     identical either way because spans never consume simulated time.
     """
     cores = cores if cores is not None else default_cores()
-    config = config if config is not None else SCCConfig()
     tracer = Tracer(enabled=trace, capacity=trace_capacity)
-    machine = Machine(config, tracer=tracer)
-    config.check_rank_count(cores)
-    from repro.bench.stats import comm_stats
-    comm_stats(machine)  # enable the traffic counters
-    comm = make_communicator(machine, stack)
-    rng = np.random.default_rng(seed)
-    inputs = [rng.normal(size=size) for _ in range(cores)]
-    program = program_for(kind, comm, inputs, op)
-    ranks = list(rank_order) if rank_order is not None else list(range(cores))
-    result = machine.run_spmd(program, ranks=ranks)
+    machine, result = launch_collective(
+        kind, stack, size, cores=cores, config=config, op=op,
+        rank_order=rank_order, seed=seed, tracer=tracer,
+        observer=CommStats())  # the traffic counters run_metrics reports
     records = list(tracer.records)
     return CollectiveProfile(
         kind=kind, stack=stack, size=size, cores=cores,

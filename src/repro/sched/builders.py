@@ -139,38 +139,45 @@ def _ring_allgather_blocks_rows(p: int, part: Partition, shift: int = 0,
 # --------------------------------------------------------------------- #
 # Binomial-tree phases
 # --------------------------------------------------------------------- #
-def _binomial_reduce_steps(me: int, p: int, root: int,
+def _binomial_reduce_steps(idx: int, members: Sequence[int], root_idx: int,
                            data: Interval) -> list[Step]:
-    """Whole-vector binomial reduction tree to ``root``."""
+    """Whole-vector binomial reduction tree over ``members`` (ranks, in
+    tree order) to ``members[root_idx]``, for the member at ``idx``.
+    Virtual rank ``v`` is ``members[(v + root_idx) % m]``: ``range(p)``
+    gives the flat tree, ``range(lo, hi)`` a group's, a leader list the
+    hierarchical leader phase (:mod:`repro.sched.hier`)."""
     steps: list[Step] = []
-    vrank = (me - root) % p
+    m = len(members)
+    vrank = (idx - root_idx) % m
     mask = 1
-    while mask < p:
+    while mask < m:
         if vrank & mask:
-            steps.append(Send((vrank - mask + root) % p, data))
+            steps.append(Send(members[(vrank - mask + root_idx) % m], data))
             return steps
         src_v = vrank | mask
-        if src_v < p:
-            steps.append(ReduceRecv((src_v + root) % p, data))
+        if src_v < m:
+            steps.append(ReduceRecv(members[(src_v + root_idx) % m], data))
         mask <<= 1
     return steps
 
 
-def _binomial_bcast_steps(me: int, p: int, root: int,
+def _binomial_bcast_steps(idx: int, members: Sequence[int], root_idx: int,
                           data: Interval) -> list[Step]:
-    """Whole-vector binomial broadcast tree from ``root``."""
+    """Whole-vector binomial broadcast tree from ``members[root_idx]``
+    (member addressing as in :func:`_binomial_reduce_steps`)."""
     steps: list[Step] = []
-    vrank = (me - root) % p
+    m = len(members)
+    vrank = (idx - root_idx) % m
     mask = 1
-    while mask < p:
+    while mask < m:
         if vrank & mask:
-            steps.append(Recv((vrank - mask + root) % p, data))
+            steps.append(Recv(members[(vrank - mask + root_idx) % m], data))
             break
         mask <<= 1
     mask >>= 1
     while mask > 0:
-        if vrank + mask < p:
-            steps.append(Send((vrank + mask + root) % p, data))
+        if vrank + mask < m:
+            steps.append(Send(members[(vrank + mask + root_idx) % m], data))
         mask >>= 1
     return steps
 
@@ -255,34 +262,54 @@ def build_reduce_bcast_allreduce(p: int, n: int, part: Partition,
     for me in range(p):
         steps: list[Step] = [_init_copy(me, n)]
         if p > 1:
-            steps += _binomial_reduce_steps(me, p, 0, whole)
-            steps += _binomial_bcast_steps(me, p, 0, whole)
+            steps += _binomial_reduce_steps(me, range(p), 0, whole)
+            steps += _binomial_bcast_steps(me, range(p), 0, whole)
         plans.append(tuple(steps))
     return Schedule("allreduce", "reduce_bcast", p, n,
                     {"in": n, "work": n}, tuple(plans), {"root": 0})
 
 
-def _fold_in_steps(me: int, p: int, pow2: int,
+def _fold_in_steps(idx: int, members: Sequence[int], pow2: int,
                    whole: Interval) -> list[Step]:
-    """Non-power-of-two prologue: ranks ``>= pow2`` hand their vector
-    to ``me - pow2`` and go passive."""
-    rest = p - pow2
-    if me >= pow2:
-        return [Send(me - pow2, whole)]
-    if me < rest:
-        return [ReduceRecv(me + pow2, whole)]
+    """Non-power-of-two prologue: members at index ``>= pow2`` hand
+    their vector to the member ``pow2`` places down and go passive."""
+    rest = len(members) - pow2
+    if idx >= pow2:
+        return [Send(members[idx - pow2], whole)]
+    if idx < rest:
+        return [ReduceRecv(members[idx + pow2], whole)]
     return []
 
 
-def _fold_out_steps(me: int, p: int, pow2: int,
+def _fold_out_steps(idx: int, members: Sequence[int], pow2: int,
                     whole: Interval) -> list[Step]:
     """Mirror of :func:`_fold_in_steps`: results back to the passives."""
-    rest = p - pow2
-    if me >= pow2:
-        return [Recv(me - pow2, whole)]
-    if me < rest:
-        return [Send(me + pow2, whole)]
+    rest = len(members) - pow2
+    if idx >= pow2:
+        return [Recv(members[idx - pow2], whole)]
+    if idx < rest:
+        return [Send(members[idx + pow2], whole)]
     return []
+
+
+def _recursive_doubling_steps(idx: int, members: Sequence[int],
+                              whole: Interval) -> list[Step]:
+    """Fold-in, log2 full-vector exchange rounds among the first
+    power-of-two members, fold-out — for the member at ``idx``."""
+    pow2 = _largest_pow2_below(len(members))
+    steps = _fold_in_steps(idx, members, pow2, whole)
+    if idx < pow2:
+        me = members[idx]
+        mask = 1
+        while mask < pow2:
+            partner = members[idx ^ mask]
+            steps.append(Exchange(
+                send_peer=partner, send=whole,
+                recv_peer=partner, recv=whole,
+                send_first=_pair_send_first(me, partner),
+                reduce=True))
+            mask <<= 1
+    return steps + _fold_out_steps(idx, members, pow2, whole)
 
 
 def build_recursive_doubling_allreduce(p: int, n: int, part: Partition,
@@ -290,23 +317,12 @@ def build_recursive_doubling_allreduce(p: int, n: int, part: Partition,
     """log2(p) full-vector exchange rounds: latency-optimal for short
     vectors, bandwidth-hungry for long ones."""
     whole = Interval("work", 0, n)
-    pow2 = _largest_pow2_below(p)
+    ranks = range(p)
     plans = []
-    for me in range(p):
+    for me in ranks:
         steps: list[Step] = [_init_copy(me, n)]
         if p > 1:
-            steps += _fold_in_steps(me, p, pow2, whole)
-            if me < pow2:
-                mask = 1
-                while mask < pow2:
-                    partner = me ^ mask
-                    steps.append(Exchange(
-                        send_peer=partner, send=whole,
-                        recv_peer=partner, recv=whole,
-                        send_first=_pair_send_first(me, partner),
-                        reduce=True))
-                    mask <<= 1
-            steps += _fold_out_steps(me, p, pow2, whole)
+            steps += _recursive_doubling_steps(me, ranks, whole)
         plans.append(tuple(steps))
     return Schedule("allreduce", "recursive_doubling", p, n,
                     {"in": n, "work": n}, tuple(plans), {"root": 0})
@@ -322,7 +338,7 @@ def build_recursive_halving_allreduce(p: int, n: int, part: Partition,
     for me in range(p):
         steps: list[Step] = [_init_copy(me, n)]
         if p > 1:
-            steps += _fold_in_steps(me, p, pow2, whole)
+            steps += _fold_in_steps(me, range(p), pow2, whole)
             if me < pow2:
                 lo, hi = 0, n
                 levels: list[tuple[int, int]] = []
@@ -358,7 +374,7 @@ def build_recursive_halving_allreduce(p: int, n: int, part: Partition,
                         send_first=_pair_send_first(me, partner)))
                     lo, hi = elo, ehi
                     mask <<= 1
-            steps += _fold_out_steps(me, p, pow2, whole)
+            steps += _fold_out_steps(me, range(p), pow2, whole)
         plans.append(tuple(steps))
     return Schedule("allreduce", "recursive_halving", p, n,
                     {"in": n, "work": n}, tuple(plans), {"root": 0})
@@ -374,7 +390,7 @@ def build_binomial_reduce(p: int, n: int, part: Partition,
     for me in range(p):
         steps: list[Step] = [_init_copy(me, n)]
         if p > 1:
-            steps += _binomial_reduce_steps(me, p, root, whole)
+            steps += _binomial_reduce_steps(me, range(p), root, whole)
         plans.append(tuple(steps))
     return Schedule("reduce", "binomial", p, n, {"in": n, "work": n},
                     tuple(plans), {"root": root})
@@ -406,7 +422,7 @@ def build_binomial_bcast(p: int, n: int, part: Partition,
         if me == root:
             steps.append(_init_copy(me, n))
         if p > 1:
-            steps += _binomial_bcast_steps(me, p, root, whole)
+            steps += _binomial_bcast_steps(me, range(p), root, whole)
         plans.append(tuple(steps))
     return Schedule("bcast", "binomial", p, n, {"in": n, "work": n},
                     tuple(plans), {"root": root})

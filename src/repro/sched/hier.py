@@ -33,10 +33,10 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, Optional
 
 from repro.core.blocks import Partition
-from repro.sched.builders import (_init_copy, _largest_pow2_below,
-                                  _pair_send_first)
-from repro.sched.ir import Exchange, Interval, Recv, ReduceRecv, Schedule, \
-    Send, Step
+from repro.sched.builders import (_binomial_bcast_steps,
+                                  _binomial_reduce_steps, _init_copy,
+                                  _recursive_doubling_steps)
+from repro.sched.ir import Interval, Schedule, Step
 
 if TYPE_CHECKING:
     from repro.hw.topology import Topology
@@ -100,115 +100,6 @@ def _group_of(bounds: list[tuple[int, int]], rank: int) -> int:
     raise ValueError(f"rank {rank} outside all groups")
 
 
-# -- intra-group trees (global-rank binomial over a member window) --------
-
-def _sub_reduce_steps(me: int, lo: int, m: int, root: int,
-                      data: Interval) -> list[Step]:
-    """Binomial reduce to ``root`` over the ranks ``lo .. lo+m-1``."""
-    steps: list[Step] = []
-    vrank = (me - root) % m if m else 0
-    # Ranks are contiguous, so the flat binomial body applies with the
-    # window's offset folded into the peer computation.
-    mask = 1
-    while mask < m:
-        if vrank & mask:
-            steps.append(Send(lo + ((vrank - mask) + root - lo) % m, data))
-            return steps
-        src_v = vrank | mask
-        if src_v < m:
-            steps.append(ReduceRecv(lo + (src_v + root - lo) % m, data))
-        mask <<= 1
-    return steps
-
-
-def _sub_bcast_steps(me: int, lo: int, m: int, root: int,
-                     data: Interval) -> list[Step]:
-    """Binomial bcast from ``root`` over the ranks ``lo .. lo+m-1``."""
-    steps: list[Step] = []
-    vrank = (me - root) % m if m else 0
-    mask = 1
-    while mask < m:
-        if vrank & mask:
-            steps.append(Recv(lo + ((vrank - mask) + root - lo) % m, data))
-            break
-        mask <<= 1
-    mask >>= 1
-    while mask > 0:
-        if vrank + mask < m:
-            steps.append(Send(lo + (vrank + mask + root - lo) % m, data))
-        mask >>= 1
-    return steps
-
-
-# -- leader phases (binomial / recursive doubling over a leader list) -----
-
-def _leader_allreduce_steps(gi: int, leaders: list[int],
-                            whole: Interval) -> list[Step]:
-    """Recursive-doubling allreduce among the leaders (with folding)."""
-    g = len(leaders)
-    pow2 = _largest_pow2_below(g)
-    rest = g - pow2
-    me = leaders[gi]
-    steps: list[Step] = []
-    if gi >= pow2:
-        steps.append(Send(leaders[gi - pow2], whole))
-    elif gi < rest:
-        steps.append(ReduceRecv(leaders[gi + pow2], whole))
-    if gi < pow2:
-        mask = 1
-        while mask < pow2:
-            partner = leaders[gi ^ mask]
-            steps.append(Exchange(
-                send_peer=partner, send=whole,
-                recv_peer=partner, recv=whole,
-                send_first=_pair_send_first(me, partner),
-                reduce=True))
-            mask <<= 1
-    if gi >= pow2:
-        steps.append(Recv(leaders[gi - pow2], whole))
-    elif gi < rest:
-        steps.append(Send(leaders[gi + pow2], whole))
-    return steps
-
-
-def _leader_reduce_steps(gi: int, root_gi: int, leaders: list[int],
-                         whole: Interval) -> list[Step]:
-    """Binomial reduce among the leaders to the root group's leader."""
-    g = len(leaders)
-    steps: list[Step] = []
-    vrank = (gi - root_gi) % g
-    mask = 1
-    while mask < g:
-        if vrank & mask:
-            steps.append(Send(leaders[((vrank - mask) + root_gi) % g], whole))
-            return steps
-        src_v = vrank | mask
-        if src_v < g:
-            steps.append(ReduceRecv(leaders[(src_v + root_gi) % g], whole))
-        mask <<= 1
-    return steps
-
-
-def _leader_bcast_steps(gi: int, root_gi: int, leaders: list[int],
-                        whole: Interval) -> list[Step]:
-    """Binomial bcast among the leaders from the root group's leader."""
-    g = len(leaders)
-    steps: list[Step] = []
-    vrank = (gi - root_gi) % g
-    mask = 1
-    while mask < g:
-        if vrank & mask:
-            steps.append(Recv(leaders[((vrank - mask) + root_gi) % g], whole))
-            break
-        mask <<= 1
-    mask >>= 1
-    while mask > 0:
-        if vrank + mask < g:
-            steps.append(Send(leaders[(vrank + mask + root_gi) % g], whole))
-        mask >>= 1
-    return steps
-
-
 # -- builders -------------------------------------------------------------
 
 def _leaders_for(bounds: list[tuple[int, int]], root: int,
@@ -232,10 +123,11 @@ def build_hier_allreduce(p: int, n: int, groups: int) -> Schedule:
         lo, hi = bounds[gi]
         steps: list[Step] = [_init_copy(me, n)]
         if p > 1:
-            steps += _sub_reduce_steps(me, lo, hi - lo, leaders[gi], whole)
+            group, lead = range(lo, hi), leaders[gi] - lo
+            steps += _binomial_reduce_steps(me - lo, group, lead, whole)
             if me == leaders[gi]:
-                steps += _leader_allreduce_steps(gi, leaders, whole)
-            steps += _sub_bcast_steps(me, lo, hi - lo, leaders[gi], whole)
+                steps += _recursive_doubling_steps(gi, leaders, whole)
+            steps += _binomial_bcast_steps(me - lo, group, lead, whole)
         plans.append(tuple(steps))
     return Schedule("allreduce", f"hier/g{groups}", p, n,
                     {"in": n, "work": n}, tuple(plans),
@@ -253,9 +145,10 @@ def build_hier_reduce(p: int, n: int, groups: int, root: int) -> Schedule:
         lo, hi = bounds[gi]
         steps: list[Step] = [_init_copy(me, n)]
         if p > 1:
-            steps += _sub_reduce_steps(me, lo, hi - lo, leaders[gi], whole)
+            steps += _binomial_reduce_steps(me - lo, range(lo, hi),
+                                            leaders[gi] - lo, whole)
             if me == leaders[gi]:
-                steps += _leader_reduce_steps(gi, root_gi, leaders, whole)
+                steps += _binomial_reduce_steps(gi, leaders, root_gi, whole)
         plans.append(tuple(steps))
     return Schedule("reduce", f"hier/g{groups}", p, n,
                     {"in": n, "work": n}, tuple(plans),
@@ -276,8 +169,9 @@ def build_hier_bcast(p: int, n: int, groups: int, root: int) -> Schedule:
             steps.append(_init_copy(me, n))
         if p > 1:
             if me == leaders[gi]:
-                steps += _leader_bcast_steps(gi, root_gi, leaders, whole)
-            steps += _sub_bcast_steps(me, lo, hi - lo, leaders[gi], whole)
+                steps += _binomial_bcast_steps(gi, leaders, root_gi, whole)
+            steps += _binomial_bcast_steps(me - lo, range(lo, hi),
+                                           leaders[gi] - lo, whole)
         plans.append(tuple(steps))
     return Schedule("bcast", f"hier/g{groups}", p, n,
                     {"in": n, "work": n}, tuple(plans),

@@ -11,8 +11,8 @@ The run loops are deliberately flat: a collective sweep pushes tens of
 millions of events through this file, so the hot loops bind the heap and
 the heappop primitive locally and dispatch events inline instead of going
 through :meth:`Simulator.step`.  :attr:`Simulator.events_processed` counts
-dispatched events — ``tools/bench_wallclock.py`` divides it by wall-clock
-time to track the kernel's events/sec trajectory.
+dispatched events — ``benchmarks/perf`` divides it by wall-clock time to
+track the kernel's events/sec trajectory (``sim_events_per_s``).
 """
 
 from __future__ import annotations

@@ -64,7 +64,7 @@ def test_enabled_sanitizer_is_bit_identical(stack):
 
 
 def test_kernel_events_metric_path_unchanged():
-    """The events/sec baseline (BENCH_wallclock.json's kernel metric)
+    """The events/sec baseline (``benchmarks/perf``'s ``sim_events_per_s``)
     counts the same events with the sanitizer installed: observation
     adds zero simulator events."""
     bare_ps, bare_events = _run("lightweight_balanced", 552, 48,

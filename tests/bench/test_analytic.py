@@ -13,12 +13,11 @@ test catches that first.
 
 import pytest
 
+from repro.bench import analytic
 from repro.bench.analytic import (
     DEFAULT_DRIFT_TOL,
     EngineDriftError,
     analytic_latency_us,
-    default_drift_tol,
-    default_validate,
     validation_sample,
 )
 from repro.bench.executor import ResultCache, SweepPoint, run_sweep
@@ -143,17 +142,17 @@ def test_analytic_engine_simulates_fallback_points():
 
 
 def test_auto_engine_validates_and_reports_drift(monkeypatch):
-    monkeypatch.setenv("REPRO_BENCH_VALIDATE", "2")
+    monkeypatch.setattr(analytic, "DEFAULT_VALIDATE", 2)
     outcome = run_sweep(_points(), cache=False, engine="auto")
     assert outcome.analytic == 3
     assert outcome.validated == 2
-    assert 0.0 < abs(outcome.max_drift) <= default_drift_tol()
+    assert 0.0 < abs(outcome.max_drift) <= DEFAULT_DRIFT_TOL
     # Auto reports the analytic values for priced points.
     assert outcome.latencies == [analytic_latency_us(p) for p in _points()]
 
 
 def test_auto_engine_raises_on_drift(monkeypatch):
-    monkeypatch.setenv("REPRO_BENCH_DRIFT_TOL", "1e-9")
+    monkeypatch.setattr(analytic, "DEFAULT_DRIFT_TOL", 1e-9)
     with pytest.raises(EngineDriftError) as excinfo:
         run_sweep(_points(), cache=False, engine="auto")
     assert excinfo.value.tolerance == pytest.approx(1e-9)
@@ -161,28 +160,19 @@ def test_auto_engine_raises_on_drift(monkeypatch):
     assert "--engine sim" in str(excinfo.value)
 
 
-def test_analytic_estimates_never_enter_the_cache(tmp_path):
+def test_analytic_estimates_never_enter_the_cache(tmp_path, monkeypatch):
     store = ResultCache(tmp_path)
     run_sweep(_points(), cache=store, engine="analytic")
     assert len(store) == 0
     # Auto's validation runs are real simulations and are cached.
-    monkey_validate = 1
-    import os
-    old = os.environ.get("REPRO_BENCH_VALIDATE")
-    os.environ["REPRO_BENCH_VALIDATE"] = str(monkey_validate)
-    try:
-        outcome = run_sweep(_points(), cache=store, engine="auto")
-    finally:
-        if old is None:
-            os.environ.pop("REPRO_BENCH_VALIDATE", None)
-        else:
-            os.environ["REPRO_BENCH_VALIDATE"] = old
+    monkeypatch.setattr(analytic, "DEFAULT_VALIDATE", 1)
+    outcome = run_sweep(_points(), cache=store, engine="auto")
     assert outcome.validated == 1
     assert len(store) == 1
 
 
 # --------------------------------------------------------------------- #
-# Deterministic validation sampling + env knobs
+# Deterministic validation sampling + the two constants
 # --------------------------------------------------------------------- #
 def test_validation_sample_is_deterministic_and_covers_extremes():
     sample = validation_sample(100, 5)
@@ -199,13 +189,10 @@ def test_validation_sample_edge_cases():
 
 
 def test_env_knob_defaults_and_errors(monkeypatch):
-    monkeypatch.delenv("REPRO_BENCH_VALIDATE", raising=False)
-    monkeypatch.delenv("REPRO_BENCH_DRIFT_TOL", raising=False)
-    assert default_validate() == 3
-    assert default_drift_tol() == DEFAULT_DRIFT_TOL
-    monkeypatch.setenv("REPRO_BENCH_VALIDATE", "seven")
-    with pytest.raises(ValueError, match="REPRO_BENCH_VALIDATE"):
-        default_validate()
-    monkeypatch.setenv("REPRO_BENCH_DRIFT_TOL", "-1")
-    with pytest.raises(ValueError, match="positive"):
-        default_drift_tol()
+    """The validation count and the drift bound are module constants,
+    read at each sweep."""
+    assert analytic.DEFAULT_VALIDATE == 3
+    assert DEFAULT_DRIFT_TOL == 0.40
+    assert run_sweep(_points(), cache=False, engine="auto").validated == 3
+    monkeypatch.setattr(analytic, "DEFAULT_VALIDATE", 0)
+    assert run_sweep(_points(), cache=False, engine="auto").validated == 0

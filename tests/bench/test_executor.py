@@ -18,10 +18,12 @@ from repro.bench.executor import (
     fingerprint,
     run_sweep,
 )
-from repro.bench.runner import KINDS, CollectiveBench, measure_collective
+from repro.bench.runner import KINDS, measure_collective, sweep
 from repro.hw.config import SCCConfig
 
 SMALL_CONFIG = dict(mesh_cols=2, mesh_rows=1)
+#: The same chip as a registry spec (what ``sweep(topology=...)`` takes).
+SMALL_TOPOLOGY = "mesh:2x1"
 
 
 def small_point(**overrides):
@@ -66,20 +68,16 @@ class TestDeterminism:
         assert warm.hits == 3 and warm.misses == 0
 
     def test_collective_bench_parallel_matches_sequential(self):
-        def bench():
-            return CollectiveBench(
-                "allreduce", ["blocking", "lightweight"], sizes=[16, 20],
-                cores=4, config_factory=lambda: SCCConfig(**SMALL_CONFIG))
+        def run(jobs):
+            return sweep("allreduce", ["blocking", "lightweight"], [16, 20],
+                         cores=4, topology=SMALL_TOPOLOGY, jobs=jobs,
+                         cache=False)
 
-        seq = bench().run(jobs=1, cache=False)
-        par = bench().run(jobs=2, cache=False)
-        assert seq == par
+        assert run(1) == run(2)
 
     def test_reassembly_order_is_stacks_major(self):
-        bench = CollectiveBench(
-            "allreduce", ["blocking", "lightweight"], sizes=[16, 20],
-            cores=4, config_factory=lambda: SCCConfig(**SMALL_CONFIG))
-        data = bench.run(jobs=1, cache=False)
+        data = sweep("allreduce", ["blocking", "lightweight"], [16, 20],
+                     cores=4, topology=SMALL_TOPOLOGY, jobs=1, cache=False)
         assert list(data) == ["blocking", "lightweight"]
         for stack in data:
             assert data[stack] == [
@@ -136,25 +134,49 @@ class TestFingerprint:
 
 
 class TestResultCache:
-    def test_get_on_missing_entry(self, tmp_path):
-        assert ResultCache(tmp_path).get("ab" * 32) is None
+    LOGGER = "repro.bench.executor"
 
-    def test_corrupt_entry_is_a_miss(self, tmp_path):
+    def test_get_on_missing_entry(self, tmp_path, caplog):
+        with caplog.at_level("WARNING", logger=self.LOGGER):
+            assert ResultCache(tmp_path).get("ab" * 32) is None
+        assert not caplog.records  # an absent entry is an ordinary miss
+
+    def test_corrupt_entry_is_a_miss(self, tmp_path, caplog):
         store = ResultCache(tmp_path)
         fp = fingerprint(small_point())
         path = store.path_for(fp)
         path.parent.mkdir(parents=True)
         path.write_text("{not json")
-        assert store.get(fp) is None
+        with caplog.at_level("WARNING", logger=self.LOGGER):
+            assert store.get(fp) is None
+        assert str(path) in caplog.text
 
-    def test_schema_drift_is_a_miss(self, tmp_path):
+    def test_truncated_entry_warns_once_then_is_overwritten(self, tmp_path,
+                                                            caplog):
+        store = ResultCache(tmp_path)
+        point = small_point()
+        expected = run_sweep([point], jobs=1, cache=store).latencies
+        path = store.path_for(fingerprint(point))
+        path.write_text(path.read_text()[:20])
+        with caplog.at_level("WARNING", logger=self.LOGGER):
+            again = run_sweep([point], jobs=1, cache=store)
+            healed = run_sweep([point], jobs=1, cache=store)
+        assert again.misses == 1 and again.latencies == expected
+        assert healed.hits == 1 and healed.latencies == expected
+        warnings = [r for r in caplog.records if r.name == self.LOGGER]
+        assert len(warnings) == 1
+        assert str(path) in warnings[0].getMessage()
+
+    def test_schema_drift_is_a_miss(self, tmp_path, caplog):
         store = ResultCache(tmp_path)
         fp = fingerprint(small_point())
         store.put(fp, 12.5, small_point())
         record = store.path_for(fp).read_text()
         store.path_for(fp).write_text(
             record.replace(f'"schema": {CACHE_SCHEMA}', '"schema": 999'))
-        assert store.get(fp) is None
+        with caplog.at_level("WARNING", logger=self.LOGGER):
+            assert store.get(fp) is None
+        assert "schema 999" in caplog.text
 
     def test_len_and_clear(self, tmp_path):
         store = ResultCache(tmp_path)

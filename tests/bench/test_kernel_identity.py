@@ -24,8 +24,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.bench.runner import program_for
-from repro.bench.wallclock import kernel_events_metric
+from repro.bench.runner import launch_collective, program_for
 from repro.core.ops import SUM
 from repro.core.registry import make_communicator
 from repro.faults.injector import FaultInjector
@@ -43,20 +42,23 @@ GOLDEN = {
 }
 
 
+def kernel_run(stack: str, size: int) -> tuple[int, float]:
+    """(events processed, simulated elapsed us) of one p=48 Allreduce."""
+    machine, result = launch_collective("allreduce", stack, size, cores=48)
+    return machine.sim.events_processed, result.elapsed_us
+
+
 @pytest.mark.parametrize("stack,size", sorted(GOLDEN))
 def test_kernel_bit_identity(stack, size):
-    metric = kernel_events_metric(stack=stack, size=size, cores=48,
-                                  repeats=1)
-    events, simulated_us = GOLDEN[(stack, size)]
-    assert metric["events"] == events
-    assert metric["simulated_us"] == pytest.approx(simulated_us, abs=0.001)
+    events, simulated_us = kernel_run(stack, size)
+    assert events == GOLDEN[(stack, size)][0]
+    assert simulated_us == pytest.approx(GOLDEN[(stack, size)][1],
+                                         abs=0.001)
 
 
 def test_kernel_is_deterministic_across_repeats():
-    a = kernel_events_metric(size=552, cores=48, repeats=1)
-    b = kernel_events_metric(size=552, cores=48, repeats=1)
-    assert a["events"] == b["events"]
-    assert a["simulated_us"] == b["simulated_us"]
+    assert (kernel_run("lightweight_balanced", 552)
+            == kernel_run("lightweight_balanced", 552))
 
 
 # -- whole-run digests ------------------------------------------------------

@@ -5,7 +5,6 @@ import pytest
 
 from repro.bench import runner
 from repro.bench.runner import (
-    CollectiveBench,
     default_cores,
     default_sizes,
     measure_collective,
@@ -13,6 +12,7 @@ from repro.bench.runner import (
     sweep,
 )
 from repro.hw.config import SCCConfig
+from repro.sim.clock import ps_to_us
 
 SMALL = dict(cores=4, config=SCCConfig(mesh_cols=2, mesh_rows=1))
 
@@ -66,6 +66,23 @@ class TestMeasure:
             rank_order=[3, 1, 2, 0])
         assert us > 0
 
+    def test_launch_is_the_measurement(self):
+        machine, result = runner.launch_collective(
+            "allreduce", "lightweight", 64, **SMALL)
+        assert ps_to_us(result.values[0]) == measure_collective(
+            "allreduce", "lightweight", 64, **SMALL)
+        assert machine.sim.events_processed > 0
+
+    def test_launch_installs_the_observer_before_running(self):
+        from repro.bench.stats import CommStats
+
+        stats = CommStats()
+        machine, _result = runner.launch_collective(
+            "bcast", "lightweight", 8, observer=stats, **SMALL)
+        assert machine.services["p2p.stats"] is stats
+        # The binomial tree's p - 1 payloads (barrier messages are empty).
+        assert stats.total_bytes == (SMALL["cores"] - 1) * 8 * 8
+
     def test_stack_ordering_blocking_slowest(self):
         blocking = measure_collective("allreduce", "blocking", 96, **SMALL)
         optimized = measure_collective("allreduce", "lightweight_balanced",
@@ -81,11 +98,13 @@ class TestSweep:
         assert set(data) == {"blocking", "lightweight"}
         assert all(len(v) == 2 for v in data.values())
 
-    def test_collective_bench_dataclass(self):
-        bench = CollectiveBench("bcast", ["lightweight"], sizes=[8],
-                                cores=4)
-        out = bench.run()
-        assert len(out["lightweight"]) == 1
+    def test_sweep_points_plan(self):
+        points = runner.sweep_points("bcast", ["lightweight"], [8], 4)
+        assert [(pt.kind, pt.stack, pt.size, pt.cores) for pt in points] \
+            == [("bcast", "lightweight", 8, 4)]
+        out = sweep("bcast", ["lightweight"], [8], cores=4)
+        assert out == {"lightweight": [
+            measure_collective("bcast", "lightweight", 8, cores=4)]}
 
 
 class TestEnvKnobs:

@@ -15,6 +15,32 @@ class TestParseSizes:
     def test_single_value(self):
         assert _parse_sizes("42") == [42]
 
+    @pytest.mark.parametrize("spec", ["1:2", "10:20:x"])
+    def test_malformed_range_names_the_option(self, spec):
+        with pytest.raises(ValueError, match="malformed --sizes spec"):
+            _parse_sizes(spec)
+
+    def test_empty_range_rejected(self):
+        with pytest.raises(ValueError,
+                           match="--sizes spec '20:10:2': the range is empty"):
+            _parse_sizes("20:10:2")
+
+    @pytest.mark.parametrize("spec", ["", ",", "8,x", "8,,16"])
+    def test_malformed_list_names_the_option(self, spec):
+        with pytest.raises(ValueError, match="malformed --sizes spec"):
+            _parse_sizes(spec)
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "allreduce", "--sizes", "1:2"],
+        ["fig9", "9f", "--sizes", "1:2"],
+        ["profile", "allreduce", "--sizes", "1:2"],
+        ["tune", "--sizes", "1:2"],
+        ["synth", "--sizes", "1:2"],
+    ])
+    def test_every_sizes_option_is_checked(self, argv):
+        with pytest.raises(ValueError, match="--sizes"):
+            main(argv)
+
 
 class TestParser:
     def test_requires_command(self):
@@ -81,11 +107,15 @@ class TestCommands:
 
 
 class TestBenchCommand:
+    """`sweep` is the command over repro.bench's executor: worker pool,
+    result cache and the accounting line."""
+
+    ARGV = ["sweep", "allreduce", "--stacks", "blocking", "lightweight",
+            "--sizes", "16,20", "--cores", "4"]
+
     def test_bench_sweep_with_cache_dir(self, capsys, tmp_path):
-        cache = tmp_path / "cache"
-        argv = ["bench", "allreduce", "--stacks", "blocking", "lightweight",
-                "--sizes", "16,20", "--cores", "4", "--jobs", "1",
-                "--cache-dir", str(cache)]
+        argv = self.ARGV + ["--jobs", "1", "--cache-dir",
+                            str(tmp_path / "cache")]
         assert main(argv) == 0
         cold = capsys.readouterr().out
         assert "blocking" in cold and "lightweight" in cold
@@ -94,45 +124,50 @@ class TestBenchCommand:
         assert main(argv) == 0  # second run is served from the cache
         warm = capsys.readouterr().out
         assert "cache hits 4" in warm and "simulated 0" in warm
+        # Same table either way; only the accounting line differs.
+        assert warm.splitlines()[:-1] == cold.splitlines()[:-1]
 
     def test_bench_no_cache_writes_nothing(self, capsys, tmp_path,
                                            monkeypatch):
         monkeypatch.setenv("REPRO_BENCH_CACHE_DIR", str(tmp_path))
-        assert main(["bench", "barrier", "--stacks", "lightweight",
+        assert main(["sweep", "barrier", "--stacks", "lightweight",
                      "--sizes", "8", "--cores", "4", "--jobs", "1",
                      "--no-cache"]) == 0
         assert "cache hits 0" in capsys.readouterr().out
         assert not any(tmp_path.rglob("*.json"))
 
-    def test_bench_wallclock_out(self, capsys, tmp_path):
-        import json
+    def test_sweep_jobs_2_prints_the_same_table(self, capsys):
+        tables = []
+        for jobs in ("1", "2"):
+            assert main(self.ARGV + ["--jobs", jobs, "--no-cache"]) == 0
+            tables.append(capsys.readouterr().out.splitlines()[:-1])
+        assert tables[0] == tables[1]
 
-        out = tmp_path / "wall.json"
-        assert main(["bench", "bcast", "--stacks", "lightweight",
-                     "--sizes", "8", "--cores", "4", "--jobs", "1",
-                     "--no-cache", "--wallclock-out", str(out)]) == 0
-        payload = json.loads(out.read_text())
-        assert payload["kind"] == "bcast"
-        assert payload["points"] == 1
-        assert payload["simulated"] == 1
-
-    def test_bench_smoke_small(self, capsys, tmp_path):
-        import json
-
-        out = tmp_path / "BENCH_wallclock.json"
-        assert main(["bench", "--smoke", "--sizes", "8,12", "--cores", "4",
-                     "--jobs", "2", "--wallclock-out", str(out)]) == 0
-        digest = capsys.readouterr().out
-        assert "events/s" in digest
-        assert "bit-identical across all paths: True" in digest
-        data = json.loads(out.read_text())
-        assert data["schema"] == 1
-        assert data["kernel"]["events_per_second"] > 0
-        assert data["sweeps"][0]["bit_identical"] is True
+    def test_sweep_auto_engine_accounting(self, capsys):
+        assert main(self.ARGV + ["--engine", "auto", "--no-cache"]) == 0
+        out = capsys.readouterr().out
+        assert "analytic 4, validated 3 [max drift " in out
 
     def test_bench_rejects_unknown_stack(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["bench", "--stacks", "openmpi"])
+            build_parser().parse_args(["sweep", "allreduce",
+                                       "--stacks", "openmpi"])
+
+    def test_bench_command_is_gone(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["bench"])
+
+
+class TestRankCountChecked:
+    """Every launching command rejects an oversubscribed chip with
+    check_rank_count's message, not an IndexError from CoreEnv."""
+
+    @pytest.mark.parametrize("command", ["sanitize", "race"])
+    def test_cores_49_names_the_topology(self, command):
+        with pytest.raises(ValueError,
+                           match="topology 'mesh:6x4' has only 48"):
+            main([command, "allreduce", "--stacks", "lightweight",
+                  "--cores", "49", "--size", "8"])
 
 
 class TestSynthCommand:

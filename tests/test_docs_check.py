@@ -80,8 +80,8 @@ class TestCliFlagCoverage:
     def test_introspects_the_real_parser(self):
         flags = check_docs.cli_flags()
         assert "--engine" in flags["sweep"]
-        assert "--engine" in flags["bench"]
-        assert "--jobs" in flags["bench"]
+        assert {"--jobs", "--no-cache", "--cache-dir"} <= set(flags["sweep"])
+        assert "bench" not in flags
         assert all("--help" not in longs for longs in flags.values())
 
     def test_detects_undocumented_flag(self, tmp_path, monkeypatch):
