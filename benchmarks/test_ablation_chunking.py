@@ -18,7 +18,7 @@ MESSAGE_DOUBLES = 4000  # 32 KB message, forced through multiple chunks
 
 
 def _p2p_latency(mpb_bytes: int) -> float:
-    cfg = SCCConfig(mesh_cols=2, mesh_rows=1, mpb_bytes_per_core=mpb_bytes)
+    cfg = SCCConfig(topology="mesh:2x1", mpb_bytes_per_core=mpb_bytes)
     machine = Machine(cfg)
     rcce = RCCE(machine)
     payload = np.zeros(MESSAGE_DOUBLES)

@@ -47,7 +47,7 @@ def test_ablation_oddeven(benchmark, results_dir):
 def test_unordered_blocking_ring_deadlocks(benchmark):
     """Without the odd-even ordering the blocking ring cannot work at all
     (Fig. 4's raison d'etre)."""
-    machine = Machine(SCCConfig(mesh_cols=2, mesh_rows=1))
+    machine = Machine(SCCConfig(topology="mesh:2x1"))
     rcce = RCCE(machine)
 
     def program(env):
@@ -61,7 +61,7 @@ def test_unordered_blocking_ring_deadlocks(benchmark):
         machine.run_spmd(program)
 
     def safe_pair():
-        m = Machine(SCCConfig(mesh_cols=2, mesh_rows=1))
+        m = Machine(SCCConfig(topology="mesh:2x1"))
         r = RCCE(m)
         comm = make_communicator(m, "blocking")
 

@@ -10,13 +10,13 @@ target software overhead rather than topology mapping.
 """
 
 from repro.bench.runner import measure_collective
-from repro.hw.topology import default_topology
+from repro.hw.config import SCCConfig
 
 from conftest import write_report
 
 
 def test_ablation_topology_mapping(benchmark, results_dir):
-    topo = default_topology()
+    topo = SCCConfig().resolved_topology()
     natural = measure_collective("allreduce", "lightweight_balanced", 552)
     snake = measure_collective("allreduce", "lightweight_balanced", 552,
                                rank_order=topo.snake_ring_order())

@@ -12,14 +12,13 @@ import argparse
 
 import numpy as np
 
-from repro.core import make_communicator
-from repro.hw import Machine, SCCConfig, config_for_preset
+from repro.core import launch
+from repro.hw import SCCConfig, config_for_preset
 
 
 def allreduce_latency(config: SCCConfig, stack: str = "mpb",
                       n: int = 552) -> float:
-    machine = Machine(config)
-    comm = make_communicator(machine, stack)
+    machine, comm = launch(stack, config=config)
     rng = np.random.default_rng(7)
     inputs = [rng.normal(size=n) for _ in range(machine.num_cores)]
 
@@ -40,17 +39,17 @@ def main() -> None:
         "SCC (standard preset)": SCCConfig(),
         "SCC, erratum fixed": SCCConfig(erratum_enabled=False),
         "SCC @ 800 MHz cores": config_for_preset("800_800_800"),
-        "half-SCC (3x4 tiles, 24 cores)": SCCConfig(mesh_cols=3),
+        "half-SCC (3x4 tiles, 24 cores)": SCCConfig(topology="mesh:3x4"),
     }
     if not args.smoke:
-        chips["double-SCC (12x4 tiles, 96 cores)"] = SCCConfig(mesh_cols=12)
+        chips["double-SCC (12x4 tiles, 96 cores)"] = SCCConfig(
+            topology="mesh:12x4")
     print(f"{'chip':<36}{'cores':>6}{'diameter':>9}"
           f"{f'allreduce({n})':>16}")
     for name, cfg in chips.items():
-        machine = Machine(cfg)
         latency = allreduce_latency(cfg, n=n)
         print(f"{name:<36}{cfg.num_cores:>6}"
-              f"{machine.topology.max_hops():>7} h"
+              f"{cfg.resolved_topology().max_hops():>7} h"
               f"{latency:>13.1f} us")
     print()
     print("Notes: more cores = more ring rounds (latency grows ~linearly);")

@@ -15,7 +15,7 @@ import argparse
 
 import numpy as np
 
-from repro.core import make_communicator
+from repro.core import launch
 from repro.hw import Machine, SCCConfig
 from repro.rcce import GoryRCCE
 
@@ -29,7 +29,7 @@ def gory_pipeline(cores: int = 8) -> float:
     MPB and reads the block its left neighbour placed in its own —
     double-buffered so production of round r+1 overlaps consumption of
     round r."""
-    machine = Machine(SCCConfig(mesh_cols=cores // 2, mesh_rows=1))
+    machine = Machine(SCCConfig(topology=f"mesh:{cores // 2}x1"))
     gory = GoryRCCE(machine)
     bufs = [gory.malloc(BLOCK * 8) for _ in range(2)]      # double buffer
     full = [gory.flag_alloc() for _ in range(2)]
@@ -66,8 +66,9 @@ def gory_pipeline(cores: int = 8) -> float:
 
 def sendrecv_pipeline(cores: int = 8) -> float:
     """The same traffic through the non-gory layer."""
-    machine = Machine(SCCConfig(mesh_cols=cores // 2, mesh_rows=1))
-    comm = make_communicator(machine, "lightweight")
+    machine, comm = launch(
+        "lightweight", cores,
+        config=SCCConfig(topology=f"mesh:{cores // 2}x1"))
 
     def program(env):
         p = env.size

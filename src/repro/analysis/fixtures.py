@@ -22,7 +22,8 @@ runs do.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Generator, Optional
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Generator, Optional, Sequence
 
 import numpy as np
 
@@ -191,14 +192,23 @@ def fixture(name: str) -> Fixture:
                    f"have {[f.name for f in FIXTURES]}")
 
 
+def _run(fx: Fixture, observers: Sequence) -> None:
+    """Run ``fx`` on a fresh bare machine (no communicator: the fixtures
+    drive the hardware directly) with ``observers`` installed in order."""
+    machine = Machine()
+    for observer in observers:
+        observer.install(machine)
+    machine.run_spmd(fx.builder(machine), ranks=list(range(fx.ranks)))
+
+
+def _injector(fx: Fixture) -> list:
+    return [FaultInjector(fx.plan)] if fx.plan is not None else []
+
+
 def run_fixture(fx: Fixture) -> Sanitizer:
     """Run one fixture under a fresh machine; returns its sanitizer."""
-    machine = Machine()
-    if fx.plan is not None:
-        FaultInjector(fx.plan).install(machine)
-    san = Sanitizer().install(machine)
-    program = fx.builder(machine)
-    machine.run_spmd(program, ranks=list(range(fx.ranks)))
+    san = Sanitizer()
+    _run(fx, _injector(fx) + [san])
     return san
 
 
@@ -380,17 +390,13 @@ def race_fixture_scenario(fx: Fixture) -> "Scenario":
     """The fixture as an explorer :class:`~repro.analysis.races.Scenario`."""
     from repro.analysis.races import Scenario
 
-    return Scenario(fx.name, fx.builder, ranks=fx.ranks)
+    return Scenario(fx.name, partial(_run, fx))
 
 
 def run_race_fixture(fx: Fixture) -> "RaceDetector":
     """Run one racy fixture under a fresh machine + race detector."""
     from repro.analysis.races import RaceDetector
 
-    machine = Machine()
-    if fx.plan is not None:
-        FaultInjector(fx.plan).install(machine)
-    detector = RaceDetector().install(machine)
-    program = fx.builder(machine)
-    machine.run_spmd(program, ranks=list(range(fx.ranks)))
+    detector = RaceDetector()
+    _run(fx, _injector(fx) + [detector])
     return detector

@@ -58,9 +58,9 @@ Rules
 Waivers: a ``# repro-lint: allow=<rule>[,<rule>...]`` comment waives the
 named rules on its own line and the line directly below it.
 
-Run as ``python -m repro lint [paths...]`` (defaults to ``src/repro``)
-or via :mod:`tools.run_lint`; findings print as ``path:line:col: rule
-message`` and the exit status is non-zero when any finding survives.
+Run as ``python -m repro lint [paths...]`` (defaults to ``src/repro``);
+findings print as ``path:line:col: rule message`` and the exit status is
+non-zero when any finding survives.
 """
 
 from __future__ import annotations

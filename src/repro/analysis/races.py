@@ -56,10 +56,11 @@ of ``selection_table.json``).  See docs/static-analysis.md.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
+from repro.analysis.monitor import Monitor
 from repro.faults import FaultInjector, FaultPlan
 from repro.faults.errors import FaultError
 from repro.sim.errors import SimulationError
@@ -208,7 +209,7 @@ class _MPBState:
         self.reads: list[tuple[int, int, int, int, int]] = []
 
 
-class RaceDetector:
+class RaceDetector(Monitor):
     """Happens-before tracker attachable to one :class:`Machine`.
 
     Usage::
@@ -222,44 +223,25 @@ class RaceDetector:
     every existing hook site feeds it and no new hardware code exists.
     """
 
+    error = RaceError
+
     def __init__(self, max_diagnostics: int = 1000):
-        self.machine: Optional["Machine"] = None
-        self.diagnostics: list[RaceDiagnostic] = []
-        self.max_diagnostics = max_diagnostics
-        #: Total findings, including those beyond the storage cap.
-        self.total_findings = 0
+        super().__init__(max_diagnostics)
         self._vc: Optional[np.ndarray] = None       #: (cores, cores) int64
         self._last_release: Optional[np.ndarray] = None
         self._flags: dict[tuple[int, str], _FlagState] = {}
         self._mpbs: dict[int, _MPBState] = {}
-        self._spans: dict[int, list[tuple[str, Any]]] = {}
 
-    # -- lifecycle -------------------------------------------------------
     def install(self, machine: "Machine") -> "RaceDetector":
-        if machine.san is not None:
-            raise RuntimeError("machine already has a monitor installed")
-        self.machine = machine
-        machine.san = self
-        machine.sim.san = self
+        super().install(machine)
         n = machine.num_cores
         self._vc = np.zeros((n, n), dtype=np.int64)
         #: Each core's own clock at its most recent flag release; a write
         #: with a larger clock has never been published.
         self._last_release = np.zeros(n, dtype=np.int64)
         for mpb in machine.mpbs:
-            mpb.san = self
             self._mpbs[mpb.core_id] = _MPBState(mpb.size)
         return self
-
-    def uninstall(self) -> None:
-        machine = self.machine
-        if machine is None:
-            return
-        machine.san = None
-        machine.sim.san = None
-        for mpb in machine.mpbs:
-            mpb.san = None
-        self.machine = None
 
     def clock_of(self, core: int) -> np.ndarray:
         """A copy of ``core``'s current vector clock (for tests)."""
@@ -267,26 +249,10 @@ class RaceDetector:
 
     # -- reporting -------------------------------------------------------
     def _report(self, rule: str, owner: int, first: Access, second: Access,
-                *, offset: Optional[int] = None,
-                nbytes: Optional[int] = None, flag: Optional[str] = None,
-                message: str = "") -> None:
-        self.total_findings += 1
-        if len(self.diagnostics) >= self.max_diagnostics:
-            return
-        stack = self._spans.get(second.core, [])
-        rnd = next((d for n, d in reversed(stack) if n == "round"), None)
-        self.diagnostics.append(RaceDiagnostic(
-            time_ps=self.machine.sim.now if self.machine else 0,
-            rule=rule, owner=owner, first=first, second=second,
-            offset=offset, nbytes=nbytes, flag=flag, round=rnd,
-            spans=tuple(n for n, _ in stack), message=message))
-
-    def counts(self) -> dict[str, int]:
-        """Findings per rule (of the stored diagnostics)."""
-        out: dict[str, int] = {}
-        for d in self.diagnostics:
-            out[d.rule] = out.get(d.rule, 0) + 1
-        return dict(sorted(out.items()))
+                **where: Any) -> None:
+        """Log a candidate; ``where``: offset, nbytes, flag, message."""
+        self._record(second.core, RaceDiagnostic, rule=rule, owner=owner,
+                     first=first, second=second, **where)
 
     def candidates(self) -> dict[tuple, RaceDiagnostic]:
         """Stored diagnostics deduplicated by cross-run :meth:`~RaceDiagnostic.key`."""
@@ -295,27 +261,11 @@ class RaceDetector:
             out.setdefault(d.key(), d)
         return out
 
-    def assert_clean(self) -> None:
-        if self.diagnostics:
-            raise RaceError(self.diagnostics)
-
-    # -- span context (fed by repro.obs.spans) ---------------------------
-    def on_span_enter(self, core_id: int, name: str, detail: Any) -> None:
-        self._spans.setdefault(core_id, []).append((name, detail))
-
-    def on_span_exit(self, core_id: int, name: str) -> None:
-        stack = self._spans.get(core_id)
-        if stack and stack[-1][0] == name:
-            stack.pop()
-
     # -- clock plumbing --------------------------------------------------
     def _tick(self, core: int) -> int:
         vc = self._vc
         vc[core, core] += 1
         return int(vc[core, core])
-
-    def _now(self) -> int:
-        return self.machine.sim.now if self.machine is not None else 0
 
     # -- MPB hooks -------------------------------------------------------
     def on_oob(self, mpb: "MPB", kind: str, offset: int,
@@ -553,14 +503,13 @@ def _prune_reads(reads: list[tuple[int, int, int, int, int]],
 # ---------------------------------------------------------------------- #
 @dataclass(frozen=True)
 class Scenario:
-    """A re-executable program: everything the explorer needs to rebuild
-    the same run on a fresh machine (determinism makes re-execution a
-    pure function of the scenario plus the perturbation plan)."""
+    """A re-executable program: ``run(observers)`` builds a fresh machine,
+    installs ``observers`` on it in order and executes the same program
+    (determinism makes re-execution a pure function of the scenario plus
+    the perturbation plan)."""
 
     name: str
-    build: Callable[["Machine"], Callable[..., Generator]]
-    ranks: int = 2
-    watchdog_ps: Optional[int] = None
+    run: Callable[[Sequence], Any]
 
 
 @dataclass(frozen=True)
@@ -640,16 +589,10 @@ def run_detected(scenario: Scenario, plan: Optional[FaultPlan] = None,
     fault error — the diagnostics gathered up to that point are still
     valid observations of the partial execution.
     """
-    from repro.hw.machine import Machine
-
-    machine = Machine()
-    if plan is not None:
-        FaultInjector(plan).install(machine)
-    detector = RaceDetector().install(machine)
-    program = scenario.build(machine)
+    detector = RaceDetector()
+    injector = [FaultInjector(plan)] if plan is not None else []
     try:
-        machine.run_spmd(program, ranks=list(range(scenario.ranks)),
-                         watchdog_ps=scenario.watchdog_ps)
+        scenario.run(injector + [detector])
     except (SimulationError, FaultError) as err:
         return detector, type(err).__name__
     return detector, None
@@ -743,27 +686,13 @@ def collective_scenario(kind: str, stack: str, cores: int, size: int,
                         seed: int = 20120901) -> Scenario:
     """One collective call as an explorer scenario (fresh machine,
     fresh communicator, seeded inputs — bit-reproducible)."""
-
-    def build(machine: "Machine") -> Callable[..., Generator]:
-        from repro.bench.runner import program_for
-        from repro.core.ops import SUM
-        from repro.core.registry import make_communicator
-
-        machine.config.check_rank_count(cores)
-        comm = make_communicator(machine, stack)
-        rng = np.random.default_rng(seed)
-        inputs = [rng.normal(size=size) for _ in range(cores)]
-        if kind in ("scan", "exscan"):
-            def program(env):
-                yield from comm.barrier(env)
-                coll = comm.scan if kind == "scan" else comm.exscan
-                yield from coll(env, inputs[env.rank], SUM, algo=algo)
-            return program
-        return program_for(kind, comm, inputs, SUM, algo=algo)
+    from repro.bench.runner import launch_collective
 
     label = f"{kind}/{stack}" + (f"[{algo}]" if algo else "") \
         + f" p={cores} n={size}"
-    return Scenario(label, build, ranks=cores)
+    return Scenario(label, lambda observers: launch_collective(
+        kind, stack, size, cores=cores, algo=algo, seed=seed,
+        observers=observers))
 
 
 def synth_winner_scenarios(stack: str = "lightweight_balanced",

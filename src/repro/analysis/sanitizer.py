@@ -49,6 +49,8 @@ from typing import TYPE_CHECKING, Any, Optional
 
 import numpy as np
 
+from repro.analysis.monitor import Monitor
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.hw.flags import Flag
     from repro.hw.machine import Machine
@@ -139,7 +141,7 @@ class _MPBShadow:
     live: list[tuple[int, int]] = field(default_factory=list)
 
 
-class Sanitizer:
+class Sanitizer(Monitor):
     """Shadow-state tracker attachable to one :class:`Machine`.
 
     Usage::
@@ -149,28 +151,18 @@ class Sanitizer:
         san.assert_clean()          # or inspect san.diagnostics
     """
 
+    error = SanitizerError
+
     def __init__(self, max_diagnostics: int = 1000):
-        self.machine: Optional["Machine"] = None
-        self.diagnostics: list[Diagnostic] = []
-        self.max_diagnostics = max_diagnostics
-        #: Total findings, including those beyond the storage cap.
-        self.total_findings = 0
+        super().__init__(max_diagnostics)
         self._mpbs: dict[int, _MPBShadow] = {}
         self._flags: dict[tuple[int, str], _FlagShadow] = {}
         #: Pending (unpublished) write intervals per writer core.
         self._pending: dict[int, list[tuple[int, int, int]]] = {}
-        #: Open obs spans per core: [(name, detail), ...].
-        self._spans: dict[int, list[tuple[str, Any]]] = {}
 
-    # -- lifecycle -------------------------------------------------------
     def install(self, machine: "Machine") -> "Sanitizer":
-        if machine.san is not None:
-            raise RuntimeError("machine already has a sanitizer")
-        self.machine = machine
-        machine.san = self
-        machine.sim.san = self
+        super().install(machine)
         for mpb in machine.mpbs:
-            mpb.san = self
             self._mpbs[mpb.core_id] = _MPBShadow(
                 state=np.zeros(mpb.size, dtype=np.uint8),
                 writer=np.full(mpb.size, -1, dtype=np.int16),
@@ -178,50 +170,11 @@ class Sanitizer:
             )
         return self
 
-    def uninstall(self) -> None:
-        machine = self.machine
-        if machine is None:
-            return
-        machine.san = None
-        machine.sim.san = None
-        for mpb in machine.mpbs:
-            mpb.san = None
-        self.machine = None
-
-    # -- reporting -------------------------------------------------------
-    def _report(self, rule: str, actor: Optional[int], owner: int, *,
-                offset: Optional[int] = None, nbytes: Optional[int] = None,
-                flag: Optional[str] = None, message: str = "") -> None:
-        self.total_findings += 1
-        if len(self.diagnostics) >= self.max_diagnostics:
-            return
-        stack = self._spans.get(actor, []) if actor is not None else []
-        rnd = next((d for n, d in reversed(stack) if n == "round"), None)
-        self.diagnostics.append(Diagnostic(
-            time_ps=self.machine.sim.now if self.machine else 0,
-            rule=rule, actor=actor, owner=owner, offset=offset,
-            nbytes=nbytes, flag=flag, round=rnd,
-            spans=tuple(n for n, _ in stack), message=message))
-
-    def counts(self) -> dict[str, int]:
-        """Findings per rule (of the stored diagnostics)."""
-        out: dict[str, int] = {}
-        for d in self.diagnostics:
-            out[d.rule] = out.get(d.rule, 0) + 1
-        return dict(sorted(out.items()))
-
-    def assert_clean(self) -> None:
-        if self.diagnostics:
-            raise SanitizerError(self.diagnostics)
-
-    # -- span context (fed by repro.obs.spans) ---------------------------
-    def on_span_enter(self, core_id: int, name: str, detail: Any) -> None:
-        self._spans.setdefault(core_id, []).append((name, detail))
-
-    def on_span_exit(self, core_id: int, name: str) -> None:
-        stack = self._spans.get(core_id)
-        if stack and stack[-1][0] == name:
-            stack.pop()
+    def _report(self, rule: str, actor: Optional[int], owner: int,
+                **where: Any) -> None:
+        """Log a finding; ``where``: offset, nbytes, flag, message."""
+        self._record(actor, Diagnostic, rule=rule, actor=actor, owner=owner,
+                     **where)
 
     # -- MPB hooks -------------------------------------------------------
     def on_oob(self, mpb: "MPB", kind: str, offset: int,

@@ -248,6 +248,14 @@ def default_jobs() -> int:
     return jobs or (os.cpu_count() or 1)
 
 
+def _resolve_jobs(jobs: Optional[int]) -> int:
+    """``None`` reads ``REPRO_BENCH_JOBS``; ``0`` means all CPUs."""
+    jobs = default_jobs() if jobs is None else (jobs or (os.cpu_count() or 1))
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    return jobs
+
+
 @dataclass
 class SweepOutcome:
     """Latencies (in point order) plus execution accounting.
@@ -306,9 +314,7 @@ def parallel_map(fn, items: Sequence, *, jobs: Optional[int] = None) -> list:
     :mod:`repro.ensemble` for GCMC ensemble members.
     """
     items = list(items)
-    jobs = default_jobs() if jobs is None else (jobs or (os.cpu_count() or 1))
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    jobs = _resolve_jobs(jobs)
     if jobs > 1 and len(items) > 1:
         ctx = _pool_context()
         with ctx.Pool(processes=min(jobs, len(items))) as pool:
@@ -360,9 +366,7 @@ def run_sweep(points: Sequence[SweepPoint], *,
         raise ValueError(
             f"unknown engine {engine!r}: expected one of {ENGINES}")
     points = list(points)
-    jobs = default_jobs() if jobs is None else (jobs or (os.cpu_count() or 1))
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    jobs = _resolve_jobs(jobs)
     store = _resolve_cache(cache)
     started = time.perf_counter()
 

@@ -23,11 +23,9 @@ from repro.bench.report import (
     mean_speedup,
 )
 from repro.bench.runner import default_cores, default_sizes, sweep
-from repro.bench.stats import comm_stats
+from repro.bench.stats import CommStats
 from repro.core.blocks import fig6_table
-from repro.core.registry import make_communicator
-from repro.hw.config import SCCConfig
-from repro.hw.machine import Machine
+from repro.core.registry import launch
 from repro.obs.export import (
     run_metrics,
     write_metrics_csv,
@@ -198,10 +196,9 @@ def fig10(cycles: Optional[int] = None,
     energy = None
     particles = None
     for stack in stacks:
-        machine = Machine(SCCConfig())
-        if profile_dir is not None:
-            comm_stats(machine)  # enable per-link traffic attribution
-        comm = make_communicator(machine, stack)
+        # The traffic counters give the profile its per-link attribution.
+        machine, comm = launch(
+            stack, observers=[CommStats()] if profile_dir is not None else ())
         result = run_gcmc(machine, comm, cfg, cycles)
         if profile_dir is not None:
             os.makedirs(profile_dir, exist_ok=True)

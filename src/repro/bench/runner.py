@@ -29,7 +29,7 @@ import numpy as np
 from repro.bench.executor import SweepPoint, run_sweep
 from repro.core.comm import Communicator
 from repro.core.ops import SUM, ReduceOp
-from repro.core.registry import make_communicator
+from repro.core.registry import launch
 from repro.hw.config import SCCConfig
 from repro.hw.machine import Machine, SPMDResult
 from repro.sim.clock import ps_to_us
@@ -79,45 +79,50 @@ def default_cores() -> int:
     return int(os.environ.get("REPRO_BENCH_CORES", "48"))
 
 
+def collective_call(kind: str, comm: Communicator, env, inputs: list[np.ndarray],
+                    op: ReduceOp, algo: Optional[str] = None):
+    """The generator of one ``kind`` call on ``comm`` (:data:`KINDS` plus
+    ``scan``/``exscan``); ``yield from`` it for the rank's result.
+
+    Rank r contributes ``inputs[r]``; rooted kinds root at 0.  ``algo``
+    names an algorithm (``sched:`` prefix optional, see
+    ``docs/schedules.md``); ``barrier`` and ``exscan`` take none.
+    """
+    mine = inputs[env.rank]
+    if kind in ("barrier", "exscan"):
+        if algo is not None:
+            raise KeyError(f"{kind} takes no algorithm override")
+        return (comm.barrier(env) if kind == "barrier"
+                else comm.exscan(env, mine, op))
+    if kind == "allreduce":
+        return comm.allreduce(env, mine, op, algo=algo)
+    if kind == "reduce":
+        return comm.reduce(env, mine, op, 0, algo=algo)
+    if kind == "reduce_scatter":
+        return comm.reduce_scatter(env, mine, op, algo=algo)
+    if kind == "allgather":
+        return comm.allgather(env, mine, algo=algo)
+    if kind == "alltoall":
+        return comm.alltoall(env, np.tile(mine, (env.size, 1)), algo=algo)
+    if kind == "bcast":
+        buf = inputs[0].copy() if env.rank == 0 else np.empty_like(inputs[0])
+        return comm.bcast(env, buf, 0, algo=algo)
+    if kind == "scan":
+        return comm.scan(env, mine, op, algo=algo)
+    raise KeyError(f"unknown collective kind {kind!r}")
+
+
 def program_for(kind: str, comm: Communicator, inputs: list[np.ndarray],
                 op: ReduceOp, algo: Optional[str] = None):
-    """Build the per-rank SPMD program measuring one collective call.
-
-    ``algo`` overrides the communicator's size-based algorithm selection
-    with an algorithm name (``sched:`` prefix optional — see
-    ``docs/schedules.md``).  ``barrier`` takes no algorithm.
-    """
-    if algo is not None and kind == "barrier":
-        raise KeyError("barrier takes no algorithm override")
+    """Build the per-rank SPMD program measuring one collective call
+    (arguments as for :func:`collective_call`)."""
 
     def program(env):
         # Align all ranks, then time the operation on rank 0 like the
         # paper does ("the displayed latencies were measured on core 0").
         yield from comm.barrier(env)
         start = env.now
-        if kind == "allreduce":
-            yield from comm.allreduce(env, inputs[env.rank], op,
-                                      algo=algo)
-        elif kind == "reduce":
-            yield from comm.reduce(env, inputs[env.rank], op, 0,
-                                   algo=algo)
-        elif kind == "reduce_scatter":
-            yield from comm.reduce_scatter(env, inputs[env.rank], op,
-                                           algo=algo)
-        elif kind == "allgather":
-            yield from comm.allgather(env, inputs[env.rank], algo=algo)
-        elif kind == "alltoall":
-            p = env.size
-            matrix = np.tile(inputs[env.rank], (p, 1))
-            yield from comm.alltoall(env, matrix, algo=algo)
-        elif kind == "bcast":
-            buf = (inputs[0].copy() if env.rank == 0
-                   else np.empty_like(inputs[0]))
-            yield from comm.bcast(env, buf, 0, algo=algo)
-        elif kind == "barrier":
-            yield from comm.barrier(env)
-        else:
-            raise KeyError(f"unknown collective kind {kind!r}")
+        yield from collective_call(kind, comm, env, inputs, op, algo)
         return env.now - start
 
     return program
@@ -131,8 +136,8 @@ def launch_collective(kind: str, stack: str, size: int, *,
                       seed: int = 20120901,
                       algo: Optional[str] = None,
                       tracer: Optional[Tracer] = None,
-                      observer=None) -> tuple[Machine, SPMDResult]:
-    """Run one collective on a fresh machine; the launch recipe every
+                      observers: Sequence = ()) -> tuple[Machine, SPMDResult]:
+    """Run one timed collective on a fresh machine: what every
     measurement, profile and checker run shares.
 
     ``size`` is the per-rank vector length in doubles (the paper's x axis).
@@ -140,22 +145,14 @@ def launch_collective(kind: str, stack: str, size: int, *,
     RCCE's natural core numbering); pass
     ``machine.topology.snake_ring_order()`` for the topology-aware mapping
     ablation.  ``algo`` overrides the algorithm selection (see
-    :func:`program_for`).  ``tracer`` is handed to the machine;
-    ``observer`` is anything with ``install(machine)`` (sanitizer, race
-    detector, fault injector, traffic counters), installed before the
-    communicator is built.  Returns the machine and its
-    :class:`~repro.hw.machine.SPMDResult`; ``result.values[0]`` is rank
-    0's latency in picoseconds.
+    :func:`collective_call`).  ``config``, ``tracer`` and ``observers``
+    go to :func:`~repro.core.registry.launch`.  Returns the machine and
+    its :class:`~repro.hw.machine.SPMDResult`; ``result.values[0]`` is
+    rank 0's latency in picoseconds.
     """
     cores = cores if cores is not None else default_cores()
-    config = config if config is not None else SCCConfig()
-    # Validate before paying for machine construction, so an invalid rank
-    # count fails fast with check_rank_count's message.
-    config.check_rank_count(cores)
-    machine = Machine(config, tracer=tracer)
-    if observer is not None:
-        observer.install(machine)
-    comm = make_communicator(machine, stack)
+    machine, comm = launch(stack, cores, config=config, tracer=tracer,
+                           observers=observers)
     rng = np.random.default_rng(seed)
     inputs = [rng.normal(size=size) for _ in range(cores)]
     program = program_for(kind, comm, inputs, op, algo)
@@ -189,9 +186,9 @@ def sweep_points(kind: str, stacks: Sequence[str], sizes: Sequence[int],
     and ``cores`` defaults to the shape's full core count instead of
     the benchmark default.
     """
-    config = SCCConfig(topology=topology)
+    config = SCCConfig() if topology is None else SCCConfig(topology=topology)
     if cores is None:
-        cores = config.num_cores if topology is not None else default_cores()
+        cores = default_cores() if topology is None else config.num_cores
     return [SweepPoint(kind=kind, stack=stack, size=n, cores=cores,
                        config=config, algo=algo)
             for stack in stacks for n in sizes]

@@ -50,7 +50,7 @@ from repro.bench.runner import (
     parse_sizes_spec,
     sweep_points,
 )
-from repro.core.registry import STACKS, available_stacks, make_communicator
+from repro.core.registry import STACKS, available_stacks, launch
 from repro.hw.config import CLOCK_PRESETS, SCCConfig
 from repro.hw.machine import Machine
 from repro.obs.profile import profile_collective
@@ -69,12 +69,18 @@ def _parse_sizes(spec: str) -> list[int]:
             f"or a comma list of integers, e.g. '552,576'") from None
 
 
+def _config(args: argparse.Namespace) -> SCCConfig:
+    """The chip ``--topology`` names (the default chip when absent)."""
+    return (SCCConfig() if args.topology is None
+            else SCCConfig(topology=args.topology))
+
+
 def _cmd_info(args: argparse.Namespace) -> int:
-    cfg = SCCConfig(topology=args.topology)
+    cfg = _config(args)
     machine = Machine(cfg)
     topo = machine.topology
     print(f"Simulated Intel SCC (standard preset, "
-          f"topology {cfg.topology_key()!r})")
+          f"topology {cfg.topology!r})")
     chips = f" x {topo.chips} chips" if topo.chips > 1 else ""
     print(f"  cores            : {cfg.num_cores} "
           f"({topo.cols}x{topo.rows} tiles x "
@@ -173,8 +179,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_gcmc(args: argparse.Namespace) -> int:
     cfg = GCMCConfig(initial_particles=args.particles,
                      capacity=max(2 * args.particles, args.particles + 16))
-    machine = Machine(SCCConfig())
-    comm = make_communicator(machine, args.stack)
+    machine, comm = launch(args.stack)
     result = run_gcmc(machine, comm, cfg, args.cycles)
     obs = result.observables
     print(f"GCMC on {machine.config.num_cores} simulated cores, "
@@ -206,10 +211,16 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _parse_seeds(spec: str) -> list[int]:
-    if ":" in spec:
-        start, stop = (int(x) for x in spec.split(":"))
-        return list(range(start, stop))
-    return [int(x) for x in spec.split(",")]
+    """A ``--seeds`` value: ``start:stop`` or a comma list."""
+    try:
+        if ":" in spec:
+            start, stop = (int(x) for x in spec.split(":"))
+            return list(range(start, stop))
+        return [int(x) for x in spec.split(",")]
+    except ValueError:
+        raise ValueError(
+            f"malformed --seeds spec {spec!r}: expected 'start:stop' or a "
+            f"comma list of integers, e.g. '1:4' or '1,2,3'") from None
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
@@ -286,8 +297,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     ps = tuple(args.cores) if args.cores else DEFAULT_PS
     sizes = (tuple(_parse_sizes(args.sizes)) if args.sizes
              else DEFAULT_SIZES)
-    config = SCCConfig(topology=args.topology)
-    table = build_selection_table(kinds, ps, sizes, config,
+    table = build_selection_table(kinds, ps, sizes, _config(args),
                                   synth=not args.no_synth)
     tuned = sum(len(v) for v in table.entries.values())
     # A --topology run tunes one shape's slot; treat it as partial so it
@@ -402,7 +412,7 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
             for cores in args.cores:
                 san = Sanitizer()
                 launch_collective(kind, stack, args.size, cores=cores,
-                                  observer=san)
+                                  observers=[san])
                 label = f"{kind}/{stack} p={cores} n={args.size}"
                 if san.total_findings:
                     total += san.total_findings

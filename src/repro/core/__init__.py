@@ -2,8 +2,9 @@
 
 Public surface:
 
-* :func:`~repro.core.registry.make_communicator` + the stack names of the
-  paper's figures (``blocking``, ``ircce``, ``lightweight``,
+* :func:`~repro.core.registry.launch` (machine + observers + communicator
+  for a run) / :func:`~repro.core.registry.make_communicator` + the stack
+  names of the paper's figures (``blocking``, ``ircce``, ``lightweight``,
   ``lightweight_balanced``, ``mpb``, ``rckmpi``),
 * :class:`~repro.core.comm.Communicator` — the MPI-like collective API,
 * :mod:`~repro.core.blocks` — standard vs balanced block partitioning
@@ -30,7 +31,8 @@ from repro.core.blocks import (
 from repro.core.comm import Communicator
 from repro.core.mpb_allreduce import MPBAllreduceError, mpb_allreduce
 from repro.core.ops import MAX, MIN, OPS, PROD, SUM, ReduceOp, op_by_name
-from repro.core.registry import NON_MPB_STACKS, STACKS, make_communicator
+from repro.core.registry import (NON_MPB_STACKS, STACKS, launch,
+                                 make_communicator)
 
 __all__ = [
     "Communicator",
@@ -46,6 +48,7 @@ __all__ = [
     "SUM",
     "balanced_partition",
     "fig6_table",
+    "launch",
     "make_communicator",
     "mpb_allreduce",
     "op_by_name",

@@ -18,7 +18,9 @@ label                        composition
 
 The registry is table-driven: :func:`register_stack` maps a label to a
 factory ``Machine -> Communicator``, and :func:`make_communicator` looks
-labels up in the table.  The paper's six stacks are registered below;
+labels up in the table.  :func:`launch` is the recipe that wires a fresh
+machine, its observers and the communicator for a run.  The paper's six
+stacks are registered below;
 extension stacks (like ``tuned``) are registered the same way without
 touching this module's figure-ordering tuples — :data:`STACKS` stays
 exactly the Fig.-9 label set, so figure drivers, the chaos harness and
@@ -27,11 +29,13 @@ the sanitizer sweep never pick up experimental stacks by accident.
 
 from __future__ import annotations
 
-from typing import Callable, Dict
+from typing import Callable, Dict, Optional, Sequence
 
 from repro.core.blocks import balanced_partition, standard_partition
 from repro.core.comm import Communicator
+from repro.hw.config import SCCConfig
 from repro.hw.machine import Machine
+from repro.sim.trace import Tracer
 
 #: The order the paper's figures present the stacks in.
 STACKS: tuple[str, ...] = (
@@ -86,6 +90,29 @@ def make_communicator(machine: Machine, stack: str) -> "Communicator":
         raise KeyError(
             f"unknown stack {stack!r}; known: {known}") from None
     return factory(machine)
+
+
+def launch(stack: str, cores: Optional[int] = None, *,
+           config: Optional[SCCConfig] = None,
+           tracer: Optional[Tracer] = None,
+           observers: Sequence = ()) -> tuple[Machine, "Communicator"]:
+    """Build everything a run needs: the one recipe every launcher shares.
+
+    Rejects a ``cores`` count (the ranks the run will use; None = the
+    whole chip) the chip cannot host before paying for the machine, builds
+    the :class:`Machine` (``tracer`` is handed to it), calls
+    ``install(machine)`` on each of ``observers`` in order (sanitizer,
+    race detector, traffic counters; a fault injector goes first so the
+    monitors see the perturbed run) and only then builds the communicator
+    for ``stack``, whose set-up traffic is thereby observed.
+    """
+    config = config if config is not None else SCCConfig()
+    if cores is not None:
+        config.check_rank_count(cores)
+    machine = Machine(config, tracer=tracer)
+    for observer in observers:
+        observer.install(machine)
+    return machine, make_communicator(machine, stack)
 
 
 def _make_blocking(machine: Machine) -> Communicator:

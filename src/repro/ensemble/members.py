@@ -28,11 +28,11 @@ from repro.apps.gcmc.config import GCMCConfig
 from repro.apps.gcmc.driver import GCMCResult, run_gcmc
 from repro.apps.gcmc.serial import run_gcmc_serial
 from repro.bench.executor import parallel_map
+from repro.core.registry import launch
 from repro.ensemble.features import DEFAULT_BLOCK_SIZE, extract_features
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.hw.config import SCCConfig
-from repro.hw.machine import Machine
 from repro.sim.clock import us_to_ps
 
 #: Stack candidate runs use unless told otherwise (the paper's best
@@ -111,14 +111,10 @@ def run_candidate(spec: CandidateSpec, cfg: GCMCConfig, cycles: int,
     run_cfg = cfg if spec.seed is None else cfg.copy(seed=spec.seed)
     if spec.engine == "serial":
         return run_gcmc_serial(run_cfg, cycles, nranks=cores)
-    config = scc_config.copy() if scc_config is not None else SCCConfig()
-    config.check_rank_count(cores)
-    machine = Machine(config)
-    if spec.plan is not None:
-        FaultInjector(spec.plan).install(machine)
-    from repro.core.registry import make_communicator
-
-    comm = make_communicator(machine, spec.stack)
+    machine, comm = launch(
+        spec.stack, cores,
+        config=scc_config.copy() if scc_config is not None else None,
+        observers=[FaultInjector(spec.plan)] if spec.plan is not None else ())
     watchdog_ps = (us_to_ps(spec.watchdog_us)
                    if spec.watchdog_us is not None else None)
     return run_gcmc(machine, comm, run_cfg, cycles,

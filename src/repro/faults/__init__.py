@@ -15,7 +15,7 @@ The subsystem has three parts:
   ``tests/faults/test_zero_overhead.py``).
 * :mod:`~repro.faults.campaign` — randomized chaos campaigns over all
   collectives × stacks with per-trial correctness verdicts, behind
-  ``python -m repro chaos`` and ``tools/run_chaos.py``.
+  ``python -m repro chaos``.
 
 See ``docs/robustness.md`` for the fault model and the hardening
 protocols (watchdog, flag write-verify, checksum/retransmit, MPB

@@ -14,8 +14,7 @@ classifies the outcome:
 * ``error`` — any other exception (also a bug).
 
 A *campaign* sweeps kinds × stacks × seeds and renders the per-stack
-survival/correctness table behind ``python -m repro chaos`` and
-``tools/run_chaos.py``.
+survival/correctness table behind ``python -m repro chaos``.
 
 GCMC trials (``python -m repro chaos --app gcmc``) put the whole
 application under the same fault regimes and classify with the
@@ -33,21 +32,20 @@ from typing import Any, Optional, Sequence
 
 import numpy as np
 
+from repro.bench.runner import KINDS, collective_call
 from repro.core.ops import SUM, ReduceOp
-from repro.core.registry import STACKS, make_communicator
+from repro.core.registry import STACKS, launch
 from repro.faults.errors import FaultError
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.hw.config import SCCConfig
-from repro.hw.machine import Machine
 from repro.sim.clock import ps_to_us, us_to_ps
 from repro.sim.errors import DeadlockError, WatchdogTimeout
 from repro.sim.trace import Tracer
 from repro.util.tables import format_table
 
 #: Collective kinds a campaign can drive (the bench runner's set).
-CHAOS_KINDS = ("allreduce", "reduce", "reduce_scatter", "allgather",
-               "alltoall", "bcast", "barrier")
+CHAOS_KINDS = KINDS
 
 #: Named fault regimes.  ``light`` is the fast default behind the
 #: ``chaos`` pytest marker; ``heavy`` adds congestion, aggressive rates
@@ -108,46 +106,24 @@ class TrialResult:
         return self.outcome in SURVIVAL_OUTCOMES
 
 
-def _trial_program(kind: str, comm, inputs: list[np.ndarray], op: ReduceOp,
-                   iters: int = 1):
-    """SPMD program returning the collective's *result* (for checking).
+def _profile_plan(profile: str) -> FaultPlan:
+    try:
+        return CHAOS_PROFILES[profile]
+    except KeyError:
+        raise KeyError(f"unknown chaos profile {profile!r}; known: "
+                       f"{sorted(CHAOS_PROFILES)}") from None
 
-    ``iters > 1`` repeats the call (same inputs, last result kept): MPB
-    Allreduce epochs accumulate across repeats, which is what lets the
-    graceful-degradation fallback trigger inside a single trial.
-    """
 
-    def one_call(env):
-        if kind == "allreduce":
-            result = yield from comm.allreduce(env, inputs[env.rank], op)
-        elif kind == "reduce":
-            result = yield from comm.reduce(env, inputs[env.rank], op, 0)
-        elif kind == "reduce_scatter":
-            result = yield from comm.reduce_scatter(env, inputs[env.rank],
-                                                    op)
-        elif kind == "allgather":
-            result = yield from comm.allgather(env, inputs[env.rank])
-        elif kind == "alltoall":
-            matrix = np.tile(inputs[env.rank], (env.size, 1))
-            result = yield from comm.alltoall(env, matrix)
-        elif kind == "bcast":
-            buf = (inputs[0].copy() if env.rank == 0
-                   else np.empty_like(inputs[0]))
-            result = yield from comm.bcast(env, buf, 0)
-        elif kind == "barrier":
-            yield from comm.barrier(env)
-            result = None
-        else:
-            raise KeyError(f"unknown collective kind {kind!r}")
-        return result
-
-    def program(env):
-        result = None
-        for _ in range(iters):
-            result = yield from one_call(env)
-        return result
-
-    return program
+def _failure_outcome(exc: Exception) -> tuple[str, str]:
+    """(outcome, detail) of a trial that raised: the typed errors the
+    hardening layers promise, anything else is an ``error`` (a bug)."""
+    if isinstance(exc, FaultError):
+        return "fault", str(exc)
+    if isinstance(exc, WatchdogTimeout):
+        return "watchdog", str(exc)
+    if isinstance(exc, DeadlockError):
+        return "deadlock", str(exc)
+    return "error", repr(exc)
 
 
 def _check_results(kind: str, values: list, inputs: list[np.ndarray],
@@ -185,31 +161,33 @@ def run_trial(kind: str, stack: str, plan: FaultPlan, *,
               trace: bool = False,
               data_seed: int = 20120901) -> TrialResult:
     """One seeded chaos trial on a fresh machine."""
-    config = config if config is not None else SCCConfig()
-    config.check_rank_count(cores)
     tracer = Tracer(enabled=trace)
-    machine = Machine(config, tracer=tracer)
-    injector = FaultInjector(plan).install(machine)
-    comm = make_communicator(machine, stack)
+    injector = FaultInjector(plan)
+    machine, comm = launch(stack, cores, config=config, tracer=tracer,
+                           observers=[injector])
     rng = np.random.default_rng(data_seed)
     # Small integers stored as float64: their sums are exact, so the
     # bit-exact comparison is independent of the reduction order (ring
     # vs recursive halving vs NumPy's pairwise summation).
     inputs = [rng.integers(-999, 1000, size=size).astype(np.float64)
               for _ in range(cores)]
-    program = _trial_program(kind, comm, inputs, op, iters)
+
+    def program(env):
+        # ``iters > 1`` repeats the call (same inputs, last result kept):
+        # MPB Allreduce epochs accumulate across repeats, which lets the
+        # graceful-degradation fallback trigger inside a single trial.
+        result = None
+        for _ in range(iters):
+            result = yield from collective_call(kind, comm, env, inputs, op)
+        return result
+
     watchdog_ps = us_to_ps(watchdog_us) if watchdog_us is not None else None
     try:
         result = machine.run_spmd(program, ranks=list(range(cores)),
                                   watchdog_ps=watchdog_ps)
-    except FaultError as exc:
-        outcome, detail, elapsed = "fault", str(exc), machine.sim.now
-    except WatchdogTimeout as exc:
-        outcome, detail, elapsed = "watchdog", str(exc), machine.sim.now
-    except DeadlockError as exc:
-        outcome, detail, elapsed = "deadlock", str(exc), machine.sim.now
     except Exception as exc:  # noqa: BLE001 - classified, not swallowed
-        outcome, detail, elapsed = "error", repr(exc), machine.sim.now
+        outcome, detail = _failure_outcome(exc)
+        elapsed = machine.sim.now
     else:
         elapsed = result.elapsed_ps
         if _check_results(kind, result.values, inputs, cores):
@@ -281,11 +259,7 @@ def run_campaign(*, profile: str = "light",
                  watchdog_us: Optional[float] = 50_000.0,
                  config: Optional[SCCConfig] = None) -> CampaignResult:
     """Sweep kinds × stacks × seeds under one fault profile."""
-    try:
-        base = CHAOS_PROFILES[profile]
-    except KeyError:
-        raise KeyError(f"unknown chaos profile {profile!r}; known: "
-                       f"{sorted(CHAOS_PROFILES)}") from None
+    base = _profile_plan(profile)
     trials = []
     for kind in kinds:
         for stack in stacks:
@@ -344,29 +318,19 @@ def run_gcmc_trial(summary, plan: FaultPlan, *,
     cycles = int(summary.meta["cycles"])
     cores = int(summary.meta["cores"])
     block = int(summary.meta["block_size"])
-    scc = config.copy() if config is not None else SCCConfig()
-    scc.check_rank_count(cores)
-    machine = Machine(scc)
-    injector = FaultInjector(plan).install(machine)
-    comm = make_communicator(machine, stack)
+    injector = FaultInjector(plan)
+    machine, comm = launch(
+        stack, cores, config=config.copy() if config is not None else None,
+        observers=[injector])
     watchdog_ps = us_to_ps(watchdog_us) if watchdog_us is not None else None
     try:
         result = run_gcmc(machine, comm, cfg, cycles,
                           ranks=list(range(cores)),
                           allreduce_algo=allreduce_algo,
                           watchdog_ps=watchdog_ps)
-    except FaultError as exc:
-        outcome, detail, elapsed = "fault", str(exc), ps_to_us(
-            machine.sim.now)
-    except WatchdogTimeout as exc:
-        outcome, detail, elapsed = "watchdog", str(exc), ps_to_us(
-            machine.sim.now)
-    except DeadlockError as exc:
-        outcome, detail, elapsed = "deadlock", str(exc), ps_to_us(
-            machine.sim.now)
     except Exception as exc:  # noqa: BLE001 - classified, not swallowed
-        outcome, detail, elapsed = "error", repr(exc), ps_to_us(
-            machine.sim.now)
+        outcome, detail = _failure_outcome(exc)
+        elapsed = ps_to_us(machine.sim.now)
     else:
         elapsed = result.elapsed_us
         try:
@@ -402,11 +366,7 @@ def run_gcmc_campaign(summary, *, profile: str = "light",
                       max_pc_fail: Optional[int] = None,
                       config: Optional[SCCConfig] = None) -> CampaignResult:
     """Sweep stacks × seeds of full GCMC runs under one fault profile."""
-    try:
-        base = CHAOS_PROFILES[profile]
-    except KeyError:
-        raise KeyError(f"unknown chaos profile {profile!r}; known: "
-                       f"{sorted(CHAOS_PROFILES)}") from None
+    base = _profile_plan(profile)
     trials = [
         run_gcmc_trial(summary, replace(base, seed=seed), stack=stack,
                        watchdog_us=watchdog_us, threshold=threshold,

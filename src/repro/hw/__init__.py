@@ -25,7 +25,7 @@ from repro.hw.mpb import MPB, MPBError, MPBRegion, as_bytes
 from repro.hw.timing import LatencyModel
 from repro.hw.topo import (available_topologies, get_topology,
                            register_topology)
-from repro.hw.topology import Topology, default_topology
+from repro.hw.topology import Topology
 
 __all__ = [
     "CLOCK_PRESETS",
@@ -43,7 +43,6 @@ __all__ = [
     "as_bytes",
     "available_topologies",
     "config_for_preset",
-    "default_topology",
     "get_topology",
     "register_topology",
 ]

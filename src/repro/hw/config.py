@@ -26,12 +26,11 @@ the values measured with these defaults.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Any, Optional
+from typing import Any
 
+from repro.hw.topo import get_topology
+from repro.hw.topology import Topology
 from repro.sim.clock import Clock
-
-if TYPE_CHECKING:
-    from repro.hw.topology import Topology
 
 
 @dataclass
@@ -51,16 +50,11 @@ class SCCConfig:
     dram_freq_hz: int = 800_000_000
 
     # ------------------------------------------------------------------ #
-    # Topology.  The default is the paper's chip: a 6x4 tile mesh, 2
-    # cores per tile -> 48 cores.  Setting ``topology`` to a registry
-    # spec (see repro.hw.topo, e.g. "mesh:8x8", "torus:6x4",
-    # "cluster:2x24") overrides the three legacy mesh fields below,
-    # which remain for the existing ablations and for the default key.
+    # Topology: a registry spec (see repro.hw.topo, e.g. "mesh:8x8",
+    # "mesh:2x1x4", "torus:6x4", "cluster:2x24").  The default is the
+    # paper's chip: a 6x4 tile mesh, 2 cores per tile -> 48 cores.
     # ------------------------------------------------------------------ #
-    mesh_cols: int = 6
-    mesh_rows: int = 4
-    cores_per_tile: int = 2
-    topology: Optional[str] = None
+    topology: str = "mesh:6x4"
 
     # ------------------------------------------------------------------ #
     # Memory geometry
@@ -181,12 +175,11 @@ class SCCConfig:
         self.validate()
 
     def validate(self) -> None:
-        for name in ("mesh_cols", "mesh_rows", "cores_per_tile"):
-            value = getattr(self, name)
-            if value <= 0:
-                raise ValueError(
-                    f"{name} must be positive, got {value} "
-                    f"(topology dimensions must be positive)")
+        if not isinstance(self.topology, str):
+            raise ValueError(
+                f"topology must be a registry spec string such as "
+                f"'mesh:6x4', got {self.topology!r}")
+        self.resolved_topology()  # raises on a malformed spec
         if self.l1_line_bytes <= 0 or self.l1_line_bytes % 8:
             raise ValueError(
                 f"l1_line_bytes must be a positive multiple of 8 "
@@ -219,8 +212,6 @@ class SCCConfig:
             if getattr(self, name) < 0:
                 raise ValueError(
                     f"{name} must be non-negative, got {getattr(self, name)}")
-        if self.topology is not None:
-            self.resolved_topology()  # raises on a malformed spec
 
     def check_rank_count(self, cores: int) -> None:
         """Reject SPMD launches that do not fit the mesh.
@@ -233,39 +224,19 @@ class SCCConfig:
         if cores > self.num_cores:
             raise ValueError(
                 f"requested {cores} cores; topology "
-                f"{self.topology_key()!r} has only {self.num_cores}")
+                f"{self.topology!r} has only {self.num_cores}")
 
     # -- derived quantities ---------------------------------------------
-    def topology_key(self) -> str:
-        """Registry spec of the active topology.
-
-        The explicit ``topology`` field when set, otherwise the legacy
-        mesh fields rendered as a ``mesh:`` spec (``mesh:6x4`` for the
-        default chip).
-        """
-        if self.topology is not None:
-            return self.topology
-        key = f"mesh:{self.mesh_cols}x{self.mesh_rows}"
-        if self.cores_per_tile != 2:
-            key += f"x{self.cores_per_tile}"
-        return key
-
-    def resolved_topology(self) -> "Topology":
+    def resolved_topology(self) -> Topology:
         """The active :class:`Topology` (cached by the registry)."""
-        from repro.hw.topo import get_topology
-
-        return get_topology(self.topology_key())
+        return get_topology(self.topology)
 
     @property
     def num_tiles(self) -> int:
-        if self.topology is None:
-            return self.mesh_cols * self.mesh_rows
         return self.resolved_topology().num_tiles
 
     @property
     def num_cores(self) -> int:
-        if self.topology is None:
-            return self.mesh_cols * self.mesh_rows * self.cores_per_tile
         return self.resolved_topology().num_cores
 
     @property

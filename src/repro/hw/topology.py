@@ -35,7 +35,6 @@ family the registry in :mod:`repro.hw.topo` hands out:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, Optional
 
 #: A single weighted link: two adjacent router coordinates plus an integer
@@ -360,10 +359,3 @@ class Topology:
     def _check_core(self, core: int) -> None:
         if not 0 <= core < self.num_cores:
             raise ValueError(f"core {core} out of range [0, {self.num_cores})")
-
-
-@lru_cache(maxsize=8)
-def default_topology(cols: int = 6, rows: int = 4,
-                     cores_per_tile: int = 2) -> Topology:
-    """Cached constructor for the standard SCC geometry."""
-    return Topology(cols, rows, cores_per_tile)

@@ -159,7 +159,7 @@ def profile_collective(kind: str, stack: str, size: int, *,
     machine, result = launch_collective(
         kind, stack, size, cores=cores, config=config, op=op,
         rank_order=rank_order, seed=seed, tracer=tracer,
-        observer=CommStats())  # the traffic counters run_metrics reports
+        observers=[CommStats()])  # the traffic counters run_metrics reports
     records = list(tracer.records)
     return CollectiveProfile(
         kind=kind, stack=stack, size=size, cores=cores,

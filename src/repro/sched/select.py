@@ -263,7 +263,7 @@ def build_selection_table(
         "blocking": blocking,
         "cores": config.num_cores,
         "synth": synth,
-        "topology": config.topology_key(),
+        "topology": config.topology,
     })
     for kind in kinds:
         for p in ps:
@@ -317,7 +317,7 @@ class TunedCommunicator(Communicator):
         """The table's winner at the nearest tabulated point of this
         machine's topology, else the cost model's (memoized per point)."""
         table = self._load_table()
-        topology = self.machine.config.topology_key()
+        topology = self.machine.config.topology
         name = (table.pick(kind, p, n, topology=topology)
                 if table is not None else None)
         if name is None or not known_algorithm(kind, name):

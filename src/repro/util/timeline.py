@@ -2,11 +2,10 @@
 
 Two facilities:
 
-* :class:`Timeline` — consumes :class:`~repro.sim.trace.TraceRecord`
-  *span* events (``tag`` ending in ``.begin`` / ``.end``) and renders a
-  per-actor Gantt chart with one character per time bucket.  The
-  communication layers emit such spans when the machine is built with an
-  enabled tracer (see :func:`repro.util.timeline.instrumented_machine`).
+* :class:`Timeline` — renders the spans of a trace
+  (:func:`repro.obs.spans.extract_spans`) as a per-actor Gantt chart with
+  one character per time bucket.  The communication layers emit such
+  spans when the machine is built with an enabled tracer.
 * :func:`render_accounts_bar` — a stacked-percentage bar per core from
   the :class:`~repro.sim.trace.TimeAccount` data every run collects, a
   cheap profile view ("how much of each core's time went to waiting?").
@@ -17,6 +16,7 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Optional, Sequence
 
+from repro.obs.spans import extract_spans
 from repro.sim.trace import TimeAccount, TraceRecord
 
 #: Default glyph per span kind (first letter of the span name otherwise).
@@ -33,23 +33,17 @@ GLYPHS = {
 
 
 class Timeline:
-    """Builds per-actor activity spans from begin/end trace records."""
+    """Per-actor activity spans, rendered as an ASCII Gantt chart."""
 
     def __init__(self) -> None:
         self.spans: dict[str, list[tuple[int, int, str]]] = defaultdict(list)
-        self._open: dict[tuple[str, str], int] = {}
         self.t_min: Optional[int] = None
         self.t_max: Optional[int] = None
 
     def feed(self, records: Sequence[TraceRecord]) -> "Timeline":
-        for rec in records:
-            if rec.tag.endswith(".begin"):
-                self._open[(rec.actor, rec.tag[:-6])] = rec.time_ps
-            elif rec.tag.endswith(".end"):
-                name = rec.tag[:-4]
-                start = self._open.pop((rec.actor, name), None)
-                if start is not None:
-                    self.add_span(rec.actor, start, rec.time_ps, name)
+        """Add every completed begin/end span of ``records``."""
+        for sp in extract_spans(records):
+            self.add_span(sp.actor, sp.start_ps, sp.end_ps, sp.name)
         return self
 
     def add_span(self, actor: str, start: int, end: int, kind: str) -> None:

@@ -65,6 +65,16 @@ class TestCleanGate:
         assert failure is None
         detector.assert_clean()
 
+    @pytest.mark.parametrize("stack", ["blocking", "lightweight"])
+    @pytest.mark.parametrize("kind", ["scan", "exscan"])
+    def test_prefix_kinds_are_race_free(self, kind, stack):
+        # Regression: the scenario used to hand algo= to
+        # Communicator.exscan, which takes none (TypeError).
+        detector, failure = run_detected(
+            collective_scenario(kind, stack, 4, 96))
+        assert failure is None
+        detector.assert_clean()
+
     def test_synth_winners_are_race_free(self):
         # Two winners keep the default run fast; `python -m repro race
         # --gate` covers the full repertoire.

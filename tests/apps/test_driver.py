@@ -16,7 +16,7 @@ RANKS = 8
 
 
 def machine():
-    return Machine(SCCConfig(mesh_cols=4, mesh_rows=1))
+    return Machine(SCCConfig(topology="mesh:4x1"))
 
 
 class TestSerial:

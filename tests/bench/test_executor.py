@@ -21,7 +21,7 @@ from repro.bench.executor import (
 from repro.bench.runner import KINDS, measure_collective, sweep
 from repro.hw.config import SCCConfig
 
-SMALL_CONFIG = dict(mesh_cols=2, mesh_rows=1)
+SMALL_CONFIG = dict(topology="mesh:2x1")
 #: The same chip as a registry spec (what ``sweep(topology=...)`` takes).
 SMALL_TOPOLOGY = "mesh:2x1"
 

@@ -11,10 +11,11 @@ from repro.bench.runner import (
     parse_sizes_spec,
     sweep,
 )
+from repro.core import registry
 from repro.hw.config import SCCConfig
 from repro.sim.clock import ps_to_us
 
-SMALL = dict(cores=4, config=SCCConfig(mesh_cols=2, mesh_rows=1))
+SMALL = dict(cores=4, config=SCCConfig(topology="mesh:2x1"))
 
 
 class TestMeasure:
@@ -35,7 +36,7 @@ class TestMeasure:
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(KeyError):
-            measure_collective("scan", "blocking", 8, **SMALL)
+            measure_collective("gossip", "blocking", 8, **SMALL)
 
     def test_unknown_stack_rejected(self):
         with pytest.raises(KeyError):
@@ -44,25 +45,25 @@ class TestMeasure:
     def test_too_many_cores_rejected(self):
         with pytest.raises(ValueError):
             measure_collective("allreduce", "blocking", 8, cores=99,
-                               config=SCCConfig(mesh_cols=2, mesh_rows=1))
+                               config=SCCConfig(topology="mesh:2x1"))
 
     def test_rank_count_checked_before_machine_build(self, monkeypatch):
         """An oversubscribed sweep point must fail with the clear
         check_rank_count message, not whatever Machine construction
         happens to raise first."""
-        def exploding_machine(config):
+        def exploding_machine(config, tracer=None):
             raise AssertionError("Machine was constructed before the "
                                  "rank-count check")
 
-        monkeypatch.setattr(runner, "Machine", exploding_machine)
+        monkeypatch.setattr(registry, "Machine", exploding_machine)
         with pytest.raises(ValueError, match="has only"):
             measure_collective("allreduce", "blocking", 8, cores=99,
-                               config=SCCConfig(mesh_cols=2, mesh_rows=1))
+                               config=SCCConfig(topology="mesh:2x1"))
 
     def test_rank_order_permutation(self):
         us = measure_collective(
             "allreduce", "lightweight", 64, cores=4,
-            config=SCCConfig(mesh_cols=2, mesh_rows=1),
+            config=SCCConfig(topology="mesh:2x1"),
             rank_order=[3, 1, 2, 0])
         assert us > 0
 
@@ -78,7 +79,7 @@ class TestMeasure:
 
         stats = CommStats()
         machine, _result = runner.launch_collective(
-            "bcast", "lightweight", 8, observer=stats, **SMALL)
+            "bcast", "lightweight", 8, observers=[stats], **SMALL)
         assert machine.services["p2p.stats"] is stats
         # The binomial tree's p - 1 payloads (barrier messages are empty).
         assert stats.total_bytes == (SMALL["cores"] - 1) * 8 * 8

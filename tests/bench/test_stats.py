@@ -14,7 +14,7 @@ P = 8
 
 
 def run_with_stats(stack, program_factory, cores=P):
-    machine = Machine(SCCConfig(mesh_cols=(cores + 1) // 2, mesh_rows=1))
+    machine = Machine(SCCConfig(topology=f"mesh:{(cores + 1) // 2}x1"))
     stats = comm_stats(machine)  # enable recording
     comm = make_communicator(machine, stack)
     machine.run_spmd(program_factory(comm), ranks=range(cores))
@@ -42,7 +42,7 @@ class TestCommStatsObject:
 
     def test_disabled_by_default(self):
         """Without comm_stats(machine), nothing is recorded (zero cost)."""
-        machine = Machine(SCCConfig(mesh_cols=2, mesh_rows=1))
+        machine = Machine(SCCConfig(topology="mesh:2x1"))
         comm = make_communicator(machine, "lightweight")
 
         def program(env):

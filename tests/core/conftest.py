@@ -10,7 +10,7 @@ from repro.hw.machine import Machine
 
 def small_machine(tiles_x=4, tiles_y=1):
     """A small SCC variant (default 8 cores) for cheap collective tests."""
-    return Machine(SCCConfig(mesh_cols=tiles_x, mesh_rows=tiles_y))
+    return Machine(SCCConfig(topology=f"mesh:{tiles_x}x{tiles_y}"))
 
 
 def make_inputs(p, n, seed=7, dtype=np.float64):

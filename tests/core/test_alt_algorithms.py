@@ -13,7 +13,7 @@ from tests.core.conftest import make_inputs
 
 def run(stack, cores, program_factory):
     cols = (cores + 1) // 2
-    machine = Machine(SCCConfig(mesh_cols=cols, mesh_rows=1))
+    machine = Machine(SCCConfig(topology=f"mesh:{cols}x1"))
     comm = make_communicator(machine, stack)
     return machine.run_spmd(program_factory(comm), ranks=range(cores))
 

@@ -12,7 +12,7 @@ P = 4
 
 
 def run(stack, program_factory):
-    machine = Machine(SCCConfig(mesh_cols=2, mesh_rows=1))
+    machine = Machine(SCCConfig(topology="mesh:2x1"))
     comm = make_communicator(machine, stack)
     return machine.run_spmd(program_factory(comm))
 

@@ -12,7 +12,7 @@ from tests.core.conftest import make_inputs
 
 
 def run(stack, cores, program_factory):
-    machine = Machine(SCCConfig(mesh_cols=(cores + 1) // 2, mesh_rows=1))
+    machine = Machine(SCCConfig(topology=f"mesh:{(cores + 1) // 2}x1"))
     comm = make_communicator(machine, stack)
     return machine.run_spmd(program_factory(comm), ranks=range(cores))
 
@@ -65,7 +65,7 @@ def test_exscan(p):
 
 
 def test_scan_single_rank():
-    machine = Machine(SCCConfig(mesh_cols=1, mesh_rows=1))
+    machine = Machine(SCCConfig(topology="mesh:1x1"))
     comm = make_communicator(machine, "lightweight")
     data = np.arange(5, dtype=np.float64)
 

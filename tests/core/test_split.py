@@ -11,7 +11,7 @@ P = 8
 
 
 def run(stack, program_factory):
-    machine = Machine(SCCConfig(mesh_cols=P // 2, mesh_rows=1))
+    machine = Machine(SCCConfig(topology=f"mesh:{P // 2}x1"))
     comm = make_communicator(machine, stack)
     return machine.run_spmd(program_factory(comm))
 

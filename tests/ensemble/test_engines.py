@@ -13,7 +13,7 @@ from repro.ensemble.summary import EnsembleSummary
 from repro.hw.config import SCCConfig
 
 CFG = GCMCConfig(initial_particles=24, capacity=48, box=6.0, seed=11)
-SCC = SCCConfig(mesh_cols=4, mesh_rows=1)
+SCC = SCCConfig(topology="mesh:4x1")
 
 
 def test_oplog_records_the_collective_sequence():

@@ -26,7 +26,7 @@ CORRUPTION_SEED = 6
 
 #: 8-core machine: the committed summary decomposes over 8 ranks, and a
 #: smaller mesh keeps each simulated candidate around a second.
-SCC = SCCConfig(mesh_cols=4, mesh_rows=1)
+SCC = SCCConfig(topology="mesh:4x1")
 
 
 @pytest.fixture(scope="module")

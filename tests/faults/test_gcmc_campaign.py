@@ -18,7 +18,7 @@ from repro.faults.plan import FaultPlan
 from repro.hw.config import SCCConfig
 from repro.hw.machine import Machine
 
-SCC = SCCConfig(mesh_cols=4, mesh_rows=1)
+SCC = SCCConfig(topology="mesh:4x1")
 
 #: Same deterministic corruption seed as tests/ensemble/test_gates.py.
 CORRUPTION_SEED = 6

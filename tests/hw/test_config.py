@@ -31,7 +31,7 @@ class TestDefaults:
 class TestValidation:
     def test_bad_topology_rejected(self):
         with pytest.raises(ValueError):
-            SCCConfig(mesh_cols=0)
+            SCCConfig(topology="mesh:0x4")
 
     def test_bad_line_size_rejected(self):
         with pytest.raises(ValueError):
@@ -60,7 +60,7 @@ class TestCopy:
 
     def test_copy_validates(self):
         with pytest.raises(ValueError):
-            SCCConfig().copy(mesh_rows=-1)
+            SCCConfig().copy(topology="mesh:6x-1")
 
 
 class TestPresets:
@@ -86,17 +86,23 @@ class TestValidationMessages:
     """Every rejection names the offending field and the constraint."""
 
     def test_nonpositive_mesh_cols_message(self):
-        with pytest.raises(ValueError, match="mesh_cols must be positive"):
-            SCCConfig(mesh_cols=0)
+        with pytest.raises(ValueError,
+                           match="malformed topology spec 'mesh:0x4'"):
+            SCCConfig(topology="mesh:0x4")
 
     def test_nonpositive_mesh_rows_message(self):
-        with pytest.raises(ValueError, match="mesh_rows must be positive"):
-            SCCConfig(mesh_rows=-3)
+        with pytest.raises(ValueError,
+                           match="malformed topology spec 'mesh:6x-3'"):
+            SCCConfig(topology="mesh:6x-3")
 
     def test_nonpositive_cores_per_tile_message(self):
         with pytest.raises(ValueError,
-                           match="cores_per_tile must be positive"):
-            SCCConfig(cores_per_tile=0)
+                           match="'mesh:6x4x0': dimensions must be positive"):
+            SCCConfig(topology="mesh:6x4x0")
+
+    def test_non_string_topology_message(self):
+        with pytest.raises(ValueError, match="registry spec string"):
+            SCCConfig(topology=None)
 
     def test_flag_region_not_line_multiple(self):
         # 100 B is not a multiple of the 32 B cache-line/flag granularity.
@@ -141,7 +147,7 @@ class TestRankCount:
             SCCConfig().check_rank_count(49)
 
     def test_limit_follows_topology(self):
-        small = SCCConfig(mesh_cols=2, mesh_rows=2, cores_per_tile=2)
+        small = SCCConfig(topology="mesh:2x2")
         small.check_rank_count(8)
         with pytest.raises(ValueError, match="'mesh:2x2' has only 8"):
             small.check_rank_count(9)

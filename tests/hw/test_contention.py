@@ -10,7 +10,7 @@ from repro.rcce.transfer import put_bytes
 
 
 def machine(contention):
-    return Machine(SCCConfig(mesh_cols=2, mesh_rows=1,
+    return Machine(SCCConfig(topology="mesh:2x1",
                              model_mpb_contention=contention))
 
 

@@ -7,7 +7,7 @@ from repro.hw.machine import Machine
 
 
 def machine(erratum=True):
-    return Machine(SCCConfig(mesh_cols=2, mesh_rows=1,
+    return Machine(SCCConfig(topology="mesh:2x1",
                              erratum_enabled=erratum))
 
 

@@ -9,7 +9,7 @@ from repro.sim import Interrupt
 
 def small_machine(**over):
     """A 2x1-tile (4-core) machine for cheap tests."""
-    cfg = SCCConfig(mesh_cols=2, mesh_rows=1, **over)
+    cfg = SCCConfig(topology="mesh:2x1", **over)
     return Machine(cfg)
 
 

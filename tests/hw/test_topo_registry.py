@@ -9,7 +9,7 @@ from repro.hw.topo import (
     get_topology,
     register_topology,
 )
-from repro.hw.topology import Topology, default_topology
+from repro.hw.topology import Topology
 
 
 class TestSpecParsing:
@@ -95,11 +95,11 @@ class TestRegistry:
 
 class TestConfigPlumbing:
     def test_default_key_matches_mesh_fields(self):
-        assert SCCConfig().topology_key() == "mesh:6x4"
+        assert SCCConfig().topology == "mesh:6x4"
 
     def test_spec_overrides_key(self):
         cfg = SCCConfig(topology="cluster:2x24")
-        assert cfg.topology_key() == "cluster:2x24"
+        assert cfg.topology == "cluster:2x24"
         assert cfg.num_cores == 48
         assert cfg.num_tiles == 24
 
@@ -113,7 +113,7 @@ class TestConfigPlumbing:
         assert machine.topology.num_cores == 32
 
     def test_default_topology_equals_registry_default(self):
-        assert default_topology() == get_topology("mesh:6x4")
+        assert Topology() == get_topology("mesh:6x4")
 
     def test_bad_spec_fails_validate(self):
         with pytest.raises(ValueError):

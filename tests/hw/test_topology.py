@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.hw.topology import Topology, default_topology
+from repro.hw.config import SCCConfig
+from repro.hw.topology import Topology
 
 
 @pytest.fixture
@@ -127,4 +128,5 @@ class TestOrderings:
 
 
 def test_default_topology_cached():
-    assert default_topology() is default_topology()
+    assert (SCCConfig().resolved_topology()
+            is SCCConfig().resolved_topology())

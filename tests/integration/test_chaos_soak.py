@@ -138,11 +138,12 @@ class TestObservability:
 
 @pytest.mark.chaos
 def test_run_chaos_tool_smoke():
-    """tools/run_chaos.py must run a tiny campaign and exit 0."""
+    """`python -m repro chaos` must run a tiny campaign and exit 0."""
+    env = {**os.environ, "PYTHONPATH": os.path.join(REPO_ROOT, "src")}
     proc = subprocess.run(
-        [sys.executable, os.path.join(REPO_ROOT, "tools", "run_chaos.py"),
+        [sys.executable, "-m", "repro", "chaos",
          "--profile", "light", "--seeds", "1", "--cores", "4",
          "--size", "16", "--kinds", "barrier", "bcast"],
-        capture_output=True, text=True, timeout=300)
+        cwd=REPO_ROOT, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert "survival %" in proc.stdout

@@ -16,7 +16,7 @@ P = 8
 def test_mixed_collective_sequence(stack):
     """A fixed but diverse sequence: every collective back-to-back, with
     all results checked against NumPy."""
-    machine = Machine(SCCConfig(mesh_cols=P // 2, mesh_rows=1))
+    machine = Machine(SCCConfig(topology=f"mesh:{P // 2}x1"))
     comm = make_communicator(machine, stack)
     rng = np.random.default_rng(0)
     vec = [rng.normal(size=96) for _ in range(P)]
@@ -60,7 +60,7 @@ def test_mixed_collective_sequence(stack):
 
 
 def test_time_advances_monotonically_across_operations():
-    machine = Machine(SCCConfig(mesh_cols=P // 2, mesh_rows=1))
+    machine = Machine(SCCConfig(topology=f"mesh:{P // 2}x1"))
     comm = make_communicator(machine, "lightweight_balanced")
     data = np.zeros(64)
 
@@ -79,8 +79,8 @@ def test_time_advances_monotonically_across_operations():
 
 def test_two_machines_do_not_interfere():
     """State (flags, services, MPBs) is per-machine."""
-    m1 = Machine(SCCConfig(mesh_cols=2, mesh_rows=1))
-    m2 = Machine(SCCConfig(mesh_cols=2, mesh_rows=1))
+    m1 = Machine(SCCConfig(topology="mesh:2x1"))
+    m2 = Machine(SCCConfig(topology="mesh:2x1"))
     c1 = make_communicator(m1, "lightweight")
     c2 = make_communicator(m2, "blocking")
     data = np.arange(32, dtype=np.float64)

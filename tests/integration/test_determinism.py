@@ -20,7 +20,7 @@ def test_every_stack_latency_reproducible():
 def test_repeated_ops_on_one_machine_have_stable_cost():
     """After the first call warms flags up, repeated collectives on the
     same machine cost the same simulated time."""
-    machine = Machine(SCCConfig(mesh_cols=4, mesh_rows=1))
+    machine = Machine(SCCConfig(topology="mesh:4x1"))
     comm = make_communicator(machine, "lightweight_balanced")
     data = np.arange(96, dtype=np.float64)
 
@@ -43,7 +43,7 @@ def test_trace_records_are_reproducible():
 
     def run():
         tracer = Tracer(enabled=True)
-        machine = Machine(SCCConfig(mesh_cols=2, mesh_rows=1),
+        machine = Machine(SCCConfig(topology="mesh:2x1"),
                           tracer=tracer)
         comm = make_communicator(machine, "lightweight")
 

@@ -16,7 +16,7 @@ from repro.sim.errors import DeadlockError
 
 
 def machine(cores=4):
-    return Machine(SCCConfig(mesh_cols=cores // 2, mesh_rows=1))
+    return Machine(SCCConfig(topology=f"mesh:{cores // 2}x1"))
 
 
 class TestMissingParticipant:

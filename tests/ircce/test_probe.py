@@ -8,7 +8,7 @@ from repro.ircce.api import ANY, IRCCE
 
 
 def machine():
-    return Machine(SCCConfig(mesh_cols=2, mesh_rows=1))
+    return Machine(SCCConfig(topology="mesh:2x1"))
 
 
 def test_probe_empty_returns_none():

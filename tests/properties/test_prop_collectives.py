@@ -23,7 +23,7 @@ seeds = st.integers(min_value=0, max_value=2**31)
 
 
 def run(stack, program_factory):
-    machine = Machine(SCCConfig(mesh_cols=2, mesh_rows=1))
+    machine = Machine(SCCConfig(topology="mesh:2x1"))
     comm = make_communicator(machine, stack)
     return machine.run_spmd(program_factory(comm))
 

@@ -24,7 +24,7 @@ schedules = st.lists(pairs, min_size=1, max_size=10)
 
 
 def _machine():
-    return Machine(SCCConfig(mesh_cols=2, mesh_rows=1))
+    return Machine(SCCConfig(topology="mesh:2x1"))
 
 
 def _payload(i, n):

@@ -9,7 +9,7 @@ from repro.rcce.gory import FlagHandle, GoryError, GoryRCCE
 
 
 def machine():
-    return Machine(SCCConfig(mesh_cols=2, mesh_rows=1))
+    return Machine(SCCConfig(topology="mesh:2x1"))
 
 
 class TestSymmetricAllocation:

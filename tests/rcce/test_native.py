@@ -11,7 +11,7 @@ from repro.rcce.native import native_allreduce, native_bcast, native_reduce
 
 
 def machine(cores=4):
-    return Machine(SCCConfig(mesh_cols=cores // 2, mesh_rows=1))
+    return Machine(SCCConfig(topology=f"mesh:{cores // 2}x1"))
 
 
 def run(cores, program):

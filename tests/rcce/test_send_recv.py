@@ -11,7 +11,7 @@ from repro.sim.errors import DeadlockError
 
 def machine(cores=4):
     assert cores % 2 == 0
-    return Machine(SCCConfig(mesh_cols=cores // 2, mesh_rows=1))
+    return Machine(SCCConfig(topology=f"mesh:{cores // 2}x1"))
 
 
 class TestBasicExchange:

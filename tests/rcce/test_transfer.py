@@ -37,7 +37,7 @@ class TestPutgetCalls:
 
 
 def tiny_machine():
-    return Machine(SCCConfig(mesh_cols=2, mesh_rows=1))
+    return Machine(SCCConfig(topology="mesh:2x1"))
 
 
 class TestPutGet:

@@ -10,7 +10,7 @@ from repro.rckmpi.api import RCKMPICommunicator
 
 
 def machine(cores=4):
-    return Machine(SCCConfig(mesh_cols=cores // 2, mesh_rows=1))
+    return Machine(SCCConfig(topology=f"mesh:{cores // 2}x1"))
 
 
 class TestChannel:
@@ -154,8 +154,7 @@ class TestRCKMPICommunicator:
         """RCKMPI's byte-granular channel: no period-4 spike (Fig. 9)."""
         from repro.bench.runner import measure_collective
         lat = {n: measure_collective("allreduce", "rckmpi", n, cores=8,
-                                     config=SCCConfig(mesh_cols=4,
-                                                      mesh_rows=1))
+                                     config=SCCConfig(topology="mesh:4x1"))
                for n in (600, 601, 602, 603, 604)}
         aligned = 0.5 * (lat[600] + lat[604])
         for n in (601, 602, 603):

@@ -16,7 +16,6 @@ from repro.core.registry import (
 from repro.hw.config import SCCConfig
 from repro.hw.machine import Machine
 from repro.hw.timing import LatencyModel
-from repro.hw.topology import default_topology
 from repro.sched.builders import SCHEDULED_KINDS, build_schedule, builder_names
 from repro.sched.cost import estimate_schedule_cost
 from repro.sched.select import (
@@ -33,9 +32,7 @@ from repro.sched.select import (
 @pytest.fixture(scope="module")
 def model():
     cfg = SCCConfig()
-    topo = default_topology(cfg.mesh_cols, cfg.mesh_rows,
-                            cfg.cores_per_tile)
-    return LatencyModel(cfg, topo)
+    return LatencyModel(cfg, cfg.resolved_topology())
 
 
 class TestCostModel:

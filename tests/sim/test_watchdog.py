@@ -87,7 +87,7 @@ def test_waits_parked_on_the_process_token_keep_their_diagnostics():
     from repro.hw.config import SCCConfig
     from repro.hw.machine import Machine
 
-    m = Machine(SCCConfig(mesh_cols=2, mesh_rows=1))
+    m = Machine(SCCConfig(topology="mesh:2x1"))
     sim = m.sim
     lock = FifoLock(sim, name="cpu9")
     assert lock.try_acquire()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import _parse_sizes, build_parser, main
+from repro.cli import _parse_seeds, _parse_sizes, build_parser, main
 
 
 class TestParseSizes:
@@ -40,6 +40,20 @@ class TestParseSizes:
     def test_every_sizes_option_is_checked(self, argv):
         with pytest.raises(ValueError, match="--sizes"):
             main(argv)
+
+
+class TestParseSeeds:
+    def test_range_and_list(self):
+        assert _parse_seeds("1:4") == [1, 2, 3]
+        assert _parse_seeds("3,5") == [3, 5]
+
+    @pytest.mark.parametrize("spec", ["1:4:2", "abc"])
+    def test_malformed_spec_names_the_option(self, spec):
+        with pytest.raises(
+                ValueError,
+                match=f"malformed --seeds spec '{spec}': expected "
+                      "'start:stop' or a comma list of integers"):
+            main(["chaos", "--seeds", spec])
 
 
 class TestParser:

@@ -44,7 +44,7 @@ class TestTimeline:
     def test_feed_from_real_simulation(self):
         """A traced collective produces a renderable timeline."""
         tracer = Tracer(enabled=True)
-        machine = Machine(SCCConfig(mesh_cols=2, mesh_rows=1),
+        machine = Machine(SCCConfig(topology="mesh:2x1"),
                           tracer=tracer)
         comm = make_communicator(machine, "lightweight")
         data = np.arange(64, dtype=np.float64)
@@ -61,7 +61,7 @@ class TestTimeline:
 
     def test_blocking_layer_also_traces(self):
         tracer = Tracer(enabled=True)
-        machine = Machine(SCCConfig(mesh_cols=2, mesh_rows=1),
+        machine = Machine(SCCConfig(topology="mesh:2x1"),
                           tracer=tracer)
         comm = make_communicator(machine, "blocking")
 
