@@ -51,6 +51,12 @@ Rules
     No ``==``/``!=`` on virtual-time floats (``ps_to_us(...)`` results,
     ``*_us`` values) — compare the integer picosecond values or use an
     explicit tolerance.
+``salted-hash``
+    No builtin ``hash(...)``: on ``str``/``bytes`` (and anything holding
+    them) it is salted per process by ``PYTHONHASHSEED``, so a value
+    derived from it that reaches a trace, a file or a cache key on disk
+    differs from run to run.  Use ``zlib.crc32``/``hashlib``; a key that
+    never leaves the process carries a waiver.
 ``unused-import``
     Imported names must be referenced (docstring/annotation mentions
     count; ``__init__.py`` re-export modules are exempt).
@@ -170,6 +176,7 @@ class _ModuleLint:
                 if deterministic:
                     self._check_unattributed(node)
                 self._check_span(node, with_items)
+                self._check_salted_hash(node)
             elif isinstance(node, ast.Subscript) and mpb_module:
                 self._check_data_poke(node)
             elif isinstance(node, ast.Compare):
@@ -304,6 +311,14 @@ class _ModuleLint:
             self.report(node, "span-unpaired",
                         "span(...) must be a `with` item so its "
                         "begin/end records always pair up")
+
+    def _check_salted_hash(self, node: ast.Call) -> None:
+        if isinstance(node.func, ast.Name) and node.func.id == "hash":
+            self.report(node, "salted-hash",
+                        "builtin hash() is salted per process for str/bytes "
+                        "(PYTHONHASHSEED); use zlib.crc32 or hashlib for a "
+                        "value that leaves the process (or waive an "
+                        "in-process key)")
 
     def _check_float_time_eq(self, node: ast.Compare) -> None:
         if not any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops):

@@ -12,7 +12,25 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
+
     from repro.hw.machine import Machine
+
+
+def uniform(view: "np.ndarray") -> Optional[int]:
+    """The one value every element of the non-empty 1-D ``view`` holds,
+    or ``None`` when they differ.
+
+    Protocol traffic reads and writes whole slots, so nearly every
+    interval a hook sees is uniform and its rule needs scalars only.  The
+    probe is one ``memcmp`` of the raw bytes against the first element
+    repeated — several times cheaper than a numpy compare-and-reduce on
+    slot-sized views.
+    """
+    raw = view.tobytes()
+    if raw == raw[:view.itemsize] * len(view):
+        return view.item(0)
+    return None
 
 
 class Monitor:
@@ -53,7 +71,8 @@ class Monitor:
 
     # -- reporting -------------------------------------------------------
     def _now(self) -> int:
-        return self.machine.sim.now if self.machine is not None else 0
+        machine = self.machine
+        return machine.sim._now if machine is not None else 0
 
     def _record(self, core: Optional[int], diagnostic: type,
                 **fields: Any) -> None:
@@ -82,7 +101,10 @@ class Monitor:
 
     # -- span context (fed by repro.obs.spans) ---------------------------
     def on_span_enter(self, core_id: int, name: str, detail: Any) -> None:
-        self._spans.setdefault(core_id, []).append((name, detail))
+        stack = self._spans.get(core_id)
+        if stack is None:
+            stack = self._spans[core_id] = []
+        stack.append((name, detail))
 
     def on_span_exit(self, core_id: int, name: str) -> None:
         stack = self._spans.get(core_id)

@@ -56,11 +56,12 @@ of ``selection_table.json``).  See docs/static-analysis.md.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, Sequence
+from typing import (TYPE_CHECKING, Any, Callable, Iterable, NamedTuple,
+                    Optional, Sequence)
 
 import numpy as np
 
-from repro.analysis.monitor import Monitor
+from repro.analysis.monitor import Monitor, uniform
 from repro.faults import FaultInjector, FaultPlan
 from repro.faults.errors import FaultError
 from repro.sim.errors import SimulationError
@@ -110,8 +111,7 @@ RULES = (
 )
 
 
-@dataclass(frozen=True)
-class Access:
+class Access(NamedTuple):
     """One endpoint of a candidate race."""
 
     core: int       #: acting core
@@ -227,25 +227,32 @@ class RaceDetector(Monitor):
 
     def __init__(self, max_diagnostics: int = 1000):
         super().__init__(max_diagnostics)
-        self._vc: Optional[np.ndarray] = None       #: (cores, cores) int64
-        self._last_release: Optional[np.ndarray] = None
+        #: One int64 clock per core: the rows of a (cores, cores) matrix,
+        #: split once so a hook indexes a list instead of slicing.
+        self._rows: list[np.ndarray] = []
+        #: ``_rows[c][c]`` mirrored as a Python int (only core c's ticks
+        #: move it; a join never does), so ticking and stamping an
+        #: access need no numpy scalar arithmetic.
+        self._own: list[int] = []
+        #: Each core's own clock at its most recent flag release; a write
+        #: with a larger clock has never been published.
+        self._last_release: list[int] = []
         self._flags: dict[tuple[int, str], _FlagState] = {}
         self._mpbs: dict[int, _MPBState] = {}
 
     def install(self, machine: "Machine") -> "RaceDetector":
         super().install(machine)
         n = machine.num_cores
-        self._vc = np.zeros((n, n), dtype=np.int64)
-        #: Each core's own clock at its most recent flag release; a write
-        #: with a larger clock has never been published.
-        self._last_release = np.zeros(n, dtype=np.int64)
+        self._rows = list(np.zeros((n, n), dtype=np.int64))
+        self._own = [0] * n
+        self._last_release = [0] * n
         for mpb in machine.mpbs:
             self._mpbs[mpb.core_id] = _MPBState(mpb.size)
         return self
 
     def clock_of(self, core: int) -> np.ndarray:
         """A copy of ``core``'s current vector clock (for tests)."""
-        return self._vc[core].copy()
+        return self._rows[core].copy()
 
     # -- reporting -------------------------------------------------------
     def _report(self, rule: str, owner: int, first: Access, second: Access,
@@ -263,9 +270,35 @@ class RaceDetector(Monitor):
 
     # -- clock plumbing --------------------------------------------------
     def _tick(self, core: int) -> int:
-        vc = self._vc
-        vc[core, core] += 1
-        return int(vc[core, core])
+        clk = self._own[core] = self._own[core] + 1
+        self._rows[core][core] = clk
+        return clk
+
+    def _unordered_writes(self, shadow: _MPBState, offset: int, end: int,
+                          core: int) -> Optional[np.ndarray]:
+        """Which bytes of ``[offset, end)`` were last written by another
+        core with no happens-before edge to ``core``'s clock: a boolean
+        mask over the interval, or ``None`` when every byte is ordered.
+
+        An interval holding one writer epoch — the usual case, a slot
+        written in one burst — is decided on two scalars.
+        """
+        wc = shadow.write_core[offset:end]
+        wk = shadow.write_clock[offset:end]
+        row = self._rows[core]
+        writer = uniform(wc)
+        if writer is not None:
+            if writer < 0 or writer == core:
+                return None
+            clock = uniform(wk)
+            if clock is not None and clock <= row.item(writer):
+                return None
+        mask = (wc >= 0) & (wc != core)
+        if not mask.any():
+            return None
+        racy = np.zeros(mask.shape, dtype=bool)
+        racy[mask] = wk[mask] > row[wc[mask]]
+        return racy if racy.any() else None
 
     # -- MPB hooks -------------------------------------------------------
     def on_oob(self, mpb: "MPB", kind: str, offset: int,
@@ -288,30 +321,26 @@ class RaceDetector(Monitor):
             return
         clk = self._tick(actor)
         now = self._now()
-        vc_actor = self._vc[actor]
         # W/W: overlapping bytes last written by another core, unordered.
-        wc = shadow.write_core[offset:end]
-        wk = shadow.write_clock[offset:end]
-        mask = (wc >= 0) & (wc != actor)
-        if mask.any():
-            racy = np.zeros(mask.shape, dtype=bool)
-            racy[mask] = wk[mask] > vc_actor[wc[mask]]
-            if racy.any():
-                i = int(np.flatnonzero(racy)[0])
-                first = Access(int(wc[i]), int(wk[i]), "write",
-                               int(shadow.write_time[offset + i]))
-                second = Access(actor, clk, "write", now)
-                self._report(
-                    "race-mpb-ww", mpb.core_id, first, second,
-                    offset=offset + i, nbytes=int(np.count_nonzero(racy)),
-                    message=f"{int(np.count_nonzero(racy))} B written by "
-                            f"core {int(wc[i])} with no happens-before "
-                            "edge to this overwrite")
+        racy = self._unordered_writes(shadow, offset, end, actor)
+        if racy is not None:
+            i = offset + int(np.flatnonzero(racy)[0])
+            writer = int(shadow.write_core[i])
+            count = int(np.count_nonzero(racy))
+            first = Access(writer, int(shadow.write_clock[i]), "write",
+                           int(shadow.write_time[i]))
+            second = Access(actor, clk, "write", now)
+            self._report(
+                "race-mpb-ww", mpb.core_id, first, second,
+                offset=i, nbytes=count,
+                message=f"{count} B written by core {writer} with no "
+                        "happens-before edge to this overwrite")
         # R/W: an unretired read by another core, unordered with us.
+        row = self._rows[actor]
         for (s, t, rcore, rclk, rtime) in shadow.reads:
             if t <= offset or s >= end or rcore == actor:
                 continue
-            if rclk > int(vc_actor[rcore]):
+            if rclk > row.item(rcore):
                 first = Access(rcore, rclk, "read", rtime)
                 second = Access(actor, clk, "write", now)
                 self._report(
@@ -334,39 +363,32 @@ class RaceDetector(Monitor):
         end = offset + nbytes
         clk = self._tick(actor)
         now = self._now()
-        vc_actor = self._vc[actor]
-        wc = shadow.write_core[offset:end]
-        wk = shadow.write_clock[offset:end]
-        mask = (wc >= 0) & (wc != actor)
-        if mask.any():
-            racy = np.zeros(mask.shape, dtype=bool)
-            racy[mask] = wk[mask] > vc_actor[wc[mask]]
-            if racy.any():
-                i = int(np.flatnonzero(racy)[0])
-                writer = int(wc[i])
-                wclk = int(wk[i])
-                first = Access(writer, wclk, "write",
-                               int(shadow.write_time[offset + i]))
-                second = Access(actor, clk, "read", now)
-                count = int(np.count_nonzero(racy))
-                if int(vc_actor[writer]) == 0:
-                    rule = "race-latency-coincidence"
-                    msg = (f"{count} B from core {writer} with no "
-                           "synchronization path at all between reader "
-                           "and writer; the observed order is pure "
-                           "latency coincidence")
-                elif int(self._last_release[writer]) < wclk:
-                    rule = "race-guarded-payload"
-                    msg = (f"{count} B written by core {writer} after "
-                           "its last flag release — the guard flag was "
-                           "raised before the payload it guards")
-                else:
-                    rule = "race-mpb-wr"
-                    msg = (f"{count} B published by core {writer} "
-                           "through a flag edge the reader never "
-                           "acquired")
-                self._report(rule, mpb.core_id, first, second,
-                             offset=offset + i, nbytes=count, message=msg)
+        racy = self._unordered_writes(shadow, offset, end, actor)
+        if racy is not None:
+            i = offset + int(np.flatnonzero(racy)[0])
+            writer = int(shadow.write_core[i])
+            wclk = int(shadow.write_clock[i])
+            first = Access(writer, wclk, "write", int(shadow.write_time[i]))
+            second = Access(actor, clk, "read", now)
+            count = int(np.count_nonzero(racy))
+            if self._rows[actor].item(writer) == 0:
+                rule = "race-latency-coincidence"
+                msg = (f"{count} B from core {writer} with no "
+                       "synchronization path at all between reader "
+                       "and writer; the observed order is pure "
+                       "latency coincidence")
+            elif self._last_release[writer] < wclk:
+                rule = "race-guarded-payload"
+                msg = (f"{count} B written by core {writer} after "
+                       "its last flag release — the guard flag was "
+                       "raised before the payload it guards")
+            else:
+                rule = "race-mpb-wr"
+                msg = (f"{count} B published by core {writer} "
+                       "through a flag edge the reader never "
+                       "acquired")
+            self._report(rule, mpb.core_id, first, second,
+                         offset=i, nbytes=count, message=msg)
         shadow.reads.append((offset, end, actor, clk, now))
 
     def on_alloc(self, mpb: "MPB", offset: int, nbytes: int) -> None:
@@ -374,38 +396,33 @@ class RaceDetector(Monitor):
         ever allocate in their own MPB).  Covering bytes another core
         wrote or read without a happens-before edge to the owner means
         the slot is being recycled under a peer still using it."""
-        if self._vc is None:
+        if not self._rows:
             return
         owner = mpb.core_id
         shadow = self._mpbs[owner]
         end = offset + nbytes
-        vc_owner = self._vc[owner]
         now = self._now()
-        wc = shadow.write_core[offset:end]
-        wk = shadow.write_clock[offset:end]
-        mask = (wc >= 0) & (wc != owner)
-        if mask.any():
-            racy = np.zeros(mask.shape, dtype=bool)
-            racy[mask] = wk[mask] > vc_owner[wc[mask]]
-            if racy.any():
-                i = int(np.flatnonzero(racy)[0])
-                first = Access(int(wc[i]), int(wk[i]), "write",
-                               int(shadow.write_time[offset + i]))
-                second = Access(owner, int(vc_owner[owner]), "alloc", now)
-                self._report(
-                    "race-alloc-unordered", owner, first, second,
-                    offset=offset + i,
-                    nbytes=int(np.count_nonzero(racy)),
-                    message=f"allocation covers bytes core {int(wc[i])} "
-                            "wrote with no happens-before edge to the "
-                            "owner (slot reuse without a completed "
-                            "handshake)")
+        racy = self._unordered_writes(shadow, offset, end, owner)
+        if racy is not None:
+            i = offset + int(np.flatnonzero(racy)[0])
+            writer = int(shadow.write_core[i])
+            first = Access(writer, int(shadow.write_clock[i]), "write",
+                           int(shadow.write_time[i]))
+            second = Access(owner, self._own[owner], "alloc", now)
+            self._report(
+                "race-alloc-unordered", owner, first, second,
+                offset=i, nbytes=int(np.count_nonzero(racy)),
+                message=f"allocation covers bytes core {writer} "
+                        "wrote with no happens-before edge to the "
+                        "owner (slot reuse without a completed "
+                        "handshake)")
+        row = self._rows[owner]
         for (s, t, rcore, rclk, rtime) in shadow.reads:
             if t <= offset or s >= end or rcore == owner:
                 continue
-            if rclk > int(vc_owner[rcore]):
+            if rclk > row.item(rcore):
                 first = Access(rcore, rclk, "read", rtime)
-                second = Access(owner, int(vc_owner[owner]), "alloc", now)
+                second = Access(owner, self._own[owner], "alloc", now)
                 self._report(
                     "race-alloc-unordered", owner, first, second,
                     offset=max(s, offset), nbytes=min(t, end) - max(s, offset),
@@ -440,9 +457,10 @@ class RaceDetector(Monitor):
         state = self._flag_state(flag)
         clk = self._tick(actor)
         now = self._now()
+        row = self._rows[actor]
         last = state.last
         if (last is not None and last.core != actor
-                and last.clock > int(self._vc[actor][last.core])):
+                and last.clock > row.item(last.core)):
             op = "set" if level else "clear"
             rule = ("race-flag-set-set" if level and last.op == "set"
                     else "race-flag-set-clear")
@@ -453,7 +471,7 @@ class RaceDetector(Monitor):
                         f"core {last.core}'s {last.op} — one of the two "
                         "transitions can be lost")
         state.last = Access(actor, clk, "set" if level else "clear", now)
-        np.maximum(state.vc, self._vc[actor], out=state.vc)
+        np.maximum(state.vc, row, out=state.vc)
         self._last_release[actor] = clk
 
     def on_flag_observed(self, flag: "Flag", level: bool,
@@ -461,7 +479,8 @@ class RaceDetector(Monitor):
         """A completed wait: the waiter acquires the flag's clock."""
         state = self._flags.get((flag.owner, flag.name))
         if state is not None:
-            np.maximum(self._vc[actor], state.vc, out=self._vc[actor])
+            row = self._rows[actor]
+            np.maximum(row, state.vc, out=row)
 
     def on_flag_force(self, flag: "Flag", level: bool,
                       actor: Optional[int] = None) -> None:
@@ -478,7 +497,7 @@ class RaceDetector(Monitor):
         state.last = None
         if actor is not None:
             clk = self._tick(actor)
-            np.maximum(state.vc, self._vc[actor], out=state.vc)
+            np.maximum(state.vc, self._rows[actor], out=state.vc)
             self._last_release[actor] = clk
 
 

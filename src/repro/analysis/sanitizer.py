@@ -49,7 +49,7 @@ from typing import TYPE_CHECKING, Any, Optional
 
 import numpy as np
 
-from repro.analysis.monitor import Monitor
+from repro.analysis.monitor import Monitor, uniform
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.hw.flags import Flag
@@ -65,6 +65,11 @@ class ByteState(IntEnum):
     PUBLISHED = 2  #: writer set a flag after writing
     CONSUMED = 3   #: read by a non-writer after publication
     STALE = 4      #: invalidated (corrupted after write/publish)
+
+
+#: The states as plain ints, for the hooks' comparisons and stores (an
+#: ``IntEnum`` member costs a metaclass attribute lookup at every use).
+_UNWRITTEN, _WRITTEN, _PUBLISHED, _CONSUMED, _STALE = map(int, ByteState)
 
 
 #: Diagnostic rule identifiers (the catalogue in docs/static-analysis.md).
@@ -184,6 +189,10 @@ class Sanitizer(Monitor):
                      nbytes=nbytes,
                      message=f"{kind} outside MPB of {mpb.size} B")
 
+    # Every MPB hook first probes whether the interval is uniform and, if
+    # its rule then finds nothing to report, applies the transition to the
+    # whole interval and returns.  Mixed intervals, and every finding, go
+    # through the per-byte rule bodies below the probe.
     def on_write(self, mpb: "MPB", offset: int, nbytes: int,
                  actor: Optional[int]) -> None:
         if nbytes <= 0:
@@ -198,15 +207,17 @@ class Sanitizer(Monitor):
                     nbytes=nbytes,
                     message="payload write overlaps the reserved flag "
                             "region")
-            pending = int(np.count_nonzero(st == ByteState.PUBLISHED))
-            if pending:
-                self._report(
-                    "write-while-reader-pending", actor, mpb.core_id,
-                    offset=offset, nbytes=nbytes,
-                    message=f"{pending} B still published to a reader that "
-                            "has not consumed them (missing ready "
-                            "handshake?)")
-        st[:] = ByteState.WRITTEN if actor is not None else ByteState.PUBLISHED
+            state = uniform(st)
+            if state is None or state == _PUBLISHED:
+                pending = int(np.count_nonzero(st == _PUBLISHED))
+                if pending:
+                    self._report(
+                        "write-while-reader-pending", actor, mpb.core_id,
+                        offset=offset, nbytes=nbytes,
+                        message=f"{pending} B still published to a reader "
+                                "that has not consumed them (missing ready "
+                                "handshake?)")
+        st[:] = _WRITTEN if actor is not None else _PUBLISHED
         shadow.writer[offset:end] = actor if actor is not None else -1
         shadow.reader[offset:end] = -1
         if actor is not None:
@@ -222,30 +233,48 @@ class Sanitizer(Monitor):
         st = shadow.state[offset:end]
         wr = shadow.writer[offset:end]
         rd = shadow.reader[offset:end]
-        stale = int(np.count_nonzero(st == ByteState.STALE))
+        state = uniform(st)
+        if state == _PUBLISHED:
+            writer = uniform(wr)
+            if writer is not None:
+                if writer != actor:     # the protocol's one legal read
+                    st[:] = _CONSUMED
+                    rd[:] = actor
+                return
+        elif state == _CONSUMED:
+            reader = uniform(rd)
+            if reader is not None and reader != actor:
+                if reader >= 0:
+                    rd[:] = actor
+                return
+        elif state == _WRITTEN:
+            writer = uniform(wr)
+            if writer is not None and (writer == actor or writer < 0):
+                return
+        stale = int(np.count_nonzero(st == _STALE))
         if stale:
             self._report(
                 "stale-read", actor, mpb.core_id, offset=offset,
                 nbytes=nbytes,
                 message=f"{stale} B were invalidated after publication "
                         "(corrupted or superseded)")
-        unpub = int(np.count_nonzero(
-            (st == ByteState.WRITTEN) & (wr != actor) & (wr >= 0)))
+        unpublished = (st == _WRITTEN) & (wr != actor) & (wr >= 0)
+        unpub = int(np.count_nonzero(unpublished))
         if unpub:
             self._report(
                 "read-before-publish", actor, mpb.core_id, offset=offset,
                 nbytes=nbytes,
                 message=f"{unpub} B written by core "
-                        f"{int(wr[(st == ByteState.WRITTEN) & (wr >= 0)][0])}"
+                        f"{int(wr[unpublished][0])}"
                         " but never published through a flag")
-        uninit = int(np.count_nonzero(st == ByteState.UNWRITTEN))
+        uninit = int(np.count_nonzero(st == _UNWRITTEN))
         if uninit:
             self._report(
                 "uninit-read", actor, mpb.core_id, offset=offset,
                 nbytes=nbytes,
                 message=f"{uninit} B have never been written")
         reread = int(np.count_nonzero(
-            (st == ByteState.CONSUMED) & (rd == actor)))
+            (st == _CONSUMED) & (rd == actor)))
         if reread:
             self._report(
                 "stale-read", actor, mpb.core_id, offset=offset,
@@ -253,26 +282,28 @@ class Sanitizer(Monitor):
                 message=f"{reread} B re-read by their consumer without an "
                         "intervening write (duplicate/stale data)")
         # Transition: published bytes read by a non-writer are consumed.
-        consume = (st == ByteState.PUBLISHED) & (wr != actor)
-        st[consume] = ByteState.CONSUMED
+        consume = (st == _PUBLISHED) & (wr != actor)
+        st[consume] = _CONSUMED
         rd[consume] = actor
         # A different reader of consumed bytes is a legal multi-consumer
         # pattern; record the most recent reader.
-        rd[(st == ByteState.CONSUMED) & (rd != actor) & (rd >= 0)] = actor
+        rd[(st == _CONSUMED) & (rd != actor) & (rd >= 0)] = actor
 
     def on_alloc(self, mpb: "MPB", offset: int, nbytes: int) -> None:
         shadow = self._mpbs[mpb.core_id]
         end = offset + nbytes
         st = shadow.state[offset:end]
-        busy = int(np.count_nonzero(
-            (st == ByteState.WRITTEN) | (st == ByteState.PUBLISHED)))
-        if busy:
-            self._report(
-                "overlapping-alloc", None, mpb.core_id, offset=offset,
-                nbytes=nbytes,
-                message=f"allocation covers {busy} B of unconsumed data "
-                        "from a previous slot (double-free / slot reuse "
-                        "without a flag round)")
+        state = uniform(st)
+        if state is None or state == _WRITTEN or state == _PUBLISHED:
+            busy = int(np.count_nonzero(
+                (st == _WRITTEN) | (st == _PUBLISHED)))
+            if busy:
+                self._report(
+                    "overlapping-alloc", None, mpb.core_id, offset=offset,
+                    nbytes=nbytes,
+                    message=f"allocation covers {busy} B of unconsumed data "
+                            "from a previous slot (double-free / slot reuse "
+                            "without a flag round)")
         shadow.live.append((offset, end))
 
     def on_reset_alloc(self, mpb: "MPB") -> None:
@@ -281,7 +312,7 @@ class Sanitizer(Monitor):
     def on_clear(self, mpb: "MPB") -> None:
         """``MPB.clear``: a full reset is setup, not protocol traffic."""
         shadow = self._mpbs[mpb.core_id]
-        shadow.state[:] = ByteState.UNWRITTEN
+        shadow.state[:] = _UNWRITTEN
         shadow.writer[:] = -1
         shadow.reader[:] = -1
         shadow.live.clear()
@@ -291,7 +322,7 @@ class Sanitizer(Monitor):
     def on_corrupt(self, mpb: "MPB", offset: int) -> None:
         """Injected payload corruption invalidates the byte: a later read
         without an intervening (repairing) write is a stale read."""
-        self._mpbs[mpb.core_id].state[offset] = ByteState.STALE
+        self._mpbs[mpb.core_id].state[offset] = _STALE
 
     # -- flag hooks ------------------------------------------------------
     def _flag_shadow(self, flag: "Flag") -> _FlagShadow:
@@ -306,12 +337,14 @@ class Sanitizer(Monitor):
         intervals = self._pending.get(actor)
         if not intervals:
             return
-        written = ByteState.WRITTEN
         for mpb_id, start, end in intervals:
             shadow = self._mpbs[mpb_id]
             st = shadow.state[start:end]
-            mask = (st == written) & (shadow.writer[start:end] == actor)
-            st[mask] = ByteState.PUBLISHED
+            wr = shadow.writer[start:end]
+            if uniform(st) == _WRITTEN and uniform(wr) == actor:
+                st[:] = _PUBLISHED      # nobody wrote over it since
+            else:
+                st[(st == _WRITTEN) & (wr == actor)] = _PUBLISHED
         intervals.clear()
 
     def on_flag_write(self, flag: "Flag", level: bool, actor: int) -> None:

@@ -2,9 +2,7 @@
 
 The paper repeats each operation 10000x on silicon and averages; the
 simulator is deterministic, so a single repetition gives the exact
-latency.  (A ``repeats`` knob exists anyway: with warm-up repetitions the
-measured operation runs in the pipeline steady state, which matters for
-the tightly coupled ring algorithms.)
+latency.
 
 Environment knobs honoured by the benchmark suite:
 

@@ -206,6 +206,11 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         paths = prof.write(args.out)
         for path in paths.values():
             print(f"wrote {path}")
+        dropped = prof.machine.sim.tracer.dropped
+        if dropped:
+            print(f"warning: the tracer reached its capacity and dropped "
+                  f"{dropped} record(s); the trace and the phase table "
+                  f"are cut short", file=sys.stderr)
         print()
     return 0
 

@@ -53,54 +53,57 @@ class Flag:
 
     def _write_by(self, core: "Core", level: bool) -> Generator:
         machine = self.machine
-        cost = machine.latency.flag_write(core.core_id, self.owner)
+        cost = charge = machine.latency.flag_write(core.core_id, self.owner)
         faults = machine.faults
-        if faults is None:
-            # Inline of Core.consume's fault-free fast path (flag writes
-            # are the single most frequent charge in the MPB protocols;
-            # skipping the extra generator frame is measurable).  Keep in
-            # sync with :meth:`repro.hw.machine.Core.consume`.
-            cpu = core.cpu
-            if cpu._locked or cpu._queue:
-                grant = cpu.acquire()
-                try:
-                    yield grant
-                except Interrupt:
-                    cpu.abandon(grant)
-                    raise
-            else:
-                cpu._locked = True
+        stall = 0
+        if faults is not None:
+            # Mesh jitter on the write is one more term of the charge.
+            charge += faults.mesh_extra_ps(core.core_id, self.owner)
+            if charge > 0:
+                stall = faults.stall_ps(core.core_id)
+        # Inline of Core.consume (flag writes are the single most frequent
+        # charge in the MPB protocols; skipping the extra generator frame
+        # is measurable).  Keep in sync with
+        # :meth:`repro.hw.machine.Core.consume`.
+        cpu = core.cpu
+        if cpu._locked or cpu._queue:
+            grant = cpu.acquire()
             try:
-                if cost > 0:
-                    yield cost
-                core.account.states["overhead"] += cost
-            finally:
-                queue = cpu._queue
-                if queue:
-                    queue.popleft().succeed()
-                else:
-                    cpu._locked = False
-            if machine.san is not None:
-                machine.san.on_flag_write(self, level, core.core_id)
-            self._apply(level)
-            return
-        # Fault-aware path: mesh jitter on the write, and a write-verify
-        # loop against lost flag writes — the writer reads the flag back
-        # (one MPB access) and rewrites until the level sticks, bounded
-        # by the plan's retry budget.
-        jitter = faults.mesh_extra_ps(core.core_id, self.owner)
-        yield from core.consume(cost + jitter, "overhead")
-        attempts = 0
-        while faults.flag_write_dropped(core.core_id, self.owner, self.name):
-            attempts += 1
-            if attempts > faults.plan.max_retries:
-                faults.raise_fault(
-                    "flag_write",
-                    f"flag write lost {attempts} times",
-                    actor=f"core{core.core_id}", owner=self.owner,
-                    flag=self.name, level=level)
-            verify = machine.latency.mpb_access(core.core_id, self.owner)
-            yield from core.consume(verify + cost, "overhead")
+                yield grant
+            except Interrupt:
+                cpu.abandon(grant)
+                raise
+        else:
+            cpu._locked = True
+        try:
+            if stall:
+                yield stall
+                core.account.states["stall"] += stall
+            if charge > 0:
+                yield charge
+            core.account.states["overhead"] += charge
+        finally:
+            queue = cpu._queue
+            if queue:
+                queue.popleft().succeed()
+            else:
+                cpu._locked = False
+        if faults is not None:
+            # Write-verify against lost flag writes: the writer reads the
+            # flag back (one MPB access) and rewrites until the level
+            # sticks, bounded by the plan's retry budget.
+            attempts = 0
+            while faults.flag_write_dropped(core.core_id, self.owner,
+                                            self.name):
+                attempts += 1
+                if attempts > faults.plan.max_retries:
+                    faults.raise_fault(
+                        "flag_write",
+                        f"flag write lost {attempts} times",
+                        actor=f"core{core.core_id}", owner=self.owner,
+                        flag=self.name, level=level)
+                verify = machine.latency.mpb_access(core.core_id, self.owner)
+                yield from core.consume(verify + cost, "overhead")
         if machine.san is not None:
             machine.san.on_flag_write(self, level, core.core_id)
         self._apply(level)

@@ -52,47 +52,38 @@ class Core:
     def consume(self, duration_ps: int, state: str = "compute") -> Generator:
         """Occupy the core for ``duration_ps``, accounted under ``state``.
 
-        The fault-free path is the kernel's hottest generator (one call
-        per modeled latency charge), so it inlines the lock fast path
-        (and :meth:`FifoLock.acquired`) and the account update; the
-        fault-aware path keeps the readable layered form.
+        This is the kernel's hottest generator (one call per modeled
+        latency charge), so it inlines the lock fast path (and
+        :meth:`FifoLock.acquired`) and the account update.  A fault
+        injector only adds a term: a transient stall, drawn before the
+        lock is requested and held first, accounted as ``stall``.
         """
-        machine = self.machine
-        if machine.faults is None:
-            cpu = self.cpu
-            if cpu._locked or cpu._queue:
-                grant = cpu.acquire()
-                try:
-                    yield grant
-                except Interrupt:
-                    cpu.abandon(grant)
-                    raise
-            else:
-                cpu._locked = True
+        faults = self.machine.faults
+        stall = (faults.stall_ps(self.core_id)
+                 if faults is not None and duration_ps > 0 else 0)
+        cpu = self.cpu
+        if cpu._locked or cpu._queue:
+            grant = cpu.acquire()
             try:
-                if duration_ps > 0:
-                    yield duration_ps
-                self.account.states[state] += duration_ps
-            finally:
-                queue = cpu._queue
-                if queue:
-                    queue.popleft().succeed()
-                else:
-                    cpu._locked = False
-            return
-        faults = machine.faults
-        stall = faults.stall_ps(self.core_id) if duration_ps > 0 else 0
-        if not self.cpu.try_acquire():
-            yield from self.cpu.acquired()
+                yield grant
+            except Interrupt:
+                cpu.abandon(grant)
+                raise
+        else:
+            cpu._locked = True
         try:
-            if stall > 0:
-                yield machine.sim.timeout(stall)
-                self.account.add("stall", stall)
+            if stall:
+                yield stall
+                self.account.states["stall"] += stall
             if duration_ps > 0:
-                yield machine.sim.timeout(duration_ps)
-            self.account.add(state, duration_ps)
+                yield duration_ps
+            self.account.states[state] += duration_ps
         finally:
-            self.cpu.release()
+            queue = cpu._queue
+            if queue:
+                queue.popleft().succeed()
+            else:
+                cpu._locked = False
 
     def wait(self, event: Event, state: str = "wait") -> Generator:
         """Wait on ``event`` without occupying the core; time is accounted

@@ -27,6 +27,7 @@ from repro.hw.machine import CoreEnv, Machine
 from repro.rcce.api import RCCE, take_announcement
 from repro.sim.events import AllOf, Interrupt
 from repro.sim.resources import FifoLock
+from repro.sim.trace import core_actor
 
 #: Wildcard source rank for :meth:`NonBlockingLayer.irecv` (iRCCE only).
 ANY = -1
@@ -235,7 +236,7 @@ class NonBlockingLayer:
         except Interrupt:
             return None
         if tracer.enabled:
-            tracer.emit(env.now, f"core{env.core_id}", "send.begin", dst)
+            tracer.emit(env.now, core_actor(env.core_id), "send.begin", dst)
         try:
             yield from self._proto._send_body(env, raw, dst)
         except Interrupt:
@@ -243,7 +244,7 @@ class NonBlockingLayer:
         finally:
             lock.release()
         if tracer.enabled:
-            tracer.emit(env.now, f"core{env.core_id}", "send.end", dst)
+            tracer.emit(env.now, core_actor(env.core_id), "send.end", dst)
         self._retire(env, "send")
         return None
 
@@ -251,7 +252,7 @@ class NonBlockingLayer:
                    src: int) -> Generator:
         tracer = self.machine.sim.tracer
         if tracer.enabled:
-            tracer.emit(env.now, f"core{env.core_id}", "recv.begin", src)
+            tracer.emit(env.now, core_actor(env.core_id), "recv.begin", src)
         try:
             if src == ANY:
                 src = yield from self._match_any(env, req)
@@ -265,7 +266,7 @@ class NonBlockingLayer:
         except Interrupt:
             return None
         if tracer.enabled:
-            tracer.emit(env.now, f"core{env.core_id}", "recv.end", src)
+            tracer.emit(env.now, core_actor(env.core_id), "recv.end", src)
         self._retire(env, "recv")
         return None
 

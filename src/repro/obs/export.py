@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import csv
 import json
+import zlib
+from functools import lru_cache
 from typing import TYPE_CHECKING, Any, Iterable, Optional, Sequence, TextIO, Union
 
 from repro.obs.spans import Span, extract_spans
@@ -38,10 +40,21 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 WAIT_STATES = ("wait_flag", "wait_request", "wait_port", "idle", "stall")
 
 
+#: Detail types that are JSON as they stand (exact classes: a subclass
+#: may not serialise the same way, so it takes the ``json.dumps`` probe).
+_JSON_SCALARS = frozenset((int, str, float, bool, type(None)))
+
+
+@lru_cache(maxsize=1024)
 def _actor_tid(actor: str) -> int:
-    """Stable numeric thread id for an actor name (``core7`` -> 7)."""
+    """Stable numeric thread id for an actor name (``core7`` -> 7).
+
+    Actors without digits (the fault injector's ``"faults"``) get a CRC
+    of the name: the same id in every process, whatever
+    ``PYTHONHASHSEED`` is.
+    """
     digits = "".join(ch for ch in actor if ch.isdigit())
-    return int(digits) if digits else abs(hash(actor)) % 10_000
+    return int(digits) if digits else zlib.crc32(actor.encode()) % 10_000
 
 
 # --------------------------------------------------------------------- #
@@ -69,22 +82,23 @@ def chrome_trace_events(records: Sequence["TraceRecord"],
     for sp in spans:
         event: dict[str, Any] = {
             "name": sp.name, "ph": "X", "cat": "sim",
-            "ts": ps_to_us(sp.start_ps), "dur": ps_to_us(sp.duration_ps),
+            "ts": ps_to_us(sp.start_ps),
+            "dur": ps_to_us(sp.end_ps - sp.start_ps),
             "pid": pid, "tid": _actor_tid(sp.actor),
         }
         if sp.detail is not None:
             event["args"] = {"detail": _jsonable(sp.detail)}
         events.append(event)
-    for rec in records:
-        if rec.tag.endswith(".begin") or rec.tag.endswith(".end"):
+    for time_ps, actor, tag, detail in records:
+        if tag.endswith((".begin", ".end")):
             continue  # represented as "X" duration events above
         event = {
-            "name": rec.tag, "ph": "i", "cat": "sim", "s": "t",
-            "ts": ps_to_us(rec.time_ps), "pid": pid,
-            "tid": _actor_tid(rec.actor),
+            "name": tag, "ph": "i", "cat": "sim", "s": "t",
+            "ts": ps_to_us(time_ps), "pid": pid,
+            "tid": _actor_tid(actor),
         }
-        if rec.detail is not None:
-            event["args"] = {"detail": _jsonable(rec.detail)}
+        if detail is not None:
+            event["args"] = {"detail": _jsonable(detail)}
         events.append(event)
     return events
 
@@ -102,6 +116,8 @@ def write_chrome_trace(path_or_file: Union[str, TextIO],
 
 
 def _jsonable(value: Any) -> Any:
+    if value.__class__ in _JSON_SCALARS:
+        return value
     try:
         json.dumps(value)
         return value
@@ -175,12 +191,18 @@ def mpb_counters(machine: "Machine") -> list[dict[str, Any]]:
 
 def run_metrics(machine: "Machine", result: "SPMDResult",
                 meta: Optional[dict[str, Any]] = None) -> dict[str, Any]:
-    """The full machine-readable profile of one SPMD run."""
+    """The full machine-readable profile of one SPMD run.
+
+    ``meta["trace_dropped"]`` counts the records the machine's tracer
+    refused at its capacity limit: non-zero means the trace (and every
+    span table built from it) is cut short.
+    """
     cores = account_metrics(result.accounts)
     total = sum(r["total_ps"] for r in cores)
     wait = sum(r["wait_ps"] for r in cores)
     metrics = {
-        "meta": dict(meta or {}),
+        "meta": {**(meta or {}),
+                 "trace_dropped": machine.sim.tracer.dropped},
         "elapsed_us": result.elapsed_us,
         "wait_fraction": wait / total if total else 0.0,
         "cores": cores,

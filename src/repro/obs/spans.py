@@ -26,7 +26,10 @@ instrumented run and an uninstrumented run have identical timing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import TYPE_CHECKING, Any, Iterable, Optional
+
+from repro.sim.trace import core_actor
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.trace import TraceRecord
@@ -61,40 +64,69 @@ class _NullSpan:
 _NULL_SPAN = _NullSpan()
 
 
+@lru_cache(maxsize=None)
+def _edge_tags(name: str) -> tuple[str, str]:
+    """The ``.begin``/``.end`` tag pair of a span name, built once: a
+    trace shares two tag strings per name instead of two per span."""
+    return f"{name}.begin", f"{name}.end"
+
+
 class _LiveSpan:
     """Emits the ``.begin`` / ``.end`` record pair around a block.
 
-    When a runtime sanitizer is attached to the simulator, the span also
-    feeds the sanitizer's per-core protocol context (so diagnostics can
+    When a runtime monitor is attached to the simulator, the span also
+    feeds the monitor's per-core protocol context (so diagnostics can
     name the collective, round and phase they fired inside) — still pure
     observation, no simulated time is consumed either way.
     """
 
-    __slots__ = ("_env", "_tracer", "_san", "name", "detail")
+    __slots__ = ("_env", "_tracer", "_san", "_actor", "_tags", "name",
+                 "detail")
 
     def __init__(self, env: Any, tracer: Any, san: Any, name: str,
                  detail: Any):
         self._env = env
         self._tracer = tracer
         self._san = san
+        self._actor = core_actor(env.core_id)
+        self._tags = _edge_tags(name)
         self.name = name
         self.detail = detail
 
     def __enter__(self) -> "_LiveSpan":
-        if self._tracer.enabled:
-            self._tracer.emit(self._env.now, f"core{self._env.core_id}",
-                              f"{self.name}.begin", self.detail)
+        self._tracer.emit(self._env.now, self._actor, self._tags[0],
+                          self.detail)
         if self._san is not None:
             self._san.on_span_enter(self._env.core_id, self.name,
                                     self.detail)
         return self
 
     def __exit__(self, *exc: Any) -> None:
-        if self._tracer.enabled:
-            self._tracer.emit(self._env.now, f"core{self._env.core_id}",
-                              f"{self.name}.end", self.detail)
+        self._tracer.emit(self._env.now, self._actor, self._tags[1],
+                          self.detail)
         if self._san is not None:
             self._san.on_span_exit(self._env.core_id, self.name)
+        return None
+
+
+class _MonitorSpan:
+    """A span of a run with a monitor but no tracer: it only keeps the
+    monitor's per-core span stack, and records nothing."""
+
+    __slots__ = ("_san", "_core_id", "name", "detail")
+
+    def __init__(self, san: Any, core_id: int, name: str, detail: Any):
+        self._san = san
+        self._core_id = core_id
+        self.name = name
+        self.detail = detail
+
+    def __enter__(self) -> "_MonitorSpan":
+        self._san.on_span_enter(self._core_id, self.name, self.detail)
+        return self
+
+    def __exit__(self, *exc: Any) -> None:
+        self._san.on_span_exit(self._core_id, self.name)
         return None
 
 
@@ -109,17 +141,19 @@ def span(env: Any, name: str, detail: Any = None) -> Any:
 
     ``env`` is anything with ``now``, ``core_id`` and a reachable tracer
     (a :class:`~repro.hw.machine.CoreEnv`).  Disabled tracer and no
-    attached sanitizer → shared no-op, no records, no allocation.
+    attached monitor → shared no-op, no records, no allocation.
     """
     sim = env.sim
     tracer = sim.tracer
     san = sim.san
-    if san is None and not tracer.enabled:
-        return _NULL_SPAN
+    if not tracer.enabled:
+        if san is None:
+            return _NULL_SPAN
+        return _MonitorSpan(san, env.core_id, name, detail)
     return _LiveSpan(env, tracer, san, name, detail)
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Span:
     """One reassembled interval of one actor's activity."""
 
@@ -155,35 +189,50 @@ def extract_spans(records: Iterable["TraceRecord"]) -> list[Span]:
     """
     done: list[Span] = []
     open_stack: dict[str, list[Span]] = {}
-    for rec in records:
-        if rec.tag.endswith(".begin"):
-            stack = open_stack.setdefault(rec.actor, [])
-            parent = stack[-1] if stack else None
-            sp = Span(rec.actor, rec.tag[:-6], rec.time_ps, rec.time_ps,
-                      rec.detail, depth=len(stack), parent=parent)
-            stack.append(sp)
-        elif rec.tag.endswith(".end"):
-            name = rec.tag[:-4]
-            stack = open_stack.get(rec.actor, [])
-            # Close the innermost open span of this name; anything opened
-            # deeper that never closed is discarded as malformed.
-            index = None
-            for i in range(len(stack) - 1, -1, -1):
-                if stack[i].name == name:
-                    index = i
+    #: tag -> (opens a span?, span name), or None for a point record;
+    #: a trace has a handful of distinct tags, each parsed once.
+    edges: dict[str, Optional[tuple[bool, str]]] = {}
+    for time_ps, actor, tag, detail in records:
+        try:
+            edge = edges[tag]
+        except KeyError:
+            name, dot, kind = tag.rpartition(".")
+            edge = edges[tag] = ((kind == "begin", name)
+                                 if dot and kind in ("begin", "end")
+                                 else None)
+        if edge is None:
+            continue
+        opens, name = edge
+        if opens:
+            stack = open_stack.get(actor)
+            if stack is None:
+                stack = open_stack[actor] = []
+            stack.append(Span(actor, name, time_ps, time_ps, detail,
+                              len(stack), stack[-1] if stack else None))
+            continue
+        stack = open_stack.get(actor)
+        if not stack:
+            continue
+        # Close the innermost open span of this name; anything opened
+        # deeper that never closed is discarded as malformed.
+        sp = stack[-1]
+        if sp.name == name:
+            stack.pop()
+        else:
+            for index in range(len(stack) - 2, -1, -1):
+                if stack[index].name == name:
                     break
-            if index is None:
+            else:
                 continue
             sp = stack[index]
             del stack[index:]
-            sp.end_ps = rec.time_ps
-            if sp.parent is not None and any(sp.parent is s for s in stack):
-                sp.parent.children.append(sp)
-            else:
-                sp.parent = None
-                sp.depth = 0
-            done.append(sp)
-    done.sort(key=lambda s: (s.start_ps, -s.duration_ps))
+        sp.end_ps = time_ps
+        # The parent is the entry below on the stack, so it is still open.
+        if sp.parent is not None:
+            sp.parent.children.append(sp)
+        done.append(sp)
+    # By start, the longer (outer) span first among equal starts.
+    done.sort(key=lambda s: (s.start_ps, -s.end_ps))
     return done
 
 

@@ -35,6 +35,7 @@ from repro.hw.machine import CoreEnv, Machine
 from repro.hw.mpb import MPBRegion, as_bytes
 from repro.obs.spans import span
 from repro.rcce.transfer import get_bytes, put_bytes
+from repro.sim.trace import core_actor
 
 
 class RCCEError(Exception):
@@ -74,8 +75,11 @@ def _xfer_state(machine: Machine, src_core: int, dst_core: int) -> dict:
     doubly synchronizing, so at most one chunk is in flight at a time.
     """
     channels = machine.services.setdefault("faults.xfer", {})
-    return channels.setdefault((src_core, dst_core),
-                               {"seq_out": 0, "seq_in": 0, "frame": None})
+    key = (src_core, dst_core)
+    state = channels.get(key)
+    if state is None:
+        state = channels[key] = {"seq_out": 0, "seq_in": 0, "frame": None}
+    return state
 
 
 def record_message(machine: Machine, src: int, dst: int,
@@ -142,12 +146,12 @@ class RCCE:
         cfg = env.config
         tracer = self.machine.sim.tracer
         if tracer.enabled:
-            tracer.emit(env.now, f"core{env.core_id}", "send.begin", dst)
+            tracer.emit(env.now, core_actor(env.core_id), "send.begin", dst)
         yield from env.consume(
             env.latency.core_cycles(cfg.rcce_send_call_cycles), "overhead")
         yield from self._send_body(env, as_bytes(data), dst)
         if tracer.enabled:
-            tracer.emit(env.now, f"core{env.core_id}", "send.end", dst)
+            tracer.emit(env.now, core_actor(env.core_id), "send.end", dst)
 
     def recv(self, env: CoreEnv, out: np.ndarray, src: int) -> Generator:
         """Blocking receive into ``out`` from rank ``src``.
@@ -160,13 +164,30 @@ class RCCE:
         cfg = env.config
         tracer = self.machine.sim.tracer
         if tracer.enabled:
-            tracer.emit(env.now, f"core{env.core_id}", "recv.begin", src)
+            tracer.emit(env.now, core_actor(env.core_id), "recv.begin", src)
         yield from env.consume(
             env.latency.core_cycles(cfg.rcce_recv_call_cycles), "overhead")
         yield from self._recv_body(env, out.view(np.uint8).reshape(-1), src)
         if tracer.enabled:
-            tracer.emit(env.now, f"core{env.core_id}", "recv.end", src)
+            tracer.emit(env.now, core_actor(env.core_id), "recv.end", src)
         return out
+
+    def _channel(self, src_core: int, dst_core: int
+                 ) -> tuple[MPBRegion, Flag, Flag]:
+        """The src→dst channel's send buffer, ``sent`` and ``ready`` flags
+        out of the handle caches."""
+        machine = self.machine
+        buf = self._buffers.get(src_core)
+        if buf is None:
+            buf = self._buffers[src_core] = comm_buffer(machine, src_core)
+        key = (src_core, dst_core)
+        sent = self._sent.get(key)
+        if sent is None:
+            sent = self._sent[key] = sent_flag(machine, src_core, dst_core)
+        ready = self._ready.get(key)
+        if ready is None:
+            ready = self._ready[key] = ready_flag(machine, src_core, dst_core)
+        return buf, sent, ready
 
     # -- protocol bodies (shared with the non-blocking layers) -------------
     def _send_body(self, env: CoreEnv, raw: np.ndarray, dst: int) -> Generator:
@@ -178,16 +199,7 @@ class RCCE:
         me_core = env.core_id
         dst_core = env.core_of_rank(dst)
         record_message(machine, me_core, dst_core, int(raw.size))
-        buf = self._buffers.get(me_core)
-        if buf is None:
-            buf = self._buffers[me_core] = comm_buffer(machine, me_core)
-        key = (me_core, dst_core)
-        sent = self._sent.get(key)
-        if sent is None:
-            sent = self._sent[key] = sent_flag(machine, me_core, dst_core)
-        ready = self._ready.get(key)
-        if ready is None:
-            ready = self._ready[key] = ready_flag(machine, me_core, dst_core)
+        buf, sent, ready = self._channel(me_core, dst_core)
         chunk = self.chunk_bytes()
         for start in range(0, raw.size, chunk) or [0]:
             piece = raw[start:start + chunk]
@@ -205,16 +217,7 @@ class RCCE:
         machine = self.machine
         me_core = env.core_id
         src_core = env.core_of_rank(src)
-        buf = self._buffers.get(src_core)
-        if buf is None:
-            buf = self._buffers[src_core] = comm_buffer(machine, src_core)
-        key = (src_core, me_core)
-        sent = self._sent.get(key)
-        if sent is None:
-            sent = self._sent[key] = sent_flag(machine, src_core, me_core)
-        ready = self._ready.get(key)
-        if ready is None:
-            ready = self._ready[key] = ready_flag(machine, src_core, me_core)
+        buf, sent, ready = self._channel(src_core, me_core)
         chunk = self.chunk_bytes()
         for start in range(0, raw_out.size, chunk) or [0]:
             nbytes = min(chunk, raw_out.size - start)
@@ -248,9 +251,7 @@ class RCCE:
         me_core = env.core_id
         dst_core = env.core_of_rank(dst)
         record_message(machine, me_core, dst_core, int(raw.size))
-        buf = comm_buffer(machine, me_core)
-        sent = sent_flag(machine, me_core, dst_core)
-        ready = ready_flag(machine, me_core, dst_core)
+        buf, sent, ready = self._channel(me_core, dst_core)
         nack = nack_flag(machine, me_core, dst_core)
         state = _xfer_state(machine, me_core, dst_core)
         chunk = self.chunk_bytes()
@@ -303,9 +304,7 @@ class RCCE:
         faults = machine.faults
         me_core = env.core_id
         src_core = env.core_of_rank(src)
-        buf = comm_buffer(machine, src_core)
-        sent = sent_flag(machine, src_core, me_core)
-        ready = ready_flag(machine, src_core, me_core)
+        buf, sent, ready = self._channel(src_core, me_core)
         nack = nack_flag(machine, src_core, me_core)
         state = _xfer_state(machine, src_core, me_core)
         chunk = self.chunk_bytes()

@@ -390,6 +390,8 @@ class Schedule:
             value = decode_table(self.table, self.p)
         elif attr == "digest":
             table = self.table
+            # An in-process memo key (sched.cost), never written out.
+            # repro-lint: allow=salted-hash
             value = hash((table.rows.tobytes(), table.bufs))
         else:
             raise AttributeError(attr)

@@ -15,11 +15,11 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Optional
+from functools import lru_cache
+from typing import Any, Iterator, NamedTuple, Optional
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     """One trace entry: what happened, where, when."""
 
     time_ps: int
@@ -32,6 +32,16 @@ class TraceRecord:
         return f"[{self.time_ps:>14d}ps] {self.actor:<12s} {self.tag}{detail}"
 
 
+_new_record = tuple.__new__
+
+
+@lru_cache(maxsize=None)
+def core_actor(core_id: int) -> str:
+    """The actor name of a core's records: one shared ``core<N>`` string
+    per core instead of a fresh one per record."""
+    return f"core{core_id}"
+
+
 class Tracer:
     """Append-only trace log; cheap when disabled."""
 
@@ -39,13 +49,20 @@ class Tracer:
         self.enabled = enabled
         self.capacity = capacity
         self.records: list[TraceRecord] = []
+        #: Records refused because the log was at ``capacity``.
+        self.dropped = 0
 
     def emit(self, time_ps: int, actor: str, tag: str, detail: Any = None) -> None:
         if not self.enabled:
             return
-        if self.capacity is not None and len(self.records) >= self.capacity:
+        records = self.records
+        if self.capacity is not None and len(records) >= self.capacity:
+            self.dropped += 1
             return
-        self.records.append(TraceRecord(time_ps, actor, tag, detail))
+        # The generated ``TraceRecord.__new__`` is a Python-level call;
+        # this is what it does.
+        records.append(_new_record(TraceRecord,
+                                   (time_ps, actor, tag, detail)))
 
     def filter(self, *, actor: Optional[str] = None,
                tag: Optional[str] = None) -> Iterator[TraceRecord]:
@@ -58,6 +75,7 @@ class Tracer:
 
     def clear(self) -> None:
         self.records.clear()
+        self.dropped = 0
 
     def __len__(self) -> int:
         return len(self.records)

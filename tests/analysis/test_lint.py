@@ -218,6 +218,22 @@ class TestFloatTimeEqRule:
         assert lint_file(path) == []
 
 
+class TestSaltedHashRule:
+    def test_builtin_hash_flagged_in_any_package(self, tmp_path):
+        path = _module(tmp_path, "obs",
+                       "def tid(actor):\n"
+                       "    return abs(hash(actor)) % 10_000\n")
+        assert _rules(lint_file(path)) == {"salted-hash"}
+
+    def test_methods_named_hash_and_waived_keys_pass(self, tmp_path):
+        path = _module(tmp_path, "util",
+                       "def f(table, digest):\n"
+                       "    # repro-lint: allow=salted-hash\n"
+                       "    key = hash(table)\n"
+                       "    return key, digest.hash(table)\n")
+        assert lint_file(path) == []
+
+
 class TestUnusedImportRule:
     def test_unused_import_flagged(self, tmp_path):
         path = _module(tmp_path, "util",

@@ -18,6 +18,8 @@ The explorer itself is deterministic: exploring the same scenario twice
 must yield identical verdicts.
 """
 
+import hashlib
+
 import pytest
 
 from repro.analysis.fixtures import (
@@ -100,6 +102,15 @@ class TestDetectorGate:
         assert diag.owner == 1
         assert {diag.first.core, diag.second.core} == {0, 1}
         assert diag.first.time_ps <= diag.second.time_ps
+
+    def test_fixture_diagnostic_texts_are_pinned(self):
+        """Every word of every candidate the racy fixtures produce, as
+        recorded on the numpy-scalar clock arithmetic."""
+        texts = [str(d) for fx in RACE_FIXTURES
+                 for d in run_race_fixture(fx).diagnostics]
+        assert len(texts) == 8
+        assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == (
+            "ac4ea310fcf70f21e2bfa6040137f4c7810c6ca2a0e65f37ca74bf802219d685")
 
 
 class TestExplorer:

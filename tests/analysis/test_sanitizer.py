@@ -79,6 +79,18 @@ class TestByteStateMachine:
         region.read(PAYLOAD.size, actor=2)
         assert san.counts() == {"read-before-publish": 1}
 
+    def test_read_before_publish_names_the_peer_on_a_mixed_interval(
+            self, machine, san):
+        """The reader wrote the first line itself, a peer the second: the
+        unpublished bytes are the peer's, and the message says so."""
+        mpb = machine.mpbs[0]
+        start = mpb.alloc(64).offset
+        mpb.write(start, PAYLOAD[:32], actor=2)
+        mpb.write(start + 32, PAYLOAD[:32], actor=1)
+        mpb.read(start, 64, actor=2)
+        assert san.counts() == {"read-before-publish": 1}
+        assert "32 B written by core 1 but" in san.diagnostics[0].message
+
     def test_writer_may_read_back_own_unpublished_bytes(self, machine, san):
         region = _write(machine, actor=1)
         region.read(PAYLOAD.size, actor=1)           # write-verify pattern

@@ -15,6 +15,8 @@ this subsystem found (see docs/static-analysis.md): re-forcing the
 stalls — deadlocks the ring.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,15 @@ class TestDetectorGate:
         assert diag.actor == 0
         assert diag.owner == 1
         assert diag.time_ps > 0
+
+    def test_fixture_diagnostic_texts_are_pinned(self):
+        """Every word of every diagnostic the seeded bugs produce, as
+        recorded on the masked-numpy rule bodies."""
+        texts = [str(d) for fx in FIXTURES
+                 for d in run_fixture(fx).diagnostics]
+        assert len(texts) == 8
+        assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == (
+            "dbbf2462372f5a89201607e726731cbf685514409f1bf3873e629bcba85c42de")
 
 
 class TestCrossCallRegression:

@@ -150,3 +150,47 @@ def test_typed_errors_carry_context():
         inj.raise_fault("flag_write", "lost")
     with pytest.raises(MPBFaultError):
         inj.raise_fault("mpb", "corrupt")
+
+
+def _stalled_run():
+    """Three cores charging through ``Core.consume`` and ``Flag`` writes
+    under stalls and jitter; core 0 also runs a helper process that
+    contends for its CPU lock."""
+    machine = Machine(SCCConfig())
+    FaultInjector(FaultPlan(core_stall_prob=0.3, mesh_jitter_prob=0.4,
+                            seed=5)).install(machine)
+    done = machine.flag(0, "pin.done")
+
+    def helper(env):
+        for _ in range(3):
+            yield from env.consume(700, "overhead")
+
+    def program(env):
+        if env.rank == 0:
+            env.sim.process(helper(env))
+        for i in range(6):
+            yield from env.consume(1000 * (env.rank + 1) * (i % 3), "copy")
+            yield from env.compute(50)
+        if env.rank == 1:
+            yield from done.set_by(env.core)
+        else:
+            yield from done.wait_set(env.core)
+        return env.now
+
+    result = machine.run_spmd(program, ranks=[0, 1, 2])
+    return (machine.sim.now, machine.sim.events_processed, result.values,
+            [sorted(a.states.items()) for a in result.accounts])
+
+
+def test_consume_under_stalls_is_pinned():
+    """Recorded on the two-body ``Core.consume`` (per-hold ``Timeout``s
+    on the fault-aware side): the single charge path must land every
+    stall and hold on the same (time, seq) slot."""
+    assert _stalled_run() == (
+        57424220, 63, [38654320, 19649340, 57424220],
+        [[("compute", 562800), ("copy", 6000), ("overhead", 2100),
+          ("stall", 37520000), ("wait_flag", 563420)],
+         [("compute", 562800), ("copy", 12000), ("overhead", 314540),
+          ("stall", 18760000)],
+         [("compute", 562800), ("copy", 18000), ("stall", 56280000),
+          ("wait_flag", 563420)]])

@@ -12,6 +12,7 @@ from repro.core import make_communicator
 from repro.hw import Machine, SCCConfig
 from repro.obs.export import (
     WAIT_STATES,
+    _actor_tid,
     account_metrics,
     chrome_trace_events,
     link_traffic,
@@ -21,7 +22,7 @@ from repro.obs.export import (
     write_metrics_csv,
     write_metrics_json,
 )
-from repro.sim.trace import Tracer
+from repro.sim.trace import TraceRecord, Tracer
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +79,16 @@ class TestChromeTrace:
         ends = sum(1 for r in records if r.tag.endswith(".end"))
         xs = sum(1 for ev in events if ev["ph"] == "X")
         assert xs == min(begins, ends)
+
+    def test_thread_ids_do_not_depend_on_the_hash_seed(self):
+        """A digit-less actor (the fault injector's) gets a CRC of its
+        name, not the per-process salted ``hash()``."""
+        assert _actor_tid("core17") == 17
+        assert _actor_tid("faults") == 8759
+        (ev,) = [e for e in chrome_trace_events(
+            [TraceRecord(5, "faults", "erratum_toggle", True)])
+            if e["ph"] == "i"]
+        assert ev["tid"] == 8759
 
     def test_write_round_trips(self, tmp_path, traced_run):
         _, _, records = traced_run
@@ -141,7 +152,7 @@ class TestRunMetrics:
     def test_structure_and_consistency(self, traced_run):
         machine, result, _ = traced_run
         metrics = run_metrics(machine, result, meta={"kind": "allreduce"})
-        assert metrics["meta"] == {"kind": "allreduce"}
+        assert metrics["meta"] == {"kind": "allreduce", "trace_dropped": 0}
         assert metrics["elapsed_us"] == result.elapsed_us
         assert 0.0 <= metrics["wait_fraction"] <= 1.0
         total = sum(r["total_ps"] for r in metrics["cores"])

@@ -1,6 +1,7 @@
 """The profiling driver: tables, exports, the zero-overhead guarantee,
 and the ``python -m repro profile`` subcommand."""
 
+import functools
 import json
 import re
 
@@ -77,6 +78,14 @@ class TestProfileCollective:
         with pytest.raises(ValueError, match="cores"):
             profile_collective("allreduce", "mpb", 64, cores=64)
 
+    def test_full_tracer_counts_what_it_dropped(self, prof):
+        assert prof.metrics()["meta"]["trace_dropped"] == 0
+        cut = profile_collective("allreduce", "mpb", 64, cores=8,
+                                 trace_capacity=100)
+        assert len(cut.records) == 100
+        assert cut.metrics()["meta"]["trace_dropped"] \
+            == len(prof.records) - 100
+
 
 class TestProfileCLI:
     def test_profile_subcommand(self, capsys, tmp_path):
@@ -106,6 +115,20 @@ class TestProfileCLI:
         out = capsys.readouterr().out
         assert "wait profile" in out
         assert "phase breakdown" not in out
+
+    def test_profile_warns_when_the_trace_was_cut(self, capsys, tmp_path,
+                                                  monkeypatch):
+        argv = ["profile", "allreduce", "--stack", "mpb", "--sizes", "64",
+                "--cores", "8", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        assert "warning" not in capsys.readouterr().err
+        monkeypatch.setattr(
+            "repro.cli.profile_collective",
+            functools.partial(profile_collective, trace_capacity=100))
+        assert main(argv) == 0
+        warnings = [line for line in capsys.readouterr().err.splitlines()
+                    if line.startswith("warning:")]
+        assert len(warnings) == 1 and "dropped" in warnings[0]
 
     def test_profile_rejects_unknown_stack(self):
         with pytest.raises(SystemExit):

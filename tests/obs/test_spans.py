@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import make_communicator
 from repro.core.registry import available_stacks
@@ -80,6 +82,63 @@ class TestExtractSpans:
             rec(9, "core0", "round.end"),
         ])
         assert [s.name for s in spans] == ["round", "copy"]
+
+
+def reference_spans(records):
+    """The pairing rule spelled out: per actor, an end closes the
+    innermost open span of its name and discards what was opened above
+    it; a closed span hangs under the span it was opened inside."""
+    stacks, done = {}, []
+    for r in records:
+        name, dot, edge = r.tag.rpartition(".")
+        stack = stacks.setdefault(r.actor, [])
+        if dot and edge == "begin":
+            stack.append({"actor": r.actor, "name": name, "start": r.time_ps,
+                          "end": r.time_ps, "detail": r.detail,
+                          "depth": len(stack), "kids": [],
+                          "parent": stack[-1] if stack else None})
+        elif dot and edge == "end" and any(s["name"] == name for s in stack):
+            while (sp := stack.pop())["name"] != name:
+                pass
+            sp["end"] = r.time_ps
+            if sp["parent"] is not None:
+                sp["parent"]["kids"].append(sp)
+            done.append(sp)
+    return sorted(done, key=lambda s: (s["start"], s["start"] - s["end"]))
+
+
+def _ident(sp):
+    return None if sp is None else (sp.actor, sp.name, sp.start_ps, sp.end_ps)
+
+
+def _ref_ident(sp):
+    return None if sp is None else (sp["actor"], sp["name"], sp["start"],
+                                    sp["end"])
+
+
+_edges = st.tuples(
+    st.integers(0, 3),                                  # time step (ties)
+    st.sampled_from(["core0", "core1", "faults"]),
+    st.sampled_from(["round", "copy", "send", "a.b"]),
+    st.sampled_from([".begin", ".begin", ".end", ".end", ".set", ""]),
+    st.one_of(st.none(), st.integers(0, 2)))
+
+
+class TestExtractSpansProperty:
+    @given(st.lists(_edges, max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_reference_pairing(self, edges):
+        """Random streams: unclosed, mismatched, interleaved actors."""
+        now, records = 0, []
+        for step, actor, name, edge, detail in edges:
+            now += step
+            records.append(rec(now, actor, name + edge, detail))
+        got = extract_spans(records)
+        want = reference_spans(records)
+        assert [(_ident(s), s.detail, s.depth, _ident(s.parent),
+                 [_ident(c) for c in s.children]) for s in got] == [
+            (_ref_ident(s), s["detail"], s["depth"], _ref_ident(s["parent"]),
+             [_ref_ident(c) for c in s["kids"]]) for s in want]
 
 
 class TestAttribution:

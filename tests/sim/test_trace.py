@@ -24,6 +24,16 @@ class TestTracer:
         for i in range(5):
             tr.emit(i, "c", "t")
         assert len(tr) == 2
+        assert tr.dropped == 3
+
+    def test_dropped_is_zero_below_capacity_and_after_clear(self):
+        tr = Tracer(capacity=1)
+        tr.emit(0, "c", "t")
+        assert tr.dropped == 0
+        tr.emit(1, "c", "t")
+        assert tr.dropped == 1
+        tr.clear()
+        assert (len(tr), tr.dropped) == (0, 0)
 
     def test_filter_by_actor_and_tag(self):
         tr = Tracer()
