@@ -11,8 +11,9 @@ trips its rule while the shipped repertoire stays clean.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Callable, Dict, Tuple
+
+import numpy as np
 
 from repro.core.blocks import standard_partition
 from repro.sched.builders import build_schedule
@@ -21,7 +22,26 @@ from repro.sched.chunking import (
     build_pipeline_reduce,
     chunk_schedule,
 )
-from repro.sched.ir import Exchange, Interval, Recv, ReduceRecv, Schedule, Send
+from repro.sched.ir import (
+    F_REDUCE,
+    F_SEND_FIRST,
+    FLAGS,
+    IN,
+    OP,
+    OP_EXCHANGE,
+    OP_RECV,
+    OP_REDUCE_RECV,
+    OP_SEND,
+    PHASE,
+    RANK,
+    RBUF,
+    RHI,
+    RLO,
+    SHI,
+    SLO,
+    SPEER,
+    Schedule,
+)
 
 FIXTURE_P = 4
 FIXTURE_N = 8
@@ -32,10 +52,18 @@ def _base(kind: str, name: str) -> Schedule:
     return build_schedule(kind, name, FIXTURE_P, FIXTURE_N, part=part)
 
 
-def _replace_plan(sched: Schedule, rank: int, plan) -> Schedule:
-    plans = list(sched.plans)
-    plans[rank] = tuple(plan)
-    return dataclasses.replace(sched, plans=tuple(plans))
+def _rows_of(sched: Schedule, rank: int, *ops: int):
+    """A writable copy of the rows, and the indices of ``rank``'s rows
+    with an opcode in ``ops``, in program order."""
+    rows = sched.table.rows.copy()
+    return rows, np.flatnonzero((rows[:, RANK] == rank)
+                                & np.isin(rows[:, OP], ops))
+
+
+def _all_send_first(sched: Schedule) -> Schedule:
+    rows = sched.table.rows.copy()
+    rows[rows[:, OP] == OP_EXCHANGE, FLAGS] |= F_SEND_FIRST
+    return sched.with_rows(rows)
 
 
 def all_send_first_ring() -> Tuple[Schedule, str]:
@@ -45,36 +73,24 @@ def all_send_first_ring() -> Tuple[Schedule, str]:
     (``docs/collectives.md``); flipping every rank to ``send_first``
     recreates the classic all-blocking-sends deadlock.
     """
-    sched = _base("allgather", "ring")
-    plans = []
-    for plan in sched.plans:
-        plans.append(tuple(
-            dataclasses.replace(s, send_first=True)
-            if isinstance(s, Exchange) else s
-            for s in plan))
-    return dataclasses.replace(sched, plans=tuple(plans)), \
-        "blocking-deadlock"
+    return _all_send_first(_base("allgather", "ring")), "blocking-deadlock"
 
 
 def dropped_last_round() -> Tuple[Schedule, str]:
     """Rank 0 stops one ring round early: its block never circulates."""
     sched = _base("allgather", "ring")
-    last = max(s.round for s in sched.plans[0] if s.round is not None)
-    plan = [s for s in sched.plans[0] if s.round != last]
-    return _replace_plan(sched, 0, plan), "unmatched-send"
+    rows = sched.table.rows
+    mine = rows[:, RANK] == 0
+    last = mine & (rows[:, PHASE] == rows[mine, PHASE].max())
+    return sched.with_rows(rows[~last]), "unmatched-send"
 
 
 def truncated_send() -> Tuple[Schedule, str]:
     """One send interval is a element short of what the receiver posts."""
     sched = _base("allreduce", "recursive_doubling")
-    plan = list(sched.plans[1])
-    for i, step in enumerate(plan):
-        if isinstance(step, Exchange) and step.send is not None:
-            iv = step.send
-            plan[i] = dataclasses.replace(
-                step, send=Interval(iv.buf, iv.lo, iv.hi - 1))
-            break
-    return _replace_plan(sched, 1, plan), "size-mismatch"
+    rows, exchanges = _rows_of(sched, 1, OP_EXCHANGE)
+    rows[exchanges[0], SHI] -= 1
+    return sched.with_rows(rows), "size-mismatch"
 
 
 def double_fold() -> Tuple[Schedule, str]:
@@ -85,52 +101,36 @@ def double_fold() -> Tuple[Schedule, str]:
     contribution twice.
     """
     sched = _base("allreduce", "rsag")
-    plan = list(sched.plans[0])
-    for i in range(len(plan) - 1, -1, -1):
-        step = plan[i]
-        if isinstance(step, Exchange) and not step.reduce:
-            plan[i] = dataclasses.replace(step, reduce=True)
-            break
-    return _replace_plan(sched, 0, plan), "duplicate-contribution"
+    rows, exchanges = _rows_of(sched, 0, OP_EXCHANGE)
+    rows[exchanges[-1], FLAGS] |= F_REDUCE   # the last round overwrites
+    return sched.with_rows(rows), "duplicate-contribution"
 
 
 def misrouted_block() -> Tuple[Schedule, str]:
     """A pairwise exchange ships the wrong input row to its partner."""
     sched = _base("alltoall", "pairwise")
-    n = FIXTURE_N
-    plan = list(sched.plans[1])
-    for i, step in enumerate(plan):
-        if isinstance(step, Exchange):
-            wrong = (step.send_peer + 1) % FIXTURE_P
-            plan[i] = dataclasses.replace(
-                step, send=Interval("in", wrong * n, (wrong + 1) * n))
-            break
-    return _replace_plan(sched, 1, plan), "unexpected-contribution"
+    rows, exchanges = _rows_of(sched, 1, OP_EXCHANGE)
+    first = exchanges[0]
+    wrong = (rows[first, SPEER] + 1) % FIXTURE_P
+    rows[first, SLO:SHI + 1] = wrong * FIXTURE_N, (wrong + 1) * FIXTURE_N
+    return sched.with_rows(rows), "unexpected-contribution"
 
 
 def oob_interval() -> Tuple[Schedule, str]:
     """A receive lands past the end of the work buffer."""
     sched = _base("reduce", "binomial")
-    plan = list(sched.plans[0])
-    for i, step in enumerate(plan):
-        if hasattr(step, "data"):
-            size = sched.buffers["work"]
-            plan[i] = dataclasses.replace(
-                step, data=Interval("work", size, size + FIXTURE_N))
-            break
-    return _replace_plan(sched, 0, plan), "interval-oob"
+    rows, receives = _rows_of(sched, 0, OP_RECV, OP_REDUCE_RECV)
+    size = sched.buffers["work"]
+    rows[receives[0], RLO:RHI + 1] = size, size + FIXTURE_N
+    return sched.with_rows(rows), "interval-oob"
 
 
 def clobbered_input() -> Tuple[Schedule, str]:
     """A pairwise exchange receives straight into the input matrix."""
     sched = _base("alltoall", "pairwise")
-    plan = list(sched.plans[2])
-    for i, step in enumerate(plan):
-        if isinstance(step, Exchange):
-            plan[i] = dataclasses.replace(
-                step, recv=Interval("in", step.recv.lo, step.recv.hi))
-            break
-    return _replace_plan(sched, 2, plan), "input-write"
+    rows, exchanges = _rows_of(sched, 2, OP_EXCHANGE)
+    rows[exchanges[0], RBUF] = IN
+    return sched.with_rows(rows), "input-write"
 
 
 def all_send_first_chunked_ring() -> Tuple[Schedule, str]:
@@ -138,17 +138,10 @@ def all_send_first_chunked_ring() -> Tuple[Schedule, str]:
 
     Same bug as :func:`all_send_first_ring`, introduced *after* the
     transform split every exchange into sub-messages — the verifier has
-    to chase the cycle through the chunked step lists too.
+    to chase the cycle through the chunked rows too.
     """
-    sched = chunk_schedule(_base("allgather", "ring"), 2)
-    plans = []
-    for plan in sched.plans:
-        plans.append(tuple(
-            dataclasses.replace(s, send_first=True)
-            if isinstance(s, Exchange) else s
-            for s in plan))
-    return dataclasses.replace(sched, plans=tuple(plans)), \
-        "blocking-deadlock"
+    return (_all_send_first(chunk_schedule(_base("allgather", "ring"), 2)),
+            "blocking-deadlock")
 
 
 def dropped_chunk_forward() -> Tuple[Schedule, str]:
@@ -159,12 +152,9 @@ def dropped_chunk_forward() -> Tuple[Schedule, str]:
     """
     part = standard_partition(FIXTURE_N, FIXTURE_P)
     sched = build_pipeline_bcast(FIXTURE_P, FIXTURE_N, part, 0, 2)
-    plan = list(sched.plans[1])
-    for i in range(len(plan) - 1, -1, -1):
-        if isinstance(plan[i], Send):
-            del plan[i]
-            break
-    return _replace_plan(sched, 1, plan), "unmatched-recv"
+    rows, sends = _rows_of(sched, 1, OP_SEND)
+    return sched.with_rows(np.delete(rows, sends[-1], axis=0)), \
+        "unmatched-recv"
 
 
 def pipeline_missing_fold() -> Tuple[Schedule, str]:
@@ -175,12 +165,9 @@ def pipeline_missing_fold() -> Tuple[Schedule, str]:
     """
     part = standard_partition(FIXTURE_N, FIXTURE_P)
     sched = build_pipeline_reduce(FIXTURE_P, FIXTURE_N, part, 0, 2)
-    plan = list(sched.plans[0])
-    for i, step in enumerate(plan):
-        if isinstance(step, ReduceRecv):
-            plan[i] = Recv(step.peer, step.data, round=step.round)
-            break
-    return _replace_plan(sched, 0, plan), "missing-contribution"
+    rows, folds = _rows_of(sched, 0, OP_REDUCE_RECV)
+    rows[folds[0], OP] = OP_RECV
+    return sched.with_rows(rows), "missing-contribution"
 
 
 _FIXTURES: Tuple[Callable[[], Tuple[Schedule, str]], ...] = (

@@ -1,7 +1,7 @@
 """Static schedule verifier: proves schedule-IR programs before they run.
 
 The schedule engine (:mod:`repro.sched.engine`) will faithfully execute
-whatever step lists it is handed — including wrong ones.  This module
+whatever step rows it is handed — including wrong ones.  This module
 checks a :class:`~repro.sched.ir.Schedule` *statically*, without a
 machine or a simulation:
 
@@ -11,7 +11,7 @@ machine or a simulation:
 * **matching** — per ordered ``(src, dst)`` pair, sends and receives
   pair off FIFO with equal element counts;
 * **deadlock freedom** — under the blocking RCCE lowering (rendezvous
-  send/recv, ``Exchange`` decomposed in its baked ``send_first`` order)
+  send/recv, exchanges decomposed in their baked ``F_SEND_FIRST`` order)
   the whole schedule must make progress to completion; a stuck
   configuration is reported with every waiting rank's head operation;
 * **symbolic correctness** — each buffer element is interpreted as a
@@ -33,19 +33,20 @@ schedules that must stay flagged.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from repro.core.blocks import Partition
+from repro.sched.interp import run_eager
 from repro.sched.ir import (
-    CopyBlock,
-    Exchange,
-    Recv,
-    ReduceRecv,
-    Rotate,
+    F_SEND_FIRST,
+    OP_EXCHANGE,
+    OP_NAMES,
+    OP_ROTATE,
+    SIDES,
     Schedule,
-    Send,
 )
 
 #: Diagnostic rule identifiers (the catalogue in docs/schedules.md).
@@ -100,65 +101,41 @@ class ScheduleVerifyError(AssertionError):
 # --------------------------------------------------------------------- #
 # Structure
 # --------------------------------------------------------------------- #
-def _intervals_of(step):
-    """(interval, writes) views a step touches."""
-    if isinstance(step, (Send, Recv, ReduceRecv)):
-        yield step.data, not isinstance(step, Send)
-    elif isinstance(step, Exchange):
-        if step.send is not None:
-            yield step.send, False
-        if step.recv is not None:
-            yield step.recv, True
-    elif isinstance(step, CopyBlock):
-        yield step.src, False
-        yield step.dst, True
-
-
-def _peers_of(step):
-    if isinstance(step, (Send, Recv, ReduceRecv)):
-        yield step.peer
-    elif isinstance(step, Exchange):
-        if step.send_peer is not None:
-            yield step.send_peer
-        if step.recv_peer is not None:
-            yield step.recv_peer
-
-
 def _check_structure(sched: Schedule) -> list[ScheduleDiagnostic]:
     out = []
+    bufs = sched.table.bufs
     for rank, plan in enumerate(sched.plans):
-        for i, step in enumerate(plan):
-            for iv, writes in _intervals_of(step):
-                size = sched.buffers.get(iv.buf)
-                if size is None or iv.hi > size:
+        for i, row in enumerate(plan):
+            for (peer, buf, lo, hi), writes in zip(SIDES, (False, True)):
+                if row[buf] < 0:
+                    continue
+                name = bufs[row[buf]]
+                size = sched.buffers.get(name)
+                if size is None or row[hi] > size:
                     out.append(ScheduleDiagnostic(
                         "interval-oob", sched.label, rank, i,
-                        f"{iv} outside buffers "
+                        f"{name}[{row[lo]}:{row[hi]}] outside buffers "
                         f"{dict(sched.buffers)}"))
-                if writes and iv.buf == "in":
+                if writes and name == "in":
                     out.append(ScheduleDiagnostic(
                         "input-write", sched.label, rank, i,
-                        f"{step.__class__.__name__} writes the "
-                        f"read-only input {iv}"))
-            if isinstance(step, Rotate):
-                if step.buf == "in":
-                    out.append(ScheduleDiagnostic(
-                        "input-write", sched.label, rank, i,
-                        "Rotate permutes the read-only input"))
-                if sched.buffers.get(step.buf, -1) % max(step.rows, 1):
-                    out.append(ScheduleDiagnostic(
-                        "bad-meta", sched.label, rank, i,
-                        f"Rotate rows={step.rows} does not divide "
-                        f"buffer {step.buf!r}"))
-            for peer in _peers_of(step):
-                if not 0 <= peer < sched.p:
+                        f"{OP_NAMES[row.op]} row writes the read-only "
+                        f"input {name}[{row[lo]}:{row[hi]}]"))
+                if row.op > OP_EXCHANGE:
+                    continue
+                if not 0 <= row[peer] < sched.p:
                     out.append(ScheduleDiagnostic(
                         "bad-peer", sched.label, rank, i,
-                        f"peer {peer} outside 0..{sched.p - 1}"))
-                elif peer == rank:
+                        f"peer {row[peer]} outside 0..{sched.p - 1}"))
+                elif row[peer] == rank:
                     out.append(ScheduleDiagnostic(
                         "self-message", sched.label, rank, i,
                         "step communicates with its own rank"))
+            if row.op == OP_ROTATE and (row.rhi - row.rlo) % max(row.slo, 1):
+                out.append(ScheduleDiagnostic(
+                    "bad-meta", sched.label, rank, i,
+                    f"rotation rows={row.slo} does not divide "
+                    f"buffer {bufs[row.rbuf]!r}"))
     return out
 
 
@@ -169,22 +146,18 @@ def _blocking_ops(plan):
     """Decompose a plan into its blocking-lowering sync operations.
 
     Each op is ``(kind, peer, nels, step_index)`` with kind ``"send"``
-    or ``"recv"``; Exchange decomposes in its baked ``send_first``
+    or ``"recv"``; an exchange decomposes in its baked ``F_SEND_FIRST``
     order, exactly as the RCCE lowering executes it.
     """
     ops = []
-    for i, step in enumerate(plan):
-        if isinstance(step, Send):
-            ops.append(("send", step.peer, step.data.nels, i))
-        elif isinstance(step, (Recv, ReduceRecv)):
-            ops.append(("recv", step.peer, step.data.nels, i))
-        elif isinstance(step, Exchange):
-            snd = (("send", step.send_peer, step.send.nels, i)
-                   if step.send_peer is not None else None)
-            rcv = (("recv", step.recv_peer, step.recv.nels, i)
-                   if step.recv_peer is not None else None)
-            pair = [snd, rcv] if step.send_first else [rcv, snd]
-            ops.extend(op for op in pair if op is not None)
+    for i, row in enumerate(plan):
+        if row.op > OP_EXCHANGE:
+            continue
+        pair = [("send", row.speer, row.shi - row.slo, i),
+                ("recv", row.rpeer, row.rhi - row.rlo, i)]
+        if not row.flags & F_SEND_FIRST:
+            pair.reverse()
+        ops.extend(op for op in pair if op[1] >= 0)
     return ops
 
 
@@ -262,10 +235,6 @@ def _check_deadlock(sched: Schedule) -> list[ScheduleDiagnostic]:
 # --------------------------------------------------------------------- #
 # Symbolic interpretation
 # --------------------------------------------------------------------- #
-def _atoms_in(rank: int, j: int) -> dict:
-    return {(rank, j): 1}
-
-
 def _merge(a: dict, b: dict) -> dict:
     out = dict(a)
     for atom, count in b.items():
@@ -273,88 +242,30 @@ def _merge(a: dict, b: dict) -> dict:
     return out
 
 
+#: Elementwise multiset union of two object arrays (never mutates an
+#: element, so snapshots may share them).
+_merge_each = np.frompyfunc(_merge, 2, 1)
+
+
 def simulate_schedule(sched: Schedule):
     """Interpret the schedule symbolically; returns per-rank buffers.
 
     Every element is a multiset (atom -> count dict) of
-    ``(origin rank, input index)`` contributions.  Sends are eager
-    (non-blocking semantics); run :func:`verify_schedule` first if the
-    schedule may be unmatched or deadlocked.
+    ``(origin rank, input index)`` contributions, held in object arrays
+    and stepped by the interpreter's eager-FIFO loop
+    (:func:`repro.sched.interp.run_eager`) with multiset union as the
+    fold.  Sends are eager (non-blocking semantics); run
+    :func:`verify_schedule` first if the schedule may be unmatched or
+    deadlocked.
     """
     state = [
-        {"in": [_atoms_in(r, j) for j in range(sched.buffers["in"])],
-         "work": [dict() for _ in range(sched.buffers["work"])]}
+        {"in": np.array([{(r, j): 1} for j in range(sched.buffers["in"])],
+                        dtype=object),
+         "work": np.array([{} for _ in range(sched.buffers["work"])],
+                          dtype=object)}
         for r in range(sched.p)
     ]
-    channels: dict[tuple[int, int], deque] = {}
-    pcs = [0] * sched.p
-    half_done = [False] * sched.p  # Exchange send side already pushed
-
-    def read(rank, iv):
-        return [dict(e) for e in state[rank][iv.buf][iv.lo:iv.hi]]
-
-    def write(rank, iv, payload):
-        state[rank][iv.buf][iv.lo:iv.hi] = payload
-
-    def pop(src, dst):
-        chan = channels.get((src, dst))
-        if not chan:
-            return None
-        return chan.popleft()
-
-    progress = True
-    while progress:
-        progress = False
-        for r in range(sched.p):
-            while pcs[r] < len(sched.plans[r]):
-                step = sched.plans[r][pcs[r]]
-                if isinstance(step, Send):
-                    channels.setdefault((r, step.peer), deque()).append(
-                        read(r, step.data))
-                elif isinstance(step, Recv):
-                    payload = pop(step.peer, r)
-                    if payload is None:
-                        break
-                    write(r, step.data, payload)
-                elif isinstance(step, ReduceRecv):
-                    payload = pop(step.peer, r)
-                    if payload is None:
-                        break
-                    target = state[r][step.data.buf]
-                    for k, atoms in enumerate(payload):
-                        target[step.data.lo + k] = _merge(
-                            target[step.data.lo + k], atoms)
-                elif isinstance(step, Exchange):
-                    if step.send_peer is not None and not half_done[r]:
-                        channels.setdefault(
-                            (r, step.send_peer), deque()).append(
-                                read(r, step.send))
-                        half_done[r] = True
-                    if step.recv_peer is not None:
-                        payload = pop(step.recv_peer, r)
-                        if payload is None:
-                            break
-                        if step.reduce:
-                            target = state[r][step.recv.buf]
-                            for k, atoms in enumerate(payload):
-                                target[step.recv.lo + k] = _merge(
-                                    target[step.recv.lo + k], atoms)
-                        else:
-                            write(r, step.recv, payload)
-                    half_done[r] = False
-                elif isinstance(step, CopyBlock):
-                    write(r, step.dst, read(r, step.src))
-                elif isinstance(step, Rotate):
-                    buf = state[r][step.buf]
-                    width = len(buf) // step.rows
-                    out = [None] * len(buf)
-                    for i in range(step.rows):
-                        dst_row = (step.shift + i) % step.rows
-                        out[dst_row * width:(dst_row + 1) * width] = \
-                            buf[i * width:(i + 1) * width]
-                    state[r][step.buf] = out
-                pcs[r] += 1
-                progress = True
+    run_eager(sched, state, _merge_each)
     return state
 
 

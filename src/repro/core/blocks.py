@@ -29,10 +29,6 @@ class Partition:
     #: ``offsets[b]`` is where block ``b`` starts (``offsets[p] == n``):
     #: the prefix sums of ``sizes``, computed once per instance.
     offsets: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    #: Per-instance memo for objects derived from this partition (the
-    #: schedule builders intern their block intervals here).
-    memo: dict = field(init=False, repr=False, compare=False,
-                       default_factory=dict)
 
     def __post_init__(self) -> None:
         offsets = tuple(accumulate(self.sizes, initial=0))

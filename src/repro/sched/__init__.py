@@ -1,7 +1,7 @@
 """Schedule-IR collective engine.
 
 One algorithm repertoire, expressed as data (:mod:`repro.sched.ir`:
-per-rank step objects and an interconvertible columnar step table),
+one int64 step table per schedule, read whole or row by row),
 built by pure functions (:mod:`repro.sched.builders`), executed by a
 single lowering engine on every point-to-point stack
 (:mod:`repro.sched.engine`), priced by an analytic cost model
@@ -27,19 +27,7 @@ from repro.sched.chunking import (
     chunk_table,
 )
 from repro.sched.engine import run_schedule, schedule_for
-from repro.sched.ir import (
-    COMM_STEPS,
-    CopyBlock,
-    Exchange,
-    Interval,
-    Recv,
-    ReduceRecv,
-    Rotate,
-    Schedule,
-    Send,
-    Step,
-    StepTable,
-)
+from repro.sched.ir import Schedule, StepRow, StepTable
 from repro.sched.synth import (
     build_synth_schedule,
     candidate_names,
@@ -48,19 +36,11 @@ from repro.sched.synth import (
 
 __all__ = [
     "BUILDERS",
-    "COMM_STEPS",
-    "CopyBlock",
     "DEFAULT_ALGOS",
-    "Exchange",
-    "Interval",
     "PIPELINE_BUILDERS",
-    "Recv",
-    "ReduceRecv",
-    "Rotate",
     "SCHEDULED_KINDS",
     "Schedule",
-    "Send",
-    "Step",
+    "StepRow",
     "StepTable",
     "all_schedules",
     "build_schedule",

@@ -14,10 +14,10 @@ Builders are pure functions of ``(p, n, partition, root)``; schedules
 are cached per argument tuple (they are immutable and rank-complete, so
 one instance serves a whole simulation).
 
-The O(p^2) phases (rings, pairwise alltoall) are emitted directly in
-columnar form — table rows over a ``(rank, round)`` grid, see
-``docs/schedules.md`` — so pricing them never builds a step object; the
-O(p log p) tree phases stay per-rank step lists.
+Every phase is emitted as table rows (``docs/schedules.md``): the
+O(p^2) phases (rings, pairwise alltoall) as numpy broadcasts over a
+``(rank, round)`` grid, the O(p log p) tree phases as plain int tuples
+collected into one array per phase.
 """
 
 from __future__ import annotations
@@ -31,21 +31,18 @@ from repro.core.blocks import Partition
 from repro.sched.ir import (
     F_CHARGED,
     F_REDUCE,
+    F_REVERSED,
     F_SEND_FIRST,
     IN,
+    NCOLS,
     OP_COPY,
     OP_EXCHANGE,
+    OP_RECV,
+    OP_REDUCE_RECV,
+    OP_ROTATE,
+    OP_SEND,
     WORK,
-    CopyBlock,
-    Exchange,
-    Interval,
-    Recv,
-    ReduceRecv,
-    Rotate,
     Schedule,
-    Send,
-    Step,
-    encode_steps,
     make_table,
     step_rows,
 )
@@ -58,41 +55,42 @@ def _largest_pow2_below(p: int) -> int:
     return pow2
 
 
-def _block_iv(buf: str, part: Partition, lo_block: int,
-              hi_block: Optional[int] = None) -> Interval:
-    """Interval covering blocks ``[lo_block, hi_block]`` (inclusive),
-    interned per partition."""
-    hi_block = lo_block if hi_block is None else hi_block
-    key = (buf, lo_block, hi_block)
-    iv = part.memo.get(key)
-    if iv is None:
-        iv = part.memo[key] = Interval(buf, part.offsets[lo_block],
-                                       part.offsets[hi_block + 1])
-    return iv
-
-
-def _pair_send_first(me: int, partner: int) -> bool:
+def _pair_send_first(me: int, partner: int) -> int:
     """Rank-comparison rule: the deadlock-free order of a symmetric
     pairwise exchange on the blocking stack."""
-    return me < partner
-
-
-def _init_copy(me: int, n: int, work_lo: int = 0) -> CopyBlock:
-    """The free ``acc = sendbuf.copy()`` staging assignment."""
-    return CopyBlock(Interval("in", 0, n),
-                     Interval("work", work_lo, work_lo + n))
+    return F_SEND_FIRST * (me < partner)
 
 
 def _init_copy_rows(ranks, n: int, work_lo=0) -> np.ndarray:
-    """:func:`_init_copy` for every rank in ``ranks``, as table rows."""
+    """The free ``acc = sendbuf.copy()`` staging assignment for every
+    rank in ``ranks``."""
     return step_rows(ranks, -1, OP_COPY, sbuf=IN, shi=n,
                      rbuf=WORK, rlo=work_lo, rhi=np.add(work_lo, n))
 
 
-def _tree_rows(per_rank_steps: Sequence[Sequence[Step]]) -> np.ndarray:
-    """Per-rank step lists over buffers ``in``/``work`` -> table rows
-    (buffer sizes only matter to ``Rotate``, which no tree phase has)."""
-    return encode_steps(per_rank_steps, {"in": 0, "work": 0})[0]
+# --------------------------------------------------------------------- #
+# Untagged rows over buffer ``work``, as plain tuples (the tree phases)
+# --------------------------------------------------------------------- #
+def _send(me: int, peer: int, lo: int, hi: int) -> tuple:
+    return (me, -1, OP_SEND, peer, WORK, lo, hi, -1, -1, 0, 0, 0)
+
+
+def _recv(me: int, peer: int, lo: int, hi: int, op: int = OP_RECV) -> tuple:
+    return (me, -1, op, -1, -1, 0, 0, peer, WORK, lo, hi, 0)
+
+
+def _exchange(me: int, speer: int, send: tuple[int, int], rpeer: int,
+              recv: tuple[int, int], flags: int) -> tuple:
+    """Send ``work[send]`` to ``speer`` while receiving ``work[recv]``
+    from ``rpeer``; a peer of ``-1`` leaves that side out."""
+    return (me, -1, OP_EXCHANGE,
+            *((speer, WORK, *send) if speer >= 0 else (-1, -1, 0, 0)),
+            *((rpeer, WORK, *recv) if rpeer >= 0 else (-1, -1, 0, 0)),
+            flags)
+
+
+def _block(rows: list) -> np.ndarray:
+    return np.array(rows, dtype=np.int64).reshape(-1, NCOLS)
 
 
 # --------------------------------------------------------------------- #
@@ -139,103 +137,105 @@ def _ring_allgather_blocks_rows(p: int, part: Partition, shift: int = 0,
 # --------------------------------------------------------------------- #
 # Binomial-tree phases
 # --------------------------------------------------------------------- #
-def _binomial_reduce_steps(idx: int, members: Sequence[int], root_idx: int,
-                           data: Interval) -> list[Step]:
+def _binomial_reduce_rows(members: Sequence[int], root_idx: int,
+                          n: int) -> np.ndarray:
     """Whole-vector binomial reduction tree over ``members`` (ranks, in
-    tree order) to ``members[root_idx]``, for the member at ``idx``.
-    Virtual rank ``v`` is ``members[(v + root_idx) % m]``: ``range(p)``
-    gives the flat tree, ``range(lo, hi)`` a group's, a leader list the
-    hierarchical leader phase (:mod:`repro.sched.hier`)."""
-    steps: list[Step] = []
+    tree order) to ``members[root_idx]``.  Virtual rank ``v`` is
+    ``members[(v + root_idx) % m]``: ``range(p)`` gives the flat tree,
+    ``range(lo, hi)`` a group's, a leader list the hierarchical leader
+    phase (:mod:`repro.sched.hier`)."""
+    rows = []
     m = len(members)
-    vrank = (idx - root_idx) % m
-    mask = 1
-    while mask < m:
-        if vrank & mask:
-            steps.append(Send(members[(vrank - mask + root_idx) % m], data))
-            return steps
-        src_v = vrank | mask
-        if src_v < m:
-            steps.append(ReduceRecv(members[(src_v + root_idx) % m], data))
-        mask <<= 1
-    return steps
+    for vrank in range(m):
+        me = members[(vrank + root_idx) % m]
+        mask = 1
+        while mask < m:
+            if vrank & mask:
+                rows.append(_send(
+                    me, members[(vrank - mask + root_idx) % m], 0, n))
+                break
+            src_v = vrank | mask
+            if src_v < m:
+                rows.append(_recv(me, members[(src_v + root_idx) % m], 0, n,
+                                  OP_REDUCE_RECV))
+            mask <<= 1
+    return _block(rows)
 
 
-def _binomial_bcast_steps(idx: int, members: Sequence[int], root_idx: int,
-                          data: Interval) -> list[Step]:
+def _binomial_bcast_rows(members: Sequence[int], root_idx: int,
+                         n: int) -> np.ndarray:
     """Whole-vector binomial broadcast tree from ``members[root_idx]``
-    (member addressing as in :func:`_binomial_reduce_steps`)."""
-    steps: list[Step] = []
+    (member addressing as in :func:`_binomial_reduce_rows`)."""
+    rows = []
     m = len(members)
-    vrank = (idx - root_idx) % m
-    mask = 1
-    while mask < m:
-        if vrank & mask:
-            steps.append(Recv(members[(vrank - mask + root_idx) % m], data))
-            break
-        mask <<= 1
-    mask >>= 1
-    while mask > 0:
-        if vrank + mask < m:
-            steps.append(Send(members[(vrank + mask + root_idx) % m], data))
+    for vrank in range(m):
+        me = members[(vrank + root_idx) % m]
+        mask = 1
+        while mask < m:
+            if vrank & mask:
+                rows.append(_recv(
+                    me, members[(vrank - mask + root_idx) % m], 0, n))
+                break
+            mask <<= 1
         mask >>= 1
-    return steps
+        while mask > 0:
+            if vrank + mask < m:
+                rows.append(_send(
+                    me, members[(vrank + mask + root_idx) % m], 0, n))
+            mask >>= 1
+    return _block(rows)
 
 
-def _binomial_scatter_steps(me: int, p: int, root: int,
-                            part: Partition) -> list[Step]:
+def _binomial_scatter_rows(p: int, root: int, part: Partition) -> np.ndarray:
     """Binomial scatter of partition blocks in root-relative vrank
     space: the subtree of vrank ``v`` reached with mask ``m`` covers
     blocks ``[v, min(v + m, p))``, a contiguous element range."""
-    steps: list[Step] = []
-    vrank = (me - root) % p
-    mask = 1
-    extent = p
-    while mask < p:
-        if vrank & mask:
-            src = (vrank - mask + root) % p
-            extent = min(mask, p - vrank)
-            steps.append(Recv(
-                src, _block_iv("work", part, vrank, vrank + extent - 1)))
-            break
-        mask <<= 1
-    mask >>= 1
-    while mask > 0:
-        if mask < extent:
-            dst_v = vrank + mask
-            dst_extent = extent - mask
-            steps.append(Send(
-                (dst_v + root) % p,
-                _block_iv("work", part, dst_v, dst_v + dst_extent - 1)))
-            extent = mask
+    rows = []
+    offsets = part.offsets
+    for vrank in range(p):
+        me = (vrank + root) % p
+        mask = 1
+        extent = p
+        while mask < p:
+            if vrank & mask:
+                extent = min(mask, p - vrank)
+                rows.append(_recv(me, (vrank - mask + root) % p,
+                                  offsets[vrank], offsets[vrank + extent]))
+                break
+            mask <<= 1
         mask >>= 1
-    return steps
+        while mask > 0:
+            if mask < extent:
+                dst_v = vrank + mask
+                rows.append(_send(me, (dst_v + root) % p, offsets[dst_v],
+                                  offsets[vrank + extent]))
+                extent = mask
+            mask >>= 1
+    return _block(rows)
 
 
-def _binomial_gather_steps(me: int, p: int, root: int,
-                           part: Partition) -> list[Step]:
+def _binomial_gather_rows(p: int, root: int, part: Partition) -> np.ndarray:
     """Binomial gather of partition blocks to ``root`` (the scatter's
     mirror: subtrees hand up contiguous vrank ranges)."""
-    steps: list[Step] = []
-    vrank = (me - root) % p
-    extent = 1
-    mask = 1
-    while mask < p:
-        if vrank & mask == 0:
+    rows = []
+    offsets = part.offsets
+    for vrank in range(p):
+        me = (vrank + root) % p
+        extent = 1
+        mask = 1
+        while mask < p:
+            if vrank & mask:
+                rows.append(_send(me, (vrank - mask + root) % p,
+                                  offsets[vrank], offsets[vrank + extent]))
+                break
             src_v = vrank + mask
             if src_v < p:
                 src_extent = min(mask, p - src_v)
-                steps.append(Recv(
-                    (src_v + root) % p,
-                    _block_iv("work", part, src_v, src_v + src_extent - 1)))
+                rows.append(_recv(me, (src_v + root) % p, offsets[src_v],
+                                  offsets[src_v + src_extent]))
                 extent += src_extent
-        else:
-            steps.append(Send(
-                (vrank - mask + root) % p,
-                _block_iv("work", part, vrank, vrank + extent - 1)))
-            return steps
-        mask <<= 1
-    return steps
+            mask <<= 1
+    return _block(rows)
 
 
 # --------------------------------------------------------------------- #
@@ -249,7 +249,7 @@ def build_rsag_allreduce(p: int, n: int, part: Partition,
     if p > 1:
         blocks += [_ring_reduce_scatter_rows(p, part),
                    _ring_allgather_blocks_rows(p, part)]
-    return Schedule.from_table(
+    return Schedule(
         "allreduce", "rsag", p, n, {"in": n, "work": n},
         make_table(blocks), {"part_sizes": part.sizes, "root": 0})
 
@@ -257,127 +257,93 @@ def build_rsag_allreduce(p: int, n: int, part: Partition,
 def build_reduce_bcast_allreduce(p: int, n: int, part: Partition,
                                  root: int) -> Schedule:
     """Binomial Reduce to rank 0 + binomial Broadcast (short vectors)."""
-    whole = Interval("work", 0, n)
-    plans = []
-    for me in range(p):
-        steps: list[Step] = [_init_copy(me, n)]
-        if p > 1:
-            steps += _binomial_reduce_steps(me, range(p), 0, whole)
-            steps += _binomial_bcast_steps(me, range(p), 0, whole)
-        plans.append(tuple(steps))
-    return Schedule("allreduce", "reduce_bcast", p, n,
-                    {"in": n, "work": n}, tuple(plans), {"root": 0})
+    return Schedule("allreduce", "reduce_bcast", p, n, {"in": n, "work": n},
+                    make_table([_init_copy_rows(np.arange(p), n),
+                                _binomial_reduce_rows(range(p), 0, n),
+                                _binomial_bcast_rows(range(p), 0, n)]),
+                    {"root": 0})
 
 
-def _fold_in_steps(idx: int, members: Sequence[int], pow2: int,
-                   whole: Interval) -> list[Step]:
+def _fold_in_rows(members: Sequence[int], pow2: int, n: int) -> list:
     """Non-power-of-two prologue: members at index ``>= pow2`` hand
     their vector to the member ``pow2`` places down and go passive."""
-    rest = len(members) - pow2
-    if idx >= pow2:
-        return [Send(members[idx - pow2], whole)]
-    if idx < rest:
-        return [ReduceRecv(members[idx + pow2], whole)]
-    return []
+    return [row for passive, active in zip(members[pow2:], members)
+            for row in (_send(passive, active, 0, n),
+                        _recv(active, passive, 0, n, OP_REDUCE_RECV))]
 
 
-def _fold_out_steps(idx: int, members: Sequence[int], pow2: int,
-                    whole: Interval) -> list[Step]:
-    """Mirror of :func:`_fold_in_steps`: results back to the passives."""
-    rest = len(members) - pow2
-    if idx >= pow2:
-        return [Recv(members[idx - pow2], whole)]
-    if idx < rest:
-        return [Send(members[idx + pow2], whole)]
-    return []
+def _fold_out_rows(members: Sequence[int], pow2: int, n: int) -> list:
+    """Mirror of :func:`_fold_in_rows`: results back to the passives."""
+    return [row for passive, active in zip(members[pow2:], members)
+            for row in (_recv(passive, active, 0, n),
+                        _send(active, passive, 0, n))]
 
 
-def _recursive_doubling_steps(idx: int, members: Sequence[int],
-                              whole: Interval) -> list[Step]:
+def _recursive_doubling_rows(members: Sequence[int], n: int) -> np.ndarray:
     """Fold-in, log2 full-vector exchange rounds among the first
-    power-of-two members, fold-out — for the member at ``idx``."""
+    power-of-two members, fold-out."""
     pow2 = _largest_pow2_below(len(members))
-    steps = _fold_in_steps(idx, members, pow2, whole)
-    if idx < pow2:
+    rows = _fold_in_rows(members, pow2, n)
+    for idx in range(pow2):
         me = members[idx]
         mask = 1
         while mask < pow2:
             partner = members[idx ^ mask]
-            steps.append(Exchange(
-                send_peer=partner, send=whole,
-                recv_peer=partner, recv=whole,
-                send_first=_pair_send_first(me, partner),
-                reduce=True))
+            rows.append(_exchange(
+                me, partner, (0, n), partner, (0, n),
+                F_REDUCE | _pair_send_first(me, partner)))
             mask <<= 1
-    return steps + _fold_out_steps(idx, members, pow2, whole)
+    return _block(rows + _fold_out_rows(members, pow2, n))
 
 
 def build_recursive_doubling_allreduce(p: int, n: int, part: Partition,
                                        root: int) -> Schedule:
     """log2(p) full-vector exchange rounds: latency-optimal for short
     vectors, bandwidth-hungry for long ones."""
-    whole = Interval("work", 0, n)
-    ranks = range(p)
-    plans = []
-    for me in ranks:
-        steps: list[Step] = [_init_copy(me, n)]
-        if p > 1:
-            steps += _recursive_doubling_steps(me, ranks, whole)
-        plans.append(tuple(steps))
     return Schedule("allreduce", "recursive_doubling", p, n,
-                    {"in": n, "work": n}, tuple(plans), {"root": 0})
+                    {"in": n, "work": n},
+                    make_table([_init_copy_rows(np.arange(p), n),
+                                _recursive_doubling_rows(range(p), n)]),
+                    {"root": 0})
 
 
 def build_recursive_halving_allreduce(p: int, n: int, part: Partition,
                                       root: int) -> Schedule:
     """Rabenseifner: recursive-halving reduce-scatter + recursive-
     doubling allgather."""
-    whole = Interval("work", 0, n)
     pow2 = _largest_pow2_below(p)
-    plans = []
-    for me in range(p):
-        steps: list[Step] = [_init_copy(me, n)]
-        if p > 1:
-            steps += _fold_in_steps(me, range(p), pow2, whole)
-            if me < pow2:
-                lo, hi = 0, n
-                levels: list[tuple[int, int]] = []
-                mask = pow2 >> 1
-                while mask >= 1:
-                    partner = me ^ mask
-                    levels.append((lo, hi))
-                    mid = lo + (hi - lo) // 2
-                    if me & mask:
-                        keep, give = (mid, hi), (lo, mid)
-                    else:
-                        keep, give = (lo, mid), (mid, hi)
-                    steps.append(Exchange(
-                        send_peer=partner,
-                        send=Interval("work", give[0], give[1]),
-                        recv_peer=partner,
-                        recv=Interval("work", keep[0], keep[1]),
-                        send_first=_pair_send_first(me, partner),
-                        reduce=True))
-                    lo, hi = keep
-                    mask >>= 1
-                mask = 1
-                for elo, ehi in reversed(levels):
-                    partner = me ^ mask
-                    mid = elo + (ehi - elo) // 2
-                    if (lo, hi) == (elo, mid):
-                        plo, phi = mid, ehi
-                    else:
-                        plo, phi = elo, mid
-                    steps.append(Exchange(
-                        send_peer=partner, send=Interval("work", lo, hi),
-                        recv_peer=partner, recv=Interval("work", plo, phi),
-                        send_first=_pair_send_first(me, partner)))
-                    lo, hi = elo, ehi
-                    mask <<= 1
-            steps += _fold_out_steps(me, range(p), pow2, whole)
-        plans.append(tuple(steps))
+    rows = _fold_in_rows(range(p), pow2, n)
+    for me in range(pow2):
+        lo, hi = 0, n
+        levels: list[tuple[int, int]] = []
+        mask = pow2 >> 1
+        while mask >= 1:
+            partner = me ^ mask
+            levels.append((lo, hi))
+            mid = lo + (hi - lo) // 2
+            if me & mask:
+                keep, give = (mid, hi), (lo, mid)
+            else:
+                keep, give = (lo, mid), (mid, hi)
+            rows.append(_exchange(
+                me, partner, give, partner, keep,
+                F_REDUCE | _pair_send_first(me, partner)))
+            lo, hi = keep
+            mask >>= 1
+        mask = 1
+        for elo, ehi in reversed(levels):
+            partner = me ^ mask
+            mid = elo + (ehi - elo) // 2
+            theirs = (mid, ehi) if (lo, hi) == (elo, mid) else (elo, mid)
+            rows.append(_exchange(me, partner, (lo, hi), partner, theirs,
+                                  _pair_send_first(me, partner)))
+            lo, hi = elo, ehi
+            mask <<= 1
+    rows += _fold_out_rows(range(p), pow2, n)
     return Schedule("allreduce", "recursive_halving", p, n,
-                    {"in": n, "work": n}, tuple(plans), {"root": 0})
+                    {"in": n, "work": n},
+                    make_table([_init_copy_rows(np.arange(p), n),
+                                _block(rows)]), {"root": 0})
 
 
 # --------------------------------------------------------------------- #
@@ -385,15 +351,10 @@ def build_recursive_halving_allreduce(p: int, n: int, part: Partition,
 # --------------------------------------------------------------------- #
 def build_binomial_reduce(p: int, n: int, part: Partition,
                           root: int) -> Schedule:
-    whole = Interval("work", 0, n)
-    plans = []
-    for me in range(p):
-        steps: list[Step] = [_init_copy(me, n)]
-        if p > 1:
-            steps += _binomial_reduce_steps(me, range(p), root, whole)
-        plans.append(tuple(steps))
     return Schedule("reduce", "binomial", p, n, {"in": n, "work": n},
-                    tuple(plans), {"root": root})
+                    make_table([_init_copy_rows(np.arange(p), n),
+                                _binomial_reduce_rows(range(p), root, n)]),
+                    {"root": root})
 
 
 def build_rsg_reduce(p: int, n: int, part: Partition,
@@ -403,9 +364,8 @@ def build_rsg_reduce(p: int, n: int, part: Partition,
     blocks = [_init_copy_rows(np.arange(p), n)]
     if p > 1:
         blocks += [_ring_reduce_scatter_rows(p, part, shift=root),
-                   _tree_rows([_binomial_gather_steps(me, p, root, part)
-                               for me in range(p)])]
-    return Schedule.from_table(
+                   _binomial_gather_rows(p, root, part)]
+    return Schedule(
         "reduce", "rsg", p, n, {"in": n, "work": n},
         make_table(blocks), {"part_sizes": part.sizes, "root": root})
 
@@ -415,17 +375,10 @@ def build_rsg_reduce(p: int, n: int, part: Partition,
 # --------------------------------------------------------------------- #
 def build_binomial_bcast(p: int, n: int, part: Partition,
                          root: int) -> Schedule:
-    whole = Interval("work", 0, n)
-    plans = []
-    for me in range(p):
-        steps: list[Step] = []
-        if me == root:
-            steps.append(_init_copy(me, n))
-        if p > 1:
-            steps += _binomial_bcast_steps(me, range(p), root, whole)
-        plans.append(tuple(steps))
     return Schedule("bcast", "binomial", p, n, {"in": n, "work": n},
-                    tuple(plans), {"root": root})
+                    make_table([_init_copy_rows(root, n),
+                                _binomial_bcast_rows(range(p), root, n)]),
+                    {"root": root})
 
 
 def build_scatter_allgather_bcast(p: int, n: int, part: Partition,
@@ -434,10 +387,9 @@ def build_scatter_allgather_bcast(p: int, n: int, part: Partition,
     ring allgather."""
     blocks = [_init_copy_rows(root, n)]
     if p > 1:
-        blocks += [_tree_rows([_binomial_scatter_steps(me, p, root, part)
-                               for me in range(p)]),
+        blocks += [_binomial_scatter_rows(p, root, part),
                    _ring_allgather_blocks_rows(p, part, shift=root)]
-    return Schedule.from_table(
+    return Schedule(
         "bcast", "scatter_allgather", p, n, {"in": n, "work": n},
         make_table(blocks), {"part_sizes": part.sizes, "root": root})
 
@@ -453,7 +405,7 @@ def build_ring_allgather(p: int, n: int, part: Partition,
     rows_of_n = Partition(p * n, (n,) * p)
     blocks = [_init_copy_rows(ranks, n, work_lo=ranks * n),
               _ring_allgather_blocks_rows(p, rows_of_n)]
-    return Schedule.from_table(
+    return Schedule(
         "allgather", "ring", p, n, {"in": n, "work": p * n},
         make_table(blocks), {"rows": p, "root": 0})
 
@@ -461,27 +413,26 @@ def build_ring_allgather(p: int, n: int, part: Partition,
 def build_bruck_allgather(p: int, n: int, part: Partition,
                           root: int) -> Schedule:
     """Bruck: ceil(log2 p) rounds with doubling block counts over
-    local-index rows, then the final local rotation."""
-    plans = []
+    local-index rows, then the final local rotation (viewing ``work``
+    as ``p`` rows, row ``i`` goes to row ``(me + i) % p``; charged as
+    one private-memory copy of the whole buffer)."""
+    rows = []
     for me in range(p):
-        steps: list[Step] = [_init_copy(me, n)]
         have, distance = 1, 1
         while have < p:
             count = min(have, p - have)
             dst = (me - distance) % p
-            src = (me + distance) % p
-            steps.append(Exchange(
-                send_peer=dst, send=Interval("work", 0, count * n),
-                recv_peer=src,
-                recv=Interval("work", have * n, (have + count) * n),
-                send_first=_pair_send_first(me, dst)))
+            rows.append(_exchange(
+                me, dst, (0, count * n), (me + distance) % p,
+                (have * n, (have + count) * n), _pair_send_first(me, dst)))
             have += count
             distance <<= 1
-        steps.append(Rotate("work", rows=p, shift=me))
-        plans.append(tuple(steps))
+        rows.append((me, -1, OP_ROTATE, -1, -1, p, me,
+                     -1, WORK, 0, p * n, 0))
     return Schedule("allgather", "bruck", p, n,
-                    {"in": n, "work": p * n}, tuple(plans),
-                    {"rows": p, "root": 0})
+                    {"in": n, "work": p * n},
+                    make_table([_init_copy_rows(np.arange(p), n),
+                                _block(rows)]), {"rows": p, "root": 0})
 
 
 # --------------------------------------------------------------------- #
@@ -492,7 +443,7 @@ def build_ring_reduce_scatter(p: int, n: int, part: Partition,
     blocks = [_init_copy_rows(np.arange(p), n)]
     if p > 1:
         blocks.append(_ring_reduce_scatter_rows(p, part))
-    return Schedule.from_table(
+    return Schedule(
         "reduce_scatter", "ring", p, n, {"in": n, "work": n},
         make_table(blocks), {"part_sizes": part.sizes, "root": 0})
 
@@ -513,42 +464,37 @@ def build_pairwise_alltoall(p: int, n: int, part: Partition,
         speer=peer, sbuf=IN, slo=partner * n, shi=(partner + 1) * n,
         rpeer=peer, rbuf=WORK, rlo=partner * n, rhi=(partner + 1) * n,
         flags=np.where(own, F_CHARGED, F_SEND_FIRST * (me < partner)))
-    return Schedule.from_table(
+    return Schedule(
         "alltoall", "pairwise", p, n, {"in": p * n, "work": p * n},
         make_table([rows]), {"rows": p, "root": 0})
 
 
-def _scan_steps(me: int, p: int, whole: Interval) -> list[Step]:
+def _scan_rows(p: int, n: int) -> list:
     """Recursive-doubling prefix rounds (Hillis-Steele over ranks): in
     round k rank ``me`` folds in the partial prefix of ``me - 2^k``.
     Every edge points upward, so send-then-receive is cycle-free on the
     blocking stack; the fold order is ``op(received, local)``."""
-    steps: list[Step] = []
-    stride = 1
-    while stride < p:
-        send_peer = me + stride if me + stride < p else None
-        recv_peer = me - stride if me - stride >= 0 else None
-        if send_peer is not None or recv_peer is not None:
-            steps.append(Exchange(
-                send_peer=send_peer,
-                send=whole if send_peer is not None else None,
-                recv_peer=recv_peer,
-                recv=whole if recv_peer is not None else None,
-                send_first=True,
-                reduce=recv_peer is not None,
-                reversed_fold=True))
-        stride <<= 1
-    return steps
+    rows = []
+    for me in range(p):
+        stride = 1
+        while stride < p:
+            up = me + stride if me + stride < p else -1
+            down = me - stride
+            if up >= 0 or down >= 0:
+                rows.append(_exchange(
+                    me, up, (0, n), down, (0, n),
+                    F_SEND_FIRST | F_REVERSED | F_REDUCE * (down >= 0)))
+            stride <<= 1
+    return rows
 
 
 def build_recursive_doubling_scan(p: int, n: int, part: Partition,
                                   root: int) -> Schedule:
     """Inclusive prefix reduction in ceil(log2 p) rounds."""
-    whole = Interval("work", 0, n)
-    plans = tuple((_init_copy(me, n), *_scan_steps(me, p, whole))
-                  for me in range(p))
     return Schedule("scan", "recursive_doubling", p, n,
-                    {"in": n, "work": n}, plans, {"root": 0})
+                    {"in": n, "work": n},
+                    make_table([_init_copy_rows(np.arange(p), n),
+                                _block(_scan_rows(p, n))]), {"root": 0})
 
 
 # --------------------------------------------------------------------- #
@@ -558,47 +504,39 @@ def build_exscan(p: int, n: int, part: Partition, root: int) -> Schedule:
     """Exclusive prefix: the inclusive scan over ``work[0:n]``, then every
     rank hands its prefix to ``me + 1``, which receives it into
     ``work[n:2n]`` (rank 0's result is undefined, MPI-style)."""
-    whole = Interval("work", 0, n)
-    plans = []
-    for me in range(p):
-        steps = [_init_copy(me, n), *_scan_steps(me, p, whole)]
-        up = me + 1 if me + 1 < p else None
-        down = me - 1 if me >= 1 else None
-        if up is not None or down is not None:
-            steps.append(Exchange(
-                send_peer=up, send=whole if up is not None else None,
-                recv_peer=down,
-                recv=Interval("work", n, 2 * n) if down is not None
-                else None,
-                send_first=True))
-        plans.append(tuple(steps))
+    hand_down = [] if p == 1 else [
+        _exchange(me, me + 1 if me + 1 < p else -1, (0, n),
+                  me - 1, (n, 2 * n), F_SEND_FIRST)
+        for me in range(p)]
     return Schedule("exscan", "recursive_doubling", p, n,
-                    {"in": n, "work": 2 * n}, tuple(plans), {"root": 0})
+                    {"in": n, "work": 2 * n},
+                    make_table([_init_copy_rows(np.arange(p), n),
+                                _block(_scan_rows(p, n) + hand_down)]),
+                    {"root": 0})
 
 
 def build_binomial_scatter(p: int, n: int, part: Partition,
                            root: int) -> Schedule:
     """Scatter(v): the root stages its vector, the tree hands every
     vrank its block of ``part`` (any block sizes, empty ones included)."""
-    plans = tuple(
-        (*([_init_copy(me, n)] if me == root else []),
-         *_binomial_scatter_steps(me, p, root, part))
-        for me in range(p))
     return Schedule("scatter", "binomial", p, n, {"in": n, "work": n},
-                    plans, {"part_sizes": part.sizes, "root": root})
+                    make_table([_init_copy_rows(root, n),
+                                _binomial_scatter_rows(p, root, part)]),
+                    {"part_sizes": part.sizes, "root": root})
 
 
 def build_binomial_gather(p: int, n: int, part: Partition,
                           root: int) -> Schedule:
     """Gather(v): rank ``me`` holds block ``vrank(me)`` of ``part`` at
     its place in ``in``; the tree assembles the vector at ``root``."""
-    plans = []
-    for me in range(p):
-        own = _block_iv("work", part, (me - root) % p)
-        plans.append((CopyBlock(Interval("in", own.lo, own.hi), own),
-                      *_binomial_gather_steps(me, p, root, part)))
+    offsets = np.asarray(part.offsets)
+    own = (np.arange(p) - root) % p
+    staged = step_rows(np.arange(p), -1, OP_COPY,
+                       sbuf=IN, slo=offsets[own], shi=offsets[own + 1],
+                       rbuf=WORK, rlo=offsets[own], rhi=offsets[own + 1])
     return Schedule("gather", "binomial", p, n, {"in": n, "work": n},
-                    tuple(plans),
+                    make_table([staged,
+                                _binomial_gather_rows(p, root, part)]),
                     {"part_sizes": part.sizes, "root": root})
 
 

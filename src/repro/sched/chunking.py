@@ -126,14 +126,13 @@ def chunk_schedule(sched: Schedule, c: int) -> Schedule:
     ``c <= 1`` returns the schedule unchanged.  The result is renamed
     ``<name>+c<c>`` and records the chunk layout in ``meta`` (the cost
     memo keys on it — see :func:`repro.sched.cost.schedule_cost_key`).
-    A table -> table transform: neither schedule's ``plans`` are built.
     """
     if c <= 1:
         return sched
     meta = dict(sched.meta)
     meta["chunks"] = c
     meta["base"] = sched.name
-    return Schedule.from_table(
+    return Schedule(
         sched.kind, f"{sched.name}+c{c}", sched.p, sched.n,
         dict(sched.buffers), chunk_table(sched.table, c), meta)
 
@@ -179,7 +178,7 @@ def _chain_rows(p: int, n: int, c: int, pos, source, dest, recv_op: int,
 
 def _chain_schedule(kind: str, p: int, n: int, root: int, c: int,
                     blocks: list) -> Schedule:
-    return Schedule.from_table(
+    return Schedule(
         kind, f"pipeline_c{c}", p, n, {"in": n, "work": n},
         make_table(blocks), {"root": root, "chunks": c})
 

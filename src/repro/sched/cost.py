@@ -32,7 +32,7 @@ default ``overhead=None`` every function below behaves exactly as before
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -42,17 +42,13 @@ from repro.sched.ir import (
     F_REDUCE,
     FLAGS,
     OP,
+    OP_COPY,
+    OP_EXCHANGE,
+    OP_REDUCE_RECV,
     PHASE,
     RANK,
     SIDES,
-    CopyBlock,
-    Exchange,
-    Recv,
-    ReduceRecv,
-    Rotate,
     Schedule,
-    Send,
-    decode_row,
 )
 
 #: The paper's element type: IEEE doubles.
@@ -63,8 +59,8 @@ ELEMENT_BYTES = 8
 class SoftwareOverhead:
     """Per-call software costs (picoseconds) of one point-to-point stack.
 
-    ``send_ps``/``recv_ps`` are charged per :class:`~repro.sched.ir.Send`
-    and :class:`~repro.sched.ir.Recv` side of a step — for the blocking
+    ``send_ps``/``recv_ps`` are charged per send and receive side of a
+    communication row — for the blocking
     stack these are the RCCE send/recv call cycles, for the non-blocking
     stacks the issue + completion cycles of one request.  ``call_ps`` is
     the collective-layer entry cost, charged once per schedule by
@@ -161,15 +157,10 @@ def _copy_pair_cost(model: LatencyModel, src: int, dst: int,
     return value
 
 
-def step_cost(model: LatencyModel, step, rank: int, *,
+def step_cost(model: LatencyModel, row: Sequence[int], *,
               blocking: bool = False,
-              buffers: Optional[Mapping[str, int]] = None,
               overhead: Optional[SoftwareOverhead] = None) -> int:
-    """Price one IR step as seen by ``rank`` (picoseconds).
-
-    ``buffers`` (the schedule's name -> element-count mapping) is needed
-    only to price :class:`~repro.sched.ir.Rotate`, whose operand is a
-    whole buffer rather than an interval.
+    """Price one step row as seen by its rank (picoseconds).
 
     ``overhead`` switches between the two pricing regimes:
 
@@ -185,64 +176,54 @@ def step_cost(model: LatencyModel, step, rank: int, *,
       endpoint's CPU performs just its own write and read while the
       partner copies concurrently.
     """
+    (rank, _, op, speer, _, slo, shi, rpeer, _, rlo, rhi, flags) = row
     ov = overhead
-    if isinstance(step, (Send, Recv, ReduceRecv)):
-        src, dst = ((rank, step.peer) if isinstance(step, Send)
-                    else (step.peer, rank))
-        cost = message_cost(model, src, dst, step.data.nels)
-        if ov is not None:
-            cost += ((ov.send_ps if isinstance(step, Send) else ov.recv_ps)
-                     + handshake_cost(model, src, dst))
-        if isinstance(step, ReduceRecv):
-            cost += model.reduce_doubles(step.data.nels)
-        return cost
-    if isinstance(step, Exchange):
-        fold = (model.reduce_doubles(step.recv.nels)
-                if step.reduce and step.recv.nels else 0)
-        if ov is None:
-            out = (message_cost(model, rank, step.send_peer, step.send.nels)
-                   if step.send_peer is not None else 0)
-            inn = (message_cost(model, step.recv_peer, rank, step.recv.nels)
-                   if step.recv_peer is not None else 0)
-            return (out + inn if blocking else max(out, inn)) + fold
-        cost = 0
-        copies = []
-        # On the blocking stack the exchange is a rendezvous in lockstep
-        # with the partner's complementary recv/send pair, so *both*
-        # endpoints' call overheads sit on each direction's critical
-        # path; the non-blocking stacks overlap the partner's call work
-        # with the transfer waits.
-        coupling = ov.send_ps + ov.recv_ps if blocking else 0
-        if step.send_peer is not None:
-            copies.append(_copy_pair_cost(model, rank, step.send_peer,
-                                          step.send.nels))
-            cost += (ov.send_ps + coupling
-                     + message_cost(model, rank, step.send_peer, 0)
-                     + handshake_cost(model, rank, step.send_peer))
-        if step.recv_peer is not None:
-            copies.append(_copy_pair_cost(model, step.recv_peer, rank,
-                                          step.recv.nels))
-            cost += (ov.recv_ps
-                     + message_cost(model, step.recv_peer, rank, 0)
-                     + handshake_cost(model, step.recv_peer, rank))
-        # Copy time: the blocking rendezvous drains each direction fully
-        # before the next starts (sum); on the non-blocking stacks each
-        # endpoint's CPU performs only its *own* write and read — the
-        # partner's copies run concurrently on the partner's core — so a
-        # symmetric exchange pays for one direction's copy pair (the max
-        # covers asymmetric block sizes).
-        if copies:
-            cost += sum(copies) if blocking else max(copies)
+    if op > OP_EXCHANGE:
+        # Local rows: one private-memory pass over the copied interval
+        # or the rotated buffer; uncharged copies are free staging.
+        if op == OP_COPY:
+            if not flags & F_CHARGED:
+                return 0
+            return model.private_copy_bytes((shi - slo) * ELEMENT_BYTES)
+        return model.private_copy_bytes((rhi - rlo) * ELEMENT_BYTES)
+    snels, rnels = shi - slo, rhi - rlo
+    # Tree folds charge unconditionally, exchanges only non-empty blocks.
+    fold = (model.reduce_doubles(rnels)
+            if op == OP_REDUCE_RECV or flags & F_REDUCE and rnels else 0)
+    if ov is None or op != OP_EXCHANGE:
+        out = message_cost(model, rank, speer, snels) if speer >= 0 else 0
+        inn = message_cost(model, rpeer, rank, rnels) if rpeer >= 0 else 0
+        cost = out + inn if blocking else max(out, inn)
+        if ov is not None:   # a lone send or receive call
+            cost += (ov.send_ps + handshake_cost(model, rank, speer)
+                     if speer >= 0
+                     else ov.recv_ps + handshake_cost(model, rpeer, rank))
         return cost + fold
-    if isinstance(step, CopyBlock):
-        if step.charged:
-            return model.private_copy_bytes(step.src.nels * ELEMENT_BYTES)
-        return 0
-    if isinstance(step, Rotate):
-        # One private-memory pass over the whole buffer.
-        nels = buffers[step.buf] if buffers is not None else 0
-        return model.private_copy_bytes(nels * ELEMENT_BYTES)
-    raise TypeError(f"unknown schedule step {step!r}")
+    cost = 0
+    copies = []
+    # On the blocking stack the exchange is a rendezvous in lockstep
+    # with the partner's complementary recv/send pair, so *both*
+    # endpoints' call overheads sit on each direction's critical
+    # path; the non-blocking stacks overlap the partner's call work
+    # with the transfer waits.
+    coupling = ov.send_ps + ov.recv_ps if blocking else 0
+    if speer >= 0:
+        copies.append(_copy_pair_cost(model, rank, speer, snels))
+        cost += (ov.send_ps + coupling
+                 + message_cost(model, rank, speer, 0)
+                 + handshake_cost(model, rank, speer))
+    if rpeer >= 0:
+        copies.append(_copy_pair_cost(model, rpeer, rank, rnels))
+        cost += (ov.recv_ps
+                 + message_cost(model, rpeer, rank, 0)
+                 + handshake_cost(model, rpeer, rank))
+    # Copy time: the blocking rendezvous drains each direction fully
+    # before the next starts (sum); on the non-blocking stacks each
+    # endpoint's CPU performs only its *own* write and read — the
+    # partner's copies run concurrently on the partner's core — so a
+    # symmetric exchange pays for one direction's copy pair (the max
+    # covers asymmetric block sizes).
+    return cost + (sum(copies) if blocking else max(copies)) + fold
 
 
 def schedule_cost_key(sched: Schedule, *, blocking: bool,
@@ -359,7 +340,7 @@ def estimate_schedule_cost(sched: Schedule, model: LatencyModel, *,
     step shape (:func:`_step_keys`) is priced once through
     :func:`step_cost` — which stays the single definition of a step's
     price — then gathered, summed per (phase, rank), maximized per
-    phase.  ``sched.plans`` is not touched.
+    phase.
 
     Whole-schedule results are memoized in the model's per-erratum
     table under :func:`schedule_cost_key` — the synthesizer prices the
@@ -376,8 +357,7 @@ def estimate_schedule_cost(sched: Schedule, model: LatencyModel, *,
         cached = sched_memo.get(cache_key)
         if cached is not None:
             return cached
-    table = sched.table
-    rows = table.rows
+    rows = sched.table.rows
     total = overhead.call_ps if overhead is not None else 0
     if len(rows):
         keys = _step_keys(rows, _pair_classes(model))
@@ -385,9 +365,7 @@ def estimate_schedule_cost(sched: Schedule, model: LatencyModel, *,
             keys, axis=0 if keys.ndim == 2 else None,
             return_index=True, return_inverse=True)
         prices = np.array(
-            [step_cost(model, decode_row(row, table.bufs, {}), row[RANK],
-                       blocking=blocking, buffers=sched.buffers,
-                       overhead=overhead)
+            [step_cost(model, row, blocking=blocking, overhead=overhead)
              for row in rows[first].tolist()], dtype=np.int64)
         # Dense (phase, rank) cells; PRE/POST are phases like any round.
         # Costs are >= 0, so a rank's empty cell never wins the max.

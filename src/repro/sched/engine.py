@@ -1,18 +1,20 @@
-"""The schedule executor: lowering IR steps onto any p2p stack.
+"""The schedule executor: lowering step rows onto any p2p stack.
 
 One engine runs every collective algorithm: it walks the calling rank's
-step list and lowers each step onto the communicator's primitives:
+rows and lowers each onto the communicator's primitives:
 
-* :class:`~repro.sched.ir.Send`/:class:`~repro.sched.ir.Recv` lower to
-  ``comm.send``/``comm.recv`` (RCCE rendezvous on the blocking stack,
-  ``isend``/``irecv`` + ``wait`` elsewhere);
-* :class:`~repro.sched.ir.Exchange` honours the baked-in ``send_first``
-  on the blocking stack and issues exactly one send and one receive
-  request elsewhere, completed by one ``wait_all`` (within LWNB's
-  single-outstanding-request budget); one-sided exchanges (the
-  prefix-scan edges) issue their single operation the same way;
+* send and receive rows lower to ``comm.send``/``comm.recv`` (RCCE
+  rendezvous on the blocking stack, ``isend``/``irecv`` + ``wait``
+  elsewhere);
+* exchange rows honour the baked-in ``F_SEND_FIRST`` on the blocking
+  stack and issue exactly one send and one receive request elsewhere,
+  completed by one ``wait_all`` (within LWNB's single-outstanding-request
+  budget); one-sided exchanges (the prefix-scan edges) issue their
+  single operation the same way;
 * reductions charge ``latency.reduce_doubles``: unconditionally for tree
-  folds, only for non-empty blocks in the ring reduce-scatter.
+  folds (``OP_REDUCE_RECV``), only for non-empty blocks in the ring
+  reduce-scatter (``F_REDUCE`` exchanges);
+* copy and rotation rows charge the private-memory copy costs.
 
 The virtual time this charges per algorithm, stack and rank is pinned in
 ``tests/sched/test_engine_golden.py``.  Spans annotate the run with the
@@ -29,14 +31,15 @@ import numpy as np
 from repro.core.ops import ReduceOp, SUM
 from repro.obs.spans import span
 from repro.sched.ir import (
-    CopyBlock,
-    Exchange,
-    Interval,
-    Recv,
-    ReduceRecv,
-    Rotate,
+    F_CHARGED,
+    F_REDUCE,
+    F_REVERSED,
+    F_SEND_FIRST,
+    OP_COPY,
+    OP_EXCHANGE,
+    OP_REDUCE_RECV,
     Schedule,
-    Send,
+    StepRow,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -53,108 +56,86 @@ _PARTITIONED = {
 }
 
 
-def _view(buffers: dict[str, np.ndarray], iv: Interval) -> np.ndarray:
-    return buffers[iv.buf][iv.lo:iv.hi]
-
-
 def _run_steps(comm: "Communicator", env: "CoreEnv", sched: Schedule,
-               buffers: dict[str, np.ndarray], op: ReduceOp) -> Generator:
-    """Execute this rank's plan (the engine inner loop)."""
-    plan = sched.plans[env.rank]
+               buffers: list[np.ndarray], op: ReduceOp) -> Generator:
+    """Execute this rank's plan (the engine inner loop); ``buffers`` is
+    indexed by buffer id."""
+    plan = sched.rank_rows(env.rank)
     with span(env, "schedule", sched.label):
         i = 0
         while i < len(plan):
-            rnd = plan[i].round
-            if rnd is None:
+            rnd = plan[i].phase
+            if rnd < 0:
                 yield from _run_step(comm, env, plan[i], buffers, op)
                 i += 1
             else:
                 with span(env, "round", rnd):
-                    while i < len(plan) and plan[i].round == rnd:
+                    while i < len(plan) and plan[i].phase == rnd:
                         yield from _run_step(comm, env, plan[i], buffers,
                                              op)
                         i += 1
 
 
-def _run_step(comm: "Communicator", env: "CoreEnv", step,
-              buffers: dict[str, np.ndarray], op: ReduceOp) -> Generator:
-    if isinstance(step, Exchange):
-        yield from _run_exchange(comm, env, step, buffers, op)
-    elif isinstance(step, Send):
-        yield from comm.send(env, _view(buffers, step.data), step.peer)
-    elif isinstance(step, Recv):
-        yield from comm.recv(env, _view(buffers, step.data), step.peer)
-    elif isinstance(step, ReduceRecv):
-        target = _view(buffers, step.data)
-        tmp = np.empty_like(target)
-        yield from comm.recv(env, tmp, step.peer)
-        # Tree folds charge unconditionally.
-        yield from env.consume(env.latency.reduce_doubles(target.size),
-                               "compute")
-        target[:] = op(target, tmp)
-    elif isinstance(step, CopyBlock):
-        src = _view(buffers, step.src)
-        if step.charged:
+def _run_step(comm: "Communicator", env: "CoreEnv", row: StepRow,
+              buffers: list[np.ndarray], op: ReduceOp) -> Generator:
+    (_, _, code, speer, sbuf, slo, shi,
+     rpeer, rbuf, rlo, rhi, flags) = row
+    if code > OP_EXCHANGE:
+        target = buffers[rbuf][rlo:rhi]
+        if code == OP_COPY:
+            src = buffers[sbuf][slo:shi]
+            if flags & F_CHARGED:
+                yield from env.consume(
+                    env.latency.private_copy_bytes(src.nbytes), "copy")
+            target[:] = src
+        else:  # OP_ROTATE: ``slo`` rows, shifted down by ``shi``
             yield from env.consume(
-                env.latency.private_copy_bytes(src.nbytes), "copy")
-        _view(buffers, step.dst)[:] = src
-    elif isinstance(step, Rotate):
-        buf = buffers[step.buf]
-        rows = buf.reshape(step.rows, -1)
-        yield from env.consume(
-            env.latency.private_copy_bytes(buf.nbytes), "copy")
-        out = np.empty_like(rows)
-        for i in range(step.rows):
-            out[(step.shift + i) % step.rows] = rows[i]
-        rows[:] = out
-    else:  # pragma: no cover - the IR is closed
-        raise TypeError(f"unknown schedule step {step!r}")
-
-
-def _run_exchange(comm: "Communicator", env: "CoreEnv", step: Exchange,
-                  buffers: dict[str, np.ndarray],
-                  op: ReduceOp) -> Generator:
-    """Send ``step.send`` while receiving ``step.recv`` (either side may
-    be absent: the prefix-scan edges).
-
-    RCCE's doubly-synchronizing calls deadlock unless the two sides of a
-    pair order them oppositely (Fig. 4), so the blocking stack follows
-    the builder's baked ``send_first``; the non-blocking stacks issue
-    both requests and synchronize once (Fig. 5), overlapping the copies.
-    """
-    send_view = (_view(buffers, step.send)
-                 if step.send is not None else None)
-    recv_view = (_view(buffers, step.recv)
-                 if step.recv is not None else None)
+                env.latency.private_copy_bytes(target.nbytes), "copy")
+            matrix = target.reshape(slo, -1)
+            matrix[:] = np.roll(matrix, shi, axis=0)
+        return
+    send_view = buffers[sbuf][slo:shi] if sbuf >= 0 else None
+    recv_view = buffers[rbuf][rlo:rhi] if rbuf >= 0 else None
+    folds = code == OP_REDUCE_RECV or flags & F_REDUCE
     # A folding receive lands in scratch and is folded after completion.
-    recv_buf = np.empty_like(recv_view) if step.reduce else recv_view
+    recv_buf = np.empty_like(recv_view) if folds else recv_view
     p2p = comm.p2p
-    if comm.blocking:
-        if send_view is not None and step.send_first:
-            yield from p2p.send(env, send_view, step.send_peer)
+    if code != OP_EXCHANGE:
+        if send_view is not None:
+            yield from comm.send(env, send_view, speer)
+        else:
+            yield from comm.recv(env, recv_buf, rpeer)
+    elif comm.blocking:
+        # RCCE's doubly-synchronizing calls deadlock unless the two sides
+        # of a pair order them oppositely (Fig. 4): follow the builder's
+        # baked order.
+        send_first = flags & F_SEND_FIRST
+        if send_view is not None and send_first:
+            yield from p2p.send(env, send_view, speer)
         if recv_buf is not None:
-            yield from p2p.recv(env, recv_buf, step.recv_peer)
-        if send_view is not None and not step.send_first:
-            yield from p2p.send(env, send_view, step.send_peer)
+            yield from p2p.recv(env, recv_buf, rpeer)
+        if send_view is not None and not send_first:
+            yield from p2p.send(env, send_view, speer)
     else:
+        # Issue both requests and synchronize once (Fig. 5), overlapping
+        # the copies.
         reqs = []
         if send_view is not None:
-            reqs.append((yield from p2p.isend(env, send_view,
-                                              step.send_peer)))
+            reqs.append((yield from p2p.isend(env, send_view, speer)))
         if recv_buf is not None:
-            reqs.append((yield from p2p.irecv(env, recv_buf,
-                                              step.recv_peer)))
+            reqs.append((yield from p2p.irecv(env, recv_buf, rpeer)))
         yield from p2p.wait_all(env, reqs)
-    if step.reduce:
+    if folds:
         nels = recv_view.size
-        if nels:
+        if code == OP_REDUCE_RECV:
+            yield from env.consume(env.latency.reduce_doubles(nels),
+                                   "compute")
+        elif nels:
             with span(env, "reduce", nels):
                 yield from env.consume(env.latency.reduce_doubles(nels),
                                        "compute")
-            if step.reversed_fold:
-                recv_view[:] = op(recv_buf, recv_view)
-            else:
-                recv_view[:] = op(recv_view, recv_buf)
+        recv_view[:] = (op(recv_buf, recv_view) if flags & F_REVERSED
+                        else op(recv_view, recv_buf))
 
 
 def schedule_for(comm: "Communicator", kind: str, name: str, p: int,
@@ -208,8 +189,9 @@ def run_schedule(comm: "Communicator", env: "CoreEnv", kind: str,
     sched = schedule_for(comm, kind, name, p, n, root, part)
     flat_in = sendbuf.reshape(-1)
     work = np.empty(sched.buffers["work"], dtype=sendbuf.dtype)
-    buffers = {"in": flat_in, "work": work}
-    yield from _run_steps(comm, env, sched, buffers, op)
+    named = {"in": flat_in, "work": work}
+    yield from _run_steps(comm, env, sched,
+                          [named[name] for name in sched.table.bufs], op)
     if kind in ("allreduce", "scan"):
         return work
     if kind in ("reduce", "gather"):

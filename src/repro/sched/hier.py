@@ -32,11 +32,13 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import TYPE_CHECKING, Optional
 
+import numpy as np
+
 from repro.core.blocks import Partition
-from repro.sched.builders import (_binomial_bcast_steps,
-                                  _binomial_reduce_steps, _init_copy,
-                                  _recursive_doubling_steps)
-from repro.sched.ir import Interval, Schedule, Step
+from repro.sched.builders import (_binomial_bcast_rows,
+                                  _binomial_reduce_rows, _init_copy_rows,
+                                  _recursive_doubling_rows)
+from repro.sched.ir import Schedule, make_table
 
 if TYPE_CHECKING:
     from repro.hw.topology import Topology
@@ -113,69 +115,45 @@ def _leaders_for(bounds: list[tuple[int, int]], root: int,
     return leaders
 
 
+def _intra_rows(phase_rows, bounds: list[tuple[int, int]],
+                leaders: list[int], n: int) -> list[np.ndarray]:
+    """One binomial tree per group, rooted at the group's leader."""
+    return [phase_rows(range(lo, hi), lead - lo, n)
+            for (lo, hi), lead in zip(bounds, leaders)]
+
+
+def _hier_schedule(kind: str, p: int, n: int, groups: int, root: int,
+                   blocks: list[np.ndarray]) -> Schedule:
+    return Schedule(kind, f"hier/g{groups}", p, n, {"in": n, "work": n},
+                    make_table(blocks), {"root": root, "groups": groups})
+
+
 def build_hier_allreduce(p: int, n: int, groups: int) -> Schedule:
-    whole = Interval("work", 0, n)
     bounds = group_bounds(p, groups)
     leaders = _leaders_for(bounds, 0, rooted=False)
-    plans = []
-    for me in range(p):
-        gi = _group_of(bounds, me)
-        lo, hi = bounds[gi]
-        steps: list[Step] = [_init_copy(me, n)]
-        if p > 1:
-            group, lead = range(lo, hi), leaders[gi] - lo
-            steps += _binomial_reduce_steps(me - lo, group, lead, whole)
-            if me == leaders[gi]:
-                steps += _recursive_doubling_steps(gi, leaders, whole)
-            steps += _binomial_bcast_steps(me - lo, group, lead, whole)
-        plans.append(tuple(steps))
-    return Schedule("allreduce", f"hier/g{groups}", p, n,
-                    {"in": n, "work": n}, tuple(plans),
-                    {"root": 0, "groups": groups})
+    return _hier_schedule("allreduce", p, n, groups, 0, [
+        _init_copy_rows(np.arange(p), n),
+        *_intra_rows(_binomial_reduce_rows, bounds, leaders, n),
+        _recursive_doubling_rows(leaders, n),
+        *_intra_rows(_binomial_bcast_rows, bounds, leaders, n)])
 
 
 def build_hier_reduce(p: int, n: int, groups: int, root: int) -> Schedule:
-    whole = Interval("work", 0, n)
     bounds = group_bounds(p, groups)
     leaders = _leaders_for(bounds, root, rooted=True)
-    root_gi = _group_of(bounds, root)
-    plans = []
-    for me in range(p):
-        gi = _group_of(bounds, me)
-        lo, hi = bounds[gi]
-        steps: list[Step] = [_init_copy(me, n)]
-        if p > 1:
-            steps += _binomial_reduce_steps(me - lo, range(lo, hi),
-                                            leaders[gi] - lo, whole)
-            if me == leaders[gi]:
-                steps += _binomial_reduce_steps(gi, leaders, root_gi, whole)
-        plans.append(tuple(steps))
-    return Schedule("reduce", f"hier/g{groups}", p, n,
-                    {"in": n, "work": n}, tuple(plans),
-                    {"root": root, "groups": groups})
+    return _hier_schedule("reduce", p, n, groups, root, [
+        _init_copy_rows(np.arange(p), n),
+        *_intra_rows(_binomial_reduce_rows, bounds, leaders, n),
+        _binomial_reduce_rows(leaders, _group_of(bounds, root), n)])
 
 
 def build_hier_bcast(p: int, n: int, groups: int, root: int) -> Schedule:
-    whole = Interval("work", 0, n)
     bounds = group_bounds(p, groups)
     leaders = _leaders_for(bounds, root, rooted=True)
-    root_gi = _group_of(bounds, root)
-    plans = []
-    for me in range(p):
-        gi = _group_of(bounds, me)
-        lo, hi = bounds[gi]
-        steps: list[Step] = []
-        if me == root:
-            steps.append(_init_copy(me, n))
-        if p > 1:
-            if me == leaders[gi]:
-                steps += _binomial_bcast_steps(gi, leaders, root_gi, whole)
-            steps += _binomial_bcast_steps(me - lo, range(lo, hi),
-                                           leaders[gi] - lo, whole)
-        plans.append(tuple(steps))
-    return Schedule("bcast", f"hier/g{groups}", p, n,
-                    {"in": n, "work": n}, tuple(plans),
-                    {"root": root, "groups": groups})
+    return _hier_schedule("bcast", p, n, groups, root, [
+        _init_copy_rows(root, n),
+        _binomial_bcast_rows(leaders, _group_of(bounds, root), n),
+        *_intra_rows(_binomial_bcast_rows, bounds, leaders, n)])
 
 
 @lru_cache(maxsize=1024)

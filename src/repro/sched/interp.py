@@ -1,14 +1,19 @@
-"""Machine-free numpy interpretation of schedules.
+"""Machine-free interpretation of schedules.
 
 The property suite (``tests/properties/test_prop_schedules.py``)
-established the semantics: execute the IR on real numpy buffers with
+established the semantics: execute the step rows on real buffers with
 eager sends and FIFO channels — the non-blocking posture whose
-deadlock-freedom the static verifier proves — so a schedule's numeric
-output can be checked at p = 48 in milliseconds instead of a full
-simulation.  The synthesizer needs the same check *inside* the library
+deadlock-freedom the static verifier proves — so a schedule's output can
+be checked at p = 48 in milliseconds instead of a full simulation.
+:func:`run_eager` is that stepping loop, written once over any value
+domain numpy can hold in an array: :func:`interpret` runs it on doubles
+under a :class:`~repro.core.ops.ReduceOp`, the verifier's
+``simulate_schedule`` on multisets of symbolic atoms under multiset
+union.  The synthesizer needs the numeric check *inside* the library
 (``python -m repro synth`` refuses to report a candidate that does not
-interpret correctly), so the interpreter lives here and the property
-tests drive it over the synthesized repertoire.
+interpret correctly), so it lives here and the property tests — which
+keep their own independent copy of the loop as the reference — drive it
+over the synthesized repertoire.
 
 :func:`check_schedule_numeric` bundles the per-kind references: it
 interprets the schedule on integer-valued doubles (exact reductions)
@@ -18,19 +23,19 @@ and asserts the work buffers match numpy's answer.
 from __future__ import annotations
 
 from collections import deque
+from typing import Callable
 
 import numpy as np
 
 from repro.core.blocks import Partition, standard_partition
 from repro.core.ops import SUM, ReduceOp
 from repro.sched.ir import (
-    CopyBlock,
-    Exchange,
-    Recv,
-    ReduceRecv,
-    Rotate,
+    F_REDUCE,
+    F_REVERSED,
+    OP_COPY,
+    OP_EXCHANGE,
+    OP_REDUCE_RECV,
     Schedule,
-    Send,
 )
 
 
@@ -38,74 +43,65 @@ class InterpreterStall(AssertionError):
     """No rank can make progress: an unmatched receive in the schedule."""
 
 
+def run_eager(sched: Schedule, state: list, fold: Callable) -> list[int]:
+    """Step every rank's rows over ``state`` until nothing moves.
+
+    ``state[r][name]`` is rank ``r``'s 1-D array for buffer ``name``,
+    updated in place; ``fold(a, b)`` combines two equal-length arrays
+    elementwise (a folding receive stores ``fold(local, received)``, or
+    ``fold(received, local)`` under ``F_REVERSED``).  A send pushes a
+    snapshot of its interval without waiting; a receive blocks its rank
+    until the matching channel has a payload.  Returns the ranks left
+    stuck on a receive (empty: the schedule ran to completion).
+    """
+    bufs = sched.table.bufs
+    plans = sched.plans
+    channels: dict[tuple[int, int], deque] = {}
+    pcs = [0] * sched.p
+    sent = [False] * sched.p   # this row's send side is already pushed
+    progress = True
+    while progress:
+        progress = False
+        for r, plan in enumerate(plans):
+            mine = state[r]
+            while pcs[r] < len(plan):
+                (_, _, op, speer, sbuf, slo, shi,
+                 rpeer, rbuf, rlo, rhi, flags) = plan[pcs[r]]
+                if op <= OP_EXCHANGE:
+                    if speer >= 0 and not sent[r]:
+                        channels.setdefault((r, speer), deque()).append(
+                            mine[bufs[sbuf]][slo:shi].copy())
+                        sent[r] = True
+                    if rpeer >= 0:
+                        chan = channels.get((rpeer, r))
+                        if not chan:
+                            break
+                        payload = chan.popleft()
+                        target = mine[bufs[rbuf]][rlo:rhi]
+                        if op != OP_REDUCE_RECV and not flags & F_REDUCE:
+                            target[:] = payload
+                        elif flags & F_REVERSED:
+                            target[:] = fold(payload, target)
+                        else:
+                            target[:] = fold(target, payload)
+                    sent[r] = False
+                elif op == OP_COPY:
+                    mine[bufs[rbuf]][rlo:rhi] = mine[bufs[sbuf]][slo:shi]
+                else:  # OP_ROTATE: ``slo`` rows, shifted down by ``shi``
+                    matrix = mine[bufs[rbuf]][rlo:rhi].reshape(slo, -1)
+                    matrix[:] = np.roll(matrix, shi, axis=0)
+                pcs[r] += 1
+                progress = True
+    return [r for r, plan in enumerate(plans) if pcs[r] < len(plan)]
+
+
 def interpret(sched: Schedule, inputs, op: ReduceOp = SUM) -> list:
     """Run a schedule on numpy buffers; returns per-rank work arrays."""
     state = [{"in": np.asarray(inputs[r], dtype=float).reshape(-1).copy(),
               "work": np.zeros(sched.buffers["work"])}
              for r in range(sched.p)]
-    channels: dict = {}
-    pcs = [0] * sched.p
-    half_done = [False] * sched.p
-
-    def view(rank, iv):
-        return state[rank][iv.buf][iv.lo:iv.hi]
-
-    def pop(src, dst):
-        chan = channels.get((src, dst))
-        return chan.popleft() if chan else None
-
-    progress = True
-    while progress:
-        progress = False
-        for r in range(sched.p):
-            while pcs[r] < len(sched.plans[r]):
-                step = sched.plans[r][pcs[r]]
-                if isinstance(step, Send):
-                    channels.setdefault((r, step.peer), deque()).append(
-                        view(r, step.data).copy())
-                elif isinstance(step, Recv):
-                    payload = pop(step.peer, r)
-                    if payload is None:
-                        break
-                    view(r, step.data)[:] = payload
-                elif isinstance(step, ReduceRecv):
-                    payload = pop(step.peer, r)
-                    if payload is None:
-                        break
-                    target = view(r, step.data)
-                    target[:] = op(target, payload)
-                elif isinstance(step, Exchange):
-                    if step.send_peer is not None and not half_done[r]:
-                        channels.setdefault(
-                            (r, step.send_peer), deque()).append(
-                                view(r, step.send).copy())
-                        half_done[r] = True
-                    if step.recv_peer is not None:
-                        payload = pop(step.recv_peer, r)
-                        if payload is None:
-                            break
-                        target = view(r, step.recv)
-                        if step.reduce and target.size:
-                            if step.reversed_fold:
-                                target[:] = op(payload, target)
-                            else:
-                                target[:] = op(target, payload)
-                        elif not step.reduce:
-                            target[:] = payload
-                    half_done[r] = False
-                elif isinstance(step, CopyBlock):
-                    view(r, step.dst)[:] = view(r, step.src)
-                elif isinstance(step, Rotate):
-                    buf = state[r][step.buf].reshape(step.rows, -1)
-                    out = np.empty_like(buf)
-                    for i in range(step.rows):
-                        out[(step.shift + i) % step.rows] = buf[i]
-                    buf[:] = out
-                pcs[r] += 1
-                progress = True
-    if not all(pcs[r] == len(sched.plans[r]) for r in range(sched.p)):
-        stuck = [r for r in range(sched.p)
-                 if pcs[r] < len(sched.plans[r])]
+    stuck = run_eager(sched, state, op)
+    if stuck:
         raise InterpreterStall(
             f"{sched.label}: interpreter stalled on ranks {stuck} "
             f"(unmatched receive)")
@@ -124,8 +120,8 @@ def check_schedule_numeric(sched: Schedule, *, seed: int = 20120901) -> None:
     Covers every scheduled kind; raises :class:`AssertionError` (or
     :class:`InterpreterStall`) on any mismatch.  ``meta["root"]`` selects
     the root for rooted kinds, ``meta["part_sizes"]`` the partition for
-    reduce_scatter (standard partition when absent, matching the
-    builders' default).
+    reduce_scatter, scatter and gather (standard partition when absent,
+    matching the builders' default).
     """
     p, n = sched.p, sched.n
     kind = sched.kind
@@ -160,19 +156,32 @@ def check_schedule_numeric(sched: Schedule, *, seed: int = 20120901) -> None:
         for r in range(p):
             assert np.array_equal(work[r], expected), \
                 f"{sched.label}: allgather wrong on rank {r}"
-    elif kind == "reduce_scatter":
+    elif kind in ("reduce_scatter", "scatter", "gather"):
         sizes = sched.meta.get("part_sizes")
         part = (standard_partition(n, p) if sizes is None
                 else Partition(n, tuple(sizes)))
         total = np.sum(inputs, axis=0)
         for r in range(p):
-            block = part.slice_of(r)
-            assert np.array_equal(work[r][block], total[block]), \
-                f"{sched.label}: reduce_scatter block wrong on rank {r}"
+            # Rooted kinds label blocks in root-relative vrank space.
+            block = part.slice_of((r - root) % p)
+            if kind == "reduce_scatter":
+                assert np.array_equal(work[r][block], total[block]), \
+                    f"{sched.label}: reduce_scatter block wrong on rank {r}"
+            elif kind == "scatter":
+                assert np.array_equal(work[r][block], inputs[root][block]), \
+                    f"{sched.label}: scatter block wrong on rank {r}"
+            else:
+                assert np.array_equal(work[root][block], inputs[r][block]), \
+                    f"{sched.label}: gather misses rank {r}'s block"
     elif kind == "scan":
         for r in range(p):
             assert np.array_equal(work[r],
                                   np.sum(inputs[:r + 1], axis=0)), \
                 f"{sched.label}: scan prefix wrong on rank {r}"
+    elif kind == "exscan":
+        for r in range(1, p):   # rank 0's result is undefined
+            assert np.array_equal(work[r][n:2 * n],
+                                  np.sum(inputs[:r], axis=0)), \
+                f"{sched.label}: exscan prefix wrong on rank {r}"
     else:
         raise KeyError(f"unknown scheduled collective kind {kind!r}")

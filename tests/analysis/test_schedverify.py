@@ -1,7 +1,6 @@
 """The static schedule verifier: clean repertoire, flagged fixtures."""
 
-import dataclasses
-
+import numpy as np
 import pytest
 
 from repro.analysis.sched_fixtures import broken_schedules
@@ -15,7 +14,16 @@ from repro.analysis.schedverify import (
 )
 from repro.core.blocks import Partition, standard_partition
 from repro.sched.builders import FIXED_KINDS, all_schedules, build_schedule
-from repro.sched.ir import Interval, Recv, Schedule, Send
+from repro.sched.ir import (
+    IN,
+    NCOLS,
+    OP_RECV,
+    OP_SEND,
+    WORK,
+    Schedule,
+    StepRow,
+    make_table,
+)
 
 
 def test_shipped_repertoire_is_clean():
@@ -52,7 +60,7 @@ def test_fixed_kind_mutations_are_flagged(kind, name, rank, rule):
     drop = 0 if kind == "scatter" else -1
     plans[rank] = tuple(s for i, s in enumerate(plans[rank])
                         if i != drop % len(plans[rank]))
-    broken = dataclasses.replace(sched, plans=tuple(plans))
+    broken = sched.with_rows([row for plan in plans for row in plan])
     assert rule in {d.rule for d in verify_schedule(broken)}
 
 
@@ -82,27 +90,29 @@ def test_assert_valid_raises_with_catalogue_rule():
     assert all(d.rule in RULES for d in err.value.diagnostics)
 
 
-def _two_rank(plan0, plan1, kind="bcast", n=4):
+def _two_rank(*rows, kind="bcast", n=4):
+    block = np.array(rows, dtype=np.int64).reshape(-1, NCOLS)
     return Schedule(kind, "handmade", 2, n, {"in": n, "work": n},
-                    (tuple(plan0), tuple(plan1)))
+                    make_table([block]))
+
+
+def _send(rank, peer, buf=WORK):
+    return StepRow(rank, -1, OP_SEND, speer=peer, sbuf=buf, shi=4)
 
 
 def test_self_message_flagged():
-    whole = Interval("work", 0, 4)
-    sched = _two_rank([Send(0, whole)], [])
+    sched = _two_rank(_send(0, 0))
     assert "self-message" in {d.rule for d in verify_schedule(sched)}
 
 
 def test_bad_peer_flagged():
-    whole = Interval("work", 0, 4)
-    sched = _two_rank([Send(7, whole)], [])
+    sched = _two_rank(_send(0, 7))
     assert "bad-peer" in {d.rule for d in verify_schedule(sched)}
 
 
 def test_symbolic_interpreter_moves_atoms():
-    whole_in = Interval("in", 0, 4)
-    whole_work = Interval("work", 0, 4)
-    sched = _two_rank([Send(1, whole_in)], [Recv(0, whole_work)])
+    sched = _two_rank(_send(0, 1, IN),
+                      StepRow(1, -1, OP_RECV, rpeer=0, rbuf=WORK, rhi=4))
     state = simulate_schedule(sched)
     # Rank 1's work now holds rank 0's input atoms, element by element.
     for j in range(4):

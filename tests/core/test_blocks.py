@@ -93,15 +93,21 @@ class TestPartitionObject:
         assert hash(part) == hash(Partition(575, part.sizes))
 
     def test_block_intervals_are_interned_per_partition(self):
-        from repro.sched.builders import _block_iv
+        # Blocks [lo..hi] of a partition are the element range
+        # offsets[lo]:offsets[hi + 1] in the tree rows, and equal
+        # partitions share one cached schedule.
+        from repro.sched.builders import build_schedule
+        from repro.sched.ir import OP_SEND
 
         part = balanced_partition(70, 5)
-        assert _block_iv("work", part, 2) is _block_iv("work", part, 2)
-        assert _block_iv("work", part, 1, 3) is _block_iv("work", part, 1, 3)
-        iv = _block_iv("work", part, 1, 3)
-        assert (iv.lo, iv.hi) == (part.offset(1), part.offset(4))
-        assert _block_iv("work", balanced_partition(70, 5), 2) \
-            is not _block_iv("work", part, 2)
+        sched = build_schedule("scatter", "binomial", 5, 70, part=part)
+        sends = [(row.speer, row.slo, row.shi) for row in sched.plans[0]
+                 if row.op == OP_SEND]
+        assert sends == [(4, part.offset(4), part.offset(5)),
+                         (2, part.offset(2), part.offset(4)),
+                         (1, part.offset(1), part.offset(2))]
+        assert build_schedule("scatter", "binomial", 5, 70,
+                              part=balanced_partition(70, 5)) is sched
 
     def test_inconsistent_sizes_rejected(self):
         with pytest.raises(ValueError):

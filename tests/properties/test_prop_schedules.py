@@ -5,6 +5,10 @@ buffers (eager sends, FIFO channels — the non-blocking semantics whose
 deadlock-freedom the static verifier already proves), so the whole
 repertoire can be checked at p = 47 and 48 in milliseconds instead of
 full simulations.  Integer-valued doubles keep reductions exact.
+
+The interpreter below is deliberately this file's own — one branch per
+opcode, no shared helpers — so it stays an independent reference for
+the library's ``repro.sched.interp.run_eager``.
 """
 
 from collections import deque
@@ -12,10 +16,27 @@ from collections import deque
 import numpy as np
 import pytest
 
-from repro.core.blocks import standard_partition
+from repro.core.blocks import (
+    Partition,
+    balanced_partition,
+    standard_partition,
+)
 from repro.core.ops import SUM
-from repro.sched.builders import BUILDERS, build_schedule
-from repro.sched.ir import CopyBlock, Exchange, Recv, ReduceRecv, Rotate, Send
+from repro.sched.builders import BUILDERS, FIXED_KINDS, build_schedule
+from repro.sched.interp import check_schedule_numeric
+from repro.sched.ir import (
+    F_REDUCE,
+    F_REVERSED,
+    OP_COPY,
+    OP_EXCHANGE,
+    OP_RECV,
+    OP_REDUCE_RECV,
+    OP_ROTATE,
+    OP_SEND,
+    RHI,
+    RLO,
+    RPEER,
+)
 
 PS = (2, 3, 47, 48)
 SIZES = (1, 4, 70)
@@ -29,9 +50,11 @@ def interpret(sched, inputs, op=SUM):
     channels = {}
     pcs = [0] * sched.p
     half_done = [False] * sched.p
+    names = sched.table.bufs
+    plans = sched.plans
 
-    def view(rank, iv):
-        return state[rank][iv.buf][iv.lo:iv.hi]
+    def view(rank, buf, lo, hi):
+        return state[rank][names[buf]][lo:hi]
 
     def pop(src, dst):
         chan = channels.get((src, dst))
@@ -41,52 +64,56 @@ def interpret(sched, inputs, op=SUM):
     while progress:
         progress = False
         for r in range(sched.p):
-            while pcs[r] < len(sched.plans[r]):
-                step = sched.plans[r][pcs[r]]
-                if isinstance(step, Send):
-                    channels.setdefault((r, step.peer), deque()).append(
-                        view(r, step.data).copy())
-                elif isinstance(step, Recv):
-                    payload = pop(step.peer, r)
+            while pcs[r] < len(plans[r]):
+                step = plans[r][pcs[r]]
+                if step.op == OP_SEND:
+                    channels.setdefault((r, step.speer), deque()).append(
+                        view(r, step.sbuf, step.slo, step.shi).copy())
+                elif step.op == OP_RECV:
+                    payload = pop(step.rpeer, r)
                     if payload is None:
                         break
-                    view(r, step.data)[:] = payload
-                elif isinstance(step, ReduceRecv):
-                    payload = pop(step.peer, r)
+                    view(r, step.rbuf, step.rlo, step.rhi)[:] = payload
+                elif step.op == OP_REDUCE_RECV:
+                    payload = pop(step.rpeer, r)
                     if payload is None:
                         break
-                    target = view(r, step.data)
+                    target = view(r, step.rbuf, step.rlo, step.rhi)
                     target[:] = op(target, payload)
-                elif isinstance(step, Exchange):
-                    if step.send_peer is not None and not half_done[r]:
+                elif step.op == OP_EXCHANGE:
+                    if step.speer >= 0 and not half_done[r]:
                         channels.setdefault(
-                            (r, step.send_peer), deque()).append(
-                                view(r, step.send).copy())
+                            (r, step.speer), deque()).append(
+                                view(r, step.sbuf, step.slo,
+                                     step.shi).copy())
                         half_done[r] = True
-                    if step.recv_peer is not None:
-                        payload = pop(step.recv_peer, r)
+                    if step.rpeer >= 0:
+                        payload = pop(step.rpeer, r)
                         if payload is None:
                             break
-                        target = view(r, step.recv)
-                        if step.reduce and target.size:
-                            if step.reversed_fold:
+                        target = view(r, step.rbuf, step.rlo, step.rhi)
+                        reduce = step.flags & F_REDUCE
+                        if reduce and target.size:
+                            if step.flags & F_REVERSED:
                                 target[:] = op(payload, target)
                             else:
                                 target[:] = op(target, payload)
-                        elif not step.reduce:
+                        elif not reduce:
                             target[:] = payload
                     half_done[r] = False
-                elif isinstance(step, CopyBlock):
-                    view(r, step.dst)[:] = view(r, step.src)
-                elif isinstance(step, Rotate):
-                    buf = state[r][step.buf].reshape(step.rows, -1)
+                elif step.op == OP_COPY:
+                    view(r, step.rbuf, step.rlo, step.rhi)[:] = \
+                        view(r, step.sbuf, step.slo, step.shi)
+                elif step.op == OP_ROTATE:
+                    rows, shift = step.slo, step.shi
+                    buf = state[r][names[step.rbuf]].reshape(rows, -1)
                     out = np.empty_like(buf)
-                    for i in range(step.rows):
-                        out[(step.shift + i) % step.rows] = buf[i]
+                    for i in range(rows):
+                        out[(shift + i) % rows] = buf[i]
                     buf[:] = out
                 pcs[r] += 1
                 progress = True
-    assert all(pcs[r] == len(sched.plans[r]) for r in range(sched.p)), \
+    assert all(pcs[r] == len(plans[r]) for r in range(sched.p)), \
         "interpreter stalled (unmatched receive)"
     return [state[r]["work"] for r in range(sched.p)]
 
@@ -172,3 +199,31 @@ def test_scan_builders(name, p, n):
     work = interpret(sched, inputs)
     for r in range(p):
         assert np.array_equal(work[r], np.sum(inputs[:r + 1], axis=0))
+
+
+@pytest.mark.parametrize("p", [2, 5, 48])
+@pytest.mark.parametrize("kind", FIXED_KINDS)
+def test_library_references_cover_the_fixed_kinds(kind, p):
+    """``check_schedule_numeric`` used to raise KeyError for exscan,
+    scatter and gather although ``BUILDERS`` ships them."""
+    (name,) = BUILDERS[kind]
+    for n in (1, 12, 70):
+        for partitioner in (standard_partition, balanced_partition):
+            for root in (0, p - 1):
+                check_schedule_numeric(build_schedule(
+                    kind, name, p, n, part=partitioner(n, p), root=root))
+
+
+@pytest.mark.parametrize("kind", FIXED_KINDS)
+def test_library_references_reject_a_wrong_fixed_kind_result(kind):
+    (name,) = BUILDERS[kind]
+    part = Partition(12, (3, 0, 4, 1, 4))
+    sched = build_schedule(kind, name, 5, 12, part=part, root=2)
+    check_schedule_numeric(sched)
+    rows = sched.table.rows.copy()
+    # Some non-empty receive lands one element early.
+    at = np.flatnonzero((rows[:, RPEER] >= 0) & (rows[:, RLO] >= 1)
+                        & (rows[:, RHI] > rows[:, RLO]))[0]
+    rows[at, RLO:RHI + 1] -= 1
+    with pytest.raises(AssertionError):
+        check_schedule_numeric(sched.with_rows(rows))

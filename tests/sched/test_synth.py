@@ -166,12 +166,11 @@ class TestCostMemo:
         """Two schedules sharing (kind, name, p, n) but with different
         step lists (the verifier's broken fixtures do this) must not
         share a cost entry."""
-        import dataclasses
-
         part = balanced_partition(64, 8)
         base = build_schedule("allgather", "ring", 8, 64, part=part)
-        mutated = dataclasses.replace(base,
-                                      plans=base.plans[1:] + base.plans[:1])
+        rows = base.table.rows.copy()
+        rows[:, 0] = (rows[:, 0] + 1) % 8     # every plan moves up a rank
+        mutated = base.with_rows(rows)
         assert schedule_cost_key(base, blocking=False, overhead=None) != \
             schedule_cost_key(mutated, blocking=False, overhead=None)
 

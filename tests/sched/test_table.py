@@ -1,7 +1,5 @@
-"""The columnar schedule form: round trips, the chunk transform and the
-vector cost pass, each against its object-level oracle."""
-
-import dataclasses
+"""The step table: the chunk transform and the vector cost pass, each
+against its row-at-a-time oracle."""
 
 import numpy as np
 import pytest
@@ -21,19 +19,20 @@ from repro.sched.chunking import chunk_bounds, chunk_schedule, chunk_table
 from repro.sched.cost import estimate_schedule_cost, step_cost
 from repro.sched.hier import HIER_KINDS
 from repro.sched.ir import (
+    F_REDUCE,
+    F_REVERSED,
+    F_SEND_FIRST,
+    NCOLS,
+    OP_EXCHANGE,
+    OP_RECV,
+    OP_SEND,
     PHASE,
     POST,
     PRE,
-    CopyBlock,
-    Exchange,
-    Interval,
-    Recv,
-    ReduceRecv,
-    Rotate,
+    WORK,
     Schedule,
-    Send,
+    StepRow,
     StepTable,
-    encode_steps,
     make_table,
 )
 from repro.sched.synth import candidate_names, default_model
@@ -43,76 +42,78 @@ STACKS = ("blocking", "lightweight_balanced")
 
 
 # ---------------------------------------------------------------------
-# Oracles: the object-level code the columnar form replaced
+# Oracles: one row at a time, where the library takes vector passes
 # ---------------------------------------------------------------------
-def scalar_estimate(sched, model, *, blocking=False, overhead=None):
-    """The BSP estimate as one ``step_cost`` call per step object."""
+def scalar_estimate(plans, model, *, blocking=False, overhead=None):
+    """The BSP estimate of ``plans`` (a schedule's ``.plans``) as one
+    ``step_cost`` call per row, with the prologue/epilogue buckets
+    re-derived from the round tags."""
     phases = {}
-    buffers = dict(sched.buffers)
-    for rank, plan in enumerate(sched.plans):
+    for rank, plan in enumerate(plans):
         seen_round = False
-        for step in plan:
-            if step.round is not None:
-                key = step.round
+        for row in plan:
+            if row.round is not None:
+                key = row.round
                 seen_round = True
             else:
                 key = "post" if seen_round else "pre"
             bucket = phases.setdefault(key, {})
             bucket[rank] = bucket.get(rank, 0) + step_cost(
-                model, step, rank, blocking=blocking, buffers=buffers,
-                overhead=overhead)
+                model, row, blocking=blocking, overhead=overhead)
     total = sum(max(bucket.values()) for bucket in phases.values())
     return total + (overhead.call_ps if overhead is not None else 0)
 
 
-def _split_iv(iv, c):
-    return [Interval(iv.buf, lo, hi)
-            for lo, hi in chunk_bounds(iv.lo, iv.hi, c)]
-
-
-def _chunk_step(step, c):
-    if isinstance(step, (Send, Recv, ReduceRecv)):
-        ivs = _split_iv(step.data, c)
-        if len(ivs) == 1:
-            return [step]
-        return [dataclasses.replace(step, data=iv) for iv in ivs]
-    if isinstance(step, Exchange):
-        sends = _split_iv(step.send, c) if step.send is not None else []
-        recvs = _split_iv(step.recv, c) if step.recv is not None else []
-        parts = max(len(sends), len(recvs))
-        if parts == 1:
-            return [step]
-        out = []
-        for k in range(parts):
-            s = sends[k] if k < len(sends) else None
-            r = recvs[k] if k < len(recvs) else None
-            out.append(Exchange(
-                send_peer=step.send_peer if s is not None else None,
-                send=s,
-                recv_peer=step.recv_peer if r is not None else None,
-                recv=r, send_first=step.send_first,
-                reduce=step.reduce and r is not None,
-                reversed_fold=step.reversed_fold and r is not None,
-                round=step.round))
-        return out
-    assert isinstance(step, (CopyBlock, Rotate))
-    return [step]
+def _chunk_step(row, c):
+    if row.op > OP_EXCHANGE:
+        return [row]                       # local rows stay whole
+    sends = chunk_bounds(row.slo, row.shi, c) if row.sbuf >= 0 else []
+    recvs = chunk_bounds(row.rlo, row.rhi, c) if row.rbuf >= 0 else []
+    parts = max(len(sends), len(recvs))
+    if parts == 1:
+        return [row]
+    out = []
+    for k in range(parts):
+        sub = row
+        if k >= len(sends):
+            sub = sub._replace(speer=-1, sbuf=-1, slo=0, shi=0)
+        else:
+            sub = sub._replace(slo=sends[k][0], shi=sends[k][1])
+        if k >= len(recvs):
+            sub = sub._replace(rpeer=-1, rbuf=-1, rlo=0, rhi=0,
+                               flags=row.flags & ~(F_REDUCE | F_REVERSED))
+        else:
+            sub = sub._replace(rlo=recvs[k][0], rhi=recvs[k][1])
+        out.append(sub)
+    return out
 
 
 def chunk_schedule_objects(sched, c):
-    """``chunk_schedule`` as the per-step object rewrite it used to be."""
-    plans = tuple(tuple(sub for step in plan for sub in _chunk_step(step, c))
-                  for plan in sched.plans)
-    return dataclasses.replace(sched, plans=plans)
+    """``chunk_schedule`` as a per-step rewrite, one row at a time."""
+    return sched.with_rows([sub for plan in sched.plans for row in plan
+                            for sub in _chunk_step(row, c)])
 
 
 def same_table(a: StepTable, b: StepTable) -> bool:
     return a.bufs == b.bufs and np.array_equal(a.rows, b.rows)
 
 
-def from_plans(sched):
-    """A plans-born copy: its table is derived from the step objects."""
-    return dataclasses.replace(sched, plans=sched.plans)
+def handmade(kind, name, n, *plans):
+    """A schedule over hand-written per-rank row lists."""
+    rows = np.array([row for plan in plans for row in plan],
+                    dtype=np.int64).reshape(-1, NCOLS)
+    return Schedule(kind, name, len(plans), n, {"in": n, "work": n},
+                    make_table([rows]))
+
+
+def send(rank, peer, lo, hi, phase=-1):
+    return StepRow(rank, phase, OP_SEND, speer=peer, sbuf=WORK, slo=lo,
+                   shi=hi)
+
+
+def recv(rank, peer, lo, hi, phase=-1):
+    return StepRow(rank, phase, OP_RECV, rpeer=peer, rbuf=WORK, rlo=lo,
+                   rhi=hi)
 
 
 # ---------------------------------------------------------------------
@@ -151,9 +152,10 @@ def test_vector_estimate_equals_scalar_accumulation(regimes, kind, p):
         part = balanced_partition(n, p)
         for name in _names(kind, p, n):
             sched = build_schedule(kind, name, p, n, part=part)
+            plans = sched.plans
             for topology, cases in regimes.items():
                 for model, blocking, overhead in cases:
-                    want = scalar_estimate(sched, model, blocking=blocking,
+                    want = scalar_estimate(plans, model, blocking=blocking,
                                            overhead=overhead)
                     got = estimate_schedule_cost(
                         sched, model, blocking=blocking, overhead=overhead)
@@ -174,42 +176,40 @@ def test_vector_estimate_on_asymmetric_weighted_routes():
                                part=balanced_partition(70, 48))
         for blocking in (False, True):
             assert (estimate_schedule_cost(sched, model, blocking=blocking)
-                    == scalar_estimate(sched, model, blocking=blocking))
-
-
-def test_estimate_of_table_born_schedule_builds_no_step_objects():
-    # A size no other test builds: schedules are cached per process.
-    sched = build_schedule("allreduce", "synth/rsag+c4", 48, 557,
-                           part=balanced_partition(557, 48))
-    estimate_schedule_cost(sched, default_model())
-    assert sched.rounds == 47 and sched.total_steps() > 10_000
-    assert "plans" not in vars(sched)
+                    == scalar_estimate(sched.plans, model,
+                                       blocking=blocking))
 
 
 def test_sparse_round_tags_price_without_a_dense_grid():
-    plans = ((Send(1, Interval("work", 0, 4), round=10 ** 12),),
-             (Recv(0, Interval("work", 0, 4), round=10 ** 12),))
-    sched = Schedule("bcast", "far", 2, 4, {"in": 4, "work": 4}, plans)
+    sched = handmade("bcast", "far", 4, [send(0, 1, 0, 4, 10 ** 12)],
+                     [recv(1, 0, 0, 4, 10 ** 12)])
     model = default_model()
-    assert estimate_schedule_cost(sched, model) == scalar_estimate(sched,
-                                                                   model)
+    assert (estimate_schedule_cost(sched, model)
+            == scalar_estimate(sched.plans, model))
 
 
 def test_huge_element_counts_price_exactly():
     """Step keys too wide for one int64 fall back to column tuples."""
     n = 2 ** 40
-    whole, half = Interval("work", 0, n), Interval("work", 0, n // 2)
-    plans = ((Exchange(1, whole, 1, half, reduce=True), Send(1, half)),
-             (Exchange(0, half, 0, whole), Recv(0, half)))
-    sched = Schedule("allreduce", "huge", 2, n, {"in": n, "work": n}, plans)
+
+    def exchange(rank, peer, shi, rhi, flags):
+        return StepRow(rank, -1, OP_EXCHANGE, speer=peer, sbuf=WORK, shi=shi,
+                       rpeer=peer, rbuf=WORK, rhi=rhi, flags=flags)
+
+    sched = handmade(
+        "allreduce", "huge", n,
+        [exchange(0, 1, n, n // 2, F_SEND_FIRST | F_REDUCE),
+         send(0, 1, 0, n // 2)],
+        [exchange(1, 0, n // 2, n, F_SEND_FIRST), recv(1, 0, 0, n // 2)])
     model = default_model()
     for blocking in (False, True):
         assert (estimate_schedule_cost(sched, model, blocking=blocking)
-                == scalar_estimate(sched, model, blocking=blocking))
+                == scalar_estimate(sched.plans, model,
+                                   blocking=blocking))
 
 
 # ---------------------------------------------------------------------
-# (b) round trips and the chunk transform
+# (b) the chunk transform and table assembly
 # ---------------------------------------------------------------------
 def _repertoire():
     for p, n, partition in ((1, 4, balanced_partition),
@@ -231,16 +231,6 @@ def _repertoire():
 REPERTOIRE = list(_repertoire())
 
 
-def test_plans_table_plans_is_the_identity():
-    for sched in REPERTOIRE:
-        derived = from_plans(sched)
-        assert same_table(derived.table, sched.table), sched.label
-        again = Schedule.from_table(sched.kind, sched.name, sched.p, sched.n,
-                                    sched.buffers, derived.table, sched.meta)
-        assert again.plans == sched.plans, sched.label
-        assert again == sched
-
-
 @pytest.mark.parametrize("c", [2, 4, 7])
 def test_chunk_table_equals_object_chunking(c):
     one_sided_tails = 0
@@ -250,7 +240,7 @@ def test_chunk_table_equals_object_chunking(c):
         assert same_table(got, want.table), (sched.label, sched.p, c)
         assert chunk_schedule(sched, c).plans == want.plans
         one_sided_tails += sum(
-            isinstance(s, Exchange) and (s.send is None) != (s.recv is None)
+            s.op == OP_EXCHANGE and (s.sbuf < 0) != (s.rbuf < 0)
             for plan in want.plans for s in plan)
     assert one_sided_tails  # uneven exchanges did run a side out
 
@@ -267,9 +257,10 @@ def test_phase_column_marks_prologue_rounds_epilogue():
 
 
 def test_encode_rejects_negative_round_tags():
-    with pytest.raises(ValueError, match="negative round"):
-        encode_steps([[Send(1, Interval("work", 0, 1), round=-1)]],
-                     {"in": 1, "work": 1})
+    # PRE/POST are the untagged phases; anything below is a bad tag.
+    rows = np.array([send(0, 1, 0, 1, phase=POST - 1)], dtype=np.int64)
+    with pytest.raises(ValueError, match="rank 0 step 0: negative round"):
+        make_table([rows])
 
 
 def test_table_is_read_only_and_renaming_shares_it():
@@ -281,40 +272,16 @@ def test_table_is_read_only_and_renaming_shares_it():
     assert other.table is sched.table and other.digest == sched.digest
 
 
-def test_schedule_needs_plans_or_a_table():
-    bare = Schedule("bcast", "none", 2, 4, {"in": 4, "work": 4}, None)
-    with pytest.raises(ValueError, match="neither plans nor a table"):
-        bare.table
-
-
 def test_make_table_keeps_block_order_within_a_rank():
-    a, _ = encode_steps([[Send(1, Interval("work", 0, 1))],
-                         [Recv(0, Interval("work", 0, 1))]], {"work": 1})
-    b, _ = encode_steps([[Recv(1, Interval("work", 0, 1), round=0)],
-                         [Send(0, Interval("work", 0, 1), round=0)]],
-                        {"work": 1})
+    only = 0   # the one buffer of a table over ("work",)
+    a = np.array([send(0, 1, 0, 1)._replace(sbuf=only),
+                  recv(1, 0, 0, 1)._replace(rbuf=only)], dtype=np.int64)
+    b = np.array([recv(0, 1, 0, 1, phase=0)._replace(rbuf=only),
+                  send(1, 0, 0, 1, phase=0)._replace(sbuf=only)],
+                 dtype=np.int64)
     table = make_table([a, b], ("work",))
-    sched = Schedule.from_table("x", "y", 2, 1, {"work": 1}, table)
-    assert [type(s) for s in sched.plans[0]] == [Send, Recv]
-    assert [type(s) for s in sched.plans[1]] == [Recv, Send]
-
-
-# ---------------------------------------------------------------------
-# (c) a mutated copy prices from its own steps
-# ---------------------------------------------------------------------
-def test_replaced_plans_never_inherit_the_pristine_table():
-    model = default_model()
-    part = balanced_partition(64, 8)
-    base = build_schedule("allreduce", "rsag", 8, 64, part=part)
-    pristine = estimate_schedule_cost(base, model)
-    # Rank 0 loses its last ring round: same (kind, name, p, n, meta).
-    plans = (base.plans[0][:-1],) + base.plans[1:]
-    mutated = dataclasses.replace(base, plans=plans)
-    assert mutated.table is not base.table
-    assert mutated.total_steps() == base.total_steps() - 1
-    assert mutated.digest != base.digest
-    dropped = dataclasses.replace(
-        base, plans=tuple(plan[:-7] for plan in base.plans))
-    assert estimate_schedule_cost(dropped, model) \
-        == scalar_estimate(dropped, model) < pristine
-    assert estimate_schedule_cost(base, model) == pristine
+    sched = Schedule("x", "y", 2, 1, {"work": 1}, table)
+    assert [s.op for s in sched.plans[0]] == [OP_SEND, OP_RECV]
+    assert [s.op for s in sched.plans[1]] == [OP_RECV, OP_SEND]
+    again = make_table([table.rows], table.bufs)   # idempotent on its output
+    assert same_table(again, table)
