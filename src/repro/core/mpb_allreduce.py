@@ -36,9 +36,10 @@ from typing import TYPE_CHECKING, Generator
 import numpy as np
 
 from repro.core.ops import ReduceOp
-from repro.hw.flags import Flag
 from repro.hw.machine import CoreEnv
 from repro.hw.mpb import MPBRegion, as_bytes
+from repro.hw.protocol import (BUF, CLEAR, COMPUTE, COPY, GET, OVERHEAD, PUT,
+                               READY, SENT, SET, WAIT, run_ops)
 from repro.obs.spans import span
 from repro.sched.engine import run_schedule
 
@@ -46,18 +47,32 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.comm import Communicator
 
 
+#: The double-buffer handshake over one half's handles ``(half, sent,
+#: ready)``.  Every PUT/GET here is a fused burst run with an explicit
+#: cost: the reduction streams straight out of / into the MPBs, so the
+#: caller prices read + combine + write as one charge.
+PRODUCE = (
+    (WAIT, READY, 1),       # "sync": my half is free ...
+    (CLEAR, READY, 0),      #         ... claim it
+    (PUT, BUF, COPY),       # "copy": stream the block into it
+    (SET, SENT, 0),         # publish it to my right neighbour
+)
+_CLAIM, _WRITE, _PUBLISH = PRODUCE[:2], PRODUCE[2:3], PRODUCE[3:]
+CONSUME_BEGIN = ((WAIT, SENT, 1),)      # left's half is full
+REDUCE_FROM = ((GET, BUF, COMPUTE),)    # read + combine + write, one pass
+COPY_FROM = ((GET, BUF, COPY),)
+CONSUME_END = ((CLEAR, SENT, 0), (SET, READY, 0))   # hand it back
+#: Producer-side read-back of the write-verify (rewrites run ``_WRITE``).
+VERIFY_READ = ((GET, BUF, OVERHEAD),)
+
+
 class MPBAllreduceError(Exception):
     """The vector's blocks do not fit the MPB double buffers."""
 
 
-def _halves(env: CoreEnv, rank: int) -> tuple[MPBRegion, MPBRegion]:
-    mpb = env.mpb_of_rank(rank)
-    whole = MPBRegion(mpb, mpb.payload_offset, mpb.payload_bytes)
-    return whole.halves()
-
-
-def _pair_flags(env: CoreEnv, producer: int, half: int) -> tuple[Flag, Flag]:
-    """(sent, ready) flags for the producer→consumer edge of one half.
+def _handles(env: CoreEnv, producer: int) -> list[tuple]:
+    """``(half, sent, ready)`` for both double-buffer halves of the
+    producer→consumer edge: the handles the tables above run over.
 
     ``sent`` lives at the consumer (the producer's right neighbour);
     ``ready`` lives at the producer.  ``ready`` starts True ("buffer
@@ -66,12 +81,13 @@ def _pair_flags(env: CoreEnv, producer: int, half: int) -> tuple[Flag, Flag]:
     call both halves are free again and a later call can rely on the
     flag state it inherits.
     """
-    consumer = (producer + 1) % env.size
-    sent = env.machine.flag(env.core_of_rank(consumer),
-                            f"mpbar.sent.{half}")
-    ready = env.machine.flag(env.core_of_rank(producer),
-                             f"mpbar.ready.{half}")
-    return sent, ready
+    flag = env.machine.flag
+    mpb = env.mpb_of_rank(producer)
+    halves = MPBRegion(mpb, mpb.payload_offset, mpb.payload_bytes).halves()
+    at_consumer = env.core_of_rank((producer + 1) % env.size)
+    return [(half, flag(at_consumer, f"mpbar.sent.{h}"),
+             flag(env.core_of_rank(producer), f"mpbar.ready.{h}"))
+            for h, half in enumerate(halves)]
 
 
 def mpb_allreduce(comm: "Communicator", env: CoreEnv, sendbuf: np.ndarray,
@@ -106,7 +122,11 @@ def mpb_allreduce(comm: "Communicator", env: CoreEnv, sendbuf: np.ndarray,
                 return (yield from run_schedule(
                     comm, env, "allreduce", "rsag", sendbuf, op=op))
     part = comm.partition(sendbuf.size, p)
-    half_bytes = _halves(env, me)[0].size
+    # As producer I handshake with my right neighbour over my halves; as
+    # consumer with my left neighbour over theirs.
+    left = (me - 1) % p
+    prod, cons = _handles(env, me), _handles(env, left)
+    half_bytes = prod[0][BUF].size
     max_block_bytes = part.max_size() * sendbuf.itemsize
     if max_block_bytes > half_bytes:
         raise MPBAllreduceError(
@@ -116,18 +136,12 @@ def mpb_allreduce(comm: "Communicator", env: CoreEnv, sendbuf: np.ndarray,
     lat = env.latency
     cfg = env.config
     me_core = env.core_id
-    left = (me - 1) % p
     left_core = env.core_of_rank(left)
-    my_halves = _halves(env, me)
-    left_halves = _halves(env, left)
+    core = env.core
     result = np.empty_like(sendbuf)
     dtype = sendbuf.dtype
     itemsize = sendbuf.itemsize
 
-    # Flags: as producer I handshake with my right neighbour; as consumer
-    # I handshake with my left neighbour.
-    prod_flags = [_pair_flags(env, me, h) for h in (0, 1)]
-    cons_flags = [_pair_flags(env, left, h) for h in (0, 1)]
     # Initialize ``ready`` ("my half is free") exactly once per (core,
     # half), the first time this core ever produces on that half.  The
     # handshake is self-restoring afterwards, and forcing on *every*
@@ -137,10 +151,10 @@ def mpb_allreduce(comm: "Communicator", env: CoreEnv, sendbuf: np.ndarray,
     # the still-published half.  Found by the MPB sanitizer
     # (write-while-reader-pending); see docs/static-analysis.md.
     init_done = env.machine.services.setdefault("mpbar.ready_init", set())
-    for half, (_sent, ready) in enumerate(prod_flags):
+    for half, handles in enumerate(prod):
         if (me_core, half) not in init_done:
             init_done.add((me_core, half))
-            ready.force(True, actor=me_core)
+            handles[READY].force(True, actor=me_core)
 
     round_overhead = lat.core_cycles(cfg.mpb_round_overhead_cycles)
 
@@ -157,17 +171,17 @@ def mpb_allreduce(comm: "Communicator", env: CoreEnv, sendbuf: np.ndarray,
         compare against the intended bytes, rewrite until it sticks
         (bounded by the retry budget).  Detects injected payload
         corruption before the consumer ever sees it."""
-        region = my_halves[half]
+        handles = prod[half]
+        region = handles[BUF]
         faults.maybe_corrupt(region, raw.size, actor=f"core{me_core}",
                              boost=epoch_faulty)
         verify_cost = lat.mpb_stream_read(me_core, me_core, raw.size)
         rewrite_cost = lat.mpb_stream_write(me_core, me_core, raw.size)
         attempts = 0
         while True:
-            yield from env.consume(verify_cost, "overhead")
-            # Direct region access: the verify read-back is charged above
-            # as one fused burst.  # repro-lint: allow=mpb-direct-write
-            if np.array_equal(region.read(raw.size, actor=me_core), raw):
+            written = yield from run_ops(core, VERIFY_READ, handles,
+                                         raw.size, cost=verify_cost)
+            if np.array_equal(written, raw):
                 return
             attempts += 1
             faults.record("mpb_repair", f"core{me_core}",
@@ -179,41 +193,36 @@ def mpb_allreduce(comm: "Communicator", env: CoreEnv, sendbuf: np.ndarray,
                     f"rewrites", actor=f"core{me_core}", half=half,
                     epoch=fault_epoch)
             with span(env, "retry", attempts):
-                yield from env.consume(rewrite_cost, "copy")
-                # repro-lint: allow=mpb-direct-write (cost charged above)
-                region.write(raw, actor=me_core)
+                yield from run_ops(core, _WRITE, handles, raw,
+                                   cost=rewrite_cost)
             faults.maybe_corrupt(region, raw.size, actor=f"core{me_core}",
                                  boost=epoch_faulty)
 
     def produce(k: int, data: np.ndarray, write_cost: int) -> Generator:
         """Write ``data`` into my half ``k % 2`` once it is free."""
-        half = k % 2
-        sent, ready = prod_flags[half]
+        handles = prod[k % 2]
+        raw = as_bytes(data)
         with span(env, "sync", k):
-            yield from ready.wait_set(env.core)
-            yield from ready.clear_by(env.core)
+            yield from run_ops(core, _CLAIM, handles)
         with span(env, "copy", data.nbytes):
-            yield from env.consume(write_cost, "copy")
-            # Direct region access is the whole point of this algorithm
-            # (optimization D); the streaming cost is charged above.
-            # repro-lint: allow=mpb-direct-write
-            my_halves[half].write(as_bytes(data), actor=me_core)
+            yield from run_ops(core, _WRITE, handles, raw, cost=write_cost)
         if verify_writes:
-            yield from verify_half(half, as_bytes(data))
-        yield from sent.set_by(env.core)
+            yield from verify_half(k % 2, raw)
+        yield from run_ops(core, _PUBLISH, handles)
 
-    def consume_begin(k: int) -> Generator:
-        """Wait until left's half ``k % 2`` is full; return its region."""
-        sent, _ready = cons_flags[k % 2]
+    def consume(k: int, table: tuple, phase: str, detail: int,
+                nels: int, cost: int) -> Generator:
+        """Wait until left's half ``k % 2`` is full, stream ``nels``
+        elements out of it in one ``cost`` burst (span ``phase``) and
+        hand the half back; returns the elements."""
+        handles = cons[k % 2]
         with span(env, "sync", k):
-            yield from sent.wait_set(env.core)
-        return left_halves[k % 2]
-
-    def consume_end(k: int) -> Generator:
-        """Release left's half ``k % 2``."""
-        sent, ready = cons_flags[k % 2]
-        yield from sent.clear_by(env.core)
-        yield from ready.set_by(env.core)
+            yield from run_ops(core, CONSUME_BEGIN, handles)
+        with span(env, phase, detail):
+            raw = yield from run_ops(core, table, handles, nels * itemsize,
+                                     cost=cost)
+        yield from run_ops(core, CONSUME_END, handles)
+        return raw.view(dtype)
 
     # k = 0: seed my MPB with my own input block (me - 1).
     seed_block = (me - 1) % p
@@ -227,7 +236,6 @@ def mpb_allreduce(comm: "Communicator", env: CoreEnv, sendbuf: np.ndarray,
             block = (me - 2 - r) % p
             nels = part.size(block)
             nbytes = nels * itemsize
-            region = yield from consume_begin(r)
             # One fused pass: stream left's partial from its MPB, combine
             # with the local input block, stream the result into my MPB.
             cost = (round_overhead
@@ -235,24 +243,15 @@ def mpb_allreduce(comm: "Communicator", env: CoreEnv, sendbuf: np.ndarray,
                     + lat.reduce_doubles(nels)
                     + lat.core_cycles(lat.lines(nbytes)
                                       * cfg.cache_line_core_cycles))
-            with span(env, "reduce", nels):
-                yield from env.consume(cost, "compute")
-            operand = np.empty(nels, dtype=dtype)
-            # repro-lint: allow=mpb-direct-write (fused-burst cost above)
-            region.read_into(operand.view(np.uint8).reshape(-1),
-                             actor=me_core)
+            operand = yield from consume(r, REDUCE_FROM, "reduce", nels,
+                                         nels, cost)
             combined = op(sendbuf[part.slice_of(block)], operand)
-            yield from consume_end(r)
-            if r < p - 2:
-                yield from produce(
-                    r + 1, combined,
-                    lat.mpb_stream_write(me_core, me_core, nbytes))
-            else:
+            if r == p - 2:
                 # Final round: 'combined' is my reduced block (index me).
                 result[part.slice_of(me)] = combined
-                yield from produce(
-                    r + 1, combined,
-                    lat.mpb_stream_write(me_core, me_core, nbytes))
+            yield from produce(
+                r + 1, combined,
+                lat.mpb_stream_write(me_core, me_core, nbytes))
 
     # Allgather rounds g = 0 .. p-2 (reads of writes k = p-1+g).
     for g in range(p - 1):
@@ -260,18 +259,11 @@ def mpb_allreduce(comm: "Communicator", env: CoreEnv, sendbuf: np.ndarray,
             block = (me - 1 - g) % p
             nels = part.size(block)
             nbytes = nels * itemsize
-            region = yield from consume_begin(p - 1 + g)
-            with span(env, "copy", nbytes):
-                yield from env.consume(
-                    round_overhead
-                    + lat.mpb_read_bytes(me_core, left_core, nbytes),
-                    "copy")
-            incoming = np.empty(nels, dtype=dtype)
-            # repro-lint: allow=mpb-direct-write (copy cost charged above)
-            region.read_into(incoming.view(np.uint8).reshape(-1),
-                             actor=me_core)
+            incoming = yield from consume(
+                p - 1 + g, COPY_FROM, "copy", nbytes, nels,
+                round_overhead
+                + lat.mpb_read_bytes(me_core, left_core, nbytes))
             result[part.slice_of(block)] = incoming
-            yield from consume_end(p - 1 + g)
             if g < p - 2:
                 # Forward in-transit through my MPB for my right neighbour.
                 yield from produce(

@@ -57,6 +57,8 @@ class Core:
         :meth:`FifoLock.acquired`) and the account update.  A fault
         injector only adds a term: a transient stall, drawn before the
         lock is requested and held first, accounted as ``stall``.
+        :func:`repro.hw.protocol.run_ops` inlines the same hold (plus
+        the MPB port) for the protocol micro-ops: keep the two in sync.
         """
         faults = self.machine.faults
         stall = (faults.stall_ps(self.core_id)
@@ -93,40 +95,6 @@ class Core:
         value = yield event
         self.account.states[state] += sim._now - t0
         return value
-
-    def consume_at_mpb(self, owner_core: int, duration_ps: int,
-                       state: str = "compute") -> Generator:
-        """Like :meth:`consume`, but the time is an access burst to
-        ``owner_core``'s MPB: when port contention is modeled, the burst
-        additionally holds that MPB's port lock (stall time while another
-        core owns the port is accounted as ``wait_port``).
-
-        Lock order is always CPU first, then port; port holders only wait
-        on timeouts, so the ordering is deadlock-free.
-        """
-        machine = self.machine
-        ports = machine.mpb_ports
-        if ports is None:
-            yield from self.consume(duration_ps, state)
-            return
-        if not self.cpu.try_acquire():
-            yield from self.cpu.acquired()
-        try:
-            port = ports[owner_core]
-            t0 = machine.sim._now
-            if not port.try_acquire():
-                yield from port.acquired()
-            stall = machine.sim._now - t0
-            if stall:
-                self.account.add("wait_port", stall)
-            try:
-                if duration_ps > 0:
-                    yield duration_ps
-                self.account.add(state, duration_ps)
-            finally:
-                port.release()
-        finally:
-            self.cpu.release()
 
     def compute_cycles(self, cycles: int | float, state: str = "compute") -> Generator:
         return self.consume(self.machine.latency.core_cycles(cycles), state)

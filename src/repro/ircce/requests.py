@@ -19,15 +19,17 @@ time they formerly spent waiting".
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Generator, Optional
 
 import numpy as np
 
 from repro.hw.machine import CoreEnv, Machine
-from repro.rcce.api import RCCE, take_announcement
+from repro.hw.protocol import announce_send, take_announcement
+from repro.obs.spans import bracketed
+from repro.rcce.api import RCCE
 from repro.sim.events import AllOf, Interrupt
 from repro.sim.resources import FifoLock
-from repro.sim.trace import core_actor
 
 #: Wildcard source rank for :meth:`NonBlockingLayer.irecv` (iRCCE only).
 ANY = -1
@@ -79,33 +81,31 @@ class NonBlockingLayer:
         self.machine = machine
         self._proto = RCCE(machine)  # reuse the Fig.-3 protocol bodies
         self._outstanding: dict[tuple[int, str], int] = {}
-        # Issue/complete software overheads in ps, resolved lazily on
-        # first use (the cycle counts are per-layer constants; resolving
-        # them through the LatencyModel per request is wasted work).
-        self._issue_ps: Optional[int] = None
-        self._complete_ps: Optional[int] = None
         # A core owns ONE MPB send buffer, so concurrent isends from the
         # same core are processed strictly in issue order (as iRCCE does
         # with its request queue).  Likewise, concurrent ireceives from
         # the same source share one sent/ready flag pair and must drain
         # the channel in issue order.
-        self._send_channel: dict[int, "FifoLock"] = {}
-        self._recv_channel: dict[tuple[int, int], "FifoLock"] = {}
+        self._locks: dict[tuple, FifoLock] = {}
 
-    def _send_lock(self, core_id: int) -> "FifoLock":
-        lock = self._send_channel.get(core_id)
+    def _lock(self, kind: str, key) -> FifoLock:
+        """The ``send`` channel lock of core ``key`` / the ``recv``
+        channel lock of the ``(dst_core, src_core)`` pair ``key``."""
+        lock = self._locks.get((kind, key))
         if lock is None:
-            lock = self._send_channel[core_id] = FifoLock(
-                self.machine.sim, name=f"sendchan{core_id}")
+            lock = self._locks[(kind, key)] = FifoLock(
+                self.machine.sim, name=f"{kind}chan{key}")
         return lock
 
-    def _recv_lock(self, dst_core: int, src_core: int) -> "FifoLock":
-        key = (dst_core, src_core)
-        lock = self._recv_channel.get(key)
-        if lock is None:
-            lock = self._recv_channel[key] = FifoLock(
-                self.machine.sim, name=f"recvchan{key}")
-        return lock
+    # Issue/complete software overheads in ps, resolved on first use (the
+    # cycle counts are per-layer constants).
+    @cached_property
+    def _issue_ps(self) -> int:
+        return self.machine.latency.core_cycles(self.issue_cycles())
+
+    @cached_property
+    def _complete_ps(self) -> int:
+        return self.machine.latency.core_cycles(self.complete_cycles())
 
     # -- overhead hooks (cycles), overridden per layer -------------------
     def issue_cycles(self) -> int:
@@ -125,18 +125,9 @@ class NonBlockingLayer:
         """
         if dst == env.rank:
             raise RequestError("cannot isend to self")
-        self._admit(env, "send")
         raw = np.ascontiguousarray(data).view(np.uint8).reshape(-1)
-        req = Request(self, env, "send", dst, int(raw.size))
-        cost = self._issue_ps
-        if cost is None:
-            cost = self._issue_ps = env.latency.core_cycles(
-                self.issue_cycles())
-        yield from env.consume(cost, "overhead")
-        req.proc = env.sim.process(
-            self._send_proc(env, req, raw, dst),
-            name=f"isend[{env.rank}->{dst}]")
-        return req
+        return self._issue(env, "send", dst, raw, self._send_proc,
+                           f"isend[{env.rank}->{dst}]")
 
     def irecv(self, env: CoreEnv, out: np.ndarray, src: int) -> Generator:
         """Start a non-blocking receive into ``out``; returns a Request.
@@ -149,17 +140,15 @@ class NonBlockingLayer:
         if src == ANY and not self.supports_wildcard:
             raise RequestError(
                 f"{self.name} does not support wildcard receives")
-        self._admit(env, "recv")
-        raw_out = out.view(np.uint8).reshape(-1)
-        req = Request(self, env, "recv", src, int(raw_out.size))
-        cost = self._issue_ps
-        if cost is None:
-            cost = self._issue_ps = env.latency.core_cycles(
-                self.issue_cycles())
-        yield from env.consume(cost, "overhead")
-        req.proc = env.sim.process(
-            self._recv_proc(env, req, raw_out, src),
-            name=f"irecv[{env.rank}<-{src}]")
+        return self._issue(env, "recv", src, out.view(np.uint8).reshape(-1),
+                           self._recv_proc, f"irecv[{env.rank}<-{src}]")
+
+    def _issue(self, env: CoreEnv, kind: str, peer: int, raw: np.ndarray,
+               body, name: str) -> Generator:
+        self._admit(env, kind)
+        req = Request(self, env, kind, peer, int(raw.size))
+        yield from env.consume(self._issue_ps, "overhead")
+        req.proc = env.sim.process(body(env, req, raw, peer), name=name)
         return req
 
     # -- completion -----------------------------------------------------------
@@ -176,11 +165,7 @@ class NonBlockingLayer:
             raise request.proc.value
         if not request.completed_charged:
             request.completed_charged = True
-            cost = self._complete_ps
-            if cost is None:
-                cost = self._complete_ps = env.latency.core_cycles(
-                    self.complete_cycles())
-            yield from env.consume(cost, "overhead")
+            yield from env.consume(self._complete_ps, "overhead")
         return request.result
 
     def wait_all(self, env: CoreEnv, requests: list[Request]) -> Generator:
@@ -193,9 +178,6 @@ class NonBlockingLayer:
             yield AllOf(sim, pending)
             env.core.account.states["wait_request"] += sim._now - t0
         cost = self._complete_ps
-        if cost is None:
-            cost = self._complete_ps = env.latency.core_cycles(
-                self.complete_cycles())
         for request in requests:
             if request.proc.failed and not request.cancelled:
                 raise request.proc.value
@@ -229,34 +211,34 @@ class NonBlockingLayer:
     # -- sub-process bodies -------------------------------------------------
     def _send_proc(self, env: CoreEnv, req: Request, raw: np.ndarray,
                    dst: int) -> Generator:
-        tracer = self.machine.sim.tracer
-        lock = self._send_lock(env.core_id)
+        lock = self._lock("send", env.core_id)
         try:
             yield from lock.acquired()
         except Interrupt:
             return None
-        if tracer.enabled:
-            tracer.emit(env.now, core_actor(env.core_id), "send.begin", dst)
         try:
-            yield from self._proto._send_body(env, raw, dst)
+            yield from bracketed(env, "send", dst,
+                                 self._proto._send_body(env, raw, dst))
         except Interrupt:
             return None
         finally:
             lock.release()
-        if tracer.enabled:
-            tracer.emit(env.now, core_actor(env.core_id), "send.end", dst)
         self._retire(env, "send")
         return None
 
     def _recv_proc(self, env: CoreEnv, req: Request, raw_out: np.ndarray,
                    src: int) -> Generator:
-        tracer = self.machine.sim.tracer
-        if tracer.enabled:
-            tracer.emit(env.now, core_actor(env.core_id), "recv.begin", src)
+        return bracketed(env, "recv", src,
+                         self._recv_run(env, req, raw_out, src))
+
+    def _recv_run(self, env: CoreEnv, req: Request, raw_out: np.ndarray,
+                  src: int) -> Generator:
+        """Returns the matched source of a wildcard receive."""
+        matched = None
         try:
             if src == ANY:
-                src = yield from self._match_any(env, req)
-            lock = self._recv_lock(env.core_id, env.core_of_rank(src))
+                src = matched = yield from self._match_any(env, req)
+            lock = self._lock("recv", (env.core_id, env.core_of_rank(src)))
             yield from lock.acquired()
             try:
                 yield from self._proto._recv_body(
@@ -264,11 +246,9 @@ class NonBlockingLayer:
             finally:
                 lock.release()
         except Interrupt:
-            return None
-        if tracer.enabled:
-            tracer.emit(env.now, core_actor(env.core_id), "recv.end", src)
+            return matched
         self._retire(env, "recv")
-        return None
+        return matched
 
     def _match_any(self, env: CoreEnv, req: Request) -> Generator:
         """Wait for any sender's announcement; fixes peer and size."""
@@ -281,7 +261,6 @@ class NonBlockingLayer:
                 # Re-announce: _recv_body pops it again for its own chunk
                 # bookkeeping.  (Announcements are per-chunk; wildcard
                 # matching fixes only the first chunk's origin.)
-                from repro.rcce.api import announce_send
                 announce_send(machine, src_core, env.core_id, nbytes)
                 src_rank = env.rank_of_core(src_core)
                 req.peer = src_rank

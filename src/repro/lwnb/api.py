@@ -18,7 +18,6 @@ This layer therefore:
 
 from __future__ import annotations
 
-from repro.hw.machine import Machine
 from repro.ircce.requests import NonBlockingLayer
 
 
@@ -28,9 +27,6 @@ class LWNB(NonBlockingLayer):
     name = "lwnb"
     supports_wildcard = False
     max_outstanding = 1
-
-    def __init__(self, machine: Machine):
-        super().__init__(machine)
 
     def issue_cycles(self) -> int:
         return self.machine.config.lwnb_issue_cycles

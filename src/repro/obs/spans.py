@@ -153,6 +153,31 @@ def span(env: Any, name: str, detail: Any = None) -> Any:
     return _LiveSpan(env, tracer, san, name, detail)
 
 
+def bracketed(env: Any, name: str, peer: Any, body: Any) -> Any:
+    """``body`` (a generator) inside the ``send``/``recv`` record pair of
+    one p2p message — the one place the message brackets are emitted.
+
+    With a disabled tracer this *is* ``body``: no frame, no record.
+    Otherwise the pair closes however the transfer ends (a cancelled
+    request, a typed fault), so later spans of that core never nest
+    under a dangling ``.begin``; a ``body`` that returns a value (the
+    wildcard receive's matched source) puts it on the ``.end`` record.
+    Tracer-only: the monitors' span stack keeps naming collective, round
+    and phase.
+    """
+    tracer = env.sim.tracer
+    if not tracer.enabled:
+        return body
+    return _bracketed(_LiveSpan(env, tracer, None, name, peer), body)
+
+
+def _bracketed(message: _LiveSpan, body: Any):
+    with message:
+        matched = yield from body
+        if matched is not None:
+            message.detail = matched
+
+
 @dataclass(eq=False, slots=True)
 class Span:
     """One reassembled interval of one actor's activity."""

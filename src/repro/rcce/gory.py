@@ -121,7 +121,7 @@ class GoryRCCE:
                 f"put of {raw.size} B at {at} exceeds buffer of "
                 f"{buffer.size} B")
         region = buffer.region(self.machine, env.core_of_rank(target_rank))
-        yield from put_bytes(env, region, raw, at=at)
+        return put_bytes(env, region, raw, at=at)
 
     def get(self, env: CoreEnv, buffer: SymmetricBuffer, nbytes: int,
             source_rank: int, at: int = 0) -> Generator:
@@ -131,8 +131,7 @@ class GoryRCCE:
                 f"get of {nbytes} B at {at} exceeds buffer of "
                 f"{buffer.size} B")
         region = buffer.region(self.machine, env.core_of_rank(source_rank))
-        data = yield from get_bytes(env, region, nbytes, at=at)
-        return data
+        return get_bytes(env, region, nbytes, at=at)
 
     # -- flags ---------------------------------------------------------------
     def _flag(self, handle: FlagHandle, owner_core: int):
@@ -142,10 +141,7 @@ class GoryRCCE:
                    target_rank: int) -> Generator:
         """``RCCE_flag_write``: set/clear the flag on ``target_rank``."""
         flag = self._flag(handle, env.core_of_rank(target_rank))
-        if value:
-            yield from flag.set_by(env.core)
-        else:
-            yield from flag.clear_by(env.core)
+        return (flag.set_by if value else flag.clear_by)(env.core)
 
     def flag_read(self, env: CoreEnv, handle: FlagHandle,
                   source_rank: int) -> Generator:
@@ -161,7 +157,4 @@ class GoryRCCE:
         ``value`` (the call the thermodynamic application spends up to
         50% of its time in, Section IV-A)."""
         flag = self._flag(handle, env.core_id)
-        if value:
-            yield from flag.wait_set(env.core)
-        else:
-            yield from flag.wait_clear(env.core)
+        return (flag.wait_set if value else flag.wait_clear)(env.core)

@@ -9,8 +9,9 @@ Each invocation costs ``rcce_putget_call_cycles`` of software overhead —
 this is the mechanistic origin of the period-4-doubles latency spikes in
 Fig. 9.
 
-These functions charge the acting core and move real bytes; they are shared
-by the blocking layer, both non-blocking layers and the collectives.
+These functions charge the acting core and move real bytes.  Each is a
+single ``PUT``/``GET`` micro-op of :mod:`repro.hw.protocol`, the same op
+the Fig.-3 tables in :mod:`repro.rcce.api` are made of.
 """
 
 from __future__ import annotations
@@ -21,28 +22,10 @@ import numpy as np
 
 from repro.hw.machine import CoreEnv
 from repro.hw.mpb import MPBRegion
+from repro.hw.protocol import COPY, GET, PUT, putget_calls, run_ops
 
-
-def putget_calls(nbytes: int, line_bytes: int) -> int:
-    """Number of low-level transfer invocations for an ``nbytes`` message:
-    one streaming call for the full lines plus one for a padded tail."""
-    if nbytes < 0:
-        raise ValueError(f"negative byte count: {nbytes}")
-    if nbytes == 0:
-        return 0
-    full, tail = divmod(nbytes, line_bytes)
-    calls = 0
-    if full:
-        calls += 1
-    if tail:
-        calls += 1
-    return calls
-
-
-def _call_overhead(env: CoreEnv, nbytes: int) -> int:
-    cfg = env.config
-    calls = putget_calls(nbytes, cfg.l1_line_bytes)
-    return env.latency.core_cycles(calls * cfg.rcce_putget_call_cycles)
+_PUT = ((PUT, 0, COPY),)
+_GET = ((GET, 0, COPY),)
 
 
 def put_bytes(env: CoreEnv, region: MPBRegion, raw: np.ndarray,
@@ -51,35 +34,14 @@ def put_bytes(env: CoreEnv, region: MPBRegion, raw: np.ndarray,
     region, charging software call overhead plus the hardware copy cost.
     When MPB port contention is modeled, the copy burst holds the target
     MPB's port."""
-    nbytes = int(raw.size)
-    cost = (_call_overhead(env, nbytes)
-            + env.latency.mpb_write_bytes(env.core_id, region.owner, nbytes))
-    machine = env.machine
-    faults = machine.faults
-    if faults is not None:
-        cost += faults.mesh_extra_ps(env.core_id, region.owner)
-    if machine.mpb_ports is None:
-        yield from env.core.consume(cost, "copy")
-    else:
-        yield from env.core.consume_at_mpb(region.owner, cost, "copy")
-    region.write(raw, at=at, actor=env.core_id)
-    if faults is not None:
-        faults.maybe_corrupt(region, nbytes, at=at,
-                             actor=f"core{env.core_id}")
+    return run_ops(env.core, _PUT, (region,), raw, at=at)
 
 
 def get_bytes(env: CoreEnv, region: MPBRegion, nbytes: int,
               at: int = 0) -> Generator:
     """``RCCE_get``: copy ``nbytes`` out of an MPB region into private
     memory.  Returns the bytes as a fresh uint8 array."""
-    cost = (_call_overhead(env, nbytes)
-            + env.latency.mpb_read_bytes(env.core_id, region.owner, nbytes))
-    machine = env.machine
-    faults = machine.faults
-    if faults is not None:
-        cost += faults.mesh_extra_ps(env.core_id, region.owner)
-    if machine.mpb_ports is None:
-        yield from env.core.consume(cost, "copy")
-    else:
-        yield from env.core.consume_at_mpb(region.owner, cost, "copy")
-    return region.read(nbytes, at=at, actor=env.core_id)
+    return run_ops(env.core, _GET, (region,), nbytes, at=at)
+
+
+__all__ = ["get_bytes", "put_bytes", "putget_calls"]

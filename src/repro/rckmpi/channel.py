@@ -82,7 +82,7 @@ class RCKMPIP2P(NonBlockingLayer):
     # -- protocol bodies ----------------------------------------------------
     def _send_proc(self, env: CoreEnv, req: Request, raw: np.ndarray,
                    dst: int) -> Generator:
-        lock = self._send_lock(env.core_id)
+        lock = self._lock("send", env.core_id)
         try:
             yield from lock.acquired()
         except Interrupt:
@@ -111,7 +111,7 @@ class RCKMPIP2P(NonBlockingLayer):
         src_core = env.core_of_rank(src)
         chan = self._channel(src_core, env.core_id)
         # Concurrent receives from one channel drain it in issue order.
-        lock = self._recv_lock(env.core_id, src_core)
+        lock = self._lock("recv", (env.core_id, src_core))
         try:
             yield from lock.acquired()
         except Interrupt:

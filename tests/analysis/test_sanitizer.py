@@ -195,7 +195,7 @@ class TestFlagRules:
     def test_double_set_is_lost_notification(self, machine, san):
         flag = _flag(machine)
         san.on_flag_write(flag, True, 1)
-        flag.force(True)                             # apply like _write_by
+        flag.force(True)                             # apply like a SET op
         san.on_flag_write(flag, True, 2)
         # force() resets shadow tracking, so emulate the timed apply by
         # checking against the counted diagnostics instead.

@@ -56,7 +56,7 @@ def drive(monitor, seed: int, ops: int = 2500) -> None:
         elif kind in ("set", "clear"):
             level = kind == "set"
             monitor.on_flag_write(flag, level, actor)
-            flag._apply(level)
+            flag.gate.set() if level else flag.gate.clear()
         elif kind == "observe":
             monitor.on_flag_observed(flag, flag.value, actor)
         elif kind == "corrupt":

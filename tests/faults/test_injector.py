@@ -194,3 +194,26 @@ def test_consume_under_stalls_is_pinned():
           ("stall", 18760000)],
          [("compute", 562800), ("copy", 18000), ("stall", 56280000),
           ("wait_flag", 563420)]])
+
+
+@pytest.mark.parametrize("contention", [False, True])
+def test_core_stall_fires_on_mpb_copies_with_and_without_contention(
+        contention):
+    """A certain stall lands on ``put_bytes`` whether or not MPB port
+    contention is modelled: there is one charge path.  (The port-holding
+    ``Core.consume_at_mpb`` it replaced never drew the stall.)"""
+    from repro.hw.mpb import MPBRegion
+    from repro.rcce.transfer import put_bytes
+
+    machine = Machine(SCCConfig(model_mpb_contention=contention))
+    injector = FaultInjector(FaultPlan(
+        core_stall_prob=1.0, core_stall_cycles=1000)).install(machine)
+    mpb = machine.mpbs[1]
+    region = MPBRegion(mpb, mpb.payload_offset, 64)
+
+    def program(env):
+        yield from put_bytes(env, region, np.zeros(64, dtype=np.uint8))
+
+    result = machine.run_spmd(program, ranks=[0])
+    assert result.accounts[0].get("stall") == 1_876_000
+    assert injector.summary() == {"core_stall": 1}

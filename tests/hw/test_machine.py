@@ -1,9 +1,12 @@
 """Unit tests for Machine, Core, CoreEnv and the SPMD launcher."""
 
+import numpy as np
 import pytest
 
 from repro.hw.config import SCCConfig
 from repro.hw.machine import Machine
+from repro.hw.mpb import MPBRegion
+from repro.hw.protocol import CHARGE, COMPUTE, COPY, PUT, run_ops
 from repro.sim import Interrupt
 
 
@@ -11,6 +14,15 @@ def small_machine(**over):
     """A 2x1-tile (4-core) machine for cheap tests."""
     cfg = SCCConfig(topology="mesh:2x1", **over)
     return Machine(cfg)
+
+
+def put_at(m, core_id, owner, nbytes):
+    """``core_id`` copies ``nbytes`` into ``owner``'s MPB: one priced PUT
+    micro-op, the charge that holds the CPU and then the MPB port."""
+    mpb = m.mpbs[owner]
+    region = MPBRegion(mpb, mpb.payload_offset, nbytes)
+    return run_ops(m.cores[core_id], ((PUT, 0, COPY),), (region,),
+                   np.zeros(nbytes, dtype=np.uint8))
 
 
 class TestConstruction:
@@ -224,18 +236,45 @@ class TestInterruptedWhileQueued:
                   lambda: flag.set_by(core), [core.cpu])
         assert flag.value  # written once, by the third process
 
+    # The two below drive the interpreter's hold (CPU first, then the
+    # MPB port) through a priced PUT; they kept their ids from the
+    # ``Core.consume_at_mpb`` they used to call.
     def test_consume_at_mpb_cpu_queue(self):
         m = small_machine(model_mpb_contention=True)
         core = m.cores[0]
         self._run(m, core.consume(self.PS, "compute"),
-                  lambda: core.consume_at_mpb(1, 500),
+                  lambda: put_at(m, 0, 1, 32),
                   [core.cpu, m.mpb_ports[1]])
 
     def test_consume_at_mpb_port_queue(self):
         m = small_machine(model_mpb_contention=True)
-        self._run(m, m.cores[0].consume_at_mpb(2, self.PS),
-                  lambda: m.cores[1].consume_at_mpb(2, 500),
+        self._run(m, put_at(m, 0, 2, 4096),     # holds port 2 for > 1 us
+                  lambda: put_at(m, 1, 2, 32),
                   [m.cores[0].cpu, m.cores[1].cpu, m.mpb_ports[2]])
+        assert m.cores[1].account.get("wait_port") > 0
+
+    def test_interpreter_charge_is_core_consume(self):
+        """``run_ops`` inlines ``Core.consume``'s hold: the same scenario
+        charged either way ends at the same time, after the same number
+        of events, with the same accounts (stalls drawn included)."""
+        from repro.faults.injector import FaultInjector
+        from repro.faults.plan import FaultPlan
+
+        def outcome(charge):
+            m = small_machine()
+            FaultInjector(FaultPlan(core_stall_prob=0.5, seed=3)).install(m)
+            core = m.cores[0]
+            self._run(m, charge(core, self.PS),
+                      lambda: charge(core, 500), [core.cpu])
+            for _ in range(8):      # uncontended, some of them stalled
+                m.sim.process(charge(core, 700))
+            m.sim.run()
+            return (m.sim.now, m.sim.events_processed,
+                    sorted(core.account.states.items()))
+
+        assert (outcome(lambda core, ps: core.consume(ps, "compute"))
+                == outcome(lambda core, ps: run_ops(
+                    core, ((CHARGE, 0, COMPUTE),), (), cost=ps)))
 
 
 class TestCoreEnv:

@@ -304,3 +304,54 @@ class TestInstrumentedCollectives:
                 assert s.parent.start_ps <= s.start_ps
                 assert s.end_ps <= s.parent.end_ps
                 assert s.parent.exclusive_ps() >= 0
+
+
+class TestCancelledRequestClosesItsBracket:
+    """A cancelled ``irecv``/``isend`` used to emit ``recv.begin`` /
+    ``send.begin`` and never the ``.end``: the span was dropped and every
+    later span of that core nested under the dangling one."""
+
+    @pytest.fixture(scope="class")
+    def records(self):
+        tracer = Tracer(enabled=True)
+        machine = Machine(SCCConfig(), tracer=tracer)
+        comm = make_communicator(machine, "ircce")
+        layer = comm.p2p
+
+        def program(env):
+            if env.rank == 0:
+                # A receive nobody matches, and a send queued behind one
+                # the receiver has not picked up yet.
+                recv = yield from layer.irecv(env, np.empty(8), 1)
+                held = yield from layer.isend(env, np.ones(8), 1)
+                queued = yield from layer.isend(env, np.ones(8), 1)
+                yield from env.compute(1000)
+                yield from layer.cancel(env, queued)
+                yield from layer.cancel(env, recv)
+                yield from layer.wait(env, held)
+            else:
+                yield from env.compute(5000)
+                yield from comm.recv(env, np.empty(8), 0)
+            out = yield from comm.allreduce(env, np.arange(16.0))
+            return out
+
+        result = machine.run_spmd(program, ranks=[0, 1])
+        assert np.array_equal(result.values[0], 2 * np.arange(16.0))
+        return tracer.records
+
+    def test_every_begin_has_its_end(self, records):
+        opened = {}
+        for r in records:
+            name, _, edge = r.tag.rpartition(".")
+            if edge == "begin":
+                opened[(r.actor, name)] = opened.get((r.actor, name), 0) + 1
+            elif edge == "end":
+                opened[(r.actor, name)] -= 1
+        assert opened and not any(opened.values())
+        assert [r.tag for r in records
+                if r.actor == "core0"][:2] == ["recv.begin", "send.begin"]
+
+    def test_later_collective_is_top_level_on_every_core(self, records):
+        tops = collective_spans(extract_spans(records))
+        assert sorted(s.actor for s in tops) == ["core0", "core1"]
+        assert all(s.name == "allreduce" and s.depth == 0 for s in tops)
