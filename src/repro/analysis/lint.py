@@ -40,9 +40,9 @@ Rules
     attribution and the happens-before race detector silently drops the
     access from its clocks, blinding both.
 ``span-unpaired``
-    ``span(...)`` must be used as a ``with`` item: the begin/end pair
-    (and the sanitizer's span stack) is only balanced by the context
-    manager protocol.
+    ``span(...)`` must be used as a ``with`` item (or a branch of a
+    conditional one): the begin/end pair (and the sanitizer's span
+    stack) is only balanced by the context manager protocol.
 ``trace-begin-end``
     Literal trace tags ending in ``.begin`` must have a matching
     ``.end`` literal in the same module (and vice versa), so the
@@ -157,12 +157,14 @@ class _ModuleLint:
         deterministic = _in_pkgs(self.key, DETERMINISTIC_PKGS)
         mpb_module = (bool(imports["mpb_names"])
                       and not _in_pkgs(self.key, TRANSFER_PKGS))
-        with_items = {
-            id(item.context_expr)
-            for node in ast.walk(self.tree)
-            if isinstance(node, (ast.With, ast.AsyncWith))
-            for item in node.items
-        }
+        with_items = set()
+        for node in ast.walk(self.tree):
+            if isinstance(node, (ast.With, ast.AsyncWith)):
+                for item in node.items:
+                    expr = item.context_expr
+                    with_items.add(id(expr))
+                    if isinstance(expr, ast.IfExp):  # either branch is it
+                        with_items.update((id(expr.body), id(expr.orelse)))
         begin_tags: dict[str, ast.Constant] = {}
         end_tags: dict[str, ast.Constant] = {}
 

@@ -46,8 +46,8 @@ from repro.apps.gcmc.observables import Observables
 from repro.apps.gcmc.particles import ParticleSystem
 from repro.apps.gcmc.shortrange import (
     insertion_energy_local,
-    pair_energy_with_set,
     self_energy,
+    upper_pair_energies,
 )
 from repro.core.comm import Communicator
 from repro.hw.machine import CoreEnv, Machine
@@ -127,14 +127,10 @@ def _initial_energy(env: CoreEnv, comm: Communicator, cfg: GCMCConfig,
     """Distributed full energy: short pairs + self terms + reciprocal."""
     idx = system.active_indices()
     local = system.local_indices(env.rank, env.size)
+    energies, pairs = upper_pair_energies(system, local, idx)
     e_short = 0.0
-    pairs = 0
-    for i in local:
-        others = idx[idx > i]
-        e, n = pair_energy_with_set(system, system.positions[i],
-                                    float(system.charges[i]), others)
+    for e in energies:
         e_short += e
-        pairs += n
     e_self = sum(self_energy(float(system.charges[i]), cfg.alpha)
                  for i in local)
     yield from env.compute(cfg.cycles_energy_base

@@ -29,24 +29,22 @@ class ParticleSystem:
 
     def _init_lattice(self, n: int) -> None:
         """Deterministic initial configuration: a jittered cubic lattice
-        with alternating unit charges (net charge ~ 0)."""
+        with alternating unit charges (net charge ~ 0).
+
+        The first ``n`` sites in C order (x slowest), each jittered by
+        three uniform draws in site order — one ``(n, 3)`` draw is the
+        same stream.
+        """
         if n == 0:
             return
         per_side = int(np.ceil(n ** (1.0 / 3.0)))
         spacing = self.config.box / per_side
         rng = np.random.default_rng(self.config.seed ^ 0xC0FFEE)
-        idx = 0
-        for ix in range(per_side):
-            for iy in range(per_side):
-                for iz in range(per_side):
-                    if idx >= n:
-                        break
-                    base = (np.array([ix, iy, iz], dtype=np.float64) + 0.5)
-                    jitter = rng.uniform(-0.05, 0.05, size=3) * spacing
-                    self.positions[idx] = base * spacing + jitter
-                    self.charges[idx] = 1.0 if idx % 2 == 0 else -1.0
-                    self.active[idx] = True
-                    idx += 1
+        sites = np.indices((per_side,) * 3).reshape(3, -1).T[:n]
+        jitter = rng.uniform(-0.05, 0.05, size=(n, 3)) * spacing
+        self.positions[:n] = (sites + 0.5) * spacing + jitter
+        self.charges[:n] = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+        self.active[:n] = True
         self.positions %= self.config.box
 
     # -- queries -----------------------------------------------------------

@@ -41,9 +41,9 @@ from repro.apps.gcmc.observables import Observables
 from repro.apps.gcmc.particles import ParticleSystem
 from repro.apps.gcmc.shortrange import (
     insertion_energy_local,
-    pair_energy_with_set,
     self_energy,
     short_energy_local,
+    upper_pair_energies,
 )
 
 
@@ -130,13 +130,9 @@ def full_energy(system: ParticleSystem, kvecs, coeff, nranks: int,
     max_pairs = 0
     for rank in range(nranks):
         local = system.local_indices(rank, nranks)
-        rank_pairs = 0
-        for i in local:
-            others = idx[idx > i]
-            e, n = pair_energy_with_set(system, system.positions[i],
-                                        float(system.charges[i]), others)
+        energies, rank_pairs = upper_pair_energies(system, local, idx)
+        for i, e in zip(local, energies):
             e_short += e
-            rank_pairs += n
             e_self += self_energy(float(system.charges[i]),
                                   system.config.alpha)
         max_pairs = max(max_pairs, rank_pairs)

@@ -62,6 +62,36 @@ def pair_energy_with_set(system: ParticleSystem, pos: np.ndarray,
     return float(lj + coul), int(others.size)
 
 
+def upper_pair_energies(system: ParticleSystem, slots: np.ndarray,
+                        idx: np.ndarray) -> tuple[list[float], int]:
+    """:func:`pair_energy_with_set` of every slot ``i`` in ``slots`` with
+    the slots of ``idx`` (ascending) above it, evaluated for all pairs at
+    once: the same per-particle sums, bit for bit.  Returns the energies
+    (in ``slots`` order) and the total pair count."""
+    starts = np.searchsorted(idx, slots, side="right")
+    counts = idx.size - starts
+    if not counts.any():
+        return [0.0] * len(slots), 0
+    js = np.concatenate([idx[start:] for start in starts])
+    iss = np.repeat(slots, counts)
+    delta = system.minimum_image(system.positions[js]
+                                 - system.positions[iss])
+    r2 = np.einsum("ij,ij->i", delta, delta)
+    mask = (r2 < system.config.cutoff ** 2) & (r2 > 1e-12)
+    r2 = r2[mask]
+    inv6 = 1.0 / (r2 * r2 * r2)
+    lj = 4.0 * (inv6 * inv6 - inv6)
+    r = np.sqrt(r2)
+    coul = (system.charges[js][mask] * system.charges[iss][mask]
+            * erfc(system.config.alpha * r) / r)
+    # Each slot's pairs, as a [lo, hi) range of the masked arrays.
+    edges = np.concatenate(([0], np.cumsum(mask)))[
+        np.concatenate(([0], np.cumsum(counts)))].tolist()
+    energies = [float(np.sum(lj[lo:hi]) + np.sum(coul[lo:hi]))
+                for lo, hi in zip(edges, edges[1:])]
+    return energies, int(counts.sum())
+
+
 def short_energy_local(system: ParticleSystem, slot: int, rank: int,
                        nranks: int) -> tuple[float, int]:
     """Rank ``rank``'s contribution to ``ShortEn(particle)``: the energy of

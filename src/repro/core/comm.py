@@ -57,11 +57,10 @@ class Communicator:
         self.partitioner = partitioner
         self.name = name or p2p.name
         self.use_mpb_allreduce = use_mpb_allreduce
+        #: True over RCCE's rendezvous send/recv (read once per step).
+        self.blocking = isinstance(p2p, RCCE)
 
     # -- plumbing ------------------------------------------------------------
-    @property
-    def blocking(self) -> bool:
-        return isinstance(self.p2p, RCCE)
 
     def partition(self, n: int, p: int) -> Partition:
         """Split ``n`` elements over ``p`` ranks with this stack's scheme."""

@@ -39,7 +39,7 @@ from repro.core.ops import ReduceOp
 from repro.hw.machine import CoreEnv
 from repro.hw.mpb import MPBRegion, as_bytes
 from repro.hw.protocol import (BUF, CLEAR, COMPUTE, COPY, GET, OVERHEAD, PUT,
-                               READY, SENT, SET, WAIT, run_ops)
+                               READY, SENT, SET, WAIT, bind, run_ops)
 from repro.obs.spans import span
 from repro.sched.engine import run_schedule
 
@@ -179,8 +179,8 @@ def mpb_allreduce(comm: "Communicator", env: CoreEnv, sendbuf: np.ndarray,
         rewrite_cost = lat.mpb_stream_write(me_core, me_core, raw.size)
         attempts = 0
         while True:
-            written = yield from run_ops(core, VERIFY_READ, handles,
-                                         raw.size, cost=verify_cost)
+            written = yield from run_ops(core, bind(
+                core, VERIFY_READ, handles, raw.size, cost=verify_cost))
             if np.array_equal(written, raw):
                 return
             attempts += 1
@@ -193,35 +193,53 @@ def mpb_allreduce(comm: "Communicator", env: CoreEnv, sendbuf: np.ndarray,
                     f"rewrites", actor=f"core{me_core}", half=half,
                     epoch=fault_epoch)
             with span(env, "retry", attempts):
-                yield from run_ops(core, _WRITE, handles, raw,
-                                   cost=rewrite_cost)
+                yield from run_ops(core, bind(core, _WRITE, handles, raw.size,
+                                              cost=rewrite_cost), raw)
             faults.maybe_corrupt(region, raw.size, actor=f"core{me_core}",
                                  boost=epoch_faulty)
 
+    # The flag handshakes of both halves are bound once per call, a fused
+    # copy once per call, half, size and price.
+    claim = [bind(core, _CLAIM, handles) for handles in prod]
+    publish = [bind(core, _PUBLISH, handles) for handles in prod]
+    begin = [bind(core, CONSUME_BEGIN, handles) for handles in cons]
+    end = [bind(core, CONSUME_END, handles) for handles in cons]
+    bursts: dict = {}
+
+    def burst(table: tuple, handles: tuple, nbytes: int,
+              cost: int) -> tuple:
+        key = (id(table), id(handles), nbytes, cost)
+        bound = bursts.get(key)
+        if bound is None:
+            bound = bursts[key] = bind(core, table, handles, nbytes,
+                                       cost=cost)
+        return bound
+
     def produce(k: int, data: np.ndarray, write_cost: int) -> Generator:
         """Write ``data`` into my half ``k % 2`` once it is free."""
-        handles = prod[k % 2]
+        half = k % 2
         raw = as_bytes(data)
         with span(env, "sync", k):
-            yield from run_ops(core, _CLAIM, handles)
+            yield from run_ops(core, claim[half])
         with span(env, "copy", data.nbytes):
-            yield from run_ops(core, _WRITE, handles, raw, cost=write_cost)
+            yield from run_ops(core, burst(_WRITE, prod[half], raw.size,
+                                           write_cost), raw)
         if verify_writes:
-            yield from verify_half(k % 2, raw)
-        yield from run_ops(core, _PUBLISH, handles)
+            yield from verify_half(half, raw)
+        yield from run_ops(core, publish[half])
 
     def consume(k: int, table: tuple, phase: str, detail: int,
                 nels: int, cost: int) -> Generator:
         """Wait until left's half ``k % 2`` is full, stream ``nels``
         elements out of it in one ``cost`` burst (span ``phase``) and
         hand the half back; returns the elements."""
-        handles = cons[k % 2]
+        half = k % 2
         with span(env, "sync", k):
-            yield from run_ops(core, CONSUME_BEGIN, handles)
+            yield from run_ops(core, begin[half])
         with span(env, phase, detail):
-            raw = yield from run_ops(core, table, handles, nels * itemsize,
-                                     cost=cost)
-        yield from run_ops(core, CONSUME_END, handles)
+            raw = yield from run_ops(core, burst(table, cons[half],
+                                                 nels * itemsize, cost))
+        yield from run_ops(core, end[half])
         return raw.view(dtype)
 
     # k = 0: seed my MPB with my own input block (me - 1).

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Generator
 
-from repro.hw.protocol import CLEAR, SET, WAIT, run_ops
+from repro.hw.protocol import CLEAR, SET, WAIT, bind, run_ops
 from repro.sim.events import Gate
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -52,19 +52,19 @@ class Flag:
     # -- timed operations (generators; use via ``yield from``) ------------
     def set_by(self, core: "Core") -> Generator:
         """``core`` writes 1 to the flag (MPB write latency applies)."""
-        return run_ops(core, _SET, (self,))
+        return run_ops(core, bind(core, _SET, (self,)))
 
     def clear_by(self, core: "Core") -> Generator:
         """``core`` writes 0 to the flag."""
-        return run_ops(core, _CLEAR, (self,))
+        return run_ops(core, bind(core, _CLEAR, (self,)))
 
     def wait_set(self, core: "Core") -> Generator:
         """``core`` polls until the flag is 1 (``rcce_wait_until``)."""
-        return run_ops(core, _WAIT_SET, (self,))
+        return run_ops(core, bind(core, _WAIT_SET, (self,)))
 
     def wait_clear(self, core: "Core") -> Generator:
         """``core`` polls until the flag is 0."""
-        return run_ops(core, _WAIT_CLEAR, (self,))
+        return run_ops(core, bind(core, _WAIT_CLEAR, (self,)))
 
     # -- untimed operations (simulation bookkeeping) -----------------------
     def force(self, value: bool, actor: int | None = None) -> None:

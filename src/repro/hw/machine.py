@@ -190,6 +190,12 @@ class Machine:
         diagnostics instead of letting a faulty run stall silently.
         Returns per-rank return values, the simulated makespan, and
         per-rank time accounts.
+
+        The latency memo and the protocol programs bound from it are
+        dropped when the launch ends: a machine's objects refer to each
+        other, so a finished machine is reclaimed only by the cyclic
+        collector, and a sweep's dead machines would otherwise each hold
+        them until it runs.
         """
         ranks = list(ranks) if ranks is not None else list(range(self.num_cores))
         size = len(ranks)
@@ -202,7 +208,10 @@ class Machine:
                              name=f"rank{env.rank}")
             for env in envs
         ]
-        self.sim.run_until_processes(procs, watchdog_ps=watchdog_ps)
+        try:
+            self.sim.run_until_processes(procs, watchdog_ps=watchdog_ps)
+        finally:
+            self.latency.invalidate()
         return SPMDResult(
             values=[p.value for p in procs],
             elapsed_ps=self.sim.now - start,

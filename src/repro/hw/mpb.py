@@ -192,7 +192,22 @@ class MPB:
             self.san.on_clear(self)
 
 
+_U8 = np.dtype(np.uint8)
+
+
 def as_bytes(array: np.ndarray) -> np.ndarray:
     """Flat uint8 view of a C-contiguous array (no copy)."""
+    if (array.__class__ is np.ndarray and array.ndim == 1
+            and array.strides[0] == array.itemsize):
+        # A contiguous vector — every message payload and PUT slice.
+        return array if array.dtype is _U8 else array.view(_U8)
     array = np.ascontiguousarray(array)
+    return array.view(np.uint8).reshape(-1)
+
+
+def byte_view(array: np.ndarray) -> np.ndarray:
+    """Flat uint8 view of a receive buffer: writes to it land in
+    ``array`` (a vector that is not contiguous raises)."""
+    if array.ndim == 1:
+        return array.view(_U8)
     return array.view(np.uint8).reshape(-1)

@@ -1,56 +1,71 @@
-"""MPB protocols as data: the micro-op vocabulary and its one interpreter.
+"""MPB protocols as data: the micro-op vocabulary, its binder and its one
+interpreter.
 
 The paper's optimisations A and B re-order and re-price six MPB
 micro-operations (Fig. 3 vs Fig. 5).  A protocol is therefore a
 module-level **table** of ``(op, role, arg)`` int rows kept beside the
 stack that owns it (``SEND_CHUNK``/``RECV_CHUNK`` and the barrier in
-:mod:`repro.rcce.api`, produce/consume in :mod:`repro.core.mpb_allreduce`),
-and :func:`run_ops` is the single generator that executes one for a core.
+:mod:`repro.rcce.api`, produce/consume in :mod:`repro.core.mpb_allreduce`).
 
 ======  ==========================  =====================================
 op      role / arg                  what the acting core does
 ======  ==========================  =====================================
 CHARGE  -- / state                  hold the CPU for ``cost`` ps
-PUT     region / state              copy ``data`` into the region
-GET     region / state              copy ``data`` bytes out of the region
+PUT     region / state              copy payload bytes into the region
+GET     region / state              copy bytes out of the region
 SET     flag / --                   write 1 to the flag
 CLEAR   flag / --                   write 0 to the flag
 WAIT    flag / level                poll until the flag is at ``level``
                                     (no CPU occupancy)
-NOTE    POSTED | TAKEN / --         untimed channel bookkeeping
+NOTE    POSTED | TAKEN / --         untimed wildcard-receive bookkeeping
 ======  ==========================  =====================================
 
-``role`` indexes the ``handles`` sequence a run is bound to (for a p2p
+``role`` indexes the ``handles`` sequence a table is bound to (for a p2p
 channel ``(buf, sent, ready[, nack])``, see the role constants); ``state``
-indexes :data:`STATES`.  A ``PUT``/``GET`` run with ``cost=None`` is an
-``RCCE_put``/``RCCE_get``: the interpreter prices it (call overhead plus
-line copy), holds the owner's MPB port when contention is modelled and
-applies the injector's per-access terms.  With an explicit ``cost`` it is
-a fused burst the caller priced (the MPB-direct Allreduce) and is charged
-as given.
+indexes :data:`STATES`.
 
-This is the only place in the protocol layers that holds the CPU lock
-(an inline of :meth:`repro.hw.machine.Core.consume`, plus the port),
-adds the fault injector's terms — mesh jitter, then a core stall, on
-every timed op; write-verify against dropped flag writes; stale flag
-notifies; payload corruption after a priced ``PUT``, in that draw order —
-and calls the monitor's flag hooks.  A run given the channel's ``xfer``
-state is under the **verify policy** of the fault-hardened transfer:
-``NOTE POSTED`` stamps the chunk's ``(seq, crc32)`` frame and a ``GET``
-that does not match it ends the run early (returning ``None``, before
-the table's ``SET ready``) so the caller can NACK and re-run the same
-table.
+**Binding** (:func:`bind`) resolves a table once for an acting core, its
+handles and a payload size into a *program*: ``(erratum level, rows)``,
+every row carrying its handle, the MPB owner, the base charge taken from
+the :class:`~repro.hw.timing.LatencyModel`, the account state, the MPB
+port (under ``model_mpb_contention``) and the payload slice it moves.  A
+priced ``PUT``/``GET`` is an ``RCCE_put``/``RCCE_get``: call overhead
+plus line copy; with an explicit ``cost`` it is a fused burst the caller
+priced (the MPB-direct Allreduce) and charged as given.  With ``chunk``
+the table is repeated once per ``chunk``-byte piece of the payload, so a
+whole multi-chunk message is one program.  The stacks memoize a
+message's program in the latency model's table of the current erratum
+level (:meth:`~repro.hw.timing.LatencyModel.table`), so a channel is
+priced the first time it carries a message of that size, and
+:meth:`~repro.hw.timing.LatencyModel.invalidate` drops the programs with
+the latencies.
+
+:func:`run_ops` is the single generator that executes a program: the
+only place in the protocol layers that holds the CPU lock (an inline of
+:meth:`repro.hw.machine.Core.consume`, plus the port), re-prices a row
+bound before an erratum toggle, adds the fault injector's terms — mesh
+jitter, then a core stall, on every timed op; write-verify against
+dropped flag writes; stale flag notifies; payload corruption after a
+priced ``PUT``, in that draw order — and calls the monitor's flag hooks.
+Faulted, monitored and port-contended runs execute the same rows.  Given
+a non-blocking :class:`~repro.ircce.requests.Request`, the run is that
+request's whole sub-process: it holds the request's channel lock around
+the rows and retires the request when they are done.
+
+``NOTE`` rows only matter to a wildcard receive; the stacks bind them
+only on a machine where a wildcard-capable layer called
+:func:`accept_wildcards`.
 """
 
 from __future__ import annotations
 
-import zlib
 from typing import TYPE_CHECKING, Any, Generator, Optional, Sequence
 
 from repro.sim.events import Interrupt
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.hw.machine import Core, Machine
+    from repro.hw.timing import LatencyModel
 
 #: Micro-ops, the commonest first.  All but ``WAIT`` and ``NOTE`` are
 #: timed: they hold the CPU.
@@ -62,6 +77,12 @@ STATES = ("overhead", "copy", "compute")
 OVERHEAD, COPY, COMPUTE = range(3)
 #: Roles of a p2p channel's handles ``(buf, sent, ready[, nack])``.
 BUF, SENT, READY, NACK = range(4)
+#: Where a bound row (see :func:`bind`) keeps its payload slice.
+PIECE = 6
+
+#: Where the announcement queues live; present only on a machine with a
+#: wildcard-capable layer.
+_PENDING = "p2p.pending"
 
 
 def putget_calls(nbytes: int, line_bytes: int) -> int:
@@ -73,11 +94,113 @@ def putget_calls(nbytes: int, line_bytes: int) -> int:
     return (full > 0) + (tail > 0)
 
 
+# -- binding ---------------------------------------------------------------
+def _price(latency: "LatencyModel", core_id: int, op: int, owner: int,
+           piece: slice) -> int:
+    """The base charge of a priced row at the current erratum level."""
+    if op <= CLEAR:
+        return latency.flag_write(core_id, owner)
+    if op == WAIT:
+        return latency.flag_notify(core_id, owner)
+    nbytes = piece.stop - piece.start
+    config = latency.config
+    return (latency.core_cycles(putget_calls(nbytes, config.l1_line_bytes)
+                                * config.rcce_putget_call_cycles)
+            + (latency.mpb_write_bytes if op == PUT
+               else latency.mpb_read_bytes)(core_id, owner, nbytes))
+
+
+def bind(core: "Core", table: Sequence[tuple], handles: Sequence[Any] = (),
+         nbytes: int = 0, chunk: int = 0, cost: Optional[int] = None,
+         at: int = 0, call: int = 0) -> tuple:
+    """Resolve ``table`` for ``core`` into a program ``(level, rows)``.
+
+    ``nbytes`` is the payload a run moves (the ``data`` its ``PUT`` rows
+    copy, the bytes its ``GET`` rows read) and ``at`` its offset in the
+    region; with ``chunk`` the table repeats for every ``chunk``-byte
+    piece (once for an empty payload).  ``cost`` is the explicit charge
+    of ``CHARGE`` rows and fused copies; ``call`` prepends one
+    ``overhead`` charge of that many ps (a blocking call's software
+    overhead).  A bound row is ``(op, obj, owner, charge, state, port,
+    piece, at)``: ``owner`` is -1 on a row priced by the caller, a
+    ``WAIT`` row's ``state`` is the awaited level, and a ``NOTE`` row's
+    ``obj`` is the peer core and its ``state`` the kind.
+    """
+    machine = core.machine
+    latency = machine.latency
+    ports = machine.mpb_ports
+    core_id = core.core_id
+    rows = ([(CHARGE, None, -1, call, "overhead", None, None, 0)]
+            if call else [])
+    if chunk and nbytes > chunk:
+        pieces = [slice(lo, min(lo + chunk, nbytes))
+                  for lo in range(0, nbytes, chunk)]
+    else:
+        pieces = (slice(0, nbytes),)
+    # Channel binding is on the first message of every channel, so the
+    # common rows are priced inline rather than through ``_price``.
+    for piece in pieces:
+        for op, role, arg in table:
+            if op <= CLEAR:
+                obj = handles[role]
+                owner = obj.owner
+                rows.append((op, obj, owner,
+                             latency.flag_write(core_id, owner), "overhead",
+                             None, piece, at))
+            elif op == WAIT:
+                obj = handles[role]
+                owner = obj.owner
+                rows.append((op, obj, owner,
+                             latency.flag_notify(core_id, owner), arg, None,
+                             piece, at))
+            elif op == NOTE:
+                peer = handles[BUF if role == TAKEN else SENT].owner
+                rows.append((op, peer, -1, 0, role, None, piece, 0))
+            elif op == CHARGE:
+                rows.append((op, None, -1, cost, STATES[arg], None, piece, at))
+            elif cost is not None:
+                rows.append((op, handles[role], -1, cost, STATES[arg], None,
+                             piece, at))
+            else:
+                obj = handles[role]
+                owner = obj.owner
+                rows.append((op, obj, owner,
+                             _price(latency, core_id, op, owner, piece),
+                             STATES[arg],
+                             None if ports is None else ports[owner],
+                             piece, at))
+    return machine.config.erratum_enabled, tuple(rows)
+
+
+# -- the wildcard-receive announcement channel ------------------------------
+def accept_wildcards(machine: "Machine") -> None:
+    """Register a wildcard-capable layer (iRCCE) on ``machine``: from now
+    on every message announces itself to its receiver.  Programs bound
+    before are dropped so that they are re-bound with their ``NOTE``
+    rows."""
+    if _PENDING not in machine.services:
+        machine.services[_PENDING] = {}
+        machine.latency.invalidate()
+
+
+def announcing(machine: "Machine") -> bool:
+    """True once a wildcard-capable layer is installed on ``machine``."""
+    return _PENDING in machine.services
+
+
+def announcements(machine: "Machine", dst: int) -> list[tuple[int, int]]:
+    """``dst``'s queue of ``(src, nbytes)`` announcements, oldest first."""
+    queues = machine.services[_PENDING]
+    queue = queues.get(dst)
+    if queue is None:
+        queue = queues[dst] = []
+    return queue
+
+
 def announce_send(machine: "Machine", src: int, dst: int, nbytes: int) -> None:
-    """Bookkeeping used by iRCCE's wildcard receive: record that ``src``
-    has posted data for ``dst`` (called when the sent flag is raised)."""
-    pending = machine.services.setdefault("p2p.pending", {})
-    pending.setdefault(dst, []).append((src, nbytes))
+    """Record that ``src`` has posted data for ``dst`` (called when the
+    sent flag is raised)."""
+    announcements(machine, dst).append((src, nbytes))
     machine.flag(dst, "p2p.incoming").force(True, actor=src)
 
 
@@ -85,8 +208,7 @@ def take_announcement(machine: "Machine", dst: int,
                       src: Optional[int] = None) -> Optional[tuple[int, int]]:
     """Pop a pending (src, nbytes) announcement for ``dst`` (FIFO); with
     ``src`` given, pop that sender's first announcement."""
-    pending = machine.services.setdefault("p2p.pending", {})
-    queue = pending.get(dst, [])
+    queue = announcements(machine, dst)
     for index, (s, _n) in enumerate(queue):
         if src is None or s == src:
             break
@@ -98,176 +220,167 @@ def take_announcement(machine: "Machine", dst: int,
     return item
 
 
-def _note(machine: "Machine", core_id: int, kind: int,
-          handles: Sequence[Any], data: Any, xfer: Optional[dict]) -> None:
-    """The untimed channel bookkeeping of a ``NOTE`` row."""
-    if kind == TAKEN:
-        take_announcement(machine, core_id, handles[BUF].owner)
-        return
-    # POSTED.  Under the verify policy the chunk's frame is stamped; a
-    # retransmission re-stamps the sequence number the frame already
-    # carries and is not announced again.
-    if xfer is not None:
-        seq, frame = xfer["seq_out"], xfer["frame"]
-        xfer["frame"] = (seq, zlib.crc32(data.tobytes()))
-        if frame is not None and frame[0] == seq:
-            return
-    announce_send(machine, core_id, handles[SENT].owner, int(data.size))
+# -- the interpreter ---------------------------------------------------------
+def run_ops(core: "Core", program: tuple, data: Any = None,
+            req: Any = None) -> Generator:
+    """Execute a bound ``program`` for ``core``.
 
-
-def run_ops(core: "Core", table: Sequence[tuple], handles: Sequence[Any],
-            data: Any = None, xfer: Optional[dict] = None, at: int = 0,
-            cost: Optional[int] = None) -> Generator:
-    """Execute ``table`` for ``core`` with its roles bound to ``handles``.
-
-    ``data`` is the table's payload (the uint8 array a ``PUT`` writes,
-    the byte count a ``GET`` reads), ``xfer`` the channel state of a run
-    under the verify policy, ``at`` the payload's offset in the region,
-    ``cost`` the explicit charge of ``CHARGE`` rows and fused copies.
-    Returns the bytes of the last ``GET`` (``None`` when the verify
-    policy rejected them).
+    ``data`` is the payload: the uint8 array ``PUT`` rows copy slices of
+    and ``GET`` rows fill, or ``None`` for a run whose ``GET`` reads into
+    fresh arrays.  ``req`` makes the run a non-blocking request's
+    sub-process (see the module docstring); an interrupted request run
+    returns ``None``, any other run re-raises the
+    :class:`~repro.sim.events.Interrupt`.  Returns the bytes of the last
+    ``GET`` when ``data`` is ``None``.
     """
     machine = core.machine
     core_id = core.core_id
-    latency = machine.latency
+    config = machine.config
     faults = machine.faults
     san = machine.san
+    sim = machine.sim
     cpu = core.cpu
     states = core.account.states
-    result = port = None
-    for op, role, arg in table:
-        # -- price a timed op (or run an untimed one and move on) ...
-        if op <= CLEAR:
-            flag = handles[role]
-            owner = flag.owner      # the MPB whose access may be jittered
-            charge = latency.flag_write(core_id, owner)
-            state = "overhead"
-        elif op == WAIT:
-            flag = handles[role]
-            charge = latency.flag_notify(core_id, flag.owner)
-            if faults is not None:
-                charge += faults.flag_stale_extra_ps(core_id, flag.owner,
-                                                     flag.name)
-            if arg:
-                grant = flag.gate.wait_true(charge)
-                grant.label = flag._label_set
-            else:
-                grant = flag.gate.wait_false(charge)
-                grant.label = flag._label_clear
-            sim = machine.sim
-            t0 = sim._now
-            yield grant
-            states["wait_flag"] += sim._now - t0
-            if san is not None:
-                san.on_flag_observed(flag, arg == 1, core_id)
-            continue
-        elif op == NOTE:
-            _note(machine, core_id, role, handles, data, xfer)
-            continue
-        else:
-            state = STATES[arg]
-            owner = -1
-            if cost is not None:
-                charge = cost
-            else:
-                owner = handles[role].owner
-                nbytes = int(data.size) if op == PUT else data
-                charge = (
-                    latency.core_cycles(
-                        putget_calls(nbytes, machine.config.l1_line_bytes)
-                        * machine.config.rcce_putget_call_cycles)
-                    + (latency.mpb_write_bytes if op == PUT
-                       else latency.mpb_read_bytes)(core_id, owner, nbytes))
-                if machine.mpb_ports is not None:
-                    port = machine.mpb_ports[owner]
-        stall = 0
-        if faults is not None:
-            if owner >= 0:
-                charge += faults.mesh_extra_ps(core_id, owner)
-            if charge > 0:
-                stall = faults.stall_ps(core_id)
-
-        # ... hold the CPU, then the MPB port (lock order is always CPU
-        # first; port holders only wait on timeouts, so it cannot
-        # deadlock).  Inline of Core.consume: keep in sync.
-        if cpu._locked or cpu._queue:
-            grant = cpu.acquire()
-            try:
-                yield grant
-            except Interrupt:
-                cpu.abandon(grant)
-                raise
-        else:
-            cpu._locked = True
-        try:
-            if port is None:
-                pass
-            elif port._locked or port._queue:
-                sim = machine.sim
-                t0 = sim._now
-                grant = port.acquire()
+    level, rows = program
+    result = held = None
+    try:
+        if req is not None:
+            if req.lock._locked or req.lock._queue:
+                grant = req.lock.acquire()
                 try:
                     yield grant
                 except Interrupt:
-                    port.abandon(grant)
-                    port = None
-                    raise
-                if sim._now > t0:
-                    states["wait_port"] += sim._now - t0
-            else:
-                port._locked = True
-            try:
-                if stall:
-                    yield stall
-                    states["stall"] += stall
-                if charge > 0:
-                    yield charge
-                states[state] += charge
-            finally:
-                if port is not None:
-                    port.release()
-                    port = None
-        finally:
-            if cpu._queue:
-                cpu._queue.popleft().succeed()
-            else:
-                cpu._locked = False
-
-        # ... and apply the effect.
-        if op <= CLEAR:
-            if faults is not None:
-                # Write-verify against lost flag writes: the writer reads
-                # the flag back (one MPB access) and rewrites until the
-                # level sticks, bounded by the plan's retry budget.
-                attempts = 0
-                while faults.flag_write_dropped(core_id, owner, flag.name):
-                    attempts += 1
-                    if attempts > faults.plan.max_retries:
-                        faults.raise_fault(
-                            "flag_write",
-                            f"flag write lost {attempts} times",
-                            actor=f"core{core_id}", owner=owner,
-                            flag=flag.name, level=op == SET)
-                    yield from core.consume(
-                        latency.mpb_access(core_id, owner)
-                        + latency.flag_write(core_id, owner), "overhead")
-            if san is not None:
-                san.on_flag_write(flag, op == SET, core_id)
-            if op == SET:
-                flag.gate.set()
-            else:
-                flag.gate.clear()
-        elif op == PUT:
-            handles[role].write(data, at=at, actor=core_id)
-            if faults is not None and owner >= 0:
-                faults.maybe_corrupt(handles[role], nbytes, at=at,
-                                     actor=f"core{core_id}")
-        elif op == GET:
-            result = handles[role].read(data, at=at, actor=core_id)
-            if xfer is not None:    # verify policy: the stamped frame
-                if (xfer["frame"] is None
-                        or xfer["frame"][0] != xfer["seq_in"]
-                        or zlib.crc32(result.tobytes()) != xfer["frame"][1]):
+                    req.lock.abandon(grant)
                     return None
-                xfer["seq_in"] += 1
-    return result
+                held = req.lock
+            else:
+                # A free lock is granted inline; the zero hold resumes the
+                # run at the heap position the grant would have had.
+                held = req.lock
+                held._locked = True
+                yield 0
+        for op, obj, owner, charge, state, port, piece, at in rows:
+            if owner >= 0 and config.erratum_enabled != level:
+                # Bound before the injector toggled the erratum.
+                charge = _price(machine.latency, core_id, op, owner, piece)
+            # -- an untimed op runs and moves on ...
+            if op == WAIT:
+                if faults is not None:
+                    charge += faults.flag_stale_extra_ps(core_id, owner,
+                                                         obj.name)
+                if state:
+                    grant = obj.gate.wait_true(charge)
+                    grant.label = obj._label_set
+                else:
+                    grant = obj.gate.wait_false(charge)
+                    grant.label = obj._label_clear
+                t0 = sim._now
+                yield grant
+                states["wait_flag"] += sim._now - t0
+                if san is not None:
+                    san.on_flag_observed(obj, state == 1, core_id)
+                continue
+            if op == NOTE:
+                if state == POSTED:
+                    announce_send(machine, core_id, obj,
+                                  piece.stop - piece.start)
+                else:
+                    take_announcement(machine, core_id, obj)
+                continue
+            stall = 0
+            if faults is not None:
+                if owner >= 0:
+                    charge += faults.mesh_extra_ps(core_id, owner)
+                if charge > 0:
+                    stall = faults.stall_ps(core_id)
+
+            # ... a timed one holds the CPU, then the MPB port (lock order
+            # is always CPU first; port holders only wait on timeouts, so
+            # it cannot deadlock).  Inline of Core.consume: keep in sync.
+            if cpu._locked or cpu._queue:
+                grant = cpu.acquire()
+                try:
+                    yield grant
+                except Interrupt:
+                    cpu.abandon(grant)
+                    raise
+            else:
+                cpu._locked = True
+            try:
+                if port is None:
+                    pass
+                elif port._locked or port._queue:
+                    t0 = sim._now
+                    grant = port.acquire()
+                    try:
+                        yield grant
+                    except Interrupt:
+                        port.abandon(grant)
+                        port = None
+                        raise
+                    if sim._now > t0:
+                        states["wait_port"] += sim._now - t0
+                else:
+                    port._locked = True
+                try:
+                    if stall:
+                        yield stall
+                        states["stall"] += stall
+                    if charge > 0:
+                        yield charge
+                    states[state] += charge
+                finally:
+                    if port is not None:
+                        port.release()
+            finally:
+                if cpu._queue:
+                    cpu._queue.popleft().succeed()
+                else:
+                    cpu._locked = False
+
+            # ... and applies its effect.
+            if op <= CLEAR:
+                if faults is not None:
+                    # Write-verify against lost flag writes: the writer
+                    # reads the flag back (one MPB access) and rewrites
+                    # until the level sticks, bounded by the retry budget.
+                    attempts = 0
+                    while faults.flag_write_dropped(core_id, owner,
+                                                    obj.name):
+                        attempts += 1
+                        if attempts > faults.plan.max_retries:
+                            faults.raise_fault(
+                                "flag_write",
+                                f"flag write lost {attempts} times",
+                                actor=f"core{core_id}", owner=owner,
+                                flag=obj.name, level=op == SET)
+                        yield from core.consume(
+                            machine.latency.mpb_access(core_id, owner)
+                            + machine.latency.flag_write(core_id, owner),
+                            "overhead")
+                if san is not None:
+                    san.on_flag_write(obj, op == SET, core_id)
+                if op == SET:
+                    obj.gate.set()
+                else:
+                    obj.gate.clear()
+            elif op == PUT:
+                obj.write(data[piece], at=at, actor=core_id)
+                if faults is not None and owner >= 0:
+                    faults.maybe_corrupt(obj, piece.stop - piece.start,
+                                         at=at, actor=f"core{core_id}")
+            elif op == GET:
+                result = obj.read(piece.stop - piece.start, at=at,
+                                  actor=core_id)
+                if data is not None:
+                    data[piece] = result
+    except Interrupt:
+        if req is None:
+            raise
+        return None
+    finally:
+        if held is not None:
+            held.release()
+    if req is not None:
+        req.retire()
+    return result if data is None else None

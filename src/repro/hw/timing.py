@@ -24,7 +24,9 @@ equivalent to recomputing:
   other table instead of serving stale values;
 * mutating any *other* config field after construction requires an explicit
   :meth:`LatencyModel.invalidate` (nothing in the repo does this — ablation
-  benchmarks build fresh configs per point — but the escape hatch exists).
+  benchmarks build fresh configs per point — but the escape hatch exists;
+  :meth:`~repro.hw.machine.Machine.run_spmd` also calls it when a launch
+  ends, to free the tables).
 
 Pass ``cache=False`` to get the direct, recompute-every-call reference
 implementation; ``tests/hw/test_timing_memo.py`` asserts the two are
@@ -48,7 +50,8 @@ class LatencyModel:
         self.invalidate()
 
     def invalidate(self) -> None:
-        """Drop all memoized latencies.
+        """Drop all memoized latencies and the protocol programs kept
+        beside them (see :meth:`table`).
 
         Call after mutating a field of :attr:`config` on a live machine
         (other than ``erratum_enabled``, whose two levels have separate
@@ -59,6 +62,14 @@ class LatencyModel:
         self._mesh_ps = self.config.mesh_clock().ps_per_cycle
         # One memo table per erratum level; indexed by the bool itself.
         self._memo: tuple[dict, dict] = ({}, {})
+
+    def table(self) -> dict:
+        """The memo table of the current erratum level, which also holds
+        the bound protocol programs (a fresh empty dict when memoization
+        is off, so nothing is kept)."""
+        if self._cache_enabled:
+            return self._memo[self.config.erratum_enabled]
+        return {}
 
     # -- cycle helpers -----------------------------------------------------
     def core_cycles(self, n: int | float) -> int:

@@ -19,9 +19,8 @@ from __future__ import annotations
 
 from typing import Generator
 
-import numpy as np
-
 from repro.hw.machine import CoreEnv, Machine
+from repro.hw.protocol import accept_wildcards, announcements
 from repro.ircce.requests import ANY, NonBlockingLayer, Request
 
 
@@ -36,6 +35,8 @@ class IRCCE(NonBlockingLayer):
         super().__init__(machine)
         #: Per-core pending-request lists (models iRCCE's linked lists).
         self.request_lists: dict[int, list[Request]] = {}
+        # Wildcard receives and probes read the messages' announcements.
+        accept_wildcards(machine)
 
     def issue_cycles(self) -> int:
         return self.machine.config.ircce_issue_cycles
@@ -47,31 +48,6 @@ class IRCCE(NonBlockingLayer):
         return self.machine.config.ircce_test_cycles
 
     # -- request-list bookkeeping -----------------------------------------
-    def isend(self, env: CoreEnv, data: np.ndarray, dst: int) -> Generator:
-        req = yield from super().isend(env, data, dst)
-        self._enlist(env, req)
-        return req
-
-    def irecv(self, env: CoreEnv, out: np.ndarray, src: int) -> Generator:
-        req = yield from super().irecv(env, out, src)
-        self._enlist(env, req)
-        return req
-
-    def wait(self, env: CoreEnv, request: Request) -> Generator:
-        result = yield from super().wait(env, request)
-        self._delist(env, request)
-        return result
-
-    def wait_all(self, env: CoreEnv, requests: list[Request]) -> Generator:
-        results = yield from super().wait_all(env, requests)
-        for request in requests:
-            self._delist(env, request)
-        return results
-
-    def cancel(self, env: CoreEnv, request: Request) -> Generator:
-        yield from super().cancel(env, request)
-        self._delist(env, request)
-
     def pending(self, core_id: int) -> list[Request]:
         """The core's current request list."""
         return list(self.request_lists.get(core_id, ()))
@@ -82,9 +58,7 @@ class IRCCE(NonBlockingLayer):
         message, or ``None``.  The message stays queued."""
         yield from env.consume(
             env.latency.core_cycles(self.test_cycles()), "overhead")
-        pending = self.machine.services.setdefault("p2p.pending", {})
-        queue = pending.get(env.core_id, [])
-        for src_core, nbytes in queue:
+        for src_core, nbytes in announcements(self.machine, env.core_id):
             if src == ANY or env.core_of_rank(src) == src_core:
                 return (env.rank_of_core(src_core), nbytes)
         return None

@@ -25,6 +25,7 @@ from typing import Generator, Optional
 import numpy as np
 
 from repro.hw.machine import CoreEnv, Machine
+from repro.hw.mpb import as_bytes, byte_view
 from repro.hw.protocol import announce_send, take_announcement
 from repro.obs.spans import bracketed
 from repro.rcce.api import RCCE
@@ -43,7 +44,7 @@ class Request:
     """Handle for one in-flight non-blocking operation."""
 
     __slots__ = ("layer", "env", "kind", "peer", "nbytes", "proc",
-                 "completed_charged", "cancelled", "result")
+                 "completed_charged", "cancelled", "result", "lock")
 
     def __init__(self, layer: "NonBlockingLayer", env: CoreEnv, kind: str,
                  peer: int, nbytes: int):
@@ -56,11 +57,16 @@ class Request:
         self.completed_charged = False
         self.cancelled = False
         self.result = None        # for wildcard recv: (src_rank, nbytes)
+        self.lock = None          # the channel lock its transfer holds
 
     @property
     def done(self) -> bool:
         """True once the transfer sub-process has finished."""
         return self.proc is not None and self.proc.triggered
+
+    def retire(self) -> None:
+        """The transfer completed: free its outstanding-request slot."""
+        self.layer._retire(self.env, self.kind)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = ("cancelled" if self.cancelled
@@ -125,9 +131,8 @@ class NonBlockingLayer:
         """
         if dst == env.rank:
             raise RequestError("cannot isend to self")
-        raw = np.ascontiguousarray(data).view(np.uint8).reshape(-1)
-        return self._issue(env, "send", dst, raw, self._send_proc,
-                           f"isend[{env.rank}->{dst}]")
+        return self._issue(env, "send", dst, as_bytes(data), self._send_proc,
+                           ("isend[{}->{}]", env.rank, dst))
 
     def irecv(self, env: CoreEnv, out: np.ndarray, src: int) -> Generator:
         """Start a non-blocking receive into ``out``; returns a Request.
@@ -140,15 +145,16 @@ class NonBlockingLayer:
         if src == ANY and not self.supports_wildcard:
             raise RequestError(
                 f"{self.name} does not support wildcard receives")
-        return self._issue(env, "recv", src, out.view(np.uint8).reshape(-1),
-                           self._recv_proc, f"irecv[{env.rank}<-{src}]")
+        return self._issue(env, "recv", src, byte_view(out), self._recv_proc,
+                           ("irecv[{}<-{}]", env.rank, src))
 
     def _issue(self, env: CoreEnv, kind: str, peer: int, raw: np.ndarray,
-               body, name: str) -> Generator:
+               body, name: tuple) -> Generator:
         self._admit(env, kind)
         req = Request(self, env, kind, peer, int(raw.size))
         yield from env.consume(self._issue_ps, "overhead")
         req.proc = env.sim.process(body(env, req, raw, peer), name=name)
+        self._enlist(env, req)
         return req
 
     # -- completion -----------------------------------------------------------
@@ -166,6 +172,7 @@ class NonBlockingLayer:
         if not request.completed_charged:
             request.completed_charged = True
             yield from env.consume(self._complete_ps, "overhead")
+        self._delist(env, request)
         return request.result
 
     def wait_all(self, env: CoreEnv, requests: list[Request]) -> Generator:
@@ -184,6 +191,8 @@ class NonBlockingLayer:
             if not request.completed_charged:
                 request.completed_charged = True
                 yield from env.consume(cost, "overhead")
+        for request in requests:
+            self._delist(env, request)
         return [r.result for r in requests]
 
     def test(self, env: CoreEnv, request: Request) -> Generator:
@@ -207,48 +216,39 @@ class NonBlockingLayer:
         request.proc.interrupt("cancelled")
         yield from env.core.wait(request.proc, "wait_request")
         self._retire(env, request.kind)
+        self._delist(env, request)
 
     # -- sub-process bodies -------------------------------------------------
+    # Each returns the request's sub-process generator: the message's
+    # program run, which holds the request's channel lock and retires it.
     def _send_proc(self, env: CoreEnv, req: Request, raw: np.ndarray,
                    dst: int) -> Generator:
-        lock = self._lock("send", env.core_id)
-        try:
-            yield from lock.acquired()
-        except Interrupt:
-            return None
-        try:
-            yield from bracketed(env, "send", dst,
-                                 self._proto._send_body(env, raw, dst))
-        except Interrupt:
-            return None
-        finally:
-            lock.release()
-        self._retire(env, "send")
-        return None
+        req.lock = self._lock("send", env.core_id)
+        return bracketed(env, "send", dst,
+                         self._proto.message(env, raw, dst, True, req=req))
 
     def _recv_proc(self, env: CoreEnv, req: Request, raw_out: np.ndarray,
                    src: int) -> Generator:
+        if src == ANY:
+            return bracketed(env, "recv", src,
+                             self._recv_any(env, req, raw_out))
+        req.lock = self._lock("recv", (env.core_id, env.core_of_rank(src)))
         return bracketed(env, "recv", src,
-                         self._recv_run(env, req, raw_out, src))
+                         self._proto.message(env, raw_out, src, False,
+                                             req=req))
 
-    def _recv_run(self, env: CoreEnv, req: Request, raw_out: np.ndarray,
-                  src: int) -> Generator:
-        """Returns the matched source of a wildcard receive."""
-        matched = None
+    def _recv_any(self, env: CoreEnv, req: Request,
+                  raw_out: np.ndarray) -> Generator:
+        """A wildcard receive: match any sender's announcement, then
+        receive from it.  Returns the matched source rank."""
         try:
-            if src == ANY:
-                src = matched = yield from self._match_any(env, req)
-            lock = self._lock("recv", (env.core_id, env.core_of_rank(src)))
-            yield from lock.acquired()
-            try:
-                yield from self._proto._recv_body(
-                    env, raw_out[:req.nbytes], src)
-            finally:
-                lock.release()
+            src = yield from self._match_any(env, req)
         except Interrupt:
-            return matched
-        self._retire(env, "recv")
-        return matched
+            return None
+        req.lock = self._lock("recv", (env.core_id, env.core_of_rank(src)))
+        yield from self._proto.message(env, raw_out[:req.nbytes], src, False,
+                                       req=req)
+        return src
 
     def _match_any(self, env: CoreEnv, req: Request) -> Generator:
         """Wait for any sender's announcement; fixes peer and size."""
@@ -258,9 +258,9 @@ class NonBlockingLayer:
             found = take_announcement(machine, env.core_id)
             if found is not None:
                 src_core, nbytes = found
-                # Re-announce: _recv_body pops it again for its own chunk
-                # bookkeeping.  (Announcements are per-chunk; wildcard
-                # matching fixes only the first chunk's origin.)
+                # Re-announce: the receive's own ``NOTE TAKEN`` pops it
+                # again.  (Announcements are per-chunk; wildcard matching
+                # fixes only the first chunk's origin.)
                 announce_send(machine, src_core, env.core_id, nbytes)
                 src_rank = env.rank_of_core(src_core)
                 req.peer = src_rank
@@ -270,6 +270,14 @@ class NonBlockingLayer:
             yield from incoming.wait_set(env.core)
 
     # -- outstanding accounting ----------------------------------------------
+    # A layer that keeps a request list (iRCCE) files a request in it
+    # once issued and takes it out once waited on or cancelled.
+    def _enlist(self, env: CoreEnv, req: Request) -> None:
+        pass
+
+    def _delist(self, env: CoreEnv, req: Request) -> None:
+        pass
+
     def _admit(self, env: CoreEnv, kind: str) -> None:
         key = (env.core_id, kind)
         count = self._outstanding.get(key, 0)
@@ -282,4 +290,6 @@ class NonBlockingLayer:
 
     def _retire(self, env: CoreEnv, kind: str) -> None:
         key = (env.core_id, kind)
-        self._outstanding[key] = max(0, self._outstanding.get(key, 0) - 1)
+        count = self._outstanding.get(key, 0)
+        if count:
+            self._outstanding[key] = count - 1

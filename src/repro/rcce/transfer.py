@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.hw.machine import CoreEnv
 from repro.hw.mpb import MPBRegion
-from repro.hw.protocol import COPY, GET, PUT, putget_calls, run_ops
+from repro.hw.protocol import COPY, GET, PUT, bind, putget_calls, run_ops
 
 _PUT = ((PUT, 0, COPY),)
 _GET = ((GET, 0, COPY),)
@@ -34,14 +34,15 @@ def put_bytes(env: CoreEnv, region: MPBRegion, raw: np.ndarray,
     region, charging software call overhead plus the hardware copy cost.
     When MPB port contention is modeled, the copy burst holds the target
     MPB's port."""
-    return run_ops(env.core, _PUT, (region,), raw, at=at)
+    return run_ops(env.core, bind(env.core, _PUT, (region,), int(raw.size),
+                                  at=at), raw)
 
 
 def get_bytes(env: CoreEnv, region: MPBRegion, nbytes: int,
               at: int = 0) -> Generator:
     """``RCCE_get``: copy ``nbytes`` out of an MPB region into private
     memory.  Returns the bytes as a fresh uint8 array."""
-    return run_ops(env.core, _GET, (region,), nbytes, at=at)
+    return run_ops(env.core, bind(env.core, _GET, (region,), nbytes, at=at))
 
 
 __all__ = ["get_bytes", "put_bytes", "putget_calls"]

@@ -24,6 +24,9 @@ timing-free.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+from itertools import groupby
+from operator import itemgetter
 from typing import TYPE_CHECKING, Generator, Optional
 
 import numpy as np
@@ -38,8 +41,8 @@ from repro.sched.ir import (
     OP_COPY,
     OP_EXCHANGE,
     OP_REDUCE_RECV,
+    PHASE,
     Schedule,
-    StepRow,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -54,88 +57,17 @@ _PARTITIONED = {
     ("bcast", "scatter_allgather"), ("reduce_scatter", "ring"),
     ("scatter", "binomial"), ("gather", "binomial"),
 }
+#: Consecutive rows of one round tag share a ``round`` span; untagged
+#: rows run in none.
+_ROUND_OF = itemgetter(PHASE)
+_UNTAGGED = nullcontext()
 
 
-def _run_steps(comm: "Communicator", env: "CoreEnv", sched: Schedule,
-               buffers: list[np.ndarray], op: ReduceOp) -> Generator:
-    """Execute this rank's plan (the engine inner loop); ``buffers`` is
-    indexed by buffer id."""
-    plan = sched.rank_rows(env.rank)
-    with span(env, "schedule", sched.label):
-        i = 0
-        while i < len(plan):
-            rnd = plan[i].phase
-            if rnd < 0:
-                yield from _run_step(comm, env, plan[i], buffers, op)
-                i += 1
-            else:
-                with span(env, "round", rnd):
-                    while i < len(plan) and plan[i].phase == rnd:
-                        yield from _run_step(comm, env, plan[i], buffers,
-                                             op)
-                        i += 1
-
-
-def _run_step(comm: "Communicator", env: "CoreEnv", row: StepRow,
-              buffers: list[np.ndarray], op: ReduceOp) -> Generator:
-    (_, _, code, speer, sbuf, slo, shi,
-     rpeer, rbuf, rlo, rhi, flags) = row
-    if code > OP_EXCHANGE:
-        target = buffers[rbuf][rlo:rhi]
-        if code == OP_COPY:
-            src = buffers[sbuf][slo:shi]
-            if flags & F_CHARGED:
-                yield from env.consume(
-                    env.latency.private_copy_bytes(src.nbytes), "copy")
-            target[:] = src
-        else:  # OP_ROTATE: ``slo`` rows, shifted down by ``shi``
-            yield from env.consume(
-                env.latency.private_copy_bytes(target.nbytes), "copy")
-            matrix = target.reshape(slo, -1)
-            matrix[:] = np.roll(matrix, shi, axis=0)
-        return
-    send_view = buffers[sbuf][slo:shi] if sbuf >= 0 else None
-    recv_view = buffers[rbuf][rlo:rhi] if rbuf >= 0 else None
-    folds = code == OP_REDUCE_RECV or flags & F_REDUCE
-    # A folding receive lands in scratch and is folded after completion.
-    recv_buf = np.empty_like(recv_view) if folds else recv_view
-    p2p = comm.p2p
-    if code != OP_EXCHANGE:
-        if send_view is not None:
-            yield from comm.send(env, send_view, speer)
-        else:
-            yield from comm.recv(env, recv_buf, rpeer)
-    elif comm.blocking:
-        # RCCE's doubly-synchronizing calls deadlock unless the two sides
-        # of a pair order them oppositely (Fig. 4): follow the builder's
-        # baked order.
-        send_first = flags & F_SEND_FIRST
-        if send_view is not None and send_first:
-            yield from p2p.send(env, send_view, speer)
-        if recv_buf is not None:
-            yield from p2p.recv(env, recv_buf, rpeer)
-        if send_view is not None and not send_first:
-            yield from p2p.send(env, send_view, speer)
-    else:
-        # Issue both requests and synchronize once (Fig. 5), overlapping
-        # the copies.
-        reqs = []
-        if send_view is not None:
-            reqs.append((yield from p2p.isend(env, send_view, speer)))
-        if recv_buf is not None:
-            reqs.append((yield from p2p.irecv(env, recv_buf, rpeer)))
-        yield from p2p.wait_all(env, reqs)
-    if folds:
-        nels = recv_view.size
-        if code == OP_REDUCE_RECV:
-            yield from env.consume(env.latency.reduce_doubles(nels),
-                                   "compute")
-        elif nels:
-            with span(env, "reduce", nels):
-                yield from env.consume(env.latency.reduce_doubles(nels),
-                                       "compute")
-        recv_view[:] = (op(recv_buf, recv_view) if flags & F_REVERSED
-                        else op(recv_view, recv_buf))
+def _rank_plan(sched: Schedule, rank: int) -> list[list[int]]:
+    """Rank ``rank``'s rows as plain int lists (what the loop unpacks;
+    :meth:`Schedule.rank_rows` wraps the same rows in StepRow views)."""
+    cuts = sched._cuts
+    return sched.table.rows[cuts[rank]:cuts[rank + 1]].tolist()
 
 
 def schedule_for(comm: "Communicator", kind: str, name: str, p: int,
@@ -190,8 +122,77 @@ def run_schedule(comm: "Communicator", env: "CoreEnv", kind: str,
     flat_in = sendbuf.reshape(-1)
     work = np.empty(sched.buffers["work"], dtype=sendbuf.dtype)
     named = {"in": flat_in, "work": work}
-    yield from _run_steps(comm, env, sched,
-                          [named[name] for name in sched.table.bufs], op)
+    buffers = [named[name] for name in sched.table.bufs]
+    # The engine inner loop: this rank's rows, lowered one by one.
+    # Inline, so a resume reaches the p2p layer one frame sooner.
+    p2p = comm.p2p
+    latency = env.latency
+    with span(env, "schedule", sched.label):
+        for rnd, rows in groupby(_rank_plan(sched, me), _ROUND_OF):
+            with span(env, "round", rnd) if rnd >= 0 else _UNTAGGED:
+                for (_, _, code, speer, sbuf, slo, shi,
+                     rpeer, rbuf, rlo, rhi, flags) in rows:
+                    if code > OP_EXCHANGE:
+                        target = buffers[rbuf][rlo:rhi]
+                        if code == OP_COPY:
+                            src = buffers[sbuf][slo:shi]
+                            if flags & F_CHARGED:
+                                yield from env.consume(
+                                    latency.private_copy_bytes(src.nbytes),
+                                    "copy")
+                            target[:] = src
+                        else:  # OP_ROTATE: ``slo`` rows, down by ``shi``
+                            yield from env.consume(
+                                latency.private_copy_bytes(target.nbytes),
+                                "copy")
+                            matrix = target.reshape(slo, -1)
+                            matrix[:] = np.roll(matrix, shi, axis=0)
+                        continue
+                    send_view = buffers[sbuf][slo:shi] if sbuf >= 0 else None
+                    recv_view = buffers[rbuf][rlo:rhi] if rbuf >= 0 else None
+                    folds = code == OP_REDUCE_RECV or flags & F_REDUCE
+                    # A folding receive lands in scratch and is folded
+                    # after completion.
+                    recv_buf = np.empty_like(recv_view) if folds else recv_view
+                    if code != OP_EXCHANGE:
+                        if send_view is not None:
+                            yield from comm.send(env, send_view, speer)
+                        else:
+                            yield from comm.recv(env, recv_buf, rpeer)
+                    elif comm.blocking:
+                        # RCCE's doubly-synchronizing calls deadlock unless
+                        # the two sides of a pair order them oppositely
+                        # (Fig. 4): follow the builder's baked order.
+                        send_first = flags & F_SEND_FIRST
+                        if send_view is not None and send_first:
+                            yield from p2p.send(env, send_view, speer)
+                        if recv_buf is not None:
+                            yield from p2p.recv(env, recv_buf, rpeer)
+                        if send_view is not None and not send_first:
+                            yield from p2p.send(env, send_view, speer)
+                    else:
+                        # Issue both requests and synchronize once (Fig. 5),
+                        # overlapping the copies.
+                        reqs = []
+                        if send_view is not None:
+                            reqs.append((yield from p2p.isend(env, send_view,
+                                                              speer)))
+                        if recv_buf is not None:
+                            reqs.append((yield from p2p.irecv(env, recv_buf,
+                                                              rpeer)))
+                        yield from p2p.wait_all(env, reqs)
+                    if folds:
+                        nels = recv_view.size
+                        if code == OP_REDUCE_RECV:
+                            yield from env.consume(
+                                latency.reduce_doubles(nels), "compute")
+                        elif nels:
+                            with span(env, "reduce", nels):
+                                yield from env.consume(
+                                    latency.reduce_doubles(nels), "compute")
+                        recv_view[:] = (op(recv_buf, recv_view)
+                                        if flags & F_REVERSED
+                                        else op(recv_view, recv_buf))
     if kind in ("allreduce", "scan"):
         return work
     if kind in ("reduce", "gather"):

@@ -63,6 +63,9 @@ class Event:
                  "triggered", "processed", "label")
 
     def __init__(self, sim: "Simulator"):
+        # Timeout, _Condition and Process write these slots themselves
+        # (no super() call on their hot constructors): a slot added here
+        # must be added to all three.
         self.sim = sim
         #: First registered callback (inline slot; most events never need
         #: the overflow list below).
@@ -206,10 +209,17 @@ class _Condition(Event):
     __slots__ = ("events", "_count")
 
     def __init__(self, sim: "Simulator", events: Iterable[Event]):
-        super().__init__(sim)
+        # The event slots are written directly, as in Timeout: one
+        # condition per non-blocking round.  ``label`` is the property
+        # below, so it is not stored.
+        self.sim = sim
+        self._cb1 = None
+        self.callbacks = None
+        self._value = _PENDING
+        self._failed = False
+        self.triggered = False
+        self.processed = False
         self.events = list(events)
-        self.label = (type(self).__name__.lower(),
-                      f"{len(self.events)} events")
         self._count = 0
         if not self.events:
             self.succeed(ConditionValue([]))
@@ -220,18 +230,13 @@ class _Condition(Event):
                 raise ValueError("cannot mix events from different simulators")
             event.add_callback(on_child)
 
-    def _on_child(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if event.failed:
-            self.fail(event._value)
-            return
-        self._count += 1
-        if self._satisfied():
-            done = [e for e in self.events if e.processed and e.ok]
-            self.succeed(ConditionValue(done))
+    @property
+    def label(self) -> tuple[str, str]:
+        """``("allof" | "anyof", "<n> events")``, built when a diagnostic
+        reads it."""
+        return type(self).__name__.lower(), f"{len(self.events)} events"
 
-    def _satisfied(self) -> bool:  # pragma: no cover - abstract
+    def _on_child(self, event: Event) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
 
 
@@ -240,8 +245,17 @@ class AllOf(_Condition):
 
     __slots__ = ()
 
-    def _satisfied(self) -> bool:
-        return self._count == len(self.events)
+    def _on_child(self, event: Event) -> None:
+        # A failure fails the condition at once, so once all children are
+        # counted every one of them has succeeded.
+        if self.triggered:
+            return
+        if event._failed:
+            self.fail(event._value)
+            return
+        self._count += 1
+        if self._count == len(self.events):
+            self.succeed(ConditionValue(list(self.events)))
 
 
 class AnyOf(_Condition):
@@ -249,8 +263,14 @@ class AnyOf(_Condition):
 
     __slots__ = ()
 
-    def _satisfied(self) -> bool:
-        return self._count >= 1
+    def _on_child(self, event: Event) -> None:
+        if self.triggered:
+            return
+        if event._failed:
+            self.fail(event._value)
+            return
+        self.succeed(ConditionValue(
+            [e for e in self.events if e.processed and e.ok]))
 
 
 class Gate:

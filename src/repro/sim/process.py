@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 from heapq import heappush as _heappush
+from types import GeneratorType
 from typing import TYPE_CHECKING, Any, Generator
 
 from repro.sim.errors import SimulationError
-from repro.sim.events import Event, Interrupt
+from repro.sim.events import _PENDING, Event, Interrupt
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Simulator
@@ -145,18 +146,29 @@ class Process(Event):
     interrupt.
     """
 
-    __slots__ = ("generator", "name", "_token", "waiting_on", "wait_since",
+    __slots__ = ("generator", "_name", "_token", "waiting_on", "wait_since",
                  "__weakref__")
 
-    def __init__(self, sim: "Simulator", generator: Generator, name: str = ""):
-        if not hasattr(generator, "send") or not hasattr(generator, "throw"):
+    def __init__(self, sim: "Simulator", generator: Generator,
+                 name: str | tuple = ""):
+        if generator.__class__ is not GeneratorType and (
+                not hasattr(generator, "send")
+                or not hasattr(generator, "throw")):
             raise TypeError(
                 f"Process requires a generator, got {type(generator).__name__} "
                 "(did you call the function instead of passing its generator?)"
             )
-        super().__init__(sim)
+        # The event slots, written directly (one process per request).
+        self.sim = sim
+        self._cb1 = None
+        self.callbacks = None
+        self._value = _PENDING
+        self._failed = False
+        self.triggered = False
+        self.processed = False
+        self.label = None
         self.generator = generator
-        self.name = name or getattr(generator, "__name__", "") or "process"
+        self._name = name or getattr(generator, "__name__", "") or "process"
         #: The event this process is parked on, or None while it is parked
         #: on its own token (diagnostics).
         self.waiting_on: Event | None = None
@@ -165,6 +177,16 @@ class Process(Event):
         # Bootstrap: resume once at the current instant.
         self._token = ParkingToken(sim, self)
         self._token.succeed()
+
+    @property
+    def name(self) -> str:
+        """The process's name.  A ``(template, *args)`` name — what the
+        request layers pass, one per request — is formatted on first
+        read: names only surface in diagnostics."""
+        name = self._name
+        if name.__class__ is tuple:
+            name = self._name = name[0].format(*name[1:])
+        return name
 
     @property
     def is_alive(self) -> bool:

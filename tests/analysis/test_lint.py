@@ -183,6 +183,14 @@ class TestSpanRules:
                        "    with span(env, 'copy'):\n        pass\n")
         assert lint_file(path) == []
 
+    def test_conditional_with_span_passes(self, tmp_path):
+        path = _module(tmp_path, "obs",
+                       "from repro.obs.spans import span\n\n"
+                       "def f(env, rnd, none):\n"
+                       "    with span(env, 'round', rnd) if rnd else none:\n"
+                       "        pass\n")
+        assert lint_file(path) == []
+
     def test_unpaired_begin_literal_flagged(self, tmp_path):
         path = _module(tmp_path, "obs",
                        "def f(tracer, now):\n"

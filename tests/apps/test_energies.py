@@ -21,6 +21,7 @@ from repro.apps.gcmc.shortrange import (
     self_energy,
     short_energy_local,
     total_short_energy,
+    upper_pair_energies,
 )
 
 
@@ -32,6 +33,33 @@ def cfg():
 @pytest.fixture
 def system(cfg):
     return ParticleSystem(cfg)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_batched_upper_pair_energies_are_the_loops_bit_for_bit(seed):
+    """The initial energy's pairs, evaluated all at once, give every
+    particle the float the per-particle loop gives it, for each rank's
+    share at p = 48, 8 and 1 (and the same pair counts)."""
+    system = ParticleSystem(GCMCConfig(seed=seed))
+    idx = system.active_indices()
+    for p in (48, 8, 1):
+        for rank in range(p):
+            local = system.local_indices(rank, p)
+            loop = [pair_energy_with_set(system, system.positions[i],
+                                         float(system.charges[i]),
+                                         idx[idx > i])
+                    for i in local]
+            energies, pairs = upper_pair_energies(system, local, idx)
+            assert energies == [e for e, _ in loop]
+            assert all(type(e) is float for e in energies)
+            assert pairs == sum(n for _, n in loop)
+
+
+def test_batched_upper_pair_energies_without_pairs():
+    system = ParticleSystem(GCMCConfig(initial_particles=4, capacity=8,
+                                       box=6.0))
+    idx = system.active_indices()
+    assert upper_pair_energies(system, idx[-1:], idx) == ([0.0], 0)
 
 
 class TestShortRange:

@@ -7,6 +7,31 @@ from repro.apps.gcmc.config import GCMCConfig
 from repro.apps.gcmc.particles import ParticleSystem
 
 
+def lattice_by_loop(config):
+    """The initial lattice as it was first written, one site at a time."""
+    cap, n = config.capacity, config.initial_particles
+    positions = np.zeros((cap, 3), dtype=np.float64)
+    charges = np.zeros(cap, dtype=np.float64)
+    active = np.zeros(cap, dtype=bool)
+    per_side = int(np.ceil(n ** (1.0 / 3.0)))
+    spacing = config.box / per_side
+    rng = np.random.default_rng(config.seed ^ 0xC0FFEE)
+    idx = 0
+    for ix in range(per_side):
+        for iy in range(per_side):
+            for iz in range(per_side):
+                if idx >= n:
+                    break
+                base = np.array([ix, iy, iz], dtype=np.float64) + 0.5
+                jitter = rng.uniform(-0.05, 0.05, size=3) * spacing
+                positions[idx] = base * spacing + jitter
+                charges[idx] = 1.0 if idx % 2 == 0 else -1.0
+                active[idx] = True
+                idx += 1
+    positions %= config.box
+    return positions, charges, active
+
+
 @pytest.fixture
 def cfg():
     return GCMCConfig(initial_particles=32, capacity=64, box=6.0)
@@ -37,6 +62,19 @@ class TestInitialization:
     def test_zero_particles(self):
         cfg = GCMCConfig(initial_particles=0, capacity=8, box=6.0)
         assert ParticleSystem(cfg).n_active == 0
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_lattice_equals_the_site_by_site_loop(self, seed):
+        """The vectorised lattice is byte-identical to the loop that
+        jittered one site at a time (480 particles: a partly filled
+        8**3 lattice; 27: a full one)."""
+        for n in (480, 27):
+            cfg = GCMCConfig(initial_particles=n, seed=seed)
+            system = ParticleSystem(cfg)
+            positions, charges, active = lattice_by_loop(cfg)
+            assert system.positions.tobytes() == positions.tobytes()
+            assert system.charges.tobytes() == charges.tobytes()
+            assert system.active.tobytes() == active.tobytes()
 
 
 class TestOwnership:

@@ -6,7 +6,7 @@ import pytest
 from repro.hw.config import SCCConfig
 from repro.hw.machine import Machine
 from repro.hw.mpb import MPBRegion
-from repro.hw.protocol import CHARGE, COMPUTE, COPY, PUT, run_ops
+from repro.hw.protocol import CHARGE, COMPUTE, COPY, PUT, bind, run_ops
 from repro.sim import Interrupt
 
 
@@ -21,7 +21,8 @@ def put_at(m, core_id, owner, nbytes):
     micro-op, the charge that holds the CPU and then the MPB port."""
     mpb = m.mpbs[owner]
     region = MPBRegion(mpb, mpb.payload_offset, nbytes)
-    return run_ops(m.cores[core_id], ((PUT, 0, COPY),), (region,),
+    core = m.cores[core_id]
+    return run_ops(core, bind(core, ((PUT, 0, COPY),), (region,), nbytes),
                    np.zeros(nbytes, dtype=np.uint8))
 
 
@@ -274,7 +275,7 @@ class TestInterruptedWhileQueued:
 
         assert (outcome(lambda core, ps: core.consume(ps, "compute"))
                 == outcome(lambda core, ps: run_ops(
-                    core, ((CHARGE, 0, COMPUTE),), (), cost=ps)))
+                    core, bind(core, ((CHARGE, 0, COMPUTE),), cost=ps))))
 
 
 class TestCoreEnv:

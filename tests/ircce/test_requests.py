@@ -10,6 +10,7 @@ from repro.hw.config import SCCConfig
 from repro.hw.machine import Machine
 from repro.core.ops import SUM
 from repro.core.registry import make_communicator
+from repro.faults import FaultInjector, FaultPlan
 from repro.ircce.api import ANY, IRCCE
 from repro.ircce.requests import RequestError
 from repro.lwnb.api import LWNB
@@ -388,3 +389,130 @@ class TestReclaimedWithoutCyclicGC:
         finally:
             gc.enable()
         assert counts[200] - counts[50] < 50
+
+
+class TestRequestHoldUnderVerify:
+    """A request's channel-lock hold, cancellation and retirement have two
+    spellings: inline in ``run_ops`` for a one-run message, and
+    ``_as_request`` around the checksum verify policy's chunk runs.  With
+    an inert plan (``checksums`` on, no fault rates) the two must agree on
+    timing, event count, lock state and outstanding counts."""
+
+    @staticmethod
+    def _exchange(layer, env, n):
+        # Two multi-chunk isends queue on rank 0's send lock.
+        if env.rank == 0:
+            reqs = []
+            for i in range(2):
+                reqs.append((yield from layer.isend(env, np.full(n, float(i)),
+                                                    1)))
+            yield from layer.wait_all(env, reqs)
+        elif env.rank == 1:
+            outs = [np.empty(n), np.empty(n)]
+            reqs = []
+            for out in outs:
+                reqs.append((yield from layer.irecv(env, out, 0)))
+            yield from layer.wait_all(env, reqs)
+            return [out[0] for out in outs]
+        else:
+            yield from env.compute(0)
+
+    @staticmethod
+    def _cancel_queued(layer, env, n):
+        # The second irecv waits on the recv lock behind the first and is
+        # cancelled there.
+        if env.rank == 0:
+            yield from env.compute(5000)
+            req = yield from layer.isend(env, np.full(n, 3.0), 1)
+            yield from layer.wait(env, req)
+        elif env.rank == 1:
+            out = np.empty(n)
+            first = yield from layer.irecv(env, out, 0)
+            second = yield from layer.irecv(env, np.empty(n), 0)
+            yield from env.compute(1000)
+            yield from layer.cancel(env, second)
+            left = layer._outstanding[(env.core_id, "recv")]
+            yield from layer.wait(env, first)
+            return out[0], left
+        else:
+            yield from env.compute(0)
+
+    @staticmethod
+    def _cancel_holding(layer, env, n):
+        # The irecv from rank 0 holds its lock, waiting on the sent flag,
+        # when it is cancelled (the one from rank 2 stays outstanding);
+        # the next irecv from rank 0 must get the lock.
+        if env.rank in (0, 2):
+            yield from env.compute(5000)
+            req = yield from layer.isend(env, np.full(n, 4.0 + env.rank), 1)
+            yield from layer.wait(env, req)
+        elif env.rank == 1:
+            other = np.empty(n)
+            reqs = [(yield from layer.irecv(env, other, 2))]
+            req = yield from layer.irecv(env, np.empty(n), 0)
+            yield from env.compute(1000)
+            yield from layer.cancel(env, req)
+            left = layer._outstanding[(env.core_id, "recv")]
+            out = np.empty(n)
+            reqs.append((yield from layer.irecv(env, out, 0)))
+            yield from layer.wait_all(env, reqs)
+            return out[0], other[0], left
+        else:
+            yield from env.compute(0)
+
+    @staticmethod
+    def _cancel_send(layer, env, n):
+        # An unmatched isend to rank 1 is cancelled while it holds the
+        # send lock, waiting for the receiver; the isend to rank 2 queued
+        # behind it must then get the lock.
+        if env.rank == 0:
+            req = yield from layer.isend(env, np.zeros(n), 1)
+            queued = yield from layer.isend(env, np.full(n, 5.0), 2)
+            yield from env.compute(1000)
+            yield from layer.cancel(env, req)
+            left = layer._outstanding[(env.core_id, "send")]
+            yield from layer.wait(env, queued)
+            return left
+        if env.rank == 2:
+            out = np.empty(n)
+            req = yield from layer.irecv(env, out, 0)
+            yield from layer.wait(env, req)
+            return out[0]
+        yield from env.compute(0)
+
+    def _run(self, scenario, checksums):
+        m = machine(4)
+        if checksums:
+            FaultInjector(FaultPlan(checksums=True)).install(m)
+        layer = IRCCE(m)
+        # Three MPB chunks per message.
+        n = (m.config.mpb_payload_bytes // 8) * 2 + 3
+
+        def program(env):
+            value = yield from scenario(layer, env, n)
+            return value, env.now    # each rank's exit ps
+
+        result = m.run_spmd(program)
+        assert ("faults.xfer" in m.services) == checksums
+        return {
+            "values": result.values,
+            "accounts": [dict(a.states) for a in result.accounts],
+            "events": m.sim.events_processed,
+            "locks": sorted((key, lock._locked, len(lock._queue))
+                            for key, lock in layer._locks.items()),
+            "outstanding": sorted(layer._outstanding.items()),
+            "listed": {core: len(reqs)
+                       for core, reqs in layer.request_lists.items()},
+        }
+
+    @pytest.mark.parametrize("scenario", ["_exchange", "_cancel_queued",
+                                          "_cancel_holding", "_cancel_send"])
+    def test_verify_policy_holds_requests_like_run_ops(self, scenario):
+        body = getattr(self, scenario)
+        plain = self._run(body, checksums=False)
+        verified = self._run(body, checksums=True)
+        assert verified == plain
+        assert all(not locked and not queued
+                   for _key, locked, queued in plain["locks"])
+        assert all(count == 0 for _key, count in plain["outstanding"])
+        assert all(count == 0 for count in plain["listed"].values())

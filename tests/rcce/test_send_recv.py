@@ -1,5 +1,7 @@
 """Unit tests for RCCE blocking send/recv (the Fig.-3 protocol)."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,22 @@ class TestBasicExchange:
 
         result = m.run_spmd(program)
         assert np.array_equal(result.values[1], payload)
+
+    def test_recv_returns_out(self):
+        m = machine()
+        rcce = RCCE(m)
+
+        def program(env):
+            if env.rank == 0:
+                yield from rcce.send(env, np.arange(4.0), 1)
+            elif env.rank == 1:
+                out = np.empty(4)
+                got = yield from rcce.recv(env, out, 0)
+                return got is out
+            else:
+                yield from env.compute(0)
+
+        assert m.run_spmd(program).values[1] is True
 
     def test_recv_before_send_posted(self):
         """Receiver arriving first just waits on the sent flag."""
@@ -162,6 +180,12 @@ class TestChunking:
 
 
 class TestErrors:
+    def test_calls_are_generator_functions(self):
+        # Misuse surfaces when the call is run (``yield from``), not when
+        # the generator is made.
+        assert inspect.isgeneratorfunction(RCCE.send)
+        assert inspect.isgeneratorfunction(RCCE.recv)
+
     def test_send_to_self_rejected(self):
         m = machine()
         rcce = RCCE(m)

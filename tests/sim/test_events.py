@@ -67,6 +67,19 @@ class TestEvent:
         sim.run()
         assert p.value == 250
 
+    def test_inlined_constructors_write_every_event_slot(self):
+        # Timeout, AllOf/AnyOf and Process skip Event.__init__ and write
+        # its slots themselves; a slot one of them misses would raise here.
+        sim = Simulator()
+
+        def idle():
+            yield 0
+
+        for event in (sim.timeout(5), AllOf(sim, [sim.event()]),
+                      AnyOf(sim, [sim.event()]), sim.process(idle())):
+            for slot in Event.__slots__:
+                getattr(event, slot)
+
 
 class TestConditions:
     def test_allof_waits_for_all(self):
