@@ -5,20 +5,24 @@ The paper's optimisations A and B re-order and re-price six MPB
 micro-operations (Fig. 3 vs Fig. 5).  A protocol is therefore a
 module-level **table** of ``(op, role, arg)`` int rows kept beside the
 stack that owns it (``SEND_CHUNK``/``RECV_CHUNK`` and the barrier in
-:mod:`repro.rcce.api`, produce/consume in :mod:`repro.core.mpb_allreduce`).
+:mod:`repro.rcce.api`, produce/consume in :mod:`repro.core.mpb_allreduce`,
+RCKMPI's eager packets in :mod:`repro.rckmpi.channel`).
 
-======  ==========================  =====================================
-op      role / arg                  what the acting core does
-======  ==========================  =====================================
-CHARGE  -- / state                  hold the CPU for ``cost`` ps
-PUT     region / state              copy payload bytes into the region
-GET     region / state              copy bytes out of the region
-SET     flag / --                   write 1 to the flag
-CLEAR   flag / --                   write 0 to the flag
-WAIT    flag / level                poll until the flag is at ``level``
-                                    (no CPU occupancy)
-NOTE    POSTED | TAKEN / --         untimed wildcard-receive bookkeeping
-======  ==========================  =====================================
+=======  ==========================  ====================================
+op       role / arg                  what the acting core does
+=======  ==========================  ====================================
+CHARGE   -- / state                  hold the CPU for ``cost`` ps
+PUT      region / state              copy payload bytes into the region
+GET      region / state              copy bytes out of the region
+SET      flag / --                   write 1 to the flag
+CLEAR    flag / --                   write 0 to the flag
+WAIT     flag / level                poll until the flag is at ``level``
+                                     (no CPU occupancy)
+NOTE     POSTED | TAKEN / --         untimed wildcard-receive bookkeeping
+ACQUIRE  window / --                 take a window slot (untimed)
+ENQUEUE  queue / --                  queue a copy of the piece (untimed)
+DEQUEUE  queue / window              await a piece, take it, free its slot
+=======  ==========================  ====================================
 
 ``role`` indexes the ``handles`` sequence a table is bound to (for a p2p
 channel ``(buf, sent, ready[, nack])``, see the role constants); ``state``
@@ -32,11 +36,12 @@ port (under ``model_mpb_contention``) and the payload slice it moves.  A
 priced ``PUT``/``GET`` is an ``RCCE_put``/``RCCE_get``: call overhead
 plus line copy; with an explicit ``cost`` it is a fused burst the caller
 priced (the MPB-direct Allreduce) and charged as given.  With ``chunk``
-the table is repeated once per ``chunk``-byte piece of the payload, so a
-whole multi-chunk message is one program.  The stacks memoize a
-message's program in the latency model's table of the current erratum
-level (:meth:`~repro.hw.timing.LatencyModel.table`), so a channel is
-priced the first time it carries a message of that size, and
+the table is repeated once per ``chunk``-byte piece of the payload (and
+``cost`` may be a function of the piece's size), so a whole multi-chunk
+message is one program.  The stacks memoize a message's program in the
+latency model's table of the current erratum level
+(:meth:`~repro.hw.timing.LatencyModel.table`), so a channel is priced the
+first time it carries a message of that size, and
 :meth:`~repro.hw.timing.LatencyModel.invalidate` drops the programs with
 the latencies.
 
@@ -46,11 +51,12 @@ only place in the protocol layers that holds the CPU lock (an inline of
 bound before an erratum toggle, adds the fault injector's terms — mesh
 jitter, then a core stall, on every timed op; write-verify against
 dropped flag writes; stale flag notifies; payload corruption after a
-priced ``PUT``, in that draw order — and calls the monitor's flag hooks.
-Faulted, monitored and port-contended runs execute the same rows.  Given
-a non-blocking :class:`~repro.ircce.requests.Request`, the run is that
-request's whole sub-process: it holds the request's channel lock around
-the rows and retires the request when they are done.
+priced ``PUT``, in that draw order (none on a window or queue op) — and
+calls the monitor's flag hooks.  Faulted, monitored and port-contended
+runs execute the same rows.  Given a non-blocking
+:class:`~repro.ircce.requests.Request`, the run is that request's whole
+sub-process: it holds the request's channel lock around the rows and
+retires the request when they are done.
 
 ``NOTE`` rows only matter to a wildcard receive; the stacks bind them
 only on a machine where a wildcard-capable layer called
@@ -67,9 +73,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.hw.machine import Core, Machine
     from repro.hw.timing import LatencyModel
 
-#: Micro-ops, the commonest first.  All but ``WAIT`` and ``NOTE`` are
-#: timed: they hold the CPU.
-SET, CLEAR, WAIT, PUT, GET, CHARGE, NOTE = range(7)
+#: Micro-ops, the commonest first.  ``WAIT`` and the ops from ``NOTE`` on
+#: are untimed; the others hold the CPU.
+SET, CLEAR, WAIT, PUT, GET, CHARGE, NOTE, ACQUIRE, ENQUEUE, DEQUEUE = range(10)
 #: ``NOTE`` kinds: the sender posted a chunk / the receiver took it.
 POSTED, TAKEN = 0, 1
 #: Time-account states a timed op's ``arg`` selects.
@@ -119,12 +125,13 @@ def bind(core: "Core", table: Sequence[tuple], handles: Sequence[Any] = (),
     copy, the bytes its ``GET`` rows read) and ``at`` its offset in the
     region; with ``chunk`` the table repeats for every ``chunk``-byte
     piece (once for an empty payload).  ``cost`` is the explicit charge
-    of ``CHARGE`` rows and fused copies; ``call`` prepends one
-    ``overhead`` charge of that many ps (a blocking call's software
-    overhead).  A bound row is ``(op, obj, owner, charge, state, port,
-    piece, at)``: ``owner`` is -1 on a row priced by the caller, a
-    ``WAIT`` row's ``state`` is the awaited level, and a ``NOTE`` row's
-    ``obj`` is the peer core and its ``state`` the kind.
+    of ``CHARGE`` rows and fused copies (or a function of a piece's
+    size); ``call`` prepends one ``overhead`` charge of that many ps (a
+    blocking call's software overhead).  A bound row is ``(op, obj,
+    owner, charge, state, port, piece, at)``: ``owner`` is -1 on a row
+    priced by the caller, a ``WAIT`` row's ``state`` is the awaited
+    level, a ``NOTE`` row's ``obj`` is the peer core and its ``state``
+    the kind, and a ``DEQUEUE`` row's ``state`` the window it frees.
     """
     machine = core.machine
     latency = machine.latency
@@ -140,6 +147,7 @@ def bind(core: "Core", table: Sequence[tuple], handles: Sequence[Any] = (),
     # Channel binding is on the first message of every channel, so the
     # common rows are priced inline rather than through ``_price``.
     for piece in pieces:
+        charge = cost(piece.stop - piece.start) if callable(cost) else cost
         for op, role, arg in table:
             if op <= CLEAR:
                 obj = handles[role]
@@ -156,11 +164,12 @@ def bind(core: "Core", table: Sequence[tuple], handles: Sequence[Any] = (),
             elif op == NOTE:
                 peer = handles[BUF if role == TAKEN else SENT].owner
                 rows.append((op, peer, -1, 0, role, None, piece, 0))
-            elif op == CHARGE:
-                rows.append((op, None, -1, cost, STATES[arg], None, piece, at))
-            elif cost is not None:
-                rows.append((op, handles[role], -1, cost, STATES[arg], None,
+            elif op > NOTE:
+                rows.append((op, handles[role], -1, 0, handles[arg], None,
                              piece, at))
+            elif op == CHARGE or cost is not None:
+                rows.append((op, None if op == CHARGE else handles[role], -1,
+                             charge, STATES[arg], None, piece, at))
             else:
                 obj = handles[role]
                 owner = obj.owner
@@ -280,12 +289,36 @@ def run_ops(core: "Core", program: tuple, data: Any = None,
                 if san is not None:
                     san.on_flag_observed(obj, state == 1, core_id)
                 continue
-            if op == NOTE:
-                if state == POSTED:
-                    announce_send(machine, core_id, obj,
-                                  piece.stop - piece.start)
+            if op >= NOTE:
+                if op == NOTE:
+                    if state == POSTED:
+                        announce_send(machine, core_id, obj,
+                                      piece.stop - piece.start)
+                    else:
+                        take_announcement(machine, core_id, obj)
+                elif op == ACQUIRE:
+                    grant = obj.acquire()
+                    try:
+                        yield grant
+                    except Interrupt:
+                        obj.abandon(grant)
+                        raise
+                elif op == ENQUEUE:
+                    obj.items.append(data[piece].copy())
+                    obj.set()
                 else:
-                    take_announcement(machine, core_id, obj)
+                    while not obj.items:
+                        # Priced when the wait starts: one local MPB read.
+                        obj.clear()
+                        yield from core.wait(obj.wait_true(
+                            machine.latency.mpb_access(core_id, core_id)),
+                            "wait_flag")
+                    result = obj.items.popleft()
+                    state.release()
+                    if result.size != piece.stop - piece.start:
+                        raise ValueError(f"{result.size}-B packet, expected "
+                                         f"{piece.stop - piece.start} B")
+                    data[piece] = result
                 continue
             stall = 0
             if faults is not None:

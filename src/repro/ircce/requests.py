@@ -1,13 +1,14 @@
 """Non-blocking request objects and the shared layer machinery.
 
-A :class:`Request` wraps a transfer sub-process running the same MPB flag
-protocol as blocking RCCE.  The sub-process charges its copy time through
-the owning core's CPU lock, so transfers progress exactly when the core is
-otherwise idle (waiting) — the overlap that optimization A exploits: "cores
-can concurrently copy data in and out of the MPBs, effectively using the
-time they formerly spent waiting".
+A :class:`Request` wraps a transfer sub-process running the layer's
+protocol, by default the MPB flag protocol of blocking RCCE.  The
+sub-process charges its copy time through the owning core's CPU lock, so
+transfers progress exactly when the core is otherwise idle (waiting) —
+the overlap that optimization A exploits: "cores can concurrently copy
+data in and out of the MPBs, effectively using the time they formerly
+spent waiting".
 
-:class:`NonBlockingLayer` is the common base for the two concrete layers:
+:class:`NonBlockingLayer` is the common base for the three concrete layers:
 
 * :class:`repro.ircce.api.IRCCE` — models iRCCE: arbitrarily many pending
   requests kept in a list, wildcard receives, cancellation; the feature
@@ -15,6 +16,8 @@ time they formerly spent waiting".
   target).
 * :class:`repro.lwnb.api.LWNB` — the paper's lightweight layer: at most
   one outstanding send and one outstanding receive, minimal overhead.
+* :class:`repro.rckmpi.channel.RCKMPIP2P` — RCKMPI: the same requests
+  over its eager packet protocol, with heavy per-call and packet costs.
 """
 
 from __future__ import annotations
@@ -82,10 +85,12 @@ class NonBlockingLayer:
     name = "nonblocking"
     supports_wildcard = False
     max_outstanding: Optional[int] = None  # per (core, kind); None = unlimited
+    #: Runs a message; its ``message`` is :meth:`RCCE.message`'s.
+    protocol = RCCE
 
     def __init__(self, machine: Machine):
         self.machine = machine
-        self._proto = RCCE(machine)  # reuse the Fig.-3 protocol bodies
+        self._proto = self.protocol(machine)
         self._outstanding: dict[tuple[int, str], int] = {}
         # A core owns ONE MPB send buffer, so concurrent isends from the
         # same core are processed strictly in issue order (as iRCCE does

@@ -18,19 +18,69 @@ Differences from the RCCE-family protocol that matter for the figures:
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Generator
+from typing import Any, Generator
 
 import numpy as np
 
 from repro.hw.machine import CoreEnv, Machine
-from repro.ircce.requests import NonBlockingLayer, Request
+from repro.hw.protocol import (ACQUIRE, CHARGE, COPY, DEQUEUE, ENQUEUE, bind,
+                               run_ops)
+from repro.ircce.requests import NonBlockingLayer
 from repro.rcce.api import record_message
-from repro.sim.events import Interrupt
-from repro.sim.resources import Semaphore
+from repro.sim.resources import PacketQueue, Semaphore
 
 #: In-flight packets per directed channel.
 WINDOW_PACKETS = 2
+
+#: One packet over a channel's handles ``(window, queue)``; a message is
+#: bound once per packet and run by the shared request sub-processes.
+WINDOW, QUEUE = 0, 1
+SEND_PACKET = ((ACQUIRE, WINDOW, 0),        # stall on a full window
+               (CHARGE, 0, COPY), (ENQUEUE, QUEUE, 0))
+RECV_PACKET = ((DEQUEUE, QUEUE, WINDOW),    # wait for it, free its slot
+               (CHARGE, 0, COPY))
+
+
+class EagerChannels:
+    """The channels; :meth:`message` is :meth:`RCCE.message`'s twin."""
+
+    def __init__(self, machine: Machine):
+        self.machine = machine
+        self._channels: dict[tuple[int, int], tuple] = {}
+
+    def message(self, env: CoreEnv, raw: np.ndarray, peer: int,
+                sending: bool, call_cycles: int = 0,
+                req: Any = None) -> Generator:
+        machine = self.machine
+        core = env.core
+        other = env.core_of_rank(peer)
+        ends = (core.core_id, other) if sending else (other, core.core_id)
+        nbytes = int(raw.size)
+        if sending:
+            record_message(machine, *ends, nbytes)
+        key = ("rckmpi", ends, nbytes, call_cycles, sending)
+        memo = machine.latency.table()
+        bound = memo.get(key)
+        if bound is None:
+            chan = self._channels.get(ends)
+            if chan is None:
+                chan = self._channels[ends] = (
+                    Semaphore(machine.sim, WINDOW_PACKETS,
+                              name=f"rckmpi.win.{ends}"),
+                    PacketQueue(machine.sim, name=f"rckmpi.avail.{ends}"))
+            bound = memo[key] = bind(
+                core, SEND_PACKET if sending else RECV_PACKET, chan, nbytes,
+                machine.config.rckmpi_packet_bytes,
+                lambda size: self._packet_cost(core.core_id, other, size),
+                call=env.latency.core_cycles(call_cycles))
+        return run_ops(core, bound, raw, req)
+
+    def _packet_cost(self, core_id: int, peer_core: int, nbytes: int) -> int:
+        cfg = self.machine.config
+        latency = self.machine.latency
+        byte_cycles = (nbytes * cfg.rckmpi_byte_core_cycles_x8 + 7) // 8
+        return (latency.core_cycles(cfg.rckmpi_packet_cycles + byte_cycles)
+                + latency.mpb_access(core_id, peer_core))
 
 
 class RCKMPIP2P(NonBlockingLayer):
@@ -39,6 +89,7 @@ class RCKMPIP2P(NonBlockingLayer):
     name = "rckmpi"
     supports_wildcard = False
     max_outstanding = None
+    protocol = EagerChannels
 
     def issue_cycles(self) -> int:
         return self.machine.config.rckmpi_call_cycles
@@ -49,108 +100,3 @@ class RCKMPIP2P(NonBlockingLayer):
 
     def test_cycles(self) -> int:
         return self.machine.config.rckmpi_call_cycles // 16
-
-    # -- channel state -------------------------------------------------------
-    def _channel(self, src_core: int, dst_core: int):
-        chans = self.machine.services.setdefault("rckmpi.chan", {})
-        key = (src_core, dst_core)
-        if key not in chans:
-            chans[key] = {
-                "queue": deque(),
-                "avail": self.machine.sim.gate(name=f"rckmpi.avail.{key}"),
-                "window": Semaphore(self.machine.sim, WINDOW_PACKETS,
-                                    name=f"rckmpi.win.{key}"),
-            }
-        return chans[key]
-
-    def _packet_cost(self, env: CoreEnv, peer_core: int, nbytes: int) -> int:
-        cfg = env.config
-        byte_cycles = (nbytes * cfg.rckmpi_byte_core_cycles_x8 + 7) // 8
-        return (env.latency.core_cycles(cfg.rckmpi_packet_cycles + byte_cycles)
-                + env.latency.mpb_access(env.core_id, peer_core))
-
-    def _packets(self, nbytes: int) -> list[int]:
-        """Packet sizes covering an ``nbytes`` message (>= one packet)."""
-        size = self.machine.config.rckmpi_packet_bytes
-        if nbytes == 0:
-            return [0]
-        sizes = [size] * (nbytes // size)
-        if nbytes % size:
-            sizes.append(nbytes % size)
-        return sizes
-
-    # -- protocol bodies ----------------------------------------------------
-    def _send_proc(self, env: CoreEnv, req: Request, raw: np.ndarray,
-                   dst: int) -> Generator:
-        lock = self._lock("send", env.core_id)
-        try:
-            yield from lock.acquired()
-        except Interrupt:
-            return None
-        dst_core = env.core_of_rank(dst)
-        chan = self._channel(env.core_id, dst_core)
-        record_message(self.machine, env.core_id, dst_core, int(raw.size))
-        try:
-            offset = 0
-            for size in self._packets(int(raw.size)):
-                yield chan["window"].acquire()
-                yield from env.consume(
-                    self._packet_cost(env, dst_core, size), "copy")
-                chan["queue"].append(raw[offset:offset + size].copy())
-                chan["avail"].set()
-                offset += size
-        except Interrupt:
-            return None
-        finally:
-            lock.release()
-        self._retire(env, "send")
-        return None
-
-    def _recv_proc(self, env: CoreEnv, req: Request, raw_out: np.ndarray,
-                   src: int) -> Generator:
-        src_core = env.core_of_rank(src)
-        chan = self._channel(src_core, env.core_id)
-        # Concurrent receives from one channel drain it in issue order.
-        lock = self._lock("recv", (env.core_id, src_core))
-        try:
-            yield from lock.acquired()
-        except Interrupt:
-            return None
-        try:
-            yield from self._drain(env, req, raw_out, src_core, chan)
-        finally:
-            lock.release()
-        return None
-
-    def _drain(self, env: CoreEnv, req: Request, raw_out: np.ndarray,
-               src_core: int, chan) -> Generator:
-        try:
-            offset = 0
-            for size in self._packets(int(raw_out.size)):
-                while not chan["queue"]:
-                    chan["avail"].clear()
-                    yield from env.core.wait(
-                        chan["avail"].wait_true(
-                            env.latency.mpb_access(env.core_id,
-                                                   env.core_id)),
-                        "wait_flag")
-                packet = chan["queue"].popleft()
-                chan["window"].release()
-                if packet.size != size:
-                    raise ValueError(
-                        f"rckmpi packet size mismatch: expected {size}, "
-                        f"got {packet.size} (mixed message sizes on one "
-                        "channel?)")
-                yield from env.consume(
-                    self._packet_cost(env, src_core, size), "copy")
-                raw_out[offset:offset + packet.size] = packet
-                offset += packet.size
-        except Interrupt:
-            return None
-        self._retire(env, "recv")
-        return None
-
-
-def reset_channels(machine: Machine) -> None:
-    """Drop all channel state (test helper)."""
-    machine.services.pop("rckmpi.chan", None)

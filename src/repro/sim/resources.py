@@ -1,11 +1,11 @@
 """Shared-resource primitives built on events.
 
-Only one is needed by this project: :class:`FifoLock`, a strict-FIFO mutex.
-It models a core's single execution unit: non-blocking communication
-requests are sub-processes of a core, and every slice of *core time* they
-consume (copies, reduction arithmetic, software overhead) must hold the
-core's lock so that two requests — or a request and the core's main
-program — never consume the same cycles twice.
+:class:`FifoLock`, a strict-FIFO mutex, models a core's single execution
+unit: non-blocking communication requests are sub-processes of a core,
+and every slice of *core time* they consume must hold the core's lock so
+that two requests — or a request and the core's main program — never
+consume the same cycles twice.  :class:`Semaphore` and
+:class:`PacketQueue` are a bounded channel's window and packets.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from collections import deque
 from typing import TYPE_CHECKING, Generator
 
 from repro.sim.errors import SimulationError
-from repro.sim.events import Event, Interrupt
+from repro.sim.events import Event, Gate, Interrupt
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Simulator
@@ -102,12 +102,8 @@ class FifoLock:
 
 
 class Semaphore:
-    """A counting semaphore with FIFO wakeup.
-
-    Models bounded channel capacity (the RCKMPI MPB channel's packet
-    window): senders ``acquire()`` a slot per packet, the receiver
-    ``release()``s it after draining.
-    """
+    """A counting semaphore with FIFO wakeup: a bounded channel's window
+    (a slot per packet in flight, freed when the packet is dequeued)."""
 
     __slots__ = ("sim", "name", "_count", "_queue", "_label")
 
@@ -133,8 +129,25 @@ class Semaphore:
             self._queue.append(event)
         return event
 
+    def abandon(self, event: Event) -> None:
+        """Back out of an :meth:`acquire`, as :meth:`FifoLock.abandon`."""
+        try:
+            self._queue.remove(event)
+        except ValueError:
+            self.release()
+
     def release(self) -> None:
         if self._queue:
             self._queue.popleft().succeed()
         else:
             self._count += 1
+
+
+class PacketQueue(Gate):
+    """A FIFO of packets in flight, and the gate its reader waits on."""
+
+    __slots__ = ("items",)
+
+    def __init__(self, sim: "Simulator", name: str = ""):
+        super().__init__(sim, name=name)
+        self.items: deque = deque()

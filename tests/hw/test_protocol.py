@@ -1,53 +1,68 @@
 """The protocol tables are data: walk them symbolically, no simulator.
 
-A *party* is a list of ``(table, handles)`` runs, the handles being flag
-names (strings) where a row's role selects a flag.  :func:`walk`
-interleaves the parties over a dict of flag levels — a ``WAIT`` blocks
-until its flag is at the awaited level, ``SET``/``CLEAR`` write it,
-everything else is a no-op — and rejects a set of tables that
+A *party* is a list of ``(table, handles)`` runs, the handles being names
+(strings) of the flags, windows and packet queues a row's role selects.
+:func:`walk` interleaves the parties over a dict of flag levels and the
+occupancy of every window and queue — a ``WAIT`` blocks until its flag
+is at the awaited level, ``SET``/``CLEAR`` write it, an ``ACQUIRE``
+blocks while its window is full, an ``ENQUEUE`` adds a packet, a
+``DEQUEUE`` blocks until its queue has one and frees a slot of its
+window, everything else is a no-op — and rejects a set of tables that
 
 * makes a party wait for a level no party ever writes (and the flag does
   not start at),
-* deadlocks, or
-* leaves a flag away from its initial level (the handshakes are
-  self-restoring: the next message inherits the flag state).
+* deadlocks,
+* queues more packets than the window admits or frees a slot nobody
+  holds, or
+* leaves a flag away from its initial level, a packet in a queue or a
+  window slot taken (the protocols are self-restoring: the next message
+  inherits the channel state).
 """
+
+from collections import Counter
 
 import pytest
 
 from repro.core.mpb_allreduce import (CONSUME_BEGIN, CONSUME_END, COPY_FROM,
                                       PRODUCE, REDUCE_FROM, VERIFY_READ)
-from repro.hw.protocol import (CHARGE, CLEAR, GET, NOTE, PUT, READY, SET,
-                               STATES, WAIT)
+from repro.hw.protocol import (ACQUIRE, CHARGE, CLEAR, DEQUEUE, ENQUEUE, GET,
+                               NOTE, PUT, READY, SET, STATES, WAIT)
 from repro.rcce.api import (ACK_REJECT, BARRIER_COLLECT, BARRIER_RELEASE,
                             BARRIER_WORKER, RECV_CHUNK, REJECT_CHUNK,
                             SEND_CHUNK)
+from repro.rckmpi.channel import RECV_PACKET, SEND_PACKET, WINDOW_PACKETS
 
 ALL_TABLES = (SEND_CHUNK, RECV_CHUNK, REJECT_CHUNK, ACK_REJECT,
               BARRIER_WORKER, BARRIER_COLLECT, BARRIER_RELEASE,
               PRODUCE, CONSUME_BEGIN, REDUCE_FROM, COPY_FROM, CONSUME_END,
-              VERIFY_READ)
+              VERIFY_READ, SEND_PACKET, RECV_PACKET)
+
+#: The rows the walk models; the others (charges, copies, notes) are
+#: no-ops to it.
+WALKED = (SET, CLEAR, WAIT, ACQUIRE, ENQUEUE, DEQUEUE)
 
 
 class ProtocolError(AssertionError):
     pass
 
 
-def flag_ops(runs):
-    """The party's flag rows in program order: ``(op, flag name, arg)``."""
-    return [(op, handles[role], arg)
+def party_ops(runs):
+    """The party's modelled rows in program order: ``(op, handle, arg)``,
+    a ``DEQUEUE``'s arg being the window it frees."""
+    return [(op, handles[role], handles[arg] if op == DEQUEUE else arg)
             for table, handles in runs
-            for op, role, arg in table if op in (SET, CLEAR, WAIT)]
+            for op, role, arg in table if op in WALKED]
 
 
-def walk(parties, initial=None):
+def walk(parties, initial=None, window=WINDOW_PACKETS):
     """Run ``parties`` (name -> runs) to completion; returns the number of
-    flag operations executed.  ``initial`` gives non-zero start levels."""
+    modelled operations executed.  ``initial`` gives non-zero start
+    levels, ``window`` every window's slots."""
     initial = dict(initial or {})
-    programs = {name: flag_ops(runs) for name, runs in parties.items()}
+    programs = {name: party_ops(runs) for name, runs in parties.items()}
     written = {(flag, 1 if op == SET else 0)
                for ops in programs.values() for op, flag, _ in ops
-               if op != WAIT}
+               if op in (SET, CLEAR)}
     for name, ops in programs.items():
         for op, flag, level in ops:
             if (op == WAIT and (flag, level) not in written
@@ -55,6 +70,7 @@ def walk(parties, initial=None):
                 raise ProtocolError(
                     f"{name} waits for {flag}={level}, which nobody writes")
     levels = dict(initial)
+    held, queued = Counter(), Counter()
     pc = dict.fromkeys(programs, 0)
     steps = 0
     progress = True
@@ -62,11 +78,30 @@ def walk(parties, initial=None):
         progress = False
         for name, ops in programs.items():
             while pc[name] < len(ops):
-                op, flag, arg = ops[pc[name]]
-                if op == WAIT and levels.get(flag, 0) != arg:
-                    break
-                if op != WAIT:
-                    levels[flag] = 1 if op == SET else 0
+                op, obj, arg = ops[pc[name]]
+                if op == WAIT:
+                    if levels.get(obj, 0) != arg:
+                        break
+                elif op == ACQUIRE:
+                    if held[obj] == window:
+                        break
+                    held[obj] += 1
+                elif op == ENQUEUE:
+                    queued[obj] += 1
+                    if queued[obj] > window:
+                        raise ProtocolError(
+                            f"{name} queues packet {queued[obj]} on {obj}, "
+                            f"past the window of {window}")
+                elif op == DEQUEUE:
+                    if not queued[obj]:
+                        break
+                    queued[obj] -= 1
+                    if not held[arg]:
+                        raise ProtocolError(
+                            f"{name} frees a slot of {arg} nobody holds")
+                    held[arg] -= 1
+                else:
+                    levels[obj] = 1 if op == SET else 0
                 pc[name] += 1
                 steps += 1
                 progress = True
@@ -79,6 +114,9 @@ def walk(parties, initial=None):
     if moved:
         raise ProtocolError(f"flags left away from their initial level: "
                             f"{moved}")
+    left = {obj: n for obj, n in (held + queued).items() if n}
+    if left:
+        raise ProtocolError(f"packets or window slots left over: {left}")
     return steps
 
 
@@ -92,7 +130,8 @@ def test_tables_are_static_int_rows():
             assert isinstance(row, tuple) and len(row) == 3
             assert all(type(x) is int for x in row)
             op, role, arg = row
-            assert op in (CHARGE, PUT, GET, SET, CLEAR, WAIT, NOTE)
+            assert op in (CHARGE, PUT, GET, SET, CLEAR, WAIT, NOTE,
+                          ACQUIRE, ENQUEUE, DEQUEUE)
             if op in (CHARGE, PUT, GET):
                 assert 0 <= arg < len(STATES)
             if op == WAIT:
@@ -139,6 +178,18 @@ def test_mpb_produce_consume_over_two_halves():
          initial={"ready0": 1, "ready1": 1})
 
 
+PACKET_CHAN = ("window", "queue")
+
+
+@pytest.mark.parametrize("packets", [1, WINDOW_PACKETS, 5])
+def test_rckmpi_eager_packets(packets):
+    """Every enqueue meets a dequeue, the queue never holds more than the
+    window and both end empty; 3 modelled ops a packet."""
+    steps = walk({"sender": [(SEND_PACKET, PACKET_CHAN)] * packets,
+                  "receiver": [(RECV_PACKET, PACKET_CHAN)] * packets})
+    assert steps == 3 * packets
+
+
 class TestBrokenTablesAreRejected:
     def test_clear_ready_dropped(self):
         broken = tuple(row for row in SEND_CHUNK
@@ -156,6 +207,19 @@ class TestBrokenTablesAreRejected:
         with pytest.raises(ProtocolError, match="deadlock"):
             walk({"a": [(RECV_CHUNK, CHAN)],
                   "b": [(RECV_CHUNK, ("buf", "ready", "sent", "nack"))]})
+
+    def test_dequeue_without_enqueue_deadlocks(self):
+        broken = tuple(row for row in SEND_PACKET if row[0] != ENQUEUE)
+        assert len(broken) == len(SEND_PACKET) - 1
+        with pytest.raises(ProtocolError, match="deadlock"):
+            walk({"sender": [(broken, PACKET_CHAN)],
+                  "receiver": [(RECV_PACKET, PACKET_CHAN)]})
+
+    def test_send_without_a_window_slot_overruns_the_window(self):
+        broken = tuple(row for row in SEND_PACKET if row[0] != ACQUIRE)
+        with pytest.raises(ProtocolError, match="past the window"):
+            walk({"sender": [(broken, PACKET_CHAN)] * 3,
+                  "receiver": [(RECV_PACKET, PACKET_CHAN)] * 3})
 
 
 def test_interpreter_frame_stays_a_small_object():

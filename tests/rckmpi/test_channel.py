@@ -5,7 +5,7 @@ import pytest
 
 from repro.hw.config import SCCConfig
 from repro.hw.machine import Machine
-from repro.rckmpi.channel import RCKMPIP2P, WINDOW_PACKETS, reset_channels
+from repro.rckmpi.channel import RCKMPIP2P, WINDOW_PACKETS
 from repro.rckmpi.api import RCKMPICommunicator
 
 
@@ -121,16 +121,88 @@ class TestChannel:
         result = m.run_spmd(program)
         assert result.values[1] is True
 
-    def test_reset_channels(self):
+    def test_receive_of_another_size_is_rejected(self):
         m = machine()
         layer = RCKMPIP2P(m)
-        layer._channel(0, 1)
-        assert "rckmpi.chan" in m.services
-        reset_channels(m)
-        assert "rckmpi.chan" not in m.services
+
+        def program(env):
+            if env.rank == 0:
+                req = yield from layer.isend(env, np.zeros(100, np.uint8), 1)
+                yield from layer.wait(env, req)
+            elif env.rank == 1:
+                out = np.empty(50, dtype=np.uint8)
+                req = yield from layer.irecv(env, out, 0)
+                yield from layer.wait(env, req)
+            else:
+                yield from env.compute(0)
+
+        with pytest.raises(ValueError, match="100-B packet, expected 50 B"):
+            m.run_spmd(program)
+
+    def test_cancelled_send_gives_its_window_slot_back(self):
+        """A send cancelled while it waits on a full window leaves the
+        window's queue: once the receiver drains the queued packets the
+        window is whole again, and a full window's worth of packets is
+        sent eagerly."""
+        m = Machine(SCCConfig(topology="mesh:2x1"))
+        layer = RCKMPIP2P(m)
+        packet = m.config.rckmpi_packet_bytes
+        late = m.latency.core_cycles(10_000_000)
+        done_at = {}
+
+        def program(env):
+            if env.rank == 0:
+                req = yield from layer.isend(env, np.zeros(
+                    packet * (WINDOW_PACKETS + 1), dtype=np.uint8), 1)
+                # Idle while the send fills the window and blocks on it.
+                yield from env.sleep(m.latency.core_cycles(1_000_000))
+                yield from layer.cancel(env, req)
+                yield from env.sleep(m.latency.core_cycles(2_000_000))
+                req = yield from layer.isend(env, np.zeros(
+                    packet * WINDOW_PACKETS, dtype=np.uint8), 1)
+                yield from layer.wait(env, req)
+                done_at["send"] = env.now
+            elif env.rank == 1:
+                yield from env.sleep(m.latency.core_cycles(2_000_000))
+                out = np.empty(packet, dtype=np.uint8)
+                for _ in range(WINDOW_PACKETS):   # the cancelled packets
+                    req = yield from layer.irecv(env, out, 0)
+                    yield from layer.wait(env, req)
+                yield from env.sleep(late - env.now)
+                out = np.empty(packet * WINDOW_PACKETS, dtype=np.uint8)
+                req = yield from layer.irecv(env, out, 0)
+                yield from layer.wait(env, req)
+
+        m.run_spmd(program, ranks=[0, 1])
+        assert done_at["send"] < late
 
 
 class TestRCKMPICommunicator:
+    @pytest.mark.parametrize("stack", ["lightweight", "rckmpi"])
+    def test_messages_are_bracketed(self, stack):
+        """Every stack's messages carry ``send``/``recv`` records in a
+        traced run (p=4 ring Allgather: 3 messages each way per rank),
+        and the records do not move RCKMPI's virtual time or events."""
+        from collections import Counter
+
+        from repro.core.registry import launch
+        from repro.sim.trace import Tracer
+
+        tracer = Tracer(enabled=True)
+        m, comm = launch(stack, 4, tracer=tracer)
+
+        def program(env):
+            return (yield from comm.allgather(
+                env, np.full(300, float(env.rank))))
+
+        result = m.run_spmd(program, ranks=list(range(4)))
+        tags = Counter(rec.tag for rec in tracer.records)
+        assert [tags[f"{kind}.{edge}"] for kind in ("send", "recv")
+                for edge in ("begin", "end")] == [12] * 4
+        if stack == "rckmpi":
+            assert (result.elapsed_ps, m.sim.events_processed) == (
+                306_613_392, 253)
+
     def test_uses_balanced_partition(self):
         m = machine()
         comm = RCKMPICommunicator(m)
