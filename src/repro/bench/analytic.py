@@ -41,19 +41,20 @@ Engine selection
 ``run_sweep``, ``sweep()`` and the ``sweep`` command accept ``engine``:
 
 * ``"sim"`` (default) — simulate every point; bit-identical to the seed.
-* ``"analytic"`` — estimate every expressible point, simulate the rest.
+* ``"analytic"`` — estimate every expressible point; the rest get
+  their exact value, replayed (:mod:`repro.sched.replay`) or simulated.
 * ``"auto"`` — like ``analytic``, but a deterministic sample of the
-  estimated points (:data:`DEFAULT_VALIDATE` per sweep) is *also*
-  simulated and the relative drift checked against
+  estimated points (:data:`DEFAULT_VALIDATE` per sweep) *also* gets its
+  exact value and the relative drift is checked against
   :data:`DEFAULT_DRIFT_TOL`.  Drift beyond tolerance raises
   :class:`EngineDriftError` naming the offending points — the estimate
   is never silently wrong by more than the tolerance on the validated
   sample.
 
 Analytic estimates never touch the on-disk result cache: the cache
-stores *simulated* latencies and an estimate must not shadow one (or
-vice versa).  Re-pricing a point analytically is cheaper than a cache
-read anyway.
+stores *exact* (simulated or replayed) latencies and an estimate must
+not shadow one (or vice versa).  Re-pricing a point analytically is
+cheaper than a cache read anyway.
 """
 
 from __future__ import annotations

@@ -43,13 +43,14 @@ import multiprocessing
 import os
 import pathlib
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from repro.hw.config import SCCConfig
+from repro.sim.clock import ps_to_us
 
 _log = logging.getLogger(__name__)
 
@@ -98,6 +99,22 @@ def _execute_point(point: SweepPoint) -> float:
         rank_order=point.rank_order, seed=point.seed, algo=point.algo)
 
 
+def _exact_point(point: SweepPoint) -> tuple[float, Optional[str]]:
+    """A point's exact latency, replayed where replay can answer and
+    simulated where it escalates, with why it was simulated (None when
+    replayed).  Worker entry, like :func:`_execute_point`."""
+    from repro.sched.replay import Escalation, replay_measurement
+
+    try:
+        marks = replay_measurement(
+            point.kind, point.stack, point.size, cores=point.cores,
+            config=point.config, rank_order=point.rank_order,
+            algo=point.algo)
+    except Escalation as why:
+        return _execute_point(point), str(why)
+    return ps_to_us(marks[0][0]), None
+
+
 # --------------------------------------------------------------------- #
 # Fingerprinting
 # --------------------------------------------------------------------- #
@@ -119,8 +136,15 @@ def code_fingerprint() -> str:
     return digest.hexdigest()
 
 
+#: ``SCCConfig``'s fields, read one by one: ``dataclasses.asdict`` deep-
+#: copied the config, two thirds of a fingerprint's cost.
+_CONFIG_FIELDS = tuple(f.name for f in fields(SCCConfig))
+
+
 def fingerprint(point: SweepPoint) -> str:
     """Stable content address of one sweep point (sha256 hex digest)."""
+    config = {name: getattr(point.config, name) for name in _CONFIG_FIELDS}
+    config["extras"] = dict(point.config.extras)
     payload = {
         "schema": CACHE_SCHEMA,
         "kind": point.kind,
@@ -132,7 +156,7 @@ def fingerprint(point: SweepPoint) -> str:
         "rank_order": (list(point.rank_order)
                        if point.rank_order is not None else None),
         "algo": point.algo,
-        "config": asdict(point.config),
+        "config": config,
         "code": code_fingerprint(),
         "numpy": np.__version__,
     }
@@ -260,13 +284,15 @@ def _resolve_jobs(jobs: Optional[int]) -> int:
 class SweepOutcome:
     """Latencies (in point order) plus execution accounting.
 
-    ``hits``/``misses`` count cache activity among the *simulated*
-    points.  ``analytic`` is the number of points priced by the analytic
-    engine instead of simulated; ``validated`` how many of those were
-    additionally cross-checked against the simulator (auto engine), and
+    ``hits``/``misses`` count result-cache lookups (both 0 without a
+    cache).  ``analytic`` is the number of points priced by the analytic
+    engine; ``validated`` how many of those were additionally
+    cross-checked against their exact value (auto engine), and
     ``max_drift`` the signed relative deviation of the worst validated
-    point — negative means the estimate undershot the simulator (0.0
-    when nothing was validated).
+    point — negative means the estimate undershot the exact value (0.0
+    when nothing was validated).  Of the exact values the cache did not
+    hold, ``replayed`` came from :mod:`repro.sched.replay` (engines
+    ``analytic`` and ``auto``) and ``simulated`` from the simulator.
     """
 
     latencies: list[float]
@@ -277,6 +303,8 @@ class SweepOutcome:
     analytic: int = 0
     validated: int = 0
     max_drift: float = 0.0
+    replayed: int = 0
+    simulated: int = 0
 
     @property
     def points(self) -> int:
@@ -341,17 +369,21 @@ def run_sweep(points: Sequence[SweepPoint], *,
 
     * ``"sim"`` — simulate everything (the historical behavior);
     * ``"analytic"`` — closed-form estimates for every expressible
-      point, simulation for the rest;
-    * ``"auto"`` — ``analytic`` plus a deterministic sample of the
-      estimated points re-run through the simulator
+      point, exact values for the rest;
+    * ``"auto"`` — ``analytic`` plus the exact values of a deterministic
+      sample of the estimated points
       (:data:`~repro.bench.analytic.DEFAULT_VALIDATE` points); any
       sampled point whose estimate drifts beyond
       :data:`~repro.bench.analytic.DEFAULT_DRIFT_TOL` raises
       :class:`~repro.bench.analytic.EngineDriftError`.
 
-    Analytic estimates are never written to (or read from) the result
-    cache — it stores simulated latencies only.  Validation simulations
-    are ordinary simulations and use the cache as usual.
+    Under ``analytic`` and ``auto`` an exact value is replayed from the
+    bound programs (:func:`repro.sched.replay.replay_measurement`, the
+    simulated value to the picosecond) and simulated only where replay
+    escalates; the ``repro.bench.executor`` logger says which, per
+    point, at DEBUG.  Analytic estimates are never written to (or read
+    from) the result cache — it stores exact latencies only, replayed
+    ones included, and serves them to every engine.
     """
     from repro.bench.analytic import (
         DEFAULT_DRIFT_TOL,
@@ -372,10 +404,10 @@ def run_sweep(points: Sequence[SweepPoint], *,
 
     latencies: list[Optional[float]] = [None] * len(points)
 
-    # Split the plan: analytically priced points vs points that must be
-    # simulated (everything, for the sim engine; the analytic engine's
-    # fallback points otherwise).  Auto additionally simulates a sampled
-    # subset of the priced points for cross-validation.
+    # Split the plan: analytically priced points vs points that need
+    # their exact value (everything, for the sim engine; the analytic
+    # engine's fallback points otherwise).  Auto additionally needs the
+    # exact value of a sampled subset of the priced points.
     analytic_idx: list[int] = []
     sim_idx: list[int] = []
     validate_idx: list[int] = []
@@ -397,7 +429,7 @@ def run_sweep(points: Sequence[SweepPoint], *,
 
     to_sim = sim_idx + validate_idx  # disjoint by construction
     fingerprints: dict[int, str] = {}
-    sim_values: dict[int, float] = {}
+    exact: dict[int, float] = {}
     pending: list[int] = []
     if store is not None:
         for i in to_sim:
@@ -406,29 +438,42 @@ def run_sweep(points: Sequence[SweepPoint], *,
             if hit is None:
                 pending.append(i)
             else:
-                sim_values[i] = hit
+                exact[i] = hit
     else:
         pending = list(to_sim)
+    hits = len(exact)
+    misses = len(pending) if store is not None else 0
 
-    if pending:
-        todo = [points[i] for i in pending]
-        fresh = parallel_map(_execute_point, todo, jobs=jobs)
-        for i, value in zip(pending, fresh):
-            sim_values[i] = value
-            if store is not None:
-                store.put(fingerprints[i], value, points[i])
+    # One fan-out for every exact value; the sim engine never replays.
+    todo = [points[i] for i in pending]
+    if engine == "sim":
+        fresh = [(value, "engine sim") for value in
+                 parallel_map(_execute_point, todo, jobs=jobs)]
+    else:
+        fresh = parallel_map(_exact_point, todo, jobs=jobs)
+    replayed = 0
+    debug = _log.isEnabledFor(logging.DEBUG)
+    for i, (value, why) in zip(pending, fresh):
+        exact[i] = value
+        if why is None:
+            replayed += 1
+        if store is not None:
+            store.put(fingerprints[i], value, points[i])
+        if debug:
+            _log.debug("%s: %s", points[i].describe(),
+                       "replay" if why is None else f"sim: {why}")
 
     for i in sim_idx:
-        latencies[i] = sim_values[i]
+        latencies[i] = exact[i]
 
     # Cross-validation: compare the estimate (which stays the reported
     # value — auto is the analytic engine with a safety net, not a mix
-    # of pricing regimes) against the simulated truth.
+    # of pricing regimes) against the exact value.
     max_drift = 0.0
     drifts: list[tuple[str, float, float, float]] = []
     if validate_idx:
         for i in validate_idx:
-            sim_us = sim_values[i]
+            sim_us = exact[i]
             ana_us = latencies[i]
             drift = (ana_us - sim_us) / sim_us if sim_us else 0.0
             if abs(drift) > abs(max_drift):
@@ -441,11 +486,13 @@ def run_sweep(points: Sequence[SweepPoint], *,
 
     return SweepOutcome(
         latencies=latencies,  # type: ignore[arg-type]  # all filled above
-        hits=len(to_sim) - len(pending),
-        misses=len(pending),
+        hits=hits,
+        misses=misses,
         jobs=jobs,
         wall_s=time.perf_counter() - started,
         analytic=len(analytic_idx),
         validated=len(validate_idx),
         max_drift=max_drift,
+        replayed=replayed,
+        simulated=len(pending) - replayed,
     )

@@ -166,12 +166,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(format_series_table(series))
         accounting = (f"{outcome.points} points in {outcome.wall_s:.2f}s "
                       f"(jobs={outcome.jobs}, cache hits {outcome.hits}, "
-                      f"simulated {outcome.misses}")
+                      f"simulated {outcome.simulated}")
         if outcome.analytic:
             accounting += f", analytic {outcome.analytic}"
         if outcome.validated:
             accounting += (f", validated {outcome.validated} "
+                           f"({outcome.replayed} replayed) "
                            f"[max drift {outcome.max_drift:+.1%}]")
+        elif outcome.replayed:
+            accounting += f", replayed {outcome.replayed}"
         print(accounting + ")")
     return 0
 

@@ -157,6 +157,24 @@ def _copy_pair_cost(model: LatencyModel, src: int, dst: int,
     return value
 
 
+def row_hold(model: LatencyModel, op: int, flags: int, snels: int,
+             rnels: int) -> Optional[int]:
+    """The CPU hold (ps) a step row takes besides its messages, or None
+    where it takes none, as the schedule executor charges it: a charged
+    copy's or a rotate's private-memory pass (an uncharged copy is free
+    staging), a fold's reduction (tree folds always, exchanges only of a
+    non-empty block)."""
+    if op > OP_EXCHANGE:
+        if op != OP_COPY:
+            return model.private_copy_bytes(rnels * ELEMENT_BYTES)
+        if flags & F_CHARGED:
+            return model.private_copy_bytes(snels * ELEMENT_BYTES)
+        return None
+    if op == OP_REDUCE_RECV or flags & F_REDUCE and rnels:
+        return model.reduce_doubles(rnels)
+    return None
+
+
 def step_cost(model: LatencyModel, row: Sequence[int], *,
               blocking: bool = False,
               overhead: Optional[SoftwareOverhead] = None) -> int:
@@ -178,18 +196,10 @@ def step_cost(model: LatencyModel, row: Sequence[int], *,
     """
     (rank, _, op, speer, _, slo, shi, rpeer, _, rlo, rhi, flags) = row
     ov = overhead
-    if op > OP_EXCHANGE:
-        # Local rows: one private-memory pass over the copied interval
-        # or the rotated buffer; uncharged copies are free staging.
-        if op == OP_COPY:
-            if not flags & F_CHARGED:
-                return 0
-            return model.private_copy_bytes((shi - slo) * ELEMENT_BYTES)
-        return model.private_copy_bytes((rhi - rlo) * ELEMENT_BYTES)
     snels, rnels = shi - slo, rhi - rlo
-    # Tree folds charge unconditionally, exchanges only non-empty blocks.
-    fold = (model.reduce_doubles(rnels)
-            if op == OP_REDUCE_RECV or flags & F_REDUCE and rnels else 0)
+    local = row_hold(model, op, flags, snels, rnels) or 0
+    if op > OP_EXCHANGE:
+        return local
     if ov is None or op != OP_EXCHANGE:
         out = message_cost(model, rank, speer, snels) if speer >= 0 else 0
         inn = message_cost(model, rpeer, rank, rnels) if rpeer >= 0 else 0
@@ -198,7 +208,7 @@ def step_cost(model: LatencyModel, row: Sequence[int], *,
             cost += (ov.send_ps + handshake_cost(model, rank, speer)
                      if speer >= 0
                      else ov.recv_ps + handshake_cost(model, rpeer, rank))
-        return cost + fold
+        return cost + local
     cost = 0
     copies = []
     # On the blocking stack the exchange is a rendezvous in lockstep
@@ -223,7 +233,7 @@ def step_cost(model: LatencyModel, row: Sequence[int], *,
     # partner's copies run concurrently on the partner's core — so a
     # symmetric exchange pays for one direction's copy pair (the max
     # covers asymmetric block sizes).
-    return cost + (sum(copies) if blocking else max(copies)) + fold
+    return cost + (sum(copies) if blocking else max(copies)) + local
 
 
 def schedule_cost_key(sched: Schedule, *, blocking: bool,

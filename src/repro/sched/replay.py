@@ -1,0 +1,763 @@
+"""Exact replay: a collective's virtual time from its bound programs,
+computed with integers instead of simulated.
+
+A measured collective is a deterministic function of the programs its
+ranks run: the communicator's entry charge, the barrier tables, every
+message's chunk tables priced by :func:`~repro.hw.protocol.bind` (the
+rows :meth:`RCCE.message <repro.rcce.api.RCCE.message>` runs, blocking
+or as a request's sub-process) and the request layer's issue,
+completion, copy and reduce charges.  :func:`replay_measurement`
+expands every rank's schedule rows (:meth:`Communicator.resolve
+<repro.core.comm.Communicator.resolve>`, then
+:func:`~repro.sched.engine.schedule_for`, as the simulated call does)
+into those programs and executes them without generators, processes or
+payload bytes.  It returns every rank's ``(latency, exit)`` in ps, what
+:func:`~repro.bench.runner.launch_collective` measures, to the
+picosecond (``tests/sched/test_replay.py`` pins it against
+``engine_golden.json`` and the kernel-identity runs).
+
+Two executors, by stack:
+
+* **Blocking RCCE** (one actor per core).  Each rank's programs fuse
+  into a list of flag operations separated by CPU time.  A ``SET``
+  records when its write lands; the k-th ``WAIT`` on a flag matches that
+  flag's k-th ``SET`` and completes at ``max(clock, set) + notify``,
+  ``Gate.wait_true``'s rule.  Every RCCE flag is cleared by its only
+  waiter, so the order of same-instant operations cannot move time: the
+  ranks run in any order, each until it waits on a ``SET`` not yet made.
+  No heap.
+* **Request stacks** (iRCCE, lightweight, lightweight_balanced, tuned).
+  A core's CPU is a FIFO lock shared by the main program and its
+  request sub-processes, so the order of same-instant entries decides
+  who holds it first.  This executor keeps one int heap keyed like the
+  kernel's ``(time, seq)`` and pushes where the kernel pushes: a
+  process's bootstrap, a free channel lock's zero hold, a CPU grant, a
+  hold's end, a flag wake, the completion a waiting main program
+  resumes on and ``wait_all``'s ``AllOf`` hop.  The completion of a
+  request nobody waits on is not pushed: nothing observes it, and
+  leaving an entry out does not reorder the others.
+
+What only the simulator can answer raises :class:`Escalation`:
+``model_mpb_contention``; the ``mpb`` algorithm; the ``rckmpi`` stack
+and stacks of other types; names and arguments the simulator rejects
+(it raises the real error); and a replay that cannot make progress (the
+simulator raises the real deadlock error).  Replay takes no tracer,
+monitor or fault injector: a run with one is the simulator's.
+"""
+
+from __future__ import annotations
+
+from collections import deque
+from heapq import heappop, heappush
+from typing import Optional, Sequence
+
+from repro.core.comm import Communicator
+from repro.core.registry import make_communicator
+from repro.hw.config import SCCConfig
+from repro.hw.machine import Machine
+from repro.hw.protocol import CHARGE, CLEAR, NOTE, SET, WAIT, bind
+from repro.ircce.api import IRCCE
+from repro.lwnb.api import LWNB
+from repro.rcce.api import (BARRIER_COLLECT, BARRIER_RELEASE,
+                            BARRIER_WORKER, RCCE, RECV_CHUNK, SEND_CHUNK)
+from repro.sched.cost import row_hold
+from repro.sched.engine import schedule_for
+from repro.sched.ir import F_SEND_FIRST, OP_EXCHANGE
+from repro.sched.select import TunedCommunicator
+
+#: The kinds a measured call can be (``bench.runner.collective_call``).
+KINDS = frozenset(("allreduce", "reduce", "reduce_scatter", "allgather",
+                   "alltoall", "bcast", "barrier", "scan", "exscan"))
+#: Kinds whose algorithm :meth:`Communicator.resolve` decides; the
+#: others run one fixed schedule (``barrier`` none).
+_RESOLVED = frozenset(("allreduce", "reduce", "reduce_scatter", "allgather",
+                       "alltoall", "bcast", "scan"))
+_FIXED = {"exscan": "recursive_doubling", "scatter": "binomial",
+          "gather": "binomial"}
+#: Bytes per element: measured operands are float64 vectors.
+_ITEMSIZE = 8
+
+#: The chunk tables without their ``NOTE`` rows, which are untimed and
+#: read only by a wildcard receive (no collective posts one).
+_SEND = tuple(row for row in SEND_CHUNK if row[0] != NOTE)
+_RECV = tuple(row for row in RECV_CHUNK if row[0] != NOTE)
+#: A compiled row is three ints ``(op, slot, charge)``: ``SET``,
+#: ``CLEAR`` or ``WAIT`` on flag ``slot``, or ``CHARGE`` for any other
+#: CPU hold.
+_STEP = 3
+
+#: Blocking executor: fused operations ``(kind, slot, pre, post)``.
+_F_SET, _F_WAIT, _F_MARK = range(3)
+
+#: Request executor: main-program operations (the first item of each).
+_M_CONSUME, _M_ISSUE, _M_WAIT, _M_WAIT_ALL, _M_MARK = range(5)
+#: Why a main program or a request is resumed.
+_BOOT, _RUN, _GRANTED, _HELD, _WOKEN, _COMPLETED = range(6)
+#: Heap keys: ``time << _TIME | seq << _SEQ | pid``.
+_SEQ = 20
+_TIME = 52
+_PID_MASK = (1 << _SEQ) - 1
+_SEQ_LIMIT = 1 << (_TIME - _SEQ)
+
+
+class Escalation(Exception):
+    """Replay cannot answer this run; the message says why.  The caller
+    runs the simulator, which gives the authoritative value or error."""
+
+
+# -- what a replay binds on --------------------------------------------------
+class _Context:
+    """A never-run machine to bind programs on, and the stack's
+    communicator (for ``resolve``, the partition and the request
+    layer's charges)."""
+
+    __slots__ = ("machine", "comm", "blocking", "call_ps", "issue_ps",
+                 "complete_ps")
+
+    def __init__(self, stack: str, config: SCCConfig):
+        machine = Machine(config.copy())
+        try:
+            comm = make_communicator(machine, stack)
+        except KeyError:
+            raise Escalation(f"unknown stack {stack!r}") from None
+        if type(comm) not in (Communicator, TunedCommunicator):
+            raise Escalation(f"{type(comm).__name__} communicator")
+        p2p = comm.p2p
+        if type(p2p) is RCCE:
+            self.blocking = True
+            self.issue_ps = self.complete_ps = 0
+        elif type(p2p) in (IRCCE, LWNB) and p2p.protocol is RCCE:
+            self.blocking = False
+            self.issue_ps = p2p._issue_ps
+            self.complete_ps = p2p._complete_ps
+        else:
+            raise Escalation(f"{type(p2p).__name__} layer")
+        self.machine = machine
+        self.comm = comm
+        self.call_ps = machine.latency.core_cycles(
+            config.collective_call_cycles)
+
+
+# -- binding -----------------------------------------------------------------
+class _Handle:
+    """A bound row's operand: its MPB owner and, for a flag, its slot in
+    the replay's flag arrays (-1 for a buffer)."""
+
+    __slots__ = ("owner", "slot")
+
+    def __init__(self, owner: int, slot: int = -1):
+        self.owner = owner
+        self.slot = slot
+
+
+def _compile(bound: tuple) -> tuple:
+    """A bound program's rows as flat ``(op, slot, charge)`` ints."""
+    out: list[int] = []
+    for op, obj, _owner, charge, state, port, _piece, _at in bound[1]:
+        if port is not None:
+            raise Escalation("a bound MPB port")
+        if op <= CLEAR:
+            out += (op, obj.slot, charge)
+        elif op == WAIT:
+            if state != 1:
+                raise Escalation("a wait for a cleared flag")
+            out += (op, obj.slot, charge)
+        elif op > NOTE:
+            raise Escalation("a window or queue row")
+        elif op != NOTE:
+            out += (CHARGE, -1, charge)
+    return tuple(out)
+
+
+def _fuse(flat: tuple) -> tuple[list, int]:
+    """A compiled program for a single-actor core: its flag operations
+    ``(kind, slot, pre, post)``, the CPU time before each folded into
+    ``pre`` (a wait's notify charge is its ``post``), and the CPU time
+    after the last one."""
+    ops = []
+    pending = 0
+    for i in range(0, len(flat), _STEP):
+        op, slot, charge = flat[i:i + _STEP]
+        if op == SET:
+            ops.append((_F_SET, slot, pending + charge, 0))
+            pending = 0
+        elif op == WAIT:
+            ops.append((_F_WAIT, slot, pending, charge))
+            pending = 0
+        else:
+            pending += charge
+    return ops, pending
+
+
+class _Binder:
+    """Binds one replay's programs, once per ``(side, nbytes, call)``,
+    with flags resolved to int slots."""
+
+    def __init__(self, ctx: _Context, cores: list[int]):
+        self.ctx = ctx
+        self.cores = cores
+        self.slots: dict[tuple[int, str], _Handle] = {}
+        self.channels: dict[tuple[int, int], tuple] = {}
+        self.memo: dict[tuple, tuple] = {}
+        self.fused_memo: dict[tuple, tuple[list, int]] = {}
+        self.chunk = ctx.machine.config.mpb_payload_bytes
+
+    def flag(self, owner: int, name: str) -> _Handle:
+        handle = self.slots.get((owner, name))
+        if handle is None:
+            handle = self.slots[(owner, name)] = _Handle(owner,
+                                                         len(self.slots))
+        return handle
+
+    def channel(self, src: int, dst: int) -> tuple:
+        """``(buf, sent, ready)`` of the src->dst channel, the flags named
+        as :class:`~repro.rcce.api.RCCE` names them."""
+        chan = self.channels.get((src, dst))
+        if chan is None:
+            chan = self.channels[(src, dst)] = (
+                _Handle(src), self.flag(dst, f"rcce.sent.{src}"),
+                self.flag(src, f"rcce.ready.{dst}"))
+        return chan
+
+    def message(self, src: int, dst: int, sending: bool, nbytes: int,
+                call_ps: int = 0) -> tuple:
+        """The compiled program of one side of a src->dst message."""
+        key = (src, dst, sending, nbytes, call_ps)
+        flat = self.memo.get(key)
+        if flat is None:
+            core = self.ctx.machine.cores[src if sending else dst]
+            flat = self.memo[key] = _compile(bind(
+                core, _SEND if sending else _RECV, self.channel(src, dst),
+                nbytes, self.chunk, call=call_ps))
+        return flat
+
+    def fused(self, src: int, dst: int, sending: bool, nbytes: int,
+              call_ps: int) -> tuple[list, int]:
+        key = (src, dst, sending, nbytes, call_ps)
+        fused = self.fused_memo.get(key)
+        if fused is None:
+            fused = self.fused_memo[key] = _fuse(
+                self.message(src, dst, sending, nbytes, call_ps))
+        return fused
+
+    def table(self, core: int, table: tuple, handles: tuple,
+              cost: Optional[int] = None) -> tuple:
+        return _compile(bind(self.ctx.machine.cores[core], table, handles,
+                             cost=cost))
+
+
+# -- what each rank runs -----------------------------------------------------
+def _schedule(ctx: _Context, p: int, call: tuple):
+    """The schedule one call runs (None for a barrier), resolved as the
+    communicator resolves it."""
+    kind, n, algo, root, part = call
+    if kind == "barrier":
+        if algo is not None:
+            raise Escalation("barrier takes no algorithm")
+        return None
+    if kind in _RESOLVED:
+        try:
+            name = ctx.comm.resolve(kind, p, n, n * _ITEMSIZE, algo)
+        except KeyError:
+            raise Escalation(f"unknown {kind} algorithm {algo!r}") from None
+        if name == "mpb":
+            raise Escalation("the mpb algorithm")
+    elif kind in _FIXED and algo is None:
+        name = _FIXED[kind]
+    else:
+        raise Escalation(f"{kind} takes no algorithm" if kind in _FIXED
+                         else f"unknown kind {kind!r}")
+    try:
+        return schedule_for(ctx.comm, kind, name, p, n, root, part)
+    except (KeyError, ValueError) as exc:
+        raise Escalation(f"{type(exc).__name__}: {exc}") from None
+
+
+def _rank_steps(sched, rank: int, rows: list, cores: list[int],
+                latency) -> list[tuple]:
+    """Rank ``rank``'s schedule rows, lowered as the schedule executor
+    lowers them, as ``(send, recv, exchange, send_first, hold)``:
+    ``send`` is ``(dst core, nbytes)`` and ``recv`` ``(src core,
+    nbytes)``, None where the row has no such side; ``send_first`` says
+    the blocking calls run send before recv; ``hold`` is the CPU time
+    the row takes after its messages (None: it takes none)."""
+    cuts = sched._cuts
+    steps = []
+    for (_, _, code, speer, sbuf, slo, shi, rpeer, rbuf, rlo, rhi,
+         flags) in rows[cuts[rank]:cuts[rank + 1]]:
+        hold = row_hold(latency, code, flags, shi - slo, rhi - rlo)
+        if code > OP_EXCHANGE:
+            if hold is not None:
+                steps.append((None, None, False, True, hold))
+            continue
+        exchange = code == OP_EXCHANGE
+        steps.append((
+            (cores[speer], (shi - slo) * _ITEMSIZE) if sbuf >= 0 else None,
+            (cores[rpeer], (rhi - rlo) * _ITEMSIZE) if rbuf >= 0 else None,
+            exchange, not exchange or bool(flags & F_SEND_FIRST), hold))
+    return steps
+
+
+class _BlockingPrograms:
+    """Every rank's fused program on the blocking stack."""
+
+    def __init__(self, binder: _Binder, p: int):
+        self.binder = binder
+        self.p = p
+        self.progs: list[list] = [[] for _ in range(p)]
+        self.pending = [0] * p
+        config = binder.ctx.machine.config
+        latency = binder.ctx.machine.latency
+        self.send_ps = latency.core_cycles(config.rcce_send_call_cycles)
+        self.recv_ps = latency.core_cycles(config.rcce_recv_call_cycles)
+        self.enter_ps = latency.core_cycles(config.barrier_flag_cycles)
+
+    def splice(self, rank: int, fused: tuple[list, int]) -> None:
+        ops, tail = fused
+        if ops:
+            kind, slot, pre, post = ops[0]
+            prog = self.progs[rank]
+            prog.append((kind, slot, pre + self.pending[rank], post))
+            prog += ops[1:]
+            self.pending[rank] = tail
+        else:
+            self.pending[rank] += tail
+
+    def mark(self) -> None:
+        for rank, prog in enumerate(self.progs):
+            prog.append((_F_MARK, -1, self.pending[rank], 0))
+            self.pending[rank] = 0
+
+    def barrier(self, call_ps: int) -> None:
+        """``RCCE.barrier``: the workers report to rank 0, which collects
+        them all, then releases them."""
+        binder = self.binder
+        cores = binder.cores
+        root = cores[0]
+        for rank in range(self.p):
+            self.pending[rank] += call_ps
+        self.pending[0] += self.enter_ps
+        collect: list[int] = []
+        release: list[int] = []
+        for rank in range(1, self.p):
+            handles = (binder.flag(root, f"rcce.bar.{rank}"),
+                       binder.flag(cores[rank], "rcce.bar.go"))
+            self.splice(rank, _fuse(binder.table(
+                cores[rank], BARRIER_WORKER, handles, cost=self.enter_ps)))
+            collect += binder.table(root, BARRIER_COLLECT, handles)
+            release += binder.table(root, BARRIER_RELEASE, handles)
+        self.splice(0, _fuse(tuple(collect + release)))
+
+    def collective(self, sched, call_ps: int) -> None:
+        binder = self.binder
+        cores = binder.cores
+        latency = binder.ctx.machine.latency
+        fused = binder.fused
+        splice = self.splice
+        pending = self.pending
+        rows = sched.table.rows.tolist()
+        for rank in range(self.p):
+            me = cores[rank]
+            pending[rank] += call_ps
+            for send, recv, _, send_first, hold in _rank_steps(
+                    sched, rank, rows, cores, latency):
+                if send is not None:
+                    send = fused(me, send[0], True, send[1], self.send_ps)
+                    # RCCE's send and recv each synchronize with the peer:
+                    # an exchange runs them in the builder's baked order.
+                    if send_first:
+                        splice(rank, send)
+                        send = None
+                if recv is not None:
+                    splice(rank, fused(recv[0], me, False, recv[1],
+                                       self.recv_ps))
+                if send is not None:
+                    splice(rank, send)
+                if hold is not None:
+                    pending[rank] += hold
+
+
+def _run_blocking(progs: list[list], nslots: int) -> list[list[int]]:
+    """Execute fused programs; every rank's marks."""
+    p = len(progs)
+    sets: list[list[int]] = [[] for _ in range(nslots)]
+    taken = [0] * nslots
+    blocked = [-1] * nslots
+    clocks = [0] * p
+    marks: list[list[int]] = [[] for _ in range(p)]
+    steps = [iter(prog) for prog in progs]
+    # A rank blocked on a wait resumes with it: (slot, pre, post).
+    retry: list[Optional[tuple]] = [None] * p
+    finished = 0
+    work = list(range(p - 1, -1, -1))
+    while work:
+        rank = work.pop()
+        t = clocks[rank]
+        stalled = retry[rank]
+        if stalled is not None:
+            retry[rank] = None
+            slot, pre, post = stalled
+            k = taken[slot]
+            taken[slot] = k + 1
+            t += pre
+            s = sets[slot][k]
+            t = (t if t > s else s) + post
+        for kind, slot, pre, post in steps[rank]:
+            if kind == _F_WAIT:
+                k = taken[slot]
+                times = sets[slot]
+                if k == len(times):
+                    blocked[slot] = rank
+                    retry[rank] = (slot, pre, post)
+                    break
+                taken[slot] = k + 1
+                t += pre
+                s = times[k]
+                t = (t if t > s else s) + post
+            elif kind == _F_SET:
+                t += pre
+                sets[slot].append(t)
+                waiter = blocked[slot]
+                if waiter >= 0:
+                    blocked[slot] = -1
+                    work.append(waiter)
+            else:
+                t += pre
+                marks[rank].append(t)
+        else:
+            finished += 1
+        clocks[rank] = t
+    if finished != p:
+        raise Escalation("no progress: a wait no set satisfies")
+    return marks
+
+
+class _RequestPrograms:
+    """Every rank's main program on a request stack; an issue carries its
+    request's template ``(compiled rows, channel lock)``."""
+
+    def __init__(self, binder: _Binder, p: int):
+        self.binder = binder
+        self.p = p
+        self.progs: list[list] = [[] for _ in range(p)]
+        self.templates: dict[tuple, tuple] = {}
+        ctx = binder.ctx
+        self.issue_ps = ctx.issue_ps
+        self.complete = (_M_CONSUME, ctx.complete_ps)
+        self.ncores = ctx.machine.config.num_cores
+
+    def request(self, src: int, dst: int, sending: bool,
+                nbytes: int) -> tuple:
+        key = (src, dst, sending, nbytes)
+        op = self.templates.get(key)
+        if op is None:
+            # A core's sends share its send lock; its receives from one
+            # source share that pair's receive lock.
+            lock = src if sending else self.ncores * (1 + dst) + src
+            op = self.templates[key] = (
+                _M_ISSUE, self.issue_ps,
+                (self.binder.message(src, dst, sending, nbytes), lock))
+        return op
+
+    def mark(self) -> None:
+        for prog in self.progs:
+            prog.append((_M_MARK,))
+
+    def barrier(self, call_ps: int) -> None:
+        """``dissemination_barrier``: ceil(log2 p) rounds of zero-byte
+        exchanges at doubling strides."""
+        p = self.p
+        cores = self.binder.cores
+        rounds = 0 if p == 1 else (p - 1).bit_length()
+        for rank, prog in enumerate(self.progs):
+            prog.append((_M_CONSUME, call_ps))
+            me = cores[rank]
+            for k in range(rounds):
+                stride = 1 << k
+                prog += (self.request(me, cores[(rank + stride) % p], True, 0),
+                         self.request(cores[(rank - stride) % p], me, False,
+                                      0),
+                         (_M_WAIT_ALL, 2), self.complete, self.complete)
+
+    def collective(self, sched, call_ps: int) -> None:
+        cores = self.binder.cores
+        latency = self.binder.ctx.machine.latency
+        request = self.request
+        complete = self.complete
+        wait = (_M_WAIT,)
+        rows = sched.table.rows.tolist()
+        for rank, prog in enumerate(self.progs):
+            me = cores[rank]
+            prog.append((_M_CONSUME, call_ps))
+            for send, recv, exchange, _, hold in _rank_steps(
+                    sched, rank, rows, cores, latency):
+                issued = []
+                if send is not None:
+                    issued.append(request(me, send[0], True, send[1]))
+                if recv is not None:
+                    issued.append(request(recv[0], me, False, recv[1]))
+                if issued:
+                    prog += issued
+                    # comm.send / comm.recv wait on their one request
+                    # alone; an exchange issues both sides and waits once.
+                    prog.append((_M_WAIT_ALL, len(issued)) if exchange
+                                else wait)
+                    prog += (complete,) * len(issued)
+                if hold is not None:
+                    prog.append((_M_CONSUME, hold))
+
+
+def _run_requests(progs: list[list], ncores: int,
+                  nslots: int) -> list[list[int]]:
+    """Execute the main programs and their requests in the kernel's
+    ``(time, seq)`` order; every rank's marks.
+
+    Pid ``r < p`` is rank ``r``'s main program, ``[ops, pc, resume, core,
+    issued pids, wait_all count, marks]``; a request is ``[rows, pc,
+    resume, core, lock, done, waiter]``, ``waiter`` being the pid of a
+    main program waiting on it alone, ``-1 - pid`` of one in
+    ``wait_all``.
+    """
+    p = len(progs)
+    heap: list[int] = []
+    procs: list[list] = []
+    for rank, ops in enumerate(progs):
+        procs.append([ops, 0, _RUN, rank, [], 0, []])
+        heappush(heap, rank << _SEQ | rank)  # bootstrap at t = 0
+    seq = p
+    locked = [False] * ncores
+    queues = [deque() for _ in range(ncores)]
+    held: set[int] = set()
+    level = bytearray(nslots)
+    waiting: list[list] = [[] for _ in range(nslots)]
+    while heap:
+        key = heappop(heap)
+        now = key >> _TIME
+        pid = key & _PID_MASK
+        while True:
+            st = procs[pid]
+            if pid < p:
+                # -- a rank's main program ----------------------------------
+                ops, i, resume, core = st[0], st[1], st[2], st[3]
+                if resume == _GRANTED:
+                    if ops[i][1] > 0:
+                        heappush(heap, (now + ops[i][1]) << _TIME
+                                 | seq << _SEQ | pid)
+                        seq += 1
+                        st[2] = _HELD
+                        break
+                    resume = _HELD
+                elif resume == _WOKEN:
+                    i += 1
+                n = len(ops)
+                while i < n:
+                    op = ops[i]
+                    code = op[0]
+                    if code <= _M_ISSUE:
+                        if resume != _HELD:
+                            if locked[core] or queues[core]:
+                                queues[core].append(pid)
+                                st[2] = _GRANTED
+                                break
+                            if op[1] > 0:
+                                locked[core] = True
+                                heappush(heap, (now + op[1]) << _TIME
+                                         | seq << _SEQ | pid)
+                                seq += 1
+                                st[2] = _HELD
+                                break
+                        # The hold is over (or took no time): release the
+                        # CPU, then start the issued request.
+                        resume = _RUN
+                        queue = queues[core]
+                        if queue:
+                            heappush(heap, now << _TIME | seq << _SEQ
+                                     | queue.popleft())
+                            seq += 1
+                        else:
+                            locked[core] = False
+                        if code == _M_ISSUE:
+                            st[4].append(len(procs))
+                            heappush(heap, now << _TIME | seq << _SEQ
+                                     | len(procs))
+                            seq += 1
+                            procs.append([op[2][0], 0, _BOOT, core,
+                                          op[2][1], False, None])
+                    elif code == _M_WAIT:
+                        req = procs[st[4].pop()]
+                        if not req[5]:
+                            req[6] = pid
+                            st[2] = _WOKEN
+                            break
+                    elif code == _M_WAIT_ALL:
+                        pending = [procs[q] for q in st[4] if not procs[q][5]]
+                        st[4] = []
+                        if pending:
+                            for req in pending:
+                                req[6] = -1 - pid
+                            st[5] = len(pending)
+                            st[2] = _WOKEN
+                            break
+                    else:
+                        st[6].append(now)
+                    i += 1
+                st[1] = i
+                break
+            # -- a request's sub-process ---------------------------------------
+            rows, i, resume, core = st[0], st[1], st[2], st[3]
+            if resume == _COMPLETED:
+                waiter = st[6]
+                if waiter >= 0:
+                    pid = waiter  # resumed inside this dispatch
+                    continue
+                main = procs[-1 - waiter]
+                main[5] -= 1
+                if not main[5]:
+                    heappush(heap, now << _TIME | seq << _SEQ | (-1 - waiter))
+                    seq += 1
+                break
+            if resume == _BOOT:
+                # Take the free channel lock inline; the zero hold resumes
+                # the run where the grant would have.
+                if st[4] in held:
+                    raise Escalation("a request queued on its channel lock")
+                held.add(st[4])
+                heappush(heap, now << _TIME | seq << _SEQ | pid)
+                seq += 1
+                st[2] = _RUN
+                break
+            if resume == _GRANTED:
+                if rows[i + 2] > 0:
+                    heappush(heap, (now + rows[i + 2]) << _TIME | seq << _SEQ
+                             | pid)
+                    seq += 1
+                    st[2] = _HELD
+                    break
+                resume = _HELD
+            elif resume == _WOKEN:
+                i += _STEP
+            n = len(rows)
+            while i < n:
+                op = rows[i]
+                if op == WAIT:
+                    slot = rows[i + 1]
+                    if level[slot]:
+                        heappush(heap, (now + rows[i + 2]) << _TIME
+                                 | seq << _SEQ | pid)
+                        seq += 1
+                    else:
+                        waiting[slot].append((pid, rows[i + 2]))
+                    st[2] = _WOKEN
+                    break
+                if resume != _HELD:
+                    if locked[core] or queues[core]:
+                        queues[core].append(pid)
+                        st[2] = _GRANTED
+                        break
+                    if rows[i + 2] > 0:
+                        locked[core] = True
+                        heappush(heap, (now + rows[i + 2]) << _TIME
+                                 | seq << _SEQ | pid)
+                        seq += 1
+                        st[2] = _HELD
+                        break
+                # The hold is over (or took no time): release the CPU,
+                # then apply the row's effect.
+                resume = _RUN
+                queue = queues[core]
+                if queue:
+                    heappush(heap, now << _TIME | seq << _SEQ
+                             | queue.popleft())
+                    seq += 1
+                else:
+                    locked[core] = False
+                if op == SET:
+                    slot = rows[i + 1]
+                    if not level[slot]:
+                        level[slot] = 1
+                        for waiter, extra in waiting[slot]:
+                            heappush(heap, (now + extra) << _TIME
+                                     | seq << _SEQ | waiter)
+                            seq += 1
+                        waiting[slot].clear()
+                elif op == CLEAR:
+                    level[rows[i + 1]] = 0
+                i += _STEP
+            else:
+                # Done: free the channel lock, retire, complete.
+                held.discard(st[4])
+                st[5] = True
+                if st[6] is not None:
+                    heappush(heap, now << _TIME | seq << _SEQ | pid)
+                    seq += 1
+                    st[2] = _COMPLETED
+            st[1] = i
+            break
+    if seq >= _SEQ_LIMIT or len(procs) > _PID_MASK:
+        raise Escalation("too many heap entries to key")
+    if any(st[1] != len(st[0]) for st in procs[:p]):
+        raise Escalation("no progress: a main program never finished")
+    return [st[6] for st in procs[:p]]
+
+
+# -- entry points ------------------------------------------------------------
+def replay_calls(stack: str, cores: int, calls: Sequence[tuple], *,
+                 config: Optional[SCCConfig] = None,
+                 rank_order: Optional[Sequence[int]] = None
+                 ) -> list[list[int]]:
+    """Every rank's virtual time (ps) after each of ``calls``, made back
+    to back by every rank from t = 0, as an SPMD program would.
+
+    A call is ``(kind, n, algo, root, part)``: ``barrier``, a kind of
+    :data:`KINDS` (``n`` elements per rank; per destination row for
+    ``alltoall``), or ``scatter``/``gather`` (with ``part`` for their
+    ``v`` forms).  Raises :class:`Escalation` for what only the
+    simulator can answer (see the module docstring).
+    """
+    config = config if config is not None else SCCConfig()
+    if config.model_mpb_contention:
+        raise Escalation("MPB contention")
+    if stack == "rckmpi":
+        raise Escalation("the rckmpi stack")
+    try:
+        config.check_rank_count(cores)
+    except ValueError as exc:
+        raise Escalation(str(exc)) from None
+    ranks = list(rank_order) if rank_order is not None else list(range(cores))
+    if (len(ranks) != cores or len(set(ranks)) != cores
+            or not all(0 <= core < config.num_cores for core in ranks)):
+        raise Escalation(f"rank order {ranks}")
+    ctx = _Context(stack, config)
+    binder = _Binder(ctx, ranks)
+    programs = (_BlockingPrograms if ctx.blocking
+                else _RequestPrograms)(binder, cores)
+    for call in calls:
+        sched = _schedule(ctx, cores, call)
+        if sched is None:
+            programs.barrier(ctx.call_ps)
+        else:
+            programs.collective(sched, ctx.call_ps)
+        programs.mark()
+    if ctx.blocking:
+        return _run_blocking(programs.progs, len(binder.slots))
+    return _run_requests(programs.progs, config.num_cores, len(binder.slots))
+
+
+def replay_measurement(kind: str, stack: str, size: int, *, cores: int,
+                       config: Optional[SCCConfig] = None,
+                       rank_order: Optional[Sequence[int]] = None,
+                       algo: Optional[str] = None) -> list[tuple[int, int]]:
+    """Every rank's ``(latency, exit)`` ps of one measured collective
+    (:func:`~repro.bench.runner.program_for`: a barrier, then the timed
+    call; rank 0's latency is what ``measure_collective`` reports).
+    Arguments as for :func:`~repro.bench.runner.launch_collective`;
+    raises :class:`Escalation` where the simulator must answer."""
+    if kind not in KINDS:
+        raise Escalation(f"unknown kind {kind!r}")
+    marks = replay_calls(stack, cores, (("barrier", 0, None, 0, None),
+                                        (kind, size, algo, 0, None)),
+                         config=config, rank_order=rank_order)
+    return [(done - start, done) for start, done in marks]
+
+
+__all__ = ["Escalation", "KINDS", "replay_calls", "replay_measurement"]

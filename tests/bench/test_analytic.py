@@ -119,14 +119,15 @@ def test_sim_engine_reports_no_analytic_points():
     outcome = run_sweep(_points(), cache=False, engine="sim")
     assert outcome.analytic == 0
     assert outcome.validated == 0
-    assert outcome.misses == 3
+    assert outcome.simulated == 3 and outcome.replayed == 0
+    assert outcome.hits == outcome.misses == 0  # no cache was consulted
 
 
 def test_analytic_engine_prices_without_simulating():
     outcome = run_sweep(_points(), cache=False, engine="analytic")
     assert outcome.analytic == 3
     assert outcome.validated == 0
-    assert outcome.misses == 0  # nothing simulated at all
+    assert outcome.simulated == outcome.replayed == 0  # nothing run at all
     expected = [analytic_latency_us(p) for p in _points()]
     assert outcome.latencies == expected
 
@@ -136,7 +137,8 @@ def test_analytic_engine_simulates_fallback_points():
                                      size=1, cores=2)]
     outcome = run_sweep(points, cache=False, engine="analytic")
     assert outcome.analytic == 3
-    assert outcome.misses == 1  # the barrier fell back to the simulator
+    # The barrier has no estimate: its exact value is replayed.
+    assert outcome.replayed == 1 and outcome.simulated == 0
     assert outcome.latencies[3] == measure_collective(
         "barrier", "blocking", 1, cores=2)
 

@@ -126,6 +126,42 @@ class TestFingerprint:
         outcome = run_sweep([tweaked], jobs=1, cache=store)
         assert outcome.misses == 1
 
+    #: Digests recorded while fingerprint() still deep-copied the config
+    #: (dataclasses.asdict), under a fixed code hash and NumPy version:
+    #: reading the fields directly must keep every existing cache valid.
+    PINNED = {
+        "default": (dict(kind="allreduce", stack="lightweight", size=552,
+                         cores=48),
+                    "b86a4b7a3977aa07b3fddebc0d3994e7"
+                    "1ddb1a7f722c2b56d04f4e7329777204"),
+        "cluster": (dict(kind="bcast", stack="blocking", size=64, cores=48,
+                         config=SCCConfig(topology="cluster:2x24"),
+                         algo="binomial",
+                         rank_order=tuple(range(47, -1, -1))),
+                    "c51cd6de9dcbc391c95843a1dcf71657"
+                    "d30a38f4329135ade220473010ce555a"),
+        "extras": (dict(kind="reduce", stack="tuned", size=16, cores=4,
+                        op="max", seed=7,
+                        config=SCCConfig(topology="mesh:2x1",
+                                         erratum_enabled=False,
+                                         extras={"tag": "ablation",
+                                                 "scale": 1.5,
+                                                 "levels": [1, 2]})),
+                   "c4262fc013bc8f52189e4882987778e8"
+                   "fd91068f5ce69a5c20ef28607c4545b4"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_digest_is_unchanged(self, name, monkeypatch):
+        import numpy as np
+
+        from repro.bench import executor
+
+        monkeypatch.setattr(executor, "code_fingerprint", lambda: "0" * 64)
+        monkeypatch.setattr(np, "__version__", "1.26.4")
+        fields, digest = self.PINNED[name]
+        assert fingerprint(SweepPoint(**fields)) == digest
+
     def test_code_fingerprint_is_hex_and_cached(self):
         fp = code_fingerprint()
         assert len(fp) == 64
@@ -206,7 +242,8 @@ class TestKnobs:
         monkeypatch.setenv("REPRO_BENCH_CACHE", "0")
         monkeypatch.setenv("REPRO_BENCH_CACHE_DIR", str(tmp_path))
         outcome = run_sweep([small_point()], jobs=1, cache=None)
-        assert outcome.misses == 1
+        assert outcome.simulated == 1
+        assert outcome.hits == outcome.misses == 0  # no cache lookups
         assert len(ResultCache(tmp_path)) == 0  # nothing was written
 
     def test_cache_dir_env(self, monkeypatch, tmp_path):

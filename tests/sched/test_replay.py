@@ -1,0 +1,277 @@
+"""Replay equals the simulator, to the picosecond.
+
+:mod:`repro.sched.replay` must return exactly the ``(latency, exit)`` ps
+the simulator measures for every rank.  Checked against
+
+* every ``engine_golden.json`` pin of the blocking, ircce, lightweight
+  and lightweight_balanced stacks: rank 0's ps and the all-ranks digest
+  (the pin's event count is the simulator's own);
+* the kernel-identity Allreduce runs (``test_kernel_identity``'s
+  ``allreduce_digest`` program) at p in {2, 47, 48}, n in {552, 554}:
+  :data:`KERNEL_EXITS` pins a digest of every rank's simulated exit;
+* live simulations on ``cluster:2x24`` and ``torus:6x4``, and the three
+  points ``price_search``'s auto sweep validates, for pass shifts
+  k = 0..4;
+* live simulations with the erratum off and with every software and
+  flag cycle count replay binds moved (a replayed value is cached as the
+  simulated one, so it must be one on any config a sweep can set);
+
+and every escalation a sweep can meet raises :class:`Escalation`, a
+deadlocking schedule included, whose simulator error still surfaces
+through ``run_sweep``.
+
+Regenerate :data:`KERNEL_EXITS` (on a commit whose simulator is the
+reference): ``PYTHONPATH=src python tests/sched/test_replay.py``.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from repro.bench.executor import SweepPoint, run_sweep
+from repro.bench.runner import launch_collective, program_for
+from repro.core.blocks import Partition
+from repro.core.ops import SUM
+from repro.core.registry import make_communicator
+from repro.hw.config import SCCConfig
+from repro.hw.machine import Machine
+from repro.sched import builders
+from repro.sched.ir import OP, OP_EXCHANGE, OP_RECV, SBUF, SHI, SLO, SPEER
+from repro.sched.replay import Escalation, replay_calls, replay_measurement
+from repro.sim.errors import DeadlockError
+from tests.sched import test_engine_golden as golden
+
+#: The stacks replay answers for (``tuned`` runs the lightweight layer).
+REPLAYED = ("blocking", "ircce", "lightweight", "lightweight_balanced")
+
+
+def _digest(values) -> str:
+    return hashlib.sha256(repr(values).encode()).hexdigest()[:16]
+
+
+# -- engine_golden.json --------------------------------------------------------
+def golden_replay(key: str) -> list:
+    """``[rank 0's first mark, all-ranks digest]`` of a golden key,
+    replayed (see ``test_engine_golden`` for the three programs)."""
+    if key.startswith("rooted/"):
+        _, cores, root, stack = key.split("/")
+        cores, root = int(cores[1:]), int(root[4:])
+        counts = golden.rooted_counts(cores)
+        part = Partition(sum(counts), tuple(counts))
+        n = golden.ROOTED_N
+        marks = replay_calls(stack, cores, [
+            ("barrier", 0, None, 0, None),
+            ("scatter", n, None, root, None), ("gather", n, None, root, None),
+            ("scatter", part.n, None, root, part),
+            ("gather", part.n, None, root, part),
+            ("exscan", 20, None, 0, None)])
+        values = [rank_marks[1:] for rank_marks in marks]
+    else:
+        head, size, cores, stack = key.split("/")
+        kind, algo = head.split(":")
+        values = replay_measurement(kind, stack, int(size[1:]),
+                                    cores=int(cores[1:]), algo=algo)
+    return [values[0][0], _digest(values)]
+
+
+GOLDEN_KEYS = sorted(key for key in golden.PINS
+                     if key.rsplit("/", 1)[1] in REPLAYED)
+
+
+def test_golden_keys_cover_every_program():
+    assert len(GOLDEN_KEYS) == 192  # 288 pins, 4 of 6 stacks
+    assert {key.split("/")[0].split(":")[0] for key in GOLDEN_KEYS} >= {
+        "rooted", "scan", "allreduce", "alltoall", "reduce_scatter"}
+
+
+@pytest.mark.parametrize("key", GOLDEN_KEYS)
+def test_replay_equals_engine_golden(key):
+    assert golden_replay(key) == golden.PINS[key][1:]
+
+
+# -- kernel-identity Allreduce exits -------------------------------------------
+#: ``_digest`` of every rank's exit ps, simulated.
+KERNEL_EXITS = {
+    ("blocking", 2, 552): "5b2b21c5ad4d7eaf",
+    ("blocking", 2, 554): "b73be710a8230f7e",
+    ("blocking", 47, 552): "2a48720310ce59db",
+    ("blocking", 47, 554): "6160571a83dd1f68",
+    ("blocking", 48, 552): "d0c28539e5f976ea",
+    ("blocking", 48, 554): "4dfc672115643277",
+    ("ircce", 2, 552): "0d63d1a057aca501",
+    ("ircce", 2, 554): "16be8adbe84f966d",
+    ("ircce", 47, 552): "24abd9d404cd8bf6",
+    ("ircce", 47, 554): "248c125e0a17ce29",
+    ("ircce", 48, 552): "4e349653bc3bf521",
+    ("ircce", 48, 554): "fa89c8d6ca53de6b",
+    ("lightweight", 2, 552): "3aa05f9b6e058144",
+    ("lightweight", 2, 554): "cafad397c8644574",
+    ("lightweight", 47, 552): "9bdee0683416ff89",
+    ("lightweight", 47, 554): "04dda5f28cf1ac43",
+    ("lightweight", 48, 552): "b9d24c3383fa682c",
+    ("lightweight", 48, 554): "4785208db96976de",
+    ("lightweight_balanced", 2, 552): "3aa05f9b6e058144",
+    ("lightweight_balanced", 2, 554): "cafad397c8644574",
+    ("lightweight_balanced", 47, 552): "27e8147c8208c36d",
+    ("lightweight_balanced", 47, 554): "2e5d576140277449",
+    ("lightweight_balanced", 48, 552): "cab75395be9114bb",
+    ("lightweight_balanced", 48, 554): "1c2137573c07967a",
+    ("tuned", 2, 552): "3aa05f9b6e058144",
+    ("tuned", 2, 554): "cafad397c8644574",
+    ("tuned", 47, 552): "27e8147c8208c36d",
+    ("tuned", 47, 554): "2e5d576140277449",
+    ("tuned", 48, 552): "cab75395be9114bb",
+    ("tuned", 48, 554): "1c2137573c07967a",
+}
+
+
+def simulated_exits(stack: str, cores: int, size: int) -> list[int]:
+    """Every rank's exit ps of the kernel-identity Allreduce program."""
+    machine = Machine(SCCConfig())
+    comm = make_communicator(machine, stack)
+    rng = np.random.default_rng(20120901)
+    inputs = [rng.normal(size=size) for _ in range(cores)]
+    measured = program_for("allreduce", comm, inputs, SUM)
+
+    def program(env):
+        yield from measured(env)
+        return env.now
+
+    return machine.run_spmd(program, ranks=list(range(cores))).values
+
+
+@pytest.mark.parametrize("key", list(KERNEL_EXITS), ids=str)
+def test_replay_equals_kernel_identity_exits(key):
+    stack, cores, size = key
+    exits = [exit_ps for _, exit_ps in
+             replay_measurement("allreduce", stack, size, cores=cores)]
+    assert _digest(exits) == KERNEL_EXITS[key]
+
+
+def test_kernel_exit_pins_are_the_simulators():
+    for key in (("blocking", 2, 554), ("lightweight", 2, 552)):
+        assert _digest(simulated_exits(*key)) == KERNEL_EXITS[key]
+
+
+# -- live simulations ------------------------------------------------------------
+def assert_replay_equals_sim(kind, stack, size, cores, config=None, **kw):
+    _machine, run = launch_collective(kind, stack, size, cores=cores,
+                                      config=config, **kw)
+    replayed = replay_measurement(kind, stack, size, cores=cores,
+                                  config=config, **kw)
+    assert [latency for latency, _ in replayed] == run.values
+
+
+#: Every software and flag charge replay binds, moved off its default.
+RECOSTED = dict(rcce_send_call_cycles=3100, rcce_recv_call_cycles=1700,
+                rcce_putget_call_cycles=1300, flag_write_extra_cycles=300,
+                ircce_issue_cycles=900, ircce_complete_cycles=2100,
+                lwnb_issue_cycles=500, lwnb_complete_cycles=90,
+                collective_call_cycles=400, barrier_flag_cycles=60,
+                reduce_op_cycles_per_double=40)
+
+
+@pytest.mark.parametrize("kind,stack,size", [
+    ("allreduce", "lightweight_balanced", 552),
+    ("allreduce", "blocking", 64),
+    ("bcast", "ircce", 70),
+    ("allreduce", "tuned", 64),
+])
+@pytest.mark.parametrize("config", [
+    dict(topology="cluster:2x24"), dict(topology="torus:6x4"),
+    dict(erratum_enabled=False), RECOSTED,
+], ids=["cluster:2x24", "torus:6x4", "erratum_off", "recosted"])
+def test_replay_equals_sim_on_other_configs(kind, stack, size, config):
+    config = SCCConfig(**config)
+    assert_replay_equals_sim(kind, stack, size, config.num_cores, config)
+
+
+def test_replay_equals_sim_with_a_rank_order():
+    assert_replay_equals_sim("allgather", "lightweight", 20, 8,
+                             rank_order=(7, 3, 5, 1, 6, 2, 4, 0))
+
+
+@pytest.mark.parametrize("k", range(5))
+@pytest.mark.parametrize("kind,stack,size", [
+    ("allgather", "blocking", 516), ("bcast", "blocking", 516),
+    ("allreduce", "lightweight_balanced", 584)])
+def test_replay_equals_sim_on_price_search_validation(kind, stack, size, k):
+    assert_replay_equals_sim(kind, stack, size + k, 48)
+
+
+# -- escalation --------------------------------------------------------------
+POINT = dict(kind="allreduce", stack="lightweight", size=16, cores=4)
+
+
+@pytest.mark.parametrize("change", [
+    dict(config=SCCConfig(model_mpb_contention=True)),
+    dict(stack="mpb", size=552),   # the mpb stack's long Allreduce
+    dict(algo="mpb"),
+    dict(stack="rckmpi"),
+    dict(stack="openmpi"),
+    dict(algo="hypercube"),
+    dict(kind="scatter"),
+    dict(cores=49),
+], ids=lambda change: ",".join(change))
+def test_escalations_raise(change):
+    replay_measurement(**POINT)  # the point itself replays
+    with pytest.raises(Escalation):
+        replay_measurement(**{**POINT, **change})
+
+
+def receive_only(build):
+    """``build`` (a ``build_schedule``) with every communication row made
+    a receive: no rank ever sends, so every stack deadlocks."""
+
+    def build_receive_only(kind, name, p, n, part=None, root=0):
+        sched = build(kind, name, p, n, part=part, root=root)
+        rows = sched.table.rows.copy()
+        comm = rows[:, OP] <= OP_EXCHANGE
+        rows[comm, OP] = OP_RECV
+        rows[comm, SPEER] = rows[comm, SBUF] = -1
+        rows[comm, SLO] = rows[comm, SHI] = 0
+        return sched.with_rows(rows)
+
+    return build_receive_only
+
+
+@pytest.mark.parametrize("stack", ["blocking", "lightweight"])
+def test_deadlock_escalates_and_the_simulator_raises(stack, monkeypatch):
+    monkeypatch.setattr(builders, "build_schedule",
+                        receive_only(builders.build_schedule))
+    with pytest.raises(Escalation, match="no progress"):
+        replay_measurement("allgather", stack, 8, cores=4)
+    # A reversed rank order has no analytic estimate: the point goes to
+    # replay, escalates, and the simulator raises the real error.
+    point = SweepPoint(kind="allgather", stack=stack, size=8, cores=4,
+                       rank_order=(3, 2, 1, 0))
+    with pytest.raises(DeadlockError):
+        run_sweep([point], jobs=1, cache=False, engine="analytic")
+
+
+# -- the sweep layer ---------------------------------------------------------
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_counts_and_logs_each_point(caplog, jobs):
+    points = [SweepPoint(kind="allreduce", stack="lightweight_balanced",
+                         size=n, cores=4) for n in (8, 16)]
+    points += [SweepPoint(kind="barrier", stack="blocking", size=1, cores=4),
+               SweepPoint(kind="allreduce", stack="rckmpi", size=8, cores=4)]
+    with caplog.at_level("DEBUG", logger="repro.bench.executor"):
+        outcome = run_sweep(points, jobs=jobs, cache=False, engine="auto")
+    assert (outcome.analytic, outcome.validated) == (2, 2)
+    assert (outcome.replayed, outcome.simulated) == (3, 1)
+    assert outcome.hits == outcome.misses == 0
+    sim = run_sweep(points[2:], jobs=1, cache=False, engine="sim")
+    assert outcome.latencies[2:] == sim.latencies
+    lines = [r.getMessage() for r in caplog.records
+             if r.name == "repro.bench.executor"]
+    assert f"{points[2].describe()}: replay" in lines
+    assert f"{points[3].describe()}: sim: the rckmpi stack" in lines
+    assert sum(line.endswith(": replay") for line in lines) == 3
+
+
+if __name__ == "__main__":  # regenerate KERNEL_EXITS
+    for stack, cores, size in KERNEL_EXITS:
+        print(f"    ({stack!r}, {cores}, {size}): "
+              f"{_digest(simulated_exits(stack, cores, size))!r},")

@@ -160,7 +160,7 @@ class TestBenchCommand:
     def test_sweep_auto_engine_accounting(self, capsys):
         assert main(self.ARGV + ["--engine", "auto", "--no-cache"]) == 0
         out = capsys.readouterr().out
-        assert "analytic 4, validated 3 [max drift " in out
+        assert "analytic 4, validated 3 (3 replayed) [max drift " in out
 
     def test_bench_rejects_unknown_stack(self):
         with pytest.raises(SystemExit):
