@@ -59,11 +59,10 @@ cheaper than a cache read anyway.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from repro.hw.config import SCCConfig
+from repro.hw.config import SCCConfig, config_key
 from repro.hw.machine import Machine
 from repro.hw.timing import LatencyModel
 from repro.sched.cost import SoftwareOverhead, estimate_schedule_cost
@@ -148,10 +147,6 @@ _CONTEXTS: dict[tuple[str, str], _StackContext] = {}
 _CONTEXT_LIMIT = 64
 
 
-def _config_key(config: SCCConfig) -> str:
-    return json.dumps(asdict(config), sort_keys=True, default=repr)
-
-
 def stack_overhead(comm: "Communicator",
                    model: LatencyModel) -> SoftwareOverhead:
     """The per-call software costs of ``comm``'s point-to-point stack.
@@ -179,7 +174,7 @@ def _stack_context(stack: str, config: SCCConfig) -> Optional[_StackContext]:
     """Build (or fetch) the pricing context; None for unpriceable stacks."""
     if stack == "rckmpi":
         return None
-    key = (stack, _config_key(config))
+    key = (stack, config_key(config))
     ctx = _CONTEXTS.get(key)
     if ctx is None:
         from repro.core.registry import make_communicator

@@ -43,13 +43,13 @@ import multiprocessing
 import os
 import pathlib
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from repro.hw.config import SCCConfig
+from repro.hw.config import SCCConfig, config_state
 from repro.sim.clock import ps_to_us
 
 _log = logging.getLogger(__name__)
@@ -136,15 +136,8 @@ def code_fingerprint() -> str:
     return digest.hexdigest()
 
 
-#: ``SCCConfig``'s fields, read one by one: ``dataclasses.asdict`` deep-
-#: copied the config, two thirds of a fingerprint's cost.
-_CONFIG_FIELDS = tuple(f.name for f in fields(SCCConfig))
-
-
 def fingerprint(point: SweepPoint) -> str:
     """Stable content address of one sweep point (sha256 hex digest)."""
-    config = {name: getattr(point.config, name) for name in _CONFIG_FIELDS}
-    config["extras"] = dict(point.config.extras)
     payload = {
         "schema": CACHE_SCHEMA,
         "kind": point.kind,
@@ -156,7 +149,7 @@ def fingerprint(point: SweepPoint) -> str:
         "rank_order": (list(point.rank_order)
                        if point.rank_order is not None else None),
         "algo": point.algo,
-        "config": config,
+        "config": config_state(point.config),
         "code": code_fingerprint(),
         "numpy": np.__version__,
     }

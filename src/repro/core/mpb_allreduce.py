@@ -72,7 +72,8 @@ class MPBAllreduceError(Exception):
 
 def _handles(env: CoreEnv, producer: int) -> list[tuple]:
     """``(half, sent, ready)`` for both double-buffer halves of the
-    producer→consumer edge: the handles the tables above run over.
+    producer→consumer edge: the handles the tables above run over, in
+    the MPBs of ``(producer, consumer, producer)`` (see :func:`_owners`).
 
     ``sent`` lives at the consumer (the producer's right neighbour);
     ``ready`` lives at the producer.  ``ready`` starts True ("buffer
@@ -88,6 +89,12 @@ def _handles(env: CoreEnv, producer: int) -> list[tuple]:
     return [(half, flag(at_consumer, f"mpbar.sent.{h}"),
              flag(env.core_of_rank(producer), f"mpbar.ready.{h}"))
             for h, half in enumerate(halves)]
+
+
+def _owners(env: CoreEnv, producer: int) -> tuple[int, int, int]:
+    """The MPB owners of :func:`_handles`' operands (either half's)."""
+    core = env.core_of_rank(producer)
+    return core, env.core_of_rank((producer + 1) % env.size), core
 
 
 def mpb_allreduce(comm: "Communicator", env: CoreEnv, sendbuf: np.ndarray,
@@ -126,6 +133,7 @@ def mpb_allreduce(comm: "Communicator", env: CoreEnv, sendbuf: np.ndarray,
     # consumer with my left neighbour over theirs.
     left = (me - 1) % p
     prod, cons = _handles(env, me), _handles(env, left)
+    prod_owners, cons_owners = _owners(env, me), _owners(env, left)
     half_bytes = prod[0][BUF].size
     max_block_bytes = part.max_size() * sendbuf.itemsize
     if max_block_bytes > half_bytes:
@@ -180,7 +188,8 @@ def mpb_allreduce(comm: "Communicator", env: CoreEnv, sendbuf: np.ndarray,
         attempts = 0
         while True:
             written = yield from run_ops(core, bind(
-                core, VERIFY_READ, handles, raw.size, cost=verify_cost))
+                core, VERIFY_READ, prod_owners, raw.size, cost=verify_cost),
+                handles)
             if np.array_equal(written, raw):
                 return
             attempts += 1
@@ -193,53 +202,45 @@ def mpb_allreduce(comm: "Communicator", env: CoreEnv, sendbuf: np.ndarray,
                     f"rewrites", actor=f"core{me_core}", half=half,
                     epoch=fault_epoch)
             with span(env, "retry", attempts):
-                yield from run_ops(core, bind(core, _WRITE, handles, raw.size,
-                                              cost=rewrite_cost), raw)
+                yield from run_ops(core, bind(core, _WRITE, prod_owners,
+                                              raw.size, cost=rewrite_cost),
+                                   handles, raw)
             faults.maybe_corrupt(region, raw.size, actor=f"core{me_core}",
                                  boost=epoch_faulty)
 
-    # The flag handshakes of both halves are bound once per call, a fused
-    # copy once per call, half, size and price.
-    claim = [bind(core, _CLAIM, handles) for handles in prod]
-    publish = [bind(core, _PUBLISH, handles) for handles in prod]
-    begin = [bind(core, CONSUME_BEGIN, handles) for handles in cons]
-    end = [bind(core, CONSUME_END, handles) for handles in cons]
-    bursts: dict = {}
-
-    def burst(table: tuple, handles: tuple, nbytes: int,
-              cost: int) -> tuple:
-        key = (id(table), id(handles), nbytes, cost)
-        bound = bursts.get(key)
-        if bound is None:
-            bound = bursts[key] = bind(core, table, handles, nbytes,
-                                       cost=cost)
-        return bound
+    # The flag handshakes are the same program for both halves.
+    claim = bind(core, _CLAIM, prod_owners)
+    publish = bind(core, _PUBLISH, prod_owners)
+    begin = bind(core, CONSUME_BEGIN, cons_owners)
+    end = bind(core, CONSUME_END, cons_owners)
 
     def produce(k: int, data: np.ndarray, write_cost: int) -> Generator:
         """Write ``data`` into my half ``k % 2`` once it is free."""
         half = k % 2
         raw = as_bytes(data)
+        handles = prod[half]
         with span(env, "sync", k):
-            yield from run_ops(core, claim[half])
+            yield from run_ops(core, claim, handles)
         with span(env, "copy", data.nbytes):
-            yield from run_ops(core, burst(_WRITE, prod[half], raw.size,
-                                           write_cost), raw)
+            yield from run_ops(core, bind(core, _WRITE, prod_owners, raw.size,
+                                          cost=write_cost), handles, raw)
         if verify_writes:
             yield from verify_half(half, raw)
-        yield from run_ops(core, publish[half])
+        yield from run_ops(core, publish, handles)
 
     def consume(k: int, table: tuple, phase: str, detail: int,
                 nels: int, cost: int) -> Generator:
         """Wait until left's half ``k % 2`` is full, stream ``nels``
         elements out of it in one ``cost`` burst (span ``phase``) and
         hand the half back; returns the elements."""
-        half = k % 2
+        handles = cons[k % 2]
         with span(env, "sync", k):
-            yield from run_ops(core, begin[half])
+            yield from run_ops(core, begin, handles)
         with span(env, phase, detail):
-            raw = yield from run_ops(core, burst(table, cons[half],
-                                                 nels * itemsize, cost))
-        yield from run_ops(core, end[half])
+            raw = yield from run_ops(core, bind(core, table, cons_owners,
+                                                nels * itemsize, cost=cost),
+                                     handles)
+        yield from run_ops(core, end, handles)
         return raw.view(dtype)
 
     # k = 0: seed my MPB with my own input block (me - 1).

@@ -11,8 +11,10 @@ Subsystems:
   specs (``mesh:6x4``, ``torus:8x8``, ``cluster:2x24``) resolving to
   shared :class:`~repro.hw.topology.Topology` instances.
 * :mod:`repro.hw.timing` — the latency model (MPB/DRAM/cache access costs,
-  bulk copy pipelines, reduction arithmetic, the inter-chip link tier).
-* :mod:`repro.hw.mpb` — message-passing buffers with real byte storage.
+  bulk copy pipelines, reduction arithmetic, the inter-chip link tier),
+  memoized in tables shared by every machine on one configuration.
+* :mod:`repro.hw.mpb` — message-passing buffers with real byte storage,
+  allocated on first touch.
 * :mod:`repro.hw.flags` — MPB synchronization flags with timed access.
 * :mod:`repro.hw.machine` — the assembled chip (`Machine`), cores with
   busy/wait accounting, and the SPMD launcher (`run_spmd`).

@@ -25,7 +25,8 @@ the values measured with these defaults.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import json
+from dataclasses import dataclass, field, fields, replace
 from typing import Any
 
 from repro.hw.topo import get_topology
@@ -260,6 +261,27 @@ class SCCConfig:
     def copy(self, **overrides: Any) -> "SCCConfig":
         """A new config with ``overrides`` applied."""
         return replace(self, **overrides)
+
+
+#: ``SCCConfig``'s fields, read one by one: ``dataclasses.asdict`` deep-
+#: copies the config, two thirds of a point fingerprint's cost.
+_FIELDS = tuple(f.name for f in fields(SCCConfig))
+
+
+def config_state(config: SCCConfig) -> dict[str, Any]:
+    """Every field of ``config`` as a fresh dict, read shallowly (the
+    ``extras`` dict copied one level): what a point fingerprint hashes
+    and :func:`config_key` serialises."""
+    state = {name: getattr(config, name) for name in _FIELDS}
+    state["extras"] = dict(config.extras)
+    return state
+
+
+def config_key(config: SCCConfig) -> str:
+    """A string equal for two configs exactly when every field is: the
+    key of everything a process keeps per configuration (the shared
+    latency and program tables, the analytic engine's contexts)."""
+    return json.dumps(config_state(config), sort_keys=True, default=repr)
 
 
 #: Named clock presets the SCC's sccKit supports (subset); used by the

@@ -15,7 +15,8 @@ through :class:`CoreEnv` objects handed to an SPMD program:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Generator, Optional, Sequence
+from typing import (TYPE_CHECKING, Any, Callable, Generator, Iterator,
+                    Optional, Sequence)
 
 from repro.hw.config import SCCConfig
 from repro.hw.flags import Flag
@@ -103,6 +104,30 @@ class Core:
         return f"<Core {self.core_id}>"
 
 
+class _Cores:
+    """A machine's cores, each built when first indexed: a launch on a
+    few cores of the chip pays for those alone."""
+
+    __slots__ = ("_machine", "_cores")
+
+    def __init__(self, machine: "Machine", count: int):
+        self._machine = machine
+        self._cores: list[Optional[Core]] = [None] * count
+
+    def __getitem__(self, core_id: int) -> Core:
+        core = self._cores[core_id]
+        if core is None:
+            core_id = range(len(self._cores))[core_id]
+            core = self._cores[core_id] = Core(self._machine, core_id)
+        return core
+
+    def __len__(self) -> int:
+        return len(self._cores)
+
+    def __iter__(self) -> Iterator[Core]:
+        return (self[core_id] for core_id in range(len(self._cores)))
+
+
 @dataclass
 class SPMDResult:
     """Outcome of one :meth:`Machine.run_spmd` launch."""
@@ -136,7 +161,7 @@ class Machine:
         # behind resolved_topology() provides the sharing.
         self.topology: Topology = self.config.resolved_topology()
         self.latency = LatencyModel(self.config, self.topology)
-        self.cores = [Core(self, i) for i in range(self.config.num_cores)]
+        self.cores = _Cores(self, self.config.num_cores)
         self.mpbs = [
             MPB(i, self.config.mpb_bytes_per_core, self.config.l1_line_bytes,
                 self.config.mpb_flag_bytes)
@@ -190,12 +215,6 @@ class Machine:
         diagnostics instead of letting a faulty run stall silently.
         Returns per-rank return values, the simulated makespan, and
         per-rank time accounts.
-
-        The latency memo and the protocol programs bound from it are
-        dropped when the launch ends: a machine's objects refer to each
-        other, so a finished machine is reclaimed only by the cyclic
-        collector, and a sweep's dead machines would otherwise each hold
-        them until it runs.
         """
         ranks = list(ranks) if ranks is not None else list(range(self.num_cores))
         size = len(ranks)
@@ -208,10 +227,7 @@ class Machine:
                              name=f"rank{env.rank}")
             for env in envs
         ]
-        try:
-            self.sim.run_until_processes(procs, watchdog_ps=watchdog_ps)
-        finally:
-            self.latency.invalidate()
+        self.sim.run_until_processes(procs, watchdog_ps=watchdog_ps)
         return SPMDResult(
             values=[p.value for p in procs],
             elapsed_ps=self.sim.now - start,

@@ -4,6 +4,8 @@ Each core owns 8 KB of SRAM that every core in the system can read and
 write.  The simulator stores real bytes (NumPy ``uint8`` arrays), so data
 that travels through the simulated machine is actually moved and the test
 suite can verify collective results bit-for-bit against NumPy ground truth.
+An MPB's bytes are allocated (zeroed) when they are first touched, so a
+machine pays only for the MPBs its run uses.
 
 Layout convention: the first ``flag_bytes`` of each MPB are reserved for
 synchronization flags (modeled separately as :class:`~repro.hw.flags.Flag`
@@ -94,7 +96,7 @@ class MPB:
     """One core's message-passing buffer."""
 
     __slots__ = ("core_id", "size", "line_bytes", "payload_offset",
-                 "data", "_alloc_ptr", "io_reads", "io_read_bytes",
+                 "_data", "_alloc_ptr", "io_reads", "io_read_bytes",
                  "io_writes", "io_write_bytes", "san")
 
     def __init__(self, core_id: int, size: int, line_bytes: int,
@@ -105,7 +107,7 @@ class MPB:
         self.size = size
         self.line_bytes = line_bytes
         self.payload_offset = flag_bytes
-        self.data = np.zeros(size, dtype=np.uint8)
+        self._data: Optional[np.ndarray] = None
         self._alloc_ptr = flag_bytes
         #: MPB sanitizer, or None.  Hook sites guard on this being
         #: non-None, so uninstrumented runs pay one attribute check
@@ -114,6 +116,14 @@ class MPB:
         self.reset_counters()
 
     # -- raw access ---------------------------------------------------------
+    @property
+    def data(self) -> np.ndarray:
+        """The SRAM bytes, allocated zeroed on first touch."""
+        data = self._data
+        if data is None:
+            data = self._data = np.zeros(self.size, dtype=np.uint8)
+        return data
+
     def write(self, offset: int, raw: np.ndarray,
               actor: Optional[int] = None) -> None:
         san = self.san
@@ -186,7 +196,7 @@ class MPB:
         self.io_write_bytes = 0
 
     def clear(self) -> None:
-        self.data[:] = 0
+        self._data = None       # zeroed again when next touched
         self.reset_alloc()
         if self.san is not None:
             self.san.on_clear(self)

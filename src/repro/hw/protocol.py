@@ -24,26 +24,36 @@ ENQUEUE  queue / --                  queue a copy of the piece (untimed)
 DEQUEUE  queue / window              await a piece, take it, free its slot
 =======  ==========================  ====================================
 
-``role`` indexes the ``handles`` sequence a table is bound to (for a p2p
-channel ``(buf, sent, ready[, nack])``, see the role constants); ``state``
-indexes :data:`STATES`.
+``role`` indexes the operands a table is bound to and run over (for a
+p2p channel ``(buf, sent, ready[, nack])``, see the role constants);
+``state`` indexes :data:`STATES`.
 
-**Binding** (:func:`bind`) resolves a table once for an acting core, its
-handles and a payload size into a *program*: ``(erratum level, rows)``,
-every row carrying its handle, the MPB owner, the base charge taken from
-the :class:`~repro.hw.timing.LatencyModel`, the account state, the MPB
-port (under ``model_mpb_contention``) and the payload slice it moves.  A
-priced ``PUT``/``GET`` is an ``RCCE_put``/``RCCE_get``: call overhead
-plus line copy; with an explicit ``cost`` it is a fused burst the caller
-priced (the MPB-direct Allreduce) and charged as given.  With ``chunk``
-the table is repeated once per ``chunk``-byte piece of the payload (and
-``cost`` may be a function of the piece's size), so a whole multi-chunk
-message is one program.  The stacks memoize a message's program in the
-latency model's table of the current erratum level
-(:meth:`~repro.hw.timing.LatencyModel.table`), so a channel is priced the
-first time it carries a message of that size, and
-:meth:`~repro.hw.timing.LatencyModel.invalidate` drops the programs with
-the latencies.
+**Binding** (:func:`bind`) resolves a table for an acting core, the MPB
+owners of its operands and a payload size into a *program*: ``(erratum
+level, rows)``, every row carrying the role of its operand, whether
+:func:`bind` priced it, the base charge taken from the
+:class:`~repro.hw.timing.LatencyModel`, the account state, whether it
+holds its operand's MPB port (under ``model_mpb_contention``) and the
+payload slice it moves.  Rows hold only ints, strings, slices and None,
+never a machine object or a core id, so a program is a function of the
+configuration alone: :func:`bind` keeps it in the configuration's
+:class:`~repro.hw.timing.SharedTables`, which every machine, cost model
+and replay context on an equal configuration shares.  A program is
+found by the table, the acting core, the owners, the size, the chunk,
+the cost and the call charge (and the erratum level it was priced at),
+and kept once per pricing class (:func:`~repro.hw.timing.pair_classes`)
+of each operand's (acting core, owner) pair: every latency depends on a
+core pair only through its class, so equidistant channels share one
+program.  :func:`run_ops` looks up the run's own
+operands — its flags, regions, windows and queues — by role, and their
+owners where a fault or a port needs them.  A priced ``PUT``/``GET`` is
+an ``RCCE_put``/``RCCE_get``: call overhead plus line copy; with an
+explicit ``cost`` it is a fused burst the caller priced (the MPB-direct
+Allreduce) and charged as given.  With ``chunk`` the table is repeated
+once per ``chunk``-byte piece of the payload (and ``cost`` may be a
+module-level function of the piece's size), so a whole multi-chunk
+message is one program, priced the first time any machine on the
+configuration sends a message of its class and size.
 
 :func:`run_ops` is the single generator that executes a program: the
 only place in the protocol layers that holds the CPU lock (an inline of
@@ -58,9 +68,9 @@ runs execute the same rows.  Given a non-blocking
 sub-process: it holds the request's channel lock around the rows and
 retires the request when they are done.
 
-``NOTE`` rows only matter to a wildcard receive; the stacks bind them
-only on a machine where a wildcard-capable layer called
-:func:`accept_wildcards`.
+``NOTE`` rows only matter to a wildcard receive; the stacks bind the
+tables that have them only on a machine where a wildcard-capable layer
+called :func:`accept_wildcards`.
 """
 
 from __future__ import annotations
@@ -85,6 +95,12 @@ OVERHEAD, COPY, COMPUTE = range(3)
 BUF, SENT, READY, NACK = range(4)
 #: Where a bound row (see :func:`bind`) keeps its payload slice.
 PIECE = 6
+#: Programs kept per configuration and erratum level (under 1 KB each),
+#: so that a sweep over many sizes holds at most a few MB; a full table
+#: is emptied before the next one is kept.  The ten p=48 points of the
+#: Fig.-9 benchmark bind 236 programs, the 306 points of the harness
+#: benchmark 292.
+PROGRAM_LIMIT = 8192
 
 #: Where the announcement queues live; present only on a machine with a
 #: wildcard-capable layer.
@@ -116,80 +132,111 @@ def _price(latency: "LatencyModel", core_id: int, op: int, owner: int,
                else latency.mpb_read_bytes)(core_id, owner, nbytes))
 
 
-def bind(core: "Core", table: Sequence[tuple], handles: Sequence[Any] = (),
-         nbytes: int = 0, chunk: int = 0, cost: Optional[int] = None,
-         at: int = 0, call: int = 0) -> tuple:
-    """Resolve ``table`` for ``core`` into a program ``(level, rows)``.
+def bind(core: "Core", table: Sequence[tuple], owners: tuple = (),
+         nbytes: int = 0, chunk: int = 0, cost: Any = None, at: int = 0,
+         call: int = 0) -> tuple:
+    """The program ``(level, rows)`` of ``table`` for ``core`` over
+    operands in the MPBs of the cores ``owners`` (by role), from the
+    configuration's shared tables (bound and kept there on first use):
+    found by these arguments, and shared with every call whose owners
+    are in the same pair classes.
 
     ``nbytes`` is the payload a run moves (the ``data`` its ``PUT`` rows
     copy, the bytes its ``GET`` rows read) and ``at`` its offset in the
     region; with ``chunk`` the table repeats for every ``chunk``-byte
     piece (once for an empty payload).  ``cost`` is the explicit charge
-    of ``CHARGE`` rows and fused copies (or a function of a piece's
-    size); ``call`` prepends one ``overhead`` charge of that many ps (a
-    blocking call's software overhead).  A bound row is ``(op, obj,
-    owner, charge, state, port, piece, at)``: ``owner`` is -1 on a row
-    priced by the caller, a ``WAIT`` row's ``state`` is the awaited
-    level, a ``NOTE`` row's ``obj`` is the peer core and its ``state``
-    the kind, and a ``DEQUEUE`` row's ``state`` the window it frees.
+    of ``CHARGE`` rows and fused copies, or a module-level function
+    ``cost(latency, core_id, owners, piece_bytes)`` that depends on each
+    owner only through its pair class (it is part of the key); ``call``
+    prepends one ``overhead`` charge of that many core cycles (a blocking
+    call's software overhead).  A bound row is ``(op, role, priced, charge,
+    state, port, piece, at)``: ``priced`` is False on a row priced by
+    the caller, ``port`` True on a row that holds its operand's MPB port,
+    a ``WAIT`` row's ``state`` is the awaited level, a ``NOTE`` row's
+    ``role`` is the operand whose owner is the peer and its ``state`` the
+    kind, and a ``DEQUEUE`` row's ``state`` the role of the window it
+    frees.
     """
-    machine = core.machine
-    latency = machine.latency
-    ports = machine.mpb_ports
+    latency = core.machine.latency
+    shared = latency.shared
     core_id = core.core_id
-    rows = ([(CHARGE, None, -1, call, "overhead", None, None, 0)]
-            if call else [])
+    if shared is None:
+        # The reference model keeps nothing.
+        return _bind(latency, core_id, table, owners, nbytes, chunk, cost,
+                     at, call)
+    level = latency.config.erratum_enabled
+    index = shared.index[level]
+    # A table is keyed by identity (hashing its rows costs more than the
+    # lookup); ``shared.tables`` keeps every keyed table alive, so that
+    # no other object can take its id while a key holds it.
+    key = (id(table), core_id, owners, nbytes, chunk, cost, at, call)
+    program = index.get(key)
+    if program is None:
+        # Equidistant channels share one program.
+        programs = shared.programs[level]
+        pairs = shared.classes[core_id]
+        priced = (id(table), tuple([pairs[owner] for owner in owners]),
+                  nbytes, chunk, cost, at, call)
+        program = programs.get(priced)
+        if program is None:
+            program = _bind(latency, core_id, table, owners, nbytes, chunk,
+                            cost, at, call)
+        if len(index) >= PROGRAM_LIMIT:
+            index.clear()
+            programs.clear()
+        shared.tables[id(table)] = table
+        index[key] = programs[priced] = program
+    return program
+
+
+def _bind(latency: "LatencyModel", core_id: int, table: Sequence[tuple],
+          owners: tuple, nbytes: int, chunk: int, cost: Any,
+          at: int, call: int) -> tuple:
+    """:func:`bind`'s pricing, at the current erratum level."""
+    config = latency.config
+    ported = config.model_mpb_contention
+    rows = ([(CHARGE, None, False, latency.core_cycles(call), "overhead",
+              None, None, 0)] if call else [])
     if chunk and nbytes > chunk:
         pieces = [slice(lo, min(lo + chunk, nbytes))
                   for lo in range(0, nbytes, chunk)]
     else:
         pieces = (slice(0, nbytes),)
-    # Channel binding is on the first message of every channel, so the
-    # common rows are priced inline rather than through ``_price``.
     for piece in pieces:
-        charge = cost(piece.stop - piece.start) if callable(cost) else cost
+        charge = (cost(latency, core_id, owners, piece.stop - piece.start)
+                  if callable(cost) else cost)
         for op, role, arg in table:
             if op <= CLEAR:
-                obj = handles[role]
-                owner = obj.owner
-                rows.append((op, obj, owner,
-                             latency.flag_write(core_id, owner), "overhead",
-                             None, piece, at))
+                rows.append((op, role, True,
+                             latency.flag_write(core_id, owners[role]),
+                             "overhead", None, piece, at))
             elif op == WAIT:
-                obj = handles[role]
-                owner = obj.owner
-                rows.append((op, obj, owner,
-                             latency.flag_notify(core_id, owner), arg, None,
-                             piece, at))
+                rows.append((op, role, True,
+                             latency.flag_notify(core_id, owners[role]), arg,
+                             None, piece, at))
             elif op == NOTE:
-                peer = handles[BUF if role == TAKEN else SENT].owner
-                rows.append((op, peer, -1, 0, role, None, piece, 0))
+                # The peer is the owner of the sender's buffer or of the
+                # receiver's sent flag.
+                rows.append((op, BUF if role == TAKEN else SENT, False, 0,
+                             role, None, piece, 0))
             elif op > NOTE:
-                rows.append((op, handles[role], -1, 0, handles[arg], None,
-                             piece, at))
+                rows.append((op, role, False, 0, arg, None, piece, at))
             elif op == CHARGE or cost is not None:
-                rows.append((op, None if op == CHARGE else handles[role], -1,
+                rows.append((op, None if op == CHARGE else role, False,
                              charge, STATES[arg], None, piece, at))
             else:
-                obj = handles[role]
-                owner = obj.owner
-                rows.append((op, obj, owner,
-                             _price(latency, core_id, op, owner, piece),
-                             STATES[arg],
-                             None if ports is None else ports[owner],
-                             piece, at))
-    return machine.config.erratum_enabled, tuple(rows)
+                rows.append((op, role, True,
+                             _price(latency, core_id, op, owners[role], piece),
+                             STATES[arg], ported or None, piece, at))
+    return config.erratum_enabled, tuple(rows)
 
 
 # -- the wildcard-receive announcement channel ------------------------------
 def accept_wildcards(machine: "Machine") -> None:
     """Register a wildcard-capable layer (iRCCE) on ``machine``: from now
-    on every message announces itself to its receiver.  Programs bound
-    before are dropped so that they are re-bound with their ``NOTE``
-    rows."""
-    if _PENDING not in machine.services:
-        machine.services[_PENDING] = {}
-        machine.latency.invalidate()
+    on every message binds the tables with ``NOTE`` rows and announces
+    itself to its receiver."""
+    machine.services.setdefault(_PENDING, {})
 
 
 def announcing(machine: "Machine") -> bool:
@@ -230,9 +277,33 @@ def take_announcement(machine: "Machine", dst: int,
 
 
 # -- the interpreter ---------------------------------------------------------
-def run_ops(core: "Core", program: tuple, data: Any = None,
-            req: Any = None) -> Generator:
-    """Execute a bound ``program`` for ``core``.
+def _rewrite_flag(core: "Core", flag: Any, level: bool) -> Generator:
+    """Write-verify against a lost flag write: the writer reads the flag
+    back (one MPB access) and rewrites until the level sticks, bounded by
+    the retry budget.  Entered after the first write was dropped."""
+    machine = core.machine
+    faults = machine.faults
+    core_id = core.core_id
+    attempts = 1
+    while True:
+        if attempts > faults.plan.max_retries:
+            faults.raise_fault(
+                "flag_write", f"flag write lost {attempts} times",
+                actor=f"core{core_id}", owner=flag.owner, flag=flag.name,
+                level=level)
+        yield from core.consume(
+            machine.latency.mpb_access(core_id, flag.owner)
+            + machine.latency.flag_write(core_id, flag.owner), "overhead")
+        if not faults.flag_write_dropped(core_id, flag.owner, flag.name):
+            return
+        attempts += 1
+
+
+def run_ops(core: "Core", program: tuple, handles: Sequence[Any] = (),
+            data: Any = None, req: Any = None) -> Generator:
+    """Execute a bound ``program`` for ``core`` over ``handles``, the
+    run's operands by role (the flags, regions, windows and queues whose
+    owners it was bound for).
 
     ``data`` is the payload: the uint8 array ``PUT`` rows copy slices of
     and ``GET`` rows fill, or ``None`` for a run whose ``GET`` reads into
@@ -250,7 +321,7 @@ def run_ops(core: "Core", program: tuple, data: Any = None,
     sim = machine.sim
     cpu = core.cpu
     states = core.account.states
-    level, rows = program
+    level = program[0]
     result = held = None
     try:
         if req is not None:
@@ -268,14 +339,16 @@ def run_ops(core: "Core", program: tuple, data: Any = None,
                 held = req.lock
                 held._locked = True
                 yield 0
-        for op, obj, owner, charge, state, port, piece, at in rows:
-            if owner >= 0 and config.erratum_enabled != level:
+        for op, role, priced, charge, state, port, piece, at in program[1]:
+            if priced and config.erratum_enabled != level:
                 # Bound before the injector toggled the erratum.
-                charge = _price(machine.latency, core_id, op, owner, piece)
+                charge = _price(machine.latency, core_id, op,
+                                handles[role].owner, piece)
             # -- an untimed op runs and moves on ...
             if op == WAIT:
+                obj = handles[role]
                 if faults is not None:
-                    charge += faults.flag_stale_extra_ps(core_id, owner,
+                    charge += faults.flag_stale_extra_ps(core_id, obj.owner,
                                                          obj.name)
                 if state:
                     grant = obj.gate.wait_true(charge)
@@ -290,12 +363,13 @@ def run_ops(core: "Core", program: tuple, data: Any = None,
                     san.on_flag_observed(obj, state == 1, core_id)
                 continue
             if op >= NOTE:
+                obj = handles[role]
                 if op == NOTE:
                     if state == POSTED:
-                        announce_send(machine, core_id, obj,
+                        announce_send(machine, core_id, obj.owner,
                                       piece.stop - piece.start)
                     else:
-                        take_announcement(machine, core_id, obj)
+                        take_announcement(machine, core_id, obj.owner)
                 elif op == ACQUIRE:
                     grant = obj.acquire()
                     try:
@@ -314,7 +388,7 @@ def run_ops(core: "Core", program: tuple, data: Any = None,
                             machine.latency.mpb_access(core_id, core_id)),
                             "wait_flag")
                     result = obj.items.popleft()
-                    state.release()
+                    handles[state].release()
                     if result.size != piece.stop - piece.start:
                         raise ValueError(f"{result.size}-B packet, expected "
                                          f"{piece.stop - piece.start} B")
@@ -322,8 +396,9 @@ def run_ops(core: "Core", program: tuple, data: Any = None,
                 continue
             stall = 0
             if faults is not None:
-                if owner >= 0:
-                    charge += faults.mesh_extra_ps(core_id, owner)
+                if priced:
+                    charge += faults.mesh_extra_ps(core_id,
+                                                   handles[role].owner)
                 if charge > 0:
                     stall = faults.stall_ps(core_id)
 
@@ -342,7 +417,8 @@ def run_ops(core: "Core", program: tuple, data: Any = None,
             try:
                 if port is None:
                     pass
-                elif port._locked or port._queue:
+                elif ((port := machine.mpb_ports[handles[role].owner])._locked
+                      or port._queue):
                     t0 = sim._now
                     grant = port.acquire()
                     try:
@@ -372,25 +448,13 @@ def run_ops(core: "Core", program: tuple, data: Any = None,
                     cpu._locked = False
 
             # ... and applies its effect.
+            if op == CHARGE:
+                continue
+            obj = handles[role]
             if op <= CLEAR:
-                if faults is not None:
-                    # Write-verify against lost flag writes: the writer
-                    # reads the flag back (one MPB access) and rewrites
-                    # until the level sticks, bounded by the retry budget.
-                    attempts = 0
-                    while faults.flag_write_dropped(core_id, owner,
-                                                    obj.name):
-                        attempts += 1
-                        if attempts > faults.plan.max_retries:
-                            faults.raise_fault(
-                                "flag_write",
-                                f"flag write lost {attempts} times",
-                                actor=f"core{core_id}", owner=owner,
-                                flag=obj.name, level=op == SET)
-                        yield from core.consume(
-                            machine.latency.mpb_access(core_id, owner)
-                            + machine.latency.flag_write(core_id, owner),
-                            "overhead")
+                if faults is not None and faults.flag_write_dropped(
+                        core_id, obj.owner, obj.name):
+                    yield from _rewrite_flag(core, obj, op == SET)
                 if san is not None:
                     san.on_flag_write(obj, op == SET, core_id)
                 if op == SET:
@@ -399,7 +463,7 @@ def run_ops(core: "Core", program: tuple, data: Any = None,
                     obj.gate.clear()
             elif op == PUT:
                 obj.write(data[piece], at=at, actor=core_id)
-                if faults is not None and owner >= 0:
+                if faults is not None and priced:
                     faults.maybe_corrupt(obj, piece.stop - piece.start,
                                          at=at, actor=f"core{core_id}")
             elif op == GET:

@@ -14,29 +14,97 @@ Memoization
 Every latency here is a pure function of the configuration, the topology,
 and the call arguments — but the protocol layers ask for the same handful
 of values millions of times per sweep (every flag write, every poll, every
-per-chunk copy).  The model therefore memoizes its results in per-instance
-tables keyed by the call arguments.  Two things keep this exactly
+per-chunk copy), and a sweep builds one machine per point on a handful of
+configurations.  The values are therefore memoized in one table per
+configuration, :class:`SharedTables`, which every model, machine, cost
+model and replay context built on an equal configuration and topology
+shares; it also holds the protocol programs
+:func:`repro.hw.protocol.bind` prices from these latencies.  The tables
+come from the cached factory :func:`shared_tables`, so a process keeps
+those of its most recent configurations, and emptying the factory's cache
+makes the next model start cold.  Three things keep this exactly
 equivalent to recomputing:
 
 * the tables are segregated by the *current* ``erratum_enabled`` level, so
   the fault injector's scheduled arbiter-erratum toggle (which flips
   ``config.erratum_enabled`` mid-simulation) transparently switches to the
   other table instead of serving stale values;
-* mutating any *other* config field after construction requires an explicit
-  :meth:`LatencyModel.invalidate` (nothing in the repo does this — ablation
-  benchmarks build fresh configs per point — but the escape hatch exists;
-  :meth:`~repro.hw.machine.Machine.run_spmd` also calls it when a launch
-  ends, to free the tables).
+* a model keeps the table it got at construction; mutating any *other*
+  config field afterwards requires an explicit
+  :meth:`LatencyModel.invalidate`, which re-keys the model to the table
+  of the mutated configuration (``tests/hw/test_bound_prices.py`` and
+  ``tests/hw/test_timing_memo.py`` do this; sweeps and ablations build
+  fresh configs per point).  Until then the model would serve, and add
+  to, the old configuration's table;
+* pricing is deterministic, so whichever machine fills an entry first,
+  every other one would have computed the same value.
 
 Pass ``cache=False`` to get the direct, recompute-every-call reference
-implementation; ``tests/hw/test_timing_memo.py`` asserts the two are
-bit-identical over a sampled argument grid.
+implementation, which keeps nothing and shares nothing;
+``tests/hw/test_timing_memo.py`` asserts the two are bit-identical over a
+sampled argument grid.
 """
 
 from __future__ import annotations
 
-from repro.hw.config import SCCConfig
+from functools import lru_cache
+
+import numpy as np
+
+from repro.hw.config import SCCConfig, config_key
 from repro.hw.topology import Topology
+
+
+@lru_cache(maxsize=32)
+def pair_classes(topology: Topology) -> np.ndarray:
+    """``classes[a, b]``: which (accessor, owner) core pairs price alike
+    (ids from 1).
+
+    Every MPB/flag latency of :class:`LatencyModel` depends on a core
+    pair only through the routed hop count in either direction (weighted
+    links make XY routes asymmetric), the chip crossings, and whether the
+    two are the same core — so pairwise alltoall's p*(p-1) distinct core
+    pairs collapse onto a handful of classes
+    (``tests/hw/test_shared_programs.py`` checks every pair).
+    """
+    # Routing is per tile: price one core of each, then fan out.
+    heads = [topology.cores_of_tile(t)[0] for t in range(topology.num_tiles)]
+    tile_hops = np.array([[topology.hops(a, b) for b in heads]
+                          for a in heads])
+    tile = np.array([topology.tile_of(core) for core in topology.cores()])
+    hops = tile_hops[tile[:, None], tile]
+    chip = tile // topology.tiles_per_chip
+    traits = np.stack([hops, hops.T, abs(chip[:, None] - chip),
+                       np.eye(len(tile), dtype=hops.dtype)])
+    _, ids = np.unique(traits.reshape(4, -1), axis=1, return_inverse=True)
+    return 1 + ids.reshape(hops.shape)
+
+
+class SharedTables:
+    """What one configuration fixes.  Indexed by the erratum level (the
+    bool itself): ``latencies`` is :class:`LatencyModel`'s memo (and the
+    schedule-cost memo of :mod:`repro.sched.cost`), ``programs`` the bound
+    protocol programs of :func:`repro.hw.protocol.bind` by the pair
+    classes of their operands and ``index`` the same programs by the
+    acting core and owners a call names; ``tables`` holds the protocol
+    tables those are keyed by, by id, and ``classes[a][b]`` is
+    :func:`pair_classes` as lists."""
+
+    __slots__ = ("latencies", "programs", "index", "tables", "classes")
+
+    def __init__(self, topology: Topology) -> None:
+        self.latencies: tuple[dict, dict] = ({}, {})
+        self.programs: tuple[dict, dict] = ({}, {})
+        self.index: tuple[dict, dict] = ({}, {})
+        self.tables: dict[int, tuple] = {}
+        self.classes: list[list[int]] = pair_classes(topology).tolist()
+
+
+@lru_cache(maxsize=32)
+def shared_tables(key: str, topology: Topology) -> SharedTables:
+    """The tables of the configuration with :func:`config_key` ``key`` on
+    ``topology`` (one instance per pair while it is cached)."""
+    return SharedTables(topology)
 
 
 class LatencyModel:
@@ -50,26 +118,21 @@ class LatencyModel:
         self.invalidate()
 
     def invalidate(self) -> None:
-        """Drop all memoized latencies and the protocol programs kept
-        beside them (see :meth:`table`).
+        """Re-key the model to the tables of its configuration as it is
+        now (see the module docstring), and re-snapshot the clock periods.
 
         Call after mutating a field of :attr:`config` on a live machine
         (other than ``erratum_enabled``, whose two levels have separate
-        tables and need no invalidation).  Also re-snapshots the clock
-        periods in case a frequency changed.
+        tables and need no invalidation).  ``shared`` is None when
+        memoization is off.
         """
         self._core_ps = self.config.core_clock().ps_per_cycle
         self._mesh_ps = self.config.mesh_clock().ps_per_cycle
+        self.shared = (shared_tables(config_key(self.config), self.topology)
+                       if self._cache_enabled else None)
         # One memo table per erratum level; indexed by the bool itself.
-        self._memo: tuple[dict, dict] = ({}, {})
-
-    def table(self) -> dict:
-        """The memo table of the current erratum level, which also holds
-        the bound protocol programs (a fresh empty dict when memoization
-        is off, so nothing is kept)."""
-        if self._cache_enabled:
-            return self._memo[self.config.erratum_enabled]
-        return {}
+        self._memo: tuple[dict, dict] = (
+            self.shared.latencies if self.shared is not None else ({}, {}))
 
     # -- cycle helpers -----------------------------------------------------
     def core_cycles(self, n: int | float) -> int:

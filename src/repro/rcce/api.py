@@ -2,10 +2,11 @@
 
 Per message chunk (a chunk is what fits into the sender's MPB payload)
 the two sides run the micro-op tables :data:`SEND_CHUNK` and
-:data:`RECV_CHUNK` below — Fig. 3's two columns.  A message is bound once
-per channel side and size (:func:`repro.hw.protocol.bind`): the call's
-software overhead, then the table once per chunk, so a blocking send or
-receive is one run of :func:`repro.hw.protocol.run_ops`.  Both sides
+:data:`RECV_CHUNK` below — Fig. 3's two columns.  A message's program
+(:func:`repro.hw.protocol.bind`) is the call's software overhead, then
+the table once per chunk, priced once per configuration, channel side
+and size, so a blocking send or receive is one run of
+:func:`repro.hw.protocol.run_ops` over the channel's handles.  Both sides
 synchronize twice per chunk: the receiver waits for data to be provided,
 and the sender waits until the data has been picked up.  A send therefore
 cannot return before the matching receive is entered — the property that
@@ -82,11 +83,10 @@ def _quiet(table: tuple) -> tuple:
     return tuple(row for row in table if row[0] != NOTE)
 
 
-#: What a message binds, by (sending?, announced?): the chunk tables keep
-#: their ``NOTE`` rows only where a wildcard receive can read them.
-_CHUNK_TABLES = {(True, True): SEND_CHUNK, (True, False): _quiet(SEND_CHUNK),
-                 (False, True): RECV_CHUNK,
-                 (False, False): _quiet(RECV_CHUNK)}
+#: What a message binds, ``[announced?][sending?]``: the chunk tables
+#: keep their ``NOTE`` rows only where a wildcard receive can read them.
+_CHUNK_TABLES = ((_quiet(RECV_CHUNK), _quiet(SEND_CHUNK)),
+                 (RECV_CHUNK, SEND_CHUNK))
 
 
 class RCCEError(Exception):
@@ -115,12 +115,10 @@ class RCCE:
 
     def __init__(self, machine: Machine):
         self.machine = machine
-        # Per-channel handle caches, used when a message is bound.
+        # Per-channel handle caches, the operands a message runs over.
         # Regions are stateless views, one per sender.
         self._buffers: dict[int, MPBRegion] = {}
         self._channels: dict[tuple[int, int], tuple] = {}
-        #: ``(src, dst, sending?)`` sides that have carried a message.
-        self._sides: set[tuple[int, int, bool]] = set()
 
     # ------------------------------------------------------------------ #
     def chunk_bytes(self) -> int:
@@ -166,35 +164,27 @@ class RCCE:
             record_message(machine, src, dst, nbytes)
         faults = machine.faults
         verify = faults is not None and faults.plan.checksums
-        key = (src, dst, nbytes, call_cycles, sending + 2 * verify)
-        memo = machine.latency.table()
-        bound = memo.get(key)
-        if bound is None:
-            bound = bind(core, _CHUNK_TABLES[sending, announcing(machine)],
-                         self._channel(src, dst, verify), nbytes,
-                         self.chunk_bytes(),
-                         call=env.latency.core_cycles(call_cycles))
-            # Programs are kept from a channel side's second message on.
-            # A p=48 blocking all-to-all uses each of its 4512 sides once;
-            # keeping those too raised fig9_sim's peak RSS by 6.4 %.
-            side = (src, dst, sending)
-            if side in self._sides:
-                memo[key] = bound
-            else:
-                self._sides.add(side)
+        table = _CHUNK_TABLES[announcing(machine)][sending]
+        chan = self._channels.get((src, dst))
+        if chan is None or verify:
+            chan = self._channel(src, dst, verify)
+        # A chunk is what the sender's buffer holds (chunk_bytes()).
+        bound = bind(core, table, (src, dst, src, src), nbytes,
+                     chan[BUF].size, call=call_cycles)
         if verify:
             run = (self._verified_send if sending else self._verified_recv)(
-                env, bound, raw, self._channel(src, dst, True),
+                env, bound, raw, chan,
                 machine.services.setdefault("faults.xfer", {}).setdefault(
                     (src, dst), {"seq_out": 0, "seq_in": 0, "frame": None}),
-                len(_CHUNK_TABLES[sending, announcing(machine)]))
+                len(table))
             return _as_request(req, run) if req is not None else run
-        return run_ops(core, bound, raw, req)
+        return run_ops(core, bound, chan, raw, req)
 
     def _channel(self, src_core: int, dst_core: int, verify: bool) -> tuple:
         """The src→dst channel's cached handles ``(buf, sent, ready[,
-        nack])`` — the operands the chunk tables' roles index; the NACK
-        flag only under the verify policy."""
+        nack])`` — the operands the chunk tables' roles index, in the
+        MPBs of ``(src, dst, src, src)``; the NACK flag only under the
+        verify policy."""
         machine = self.machine
         key = (src_core, dst_core)
         chan = self._channels.get(key)
@@ -224,16 +214,18 @@ class RCCE:
         level, rows = bound
         lead = int(rows[0][0] == CHARGE)
         yield from run_ops(core, (level, rows[:lead]))
+        owners = _owners(chan)
         for start in range(lead, len(rows), per):
             chunk = rows[start:start + per]
             # Stamp the frame of the intended payload; a retransmission
             # carries the same one and is not announced again.
             xfer["frame"] = (xfer["seq_out"],
                              zlib.crc32(raw[chunk[0][PIECE]].tobytes()))
-            yield from run_ops(core, (level, chunk), raw)
+            yield from run_ops(core, (level, chunk), chan, raw)
             attempts = 0
             while chan[NACK].value:
-                yield from run_ops(core, bind(core, ACK_REJECT, chan))
+                yield from run_ops(core, bind(core, ACK_REJECT, owners),
+                                   chan)
                 attempts += 1
                 self._retry(attempts, "retransmit",
                             "retransmit budget exhausted after "
@@ -241,7 +233,8 @@ class RCCE:
                             core.core_id, "dst", chan[SENT].owner,
                             xfer["seq_out"])
                 with span(env, "retry", attempts):
-                    yield from run_ops(core, (level, _quiet(chunk)), raw)
+                    yield from run_ops(core, (level, _quiet(chunk)), chan,
+                                       raw)
             xfer["seq_out"] += 1
 
     def _verified_recv(self, env: CoreEnv, bound: tuple, raw_out: np.ndarray,
@@ -250,9 +243,10 @@ class RCCE:
         level, rows = bound
         lead = int(rows[0][0] == CHARGE)
         yield from run_ops(core, (level, rows[:lead]))
+        owners = _owners(chan)
         for start in range(lead, len(rows), per):
             chunk = rows[start:start + per]
-            taken = yield from _take(core, level, chunk, raw_out, xfer)
+            taken = yield from _take(core, level, chunk, chan, raw_out, xfer)
             attempts = 0
             while not taken:
                 attempts += 1
@@ -260,10 +254,11 @@ class RCCE:
                             f"chunk verification failed {attempts} times",
                             core.core_id, "src", chan[BUF].owner,
                             xfer["seq_in"])
-                yield from run_ops(core, bind(core, REJECT_CHUNK, chan))
+                yield from run_ops(core, bind(core, REJECT_CHUNK, owners),
+                                   chan)
                 with span(env, "retry", attempts):
-                    taken = yield from _take(core, level, chunk, raw_out,
-                                             xfer)
+                    taken = yield from _take(core, level, chunk, chan,
+                                             raw_out, xfer)
 
     def _retry(self, attempts: int, kind: str, giveup: str, me_core: int,
                peer_key: str, peer_core: int, seq: int) -> None:
@@ -285,9 +280,11 @@ class RCCE:
         enter_ps = env.latency.core_cycles(env.config.barrier_flag_cycles)
         root_core = env.core_of_rank(0)
         if env.rank != 0:
-            yield from run_ops(core, bind(core, BARRIER_WORKER, (
-                machine.flag(root_core, f"rcce.bar.{env.rank}"),
-                machine.flag(env.core_id, "rcce.bar.go")), cost=enter_ps))
+            yield from run_ops(
+                core, bind(core, BARRIER_WORKER, (root_core, env.core_id),
+                           cost=enter_ps),
+                (machine.flag(root_core, f"rcce.bar.{env.rank}"),
+                 machine.flag(env.core_id, "rcce.bar.go")))
             return
         yield from core.consume(enter_ps, "overhead")
         # Collect arrivals, clear them *before* releasing so the flags
@@ -297,21 +294,27 @@ class RCCE:
                    for rank in range(1, env.size)]
         for table in (BARRIER_COLLECT, BARRIER_RELEASE):
             for handles in workers:
-                yield from run_ops(core, bind(core, table, handles))
+                yield from run_ops(core, bind(core, table, _owners(handles)),
+                                   handles)
 
 
-def _take(core: Any, level: bool, chunk: tuple, raw_out: np.ndarray,
-          xfer: dict) -> Generator:
+def _owners(handles: tuple) -> tuple:
+    """The MPB owners of ``handles``, what their programs are bound for."""
+    return tuple(handle.owner for handle in handles)
+
+
+def _take(core: Any, level: bool, chunk: tuple, chan: tuple,
+          raw_out: np.ndarray, xfer: dict) -> Generator:
     """Receive one bound chunk up to its ``GET``, verify it against the
     stamped frame and only then release the sender (its last row, ``SET
     ready``); False, sender not released, when it does not match."""
-    yield from run_ops(core, (level, chunk[:-1]), raw_out)
+    yield from run_ops(core, (level, chunk[:-1]), chan, raw_out)
     frame = xfer["frame"]
     if (frame is None or frame[0] != xfer["seq_in"]
             or zlib.crc32(raw_out[chunk[-2][PIECE]].tobytes()) != frame[1]):
         return False
     xfer["seq_in"] += 1
-    yield from run_ops(core, (level, chunk[-1:]), raw_out)
+    yield from run_ops(core, (level, chunk[-1:]), chan, raw_out)
     return True
 
 

@@ -34,15 +34,16 @@ def put_bytes(env: CoreEnv, region: MPBRegion, raw: np.ndarray,
     region, charging software call overhead plus the hardware copy cost.
     When MPB port contention is modeled, the copy burst holds the target
     MPB's port."""
-    return run_ops(env.core, bind(env.core, _PUT, (region,), int(raw.size),
-                                  at=at), raw)
+    return run_ops(env.core, bind(env.core, _PUT, (region.owner,),
+                                  int(raw.size), at=at), (region,), raw)
 
 
 def get_bytes(env: CoreEnv, region: MPBRegion, nbytes: int,
               at: int = 0) -> Generator:
     """``RCCE_get``: copy ``nbytes`` out of an MPB region into private
     memory.  Returns the bytes as a fresh uint8 array."""
-    return run_ops(env.core, bind(env.core, _GET, (region,), nbytes, at=at))
+    return run_ops(env.core, bind(env.core, _GET, (region.owner,), nbytes,
+                                  at=at), (region,))
 
 
 __all__ = ["get_bytes", "put_bytes", "putget_calls"]

@@ -25,6 +25,7 @@ import numpy as np
 from repro.hw.machine import CoreEnv, Machine
 from repro.hw.protocol import (ACQUIRE, CHARGE, COPY, DEQUEUE, ENQUEUE, bind,
                                run_ops)
+from repro.hw.timing import LatencyModel
 from repro.ircce.requests import NonBlockingLayer
 from repro.rcce.api import record_message
 from repro.sim.resources import PacketQueue, Semaphore
@@ -33,7 +34,8 @@ from repro.sim.resources import PacketQueue, Semaphore
 WINDOW_PACKETS = 2
 
 #: One packet over a channel's handles ``(window, queue)``; a message is
-#: bound once per packet and run by the shared request sub-processes.
+#: bound once, a run of its packets, and run by the shared request
+#: sub-processes.
 WINDOW, QUEUE = 0, 1
 SEND_PACKET = ((ACQUIRE, WINDOW, 0),        # stall on a full window
                (CHARGE, 0, COPY), (ENQUEUE, QUEUE, 0))
@@ -58,29 +60,26 @@ class EagerChannels:
         nbytes = int(raw.size)
         if sending:
             record_message(machine, *ends, nbytes)
-        key = ("rckmpi", ends, nbytes, call_cycles, sending)
-        memo = machine.latency.table()
-        bound = memo.get(key)
-        if bound is None:
-            chan = self._channels.get(ends)
-            if chan is None:
-                chan = self._channels[ends] = (
-                    Semaphore(machine.sim, WINDOW_PACKETS,
-                              name=f"rckmpi.win.{ends}"),
-                    PacketQueue(machine.sim, name=f"rckmpi.avail.{ends}"))
-            bound = memo[key] = bind(
-                core, SEND_PACKET if sending else RECV_PACKET, chan, nbytes,
-                machine.config.rckmpi_packet_bytes,
-                lambda size: self._packet_cost(core.core_id, other, size),
-                call=env.latency.core_cycles(call_cycles))
-        return run_ops(core, bound, raw, req)
+        chan = self._channels.get(ends)
+        if chan is None:
+            chan = self._channels[ends] = (
+                Semaphore(machine.sim, WINDOW_PACKETS,
+                          name=f"rckmpi.win.{ends}"),
+                PacketQueue(machine.sim, name=f"rckmpi.avail.{ends}"))
+        # Each side prices its packets against the peer's MPB, the owner
+        # of both operands as far as the packet cost is concerned.
+        return run_ops(core, bind(
+            core, SEND_PACKET if sending else RECV_PACKET, (other, other),
+            nbytes, machine.config.rckmpi_packet_bytes, _packet_cost,
+            call=call_cycles), chan, raw, req)
 
-    def _packet_cost(self, core_id: int, peer_core: int, nbytes: int) -> int:
-        cfg = self.machine.config
-        latency = self.machine.latency
-        byte_cycles = (nbytes * cfg.rckmpi_byte_core_cycles_x8 + 7) // 8
-        return (latency.core_cycles(cfg.rckmpi_packet_cycles + byte_cycles)
-                + latency.mpb_access(core_id, peer_core))
+
+def _packet_cost(latency: LatencyModel, core_id: int, peers: tuple, nbytes: int) -> int:
+    """One ``nbytes`` packet's software and MPB cost for ``core_id``."""
+    cfg = latency.config
+    byte_cycles = (nbytes * cfg.rckmpi_byte_core_cycles_x8 + 7) // 8
+    return (latency.core_cycles(cfg.rckmpi_packet_cycles + byte_cycles)
+            + latency.mpb_access(core_id, peers[WINDOW]))
 
 
 class RCKMPIP2P(NonBlockingLayer):

@@ -36,7 +36,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.hw.timing import LatencyModel
+from repro.hw.timing import LatencyModel, pair_classes
 from repro.sched.ir import (
     F_CHARGED,
     F_REDUCE,
@@ -87,9 +87,10 @@ def message_cost(model: LatencyModel, src: int, dst: int,
     pay the flag handshake — the protocol runs regardless, which is why
     the empty-block ring steps are not free.
 
-    The composed cost is memoized in the model's own per-erratum-level
-    table (like every primitive it is built from), so ``invalidate()``
-    and the fault injector's erratum toggle stay correct: pricing a full
+    The composed cost is memoized in the per-erratum-level latency table
+    of the model's configuration (like every primitive it is built
+    from), so ``invalidate()`` and the fault injector's erratum toggle
+    stay correct: pricing a full
     pairwise-alltoall schedule touches thousands of (src, dst) pairs and
     the four-primitive recomputation dominates the analytic engine's
     wall-clock otherwise.
@@ -258,15 +259,17 @@ def schedule_cost_key(sched: Schedule, *, blocking: bool,
 
 
 def invalidate_schedule_costs(model: LatencyModel) -> int:
-    """Drop every memoized whole-schedule estimate from ``model``.
+    """Drop every memoized whole-schedule estimate of ``model``'s
+    configuration (every model on it shares them).
 
     The mirror of :meth:`~repro.hw.timing.LatencyModel.invalidate` for
-    the schedule level: the estimates live inside the model's own
-    per-erratum-level memo, so a full ``model.invalidate()`` (config
-    mutation) already clears them — this narrower hook is for when the
-    *schedule* side changes (a transform under development, a rebuilt
-    repertoire) while the hardware latencies are still good.  Returns
-    the number of entries dropped (both erratum levels).
+    the schedule level: the estimates live in the configuration's
+    per-erratum-level latency memo, so a full ``model.invalidate()``
+    (config mutation) already leaves them behind — this narrower hook
+    is for when the *schedule* side changes (a transform under
+    development, a rebuilt repertoire) while the hardware latencies are
+    still good.  Returns the number of entries dropped (both erratum
+    levels).
     """
     dropped = 0
     for memo in model._memo:
@@ -277,38 +280,6 @@ def invalidate_schedule_costs(model: LatencyModel) -> int:
             del memo[key]
         dropped += len(stale)
     return dropped
-
-
-def _pair_classes(model: LatencyModel) -> np.ndarray:
-    """``classes[a, b]``: which core pairs price alike (ids from 1).
-
-    Every MPB/flag latency depends on an (accessor, owner) pair only
-    through the routed hop count in either direction (weighted links
-    make XY routes asymmetric), the chip crossings, and whether the two
-    are the same core — so steps collapse onto a handful of classes even
-    for pairwise alltoall's p*(p-1) distinct core pairs.  Built once per
-    model, stashed alongside its other memoized latencies.
-    """
-    memo = (model._memo[model.config.erratum_enabled]
-            if model._cache_enabled else None)
-    classes = memo.get("pairclass") if memo is not None else None
-    if classes is None:
-        topo = model.topology
-        # Routing is per tile: price one core of each, then fan out.
-        heads = [topo.cores_of_tile(t)[0] for t in range(topo.num_tiles)]
-        tile_hops = np.array([[topo.hops(a, b) for b in heads]
-                              for a in heads])
-        tile = np.array([topo.tile_of(core) for core in topo.cores()])
-        hops = tile_hops[tile[:, None], tile]
-        chip = tile // topo.tiles_per_chip
-        traits = np.stack([hops, hops.T, abs(chip[:, None] - chip),
-                           np.eye(len(tile), dtype=hops.dtype)])
-        _, ids = np.unique(traits.reshape(4, -1), axis=1,
-                           return_inverse=True)
-        classes = 1 + ids.reshape(hops.shape)
-        if memo is not None:
-            memo["pairclass"] = classes
-    return classes
 
 
 def _step_keys(rows: np.ndarray, classes: np.ndarray) -> np.ndarray:
@@ -352,8 +323,8 @@ def estimate_schedule_cost(sched: Schedule, model: LatencyModel, *,
     price — then gathered, summed per (phase, rank), maximized per
     phase.
 
-    Whole-schedule results are memoized in the model's per-erratum
-    table under :func:`schedule_cost_key` — the synthesizer prices the
+    Whole-schedule results are memoized in the per-erratum latency table
+    of the model's configuration under :func:`schedule_cost_key` — the synthesizer prices the
     same candidates across repeated searches and the tuned stack's
     fallback prices per call site, so the second look-up of any
     ``(schedule, regime)`` pair is a dict hit.
@@ -370,7 +341,7 @@ def estimate_schedule_cost(sched: Schedule, model: LatencyModel, *,
     rows = sched.table.rows
     total = overhead.call_ps if overhead is not None else 0
     if len(rows):
-        keys = _step_keys(rows, _pair_classes(model))
+        keys = _step_keys(rows, pair_classes(model.topology))
         _, first, inverse = np.unique(
             keys, axis=0 if keys.ndim == 2 else None,
             return_index=True, return_inverse=True)

@@ -14,7 +14,9 @@ into those programs and executes them without generators, processes or
 payload bytes.  It returns every rank's ``(latency, exit)`` in ps, what
 :func:`~repro.bench.runner.launch_collective` measures, to the
 picosecond (``tests/sched/test_replay.py`` pins it against
-``engine_golden.json`` and the kernel-identity runs).
+``engine_golden.json`` and the kernel-identity runs).  The programs are
+the simulator's own objects, shared through the configuration's tables;
+a replay only maps each row's role to one of its flag slots.
 
 Two executors, by stack:
 
@@ -139,29 +141,19 @@ class _Context:
 
 
 # -- binding -----------------------------------------------------------------
-class _Handle:
-    """A bound row's operand: its MPB owner and, for a flag, its slot in
-    the replay's flag arrays (-1 for a buffer)."""
-
-    __slots__ = ("owner", "slot")
-
-    def __init__(self, owner: int, slot: int = -1):
-        self.owner = owner
-        self.slot = slot
-
-
-def _compile(bound: tuple) -> tuple:
-    """A bound program's rows as flat ``(op, slot, charge)`` ints."""
+def _compile(bound: tuple, slots: tuple) -> tuple:
+    """A bound program's rows as flat ``(op, slot, charge)`` ints, the
+    flag of each role being ``slots[role]``."""
     out: list[int] = []
-    for op, obj, _owner, charge, state, port, _piece, _at in bound[1]:
+    for op, role, _priced, charge, state, port, _piece, _at in bound[1]:
         if port is not None:
             raise Escalation("a bound MPB port")
         if op <= CLEAR:
-            out += (op, obj.slot, charge)
+            out += (op, slots[role], charge)
         elif op == WAIT:
             if state != 1:
                 raise Escalation("a wait for a cleared flag")
-            out += (op, obj.slot, charge)
+            out += (op, slots[role], charge)
         elif op > NOTE:
             raise Escalation("a window or queue row")
         elif op != NOTE:
@@ -190,60 +182,63 @@ def _fuse(flat: tuple) -> tuple[list, int]:
 
 
 class _Binder:
-    """Binds one replay's programs, once per ``(side, nbytes, call)``,
-    with flags resolved to int slots."""
+    """One replay's flags as int slots, and its programs compiled over
+    them, once per ``(side, nbytes, call)``.  The programs themselves
+    come from :func:`~repro.hw.protocol.bind`, shared with every machine
+    on the configuration."""
 
     def __init__(self, ctx: _Context, cores: list[int]):
         self.ctx = ctx
         self.cores = cores
-        self.slots: dict[tuple[int, str], _Handle] = {}
+        self.slots: dict[tuple[int, str], int] = {}
         self.channels: dict[tuple[int, int], tuple] = {}
         self.memo: dict[tuple, tuple] = {}
         self.fused_memo: dict[tuple, tuple[list, int]] = {}
         self.chunk = ctx.machine.config.mpb_payload_bytes
 
-    def flag(self, owner: int, name: str) -> _Handle:
-        handle = self.slots.get((owner, name))
-        if handle is None:
-            handle = self.slots[(owner, name)] = _Handle(owner,
-                                                         len(self.slots))
-        return handle
+    def flag(self, owner: int, name: str) -> int:
+        slot = self.slots.get((owner, name))
+        if slot is None:
+            slot = self.slots[(owner, name)] = len(self.slots)
+        return slot
 
     def channel(self, src: int, dst: int) -> tuple:
-        """``(buf, sent, ready)`` of the src->dst channel, the flags named
-        as :class:`~repro.rcce.api.RCCE` names them."""
+        """The slots of the src->dst channel by role, ``(-1, sent,
+        ready)`` (the buffer is no flag), the flags named as
+        :class:`~repro.rcce.api.RCCE` names them."""
         chan = self.channels.get((src, dst))
         if chan is None:
             chan = self.channels[(src, dst)] = (
-                _Handle(src), self.flag(dst, f"rcce.sent.{src}"),
+                -1, self.flag(dst, f"rcce.sent.{src}"),
                 self.flag(src, f"rcce.ready.{dst}"))
         return chan
 
     def message(self, src: int, dst: int, sending: bool, nbytes: int,
-                call_ps: int = 0) -> tuple:
+                call_cycles: int = 0) -> tuple:
         """The compiled program of one side of a src->dst message."""
-        key = (src, dst, sending, nbytes, call_ps)
+        key = (src, dst, sending, nbytes, call_cycles)
         flat = self.memo.get(key)
         if flat is None:
             core = self.ctx.machine.cores[src if sending else dst]
             flat = self.memo[key] = _compile(bind(
-                core, _SEND if sending else _RECV, self.channel(src, dst),
-                nbytes, self.chunk, call=call_ps))
+                core, _SEND if sending else _RECV, (src, dst, src, src),
+                nbytes, self.chunk, call=call_cycles),
+                self.channel(src, dst))
         return flat
 
     def fused(self, src: int, dst: int, sending: bool, nbytes: int,
-              call_ps: int) -> tuple[list, int]:
-        key = (src, dst, sending, nbytes, call_ps)
+              call_cycles: int) -> tuple[list, int]:
+        key = (src, dst, sending, nbytes, call_cycles)
         fused = self.fused_memo.get(key)
         if fused is None:
             fused = self.fused_memo[key] = _fuse(
-                self.message(src, dst, sending, nbytes, call_ps))
+                self.message(src, dst, sending, nbytes, call_cycles))
         return fused
 
-    def table(self, core: int, table: tuple, handles: tuple,
+    def table(self, core: int, table: tuple, owners: tuple, slots: tuple,
               cost: Optional[int] = None) -> tuple:
-        return _compile(bind(self.ctx.machine.cores[core], table, handles,
-                             cost=cost))
+        return _compile(bind(self.ctx.machine.cores[core], table, owners,
+                             cost=cost), slots)
 
 
 # -- what each rank runs -----------------------------------------------------
@@ -308,8 +303,8 @@ class _BlockingPrograms:
         self.pending = [0] * p
         config = binder.ctx.machine.config
         latency = binder.ctx.machine.latency
-        self.send_ps = latency.core_cycles(config.rcce_send_call_cycles)
-        self.recv_ps = latency.core_cycles(config.rcce_recv_call_cycles)
+        self.send_cycles = config.rcce_send_call_cycles
+        self.recv_cycles = config.rcce_recv_call_cycles
         self.enter_ps = latency.core_cycles(config.barrier_flag_cycles)
 
     def splice(self, rank: int, fused: tuple[list, int]) -> None:
@@ -340,12 +335,14 @@ class _BlockingPrograms:
         collect: list[int] = []
         release: list[int] = []
         for rank in range(1, self.p):
-            handles = (binder.flag(root, f"rcce.bar.{rank}"),
-                       binder.flag(cores[rank], "rcce.bar.go"))
+            owners = (root, cores[rank])
+            slots = (binder.flag(root, f"rcce.bar.{rank}"),
+                     binder.flag(cores[rank], "rcce.bar.go"))
             self.splice(rank, _fuse(binder.table(
-                cores[rank], BARRIER_WORKER, handles, cost=self.enter_ps)))
-            collect += binder.table(root, BARRIER_COLLECT, handles)
-            release += binder.table(root, BARRIER_RELEASE, handles)
+                cores[rank], BARRIER_WORKER, owners, slots,
+                cost=self.enter_ps)))
+            collect += binder.table(root, BARRIER_COLLECT, owners, slots)
+            release += binder.table(root, BARRIER_RELEASE, owners, slots)
         self.splice(0, _fuse(tuple(collect + release)))
 
     def collective(self, sched, call_ps: int) -> None:
@@ -362,7 +359,8 @@ class _BlockingPrograms:
             for send, recv, _, send_first, hold in _rank_steps(
                     sched, rank, rows, cores, latency):
                 if send is not None:
-                    send = fused(me, send[0], True, send[1], self.send_ps)
+                    send = fused(me, send[0], True, send[1],
+                                 self.send_cycles)
                     # RCCE's send and recv each synchronize with the peer:
                     # an exchange runs them in the builder's baked order.
                     if send_first:
@@ -370,7 +368,7 @@ class _BlockingPrograms:
                         send = None
                 if recv is not None:
                     splice(rank, fused(recv[0], me, False, recv[1],
-                                       self.recv_ps))
+                                       self.recv_cycles))
                 if send is not None:
                     splice(rank, send)
                 if hold is not None:

@@ -22,8 +22,8 @@ def put_at(m, core_id, owner, nbytes):
     mpb = m.mpbs[owner]
     region = MPBRegion(mpb, mpb.payload_offset, nbytes)
     core = m.cores[core_id]
-    return run_ops(core, bind(core, ((PUT, 0, COPY),), (region,), nbytes),
-                   np.zeros(nbytes, dtype=np.uint8))
+    return run_ops(core, bind(core, ((PUT, 0, COPY),), (owner,), nbytes),
+                   (region,), np.zeros(nbytes, dtype=np.uint8))
 
 
 class TestConstruction:

@@ -7,6 +7,7 @@ from repro.core.blocks import balanced_partition
 from repro.core.registry import make_communicator
 from repro.hw.config import SCCConfig
 from repro.hw.machine import Machine
+from repro.hw.timing import shared_tables
 from repro.sched.builders import build_schedule, builder_names
 from repro.sched.cost import (
     estimate_schedule_cost,
@@ -151,6 +152,8 @@ class TestSynthesize:
 
 class TestCostMemo:
     def make_model(self):
+        # Models on one configuration share their memo; start it cold.
+        shared_tables.cache_clear()
         return default_model()
 
     def test_key_distinguishes_chunk_layout(self):
