@@ -40,7 +40,9 @@ Engine selection
 ----------------
 ``run_sweep``, ``sweep()`` and the ``sweep`` command accept ``engine``:
 
-* ``"sim"`` (default) — simulate every point; bit-identical to the seed.
+* ``"sim"`` (default) — the exact value of every point, replayed
+  (:mod:`repro.sched.replay`) or, where replay escalates, simulated;
+  equal to the simulator's to the picosecond.
 * ``"analytic"`` — estimate every expressible point; the rest get
   their exact value, replayed (:mod:`repro.sched.replay`) or simulated.
 * ``"auto"`` — like ``analytic``, but a deterministic sample of the

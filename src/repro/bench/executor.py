@@ -1,18 +1,19 @@
 """Parallel, cached sweep execution.
 
 Every figure and ablation in this reproduction is a sweep of *independent,
-deterministic* simulations: one :func:`~repro.bench.runner.measure_collective`
-call per (collective, stack, size) point.  This module turns such a sweep
+deterministic* runs: one :func:`~repro.bench.runner.measure_collective`
+value per (collective, stack, size) point.  This module turns such a sweep
 into an execution plan with three accelerators stacked on top of the
-unchanged per-point simulation:
+per-point exact value (replayed from the bound programs by
+:mod:`repro.sched.replay`, or simulated where replay escalates):
 
 1. **Parallel fan-out** — points are distributed over a
    ``multiprocessing`` worker pool (``--jobs`` on ``python -m repro sweep``,
    or the ``REPRO_BENCH_JOBS`` environment knob; ``0`` means "all CPUs").
-   Each point is a self-contained simulation seeded identically to the
-   sequential path, and results are reassembled in submission order, so
-   the output is **bit-identical** to running the points in a loop
-   (asserted by ``tests/bench/test_executor.py``).
+   Each point is a self-contained deterministic run, seeded identically
+   to the sequential path, and results are reassembled in submission
+   order, so the output is **bit-identical** to running the points in a
+   loop (asserted by ``tests/bench/test_executor.py``).
 
 2. **Content-addressed result cache** — each point's latency is stored
    under a fingerprint of everything the simulation depends on: the point
@@ -284,8 +285,8 @@ class SweepOutcome:
     ``max_drift`` the signed relative deviation of the worst validated
     point — negative means the estimate undershot the exact value (0.0
     when nothing was validated).  Of the exact values the cache did not
-    hold, ``replayed`` came from :mod:`repro.sched.replay` (engines
-    ``analytic`` and ``auto``) and ``simulated`` from the simulator.
+    hold, ``replayed`` came from :mod:`repro.sched.replay` and
+    ``simulated`` from the simulator (where replay escalates).
     """
 
     latencies: list[float]
@@ -353,14 +354,15 @@ def run_sweep(points: Sequence[SweepPoint], *,
     0 → all CPUs).  ``cache``: a :class:`ResultCache`, True/False to
     force the default cache on/off, or None for the ``REPRO_BENCH_CACHE``
     default.  With the default ``engine="sim"`` results are bit-identical
-    across all (jobs, cache) combinations: every point is an independent
-    deterministic simulation and floats round-trip exactly through the
-    cache's JSON encoding.
+    across all (jobs, cache) combinations and to
+    :func:`~repro.bench.runner.measure_collective`: every point is an
+    independent deterministic run and floats round-trip exactly through
+    the cache's JSON encoding.
 
     ``engine`` selects how points are priced (see
     :mod:`repro.bench.analytic` and ``docs/engines.md``):
 
-    * ``"sim"`` — simulate everything (the historical behavior);
+    * ``"sim"`` — the simulator's exact value of every point;
     * ``"analytic"`` — closed-form estimates for every expressible
       point, exact values for the rest;
     * ``"auto"`` — ``analytic`` plus the exact values of a deterministic
@@ -370,13 +372,16 @@ def run_sweep(points: Sequence[SweepPoint], *,
       :data:`~repro.bench.analytic.DEFAULT_DRIFT_TOL` raises
       :class:`~repro.bench.analytic.EngineDriftError`.
 
-    Under ``analytic`` and ``auto`` an exact value is replayed from the
-    bound programs (:func:`repro.sched.replay.replay_measurement`, the
+    Every exact value, under any engine, is replayed from the bound
+    programs (:func:`repro.sched.replay.replay_measurement`, the
     simulated value to the picosecond) and simulated only where replay
-    escalates; the ``repro.bench.executor`` logger says which, per
-    point, at DEBUG.  Analytic estimates are never written to (or read
-    from) the result cache — it stores exact latencies only, replayed
-    ones included, and serves them to every engine.
+    escalates; ``replayed``/``simulated`` count which, and the
+    ``repro.bench.executor`` logger says which, per point, at DEBUG.
+    Every point's ``op`` is resolved first, so an unknown reduce op
+    raises :class:`KeyError` under every engine.  Analytic estimates are
+    never written to (or read from) the result cache — it stores exact
+    latencies only, replayed ones included, and serves them to every
+    engine.
     """
     from repro.bench.analytic import (
         DEFAULT_DRIFT_TOL,
@@ -386,6 +391,7 @@ def run_sweep(points: Sequence[SweepPoint], *,
         analytic_latency_us,
         validation_sample,
     )
+    from repro.core.ops import op_by_name
 
     if engine not in ENGINES:
         raise ValueError(
@@ -395,6 +401,8 @@ def run_sweep(points: Sequence[SweepPoint], *,
     store = _resolve_cache(cache)
     started = time.perf_counter()
 
+    for point in points:  # an unknown op fails under every engine
+        op_by_name(point.op)
     latencies: list[Optional[float]] = [None] * len(points)
 
     # Split the plan: analytically priced points vs points that need
@@ -402,15 +410,15 @@ def run_sweep(points: Sequence[SweepPoint], *,
     # engine's fallback points otherwise).  Auto additionally needs the
     # exact value of a sampled subset of the priced points.
     analytic_idx: list[int] = []
-    sim_idx: list[int] = []
+    exact_idx: list[int] = []
     validate_idx: list[int] = []
     if engine == "sim":
-        sim_idx = list(range(len(points)))
+        exact_idx = list(range(len(points)))
     else:
         for i, point in enumerate(points):
             estimate = analytic_latency_us(point)
             if estimate is None:
-                sim_idx.append(i)
+                exact_idx.append(i)
             else:
                 latencies[i] = estimate
                 analytic_idx.append(i)
@@ -420,12 +428,12 @@ def run_sweep(points: Sequence[SweepPoint], *,
                 for j in validation_sample(len(analytic_idx),
                                            DEFAULT_VALIDATE)]
 
-    to_sim = sim_idx + validate_idx  # disjoint by construction
+    to_exact = exact_idx + validate_idx  # disjoint by construction
     fingerprints: dict[int, str] = {}
     exact: dict[int, float] = {}
     pending: list[int] = []
     if store is not None:
-        for i in to_sim:
+        for i in to_exact:
             fp = fingerprints[i] = fingerprint(points[i])
             hit = store.get(fp)
             if hit is None:
@@ -433,17 +441,14 @@ def run_sweep(points: Sequence[SweepPoint], *,
             else:
                 exact[i] = hit
     else:
-        pending = list(to_sim)
+        pending = list(to_exact)
     hits = len(exact)
     misses = len(pending) if store is not None else 0
 
-    # One fan-out for every exact value; the sim engine never replays.
-    todo = [points[i] for i in pending]
-    if engine == "sim":
-        fresh = [(value, "engine sim") for value in
-                 parallel_map(_execute_point, todo, jobs=jobs)]
-    else:
-        fresh = parallel_map(_exact_point, todo, jobs=jobs)
+    # One fan-out for every exact value: replay, or the simulator where
+    # replay escalates.
+    fresh = parallel_map(_exact_point, [points[i] for i in pending],
+                         jobs=jobs)
     replayed = 0
     debug = _log.isEnabledFor(logging.DEBUG)
     for i, (value, why) in zip(pending, fresh):
@@ -456,7 +461,7 @@ def run_sweep(points: Sequence[SweepPoint], *,
             _log.debug("%s: %s", points[i].describe(),
                        "replay" if why is None else f"sim: {why}")
 
-    for i in sim_idx:
+    for i in exact_idx:
         latencies[i] = exact[i]
 
     # Cross-validation: compare the estimate (which stays the reported

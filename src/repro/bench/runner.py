@@ -214,7 +214,11 @@ def sweep(kind: str, stacks: Sequence[str],
     (worker processes; default ``REPRO_BENCH_JOBS``), ``cache`` (the
     on-disk result cache; default ``REPRO_BENCH_CACHE``) and ``engine``
     (``"sim"``, ``"analytic"`` or ``"auto"`` — see ``docs/engines.md``).
-    ``sizes`` defaults to :func:`default_sizes`.
+    Under the default ``"sim"`` every value equals
+    :func:`measure_collective`'s, but is replayed
+    (:mod:`repro.sched.replay`) wherever replay can answer, so a sweep
+    simulates only the points replay escalates.  ``sizes`` defaults to
+    :func:`default_sizes`.
     """
     sizes = list(sizes) if sizes is not None else default_sizes()
     outcome = run_sweep(

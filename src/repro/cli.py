@@ -46,8 +46,8 @@ from repro.bench.runner import (
     KINDS,
     latencies_by_stack,
     launch_collective,
-    measure_collective,
     parse_sizes_spec,
+    sweep,
     sweep_points,
 )
 from repro.core.registry import STACKS, available_stacks, launch
@@ -123,12 +123,10 @@ def _cmd_fig10(args: argparse.Namespace) -> int:
 def _cmd_stepwise(args: argparse.Namespace) -> int:
     n = args.size
     print(f"Section IV step-wise Allreduce speedups (n = {n}):")
-    lat = {}
-    for stack in ("blocking", "ircce", "lightweight",
-                  "lightweight_balanced", "mpb"):
-        lat[stack] = measure_collective("allreduce", stack, n,
-                                        cores=args.cores)
-    chain = list(lat)
+    chain = ["blocking", "ircce", "lightweight", "lightweight_balanced",
+             "mpb"]
+    lat = {stack: values[0] for stack, values in
+           sweep("allreduce", chain, [n], args.cores).items()}
     for before, after in zip(chain, chain[1:]):
         print(f"  {before:>22} -> {after:<22} "
               f"{lat[before] / lat[after]:5.2f}x")
@@ -166,15 +164,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(format_series_table(series))
         accounting = (f"{outcome.points} points in {outcome.wall_s:.2f}s "
                       f"(jobs={outcome.jobs}, cache hits {outcome.hits}, "
+                      f"replayed {outcome.replayed}, "
                       f"simulated {outcome.simulated}")
         if outcome.analytic:
             accounting += f", analytic {outcome.analytic}"
         if outcome.validated:
             accounting += (f", validated {outcome.validated} "
-                           f"({outcome.replayed} replayed) "
                            f"[max drift {outcome.max_drift:+.1%}]")
-        elif outcome.replayed:
-            accounting += f", replayed {outcome.replayed}"
         print(accounting + ")")
     return 0
 
@@ -691,10 +687,11 @@ def build_parser() -> argparse.ArgumentParser:
                              "('sched:' prefix optional)")
     psweep.add_argument("--engine", choices=("sim", "analytic", "auto"),
                         default="sim",
-                        help="pricing backend: simulate every point "
-                             "(sim, default), closed-form BSP estimate "
-                             "(analytic), or analytic with sampled sim "
-                             "cross-validation (auto); see "
+                        help="pricing backend: the simulator's exact "
+                             "value of every point, replayed where replay "
+                             "can answer (sim, default), closed-form BSP "
+                             "estimate (analytic), or analytic with "
+                             "sampled exact cross-validation (auto); see "
                              "docs/engines.md")
     psweep.add_argument("--jobs", type=int, default=None,
                         help="worker processes (default REPRO_BENCH_JOBS "

@@ -119,7 +119,7 @@ def test_sim_engine_reports_no_analytic_points():
     outcome = run_sweep(_points(), cache=False, engine="sim")
     assert outcome.analytic == 0
     assert outcome.validated == 0
-    assert outcome.simulated == 3 and outcome.replayed == 0
+    assert outcome.replayed == 3 and outcome.simulated == 0
     assert outcome.hits == outcome.misses == 0  # no cache was consulted
 
 

@@ -242,7 +242,7 @@ class TestKnobs:
         monkeypatch.setenv("REPRO_BENCH_CACHE", "0")
         monkeypatch.setenv("REPRO_BENCH_CACHE_DIR", str(tmp_path))
         outcome = run_sweep([small_point()], jobs=1, cache=None)
-        assert outcome.simulated == 1
+        assert outcome.replayed == 1 and outcome.simulated == 0
         assert outcome.hits == outcome.misses == 0  # no cache lookups
         assert len(ResultCache(tmp_path)) == 0  # nothing was written
 

@@ -30,7 +30,8 @@ import numpy as np
 import pytest
 
 from repro.bench.executor import SweepPoint, run_sweep
-from repro.bench.runner import launch_collective, program_for
+from repro.bench.runner import (launch_collective, measure_collective,
+                                program_for)
 from repro.core.blocks import Partition
 from repro.core.ops import SUM
 from repro.core.registry import make_communicator
@@ -242,12 +243,14 @@ def test_deadlock_escalates_and_the_simulator_raises(stack, monkeypatch):
                         receive_only(builders.build_schedule))
     with pytest.raises(Escalation, match="no progress"):
         replay_measurement("allgather", stack, 8, cores=4)
-    # A reversed rank order has no analytic estimate: the point goes to
-    # replay, escalates, and the simulator raises the real error.
+    # Under sim, and under analytic (a reversed rank order has no
+    # estimate), the point goes to replay, escalates, and the simulator
+    # raises the real error.
     point = SweepPoint(kind="allgather", stack=stack, size=8, cores=4,
                        rank_order=(3, 2, 1, 0))
-    with pytest.raises(DeadlockError):
-        run_sweep([point], jobs=1, cache=False, engine="analytic")
+    for engine in ("sim", "analytic"):
+        with pytest.raises(DeadlockError):
+            run_sweep([point], jobs=1, cache=False, engine=engine)
 
 
 # -- the sweep layer ---------------------------------------------------------
@@ -262,8 +265,9 @@ def test_sweep_counts_and_logs_each_point(caplog, jobs):
     assert (outcome.analytic, outcome.validated) == (2, 2)
     assert (outcome.replayed, outcome.simulated) == (3, 1)
     assert outcome.hits == outcome.misses == 0
-    sim = run_sweep(points[2:], jobs=1, cache=False, engine="sim")
-    assert outcome.latencies[2:] == sim.latencies
+    assert outcome.latencies[2:] == [
+        measure_collective(point.kind, point.stack, point.size,
+                           cores=point.cores) for point in points[2:]]
     lines = [r.getMessage() for r in caplog.records
              if r.name == "repro.bench.executor"]
     assert f"{points[2].describe()}: replay" in lines

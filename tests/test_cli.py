@@ -134,10 +134,10 @@ class TestBenchCommand:
         cold = capsys.readouterr().out
         assert "blocking" in cold and "lightweight" in cold
         assert "4 points" in cold
-        assert "simulated 4" in cold
+        assert "replayed 4, simulated 0" in cold
         assert main(argv) == 0  # second run is served from the cache
         warm = capsys.readouterr().out
-        assert "cache hits 4" in warm and "simulated 0" in warm
+        assert "cache hits 4, replayed 0, simulated 0" in warm
         # Same table either way; only the accounting line differs.
         assert warm.splitlines()[:-1] == cold.splitlines()[:-1]
 
@@ -160,7 +160,8 @@ class TestBenchCommand:
     def test_sweep_auto_engine_accounting(self, capsys):
         assert main(self.ARGV + ["--engine", "auto", "--no-cache"]) == 0
         out = capsys.readouterr().out
-        assert "analytic 4, validated 3 (3 replayed) [max drift " in out
+        assert ("replayed 3, simulated 0, analytic 4, validated 3 "
+                "[max drift ") in out
 
     def test_bench_rejects_unknown_stack(self):
         with pytest.raises(SystemExit):
