@@ -62,7 +62,7 @@ cheaper than a cache read anyway.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Optional
 
 from repro.hw.config import SCCConfig, config_key
 from repro.hw.machine import Machine
@@ -237,9 +237,3 @@ def analytic_latency_us(point: "SweepPoint") -> Optional[float]:
                                       blocking=ctx.comm.blocking,
                                       overhead=ctx.overhead)
     return ps_to_us(total_ps)
-
-
-def price_points(points: Sequence["SweepPoint"]
-                 ) -> list[Optional[float]]:
-    """Vectorized convenience: one estimate (or None) per point."""
-    return [analytic_latency_us(point) for point in points]

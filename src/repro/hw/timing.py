@@ -15,15 +15,19 @@ Every latency here is a pure function of the configuration, the topology,
 and the call arguments — but the protocol layers ask for the same handful
 of values millions of times per sweep (every flag write, every poll, every
 per-chunk copy), and a sweep builds one machine per point on a handful of
-configurations.  The values are therefore memoized in one table per
-configuration, :class:`SharedTables`, which every model, machine, cost
-model and replay context built on an equal configuration and topology
-shares; it also holds the protocol programs
-:func:`repro.hw.protocol.bind` prices from these latencies.  The tables
-come from the cached factory :func:`shared_tables`, so a process keeps
-those of its most recent configurations, and emptying the factory's cache
-makes the next model start cold.  Three things keep this exactly
-equivalent to recomputing:
+configurations.  Each price is therefore written once, as its plain body,
+under the :func:`memoized` decorator — the one place that knows where a
+price is kept: under ``(tag, *args)`` in the configuration's
+:class:`SharedTables`, which every model, machine, cost model and replay
+context built on an equal configuration and topology shares (the
+schedule-level prices of :mod:`repro.sched.cost` take the same decorator;
+whole-schedule estimates key themselves through
+:meth:`LatencyModel.prices`).  The tables also hold the protocol programs
+:func:`repro.hw.protocol.bind` prices from these latencies.  They come
+from the cached factory :func:`shared_tables`, so a process keeps those of
+its most recent configurations, and emptying the factory's cache makes the
+next model start cold.  Three things keep this exactly equivalent to
+recomputing:
 
 * the tables are segregated by the *current* ``erratum_enabled`` level, so
   the fault injector's scheduled arbiter-erratum toggle (which flips
@@ -40,14 +44,15 @@ equivalent to recomputing:
   every other one would have computed the same value.
 
 Pass ``cache=False`` to get the direct, recompute-every-call reference
-implementation, which keeps nothing and shares nothing;
-``tests/hw/test_timing_memo.py`` asserts the two are bit-identical over a
-sampled argument grid.
+implementation — the same bodies, run on every call — which keeps nothing
+and shares nothing; ``tests/hw/test_timing_memo.py`` asserts the two are
+bit-identical over a sampled argument grid on four topologies.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, wraps
+from typing import Optional
 
 import numpy as np
 
@@ -82,8 +87,9 @@ def pair_classes(topology: Topology) -> np.ndarray:
 
 class SharedTables:
     """What one configuration fixes.  Indexed by the erratum level (the
-    bool itself): ``latencies`` is :class:`LatencyModel`'s memo (and the
-    schedule-cost memo of :mod:`repro.sched.cost`), ``programs`` the bound
+    bool itself): ``latencies`` holds every :func:`memoized` price (the
+    latencies here and the schedule costs of :mod:`repro.sched.cost`),
+    ``programs`` the bound
     protocol programs of :func:`repro.hw.protocol.bind` by the pair
     classes of their operands and ``index`` the same programs by the
     acting core and owners a call names; ``tables`` holds the protocol
@@ -105,6 +111,54 @@ def shared_tables(key: str, topology: Topology) -> SharedTables:
     """The tables of the configuration with :func:`config_key` ``key`` on
     ``topology`` (one instance per pair while it is cached)."""
     return SharedTables(topology)
+
+
+def memoized(tag: str):
+    """Decorator for a price ``body(model, *args)``: keep its value under
+    ``(tag, *args)`` in ``model``'s latency table of the current erratum
+    level, or recompute it every call when the model has no tables
+    (``cache=False``).  The only code that knows where a price is kept.
+
+    The wrapper is written out per arity (one to three arguments): a warm
+    hit is the hot path, and a generic ``*args`` wrapper costs about half
+    as much again per hit."""
+    def decorate(body):
+        arity = body.__code__.co_argcount - 1
+        if arity == 1:
+            def price(model, a):
+                memo = model._memo
+                if memo is None:
+                    return body(model, a)
+                memo = memo[model.config.erratum_enabled]
+                value = memo.get((tag, a))
+                if value is None:
+                    value = memo[tag, a] = body(model, a)
+                return value
+        elif arity == 2:
+            def price(model, a, b):
+                memo = model._memo
+                if memo is None:
+                    return body(model, a, b)
+                memo = memo[model.config.erratum_enabled]
+                value = memo.get((tag, a, b))
+                if value is None:
+                    value = memo[tag, a, b] = body(model, a, b)
+                return value
+        elif arity == 3:
+            def price(model, a, b, c):
+                memo = model._memo
+                if memo is None:
+                    return body(model, a, b, c)
+                memo = memo[model.config.erratum_enabled]
+                value = memo.get((tag, a, b, c))
+                if value is None:
+                    value = memo[tag, a, b, c] = body(model, a, b, c)
+                return value
+        else:
+            raise TypeError(f"{body.__qualname__}: memoized prices take "
+                            f"one to three arguments, not {arity}")
+        return wraps(body)(price)
+    return decorate
 
 
 class LatencyModel:
@@ -130,9 +184,16 @@ class LatencyModel:
         self._mesh_ps = self.config.mesh_clock().ps_per_cycle
         self.shared = (shared_tables(config_key(self.config), self.topology)
                        if self._cache_enabled else None)
-        # One memo table per erratum level; indexed by the bool itself.
-        self._memo: tuple[dict, dict] = (
-            self.shared.latencies if self.shared is not None else ({}, {}))
+        # Both erratum levels' price tables, indexed by the bool itself.
+        self._memo = self.shared.latencies if self.shared else None
+
+    def prices(self) -> Optional[dict]:
+        """The price table of the current erratum level (None when
+        memoization is off), for whole-schedule estimates that key
+        themselves."""
+        if self._memo is None:
+            return None
+        return self._memo[self.config.erratum_enabled]
 
     # -- cycle helpers -----------------------------------------------------
     def core_cycles(self, n: int | float) -> int:
@@ -157,20 +218,11 @@ class LatencyModel:
         return nbytes % self.config.l1_line_bytes != 0
 
     # -- single-access latencies ------------------------------------------------
+    @memoized("acc")
     def mpb_access(self, accessor: int, owner: int) -> int:
         """Latency of one MPB access (a flag read/write, or the startup
         latency of a bulk copy) by core ``accessor`` to the MPB owned by
         core ``owner``."""
-        if self._cache_enabled:
-            memo = self._memo[self.config.erratum_enabled]
-            key = ("acc", accessor, owner)
-            value = memo.get(key)
-            if value is None:
-                value = memo[key] = self._raw_mpb_access(accessor, owner)
-            return value
-        return self._raw_mpb_access(accessor, owner)
-
-    def _raw_mpb_access(self, accessor: int, owner: int) -> int:
         cfg = self.config
         if accessor == owner:
             if cfg.erratum_enabled:
@@ -187,181 +239,86 @@ class LatencyModel:
         return (self.core_cycles(cfg.mpb_remote_core_cycles)
                 + self.mesh_cycles(mesh))
 
+    @memoized("dram")
     def dram_access(self, core: int) -> int:
         """First-touch latency of an off-chip DRAM access."""
-        if self._cache_enabled:
-            memo = self._memo[self.config.erratum_enabled]
-            key = ("dram", core)
-            value = memo.get(key)
-            if value is None:
-                value = memo[key] = self._raw_dram_access(core)
-            return value
-        return self._raw_dram_access(core)
-
-    def _raw_dram_access(self, core: int) -> int:
         cfg = self.config
         d = self.topology.hops_to_mc(core)
         return (self.core_cycles(cfg.dram_core_cycles)
                 + self.mesh_cycles(cfg.dram_mesh_cycles_per_hop * d))
 
+    @memoized("fw")
     def flag_write(self, writer: int, owner: int) -> int:
         """Cost for ``writer`` to set/clear a flag living in ``owner``'s MPB."""
-        if self._cache_enabled:
-            memo = self._memo[self.config.erratum_enabled]
-            key = ("fw", writer, owner)
-            value = memo.get(key)
-            if value is None:
-                value = memo[key] = (
-                    self.mpb_access(writer, owner)
-                    + self.core_cycles(self.config.flag_write_extra_cycles))
-            return value
         return (self.mpb_access(writer, owner)
                 + self.core_cycles(self.config.flag_write_extra_cycles))
 
+    @memoized("fn")
     def flag_notify(self, reader: int, owner: int) -> int:
         """Delay between a flag level change and the polling core observing
         it: the final successful poll's read latency."""
-        if self._cache_enabled:
-            memo = self._memo[self.config.erratum_enabled]
-            key = ("fn", reader, owner)
-            value = memo.get(key)
-            if value is None:
-                poll = self.core_cycles(self.config.flag_poll_interval_cycles)
-                value = memo[key] = self.mpb_access(reader, owner) + poll
-            return value
         poll = self.core_cycles(self.config.flag_poll_interval_cycles)
         return self.mpb_access(reader, owner) + poll
 
     # -- bulk copies -----------------------------------------------------------
-    def _local_erratum_line_extra(self, accessor: int, owner: int) -> int:
-        """Per-line surcharge when a *local* MPB is accessed with the
-        arbiter-erratum workaround active: every line becomes a packet the
-        core sends to itself through the mesh."""
-        if accessor == owner and self.config.erratum_enabled:
-            return self.mesh_cycles(self.config.mpb_local_bug_mesh_cycles)
-        return 0
-
-    def _inter_chip_line_extra(self, accessor: int, owner: int) -> int:
-        """Per-line bandwidth surcharge for cross-chip bulk copies: every
-        line funnels through the board-level link(s) between the chips."""
+    def _copy(self, accessor: int, owner: int, nbytes: int,
+              line_ps: int) -> int:
+        """A bulk copy: one MPB access, then ``line_ps`` per line plus the
+        per-line surcharges — on a *local* MPB with the arbiter-erratum
+        workaround active every line is a packet the core sends to itself
+        through the mesh, and a cross-chip line funnels through the
+        board-level link(s) between the chips."""
+        if nbytes == 0:
+            return 0
+        cfg = self.config
+        if accessor == owner and cfg.erratum_enabled:
+            line_ps += self.mesh_cycles(cfg.mpb_local_bug_mesh_cycles)
         crossings = self.topology.chip_crossings(accessor, owner)
         if crossings:
-            return self.mesh_cycles(
-                self.config.inter_chip_line_mesh_cycles * crossings)
-        return 0
+            line_ps += self.mesh_cycles(
+                cfg.inter_chip_line_mesh_cycles * crossings)
+        return self.mpb_access(accessor, owner) + self.lines(nbytes) * line_ps
 
+    @memoized("wb")
     def mpb_write_bytes(self, writer: int, owner: int, nbytes: int) -> int:
         """Copy ``nbytes`` from ``writer``'s (cached) private memory into
         ``owner``'s MPB, through the write-combining buffer."""
-        if nbytes == 0:
-            return 0
-        if self._cache_enabled:
-            memo = self._memo[self.config.erratum_enabled]
-            key = ("wb", writer, owner, nbytes)
-            value = memo.get(key)
-            if value is None:
-                value = memo[key] = self._raw_mpb_write_bytes(
-                    writer, owner, nbytes)
-            return value
-        return self._raw_mpb_write_bytes(writer, owner, nbytes)
+        cfg = self.config
+        return self._copy(writer, owner, nbytes,
+                          self.core_cycles(cfg.put_line_core_cycles)
+                          + self.core_cycles(cfg.cache_line_core_cycles))
 
-    def _raw_mpb_write_bytes(self, writer: int, owner: int,
-                             nbytes: int) -> int:
-        n = self.lines(nbytes)
-        per_line = (self.core_cycles(self.config.put_line_core_cycles)
-                    + self.core_cycles(self.config.cache_line_core_cycles)
-                    + self._local_erratum_line_extra(writer, owner)
-                    + self._inter_chip_line_extra(writer, owner))
-        return self._raw_mpb_access(writer, owner) + n * per_line
-
+    @memoized("rb")
     def mpb_read_bytes(self, reader: int, owner: int, nbytes: int) -> int:
         """Copy ``nbytes`` from ``owner``'s MPB into ``reader``'s private
         memory (which is cached, so the write side is cheap)."""
-        if nbytes == 0:
-            return 0
-        if self._cache_enabled:
-            memo = self._memo[self.config.erratum_enabled]
-            key = ("rb", reader, owner, nbytes)
-            value = memo.get(key)
-            if value is None:
-                value = memo[key] = self._raw_mpb_read_bytes(
-                    reader, owner, nbytes)
-            return value
-        return self._raw_mpb_read_bytes(reader, owner, nbytes)
+        cfg = self.config
+        return self._copy(reader, owner, nbytes,
+                          self.core_cycles(cfg.get_line_core_cycles)
+                          + self.core_cycles(cfg.cache_line_core_cycles))
 
-    def _raw_mpb_read_bytes(self, reader: int, owner: int,
-                            nbytes: int) -> int:
-        n = self.lines(nbytes)
-        per_line = (self.core_cycles(self.config.get_line_core_cycles)
-                    + self.core_cycles(self.config.cache_line_core_cycles)
-                    + self._local_erratum_line_extra(reader, owner)
-                    + self._inter_chip_line_extra(reader, owner))
-        return self._raw_mpb_access(reader, owner) + n * per_line
-
+    @memoized("sr")
     def mpb_stream_read(self, reader: int, owner: int, nbytes: int) -> int:
         """Read ``nbytes`` from an MPB as reduction *operands* (no private
         copy written) — the MPB-direct Allreduce's input path."""
-        if nbytes == 0:
-            return 0
-        if self._cache_enabled:
-            memo = self._memo[self.config.erratum_enabled]
-            key = ("sr", reader, owner, nbytes)
-            value = memo.get(key)
-            if value is None:
-                value = memo[key] = self._raw_mpb_stream_read(
-                    reader, owner, nbytes)
-            return value
-        return self._raw_mpb_stream_read(reader, owner, nbytes)
+        cfg = self.config
+        return self._copy(reader, owner, nbytes, self.core_cycles(
+            cfg.get_line_core_cycles + cfg.stream_read_extra_cycles))
 
-    def _raw_mpb_stream_read(self, reader: int, owner: int,
-                             nbytes: int) -> int:
-        n = self.lines(nbytes)
-        per_line = (self.core_cycles(self.config.get_line_core_cycles
-                                     + self.config.stream_read_extra_cycles)
-                    + self._local_erratum_line_extra(reader, owner)
-                    + self._inter_chip_line_extra(reader, owner))
-        return self._raw_mpb_access(reader, owner) + n * per_line
-
+    @memoized("sw")
     def mpb_stream_write(self, writer: int, owner: int, nbytes: int) -> int:
         """Write ``nbytes`` of reduction *results* into an MPB (no private
         copy read) — the MPB-direct Allreduce's output path.  For the
         ``writer == owner`` case the per-access erratum penalty applies to
         every line, which is why the paper measured only ~10% gain."""
-        if nbytes == 0:
-            return 0
-        if self._cache_enabled:
-            memo = self._memo[self.config.erratum_enabled]
-            key = ("sw", writer, owner, nbytes)
-            value = memo.get(key)
-            if value is None:
-                value = memo[key] = self._raw_mpb_stream_write(
-                    writer, owner, nbytes)
-            return value
-        return self._raw_mpb_stream_write(writer, owner, nbytes)
+        return self._copy(writer, owner, nbytes,
+                          self.core_cycles(self.config.put_line_core_cycles))
 
-    def _raw_mpb_stream_write(self, writer: int, owner: int,
-                              nbytes: int) -> int:
-        n = self.lines(nbytes)
-        per_line = (self.core_cycles(self.config.put_line_core_cycles)
-                    + self._local_erratum_line_extra(writer, owner)
-                    + self._inter_chip_line_extra(writer, owner))
-        return self._raw_mpb_access(writer, owner) + n * per_line
-
+    @memoized("pc")
     def private_copy_bytes(self, nbytes: int) -> int:
         """memcpy between two cached private-memory buffers."""
-        if nbytes == 0:
-            return 0
-        if self._cache_enabled:
-            memo = self._memo[self.config.erratum_enabled]
-            key = ("pc", nbytes)
-            value = memo.get(key)
-            if value is None:
-                n = self.lines(nbytes)
-                value = memo[key] = n * self.core_cycles(
-                    2 * self.config.cache_line_core_cycles)
-            return value
-        n = self.lines(nbytes)
-        return n * self.core_cycles(2 * self.config.cache_line_core_cycles)
+        return self.lines(nbytes) * self.core_cycles(
+            2 * self.config.cache_line_core_cycles)
 
     def private_first_touch(self, core: int, nbytes: int) -> int:
         """Cost of faulting ``nbytes`` of private memory into the cache."""
@@ -370,16 +327,9 @@ class LatencyModel:
         return self.lines(nbytes) * self.dram_access(core)
 
     # -- computation ---------------------------------------------------------
+    @memoized("rd")
     def reduce_doubles(self, n: int) -> int:
         """Arithmetic cost of reducing ``n`` pairs of doubles."""
         if n < 0:
             raise ValueError(f"negative element count: {n}")
-        if self._cache_enabled:
-            memo = self._memo[self.config.erratum_enabled]
-            key = ("rd", n)
-            value = memo.get(key)
-            if value is None:
-                value = memo[key] = self.core_cycles(
-                    n * self.config.reduce_op_cycles_per_double)
-            return value
         return self.core_cycles(n * self.config.reduce_op_cycles_per_double)

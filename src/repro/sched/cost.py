@@ -36,7 +36,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.hw.timing import LatencyModel, pair_classes
+from repro.hw.timing import LatencyModel, memoized, pair_classes
 from repro.sched.ir import (
     F_CHARGED,
     F_REDUCE,
@@ -77,6 +77,7 @@ class SoftwareOverhead:
     call_ps: int = 0
 
 
+@memoized("msgcost")
 def message_cost(model: LatencyModel, src: int, dst: int,
                  nels: int) -> int:
     """Price one ``src -> dst`` vector transfer (picoseconds).
@@ -87,31 +88,19 @@ def message_cost(model: LatencyModel, src: int, dst: int,
     pay the flag handshake — the protocol runs regardless, which is why
     the empty-block ring steps are not free.
 
-    The composed cost is memoized in the per-erratum-level latency table
-    of the model's configuration (like every primitive it is built
-    from), so ``invalidate()`` and the fault injector's erratum toggle
-    stay correct: pricing a full
+    Memoized like the primitives it is built from: pricing a full
     pairwise-alltoall schedule touches thousands of (src, dst) pairs and
     the four-primitive recomputation dominates the analytic engine's
     wall-clock otherwise.
     """
-    memo = (model._memo[model.config.erratum_enabled]
-            if model._cache_enabled else None)
-    if memo is not None:
-        key = ("msgcost", src, dst, nels)
-        value = memo.get(key)
-        if value is not None:
-            return value
     nbytes = nels * ELEMENT_BYTES
-    value = (model.mpb_write_bytes(src, src, nbytes)
-             + model.flag_write(src, dst)
-             + model.flag_notify(dst, src)
-             + model.mpb_read_bytes(dst, src, nbytes))
-    if memo is not None:
-        memo[key] = value
-    return value
+    return (model.mpb_write_bytes(src, src, nbytes)
+            + model.flag_write(src, dst)
+            + model.flag_notify(dst, src)
+            + model.mpb_read_bytes(dst, src, nbytes))
 
 
+@memoized("hscost")
 def handshake_cost(model: LatencyModel, src: int, dst: int) -> int:
     """The back-channel half of the Fig.-3 flag protocol (picoseconds).
 
@@ -124,52 +113,34 @@ def handshake_cost(model: LatencyModel, src: int, dst: int) -> int:
     operations per message so its estimates track simulated latencies
     instead of merely ordering them.
     """
-    memo = (model._memo[model.config.erratum_enabled]
-            if model._cache_enabled else None)
-    if memo is not None:
-        key = ("hscost", src, dst)
-        value = memo.get(key)
-        if value is not None:
-            return value
-    value = (model.flag_write(dst, dst)       # sent.clear
-             + model.flag_write(dst, src)     # ready.set
-             + model.flag_notify(src, src)    # ready poll
-             + model.flag_write(src, src))    # ready.clear
-    if memo is not None:
-        memo[key] = value
-    return value
+    return (model.flag_write(dst, dst)       # sent.clear
+            + model.flag_write(dst, src)     # ready.set
+            + model.flag_notify(src, src)    # ready poll
+            + model.flag_write(src, src))    # ready.clear
 
 
+@memoized("cpcost")
 def _copy_pair_cost(model: LatencyModel, src: int, dst: int,
                     nels: int) -> int:
     """MPB write (at ``src``) + mesh read (by ``dst``) of one payload."""
-    memo = (model._memo[model.config.erratum_enabled]
-            if model._cache_enabled else None)
-    if memo is not None:
-        key = ("cpcost", src, dst, nels)
-        value = memo.get(key)
-        if value is not None:
-            return value
     nbytes = nels * ELEMENT_BYTES
-    value = (model.mpb_write_bytes(src, src, nbytes)
-             + model.mpb_read_bytes(dst, src, nbytes))
-    if memo is not None:
-        memo[key] = value
-    return value
+    return (model.mpb_write_bytes(src, src, nbytes)
+            + model.mpb_read_bytes(dst, src, nbytes))
 
 
 def row_hold(model: LatencyModel, op: int, flags: int, snels: int,
-             rnels: int) -> Optional[int]:
+             rnels: int, itemsize: int = ELEMENT_BYTES) -> Optional[int]:
     """The CPU hold (ps) a step row takes besides its messages, or None
-    where it takes none, as the schedule executor charges it: a charged
-    copy's or a rotate's private-memory pass (an uncharged copy is free
-    staging), a fold's reduction (tree folds always, exchanges only of a
-    non-empty block)."""
+    where it takes none — the one definition the schedule executor (with
+    its buffer's ``itemsize``), this cost model and replay charge: a
+    charged copy's or a rotate's private-memory pass (an uncharged copy
+    is free staging), a fold's reduction (tree folds always, exchanges
+    only of a non-empty block)."""
     if op > OP_EXCHANGE:
         if op != OP_COPY:
-            return model.private_copy_bytes(rnels * ELEMENT_BYTES)
+            return model.private_copy_bytes(rnels * itemsize)
         if flags & F_CHARGED:
-            return model.private_copy_bytes(snels * ELEMENT_BYTES)
+            return model.private_copy_bytes(snels * itemsize)
         return None
     if op == OP_REDUCE_RECV or flags & F_REDUCE and rnels:
         return model.reduce_doubles(rnels)
@@ -258,30 +229,6 @@ def schedule_cost_key(sched: Schedule, *, blocking: bool,
             blocking, overhead)
 
 
-def invalidate_schedule_costs(model: LatencyModel) -> int:
-    """Drop every memoized whole-schedule estimate of ``model``'s
-    configuration (every model on it shares them).
-
-    The mirror of :meth:`~repro.hw.timing.LatencyModel.invalidate` for
-    the schedule level: the estimates live in the configuration's
-    per-erratum-level latency memo, so a full ``model.invalidate()``
-    (config mutation) already leaves them behind — this narrower hook
-    is for when the *schedule* side changes (a transform under
-    development, a rebuilt repertoire) while the hardware latencies are
-    still good.  Returns the number of entries dropped (both erratum
-    levels).
-    """
-    dropped = 0
-    for memo in model._memo:
-        stale = [key for key in memo
-                 if isinstance(key, tuple) and key
-                 and key[0] == "schedcost"]
-        for key in stale:
-            del memo[key]
-        dropped += len(stale)
-    return dropped
-
-
 def _step_keys(rows: np.ndarray, classes: np.ndarray) -> np.ndarray:
     """One key per row such that equal keys mean equal :func:`step_cost`:
     opcode, the priced flags, each side's pair class (0: no peer) and
@@ -323,19 +270,17 @@ def estimate_schedule_cost(sched: Schedule, model: LatencyModel, *,
     price — then gathered, summed per (phase, rank), maximized per
     phase.
 
-    Whole-schedule results are memoized in the per-erratum latency table
-    of the model's configuration under :func:`schedule_cost_key` — the synthesizer prices the
-    same candidates across repeated searches and the tuned stack's
-    fallback prices per call site, so the second look-up of any
-    ``(schedule, regime)`` pair is a dict hit.
+    Whole-schedule results are kept in the model's price table
+    (:meth:`~repro.hw.timing.LatencyModel.prices`) under
+    :func:`schedule_cost_key` — the synthesizer prices the same
+    candidates across repeated searches and the tuned stack's fallback
+    prices per call site, so the second look-up of any ``(schedule,
+    regime)`` pair is a dict hit.
     """
-    sched_memo = (model._memo[model.config.erratum_enabled]
-                  if model._cache_enabled else None)
-    cache_key = None
-    if sched_memo is not None:
-        cache_key = schedule_cost_key(sched, blocking=blocking,
-                                      overhead=overhead)
-        cached = sched_memo.get(cache_key)
+    memo = model.prices()
+    if memo is not None:
+        key = schedule_cost_key(sched, blocking=blocking, overhead=overhead)
+        cached = memo.get(key)
         if cached is not None:
             return cached
     rows = sched.table.rows
@@ -354,6 +299,6 @@ def estimate_schedule_cost(sched: Schedule, model: LatencyModel, *,
         cells = np.zeros((len(phases), sched.p), dtype=np.int64)
         np.add.at(cells, (phase, rows[:, RANK]), prices[inverse.ravel()])
         total += int(cells.max(axis=1).sum())
-    if cache_key is not None:
-        sched_memo[cache_key] = total
+    if memo is not None:
+        memo[key] = total
     return total

@@ -11,10 +11,12 @@ rows and lowers each onto the communicator's primitives:
   completed by one ``wait_all`` (within LWNB's single-outstanding-request
   budget); one-sided exchanges (the prefix-scan edges) issue their
   single operation the same way;
-* reductions charge ``latency.reduce_doubles``: unconditionally for tree
-  folds (``OP_REDUCE_RECV``), only for non-empty blocks in the ring
-  reduce-scatter (``F_REDUCE`` exchanges);
-* copy and rotation rows charge the private-memory copy costs.
+* what a row charges besides its messages is
+  :func:`repro.sched.cost.row_hold` (at the buffer's element size), the
+  definition the cost model and replay charge too: reductions
+  unconditionally for tree folds (``OP_REDUCE_RECV``), only for
+  non-empty blocks in the ring reduce-scatter (``F_REDUCE`` exchanges);
+  charged copy and rotation rows the private-memory copy costs.
 
 The virtual time this charges per algorithm, stack and rank is pinned in
 ``tests/sched/test_engine_golden.py``.  Spans annotate the run with the
@@ -33,8 +35,8 @@ import numpy as np
 
 from repro.core.ops import ReduceOp, SUM
 from repro.obs.spans import span
+from repro.sched.cost import row_hold
 from repro.sched.ir import (
-    F_CHARGED,
     F_REDUCE,
     F_REVERSED,
     F_SEND_FIRST,
@@ -127,24 +129,21 @@ def run_schedule(comm: "Communicator", env: "CoreEnv", kind: str,
     # Inline, so a resume reaches the p2p layer one frame sooner.
     p2p = comm.p2p
     latency = env.latency
+    itemsize = work.itemsize
     with span(env, "schedule", sched.label):
         for rnd, rows in groupby(_rank_plan(sched, me), _ROUND_OF):
             with span(env, "round", rnd) if rnd >= 0 else _UNTAGGED:
                 for (_, _, code, speer, sbuf, slo, shi,
                      rpeer, rbuf, rlo, rhi, flags) in rows:
                     if code > OP_EXCHANGE:
+                        hold = row_hold(latency, code, flags, shi - slo,
+                                        rhi - rlo, itemsize)
+                        if hold is not None:
+                            yield from env.consume(hold, "copy")
                         target = buffers[rbuf][rlo:rhi]
                         if code == OP_COPY:
-                            src = buffers[sbuf][slo:shi]
-                            if flags & F_CHARGED:
-                                yield from env.consume(
-                                    latency.private_copy_bytes(src.nbytes),
-                                    "copy")
-                            target[:] = src
+                            target[:] = buffers[sbuf][slo:shi]
                         else:  # OP_ROTATE: ``slo`` rows, down by ``shi``
-                            yield from env.consume(
-                                latency.private_copy_bytes(target.nbytes),
-                                "copy")
                             matrix = target.reshape(slo, -1)
                             matrix[:] = np.roll(matrix, shi, axis=0)
                         continue
@@ -182,14 +181,12 @@ def run_schedule(comm: "Communicator", env: "CoreEnv", kind: str,
                                                               rpeer)))
                         yield from p2p.wait_all(env, reqs)
                     if folds:
-                        nels = recv_view.size
+                        hold = row_hold(latency, code, flags, 0, rhi - rlo)
                         if code == OP_REDUCE_RECV:
-                            yield from env.consume(
-                                latency.reduce_doubles(nels), "compute")
-                        elif nels:
-                            with span(env, "reduce", nels):
-                                yield from env.consume(
-                                    latency.reduce_doubles(nels), "compute")
+                            yield from env.consume(hold, "compute")
+                        elif hold is not None:
+                            with span(env, "reduce", rhi - rlo):
+                                yield from env.consume(hold, "compute")
                         recv_view[:] = (op(recv_buf, recv_view)
                                         if flags & F_REVERSED
                                         else op(recv_view, recv_buf))

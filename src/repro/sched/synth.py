@@ -70,10 +70,6 @@ CHUNK_GRID_PIPELINE: tuple[int, ...] = (2, 4, 8, 16, 32)
 LATENCY_REF_SIZE = 1
 
 
-def is_synth_name(name: str) -> bool:
-    return name.startswith(SYNTH_PREFIX)
-
-
 def parse_synth_name(kind: str, name: str) -> tuple[Optional[str], int]:
     """``synth/...`` -> ``(base_builder_or_None, chunks)``.
 
@@ -87,7 +83,7 @@ def parse_synth_name(kind: str, name: str) -> tuple[Optional[str], int]:
             f"names are 'synth/pipeline_c<c>' or 'synth/<base>+c<c>' "
             f"with <base> in {builder_names(kind)}")
 
-    if not is_synth_name(name):
+    if not name.startswith(SYNTH_PREFIX):
         raise _bad("missing synth/ prefix")
     body = name[len(SYNTH_PREFIX):]
     if body.startswith("pipeline_c"):
@@ -241,10 +237,7 @@ def synthesize(kind: str, p: int, n: int,
 
 
 def _resolve(kind: str, name: str, p: int, n: int) -> Schedule:
-    part = balanced_partition(n, p)
-    if is_synth_name(name):
-        return build_synth_schedule(kind, name, p, n, part=part)
-    return build_schedule(kind, name, p, n, part=part)
+    return build_schedule(kind, name, p, n, part=balanced_partition(n, p))
 
 
 def synth_repertoire(ps: Sequence[int] = (2, 3, 5, 8, 48),

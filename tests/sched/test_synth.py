@@ -11,7 +11,6 @@ from repro.hw.timing import shared_tables
 from repro.sched.builders import build_schedule, builder_names
 from repro.sched.cost import (
     estimate_schedule_cost,
-    invalidate_schedule_costs,
     schedule_cost_key,
 )
 from repro.sched.synth import (
@@ -182,28 +181,9 @@ class TestCostMemo:
         part = balanced_partition(64, 8)
         sched = build_schedule("allreduce", "rsag", 8, 64, part=part)
         first = estimate_schedule_cost(sched, model)
-        memo = model._memo[model.config.erratum_enabled]
         key = schedule_cost_key(sched, blocking=False, overhead=None)
-        assert memo[key] == first
+        assert model.prices()[key] == first
         assert estimate_schedule_cost(sched, model) == first
-
-    def test_invalidate_mirrors_latency_model(self):
-        model = self.make_model()
-        part = balanced_partition(64, 8)
-        for name in ("rsag", "recursive_doubling"):
-            sched = build_schedule("allreduce", name, 8, 64, part=part)
-            estimate_schedule_cost(sched, model)
-            estimate_schedule_cost(sched, model, blocking=True)
-        dropped = invalidate_schedule_costs(model)
-        assert dropped == 4
-        memo = model._memo[model.config.erratum_enabled]
-        assert not any(isinstance(k, tuple) and k and k[0] == "schedcost"
-                       for k in memo)
-        # primitive-level entries survive the schedule-cost flush
-        assert memo
-
-    def test_invalidate_empty_model(self):
-        assert invalidate_schedule_costs(self.make_model()) == 0
 
 
 class TestEngineRoundTrip:
