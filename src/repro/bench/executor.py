@@ -46,11 +46,11 @@ import pathlib
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.hw.config import SCCConfig, config_state
+from repro.hw.config import SCCConfig, config_key, config_keys
 from repro.sim.clock import ps_to_us
 
 _log = logging.getLogger(__name__)
@@ -100,20 +100,52 @@ def _execute_point(point: SweepPoint) -> float:
         rank_order=point.rank_order, seed=point.seed, algo=point.algo)
 
 
-def _exact_point(point: SweepPoint) -> tuple[float, Optional[str]]:
-    """A point's exact latency, replayed where replay can answer and
-    simulated where it escalates, with why it was simulated (None when
-    replayed).  Worker entry, like :func:`_execute_point`."""
-    from repro.sched.replay import Escalation, replay_measurement
+def _exact_group(points: list[SweepPoint]
+                 ) -> list[tuple[float, Optional[str]]]:
+    """The exact latencies of points that share a stack, core count,
+    configuration and rank order, with why each was simulated (None when
+    replayed): one :class:`~repro.sched.replay.Session` replays them
+    all, and a point goes to the simulator where replay escalates; the
+    whole group does where the session itself escalates.  Worker entry,
+    like :func:`_execute_point`."""
+    from repro.sched.replay import Escalation, Session
 
+    first = points[0]
     try:
-        marks = replay_measurement(
-            point.kind, point.stack, point.size, cores=point.cores,
-            config=point.config, rank_order=point.rank_order,
-            algo=point.algo)
+        session = Session(first.stack, first.cores, config=first.config,
+                          rank_order=first.rank_order)
     except Escalation as why:
-        return _execute_point(point), str(why)
-    return ps_to_us(marks[0][0]), None
+        return [(_execute_point(point), str(why)) for point in points]
+    out: list[tuple[float, Optional[str]]] = []
+    for point in points:
+        try:
+            marks = session.measure(point.kind, point.size, point.algo)
+        except Escalation as why:
+            out.append((_execute_point(point), str(why)))
+        else:
+            out.append((ps_to_us(marks[0][0]), None))
+    return out
+
+
+def _groups(points: Sequence[SweepPoint], indices: list[int],
+            config_key: Callable[[SCCConfig], str],
+            jobs: int) -> list[list[int]]:
+    """``indices`` grouped by (stack, cores, ``config_key``, rank order),
+    in first-seen order, each group cut into ``min(jobs, len)``
+    contiguous pieces so that a pool still gets one task per worker."""
+    groups: dict[tuple, list[int]] = {}
+    for i in indices:
+        point = points[i]
+        groups.setdefault((point.stack, point.cores,
+                           config_key(point.config), point.rank_order),
+                          []).append(i)
+    tasks = []
+    for group in groups.values():
+        pieces = min(jobs, len(group))
+        for k in range(pieces):
+            tasks.append(group[k * len(group) // pieces:
+                               (k + 1) * len(group) // pieces])
+    return tasks
 
 
 # --------------------------------------------------------------------- #
@@ -137,9 +169,22 @@ def code_fingerprint() -> str:
     return digest.hexdigest()
 
 
-def fingerprint(point: SweepPoint) -> str:
-    """Stable content address of one sweep point (sha256 hex digest)."""
-    payload = {
+#: ``json.dumps(..., sort_keys=True, default=repr)`` without building an
+#: encoder per call.
+_encode = json.JSONEncoder(sort_keys=True, default=repr).encode
+
+
+def fingerprint(point: SweepPoint,
+                config_key: Callable[[SCCConfig], str] = config_key) -> str:
+    """Stable content address of one sweep point (sha256 hex digest).
+
+    The hashed text is ``json.dumps`` of ``{"schema", "kind", "stack",
+    "size", "cores", "op", "seed", "rank_order", "algo", "config":
+    config_state(...), "code": code_fingerprint(), "numpy"}`` with sorted
+    keys, the config's part spliced in as ``config_key`` serialises it
+    (:func:`~repro.hw.config.config_keys` shares one serialisation
+    between a sweep's equal configs)."""
+    rest = _encode({
         "schema": CACHE_SCHEMA,
         "kind": point.kind,
         "stack": point.stack,
@@ -149,12 +194,12 @@ def fingerprint(point: SweepPoint) -> str:
         "seed": point.seed,
         "rank_order": (list(point.rank_order)
                        if point.rank_order is not None else None),
-        "algo": point.algo,
-        "config": config_state(point.config),
-        "code": code_fingerprint(),
         "numpy": np.__version__,
-    }
-    canonical = json.dumps(payload, sort_keys=True, default=repr)
+    })
+    # "algo" < "code" < "config" < "cores", the first key of ``rest``.
+    canonical = (f'{{"algo": {_encode(point.algo)}, '
+                 f'"code": {_encode(code_fingerprint())}, '
+                 f'"config": {config_key(point.config)}, {rest[1:]}')
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
@@ -373,10 +418,12 @@ def run_sweep(points: Sequence[SweepPoint], *,
       :class:`~repro.bench.analytic.EngineDriftError`.
 
     Every exact value, under any engine, is replayed from the bound
-    programs (:func:`repro.sched.replay.replay_measurement`, the
-    simulated value to the picosecond) and simulated only where replay
-    escalates; ``replayed``/``simulated`` count which, and the
-    ``repro.bench.executor`` logger says which, per point, at DEBUG.
+    programs (one :class:`repro.sched.replay.Session` per group of
+    points sharing a stack, core count, configuration and rank order;
+    the simulated value to the picosecond) and simulated only where
+    replay escalates; ``replayed``/``simulated`` count which, and the
+    ``repro.bench.executor`` logger says which, per point in point
+    order, at DEBUG.
     Every point's ``op`` is resolved first, so an unknown reduce op
     raises :class:`KeyError` under every engine.  Analytic estimates are
     never written to (or read from) the result cache — it stores exact
@@ -429,12 +476,13 @@ def run_sweep(points: Sequence[SweepPoint], *,
                                            DEFAULT_VALIDATE)]
 
     to_exact = exact_idx + validate_idx  # disjoint by construction
+    keys = config_keys()  # one serialisation per distinct config
     fingerprints: dict[int, str] = {}
     exact: dict[int, float] = {}
     pending: list[int] = []
     if store is not None:
         for i in to_exact:
-            fp = fingerprints[i] = fingerprint(points[i])
+            fp = fingerprints[i] = fingerprint(points[i], keys)
             hit = store.get(fp)
             if hit is None:
                 pending.append(i)
@@ -445,13 +493,18 @@ def run_sweep(points: Sequence[SweepPoint], *,
     hits = len(exact)
     misses = len(pending) if store is not None else 0
 
-    # One fan-out for every exact value: replay, or the simulator where
-    # replay escalates.
-    fresh = parallel_map(_exact_point, [points[i] for i in pending],
-                         jobs=jobs)
+    # One fan-out for every exact value: a replay session per group of
+    # points, the simulator where replay escalates.
+    tasks = _groups(points, pending, keys, jobs)
+    fresh: dict[int, tuple[float, Optional[str]]] = {}
+    for task, results in zip(tasks, parallel_map(
+            _exact_group, [[points[i] for i in task] for task in tasks],
+            jobs=jobs)):
+        fresh.update(zip(task, results))
     replayed = 0
     debug = _log.isEnabledFor(logging.DEBUG)
-    for i, (value, why) in zip(pending, fresh):
+    for i in sorted(fresh):
+        value, why = fresh[i]
         exact[i] = value
         if why is None:
             replayed += 1

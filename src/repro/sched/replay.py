@@ -31,13 +31,21 @@ Two executors, by stack:
 * **Request stacks** (iRCCE, lightweight, lightweight_balanced, tuned).
   A core's CPU is a FIFO lock shared by the main program and its
   request sub-processes, so the order of same-instant entries decides
-  who holds it first.  This executor keeps one int heap keyed like the
-  kernel's ``(time, seq)`` and pushes where the kernel pushes: a
+  who holds it first.  This executor pushes where the kernel pushes: a
   process's bootstrap, a free channel lock's zero hold, a CPU grant, a
   hold's end, a flag wake, the completion a waiting main program
-  resumes on and ``wait_all``'s ``AllOf`` hop.  The completion of a
-  request nobody waits on is not pushed: nothing observes it, and
-  leaving an entry out does not reorder the others.
+  resumes on and ``wait_all``'s ``AllOf`` hop.  An entry goes into its
+  instant's FIFO lane of pids, and a heap holds the distinct instants.
+  That is the kernel's ``(time, seq)`` order by construction: ``seq``
+  only grows, so entries of one instant pop in push order, and an entry
+  pushed for the instant being run is appended to the lane being run.
+  The completion of a request nobody waits on is not pushed: nothing
+  observes it, and leaving an entry out does not reorder the others.
+
+A :class:`Session` binds once per ``(stack, cores, config,
+rank_order)`` and replays any number of calls on it (a sweep group's
+points); :func:`replay_calls` and :func:`replay_measurement` are
+one-call sessions.
 
 What only the simulator can answer raises :class:`Escalation`:
 ``model_mpb_contention``; the ``mpb`` algorithm; the ``rckmpi`` stack
@@ -95,11 +103,6 @@ _F_SET, _F_WAIT, _F_MARK = range(3)
 _M_CONSUME, _M_ISSUE, _M_WAIT, _M_WAIT_ALL, _M_MARK = range(5)
 #: Why a main program or a request is resumed.
 _BOOT, _RUN, _GRANTED, _HELD, _WOKEN, _COMPLETED = range(6)
-#: Heap keys: ``time << _TIME | seq << _SEQ | pid``.
-_SEQ = 20
-_TIME = 52
-_PID_MASK = (1 << _SEQ) - 1
-_SEQ_LIMIT = 1 << (_TIME - _SEQ)
 
 
 class Escalation(Exception):
@@ -293,14 +296,33 @@ def _rank_steps(sched, rank: int, rows: list, cores: list[int],
     return steps
 
 
-class _BlockingPrograms:
-    """Every rank's fused program on the blocking stack."""
+class _Programs:
+    """Every rank's program, appended to call by call: ``progs``, and on
+    the blocking stack the CPU time ``pending`` after each rank's last
+    flag operation."""
 
     def __init__(self, binder: _Binder, p: int):
         self.binder = binder
         self.p = p
         self.progs: list[list] = [[] for _ in range(p)]
         self.pending = [0] * p
+
+    def state(self) -> tuple:
+        """A copy of what the calls so far appended."""
+        return [list(prog) for prog in self.progs], list(self.pending)
+
+    def restore(self, state: tuple) -> None:
+        """Continue from a copy of ``state``, which stays as it is."""
+        progs, pending = state
+        self.progs = [list(prog) for prog in progs]
+        self.pending = list(pending)
+
+
+class _BlockingPrograms(_Programs):
+    """Every rank's fused program on the blocking stack."""
+
+    def __init__(self, binder: _Binder, p: int):
+        super().__init__(binder, p)
         config = binder.ctx.machine.config
         latency = binder.ctx.machine.latency
         self.send_cycles = config.rcce_send_call_cycles
@@ -430,14 +452,12 @@ def _run_blocking(progs: list[list], nslots: int) -> list[list[int]]:
     return marks
 
 
-class _RequestPrograms:
+class _RequestPrograms(_Programs):
     """Every rank's main program on a request stack; an issue carries its
     request's template ``(compiled rows, channel lock)``."""
 
     def __init__(self, binder: _Binder, p: int):
-        self.binder = binder
-        self.p = p
-        self.progs: list[list] = [[] for _ in range(p)]
+        super().__init__(binder, p)
         self.templates: dict[tuple, tuple] = {}
         ctx = binder.ctx
         self.issue_ps = ctx.issue_ps
@@ -510,252 +530,289 @@ def _run_requests(progs: list[list], ncores: int,
     """Execute the main programs and their requests in the kernel's
     ``(time, seq)`` order; every rank's marks.
 
-    Pid ``r < p`` is rank ``r``'s main program, ``[ops, pc, resume, core,
-    issued pids, wait_all count, marks]``; a request is ``[rows, pc,
-    resume, core, lock, done, waiter]``, ``waiter`` being the pid of a
-    main program waiting on it alone, ``-1 - pid`` of one in
-    ``wait_all``.
+    Each instant is a FIFO lane of pids, run in push order; a push at
+    the instant being run appends to its lane.  Pid ``r < p`` is rank
+    ``r``'s main program, ``[ops, pc, resume, core, issued pids,
+    wait_all count, marks]``; a request is ``[rows, pc, resume, core,
+    lock, done, waiter]``, ``waiter`` being the pid of a main program
+    waiting on it alone, ``-1 - pid`` of one in ``wait_all``.
     """
     p = len(progs)
-    heap: list[int] = []
-    procs: list[list] = []
-    for rank, ops in enumerate(progs):
-        procs.append([ops, 0, _RUN, rank, [], 0, []])
-        heappush(heap, rank << _SEQ | rank)  # bootstrap at t = 0
-    seq = p
+    times = [0]
+    lanes = {0: list(range(p))}  # every bootstrap at t = 0
+
+    def later(at: int, pid: int) -> None:
+        lane = lanes.get(at)
+        if lane is None:
+            lanes[at] = [pid]
+            heappush(times, at)
+        else:
+            lane.append(pid)
+
+    procs: list[list] = [[ops, 0, _RUN, rank, [], 0, []]
+                         for rank, ops in enumerate(progs)]
     locked = [False] * ncores
     queues = [deque() for _ in range(ncores)]
     held: set[int] = set()
     level = bytearray(nslots)
     waiting: list[list] = [[] for _ in range(nslots)]
-    while heap:
-        key = heappop(heap)
-        now = key >> _TIME
-        pid = key & _PID_MASK
-        while True:
-            st = procs[pid]
-            if pid < p:
-                # -- a rank's main program ----------------------------------
-                ops, i, resume, core = st[0], st[1], st[2], st[3]
+    while times:
+        now = heappop(times)
+        lane = lanes[now]
+        for pid in lane:
+            while True:
+                st = procs[pid]
+                if pid < p:
+                    # -- a rank's main program ------------------------------
+                    ops, i, resume, core = st[0], st[1], st[2], st[3]
+                    if resume == _GRANTED:
+                        if ops[i][1] > 0:
+                            later(now + ops[i][1], pid)
+                            st[2] = _HELD
+                            break
+                        resume = _HELD
+                    elif resume == _WOKEN:
+                        i += 1
+                    n = len(ops)
+                    while i < n:
+                        op = ops[i]
+                        code = op[0]
+                        if code <= _M_ISSUE:
+                            if resume != _HELD:
+                                if locked[core] or queues[core]:
+                                    queues[core].append(pid)
+                                    st[2] = _GRANTED
+                                    break
+                                if op[1] > 0:
+                                    locked[core] = True
+                                    later(now + op[1], pid)
+                                    st[2] = _HELD
+                                    break
+                            # The hold is over (or took no time): release
+                            # the CPU, then start the issued request.
+                            resume = _RUN
+                            queue = queues[core]
+                            if queue:
+                                lane.append(queue.popleft())
+                            else:
+                                locked[core] = False
+                            if code == _M_ISSUE:
+                                st[4].append(len(procs))
+                                lane.append(len(procs))
+                                procs.append([op[2][0], 0, _BOOT, core,
+                                              op[2][1], False, None])
+                        elif code == _M_WAIT:
+                            req = procs[st[4].pop()]
+                            if not req[5]:
+                                req[6] = pid
+                                st[2] = _WOKEN
+                                break
+                        elif code == _M_WAIT_ALL:
+                            pending = [procs[q] for q in st[4]
+                                       if not procs[q][5]]
+                            st[4] = []
+                            if pending:
+                                for req in pending:
+                                    req[6] = -1 - pid
+                                st[5] = len(pending)
+                                st[2] = _WOKEN
+                                break
+                        else:
+                            st[6].append(now)
+                        i += 1
+                    st[1] = i
+                    break
+                # -- a request's sub-process ---------------------------------
+                rows, i, resume, core = st[0], st[1], st[2], st[3]
+                if resume == _COMPLETED:
+                    waiter = st[6]
+                    if waiter >= 0:
+                        pid = waiter  # resumed inside this dispatch
+                        continue
+                    main = procs[-1 - waiter]
+                    main[5] -= 1
+                    if not main[5]:
+                        lane.append(-1 - waiter)
+                    break
+                if resume == _BOOT:
+                    # Take the free channel lock inline; the zero hold
+                    # resumes the run where the grant would have.
+                    if st[4] in held:
+                        raise Escalation(
+                            "a request queued on its channel lock")
+                    held.add(st[4])
+                    lane.append(pid)
+                    st[2] = _RUN
+                    break
                 if resume == _GRANTED:
-                    if ops[i][1] > 0:
-                        heappush(heap, (now + ops[i][1]) << _TIME
-                                 | seq << _SEQ | pid)
-                        seq += 1
+                    if rows[i + 2] > 0:
+                        later(now + rows[i + 2], pid)
                         st[2] = _HELD
                         break
                     resume = _HELD
                 elif resume == _WOKEN:
-                    i += 1
-                n = len(ops)
+                    i += _STEP
+                n = len(rows)
                 while i < n:
-                    op = ops[i]
-                    code = op[0]
-                    if code <= _M_ISSUE:
-                        if resume != _HELD:
-                            if locked[core] or queues[core]:
-                                queues[core].append(pid)
-                                st[2] = _GRANTED
-                                break
-                            if op[1] > 0:
-                                locked[core] = True
-                                heappush(heap, (now + op[1]) << _TIME
-                                         | seq << _SEQ | pid)
-                                seq += 1
-                                st[2] = _HELD
-                                break
-                        # The hold is over (or took no time): release the
-                        # CPU, then start the issued request.
-                        resume = _RUN
-                        queue = queues[core]
-                        if queue:
-                            heappush(heap, now << _TIME | seq << _SEQ
-                                     | queue.popleft())
-                            seq += 1
+                    op = rows[i]
+                    if op == WAIT:
+                        slot = rows[i + 1]
+                        if level[slot]:
+                            later(now + rows[i + 2], pid)
                         else:
-                            locked[core] = False
-                        if code == _M_ISSUE:
-                            st[4].append(len(procs))
-                            heappush(heap, now << _TIME | seq << _SEQ
-                                     | len(procs))
-                            seq += 1
-                            procs.append([op[2][0], 0, _BOOT, core,
-                                          op[2][1], False, None])
-                    elif code == _M_WAIT:
-                        req = procs[st[4].pop()]
-                        if not req[5]:
-                            req[6] = pid
-                            st[2] = _WOKEN
+                            waiting[slot].append((pid, rows[i + 2]))
+                        st[2] = _WOKEN
+                        break
+                    if resume != _HELD:
+                        if locked[core] or queues[core]:
+                            queues[core].append(pid)
+                            st[2] = _GRANTED
                             break
-                    elif code == _M_WAIT_ALL:
-                        pending = [procs[q] for q in st[4] if not procs[q][5]]
-                        st[4] = []
-                        if pending:
-                            for req in pending:
-                                req[6] = -1 - pid
-                            st[5] = len(pending)
-                            st[2] = _WOKEN
+                        if rows[i + 2] > 0:
+                            locked[core] = True
+                            later(now + rows[i + 2], pid)
+                            st[2] = _HELD
                             break
+                    # The hold is over (or took no time): release the CPU,
+                    # then apply the row's effect.
+                    resume = _RUN
+                    queue = queues[core]
+                    if queue:
+                        lane.append(queue.popleft())
                     else:
-                        st[6].append(now)
-                    i += 1
+                        locked[core] = False
+                    if op == SET:
+                        slot = rows[i + 1]
+                        if not level[slot]:
+                            level[slot] = 1
+                            for waiter, extra in waiting[slot]:
+                                later(now + extra, waiter)
+                            waiting[slot].clear()
+                    elif op == CLEAR:
+                        level[rows[i + 1]] = 0
+                    i += _STEP
+                else:
+                    # Done: free the channel lock, retire, complete.
+                    held.discard(st[4])
+                    st[5] = True
+                    if st[6] is not None:
+                        lane.append(pid)
+                        st[2] = _COMPLETED
                 st[1] = i
                 break
-            # -- a request's sub-process ---------------------------------------
-            rows, i, resume, core = st[0], st[1], st[2], st[3]
-            if resume == _COMPLETED:
-                waiter = st[6]
-                if waiter >= 0:
-                    pid = waiter  # resumed inside this dispatch
-                    continue
-                main = procs[-1 - waiter]
-                main[5] -= 1
-                if not main[5]:
-                    heappush(heap, now << _TIME | seq << _SEQ | (-1 - waiter))
-                    seq += 1
-                break
-            if resume == _BOOT:
-                # Take the free channel lock inline; the zero hold resumes
-                # the run where the grant would have.
-                if st[4] in held:
-                    raise Escalation("a request queued on its channel lock")
-                held.add(st[4])
-                heappush(heap, now << _TIME | seq << _SEQ | pid)
-                seq += 1
-                st[2] = _RUN
-                break
-            if resume == _GRANTED:
-                if rows[i + 2] > 0:
-                    heappush(heap, (now + rows[i + 2]) << _TIME | seq << _SEQ
-                             | pid)
-                    seq += 1
-                    st[2] = _HELD
-                    break
-                resume = _HELD
-            elif resume == _WOKEN:
-                i += _STEP
-            n = len(rows)
-            while i < n:
-                op = rows[i]
-                if op == WAIT:
-                    slot = rows[i + 1]
-                    if level[slot]:
-                        heappush(heap, (now + rows[i + 2]) << _TIME
-                                 | seq << _SEQ | pid)
-                        seq += 1
-                    else:
-                        waiting[slot].append((pid, rows[i + 2]))
-                    st[2] = _WOKEN
-                    break
-                if resume != _HELD:
-                    if locked[core] or queues[core]:
-                        queues[core].append(pid)
-                        st[2] = _GRANTED
-                        break
-                    if rows[i + 2] > 0:
-                        locked[core] = True
-                        heappush(heap, (now + rows[i + 2]) << _TIME
-                                 | seq << _SEQ | pid)
-                        seq += 1
-                        st[2] = _HELD
-                        break
-                # The hold is over (or took no time): release the CPU,
-                # then apply the row's effect.
-                resume = _RUN
-                queue = queues[core]
-                if queue:
-                    heappush(heap, now << _TIME | seq << _SEQ
-                             | queue.popleft())
-                    seq += 1
-                else:
-                    locked[core] = False
-                if op == SET:
-                    slot = rows[i + 1]
-                    if not level[slot]:
-                        level[slot] = 1
-                        for waiter, extra in waiting[slot]:
-                            heappush(heap, (now + extra) << _TIME
-                                     | seq << _SEQ | waiter)
-                            seq += 1
-                        waiting[slot].clear()
-                elif op == CLEAR:
-                    level[rows[i + 1]] = 0
-                i += _STEP
-            else:
-                # Done: free the channel lock, retire, complete.
-                held.discard(st[4])
-                st[5] = True
-                if st[6] is not None:
-                    heappush(heap, now << _TIME | seq << _SEQ | pid)
-                    seq += 1
-                    st[2] = _COMPLETED
-            st[1] = i
-            break
-    if seq >= _SEQ_LIMIT or len(procs) > _PID_MASK:
-        raise Escalation("too many heap entries to key")
+        del lanes[now]
     if any(st[1] != len(st[0]) for st in procs[:p]):
         raise Escalation("no progress: a main program never finished")
     return [st[6] for st in procs[:p]]
 
 
 # -- entry points ------------------------------------------------------------
+class Session:
+    """Replays on one ``(stack, cores, config, rank_order)``: the
+    communicator, the binder with its compiled and fused programs and
+    request templates, and a measurement's barrier prefix are built once
+    and shared by every call; each call runs on fresh copies of the
+    program lists.  Lives as long as its caller keeps it (one sweep
+    group): nothing is kept between sessions.
+
+    The constructor raises :class:`Escalation` where no call on the
+    session can be replayed (MPB contention, ``rckmpi``, a rank count or
+    rank order the chip rejects, a stack replay does not know); a call
+    raises it for that call alone (the ``mpb`` algorithm, an unknown
+    kind or algorithm, a run that cannot make progress).
+    """
+
+    def __init__(self, stack: str, cores: int, *,
+                 config: Optional[SCCConfig] = None,
+                 rank_order: Optional[Sequence[int]] = None):
+        config = config if config is not None else SCCConfig()
+        if config.model_mpb_contention:
+            raise Escalation("MPB contention")
+        if stack == "rckmpi":
+            raise Escalation("the rckmpi stack")
+        try:
+            config.check_rank_count(cores)
+        except ValueError as exc:
+            raise Escalation(str(exc)) from None
+        ranks = (list(rank_order) if rank_order is not None
+                 else list(range(cores)))
+        if (len(ranks) != cores or len(set(ranks)) != cores
+                or not all(0 <= core < config.num_cores for core in ranks)):
+            raise Escalation(f"rank order {ranks}")
+        self.ctx = _Context(stack, config)
+        self.cores = cores
+        self.binder = _Binder(self.ctx, ranks)
+        self.programs = (_BlockingPrograms if self.ctx.blocking
+                         else _RequestPrograms)(self.binder, cores)
+        self.empty = self.programs.state()
+        self.prefix: Optional[tuple] = None
+
+    def calls(self, calls: Sequence[tuple]) -> list[list[int]]:
+        """Every rank's virtual time (ps) after each of ``calls``, made
+        back to back by every rank from t = 0, as an SPMD program would.
+
+        A call is ``(kind, n, algo, root, part)``: ``barrier``, a kind of
+        :data:`KINDS` (``n`` elements per rank; per destination row for
+        ``alltoall``), or ``scatter``/``gather`` (with ``part`` for
+        their ``v`` forms)."""
+        return self._run(self.empty, calls)
+
+    def measure(self, kind: str, size: int,
+                algo: Optional[str] = None) -> list[tuple[int, int]]:
+        """Every rank's ``(latency, exit)`` ps of one measured collective
+        (:func:`~repro.bench.runner.program_for`: a barrier, then the
+        timed call; rank 0's latency is what ``measure_collective``
+        reports)."""
+        if kind not in KINDS:
+            raise Escalation(f"unknown kind {kind!r}")
+        if self.prefix is None:
+            self.programs.restore(self.empty)
+            self._append(("barrier", 0, None, 0, None))
+            self.prefix = self.programs.state()
+        marks = self._run(self.prefix, ((kind, size, algo, 0, None),))
+        return [(done - start, done) for start, done in marks]
+
+    def _append(self, call: tuple) -> None:
+        sched = _schedule(self.ctx, self.cores, call)
+        if sched is None:
+            self.programs.barrier(self.ctx.call_ps)
+        else:
+            self.programs.collective(sched, self.ctx.call_ps)
+        self.programs.mark()
+
+    def _run(self, start: tuple, calls: Sequence[tuple]) -> list[list[int]]:
+        programs = self.programs
+        programs.restore(start)
+        for call in calls:
+            self._append(call)
+        nslots = len(self.binder.slots)
+        if self.ctx.blocking:
+            return _run_blocking(programs.progs, nslots)
+        return _run_requests(programs.progs,
+                             self.ctx.machine.config.num_cores, nslots)
+
+
 def replay_calls(stack: str, cores: int, calls: Sequence[tuple], *,
                  config: Optional[SCCConfig] = None,
                  rank_order: Optional[Sequence[int]] = None
                  ) -> list[list[int]]:
-    """Every rank's virtual time (ps) after each of ``calls``, made back
-    to back by every rank from t = 0, as an SPMD program would.
-
-    A call is ``(kind, n, algo, root, part)``: ``barrier``, a kind of
-    :data:`KINDS` (``n`` elements per rank; per destination row for
-    ``alltoall``), or ``scatter``/``gather`` (with ``part`` for their
-    ``v`` forms).  Raises :class:`Escalation` for what only the
-    simulator can answer (see the module docstring).
-    """
-    config = config if config is not None else SCCConfig()
-    if config.model_mpb_contention:
-        raise Escalation("MPB contention")
-    if stack == "rckmpi":
-        raise Escalation("the rckmpi stack")
-    try:
-        config.check_rank_count(cores)
-    except ValueError as exc:
-        raise Escalation(str(exc)) from None
-    ranks = list(rank_order) if rank_order is not None else list(range(cores))
-    if (len(ranks) != cores or len(set(ranks)) != cores
-            or not all(0 <= core < config.num_cores for core in ranks)):
-        raise Escalation(f"rank order {ranks}")
-    ctx = _Context(stack, config)
-    binder = _Binder(ctx, ranks)
-    programs = (_BlockingPrograms if ctx.blocking
-                else _RequestPrograms)(binder, cores)
-    for call in calls:
-        sched = _schedule(ctx, cores, call)
-        if sched is None:
-            programs.barrier(ctx.call_ps)
-        else:
-            programs.collective(sched, ctx.call_ps)
-        programs.mark()
-    if ctx.blocking:
-        return _run_blocking(programs.progs, len(binder.slots))
-    return _run_requests(programs.progs, config.num_cores, len(binder.slots))
+    """:meth:`Session.calls` on a session of its own.  Raises
+    :class:`Escalation` for what only the simulator can answer (see the
+    module docstring)."""
+    return Session(stack, cores, config=config,
+                   rank_order=rank_order).calls(calls)
 
 
 def replay_measurement(kind: str, stack: str, size: int, *, cores: int,
                        config: Optional[SCCConfig] = None,
                        rank_order: Optional[Sequence[int]] = None,
                        algo: Optional[str] = None) -> list[tuple[int, int]]:
-    """Every rank's ``(latency, exit)`` ps of one measured collective
-    (:func:`~repro.bench.runner.program_for`: a barrier, then the timed
-    call; rank 0's latency is what ``measure_collective`` reports).
-    Arguments as for :func:`~repro.bench.runner.launch_collective`;
-    raises :class:`Escalation` where the simulator must answer."""
-    if kind not in KINDS:
-        raise Escalation(f"unknown kind {kind!r}")
-    marks = replay_calls(stack, cores, (("barrier", 0, None, 0, None),
-                                        (kind, size, algo, 0, None)),
-                         config=config, rank_order=rank_order)
-    return [(done - start, done) for start, done in marks]
+    """:meth:`Session.measure` on a session of its own.  Arguments as
+    for :func:`~repro.bench.runner.launch_collective`; raises
+    :class:`Escalation` where the simulator must answer."""
+    return Session(stack, cores, config=config,
+                   rank_order=rank_order).measure(kind, size, algo)
 
 
-__all__ = ["Escalation", "KINDS", "replay_calls", "replay_measurement"]
+__all__ = ["Escalation", "KINDS", "Session", "replay_calls",
+           "replay_measurement"]

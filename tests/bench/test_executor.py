@@ -162,6 +162,57 @@ class TestFingerprint:
         fields, digest = self.PINNED[name]
         assert fingerprint(SweepPoint(**fields)) == digest
 
+    #: Configs a seeded point draws from: equal-comparing pairs whose JSON
+    #: differs (``533e6`` vs ``533_000_000``, ``1`` vs ``True``) must not
+    #: share a serialisation.
+    CONFIGS = (SCCConfig(), SCCConfig(topology="cluster:2x24"),
+               SCCConfig(core_freq_hz=533e6), SCCConfig(erratum_enabled=1),
+               SCCConfig(erratum_enabled=False, topology="torus:6x4"),
+               SCCConfig(extras={"tag": "ablation", "scale": 1.5}),
+               SCCConfig(extras={"scale": 1.5, "tag": "ablation"}),
+               SCCConfig(extras={"levels": (1, 2), "tag": None}))
+
+    def test_spliced_payload_equals_the_whole_payload(self):
+        """1,000 seeded points fingerprinted as ``run_sweep`` does (one
+        ``config_keys`` memo for all) give the digest of the whole payload
+        through ``json.dumps``."""
+        import hashlib
+        import json
+        import random
+
+        import numpy as np
+
+        from repro.hw.config import config_keys, config_state
+
+        def whole_payload(point):
+            payload = {
+                "schema": CACHE_SCHEMA, "kind": point.kind,
+                "stack": point.stack, "size": point.size,
+                "cores": point.cores, "op": point.op, "seed": point.seed,
+                "rank_order": (list(point.rank_order)
+                               if point.rank_order is not None else None),
+                "algo": point.algo, "config": config_state(point.config),
+                "code": code_fingerprint(), "numpy": np.__version__}
+            return hashlib.sha256(json.dumps(
+                payload, sort_keys=True, default=repr).encode()).hexdigest()
+
+        rng = random.Random(20120901)
+        keys = config_keys()
+        for _ in range(1000):
+            cores = rng.randint(1, 48)
+            point = SweepPoint(
+                kind=rng.choice(KINDS), stack=rng.choice(
+                    ["blocking", "lightweight", "tuned", 'odd "stack"']),
+                size=rng.randint(0, 4096), cores=cores,
+                op=rng.choice(["sum", "max", "prod"]),
+                seed=rng.randint(0, 2**31),
+                rank_order=(tuple(rng.sample(range(48), cores))
+                            if rng.random() < 0.3 else None),
+                config=rng.choice(self.CONFIGS).copy(),
+                algo=rng.choice([None, "ring", "hier/g2", 'a, "cores": 1']))
+            assert fingerprint(point, keys) == whole_payload(point)
+            assert fingerprint(point) == whole_payload(point)
+
     def test_code_fingerprint_is_hex_and_cached(self):
         fp = code_fingerprint()
         assert len(fp) == 64

@@ -2,7 +2,7 @@
 where it escalates, and equal to :func:`measure_collective` either way.
 
 ``run_sweep``'s default engine takes every value from
-:func:`repro.bench.executor._exact_point`.  The differential test below
+:func:`repro.bench.executor._exact_group`.  The differential test below
 checks that path against the simulator on a fixed, seeded plan that
 crosses every kind replay knows, the replayed stacks and the two that
 escalate (``rckmpi``; ``mpb``'s MPB-direct Allreduce), rank counts from

@@ -37,9 +37,10 @@ from repro.core.ops import SUM
 from repro.core.registry import make_communicator
 from repro.hw.config import SCCConfig
 from repro.hw.machine import Machine
-from repro.sched import builders
+from repro.sched import builders, replay
 from repro.sched.ir import OP, OP_EXCHANGE, OP_RECV, SBUF, SHI, SLO, SPEER
-from repro.sched.replay import Escalation, replay_calls, replay_measurement
+from repro.sched.replay import (KINDS, Escalation, Session, replay_calls,
+                                replay_measurement)
 from repro.sim.errors import DeadlockError
 from tests.sched import test_engine_golden as golden
 
@@ -253,26 +254,135 @@ def test_deadlock_escalates_and_the_simulator_raises(stack, monkeypatch):
             run_sweep([point], jobs=1, cache=False, engine=engine)
 
 
+# -- sessions ----------------------------------------------------------------
+def replayed_or_why(replay, *args, **kw):
+    """``replay(*args, **kw)``, or the message of its escalation."""
+    try:
+        return replay(*args, **kw)
+    except Escalation as why:
+        return f"escalation: {why}"
+
+
+SESSION_STACKS = ("blocking", "ircce", "lightweight", "lightweight_balanced",
+                  "tuned")
+
+
+def session_members(p: int) -> list[tuple]:
+    """Every replay kind at four sizes (n = 0 and n < p among them),
+    kinds interleaved so that back-to-back members differ."""
+    return [(kind, n, None) for n in (0, 1, p - 1 if p > 2 else 2, p + 3)
+            for kind in sorted(KINDS)]
+
+
+@pytest.mark.parametrize("p", [2, 5, 8, 48])
+@pytest.mark.parametrize("stack", SESSION_STACKS)
+def test_session_equals_per_point_replay(stack, p):
+    members = session_members(p)
+    session = Session(stack, p)
+    grouped = [replayed_or_why(session.measure, *member)
+               for member in members]
+    assert grouped == [replayed_or_why(replay_measurement, kind, stack, n,
+                                       cores=p, algo=algo)
+                       for kind, n, algo in members]
+    assert not any(isinstance(value, str) for value in grouped)
+
+
+#: A member that escalates part-way through building its programs: the
+#: last rank of a ``POISON``-element schedule raises after every other
+#: rank's program and its own entry charge are appended.
+POISON = 13
+
+
+@pytest.fixture
+def poisoned(monkeypatch):
+    real = replay._rank_steps
+
+    def rank_steps(sched, rank, *args):
+        if sched.n == POISON and rank == sched.p - 1:
+            raise Escalation("poisoned")
+        return real(sched, rank, *args)
+
+    monkeypatch.setattr(replay, "_rank_steps", rank_steps)
+
+
+@pytest.mark.parametrize("stack", ["blocking", "lightweight"])
+def test_session_members_leave_nothing_behind(stack, poisoned):
+    """A per-point escalation, before (``mpb``) or part-way through
+    building (the poisoned member), leaves no program and no CPU time
+    behind for the members after it."""
+    members = [("allreduce", 8, None), ("allreduce", 552, "mpb"),
+               ("bcast", 8, None), ("allgather", POISON, None),
+               ("allreduce", 8, None), ("alltoall", 3, None),
+               ("allgather", POISON, None), ("reduce_scatter", 20, None)]
+    session = Session(stack, 4)
+    grouped = [replayed_or_why(session.measure, *member)
+               for member in members]
+    assert grouped == [replayed_or_why(replay_measurement, kind, stack, n,
+                                       cores=4, algo=algo)
+                       for kind, n, algo in members]
+    assert [value for value in grouped if isinstance(value, str)] == [
+        "escalation: the mpb algorithm", "escalation: poisoned",
+        "escalation: poisoned"]
+    assert grouped[0] == grouped[4]
+    assert session.calls([("barrier", 0, None, 0, None)]) == replay_calls(
+        stack, 4, [("barrier", 0, None, 0, None)])
+
+
+@pytest.mark.parametrize("change,why", [
+    (dict(stack="rckmpi"), "the rckmpi stack"),
+    (dict(config=SCCConfig(model_mpb_contention=True)), "MPB contention"),
+], ids=["rckmpi", "contention"])
+def test_context_escalation_simulates_the_whole_group(caplog, change, why):
+    points = [SweepPoint(**{**dict(kind=kind, stack="blocking", size=n,
+                                   cores=3), **change})
+              for kind, n in (("allreduce", 4), ("bcast", 2),
+                              ("allgather", 5))]
+    with pytest.raises(Escalation, match=why):
+        Session(points[0].stack, 3, config=points[0].config)
+    with caplog.at_level("DEBUG", logger="repro.bench.executor"):
+        result = run_sweep(points, jobs=1, cache=False)
+    assert (result.replayed, result.simulated) == (0, 3)
+    assert result.latencies == [measure_collective(
+        p.kind, p.stack, p.size, cores=p.cores, config=p.config)
+        for p in points]
+    assert [r.getMessage() for r in caplog.records] == [
+        f"{p.describe()}: sim: {why}" for p in points]
+
+
 # -- the sweep layer ---------------------------------------------------------
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_sweep_counts_and_logs_each_point(caplog, jobs):
+    """Analytic points, a validated sample, one group larger than the
+    pool (a reversed rank order, which has no estimate, with an ``mpb``
+    member) and single-point groups: the same latencies, counts and
+    per-point lines, in point order, at any job count."""
+    reverse = (3, 2, 1, 0)
     points = [SweepPoint(kind="allreduce", stack="lightweight_balanced",
                          size=n, cores=4) for n in (8, 16)]
-    points += [SweepPoint(kind="barrier", stack="blocking", size=1, cores=4),
-               SweepPoint(kind="allreduce", stack="rckmpi", size=8, cores=4)]
+    points += [SweepPoint(kind="barrier", stack="blocking", size=1, cores=4)]
+    points += [SweepPoint(kind=kind, stack="blocking", size=n, cores=4,
+                          rank_order=reverse, algo=algo)
+               for kind, n, algo in (("bcast", 5, None),
+                                     ("allgather", 3, None),
+                                     ("allreduce", 12, "mpb"),
+                                     ("alltoall", 2, None),
+                                     ("allreduce", 7, None))]
+    points.insert(5, SweepPoint(kind="allreduce", stack="rckmpi", size=8,
+                                cores=4))
     with caplog.at_level("DEBUG", logger="repro.bench.executor"):
         outcome = run_sweep(points, jobs=jobs, cache=False, engine="auto")
     assert (outcome.analytic, outcome.validated) == (2, 2)
-    assert (outcome.replayed, outcome.simulated) == (3, 1)
+    assert (outcome.replayed, outcome.simulated) == (7, 2)
     assert outcome.hits == outcome.misses == 0
     assert outcome.latencies[2:] == [
         measure_collective(point.kind, point.stack, point.size,
-                           cores=point.cores) for point in points[2:]]
-    lines = [r.getMessage() for r in caplog.records
-             if r.name == "repro.bench.executor"]
-    assert f"{points[2].describe()}: replay" in lines
-    assert f"{points[3].describe()}: sim: the rckmpi stack" in lines
-    assert sum(line.endswith(": replay") for line in lines) == 3
+                           cores=point.cores, rank_order=point.rank_order,
+                           algo=point.algo) for point in points[2:]]
+    whys = {5: "sim: the rckmpi stack", 6: "sim: the mpb algorithm"}
+    assert [r.getMessage() for r in caplog.records
+            if r.name == "repro.bench.executor"] == [
+        f"{point.describe()}: {whys.get(i, 'replay')}"
+        for i, point in enumerate(points)]
 
 
 if __name__ == "__main__":  # regenerate KERNEL_EXITS
