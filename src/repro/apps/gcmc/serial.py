@@ -9,18 +9,18 @@ the ensemble layer as the fast physics engine for building seed
 ensembles.
 
 When a :class:`GCMCOpLog` is passed, the runner additionally records the
-exact sequence of collectives the SPMD driver would issue — one
-``(kind, element count, max per-rank compute cycles)`` record per
-communication step — which is what lets
-:mod:`repro.ensemble.engines` price a GCMC run analytically without
-touching the discrete-event simulator.  Logging never changes the
-physics: the counts it needs (per-rank pair counts, local atom counts)
-fall out of the energy evaluation the run does anyway.
+calls the SPMD driver issues, in its order: one ``("compute", cycles)``
+per ``env.compute`` (``cycles`` holding every rank's own count) and one
+``(kind, n, None, root, None)`` per ``comm.allreduce`` / ``comm.bcast``
+/ ``comm.barrier`` (the owner is a broadcast's root).  That is a call
+list of :meth:`repro.sched.replay.Session.calls`, which is how
+:mod:`repro.ensemble.engines` times a GCMC run without the
+discrete-event simulator.  Logging never changes the physics: the counts
+it needs (per-rank pair counts, local atom counts) fall out of the
+energy evaluation the run does anyway.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,77 +47,60 @@ from repro.apps.gcmc.shortrange import (
 )
 
 
-@dataclass
-class OpRecord:
-    """One communication step of a (replayed) GCMC run.
-
-    ``compute_cycles`` is the *maximum* per-rank compute charged between
-    the previous collective and this one — the quantity that bounds the
-    segment's makespan in a round-synchronous SPMD run.
-    """
-
-    kind: str            #: "allreduce" | "bcast" | "barrier"
-    nelems: int          #: payload length in doubles (0 for barrier)
-    compute_cycles: int  #: max per-rank core cycles preceding the op
-
-
 class GCMCOpLog:
-    """Collects the collective-call sequence of one serial GCMC replay."""
+    """The call list of one serial GCMC run, as the SPMD driver issues
+    it (see the module docstring)."""
 
     def __init__(self) -> None:
-        self.records: list[OpRecord] = []
-        self._pending = 0
+        self.calls: list[tuple] = []
 
-    def compute(self, cycles: int) -> None:
-        """Charge compute cycles to the current segment (max-per-rank
-        amounts; equal-on-every-rank costs are just that maximum)."""
-        self._pending += int(cycles)
+    def compute(self, cycles: list) -> None:
+        """One ``env.compute`` on every rank, ``cycles[r]`` on rank r."""
+        self.calls.append(("compute", cycles))
 
-    def collective(self, kind: str, nelems: int) -> None:
-        """Close the current segment with one collective call."""
-        self.records.append(OpRecord(kind, int(nelems), self._pending))
-        self._pending = 0
-
-    def total_compute_cycles(self) -> int:
-        return (sum(r.compute_cycles for r in self.records)
-                + self._pending)
+    def collective(self, kind: str, nelems: int, root: int) -> None:
+        """One collective call of ``nelems`` doubles rooted at ``root``."""
+        self.calls.append((kind, nelems, None, root, None))
 
 
 def _short_en(system: ParticleSystem, nranks: int, slot=None, pos=None,
               charge=None, log=None) -> float:
     total = 0.0
-    max_pairs = 0
+    pairs = []
     for rank in range(nranks):
         if slot is not None:
-            e, pairs = short_energy_local(system, slot, rank, nranks)
+            e, n = short_energy_local(system, slot, rank, nranks)
         else:
-            e, pairs = insertion_energy_local(system, pos, charge, rank,
-                                              nranks)
+            e, n = insertion_energy_local(system, pos, charge, rank,
+                                          nranks)
         total += e
-        max_pairs = max(max_pairs, pairs)
+        if log is not None:
+            pairs.append(n)
     if log is not None:
         cfg = system.config
-        log.compute(cfg.cycles_energy_base
-                    + max_pairs * cfg.cycles_per_pair)
-        log.collective("allreduce", 1)
+        log.compute([cfg.cycles_energy_base + n * cfg.cycles_per_pair
+                     for n in pairs])
+        log.collective("allreduce", 1, 0)
     return total
 
 
 def _long_en(system: ParticleSystem, kvecs, coeff, nranks: int,
              log=None) -> float:
     f_total = np.zeros(len(kvecs), dtype=np.complex128)
-    max_local = 0
+    atoms = []
     for rank in range(nranks):
         f_local, n_local = local_structure_factor(system, kvecs, rank,
                                                   nranks)
         f_total = f_total + f_local
-        max_local = max(max_local, n_local)
+        if log is not None:
+            atoms.append(n_local)
     if log is not None:
         cfg = system.config
-        log.compute(cfg.cycles_energy_base
-                    + max_local * len(kvecs) * cfg.cycles_per_kvec_term)
-        log.collective("allreduce", 2 * len(kvecs))
-        log.compute(len(kvecs) * cfg.cycles_per_kvec_energy)
+        nk = len(kvecs)
+        log.compute([cfg.cycles_energy_base
+                     + n * nk * cfg.cycles_per_kvec_term for n in atoms])
+        log.collective("allreduce", 2 * nk, 0)
+        log.compute([nk * cfg.cycles_per_kvec_energy] * nranks)
     return reciprocal_energy(f_total, coeff, system.config.volume)
 
 
@@ -127,7 +110,7 @@ def full_energy(system: ParticleSystem, kvecs, coeff, nranks: int,
     idx = system.active_indices()
     e_short = 0.0
     e_self = 0.0
-    max_pairs = 0
+    pairs = []
     for rank in range(nranks):
         local = system.local_indices(rank, nranks)
         energies, rank_pairs = upper_pair_energies(system, local, idx)
@@ -135,12 +118,13 @@ def full_energy(system: ParticleSystem, kvecs, coeff, nranks: int,
             e_short += e
             e_self += self_energy(float(system.charges[i]),
                                   system.config.alpha)
-        max_pairs = max(max_pairs, rank_pairs)
+        if log is not None:
+            pairs.append(rank_pairs)
     if log is not None:
         cfg = system.config
-        log.compute(cfg.cycles_energy_base
-                    + max_pairs * cfg.cycles_per_pair)
-        log.collective("allreduce", 2)
+        log.compute([cfg.cycles_energy_base + n * cfg.cycles_per_pair
+                     for n in pairs])
+        log.collective("allreduce", 2, 0)
     return e_short + e_self + _long_en(system, kvecs, coeff, nranks,
                                        log=log)
 
@@ -151,8 +135,8 @@ def run_gcmc_serial(cfg: GCMCConfig, cycles: int, nranks: int = 48,
 
     Returns a :class:`~repro.apps.gcmc.driver.GCMCResult` (with zero
     simulated time), or ``(result, system)`` when ``return_system=True``.
-    ``log`` (a :class:`GCMCOpLog`) records the collective-call sequence
-    the SPMD driver would issue, for analytic pricing.
+    ``log`` (a :class:`GCMCOpLog`) records the calls the SPMD driver
+    would issue, for replay.
     """
     system = ParticleSystem(cfg)
     kvecs, coeff = build_kvectors(cfg.n_kvectors, cfg.box, cfg.alpha)
@@ -164,7 +148,7 @@ def run_gcmc_serial(cfg: GCMCConfig, cycles: int, nranks: int = 48,
     ]
     obs = Observables()
     if log is not None:
-        log.collective("barrier", 0)
+        log.collective("barrier", 0, 0)
     en_old = full_energy(system, kvecs, coeff, nranks, log=log)
 
     for _cycle in range(cycles):
@@ -204,8 +188,8 @@ def run_gcmc_serial(cfg: GCMCConfig, cycles: int, nranks: int = 48,
         # Round-trip through the wire format, exactly like the SPMD run.
         proposal = Proposal.unpack(proposal.pack())
         if log is not None:
-            log.compute(cfg.cycles_move_base)
-            log.collective("bcast", 6)  # the proposal wire
+            log.compute([cfg.cycles_move_base] * nranks)
+            log.collective("bcast", 6, owner)  # the proposal wire
 
         if proposal.action == Action.TRANSLATE:
             system.move_particle(proposal.slot, proposal.position)
@@ -236,7 +220,7 @@ def run_gcmc_serial(cfg: GCMCConfig, cycles: int, nranks: int = 48,
         else:
             system.restore(snap)
         if log is not None:
-            log.collective("bcast", 2)  # the BroadcastUpdate of line 13
+            log.collective("bcast", 2, owner)  # BroadcastUpdate, line 13
         obs.record(en_old, system.n_active, proposal.action.name, accepted)
 
     result = GCMCResult(

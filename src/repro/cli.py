@@ -614,14 +614,12 @@ def _cmd_ensemble_check(args: argparse.Namespace) -> int:
 def _cmd_ensemble_compare(args: argparse.Namespace) -> int:
     import pathlib
 
-    from repro.ensemble.engines import GCMC_DRIFT_TOL, compare_engines
+    from repro.ensemble.engines import compare_engines
     from repro.ensemble.summary import EnsembleSummary
 
     summary = EnsembleSummary.load(
         pathlib.Path(args.summary) if args.summary else None)
-    cmp = compare_engines(summary, stack=args.stack, seed=args.seed,
-                          drift_tol=(GCMC_DRIFT_TOL if args.drift_tol
-                                     is None else args.drift_tol))
+    cmp = compare_engines(summary, stack=args.stack, seed=args.seed)
     print(cmp.describe())
     return 0 if cmp.passed else 1
 
@@ -939,16 +937,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     pcmp = esub.add_parser(
         "compare-engines",
-        help="sim-vs-analytic GCMC acceptance test under the envelope")
+        help="replay-vs-sim GCMC acceptance test under the envelope")
     pcmp.add_argument("--summary", default=None,
                       help="summary JSON (default: the committed one)")
     pcmp.add_argument("--stack", default="lightweight_balanced",
                       choices=list(available_stacks()))
     pcmp.add_argument("--seed", type=int, default=None,
                       help="GCMC seed (default: the held-out base seed)")
-    pcmp.add_argument("--drift-tol", type=float, default=None,
-                      help="relative latency drift tolerance "
-                           "(default 0.45)")
     pcmp.set_defaults(func=_cmd_ensemble_compare)
 
     pg = sub.add_parser("gcmc", help="run the GCMC application")

@@ -4,7 +4,7 @@ The CESM-ECT idea, ported to this reproduction: a *seed ensemble* of
 accepted GCMC runs (same physics, perturbed RNG seeds) defines a PCA
 envelope over a compact vector of thermodynamic observables; a candidate
 run — produced under fault injection, a different collective algorithm,
-a different stack, or the analytic engine — is *accepted* iff its
+a different stack, or the serial engine — is *accepted* iff its
 observables fall inside that envelope, and *rejected* as scientifically
 wrong otherwise.  This turns "is this run still correct?" from a brittle
 bit-for-bit question into a statistical one: timing perturbations pass,
@@ -17,11 +17,12 @@ Layout:
   (serial fast path, fork-pool fan-out, simulated candidates),
 * :mod:`repro.ensemble.summary` — the PCA envelope: build, persist
   (schema-versioned JSON under ``benchmarks/results/``), score,
-* :mod:`repro.ensemble.engines` — analytic GCMC pricing and the
-  sim-vs-analytic acceptance test.
+* :mod:`repro.ensemble.engines` — exact GCMC timing by replay of the
+  serial run's call log, and the replay-vs-sim acceptance test.
 
 CLI: ``python -m repro ensemble summarize`` / ``python -m repro
-ensemble check``; docs: ``docs/robustness.md``.
+ensemble check`` / ``python -m repro ensemble compare-engines``; docs:
+``docs/robustness.md``.
 """
 
 from repro.ensemble.features import FEATURE_NAMES, extract_features

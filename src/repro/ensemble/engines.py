@@ -1,24 +1,18 @@
-"""Analytic GCMC pricing and the sim-vs-analytic acceptance test.
+"""Exact GCMC timing by replay, and the replay-vs-simulator acceptance test.
 
-The bench layer's analytic engine prices one *collective* closed-form
-(:func:`repro.bench.analytic.analytic_latency_us`).  A GCMC run is a long
-deterministic sequence of collectives interleaved with compute — and the
-serial runner can replay that sequence without the discrete-event
-simulator (:class:`repro.apps.gcmc.serial.GCMCOpLog`).  Pricing each
-distinct ``(kind, payload length)`` once and summing over the replayed
-sequence turns a multi-second simulation into a millisecond estimate.
+A GCMC run is a long deterministic sequence of collectives interleaved
+with each rank's own compute.  The serial runner records that sequence
+as the SPMD driver issues it (:class:`repro.apps.gcmc.serial.GCMCOpLog`)
+and one :class:`repro.sched.replay.Session` replays it, so the run's
+virtual time comes out to the picosecond without the discrete-event
+simulator (:func:`replay_gcmc`).  What replay cannot answer (the ``mpb``
+algorithm, the ``rckmpi`` stack, MPB contention) is simulated, and the
+reason is returned with the time.
 
-Ops outside the analytic model (the barrier, and scalar allreduces when
-the algorithm has no builder) are priced by *one* simulated
-micro-benchmark per distinct op shape (memoized), so the estimate stays
-honest without re-simulating the whole application.
-
-The acceptance test (:func:`compare_engines`) goes beyond the bench
-layer's latency-drift check: both engines' runs are also pushed through
-the statistical envelope, so "the analytic engine agrees with the
-simulator" means *both* "similar latency" (within a GCMC-specific drift
-tolerance) and *identical-by-construction physics that the envelope
-accepts*.
+The acceptance test (:func:`compare_engines`) runs the simulator too and
+pushes both runs through the statistical envelope: "replay agrees with
+the simulator" means *equal picoseconds* and *physics that the envelope
+accepts* on both sides.
 """
 
 from __future__ import annotations
@@ -27,9 +21,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.apps.gcmc.config import GCMCConfig
+from repro.apps.gcmc.driver import GCMCResult
 from repro.apps.gcmc.serial import GCMCOpLog, run_gcmc_serial
-from repro.bench.analytic import analytic_latency_us
-from repro.bench.executor import SweepPoint
 from repro.ensemble.features import extract_features
 from repro.ensemble.members import DEFAULT_STACK, CandidateSpec, run_candidate
 from repro.ensemble.summary import (
@@ -39,122 +32,71 @@ from repro.ensemble.summary import (
     EnsembleSummary,
 )
 from repro.hw.config import SCCConfig
-from repro.hw.machine import Machine
-from repro.sim.clock import ps_to_us
-
-#: Relative latency drift allowed between the analytic GCMC estimate and
-#: the simulated run.  Looser than the bench layer's per-collective
-#: bound: an application-length sequence accumulates the pipelining and
-#: skew effects the closed form ignores (see docs/engines.md).
-GCMC_DRIFT_TOL = 0.45
+from repro.sched.replay import Escalation, Session
 
 
-@dataclass
-class GCMCEstimate:
-    """Analytic timing of one GCMC run (all microseconds)."""
+def replay_gcmc(cfg: GCMCConfig, cycles: int, cores: int, *,
+                stack: str = DEFAULT_STACK,
+                scc_config: Optional[SCCConfig] = None,
+                allreduce_algo: Optional[str] = None
+                ) -> tuple[GCMCResult, int, Optional[str]]:
+    """``(result, elapsed_ps, escalation)`` of one GCMC run.
 
-    elapsed_us: float
-    compute_us: float
-    comm_us: float
-    n_ops: int                #: collectives in the replayed sequence
-    n_simulated_shapes: int   #: distinct op shapes priced by micro-sim
-
-    def describe(self) -> str:
-        return (f"analytic GCMC estimate: {self.elapsed_us:.1f}us total "
-                f"({self.compute_us:.1f}us compute + {self.comm_us:.1f}us "
-                f"communication over {self.n_ops} collectives; "
-                f"{self.n_simulated_shapes} op shape(s) priced by "
-                f"micro-simulation)")
-
-
-def _op_cost_us(kind: str, nelems: int, stack: str, cores: int,
-                config: SCCConfig, algo: Optional[str],
-                cache: dict, sim_shapes: set) -> float:
-    """Price one collective shape: closed form, else one micro-sim."""
-    key = (kind, nelems)
-    cost = cache.get(key)
-    if cost is not None:
-        return cost
-    size = max(nelems, 1)  # barrier records nelems=0
-    point = SweepPoint(kind=kind, stack=stack, size=size, cores=cores,
-                       config=config,
-                       algo=algo if kind == "allreduce" else None)
-    cost = analytic_latency_us(point)
-    if cost is None:
-        from repro.bench.runner import measure_collective
-
-        cost = measure_collective(kind, stack, size, cores=cores,
-                                  config=config.copy(),
-                                  algo=point.algo)
-        sim_shapes.add(key)
-    cache[key] = cost
-    return cost
-
-
-def estimate_gcmc_us(cfg: GCMCConfig, cycles: int, cores: int, *,
-                     stack: str = DEFAULT_STACK,
-                     scc_config: Optional[SCCConfig] = None,
-                     allreduce_algo: Optional[str] = None):
-    """Analytic GCMC pricing: ``(estimate, result)``.
-
-    ``result`` is the serial run's :class:`GCMCResult` — the *physics* of
-    the estimate, bit-identical to what the simulator would compute —
-    with ``elapsed_ps`` left at zero (the estimate lives in the returned
-    :class:`GCMCEstimate`, deliberately not disguised as simulated time).
+    ``result`` is the serial run's :class:`GCMCResult` (its
+    ``elapsed_ps`` left at zero) and ``elapsed_ps`` its log replayed in
+    one session: the slowest rank's exit, what
+    :func:`~repro.apps.gcmc.driver.run_gcmc` reports.  Where replay
+    raises :class:`~repro.sched.replay.Escalation`, ``elapsed_ps`` is
+    the simulator's and ``escalation`` the reason (None otherwise).
     """
-    config = scc_config.copy() if scc_config is not None else SCCConfig()
-    config.check_rank_count(cores)
     log = GCMCOpLog()
     result = run_gcmc_serial(cfg, cycles, nranks=cores, log=log)
-    model = Machine(config).latency
-    compute_us = ps_to_us(
-        sum(model.core_cycles(r.compute_cycles) for r in log.records))
-    cache: dict = {}
-    sim_shapes: set = set()
-    comm_us = sum(
-        _op_cost_us(r.kind, r.nelems, stack, cores, config,
-                    allreduce_algo, cache, sim_shapes)
-        for r in log.records)
-    estimate = GCMCEstimate(
-        elapsed_us=compute_us + comm_us, compute_us=compute_us,
-        comm_us=comm_us, n_ops=len(log.records),
-        n_simulated_shapes=len(sim_shapes))
-    return estimate, result
+    calls = log.calls
+    if allreduce_algo is not None:
+        calls = [call[:2] + (allreduce_algo,) + call[3:]
+                 if call[0] == "allreduce" else call for call in calls]
+    try:
+        exits = Session(stack, cores, config=scc_config).calls(calls)
+    except Escalation as exc:
+        sim = run_candidate(
+            CandidateSpec(label="sim", stack=stack,
+                          allreduce_algo=allreduce_algo),
+            cfg, cycles, cores, scc_config=scc_config)
+        return result, sim.elapsed_ps, str(exc)
+    return result, max(marks[-1] for marks in exits), None
 
 
 @dataclass
 class EngineComparison:
-    """Sim vs analytic GCMC, under the statistical envelope."""
+    """Replayed vs simulated GCMC, under the statistical envelope."""
 
-    sim_us: float
-    analytic_us: float
-    drift: float                     #: (analytic - sim) / sim
+    sim_ps: int
+    replay_ps: int
     sim_check: CheckResult
-    analytic_check: CheckResult
-    estimate: GCMCEstimate
-    drift_tol: float = GCMC_DRIFT_TOL
+    replay_check: CheckResult
     stack: str = DEFAULT_STACK
+    escalation: Optional[str] = None  #: why replay simulated, if it did
     notes: list[str] = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
-        """The acceptance contract: both engines' physics inside the
-        envelope *and* the latency estimate within tolerance."""
-        return (self.sim_check.passed and self.analytic_check.passed
-                and abs(self.drift) <= self.drift_tol)
+        """The acceptance contract: both runs' physics inside the
+        envelope *and* the replayed time equal to the simulated one."""
+        return (self.sim_check.passed and self.replay_check.passed
+                and self.replay_ps == self.sim_ps)
 
     def describe(self) -> str:
         verdict = "PASS" if self.passed else "FAIL"
         lines = [
             f"engine comparison ({self.stack}): {verdict}",
-            f"  simulated:  {self.sim_us:10.1f}us  envelope "
+            f"  simulated: {self.sim_ps:16d}ps  envelope "
             f"{'PASS' if self.sim_check.passed else 'FAIL'}",
-            f"  analytic:   {self.analytic_us:10.1f}us  envelope "
-            f"{'PASS' if self.analytic_check.passed else 'FAIL'}",
-            f"  drift:      {self.drift:+10.1%}  "
-            f"(tolerance +/-{self.drift_tol:.0%})",
-            f"  {self.estimate.describe()}",
+            f"  replayed:  {self.replay_ps:16d}ps  envelope "
+            f"{'PASS' if self.replay_check.passed else 'FAIL'}",
         ]
+        if self.escalation is not None:
+            lines.append(f"  replay escalated to the simulator: "
+                         f"{self.escalation}")
         lines.extend(f"  note: {n}" for n in self.notes)
         return "\n".join(lines)
 
@@ -164,16 +106,13 @@ def compare_engines(summary: EnsembleSummary, *,
                     seed: Optional[int] = None,
                     threshold: float = DEFAULT_THRESHOLD,
                     max_pc_fail: int = DEFAULT_MAX_PC_FAIL,
-                    drift_tol: float = GCMC_DRIFT_TOL,
                     scc_config: Optional[SCCConfig] = None
                     ) -> EngineComparison:
-    """The analytic-vs-sim GCMC acceptance test.
+    """The replay-vs-sim GCMC acceptance test.
 
-    Runs the summary's configuration (held-out base seed by default)
-    through both engines, scores both runs against the envelope, and
-    compares latencies.  This is the application-level counterpart of
-    the bench layer's :class:`~repro.bench.analytic.EngineDriftError`
-    cross-validation.
+    Runs the summary's configuration (held-out base seed by default) on
+    the simulator and through :func:`replay_gcmc`, scores both runs
+    against the envelope, and compares their times to the picosecond.
     """
     cfg = summary.config()
     if seed is not None:
@@ -189,14 +128,12 @@ def compare_engines(summary: EnsembleSummary, *,
                               threshold=threshold, max_pc_fail=max_pc_fail,
                               label=f"sim/{stack}")
 
-    estimate, serial_result = estimate_gcmc_us(
+    serial_result, replay_ps, escalation = replay_gcmc(
         cfg, cycles, cores, stack=stack, scc_config=scc_config)
-    analytic_check = summary.check(
+    replay_check = summary.check(
         extract_features(serial_result, block), threshold=threshold,
-        max_pc_fail=max_pc_fail, label=f"analytic/{stack}")
+        max_pc_fail=max_pc_fail, label=f"replay/{stack}")
 
-    sim_us = sim_result.elapsed_us
-    drift = (estimate.elapsed_us - sim_us) / sim_us if sim_us else 0.0
     notes = []
     if (sim_result.final_particles != serial_result.final_particles
             or sim_result.final_energy != serial_result.final_energy):
@@ -204,6 +141,6 @@ def compare_engines(summary: EnsembleSummary, *,
                      "stack's reduction order vs the serial ordered sum) "
                      "— each is scored against the envelope on its own")
     return EngineComparison(
-        sim_us=sim_us, analytic_us=estimate.elapsed_us, drift=drift,
-        sim_check=sim_check, analytic_check=analytic_check,
-        estimate=estimate, drift_tol=drift_tol, stack=stack, notes=notes)
+        sim_ps=sim_result.elapsed_ps, replay_ps=replay_ps,
+        sim_check=sim_check, replay_check=replay_check, stack=stack,
+        escalation=escalation, notes=notes)

@@ -45,7 +45,11 @@ Two executors, by stack:
 A :class:`Session` binds once per ``(stack, cores, config,
 rank_order)`` and replays any number of calls on it (a sweep group's
 points); :func:`replay_calls` and :func:`replay_measurement` are
-one-call sessions.
+one-call sessions.  A call is a collective, a barrier, or a
+``compute`` of per-rank core cycles (``env.compute`` on every rank:
+blocking adds it to the rank's CPU time, a request stack runs it as one
+CPU-lock hold of the main program), so a whole application's call list
+replays its run.
 
 What only the simulator can answer raises :class:`Escalation`:
 ``model_mpb_contention``; the ``mpb`` algorithm; the ``rckmpi`` stack
@@ -345,6 +349,10 @@ class _BlockingPrograms(_Programs):
             prog.append((_F_MARK, -1, self.pending[rank], 0))
             self.pending[rank] = 0
 
+    def compute(self, holds: list[int]) -> None:
+        for rank, hold in enumerate(holds):
+            self.pending[rank] += hold
+
     def barrier(self, call_ps: int) -> None:
         """``RCCE.barrier``: the workers report to rank 0, which collects
         them all, then releases them."""
@@ -480,6 +488,10 @@ class _RequestPrograms(_Programs):
     def mark(self) -> None:
         for prog in self.progs:
             prog.append((_M_MARK,))
+
+    def compute(self, holds: list[int]) -> None:
+        for prog, hold in zip(self.progs, holds):
+            prog.append((_M_CONSUME, hold))
 
     def barrier(self, call_ps: int) -> None:
         """``dissemination_barrier``: ceil(log2 p) rounds of zero-byte
@@ -754,7 +766,14 @@ class Session:
         A call is ``(kind, n, algo, root, part)``: ``barrier``, a kind of
         :data:`KINDS` (``n`` elements per rank; per destination row for
         ``alltoall``), or ``scatter``/``gather`` (with ``part`` for
-        their ``v`` forms)."""
+        their ``v`` forms); or ``("compute", cycles)``, every rank's
+        ``env.compute`` with ``cycles[r]`` core cycles on rank r
+        (converted by the configuration's ``LatencyModel.core_cycles``
+        as ``CoreEnv.compute`` converts them).  An SPMD program's calls
+        in its order, computes included, replay its run: the last
+        call's times are its ranks' exits
+        (:func:`repro.ensemble.engines.replay_gcmc` replays a GCMC run
+        so)."""
         return self._run(self.empty, calls)
 
     def measure(self, kind: str, size: int,
@@ -773,11 +792,19 @@ class Session:
         return [(done - start, done) for start, done in marks]
 
     def _append(self, call: tuple) -> None:
-        sched = _schedule(self.ctx, self.cores, call)
-        if sched is None:
-            self.programs.barrier(self.ctx.call_ps)
+        if call[0] == "compute":
+            cycles = call[1]
+            if len(cycles) != self.cores:
+                raise ValueError(f"compute call for {len(cycles)} ranks "
+                                 f"on {self.cores}")
+            core_cycles = self.ctx.machine.latency.core_cycles
+            self.programs.compute([core_cycles(c) for c in cycles])
         else:
-            self.programs.collective(sched, self.ctx.call_ps)
+            sched = _schedule(self.ctx, self.cores, call)
+            if sched is None:
+                self.programs.barrier(self.ctx.call_ps)
+            else:
+                self.programs.collective(sched, self.ctx.call_ps)
         self.programs.mark()
 
     def _run(self, start: tuple, calls: Sequence[tuple]) -> list[list[int]]:

@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 from repro.core.ops import MAX, MIN, PROD, SUM
+from repro.core.registry import launch
+from repro.hw.config import SCCConfig
 
 from tests.core.conftest import make_inputs, run_collective
 
@@ -234,6 +236,32 @@ class TestBarrier:
         slowest_arrival = result.values[P - 1]
         assert min(result.values) >= slowest_arrival - machine_cycles * 0.5
         assert min(result.values) > 0
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "mpb back-to-back race (ROADMAP item 7): the long mpb Allreduce's "
+    "final allgather write gets no ready hand-back, so the next "
+    "collective reuses mpb[k][192:200] while ranks still read it"))
+def test_mpb_allreduce_back_to_back_on_cluster():
+    """A 552-element Allreduce (the ``mpb`` algorithm) then a scalar
+    one (``reduce_bcast``) on ``cluster:2x24`` at p = 48: every rank
+    must get both sums."""
+    p = 48
+    machine, comm = launch("mpb", p,
+                           config=SCCConfig(topology="cluster:2x24"))
+    inputs = make_inputs(p, 552)
+    scalars = make_inputs(p, 1, seed=8)
+
+    def program(env):
+        long = yield from comm.allreduce(env, inputs[env.rank])
+        short = yield from comm.allreduce(env, scalars[env.rank])
+        return long, short
+
+    result = machine.run_spmd(program)
+    for long, short in result.values:
+        np.testing.assert_allclose(long, np.sum(inputs, axis=0), rtol=1e-12)
+        np.testing.assert_allclose(short, np.sum(scalars, axis=0),
+                                   rtol=1e-12)
 
 
 class TestSingleRank:

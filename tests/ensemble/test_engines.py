@@ -1,35 +1,46 @@
-"""Analytic GCMC pricing and the sim-vs-analytic acceptance test."""
+"""GCMC timed by replaying the serial run's call log, and the
+replay-vs-sim acceptance test."""
+
+import dataclasses
 
 import pytest
 
 from repro.apps.gcmc.config import GCMCConfig
+from repro.apps.gcmc.driver import run_gcmc
 from repro.apps.gcmc.serial import GCMCOpLog, run_gcmc_serial
-from repro.ensemble.engines import (
-    GCMC_DRIFT_TOL,
-    compare_engines,
-    estimate_gcmc_us,
-)
+from repro.core.registry import launch
+from repro.ensemble.engines import compare_engines, replay_gcmc
 from repro.ensemble.summary import EnsembleSummary
 from repro.hw.config import SCCConfig
 
 CFG = GCMCConfig(initial_particles=24, capacity=48, box=6.0, seed=11)
 SCC = SCCConfig(topology="mesh:4x1")
+SUMMARY = EnsembleSummary.load()
+#: The stacks whose GCMC run replay answers without the simulator.
+REPLAYED = ("blocking", "ircce", "lightweight", "lightweight_balanced",
+            "tuned")
 
 
 def test_oplog_records_the_collective_sequence():
     log = GCMCOpLog()
     result = run_gcmc_serial(CFG, 4, nranks=4, log=log)
     assert result.cycles == 4
-    kinds = [r.kind for r in log.records]
-    assert kinds[0] == "barrier"
-    assert "allreduce" in kinds and "bcast" in kinds
+    calls = log.calls
+    assert calls[0] == ("barrier", 0, None, 0, None)
     # Every cycle broadcasts one 6-double proposal and one 2-double
-    # update, and the long-range energy is a 2*n_kvectors allreduce.
-    assert kinds.count("bcast") == 2 * 4
-    assert any(r.nelems == 2 * CFG.n_kvectors for r in log.records
-               if r.kind == "allreduce")
-    assert log.total_compute_cycles() > 0
-    assert all(r.compute_cycles >= 0 for r in log.records)
+    # update from the owner, and the long-range energy is a
+    # 2*n_kvectors allreduce.
+    bcasts = [call for call in calls if call[0] == "bcast"]
+    assert [call[1] for call in bcasts] == [6, 2] * 4
+    assert all(0 <= call[3] < 4 for call in bcasts)
+    assert ("allreduce", 2 * CFG.n_kvectors, None, 0, None) in calls
+    # One compute per env.compute, each rank's own cycles: the pair and
+    # atom counts differ across ranks, and the long-range energy's tail
+    # is followed by the move's compute without a collective between.
+    computes = [call[1] for call in calls if call[0] == "compute"]
+    assert all(len(cycles) == 4 and min(cycles) > 0 for cycles in computes)
+    assert any(len(set(cycles)) > 1 for cycles in computes)
+    assert any(a[0] == b[0] == "compute" for a, b in zip(calls, calls[1:]))
 
 
 def test_logging_does_not_change_the_physics():
@@ -41,26 +52,53 @@ def test_logging_does_not_change_the_physics():
             == logged.observables.energy_series)
 
 
-def test_estimate_prices_every_op():
-    estimate, result = estimate_gcmc_us(CFG, 4, 4, scc_config=SCC)
-    assert estimate.elapsed_us > 0
-    assert estimate.compute_us > 0
-    assert estimate.comm_us > 0
-    assert estimate.elapsed_us == pytest.approx(
-        estimate.compute_us + estimate.comm_us)
-    # The physics rides along from the serial runner, untouched.
+def summary_run() -> tuple:
+    """The committed summary's ``(config, cycles, cores)``."""
+    return (SUMMARY.config(), int(SUMMARY.meta["cycles"]),
+            int(SUMMARY.meta["cores"]))
+
+
+def simulated_ps(stack: str, algo=None) -> int:
+    cfg, cycles, cores = summary_run()
+    machine, comm = launch(stack, cores, config=SCC.copy())
+    return run_gcmc(machine, comm, cfg, cycles, ranks=list(range(cores)),
+                    allreduce_algo=algo).elapsed_ps
+
+
+@pytest.mark.parametrize("stack,algo", [(stack, None) for stack in REPLAYED]
+                         + [("lightweight_balanced", "recursive_doubling")])
+def test_replay_equals_the_simulator(stack, algo):
+    cfg, cycles, cores = summary_run()
+    result, elapsed_ps, escalation = replay_gcmc(
+        cfg, cycles, cores, stack=stack, scc_config=SCC,
+        allreduce_algo=algo)
+    assert escalation is None
+    assert elapsed_ps == simulated_ps(stack, algo)
+    # The physics rides along from the serial runner, untimed.
     assert result.final_particles > 0
     assert result.elapsed_ps == 0
-    # The barrier (at least) has no closed form and was micro-simulated.
-    assert estimate.n_simulated_shapes >= 1
-    assert "analytic GCMC estimate" in estimate.describe()
+
+
+@pytest.mark.parametrize("stack,why", [("mpb", "the mpb algorithm"),
+                                       ("rckmpi", "the rckmpi stack")])
+def test_escalated_stacks_are_simulated(stack, why):
+    cfg, cycles, cores = summary_run()
+    _, elapsed_ps, escalation = replay_gcmc(cfg, cycles, cores, stack=stack,
+                                            scc_config=SCC)
+    assert escalation == why
+    assert elapsed_ps == simulated_ps(stack)
 
 
 def test_engine_comparison_passes_on_the_committed_reference():
-    summary = EnsembleSummary.load()
-    cmp = compare_engines(summary, scc_config=SCC)
+    cmp = compare_engines(SUMMARY, scc_config=SCC)
     assert cmp.sim_check.passed
-    assert cmp.analytic_check.passed
-    assert abs(cmp.drift) <= GCMC_DRIFT_TOL
+    assert cmp.replay_check.passed
+    assert cmp.replay_ps == cmp.sim_ps
+    assert cmp.escalation is None
     assert cmp.passed
-    assert "PASS" in cmp.describe()
+    text = cmp.describe()
+    assert "PASS" in text and f"{cmp.sim_ps}ps" in text
+    # One picosecond apart is a failure.
+    off = dataclasses.replace(cmp, replay_ps=cmp.sim_ps + 1)
+    assert not off.passed
+    assert "FAIL" in off.describe()

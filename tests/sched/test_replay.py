@@ -15,6 +15,9 @@ the simulator measures for every rank.  Checked against
 * live simulations with the erratum off and with every software and
   flag cycle count replay binds moved (a replayed value is cached as the
   simulated one, so it must be one on any config a sweep can set);
+* live simulations of a call list with rank-skewed compute calls, on
+  blocking and every request stack at p in {2, 5, 8}: every rank's time
+  after every call;
 
 and every escalation a sweep can meet raises :class:`Escalation`, a
 deadlocking schedule included, whose simulator error still surfaces
@@ -34,7 +37,7 @@ from repro.bench.runner import (launch_collective, measure_collective,
                                 program_for)
 from repro.core.blocks import Partition
 from repro.core.ops import SUM
-from repro.core.registry import make_communicator
+from repro.core.registry import launch, make_communicator
 from repro.hw.config import SCCConfig
 from repro.hw.machine import Machine
 from repro.sched import builders, replay
@@ -347,6 +350,53 @@ def test_context_escalation_simulates_the_whole_group(caplog, change, why):
         for p in points]
     assert [r.getMessage() for r in caplog.records] == [
         f"{p.describe()}: sim: {why}" for p in points]
+
+
+# -- compute calls -----------------------------------------------------------
+def skewed_calls(p: int) -> list[tuple]:
+    """An SPMD program's call list: rank-skewed computes (rank 0's
+    first one zero cycles) between an allreduce, a bcast from the last
+    rank, a barrier and a long allreduce, two computes back to back."""
+    def skew(scale: int, step: int) -> tuple:
+        return tuple(scale * ((r * step) % 5) for r in range(p))
+
+    return [("compute", skew(900, 3)), ("allreduce", 5, None, 0, None),
+            ("compute", skew(1300, 2)), ("compute", skew(400, 4)),
+            ("bcast", 6, None, p - 1, None), ("compute", skew(700, 1)),
+            ("barrier", 0, None, 0, None), ("compute", skew(2000, 3)),
+            ("allreduce", 40, None, 0, None)]
+
+
+def simulated_marks(stack: str, calls: list[tuple]) -> list[list[int]]:
+    """Every rank's simulated time after each of ``calls``."""
+    p = len(calls[0][1])
+    machine, comm = launch(stack, p)
+
+    def program(env):
+        marks = []
+        for kind, *args in calls:
+            if kind == "compute":
+                yield from env.compute(args[0][env.rank])
+            elif kind == "allreduce":
+                yield from comm.allreduce(env, np.ones(args[0]))
+            elif kind == "bcast":
+                yield from comm.bcast(env, np.ones(args[0]), args[2])
+            else:
+                yield from comm.barrier(env)
+            marks.append(env.sim.now)
+        return marks
+
+    return machine.run_spmd(program, ranks=list(range(p))).values
+
+
+@pytest.mark.parametrize("p", [2, 5, 8])
+@pytest.mark.parametrize("stack", SESSION_STACKS)
+def test_compute_calls_equal_the_simulator(stack, p):
+    """A compute call charges each rank its own cycles, one CPU hold per
+    call: replaying the program's call list gives every rank's
+    simulated time after every call."""
+    calls = skewed_calls(p)
+    assert replay_calls(stack, p, calls) == simulated_marks(stack, calls)
 
 
 # -- the sweep layer ---------------------------------------------------------
