@@ -6,8 +6,8 @@ as the SPMD driver issues it (:class:`repro.apps.gcmc.serial.GCMCOpLog`)
 and one :class:`repro.sched.replay.Session` replays it, so the run's
 virtual time comes out to the picosecond without the discrete-event
 simulator (:func:`replay_gcmc`).  What replay cannot answer (the ``mpb``
-algorithm, the ``rckmpi`` stack, MPB contention) is simulated, and the
-reason is returned with the time.
+algorithm, MPB contention) is simulated, and the reason is returned
+with the time.
 
 The acceptance test (:func:`compare_engines`) runs the simulator too and
 pushes both runs through the statistical envelope: "replay agrees with

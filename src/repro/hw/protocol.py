@@ -22,6 +22,7 @@ NOTE     POSTED | TAKEN / --         untimed wildcard-receive bookkeeping
 ACQUIRE  window / --                 take a window slot (untimed)
 ENQUEUE  queue / --                  queue a copy of the piece (untimed)
 DEQUEUE  queue / window              await a piece, take it, free its slot
+                                     (no CPU occupancy)
 =======  ==========================  ====================================
 
 ``role`` indexes the operands a table is bound to and run over (for a
@@ -63,10 +64,9 @@ jitter, then a core stall, on every timed op; write-verify against
 dropped flag writes; stale flag notifies; payload corruption after a
 priced ``PUT``, in that draw order (none on a window or queue op) — and
 calls the monitor's flag hooks.  Faulted, monitored and port-contended
-runs execute the same rows.  Given a non-blocking
-:class:`~repro.ircce.requests.Request`, the run is that request's whole
-sub-process: it holds the request's channel lock around the rows and
-retires the request when they are done.
+runs execute the same rows.  A non-blocking request runs a message's
+program inside the sub-process :class:`~repro.ircce.requests.NonBlockingLayer`
+wraps around it (the channel-lock hold, cancellation and retirement).
 
 ``NOTE`` rows only matter to a wildcard receive; the stacks bind the
 tables that have them only on a machine where a wildcard-capable layer
@@ -124,6 +124,9 @@ def _price(latency: "LatencyModel", core_id: int, op: int, owner: int,
         return latency.flag_write(core_id, owner)
     if op == WAIT:
         return latency.flag_notify(core_id, owner)
+    if op == DEQUEUE:
+        # The wait for a packet: one read of the reader's own MPB.
+        return latency.mpb_access(core_id, core_id)
     nbytes = piece.stop - piece.start
     config = latency.config
     return (latency.core_cycles(putget_calls(nbytes, config.l1_line_bytes)
@@ -155,7 +158,7 @@ def bind(core: "Core", table: Sequence[tuple], owners: tuple = (),
     a ``WAIT`` row's ``state`` is the awaited level, a ``NOTE`` row's
     ``role`` is the operand whose owner is the peer and its ``state`` the
     kind, and a ``DEQUEUE`` row's ``state`` the role of the window it
-    frees.
+    frees and its ``charge`` the notify delay of its wait.
     """
     latency = core.machine.latency
     shared = latency.shared
@@ -219,6 +222,10 @@ def _bind(latency: "LatencyModel", core_id: int, table: Sequence[tuple],
                 # receiver's sent flag.
                 rows.append((op, BUF if role == TAKEN else SENT, False, 0,
                              role, None, piece, 0))
+            elif op == DEQUEUE:
+                rows.append((op, role, True,
+                             _price(latency, core_id, op, core_id, piece), arg,
+                             None, piece, at))
             elif op > NOTE:
                 rows.append((op, role, False, 0, arg, None, piece, at))
             elif op == CHARGE or cost is not None:
@@ -300,18 +307,15 @@ def _rewrite_flag(core: "Core", flag: Any, level: bool) -> Generator:
 
 
 def run_ops(core: "Core", program: tuple, handles: Sequence[Any] = (),
-            data: Any = None, req: Any = None) -> Generator:
+            data: Any = None) -> Generator:
     """Execute a bound ``program`` for ``core`` over ``handles``, the
     run's operands by role (the flags, regions, windows and queues whose
     owners it was bound for).
 
     ``data`` is the payload: the uint8 array ``PUT`` rows copy slices of
     and ``GET`` rows fill, or ``None`` for a run whose ``GET`` reads into
-    fresh arrays.  ``req`` makes the run a non-blocking request's
-    sub-process (see the module docstring); an interrupted request run
-    returns ``None``, any other run re-raises the
-    :class:`~repro.sim.events.Interrupt`.  Returns the bytes of the last
-    ``GET`` when ``data`` is ``None``.
+    fresh arrays.  Returns the bytes of the last ``GET`` when ``data`` is
+    ``None``.
     """
     machine = core.machine
     core_id = core.core_id
@@ -322,162 +326,133 @@ def run_ops(core: "Core", program: tuple, handles: Sequence[Any] = (),
     cpu = core.cpu
     states = core.account.states
     level = program[0]
-    result = held = None
-    try:
-        if req is not None:
-            if req.lock._locked or req.lock._queue:
-                grant = req.lock.acquire()
-                try:
-                    yield grant
-                except Interrupt:
-                    req.lock.abandon(grant)
-                    return None
-                held = req.lock
-            else:
-                # A free lock is granted inline; the zero hold resumes the
-                # run at the heap position the grant would have had.
-                held = req.lock
-                held._locked = True
-                yield 0
-        for op, role, priced, charge, state, port, piece, at in program[1]:
-            if priced and config.erratum_enabled != level:
-                # Bound before the injector toggled the erratum.
-                charge = _price(machine.latency, core_id, op,
-                                handles[role].owner, piece)
-            # -- an untimed op runs and moves on ...
-            if op == WAIT:
-                obj = handles[role]
-                if faults is not None:
-                    charge += faults.flag_stale_extra_ps(core_id, obj.owner,
-                                                         obj.name)
-                if state:
-                    grant = obj.gate.wait_true(charge)
-                    grant.label = obj._label_set
-                else:
-                    grant = obj.gate.wait_false(charge)
-                    grant.label = obj._label_clear
-                t0 = sim._now
-                yield grant
-                states["wait_flag"] += sim._now - t0
-                if san is not None:
-                    san.on_flag_observed(obj, state == 1, core_id)
-                continue
-            if op >= NOTE:
-                obj = handles[role]
-                if op == NOTE:
-                    if state == POSTED:
-                        announce_send(machine, core_id, obj.owner,
-                                      piece.stop - piece.start)
-                    else:
-                        take_announcement(machine, core_id, obj.owner)
-                elif op == ACQUIRE:
-                    grant = obj.acquire()
-                    try:
-                        yield grant
-                    except Interrupt:
-                        obj.abandon(grant)
-                        raise
-                elif op == ENQUEUE:
-                    obj.items.append(data[piece].copy())
-                    obj.set()
-                else:
-                    while not obj.items:
-                        # Priced when the wait starts: one local MPB read.
-                        obj.clear()
-                        yield from core.wait(obj.wait_true(
-                            machine.latency.mpb_access(core_id, core_id)),
-                            "wait_flag")
-                    result = obj.items.popleft()
-                    handles[state].release()
-                    if result.size != piece.stop - piece.start:
-                        raise ValueError(f"{result.size}-B packet, expected "
-                                         f"{piece.stop - piece.start} B")
-                    data[piece] = result
-                continue
-            stall = 0
-            if faults is not None:
-                if priced:
-                    charge += faults.mesh_extra_ps(core_id,
-                                                   handles[role].owner)
-                if charge > 0:
-                    stall = faults.stall_ps(core_id)
-
-            # ... a timed one holds the CPU, then the MPB port (lock order
-            # is always CPU first; port holders only wait on timeouts, so
-            # it cannot deadlock).  Inline of Core.consume: keep in sync.
-            if cpu._locked or cpu._queue:
-                grant = cpu.acquire()
-                try:
-                    yield grant
-                except Interrupt:
-                    cpu.abandon(grant)
-                    raise
-            else:
-                cpu._locked = True
-            try:
-                if port is None:
-                    pass
-                elif ((port := machine.mpb_ports[handles[role].owner])._locked
-                      or port._queue):
-                    t0 = sim._now
-                    grant = port.acquire()
-                    try:
-                        yield grant
-                    except Interrupt:
-                        port.abandon(grant)
-                        port = None
-                        raise
-                    if sim._now > t0:
-                        states["wait_port"] += sim._now - t0
-                else:
-                    port._locked = True
-                try:
-                    if stall:
-                        yield stall
-                        states["stall"] += stall
-                    if charge > 0:
-                        yield charge
-                    states[state] += charge
-                finally:
-                    if port is not None:
-                        port.release()
-            finally:
-                if cpu._queue:
-                    cpu._queue.popleft().succeed()
-                else:
-                    cpu._locked = False
-
-            # ... and applies its effect.
-            if op == CHARGE:
-                continue
+    result = None
+    for op, role, priced, charge, state, port, piece, at in program[1]:
+        if priced and config.erratum_enabled != level:
+            # Bound before the injector toggled the erratum.
+            charge = _price(machine.latency, core_id, op,
+                            core_id if op == DEQUEUE else handles[role].owner,
+                            piece)
+        # -- an untimed op runs and moves on ...
+        if op == WAIT:
             obj = handles[role]
-            if op <= CLEAR:
-                if faults is not None and faults.flag_write_dropped(
-                        core_id, obj.owner, obj.name):
-                    yield from _rewrite_flag(core, obj, op == SET)
-                if san is not None:
-                    san.on_flag_write(obj, op == SET, core_id)
-                if op == SET:
-                    obj.gate.set()
+            if faults is not None:
+                charge += faults.flag_stale_extra_ps(core_id, obj.owner,
+                                                     obj.name)
+            if state:
+                grant = obj.gate.wait_true(charge)
+                grant.label = obj._label_set
+            else:
+                grant = obj.gate.wait_false(charge)
+                grant.label = obj._label_clear
+            t0 = sim._now
+            yield grant
+            states["wait_flag"] += sim._now - t0
+            if san is not None:
+                san.on_flag_observed(obj, state == 1, core_id)
+            continue
+        if op >= NOTE:
+            obj = handles[role]
+            if op == NOTE:
+                if state == POSTED:
+                    announce_send(machine, core_id, obj.owner,
+                                  piece.stop - piece.start)
                 else:
-                    obj.gate.clear()
-            elif op == PUT:
-                obj.write(data[piece], at=at, actor=core_id)
-                if faults is not None and priced:
-                    faults.maybe_corrupt(obj, piece.stop - piece.start,
-                                         at=at, actor=f"core{core_id}")
-            elif op == GET:
-                result = obj.read(piece.stop - piece.start, at=at,
-                                  actor=core_id)
-                if data is not None:
-                    data[piece] = result
-    except Interrupt:
-        if req is None:
-            raise
-        return None
-    finally:
-        if held is not None:
-            held.release()
-    if req is not None:
-        req.retire()
+                    take_announcement(machine, core_id, obj.owner)
+            elif op == ACQUIRE:
+                grant = obj.acquire()
+                try:
+                    yield grant
+                except Interrupt:
+                    obj.abandon(grant)
+                    raise
+            elif op == ENQUEUE:
+                obj.items.append(data[piece].copy())
+                obj.set()
+            else:
+                while not obj.items:
+                    obj.clear()
+                    yield from core.wait(obj.wait_true(charge), "wait_flag")
+                result = obj.items.popleft()
+                handles[state].release()
+                if result.size != piece.stop - piece.start:
+                    raise ValueError(f"{result.size}-B packet, expected "
+                                     f"{piece.stop - piece.start} B")
+                data[piece] = result
+            continue
+        stall = 0
+        if faults is not None:
+            if priced:
+                charge += faults.mesh_extra_ps(core_id, handles[role].owner)
+            if charge > 0:
+                stall = faults.stall_ps(core_id)
+
+        # ... a timed one holds the CPU, then the MPB port (lock order is
+        # always CPU first; port holders only wait on timeouts, so it
+        # cannot deadlock).  Inline of Core.consume: keep in sync.
+        if cpu._locked or cpu._queue:
+            grant = cpu.acquire()
+            try:
+                yield grant
+            except Interrupt:
+                cpu.abandon(grant)
+                raise
+        else:
+            cpu._locked = True
+        try:
+            if port is None:
+                pass
+            elif ((port := machine.mpb_ports[handles[role].owner])._locked
+                  or port._queue):
+                t0 = sim._now
+                grant = port.acquire()
+                try:
+                    yield grant
+                except Interrupt:
+                    port.abandon(grant)
+                    port = None
+                    raise
+                if sim._now > t0:
+                    states["wait_port"] += sim._now - t0
+            else:
+                port._locked = True
+            try:
+                if stall:
+                    yield stall
+                    states["stall"] += stall
+                if charge > 0:
+                    yield charge
+                states[state] += charge
+            finally:
+                if port is not None:
+                    port.release()
+        finally:
+            if cpu._queue:
+                cpu._queue.popleft().succeed()
+            else:
+                cpu._locked = False
+
+        # ... and applies its effect.
+        if op == CHARGE:
+            continue
+        obj = handles[role]
+        if op <= CLEAR:
+            if faults is not None and faults.flag_write_dropped(
+                    core_id, obj.owner, obj.name):
+                yield from _rewrite_flag(core, obj, op == SET)
+            if san is not None:
+                san.on_flag_write(obj, op == SET, core_id)
+            if op == SET:
+                obj.gate.set()
+            else:
+                obj.gate.clear()
+        elif op == PUT:
+            obj.write(data[piece], at=at, actor=core_id)
+            if faults is not None and priced:
+                faults.maybe_corrupt(obj, piece.stop - piece.start,
+                                     at=at, actor=f"core{core_id}")
+        elif op == GET:
+            result = obj.read(piece.stop - piece.start, at=at, actor=core_id)
+            if data is not None:
+                data[piece] = result
     return result if data is None else None

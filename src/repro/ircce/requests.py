@@ -46,12 +46,10 @@ class RequestError(Exception):
 class Request:
     """Handle for one in-flight non-blocking operation."""
 
-    __slots__ = ("layer", "env", "kind", "peer", "nbytes", "proc",
-                 "completed_charged", "cancelled", "result", "lock")
+    __slots__ = ("env", "kind", "peer", "nbytes", "proc",
+                 "completed_charged", "cancelled", "result")
 
-    def __init__(self, layer: "NonBlockingLayer", env: CoreEnv, kind: str,
-                 peer: int, nbytes: int):
-        self.layer = layer
+    def __init__(self, env: CoreEnv, kind: str, peer: int, nbytes: int):
         self.env = env
         self.kind = kind          # "send" | "recv"
         self.peer = peer          # rank, or ANY
@@ -60,16 +58,11 @@ class Request:
         self.completed_charged = False
         self.cancelled = False
         self.result = None        # for wildcard recv: (src_rank, nbytes)
-        self.lock = None          # the channel lock its transfer holds
 
     @property
     def done(self) -> bool:
         """True once the transfer sub-process has finished."""
         return self.proc is not None and self.proc.triggered
-
-    def retire(self) -> None:
-        """The transfer completed: free its outstanding-request slot."""
-        self.layer._retire(self.env, self.kind)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = ("cancelled" if self.cancelled
@@ -96,17 +89,9 @@ class NonBlockingLayer:
         # same core are processed strictly in issue order (as iRCCE does
         # with its request queue).  Likewise, concurrent ireceives from
         # the same source share one sent/ready flag pair and must drain
-        # the channel in issue order.
+        # the channel in issue order.  Keyed by ("send", core) and
+        # ("recv", (dst_core, src_core)).
         self._locks: dict[tuple, FifoLock] = {}
-
-    def _lock(self, kind: str, key) -> FifoLock:
-        """The ``send`` channel lock of core ``key`` / the ``recv``
-        channel lock of the ``(dst_core, src_core)`` pair ``key``."""
-        lock = self._locks.get((kind, key))
-        if lock is None:
-            lock = self._locks[(kind, key)] = FifoLock(
-                self.machine.sim, name=f"{kind}chan{key}")
-        return lock
 
     # Issue/complete software overheads in ps, resolved on first use (the
     # cycle counts are per-layer constants).
@@ -156,7 +141,7 @@ class NonBlockingLayer:
     def _issue(self, env: CoreEnv, kind: str, peer: int, raw: np.ndarray,
                body, name: tuple) -> Generator:
         self._admit(env, kind)
-        req = Request(self, env, kind, peer, int(raw.size))
+        req = Request(env, kind, peer, int(raw.size))
         yield from env.consume(self._issue_ps, "overhead")
         req.proc = env.sim.process(body(env, req, raw, peer), name=name)
         self._enlist(env, req)
@@ -225,35 +210,60 @@ class NonBlockingLayer:
 
     # -- sub-process bodies -------------------------------------------------
     # Each returns the request's sub-process generator: the message's
-    # program run, which holds the request's channel lock and retires it.
+    # program run (the protocol's ``message``) inside :meth:`_held`.
     def _send_proc(self, env: CoreEnv, req: Request, raw: np.ndarray,
                    dst: int) -> Generator:
-        req.lock = self._lock("send", env.core_id)
-        return bracketed(env, "send", dst,
-                         self._proto.message(env, raw, dst, True, req=req))
+        return bracketed(env, "send", dst, self._held(
+            env, req, dst, self._proto.message(env, raw, dst, True)))
 
     def _recv_proc(self, env: CoreEnv, req: Request, raw_out: np.ndarray,
                    src: int) -> Generator:
         if src == ANY:
             return bracketed(env, "recv", src,
                              self._recv_any(env, req, raw_out))
-        req.lock = self._lock("recv", (env.core_id, env.core_of_rank(src)))
-        return bracketed(env, "recv", src,
-                         self._proto.message(env, raw_out, src, False,
-                                             req=req))
+        return bracketed(env, "recv", src, self._held(
+            env, req, src, self._proto.message(env, raw_out, src, False)))
 
     def _recv_any(self, env: CoreEnv, req: Request,
                   raw_out: np.ndarray) -> Generator:
         """A wildcard receive: match any sender's announcement, then
-        receive from it.  Returns the matched source rank."""
+        receive from it, taking the channel lock only then.  Returns the
+        matched source rank."""
         try:
             src = yield from self._match_any(env, req)
         except Interrupt:
             return None
-        req.lock = self._lock("recv", (env.core_id, env.core_of_rank(src)))
-        yield from self._proto.message(env, raw_out[:req.nbytes], src, False,
-                                       req=req)
+        yield from self._held(env, req, src, self._proto.message(
+            env, raw_out[:req.nbytes], src, False))
         return src
+
+    def _held(self, env: CoreEnv, req: Request, peer: int,
+              run: Generator) -> Generator:
+        """A request's message ``run`` to or from rank ``peer`` under its
+        channel lock: the lock is held for the whole run (a free one is
+        granted at the current instant, one heap entry), a cancellation
+        while queued for it or inside the run returns None, and a
+        finished run retires the request."""
+        key = (req.kind, env.core_id if req.kind == "send"
+               else (env.core_id, env.core_of_rank(peer)))
+        lock = self._locks.get(key)
+        if lock is None:
+            lock = self._locks[key] = FifoLock(self.machine.sim,
+                                               name=f"{key[0]}chan{key[1]}")
+        grant = lock.acquire()
+        try:
+            yield grant
+        except Interrupt:
+            lock.abandon(grant)
+            return None
+        try:
+            yield from run
+        except Interrupt:
+            return None
+        finally:
+            lock.release()
+        self._retire(env, req.kind)
+        return None
 
     def _match_any(self, env: CoreEnv, req: Request) -> Generator:
         """Wait for any sender's announcement; fixes peer and size."""

@@ -41,13 +41,12 @@ from typing import Any, Generator
 
 import numpy as np
 
-from repro.hw.machine import CoreEnv, Machine
+from repro.hw.machine import Core, CoreEnv, Machine
 from repro.hw.mpb import MPBRegion, as_bytes, byte_view
 from repro.hw.protocol import (BUF, CHARGE, CLEAR, COPY, GET, NACK, NOTE,
                                OVERHEAD, PIECE, POSTED, PUT, READY, SENT, SET,
                                TAKEN, WAIT, announcing, bind, run_ops)
 from repro.obs.spans import bracketed, span
-from repro.sim.events import Interrupt
 
 #: Fig. 3, one chunk, over the channel handles ``(buf, sent, ready, nack)``.
 SEND_CHUNK = (
@@ -115,15 +114,14 @@ class RCCE:
 
     def __init__(self, machine: Machine):
         self.machine = machine
+        #: Largest message piece: what the MPB send buffer holds.
+        self.chunk_bytes = machine.config.mpb_payload_bytes
         # Per-channel handle caches, the operands a message runs over.
         # Regions are stateless views, one per sender.
         self._buffers: dict[int, MPBRegion] = {}
         self._channels: dict[tuple[int, int], tuple] = {}
 
     # ------------------------------------------------------------------ #
-    def chunk_bytes(self) -> int:
-        """Largest message piece that fits the MPB send buffer."""
-        return self.machine.config.mpb_payload_bytes
 
     def send(self, env: CoreEnv, data: np.ndarray, dst: int) -> Generator:
         """Blocking send of ``data`` to rank ``dst``."""
@@ -146,14 +144,12 @@ class RCCE:
         return out
 
     def message(self, env: CoreEnv, raw: np.ndarray, peer: int,
-                sending: bool, call_cycles: int = 0,
-                req: Any = None) -> Generator:
+                sending: bool, call_cycles: int = 0) -> Generator:
         """One message to (``sending``) or from rank ``peer``: the run of
         the uint8 payload ``raw`` through the channel's bound program.
 
         ``call_cycles`` is the blocking API's per-call software overhead
-        (a non-blocking request paid its own when it was issued); ``req``
-        makes the run that request's sub-process.
+        (a non-blocking request paid its own when it was issued).
         """
         machine = self.machine
         core = env.core
@@ -164,21 +160,26 @@ class RCCE:
             record_message(machine, src, dst, nbytes)
         faults = machine.faults
         verify = faults is not None and faults.plan.checksums
-        table = _CHUNK_TABLES[announcing(machine)][sending]
         chan = self._channels.get((src, dst))
         if chan is None or verify:
             chan = self._channel(src, dst, verify)
-        # A chunk is what the sender's buffer holds (chunk_bytes()).
-        bound = bind(core, table, (src, dst, src, src), nbytes,
-                     chan[BUF].size, call=call_cycles)
+        bound = self.program(core, src, dst, sending, nbytes, call_cycles)
         if verify:
-            run = (self._verified_send if sending else self._verified_recv)(
+            return (self._verified_send if sending else self._verified_recv)(
                 env, bound, raw, chan,
                 machine.services.setdefault("faults.xfer", {}).setdefault(
                     (src, dst), {"seq_out": 0, "seq_in": 0, "frame": None}),
-                len(table))
-            return _as_request(req, run) if req is not None else run
-        return run_ops(core, bound, chan, raw, req)
+                len(_CHUNK_TABLES[announcing(machine)][sending]))
+        return run_ops(core, bound, chan, raw)
+
+    def program(self, core: Core, src: int, dst: int, sending: bool,
+                nbytes: int, call_cycles: int = 0) -> tuple:
+        """The bound program :meth:`message` runs on ``core`` (``src``
+        when ``sending``, else ``dst``) for one side of an ``nbytes``
+        src->dst message, over the channel's handles."""
+        return bind(core, _CHUNK_TABLES[announcing(self.machine)][sending],
+                    (src, dst, src, src), nbytes, self.chunk_bytes,
+                    call=call_cycles)
 
     def _channel(self, src_core: int, dst_core: int, verify: bool) -> tuple:
         """The src→dst channel's cached handles ``(buf, sent, ready[,
@@ -316,24 +317,3 @@ def _take(core: Any, level: bool, chunk: tuple, chan: tuple,
     xfer["seq_in"] += 1
     yield from run_ops(core, (level, chunk[-1:]), chan, raw_out)
     return True
-
-
-def _as_request(req: Any, body: Generator) -> Generator:
-    """A non-blocking request's sub-process around a multi-run ``body``
-    (the verify policy): the channel-lock hold, cancellation and
-    retirement :func:`~repro.hw.protocol.run_ops` gives a one-run
-    request.  The two must agree on timing, lock state and outstanding
-    counts (``tests/ircce/test_requests.py::TestRequestHoldUnderVerify``)."""
-    lock = req.lock
-    try:
-        yield from lock.acquired()
-    except Interrupt:
-        return None
-    try:
-        yield from body
-    except Interrupt:
-        return None
-    finally:
-        lock.release()
-    req.retire()
-    return None

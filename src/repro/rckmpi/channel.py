@@ -18,11 +18,11 @@ Differences from the RCCE-family protocol that matter for the figures:
 
 from __future__ import annotations
 
-from typing import Any, Generator
+from typing import Generator
 
 import numpy as np
 
-from repro.hw.machine import CoreEnv, Machine
+from repro.hw.machine import Core, CoreEnv, Machine
 from repro.hw.protocol import (ACQUIRE, CHARGE, COPY, DEQUEUE, ENQUEUE, bind,
                                run_ops)
 from repro.hw.timing import LatencyModel
@@ -51,27 +51,35 @@ class EagerChannels:
         self._channels: dict[tuple[int, int], tuple] = {}
 
     def message(self, env: CoreEnv, raw: np.ndarray, peer: int,
-                sending: bool, call_cycles: int = 0,
-                req: Any = None) -> Generator:
+                sending: bool, call_cycles: int = 0) -> Generator:
         machine = self.machine
         core = env.core
         other = env.core_of_rank(peer)
-        ends = (core.core_id, other) if sending else (other, core.core_id)
+        ends = src, dst = ((core.core_id, other) if sending
+                           else (other, core.core_id))
         nbytes = int(raw.size)
         if sending:
-            record_message(machine, *ends, nbytes)
+            record_message(machine, src, dst, nbytes)
         chan = self._channels.get(ends)
         if chan is None:
             chan = self._channels[ends] = (
                 Semaphore(machine.sim, WINDOW_PACKETS,
                           name=f"rckmpi.win.{ends}"),
                 PacketQueue(machine.sim, name=f"rckmpi.avail.{ends}"))
+        return run_ops(core, self.program(core, src, dst, sending, nbytes,
+                                          call_cycles), chan, raw)
+
+    def program(self, core: Core, src: int, dst: int, sending: bool,
+                nbytes: int, call_cycles: int = 0) -> tuple:
+        """The bound program :meth:`message` runs, as
+        :meth:`RCCE.program <repro.rcce.api.RCCE.program>`."""
         # Each side prices its packets against the peer's MPB, the owner
         # of both operands as far as the packet cost is concerned.
-        return run_ops(core, bind(
-            core, SEND_PACKET if sending else RECV_PACKET, (other, other),
-            nbytes, machine.config.rckmpi_packet_bytes, _packet_cost,
-            call=call_cycles), chan, raw, req)
+        other = dst if sending else src
+        return bind(core, SEND_PACKET if sending else RECV_PACKET,
+                    (other, other), nbytes,
+                    self.machine.config.rckmpi_packet_bytes, _packet_cost,
+                    call=call_cycles)
 
 
 def _packet_cost(latency: LatencyModel, core_id: int, peers: tuple, nbytes: int) -> int:

@@ -3,10 +3,11 @@ computed with integers instead of simulated.
 
 A measured collective is a deterministic function of the programs its
 ranks run: the communicator's entry charge, the barrier tables, every
-message's chunk tables priced by :func:`~repro.hw.protocol.bind` (the
-rows :meth:`RCCE.message <repro.rcce.api.RCCE.message>` runs, blocking
-or as a request's sub-process) and the request layer's issue,
-completion, copy and reduce charges.  :func:`replay_measurement`
+message's program (the protocol's ``program``: what
+:meth:`RCCE.message <repro.rcce.api.RCCE.message>` or RCKMPI's
+:meth:`EagerChannels.message <repro.rckmpi.channel.EagerChannels.message>`
+runs, blocking or as a request's sub-process) and the request layer's
+issue, completion, copy and reduce charges.  :func:`replay_measurement`
 expands every rank's schedule rows (:meth:`Communicator.resolve
 <repro.core.comm.Communicator.resolve>`, then
 :func:`~repro.sched.engine.schedule_for`, as the simulated call does)
@@ -16,7 +17,7 @@ payload bytes.  It returns every rank's ``(latency, exit)`` in ps, what
 picosecond (``tests/sched/test_replay.py`` pins it against
 ``engine_golden.json`` and the kernel-identity runs).  The programs are
 the simulator's own objects, shared through the configuration's tables;
-a replay only maps each row's role to one of its flag slots.
+a replay only maps each row's role to one of its int slots.
 
 Two executors, by stack:
 
@@ -28,19 +29,23 @@ Two executors, by stack:
   waiter, so the order of same-instant operations cannot move time: the
   ranks run in any order, each until it waits on a ``SET`` not yet made.
   No heap.
-* **Request stacks** (iRCCE, lightweight, lightweight_balanced, tuned).
-  A core's CPU is a FIFO lock shared by the main program and its
-  request sub-processes, so the order of same-instant entries decides
-  who holds it first.  This executor pushes where the kernel pushes: a
-  process's bootstrap, a free channel lock's zero hold, a CPU grant, a
-  hold's end, a flag wake, the completion a waiting main program
-  resumes on and ``wait_all``'s ``AllOf`` hop.  An entry goes into its
-  instant's FIFO lane of pids, and a heap holds the distinct instants.
-  That is the kernel's ``(time, seq)`` order by construction: ``seq``
-  only grows, so entries of one instant pop in push order, and an entry
-  pushed for the instant being run is appended to the lane being run.
-  The completion of a request nobody waits on is not pushed: nothing
-  observes it, and leaving an entry out does not reorder the others.
+* **Request stacks** (iRCCE, lightweight, lightweight_balanced, tuned,
+  rckmpi).  A core's CPU is a FIFO lock shared by the main program and
+  its request sub-processes, so the order of same-instant entries
+  decides who holds it first.  Main programs compile into the rows
+  requests run, and one loop runs both.  Channel locks, RCKMPI windows
+  and packet queues are FIFO slots beside the flags.  The executor
+  pushes where the kernel pushes: a process's bootstrap, a lock or
+  window grant (one hop even when a place is free), a CPU grant, a
+  hold's end, a flag or queue wake, the completion a waiting main
+  program resumes on and ``wait_all``'s ``AllOf`` hop.  An entry goes
+  into its instant's FIFO lane of pids, and a heap holds the distinct
+  instants.  That is the kernel's ``(time, seq)`` order by construction:
+  ``seq`` only grows, so entries of one instant pop in push order, and
+  an entry pushed for the instant being run is appended to the lane
+  being run.  The completion of a request nobody waits on is not
+  pushed: nothing observes it, and leaving an entry out does not
+  reorder the others.
 
 A :class:`Session` binds once per ``(stack, cores, config,
 rank_order)`` and replays any number of calls on it (a sweep group's
@@ -52,11 +57,12 @@ CPU-lock hold of the main program), so a whole application's call list
 replays its run.
 
 What only the simulator can answer raises :class:`Escalation`:
-``model_mpb_contention``; the ``mpb`` algorithm; the ``rckmpi`` stack
-and stacks of other types; names and arguments the simulator rejects
-(it raises the real error); and a replay that cannot make progress (the
-simulator raises the real deadlock error).  Replay takes no tracer,
-monitor or fault injector: a run with one is the simulator's.
+``model_mpb_contention``; the ``mpb`` algorithm; stacks, kinds,
+algorithms and arguments replay does not know or the simulator rejects
+(it raises the real error); a rank count or rank order the chip
+rejects; and a replay that cannot make progress (the simulator raises
+the real deadlock error).  Replay takes no tracer, monitor or fault
+injector: a run with one is the simulator's.
 """
 
 from __future__ import annotations
@@ -69,11 +75,13 @@ from repro.core.comm import Communicator
 from repro.core.registry import make_communicator
 from repro.hw.config import SCCConfig
 from repro.hw.machine import Machine
-from repro.hw.protocol import CHARGE, CLEAR, NOTE, SET, WAIT, bind
-from repro.ircce.api import IRCCE
-from repro.lwnb.api import LWNB
+from repro.hw.protocol import (ACQUIRE, CLEAR, DEQUEUE, ENQUEUE, NOTE, SET,
+                               WAIT, bind)
+from repro.ircce.requests import NonBlockingLayer
 from repro.rcce.api import (BARRIER_COLLECT, BARRIER_RELEASE,
-                            BARRIER_WORKER, RCCE, RECV_CHUNK, SEND_CHUNK)
+                            BARRIER_WORKER, RCCE)
+from repro.rckmpi.api import RCKMPICommunicator
+from repro.rckmpi.channel import WINDOW_PACKETS
 from repro.sched.cost import row_hold
 from repro.sched.engine import schedule_for
 from repro.sched.ir import F_SEND_FIRST, OP_EXCHANGE
@@ -91,22 +99,27 @@ _FIXED = {"exscan": "recursive_doubling", "scatter": "binomial",
 #: Bytes per element: measured operands are float64 vectors.
 _ITEMSIZE = 8
 
-#: The chunk tables without their ``NOTE`` rows, which are untimed and
-#: read only by a wildcard receive (no collective posts one).
-_SEND = tuple(row for row in SEND_CHUNK if row[0] != NOTE)
-_RECV = tuple(row for row in RECV_CHUNK if row[0] != NOTE)
-#: A compiled row is three ints ``(op, slot, charge)``: ``SET``,
-#: ``CLEAR`` or ``WAIT`` on flag ``slot``, or ``CHARGE`` for any other
-#: CPU hold.
+#: A compiled row is three ints ``(op, slot, charge)``.  The timed ops
+#: hold the CPU for ``charge``, then ``_SET``/``_CLEAR`` flag ``slot`` or
+#: ``_ISSUE`` (a main program's) start request template ``slot``;
+#: ``_CHARGE`` is any other hold.  The untimed ones: ``_WAIT`` for flag
+#: ``slot``, notified ``charge`` after it is set; ``_ACQUIRE`` or
+#: ``_RELEASE`` one of the ``charge`` places of window or lock ``slot``
+#: (a request's rows start with its channel lock's ``_ACQUIRE``, and the
+#: lock is released when they are done); ``_ENQUEUE`` a packet on queue
+#: ``slot``, ``_DEQUEUE`` one (waiting ``charge`` past its arrival when
+#: there is none); a main program's ``_JOIN`` of the last request it
+#: issued or ``_JOIN_ALL`` of every one, and ``_MARK`` of its time.
 _STEP = 3
+(_CHARGE, _SET, _CLEAR, _ISSUE, _WAIT, _ACQUIRE, _RELEASE, _ENQUEUE,
+ _DEQUEUE, _JOIN, _JOIN_ALL, _MARK) = range(12)
 
 #: Blocking executor: fused operations ``(kind, slot, pre, post)``.
 _F_SET, _F_WAIT, _F_MARK = range(3)
 
-#: Request executor: main-program operations (the first item of each).
-_M_CONSUME, _M_ISSUE, _M_WAIT, _M_WAIT_ALL, _M_MARK = range(5)
-#: Why a main program or a request is resumed.
-_BOOT, _RUN, _GRANTED, _HELD, _WOKEN, _COMPLETED = range(6)
+#: Request executor: why a process is resumed (``_RUN``: at its pc,
+#: which a process that waits moves past the row it waits on).
+_RUN, _GRANTED, _HELD, _COMPLETED = range(4)
 
 
 class Escalation(Exception):
@@ -116,12 +129,12 @@ class Escalation(Exception):
 
 # -- what a replay binds on --------------------------------------------------
 class _Context:
-    """A never-run machine to bind programs on, and the stack's
-    communicator (for ``resolve``, the partition and the request
-    layer's charges)."""
+    """A never-run machine to bind programs on, the stack's communicator
+    (for ``resolve``, the partition and the request layer's charges) and
+    the protocol whose ``program`` gives a message's bound program."""
 
-    __slots__ = ("machine", "comm", "blocking", "call_ps", "issue_ps",
-                 "complete_ps")
+    __slots__ = ("machine", "comm", "proto", "blocking", "call_ps",
+                 "issue_ps", "complete_ps")
 
     def __init__(self, stack: str, config: SCCConfig):
         machine = Machine(config.copy())
@@ -129,14 +142,17 @@ class _Context:
             comm = make_communicator(machine, stack)
         except KeyError:
             raise Escalation(f"unknown stack {stack!r}") from None
-        if type(comm) not in (Communicator, TunedCommunicator):
+        if type(comm) not in (Communicator, TunedCommunicator,
+                              RCKMPICommunicator):
             raise Escalation(f"{type(comm).__name__} communicator")
         p2p = comm.p2p
-        if type(p2p) is RCCE:
-            self.blocking = True
+        self.blocking = type(p2p) is RCCE
+        if self.blocking:
+            self.proto = p2p
             self.issue_ps = self.complete_ps = 0
-        elif type(p2p) in (IRCCE, LWNB) and p2p.protocol is RCCE:
-            self.blocking = False
+        elif (isinstance(p2p, NonBlockingLayer)
+              and hasattr(p2p._proto, "program")):
+            self.proto = p2p._proto
             self.issue_ps = p2p._issue_ps
             self.complete_ps = p2p._complete_ps
         else:
@@ -150,21 +166,27 @@ class _Context:
 # -- binding -----------------------------------------------------------------
 def _compile(bound: tuple, slots: tuple) -> tuple:
     """A bound program's rows as flat ``(op, slot, charge)`` ints, the
-    flag of each role being ``slots[role]``."""
+    operand of each role being ``slots[role]``."""
     out: list[int] = []
     for op, role, _priced, charge, state, port, _piece, _at in bound[1]:
         if port is not None:
             raise Escalation("a bound MPB port")
         if op <= CLEAR:
-            out += (op, slots[role], charge)
+            out += (_SET if op == SET else _CLEAR, slots[role], charge)
         elif op == WAIT:
             if state != 1:
                 raise Escalation("a wait for a cleared flag")
-            out += (op, slots[role], charge)
-        elif op > NOTE:
-            raise Escalation("a window or queue row")
+            out += (_WAIT, slots[role], charge)
+        elif op == ACQUIRE:
+            out += (_ACQUIRE, slots[role], WINDOW_PACKETS)
+        elif op == ENQUEUE:
+            out += (_ENQUEUE, slots[role], 0)
+        elif op == DEQUEUE:
+            # Take a packet, then free its window place.
+            out += (_DEQUEUE, slots[role], charge,
+                    _RELEASE, slots[state], WINDOW_PACKETS)
         elif op != NOTE:
-            out += (CHARGE, -1, charge)
+            out += (_CHARGE, -1, charge)
     return tuple(out)
 
 
@@ -177,10 +199,10 @@ def _fuse(flat: tuple) -> tuple[list, int]:
     pending = 0
     for i in range(0, len(flat), _STEP):
         op, slot, charge = flat[i:i + _STEP]
-        if op == SET:
+        if op == _SET:
             ops.append((_F_SET, slot, pending + charge, 0))
             pending = 0
-        elif op == WAIT:
+        elif op == _WAIT:
             ops.append((_F_WAIT, slot, pending, charge))
             pending = 0
         else:
@@ -189,48 +211,38 @@ def _fuse(flat: tuple) -> tuple[list, int]:
 
 
 class _Binder:
-    """One replay's flags as int slots, and its programs compiled over
-    them, once per ``(side, nbytes, call)``.  The programs themselves
-    come from :func:`~repro.hw.protocol.bind`, shared with every machine
-    on the configuration."""
+    """One replay's flags, windows, queues and locks as int slots, and
+    its programs compiled over them, once per ``(side, nbytes, call)``.
+    A message's program is the protocol's own (its ``program``, what
+    its ``message`` runs), shared with every machine on the
+    configuration."""
 
     def __init__(self, ctx: _Context, cores: list[int]):
         self.ctx = ctx
         self.cores = cores
-        self.slots: dict[tuple[int, str], int] = {}
-        self.channels: dict[tuple[int, int], tuple] = {}
+        self.slots: dict[tuple, int] = {}
         self.memo: dict[tuple, tuple] = {}
         self.fused_memo: dict[tuple, tuple[list, int]] = {}
-        self.chunk = ctx.machine.config.mpb_payload_bytes
 
-    def flag(self, owner: int, name: str) -> int:
-        slot = self.slots.get((owner, name))
+    def slot(self, key: tuple) -> int:
+        slot = self.slots.get(key)
         if slot is None:
-            slot = self.slots[(owner, name)] = len(self.slots)
+            slot = self.slots[key] = len(self.slots)
         return slot
-
-    def channel(self, src: int, dst: int) -> tuple:
-        """The slots of the src->dst channel by role, ``(-1, sent,
-        ready)`` (the buffer is no flag), the flags named as
-        :class:`~repro.rcce.api.RCCE` names them."""
-        chan = self.channels.get((src, dst))
-        if chan is None:
-            chan = self.channels[(src, dst)] = (
-                -1, self.flag(dst, f"rcce.sent.{src}"),
-                self.flag(src, f"rcce.ready.{dst}"))
-        return chan
 
     def message(self, src: int, dst: int, sending: bool, nbytes: int,
                 call_cycles: int = 0) -> tuple:
-        """The compiled program of one side of a src->dst message."""
+        """The compiled program of one side of a src->dst message, over
+        the channel's operands by role (RCCE's ``(buf, sent, ready)``,
+        RCKMPI's ``(window, queue)``)."""
         key = (src, dst, sending, nbytes, call_cycles)
         flat = self.memo.get(key)
         if flat is None:
-            core = self.ctx.machine.cores[src if sending else dst]
-            flat = self.memo[key] = _compile(bind(
-                core, _SEND if sending else _RECV, (src, dst, src, src),
-                nbytes, self.chunk, call=call_cycles),
-                self.channel(src, dst))
+            ctx = self.ctx
+            flat = self.memo[key] = _compile(
+                ctx.proto.program(ctx.machine.cores[src if sending else dst],
+                                  src, dst, sending, nbytes, call_cycles),
+                tuple(self.slot((src, dst, role)) for role in range(3)))
         return flat
 
     def fused(self, src: int, dst: int, sending: bool, nbytes: int,
@@ -366,8 +378,8 @@ class _BlockingPrograms(_Programs):
         release: list[int] = []
         for rank in range(1, self.p):
             owners = (root, cores[rank])
-            slots = (binder.flag(root, f"rcce.bar.{rank}"),
-                     binder.flag(cores[rank], "rcce.bar.go"))
+            slots = (binder.slot((root, f"rcce.bar.{rank}")),
+                     binder.slot((cores[rank], "rcce.bar.go")))
             self.splice(rank, _fuse(binder.table(
                 cores[rank], BARRIER_WORKER, owners, slots,
                 cost=self.enter_ps)))
@@ -461,37 +473,47 @@ def _run_blocking(progs: list[list], nslots: int) -> list[list[int]]:
 
 
 class _RequestPrograms(_Programs):
-    """Every rank's main program on a request stack; an issue carries its
-    request's template ``(compiled rows, channel lock)``."""
+    """Every rank's main program on a request stack, compiled rows as a
+    request's are, and the request templates its ``_ISSUE`` rows start:
+    the channel lock's ``_ACQUIRE``, then the message's program (the
+    executor releases the lock when the request is done)."""
 
     def __init__(self, binder: _Binder, p: int):
         super().__init__(binder, p)
-        self.templates: dict[tuple, tuple] = {}
+        self.templates: list[list] = []
+        self.issues: dict[tuple, tuple] = {}
         ctx = binder.ctx
         self.issue_ps = ctx.issue_ps
-        self.complete = (_M_CONSUME, ctx.complete_ps)
-        self.ncores = ctx.machine.config.num_cores
+        self.complete = (_CHARGE, -1, ctx.complete_ps)
 
     def request(self, src: int, dst: int, sending: bool,
                 nbytes: int) -> tuple:
+        """The row that issues one request: its issue charge, then its
+        start."""
         key = (src, dst, sending, nbytes)
-        op = self.templates.get(key)
-        if op is None:
+        rows = self.issues.get(key)
+        if rows is None:
+            binder = self.binder
             # A core's sends share its send lock; its receives from one
             # source share that pair's receive lock.
-            lock = src if sending else self.ncores * (1 + dst) + src
-            op = self.templates[key] = (
-                _M_ISSUE, self.issue_ps,
-                (self.binder.message(src, dst, sending, nbytes), lock))
-        return op
+            lock = binder.slot(("send", src) if sending
+                               else ("recv", dst, src))
+            # A list, as a main program's rows are: the executor's
+            # indexing sites then see one type.
+            self.templates.append(
+                [_ACQUIRE, lock, 1, *binder.message(src, dst, sending,
+                                                    nbytes)])
+            rows = self.issues[key] = (_ISSUE, len(self.templates) - 1,
+                                       self.issue_ps)
+        return rows
 
     def mark(self) -> None:
         for prog in self.progs:
-            prog.append((_M_MARK,))
+            prog += (_MARK, -1, 0)
 
     def compute(self, holds: list[int]) -> None:
         for prog, hold in zip(self.progs, holds):
-            prog.append((_M_CONSUME, hold))
+            prog += (_CHARGE, -1, hold)
 
     def barrier(self, call_ps: int) -> None:
         """``dissemination_barrier``: ceil(log2 p) rounds of zero-byte
@@ -499,55 +521,57 @@ class _RequestPrograms(_Programs):
         p = self.p
         cores = self.binder.cores
         rounds = 0 if p == 1 else (p - 1).bit_length()
+        wait_all = (_JOIN_ALL, -1, 0) + self.complete * 2
         for rank, prog in enumerate(self.progs):
-            prog.append((_M_CONSUME, call_ps))
+            prog += (_CHARGE, -1, call_ps)
             me = cores[rank]
             for k in range(rounds):
                 stride = 1 << k
-                prog += (self.request(me, cores[(rank + stride) % p], True, 0),
-                         self.request(cores[(rank - stride) % p], me, False,
-                                      0),
-                         (_M_WAIT_ALL, 2), self.complete, self.complete)
+                prog += self.request(me, cores[(rank + stride) % p], True, 0)
+                prog += self.request(cores[(rank - stride) % p], me, False, 0)
+                prog += wait_all
 
     def collective(self, sched, call_ps: int) -> None:
         cores = self.binder.cores
         latency = self.binder.ctx.machine.latency
         request = self.request
         complete = self.complete
-        wait = (_M_WAIT,)
         rows = sched.table.rows.tolist()
         for rank, prog in enumerate(self.progs):
             me = cores[rank]
-            prog.append((_M_CONSUME, call_ps))
+            prog += (_CHARGE, -1, call_ps)
             for send, recv, exchange, _, hold in _rank_steps(
                     sched, rank, rows, cores, latency):
-                issued = []
+                issued = 0
                 if send is not None:
-                    issued.append(request(me, send[0], True, send[1]))
+                    prog += request(me, send[0], True, send[1])
+                    issued += 1
                 if recv is not None:
-                    issued.append(request(recv[0], me, False, recv[1]))
+                    prog += request(recv[0], me, False, recv[1])
+                    issued += 1
                 if issued:
-                    prog += issued
                     # comm.send / comm.recv wait on their one request
                     # alone; an exchange issues both sides and waits once.
-                    prog.append((_M_WAIT_ALL, len(issued)) if exchange
-                                else wait)
-                    prog += (complete,) * len(issued)
+                    prog += (_JOIN_ALL if exchange else _JOIN, -1, 0)
+                    prog += complete * issued
                 if hold is not None:
-                    prog.append((_M_CONSUME, hold))
+                    prog += (_CHARGE, -1, hold)
 
 
-def _run_requests(progs: list[list], ncores: int,
+def _run_requests(progs: list[list], templates: list[list],
                   nslots: int) -> list[list[int]]:
-    """Execute the main programs and their requests in the kernel's
-    ``(time, seq)`` order; every rank's marks.
+    """Execute the main programs and the requests they start in the
+    kernel's ``(time, seq)`` order; every rank's marks.
 
     Each instant is a FIFO lane of pids, run in push order; a push at
-    the instant being run appends to its lane.  Pid ``r < p`` is rank
-    ``r``'s main program, ``[ops, pc, resume, core, issued pids,
-    wait_all count, marks]``; a request is ``[rows, pc, resume, core,
-    lock, done, waiter]``, ``waiter`` being the pid of a main program
-    waiting on it alone, ``-1 - pid`` of one in ``wait_all``.
+    the instant being run appends to its lane.  A process is ``[rows,
+    pc, resume, cpu, issued pids, join_all count, marks, done,
+    waiter]``: pid ``r < p`` is rank ``r``'s main program; a request
+    runs on its issuer's CPU, and ``waiter`` is the pid of a main
+    program waiting on it alone, ``-1 - pid`` of one in ``_JOIN_ALL``.
+    Flag and queue slots keep a level and their waiters, queue slots the
+    count of packets queued; window and lock slots the count of their
+    holders and queued processes, and the FIFO of the queued ones.
     """
     p = len(progs)
     times = [0]
@@ -561,12 +585,13 @@ def _run_requests(progs: list[list], ncores: int,
         else:
             lane.append(pid)
 
-    procs: list[list] = [[ops, 0, _RUN, rank, [], 0, []]
-                         for rank, ops in enumerate(progs)]
-    locked = [False] * ncores
-    queues = [deque() for _ in range(ncores)]
-    held: set[int] = set()
+    procs: list[list] = [[rows, 0, _RUN, rank, [], 0, [], False, None]
+                         for rank, rows in enumerate(progs)]
+    locked = [False] * p
+    queues = [deque() for _ in range(p)]
     level = bytearray(nslots)
+    count = [0] * nslots
+    places: dict[int, deque] = {}
     waiting: list[list] = [[] for _ in range(nslots)]
     while times:
         now = heappop(times)
@@ -574,70 +599,9 @@ def _run_requests(progs: list[list], ncores: int,
         for pid in lane:
             while True:
                 st = procs[pid]
-                if pid < p:
-                    # -- a rank's main program ------------------------------
-                    ops, i, resume, core = st[0], st[1], st[2], st[3]
-                    if resume == _GRANTED:
-                        if ops[i][1] > 0:
-                            later(now + ops[i][1], pid)
-                            st[2] = _HELD
-                            break
-                        resume = _HELD
-                    elif resume == _WOKEN:
-                        i += 1
-                    n = len(ops)
-                    while i < n:
-                        op = ops[i]
-                        code = op[0]
-                        if code <= _M_ISSUE:
-                            if resume != _HELD:
-                                if locked[core] or queues[core]:
-                                    queues[core].append(pid)
-                                    st[2] = _GRANTED
-                                    break
-                                if op[1] > 0:
-                                    locked[core] = True
-                                    later(now + op[1], pid)
-                                    st[2] = _HELD
-                                    break
-                            # The hold is over (or took no time): release
-                            # the CPU, then start the issued request.
-                            resume = _RUN
-                            queue = queues[core]
-                            if queue:
-                                lane.append(queue.popleft())
-                            else:
-                                locked[core] = False
-                            if code == _M_ISSUE:
-                                st[4].append(len(procs))
-                                lane.append(len(procs))
-                                procs.append([op[2][0], 0, _BOOT, core,
-                                              op[2][1], False, None])
-                        elif code == _M_WAIT:
-                            req = procs[st[4].pop()]
-                            if not req[5]:
-                                req[6] = pid
-                                st[2] = _WOKEN
-                                break
-                        elif code == _M_WAIT_ALL:
-                            pending = [procs[q] for q in st[4]
-                                       if not procs[q][5]]
-                            st[4] = []
-                            if pending:
-                                for req in pending:
-                                    req[6] = -1 - pid
-                                st[5] = len(pending)
-                                st[2] = _WOKEN
-                                break
-                        else:
-                            st[6].append(now)
-                        i += 1
-                    st[1] = i
-                    break
-                # -- a request's sub-process ---------------------------------
-                rows, i, resume, core = st[0], st[1], st[2], st[3]
+                rows, i, resume, cpu = st[0], st[1], st[2], st[3]
                 if resume == _COMPLETED:
-                    waiter = st[6]
+                    waiter = st[8]
                     if waiter >= 0:
                         pid = waiter  # resumed inside this dispatch
                         continue
@@ -646,70 +610,124 @@ def _run_requests(progs: list[list], ncores: int,
                     if not main[5]:
                         lane.append(-1 - waiter)
                     break
-                if resume == _BOOT:
-                    # Take the free channel lock inline; the zero hold
-                    # resumes the run where the grant would have.
-                    if st[4] in held:
-                        raise Escalation(
-                            "a request queued on its channel lock")
-                    held.add(st[4])
-                    lane.append(pid)
-                    st[2] = _RUN
-                    break
                 if resume == _GRANTED:
                     if rows[i + 2] > 0:
                         later(now + rows[i + 2], pid)
                         st[2] = _HELD
                         break
                     resume = _HELD
-                elif resume == _WOKEN:
-                    i += _STEP
                 n = len(rows)
                 while i < n:
                     op = rows[i]
-                    if op == WAIT:
-                        slot = rows[i + 1]
+                    if op <= _ISSUE:
+                        # -- a timed op: hold the CPU, release it, apply ----
+                        if resume != _HELD:
+                            if locked[cpu] or queues[cpu]:
+                                queues[cpu].append(pid)
+                                st[2] = _GRANTED
+                                break
+                            if rows[i + 2] > 0:
+                                locked[cpu] = True
+                                later(now + rows[i + 2], pid)
+                                st[2] = _HELD
+                                break
+                        resume = _RUN
+                        queue = queues[cpu]
+                        if queue:
+                            lane.append(queue.popleft())
+                        else:
+                            locked[cpu] = False
+                        if op:  # not a bare _CHARGE
+                            slot = rows[i + 1]
+                            if op == _SET:
+                                if not level[slot]:
+                                    level[slot] = 1
+                                    for waiter, extra in waiting[slot]:
+                                        later(now + extra, waiter)
+                                    waiting[slot].clear()
+                            elif op == _CLEAR:
+                                level[slot] = 0
+                            else:
+                                st[4].append(len(procs))
+                                lane.append(len(procs))
+                                procs.append([templates[slot], 0, _RUN, cpu,
+                                              None, 0, None, False, None])
+                        i += _STEP
+                        continue
+                    # -- an untimed op: no CPU ------------------------------
+                    slot = rows[i + 1]
+                    if op == _WAIT:
                         if level[slot]:
                             later(now + rows[i + 2], pid)
                         else:
                             waiting[slot].append((pid, rows[i + 2]))
-                        st[2] = _WOKEN
+                        st[2] = _RUN
+                        i += _STEP
                         break
-                    if resume != _HELD:
-                        if locked[core] or queues[core]:
-                            queues[core].append(pid)
-                            st[2] = _GRANTED
+                    if op == _ACQUIRE:
+                        # A place is granted at now, a heap hop, even when
+                        # one is free.  ``count`` is the holders and the
+                        # processes queued for a place.
+                        count[slot] += 1
+                        if count[slot] <= rows[i + 2]:
+                            lane.append(pid)
+                        else:
+                            places.setdefault(slot, deque()).append(pid)
+                        st[2] = _RUN
+                        i += _STEP
+                        break
+                    if op == _RELEASE:
+                        count[slot] -= 1
+                        if count[slot] >= rows[i + 2]:
+                            lane.append(places[slot].popleft())
+                    elif op == _JOIN:
+                        req = procs[st[4].pop()]
+                        if not req[7]:
+                            req[8] = pid
+                            st[2] = _RUN
+                            i += _STEP
                             break
-                        if rows[i + 2] > 0:
-                            locked[core] = True
-                            later(now + rows[i + 2], pid)
-                            st[2] = _HELD
+                    elif op == _JOIN_ALL:
+                        pending = [procs[q] for q in st[4] if not procs[q][7]]
+                        st[4] = []
+                        if pending:
+                            for req in pending:
+                                req[8] = -1 - pid
+                            st[5] = len(pending)
+                            st[2] = _RUN
+                            i += _STEP
                             break
-                    # The hold is over (or took no time): release the CPU,
-                    # then apply the row's effect.
-                    resume = _RUN
-                    queue = queues[core]
-                    if queue:
-                        lane.append(queue.popleft())
-                    else:
-                        locked[core] = False
-                    if op == SET:
-                        slot = rows[i + 1]
+                    elif op == _ENQUEUE:
+                        count[slot] += 1
                         if not level[slot]:
                             level[slot] = 1
                             for waiter, extra in waiting[slot]:
                                 later(now + extra, waiter)
                             waiting[slot].clear()
-                    elif op == CLEAR:
-                        level[rows[i + 1]] = 0
+                    elif op == _DEQUEUE:
+                        if not count[slot]:
+                            # Lower the gate and re-check on wake.
+                            level[slot] = 0
+                            waiting[slot].append((pid, rows[i + 2]))
+                            st[2] = _RUN
+                            break
+                        count[slot] -= 1
+                    else:
+                        st[6].append(now)
                     i += _STEP
                 else:
-                    # Done: free the channel lock, retire, complete.
-                    held.discard(st[4])
-                    st[5] = True
-                    if st[6] is not None:
-                        lane.append(pid)
-                        st[2] = _COMPLETED
+                    if pid >= p:
+                        # Done: a request releases the channel lock its
+                        # first row took, then completes for whoever
+                        # waits on it.
+                        lock = rows[1]
+                        count[lock] -= 1
+                        if count[lock] >= rows[2]:
+                            lane.append(places[lock].popleft())
+                        st[7] = True
+                        if st[8] is not None:
+                            lane.append(pid)
+                            st[2] = _COMPLETED
                 st[1] = i
                 break
         del lanes[now]
@@ -728,8 +746,8 @@ class Session:
     group): nothing is kept between sessions.
 
     The constructor raises :class:`Escalation` where no call on the
-    session can be replayed (MPB contention, ``rckmpi``, a rank count or
-    rank order the chip rejects, a stack replay does not know); a call
+    session can be replayed (MPB contention, a rank count or rank order
+    the chip rejects, a stack replay does not know); a call
     raises it for that call alone (the ``mpb`` algorithm, an unknown
     kind or algorithm, a run that cannot make progress).
     """
@@ -740,8 +758,6 @@ class Session:
         config = config if config is not None else SCCConfig()
         if config.model_mpb_contention:
             raise Escalation("MPB contention")
-        if stack == "rckmpi":
-            raise Escalation("the rckmpi stack")
         try:
             config.check_rank_count(cores)
         except ValueError as exc:
@@ -815,8 +831,7 @@ class Session:
         nslots = len(self.binder.slots)
         if self.ctx.blocking:
             return _run_blocking(programs.progs, nslots)
-        return _run_requests(programs.progs,
-                             self.ctx.machine.config.num_cores, nslots)
+        return _run_requests(programs.progs, programs.templates, nslots)
 
 
 def replay_calls(stack: str, cores: int, calls: Sequence[tuple], *,

@@ -4,10 +4,10 @@ where it escalates, and equal to :func:`measure_collective` either way.
 ``run_sweep``'s default engine takes every value from
 :func:`repro.bench.executor._exact_group`.  The differential test below
 checks that path against the simulator on a fixed, seeded plan that
-crosses every kind replay knows, the replayed stacks and the two that
-escalate (``rckmpi``; ``mpb``'s MPB-direct Allreduce), rank counts from
-2 to 48, single- and multi-chunk messages, and non-default topologies,
-timings, algorithms, reduce ops and rank orders.
+crosses every kind replay knows, every stack (``mpb``'s MPB-direct
+Allreduce and MPB contention escalate), rank counts from 2 to 48,
+single- and multi-chunk messages, and non-default topologies, timings,
+algorithms, reduce ops and rank orders.
 """
 
 import logging
@@ -85,13 +85,12 @@ def test_default_engine_equals_the_simulator(caplog):
                   in zip(points, outcome.latencies, expected) if got != want]
     assert mismatches == []
     assert outcome.replayed + outcome.simulated == len(points)
-    # Only the escalating stacks and configurations reach the simulator.
+    # Only MPB contention and the MPB-direct Allreduce reach the simulator.
     simulated = {line.split(": sim: ")[0] for line in
                  (r.getMessage() for r in caplog.records)
                  if ": sim: " in line}
     assert len(simulated) == outcome.simulated
-    must = {p.describe() for p in points
-            if p.stack == "rckmpi" or p.config.model_mpb_contention}
+    must = {p.describe() for p in points if p.config.model_mpb_contention}
     may = must | {p.describe() for p in points
                   if p.stack == "mpb" and p.kind == "allreduce"}
     assert must <= simulated <= may

@@ -18,7 +18,7 @@ SCC = SCCConfig(topology="mesh:4x1")
 SUMMARY = EnsembleSummary.load()
 #: The stacks whose GCMC run replay answers without the simulator.
 REPLAYED = ("blocking", "ircce", "lightweight", "lightweight_balanced",
-            "tuned")
+            "tuned", "rckmpi")
 
 
 def test_oplog_records_the_collective_sequence():
@@ -79,8 +79,7 @@ def test_replay_equals_the_simulator(stack, algo):
     assert result.elapsed_ps == 0
 
 
-@pytest.mark.parametrize("stack,why", [("mpb", "the mpb algorithm"),
-                                       ("rckmpi", "the rckmpi stack")])
+@pytest.mark.parametrize("stack,why", [("mpb", "the mpb algorithm")])
 def test_escalated_stacks_are_simulated(stack, why):
     cfg, cycles, cores = summary_run()
     _, elapsed_ps, escalation = replay_gcmc(cfg, cycles, cores, stack=stack,

@@ -8,13 +8,17 @@ exactly as per-op pricing did:
 * the fault injector's scheduled erratum toggle flips
   ``config.erratum_enabled`` mid-run (programs bound before it, some of
   them in flight, must price their remaining rows at the new level);
+* the same toggle reaching an RCKMPI receive bound before it and
+  waiting for a packet after it: its ``DEQUEUE`` wait is bound as one
+  read of the reader's own MPB, the price the erratum moves;
 * a timing field mutated on a live machine followed by
   ``LatencyModel.invalidate()`` (which must drop the programs with the
   latencies).
 
 The pins — event count and every rank's exit picosecond, as a digest —
 were recorded on the per-op pricing interpreter, before programs were
-bound.
+bound; the RCKMPI ones on an interpreter that priced a ``DEQUEUE``'s
+wait when the wait started.
 """
 
 import hashlib
@@ -24,7 +28,7 @@ import pytest
 
 from repro.bench.runner import program_for
 from repro.core.ops import SUM
-from repro.core.registry import make_communicator
+from repro.core.registry import launch, make_communicator
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.hw.config import SCCConfig
@@ -79,6 +83,28 @@ def test_erratum_toggle_reprices_bound_rows(stack, cores):
     comm = make_communicator(machine, stack)
     assert allreduce(machine, comm, cores) == TOGGLED[(stack, cores)]
     assert injector.counts == {"erratum_toggle": 1}
+
+
+#: Toggle instant -> every rank's exit ps of a 4-rank RCKMPI Allreduce
+#: of 2049 doubles (none: 773213288, 787422104, 801635920, 798855060).
+#: The second toggle lands while a receive bound before it waits.
+DEQUEUE_TOGGLED = {
+    96_651_661: [812795640, 846798132, 880800624, 897813440],
+    193_303_322: [773080728, 787223264, 801370800, 798523660],
+}
+
+
+@pytest.mark.parametrize("at", sorted(DEQUEUE_TOGGLED))
+def test_erratum_toggle_reprices_a_bound_dequeue(at):
+    machine, comm = launch("rckmpi", 4)
+    FaultInjector(FaultPlan(erratum_toggle_at_ps=at)).install(machine)
+
+    def program(env):
+        yield from comm.allreduce(env, np.arange(2049.0))
+        return env.now
+
+    exits = machine.run_spmd(program, ranks=list(range(4))).values
+    assert exits == DEQUEUE_TOGGLED[at]
 
 
 @pytest.mark.parametrize("stack", sorted(INVALIDATED))

@@ -392,11 +392,11 @@ class TestReclaimedWithoutCyclicGC:
 
 
 class TestRequestHoldUnderVerify:
-    """A request's channel-lock hold, cancellation and retirement have two
-    spellings: inline in ``run_ops`` for a one-run message, and
-    ``_as_request`` around the checksum verify policy's chunk runs.  With
-    an inert plan (``checksums`` on, no fault rates) the two must agree on
-    timing, event count, lock state and outstanding counts."""
+    """A request's channel-lock hold, cancellation and retirement
+    (``NonBlockingLayer._held``) wrap a one-run message and the checksum
+    verify policy's chunk runs alike.  With an inert plan (``checksums``
+    on, no fault rates) the two must agree on timing, event count, lock
+    state and outstanding counts."""
 
     @staticmethod
     def _exchange(layer, env, n):

@@ -3,9 +3,9 @@
 :mod:`repro.sched.replay` must return exactly the ``(latency, exit)`` ps
 the simulator measures for every rank.  Checked against
 
-* every ``engine_golden.json`` pin of the blocking, ircce, lightweight
-  and lightweight_balanced stacks: rank 0's ps and the all-ranks digest
-  (the pin's event count is the simulator's own);
+* every ``engine_golden.json`` pin of the blocking, ircce, lightweight,
+  lightweight_balanced and rckmpi stacks: rank 0's ps and the all-ranks
+  digest (the pin's event count is the simulator's own);
 * the kernel-identity Allreduce runs (``test_kernel_identity``'s
   ``allreduce_digest`` program) at p in {2, 47, 48}, n in {552, 554}:
   :data:`KERNEL_EXITS` pins a digest of every rank's simulated exit;
@@ -18,6 +18,9 @@ the simulator measures for every rank.  Checked against
 * live simulations of a call list with rank-skewed compute calls, on
   blocking and every request stack at p in {2, 5, 8}: every rank's time
   after every call;
+* a window stall: an RCKMPI broadcast whose sender fills its channel's
+  two-packet window long before the receiver, busy computing, takes a
+  packet (pinned, since no Fig.-9 collective fills a window);
 
 and every escalation a sweep can meet raises :class:`Escalation`, a
 deadlocking schedule included, whose simulator error still surfaces
@@ -40,6 +43,7 @@ from repro.core.ops import SUM
 from repro.core.registry import launch, make_communicator
 from repro.hw.config import SCCConfig
 from repro.hw.machine import Machine
+from repro.rckmpi import channel
 from repro.sched import builders, replay
 from repro.sched.ir import OP, OP_EXCHANGE, OP_RECV, SBUF, SHI, SLO, SPEER
 from repro.sched.replay import (KINDS, Escalation, Session, replay_calls,
@@ -48,7 +52,8 @@ from repro.sim.errors import DeadlockError
 from tests.sched import test_engine_golden as golden
 
 #: The stacks replay answers for (``tuned`` runs the lightweight layer).
-REPLAYED = ("blocking", "ircce", "lightweight", "lightweight_balanced")
+REPLAYED = ("blocking", "ircce", "lightweight", "lightweight_balanced",
+            "rckmpi")
 
 
 def _digest(values) -> str:
@@ -85,7 +90,7 @@ GOLDEN_KEYS = sorted(key for key in golden.PINS
 
 
 def test_golden_keys_cover_every_program():
-    assert len(GOLDEN_KEYS) == 192  # 288 pins, 4 of 6 stacks
+    assert len(GOLDEN_KEYS) == 240  # 288 pins, 5 of 6 stacks
     assert {key.split("/")[0].split(":")[0] for key in GOLDEN_KEYS} >= {
         "rooted", "scan", "allreduce", "alltoall", "reduce_scatter"}
 
@@ -122,6 +127,12 @@ KERNEL_EXITS = {
     ("lightweight_balanced", 47, 554): "2e5d576140277449",
     ("lightweight_balanced", 48, 552): "cab75395be9114bb",
     ("lightweight_balanced", 48, 554): "1c2137573c07967a",
+    ("rckmpi", 2, 552): "d352fe112b8fa13a",
+    ("rckmpi", 2, 554): "15f2843c016438fa",
+    ("rckmpi", 47, 552): "7a5648667e050e3d",
+    ("rckmpi", 47, 554): "d05cf08480276586",
+    ("rckmpi", 48, 552): "5d05728ffc5d46ab",
+    ("rckmpi", 48, 554): "6d2eb8d5af705fa2",
     ("tuned", 2, 552): "3aa05f9b6e058144",
     ("tuned", 2, 554): "cafad397c8644574",
     ("tuned", 47, 552): "27e8147c8208c36d",
@@ -220,7 +231,12 @@ POINT = dict(kind="allreduce", stack="lightweight", size=16, cores=4)
     dict(cores=49),
 ], ids=lambda change: ",".join(change))
 def test_escalations_raise(change):
+    """Every change escalates but the rckmpi stack, which replays to the
+    simulator's value."""
     replay_measurement(**POINT)  # the point itself replays
+    if change == dict(stack="rckmpi"):
+        assert_replay_equals_sim(**{**POINT, **change})
+        return
     with pytest.raises(Escalation):
         replay_measurement(**{**POINT, **change})
 
@@ -267,7 +283,7 @@ def replayed_or_why(replay, *args, **kw):
 
 
 SESSION_STACKS = ("blocking", "ircce", "lightweight", "lightweight_balanced",
-                  "tuned")
+                  "tuned", "rckmpi")
 
 
 def session_members(p: int) -> list[tuple]:
@@ -332,24 +348,31 @@ def test_session_members_leave_nothing_behind(stack, poisoned):
 
 
 @pytest.mark.parametrize("change,why", [
-    (dict(stack="rckmpi"), "the rckmpi stack"),
+    (dict(stack="rckmpi"), None),
     (dict(config=SCCConfig(model_mpb_contention=True)), "MPB contention"),
 ], ids=["rckmpi", "contention"])
 def test_context_escalation_simulates_the_whole_group(caplog, change, why):
+    """A session that escalates (``why``) simulates its whole group; an
+    rckmpi group, which used to, replays every point."""
     points = [SweepPoint(**{**dict(kind=kind, stack="blocking", size=n,
                                    cores=3), **change})
               for kind, n in (("allreduce", 4), ("bcast", 2),
                               ("allgather", 5))]
-    with pytest.raises(Escalation, match=why):
+    if why is None:
         Session(points[0].stack, 3, config=points[0].config)
+    else:
+        with pytest.raises(Escalation, match=why):
+            Session(points[0].stack, 3, config=points[0].config)
     with caplog.at_level("DEBUG", logger="repro.bench.executor"):
         result = run_sweep(points, jobs=1, cache=False)
-    assert (result.replayed, result.simulated) == (0, 3)
+    assert (result.replayed, result.simulated) == ((3, 0) if why is None
+                                                   else (0, 3))
     assert result.latencies == [measure_collective(
         p.kind, p.stack, p.size, cores=p.cores, config=p.config)
         for p in points]
     assert [r.getMessage() for r in caplog.records] == [
-        f"{p.describe()}: sim: {why}" for p in points]
+        f"{p.describe()}: {'replay' if why is None else 'sim: ' + why}"
+        for p in points]
 
 
 # -- compute calls -----------------------------------------------------------
@@ -378,9 +401,10 @@ def simulated_marks(stack: str, calls: list[tuple]) -> list[list[int]]:
             if kind == "compute":
                 yield from env.compute(args[0][env.rank])
             elif kind == "allreduce":
-                yield from comm.allreduce(env, np.ones(args[0]))
+                yield from comm.allreduce(env, np.ones(args[0]), algo=args[1])
             elif kind == "bcast":
-                yield from comm.bcast(env, np.ones(args[0]), args[2])
+                yield from comm.bcast(env, np.ones(args[0]), args[2],
+                                      algo=args[1])
             else:
                 yield from comm.barrier(env)
             marks.append(env.sim.now)
@@ -397,6 +421,29 @@ def test_compute_calls_equal_the_simulator(stack, p):
     simulated time after every call."""
     calls = skewed_calls(p)
     assert replay_calls(stack, p, calls) == simulated_marks(stack, calls)
+
+
+# -- a full RCKMPI window ----------------------------------------------------
+def stall_calls() -> list[tuple]:
+    """Rank 1 computes 2,000,000 cycles, then rank 0 broadcasts 2049
+    doubles (nine packets) down a binomial tree: its send stalls on a
+    full window until rank 1 starts receiving."""
+    return [("compute", (0, 2_000_000)), ("bcast", 2049, "binomial", 0, None)]
+
+
+@pytest.mark.parametrize("window,exit_ps", [
+    (None, 3_902_169_404),        # RCKMPI's two-packet window
+    (10**9, 189_879_316),         # unbounded: no stall
+], ids=["two-packets", "unbounded"])
+def test_a_full_window_stalls_the_sender(monkeypatch, window, exit_ps):
+    """Rank 0's exit, pinned: no Fig.-9 collective fills a window."""
+    if window is not None:
+        monkeypatch.setattr(channel, "WINDOW_PACKETS", window)
+        monkeypatch.setattr(replay, "WINDOW_PACKETS", window)
+    calls = stall_calls()
+    marks = replay_calls("rckmpi", 2, calls)
+    assert marks[0][-1] == exit_ps
+    assert marks == simulated_marks("rckmpi", calls)
 
 
 # -- the sweep layer ---------------------------------------------------------
@@ -422,13 +469,13 @@ def test_sweep_counts_and_logs_each_point(caplog, jobs):
     with caplog.at_level("DEBUG", logger="repro.bench.executor"):
         outcome = run_sweep(points, jobs=jobs, cache=False, engine="auto")
     assert (outcome.analytic, outcome.validated) == (2, 2)
-    assert (outcome.replayed, outcome.simulated) == (7, 2)
+    assert (outcome.replayed, outcome.simulated) == (8, 1)
     assert outcome.hits == outcome.misses == 0
     assert outcome.latencies[2:] == [
         measure_collective(point.kind, point.stack, point.size,
                            cores=point.cores, rank_order=point.rank_order,
                            algo=point.algo) for point in points[2:]]
-    whys = {5: "sim: the rckmpi stack", 6: "sim: the mpb algorithm"}
+    whys = {6: "sim: the mpb algorithm"}
     assert [r.getMessage() for r in caplog.records
             if r.name == "repro.bench.executor"] == [
         f"{point.describe()}: {whys.get(i, 'replay')}"
