@@ -3,9 +3,9 @@
 Every sweep point the benchmark layer runs is one deterministic SPMD
 simulation (:func:`~repro.bench.runner.measure_collective`).  The analytic
 engine replaces that simulation — for the points it can express — with a
-closed-form estimate: the point's algorithm is resolved by the stack's own
-:meth:`~repro.core.comm.Communicator.resolve`, built from the repertoire
-(:mod:`repro.sched.builders`) and priced through the BSP cost model
+closed-form estimate: the point's schedule is the stack's own
+:meth:`~repro.core.comm.Communicator.schedule` (built from the repertoire,
+:mod:`repro.sched.builders`), priced through the BSP cost model
 (:mod:`repro.sched.cost`) over the machine's memoized
 :class:`~repro.hw.timing.LatencyModel`, *plus* the calibrated per-call
 software overheads of the point's stack (RCCE call cycles, request
@@ -26,7 +26,8 @@ Fallback points
 :func:`analytic_latency_us` returns ``None`` (caller must simulate) for
 points outside the model:
 
-* ``barrier`` (no schedule builder; latency is all flag traffic),
+* ``barrier`` (no schedule builder; latency is all flag traffic) and
+  ``exscan`` (no algorithm choice),
 * the ``rckmpi`` stack (a different channel model entirely),
 * the MPB-direct Allreduce (``algo="mpb"`` or the ``mpb`` stack's
   long-vector default — it is not a schedule),
@@ -67,8 +68,9 @@ from typing import TYPE_CHECKING, Optional
 from repro.hw.config import SCCConfig, config_key
 from repro.hw.machine import Machine
 from repro.hw.timing import LatencyModel
+from repro.sched.builders import SCHEDULED_KINDS
 from repro.sched.cost import SoftwareOverhead, estimate_schedule_cost
-from repro.sched.engine import schedule_for
+from repro.sched.ir import Schedule
 from repro.sim.clock import ps_to_us
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -193,20 +195,20 @@ def _stack_context(stack: str, config: SCCConfig) -> Optional[_StackContext]:
     return ctx
 
 
-def _priced_schedule_name(comm: "Communicator", kind: str, size: int,
-                          cores: int, algo: Optional[str]) -> Optional[str]:
-    """The name the point would execute (:meth:`Communicator.resolve`,
+def _priced_schedule(comm: "Communicator", kind: str, size: int,
+                     cores: int, algo: Optional[str]) -> Optional[Schedule]:
+    """The schedule the point would execute (:meth:`Communicator.schedule`,
     the same call the simulated collective makes), or None when the
     simulator must answer: unknown names (it is the authority on the
     error), the MPB-direct Allreduce (not a schedule) and ``synth/...``
     names (outside the calibrated overhead regime)."""
     try:
-        name = comm.resolve(kind, cores, size, size * 8, algo)  # doubles
+        sched = comm.schedule(kind, cores, size, size * 8, algo)  # doubles
     except KeyError:
         return None
-    if name == "mpb" or name.startswith("synth/"):
+    if sched is None or sched.name.startswith("synth/"):
         return None
-    return name
+    return sched
 
 
 # --------------------------------------------------------------------- #
@@ -219,7 +221,7 @@ def analytic_latency_us(point: "SweepPoint") -> Optional[float]:
     the module docstring for the exact fallback list); the caller is
     expected to simulate such points instead.
     """
-    if point.kind == "barrier" or point.cores <= 1:
+    if point.kind not in SCHEDULED_KINDS or point.cores <= 1:
         return None
     if point.rank_order is not None and \
             tuple(point.rank_order) != tuple(range(point.cores)):
@@ -227,12 +229,10 @@ def analytic_latency_us(point: "SweepPoint") -> Optional[float]:
     ctx = _stack_context(point.stack, point.config)
     if ctx is None:
         return None
-    name = _priced_schedule_name(ctx.comm, point.kind, point.size,
-                                 point.cores, point.algo)
-    if name is None:
+    sched = _priced_schedule(ctx.comm, point.kind, point.size, point.cores,
+                             point.algo)
+    if sched is None:
         return None
-    sched = schedule_for(ctx.comm, point.kind, name, point.cores,
-                         point.size)
     total_ps = estimate_schedule_cost(sched, ctx.model,
                                       blocking=ctx.comm.blocking,
                                       overhead=ctx.overhead)

@@ -9,7 +9,6 @@ ordering.
 
 from __future__ import annotations
 
-import math
 from typing import TYPE_CHECKING, Generator
 
 import numpy as np
@@ -22,18 +21,19 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 _EMPTY = np.empty(0, dtype=np.uint8)
 
 
+def dissemination_rounds(rank: int, p: int) -> list[tuple[int, int]]:
+    """Rank ``rank``'s ``(dst, src)`` per round: ceil(log2 p) rounds,
+    round k synchronizing with the ranks at stride 2^k (none for p = 1).
+    :func:`dissemination_barrier` and replay both run these."""
+    return [((rank + (1 << k)) % p, (rank - (1 << k)) % p)
+            for k in range((p - 1).bit_length())]
+
+
 def dissemination_barrier(comm: "Communicator", env: CoreEnv) -> Generator:
-    """ceil(log2 p) rounds; round k synchronizes with ranks at stride 2^k."""
-    p, me = env.size, env.rank
-    if p == 1:
-        return
+    """A zero-byte exchange per :func:`dissemination_rounds` round."""
     layer = comm.p2p
-    rounds = max(1, math.ceil(math.log2(p)))
     recv_buf = np.empty(0, dtype=np.uint8)
-    for k in range(rounds):
-        stride = 1 << k
-        dst = (me + stride) % p
-        src = (me - stride) % p
+    for dst, src in dissemination_rounds(env.rank, env.size):
         sreq = yield from layer.isend(env, _EMPTY, dst)
         rreq = yield from layer.irecv(env, recv_buf, src)
         yield from layer.wait_all(env, [sreq, rreq])

@@ -12,9 +12,11 @@ the same method with its own arguments and ``yield from``s it.
 
 Every collective is ``span`` + entry overhead + one schedule run: the
 algorithms themselves are data (:mod:`repro.sched.builders`) executed by
-:func:`repro.sched.engine.run_schedule`, and :meth:`Communicator.resolve`
-is the only place that decides which one a call runs.  What the schedule
-IR cannot express stays here as code: the MPB-direct Allreduce
+:func:`repro.sched.engine.run_schedule`, and :meth:`Communicator.schedule`
+(over :meth:`Communicator.resolve`) is the only place that decides which
+one a call runs — for the simulated call, replay
+(:mod:`repro.sched.replay`) and the analytic engine alike.  What the
+schedule IR cannot express stays here as code: the MPB-direct Allreduce
 (:mod:`repro.core.mpb_allreduce`) and the barriers.
 
 (See :mod:`repro.core.registry` for the stack names of the paper's
@@ -36,11 +38,19 @@ from repro.ircce.requests import NonBlockingLayer
 from repro.obs.spans import span
 from repro.rcce.api import RCCE
 from repro.sched.engine import run_schedule
+from repro.sched.ir import Schedule
 
 #: RCCE_comm's rule: operands of at least this many bytes run their
 #: kind's long-message algorithm (ring / scatter based), smaller ones
 #: the binomial trees.
 LONG_THRESHOLD_BYTES = 512
+#: Builders that consume a block partition (the communicator's, unless
+#: the caller brings its own: scatterv/gatherv counts).
+_PARTITIONED = {
+    ("allreduce", "rsag"), ("reduce", "rsg"),
+    ("bcast", "scatter_allgather"), ("reduce_scatter", "ring"),
+    ("scatter", "binomial"), ("gather", "binomial"),
+}
 
 
 class Communicator:
@@ -74,9 +84,8 @@ class Communicator:
 
     def resolve(self, kind: str, p: int, n: int, nbytes: int,
                 algo: Optional[str] = None) -> str:
-        """The algorithm one call of ``kind`` runs — the single decision
-        point, shared by the collectives below, the analytic engine and
-        anything else that must know what a call will execute.
+        """The algorithm one call of ``kind`` with an algorithm choice
+        runs — the single decision point, which :meth:`schedule` reads.
 
         ``n`` is the operand length in elements (per destination row for
         alltoall) and ``nbytes`` its size.  ``algo=None`` applies the
@@ -113,20 +122,56 @@ class Communicator:
             f"hierarchical 'hier/g<G>' (bcast, reduce, allreduce); "
             f"a 'sched:' prefix is optional")
 
+    def schedule(self, kind: str, p: int, n: int, nbytes: int,
+                 algo: Optional[str] = None, root: int = 0,
+                 part: Optional[Partition] = None) -> Optional[Schedule]:
+        """The schedule one call of ``kind`` runs (None: the MPB-direct
+        Allreduce), for the collectives below, replay and the analytic
+        engine.  Kinds with one builder reject an ``algo`` (KeyError).
+        ``part`` defaults to this stack's partition where the builder
+        (for ``synth/<base>+c<c>``, its base) consumes one."""
+        # Imported here: repro.sched.builders imports this package.
+        from repro.sched.builders import (DEFAULT_ALGOS, build_schedule,
+                                          builder_names)
+
+        if kind in DEFAULT_ALGOS:
+            name = self.resolve(kind, p, n, nbytes, algo)
+            if name == "mpb":
+                return None
+        elif algo is not None:
+            raise KeyError(f"{kind} takes no algorithm, got {algo!r}")
+        else:
+            (name,) = builder_names(kind)
+        if part is None:
+            base = name
+            if name.startswith("synth/"):
+                from repro.sched.synth import base_builder
+
+                base = base_builder(kind, name)
+            if (kind, base) in _PARTITIONED:
+                part = self.partition(n, p)
+        return build_schedule(kind, name, p, n, part=part, root=root)
+
+    def _run(self, env: CoreEnv, kind: str, buf: np.ndarray,
+             algo: Optional[str] = None, op: ReduceOp = SUM, root: int = 0,
+             part: Optional[Partition] = None) -> Generator:
+        """The run of one call's :meth:`schedule`, returned rather than
+        delegated to (one frame fewer per resume)."""
+        rows = env.size if kind == "alltoall" else 1
+        sched = self.schedule(kind, env.size, buf.size // rows,
+                              buf.nbytes // rows, algo, root, part)
+        if sched is None:
+            return mpb_allreduce(self, env, buf, op)
+        return run_schedule(self, env, sched, buf, op=op, root=root,
+                            part=part)
+
     def _collective(self, env: CoreEnv, kind: str, buf: np.ndarray,
-                    algo: Optional[str], op: ReduceOp = SUM,
+                    algo: Optional[str] = None, op: ReduceOp = SUM,
                     root: int = 0) -> Generator:
-        """One call of a kind with an algorithm choice: span, entry
-        overhead, then the resolved algorithm."""
+        """One call: span, entry overhead, then its :meth:`schedule`."""
         with span(env, kind, buf.size):
             yield from self._enter(env)
-            rows = env.size if kind == "alltoall" else 1
-            name = self.resolve(kind, env.size, buf.size // rows,
-                                buf.nbytes // rows, algo)
-            if name == "mpb":
-                return (yield from mpb_allreduce(self, env, buf, op))
-            return (yield from run_schedule(self, env, kind, name, buf,
-                                            op=op, root=root))
+            return (yield from self._run(env, kind, buf, algo, op, root))
 
     # -- point-to-point (blocking semantics over either layer) -------------
     def send(self, env: CoreEnv, data: np.ndarray, dst: int) -> Generator:
@@ -196,10 +241,7 @@ class Communicator:
     def exscan(self, env: CoreEnv, sendbuf: np.ndarray,
                op: ReduceOp = SUM) -> Generator:
         """Exclusive prefix reduction (None at rank 0)."""
-        with span(env, "exscan", sendbuf.size):
-            yield from self._enter(env)
-            return (yield from run_schedule(
-                self, env, "exscan", "recursive_doubling", sendbuf, op=op))
+        return self._collective(env, "exscan", sendbuf, op=op)
 
     def reduce_scatter(self, env: CoreEnv, sendbuf: np.ndarray,
                        op: ReduceOp = SUM,
@@ -238,8 +280,7 @@ class Communicator:
             if sendbuf is None:
                 raise ValueError(
                     "scatter requires a full-size buffer per rank")
-            return (yield from run_schedule(
-                self, env, "scatter", "binomial", sendbuf, root=root))
+            return (yield from self._run(env, "scatter", sendbuf, root=root))
 
     def gather(self, env: CoreEnv, block: np.ndarray, total_size: int,
                root: int = 0) -> Generator:
@@ -264,8 +305,8 @@ class Communicator:
                 f"{part.size(vrank)}")
         vector = np.empty(part.n, dtype=block.dtype)
         vector[part.slice_of(vrank)] = block
-        return (yield from run_schedule(
-            self, env, "gather", "binomial", vector, root=root, part=part))
+        return (yield from self._run(env, "gather", vector, root=root,
+                                     part=part))
 
     def scatterv(self, env: CoreEnv, sendbuf: Optional[np.ndarray],
                  counts: Sequence[int], root: int = 0) -> Generator:
@@ -280,9 +321,8 @@ class Communicator:
                 raise ValueError(
                     f"scatterv needs a {part.n}-element buffer on every "
                     f"rank")
-            return (yield from run_schedule(
-                self, env, "scatter", "binomial", sendbuf, root=root,
-                part=part))
+            return (yield from self._run(env, "scatter", sendbuf, root=root,
+                                         part=part))
 
     def gatherv(self, env: CoreEnv, block: np.ndarray,
                 counts: Sequence[int], root: int = 0) -> Generator:

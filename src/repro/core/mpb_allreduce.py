@@ -126,8 +126,9 @@ def mpb_allreduce(comm: "Communicator", env: CoreEnv, sendbuf: np.ndarray,
             faults.record("mpb_fallback", f"core{env.core_id}",
                           {"epoch": fault_epoch, "algo": "rsag"})
             with span(env, "fallback", fault_epoch):
-                return (yield from run_schedule(
-                    comm, env, "allreduce", "rsag", sendbuf, op=op))
+                return (yield from run_schedule(comm, env, comm.schedule(
+                    "allreduce", p, sendbuf.size, sendbuf.nbytes, "rsag"),
+                    sendbuf, op=op))
     part = comm.partition(sendbuf.size, p)
     # As producer I handshake with my right neighbour over my halves; as
     # consumer with my left neighbour over theirs.

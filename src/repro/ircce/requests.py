@@ -89,8 +89,7 @@ class NonBlockingLayer:
         # same core are processed strictly in issue order (as iRCCE does
         # with its request queue).  Likewise, concurrent ireceives from
         # the same source share one sent/ready flag pair and must drain
-        # the channel in issue order.  Keyed by ("send", core) and
-        # ("recv", (dst_core, src_core)).
+        # the channel in issue order.  Keyed by :meth:`lock_key`.
         self._locks: dict[tuple, FifoLock] = {}
 
     # Issue/complete software overheads in ps, resolved on first use (the
@@ -112,6 +111,13 @@ class NonBlockingLayer:
 
     def test_cycles(self) -> int:
         raise NotImplementedError
+
+    @staticmethod
+    def lock_key(kind: str, core: int, peer_core: int) -> tuple:
+        """The channel lock a ``kind`` request of ``core`` to or from
+        ``peer_core`` queues on (here and in replay): a core's sends
+        share one, its receives from one source another."""
+        return ("send", core) if kind == "send" else (kind, (core, peer_core))
 
     # -- issuing ------------------------------------------------------------
     def isend(self, env: CoreEnv, data: np.ndarray, dst: int) -> Generator:
@@ -244,8 +250,7 @@ class NonBlockingLayer:
         granted at the current instant, one heap entry), a cancellation
         while queued for it or inside the run returns None, and a
         finished run retires the request."""
-        key = (req.kind, env.core_id if req.kind == "send"
-               else (env.core_id, env.core_of_rank(peer)))
+        key = self.lock_key(req.kind, env.core_id, env.core_of_rank(peer))
         lock = self._locks.get(key)
         if lock is None:
             lock = self._locks[key] = FifoLock(self.machine.sim,

@@ -37,7 +37,7 @@ touched on a retransmission.
 from __future__ import annotations
 
 import zlib
-from typing import Any, Generator
+from typing import Any, Callable, Generator
 
 import numpy as np
 
@@ -69,12 +69,32 @@ RECV_CHUNK = (
 REJECT_CHUNK = ((SET, NACK, 0), (SET, READY, 0))
 ACK_REJECT = ((CLEAR, NACK, 0),)
 
-#: Master/worker barrier over the handles ``(arrived, go)`` of one worker.
+#: Master/worker barrier over the handles ``(arrived, go)`` of one worker
+#: (rank 0 runs ``BARRIER_ENTER`` over none).
 ARRIVED, GO = 0, 1
-BARRIER_WORKER = ((CHARGE, 0, OVERHEAD),
-                  (SET, ARRIVED, 0), (WAIT, GO, 1), (CLEAR, GO, 0))
+BARRIER_ENTER = ((CHARGE, 0, OVERHEAD),)
+BARRIER_WORKER = BARRIER_ENTER + (
+    (SET, ARRIVED, 0), (WAIT, GO, 1), (CLEAR, GO, 0))
 BARRIER_COLLECT = ((WAIT, ARRIVED, 1), (CLEAR, ARRIVED, 0))
 BARRIER_RELEASE = ((SET, GO, 0),)
+
+
+def barrier_runs(rank: int, p: int,
+                 core_of: Callable[[int], int]) -> list[tuple]:
+    """What rank ``rank`` of ``p`` runs in RCCE's barrier, as ``(table,
+    flags)`` pairs, each flag an ``(owner core, name)`` (``core_of`` maps
+    ranks to cores), every table bound at the barrier's entry charge: a
+    worker reports through its arrival flag at rank 0 and waits for its
+    go flag; rank 0 collects and clears every arrival before releasing
+    anyone, so the flags are reusable without sense reversal."""
+    root = core_of(0)
+    flags = [((root, f"rcce.bar.{r}"), (core_of(r), "rcce.bar.go"))
+             for r in (range(1, p) if rank == 0 else (rank,))]
+    if rank:
+        return [(BARRIER_WORKER, flags[0])]
+    return [(BARRIER_ENTER, ())] + [
+        (table, pair) for table in (BARRIER_COLLECT, BARRIER_RELEASE)
+        for pair in flags]
 
 
 def _quiet(table: tuple) -> tuple:
@@ -274,29 +294,16 @@ class RCCE:
 
     # ------------------------------------------------------------------ #
     def barrier(self, env: CoreEnv) -> Generator:
-        """RCCE-style master/worker barrier: every rank reports to rank 0
-        via its arrival flag; rank 0 then releases everyone."""
-        machine = self.machine
+        """RCCE-style master/worker barrier: :func:`barrier_runs` on the
+        machine's flags."""
+        flag = self.machine.flag
         core = env.core
         enter_ps = env.latency.core_cycles(env.config.barrier_flag_cycles)
-        root_core = env.core_of_rank(0)
-        if env.rank != 0:
-            yield from run_ops(
-                core, bind(core, BARRIER_WORKER, (root_core, env.core_id),
-                           cost=enter_ps),
-                (machine.flag(root_core, f"rcce.bar.{env.rank}"),
-                 machine.flag(env.core_id, "rcce.bar.go")))
-            return
-        yield from core.consume(enter_ps, "overhead")
-        # Collect arrivals, clear them *before* releasing so the flags
-        # are reusable for the next barrier without sense reversal.
-        workers = [(machine.flag(root_core, f"rcce.bar.{rank}"),
-                    machine.flag(env.core_of_rank(rank), "rcce.bar.go"))
-                   for rank in range(1, env.size)]
-        for table in (BARRIER_COLLECT, BARRIER_RELEASE):
-            for handles in workers:
-                yield from run_ops(core, bind(core, table, _owners(handles)),
-                                   handles)
+        for table, flags in barrier_runs(env.rank, env.size,
+                                         env.core_of_rank):
+            handles = tuple(flag(*pair) for pair in flags)
+            yield from run_ops(core, bind(core, table, _owners(handles),
+                                          cost=enter_ps), handles)
 
 
 def _owners(handles: tuple) -> tuple:

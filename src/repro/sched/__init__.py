@@ -26,7 +26,7 @@ from repro.sched.chunking import (
     chunk_schedule,
     chunk_table,
 )
-from repro.sched.engine import run_schedule, schedule_for
+from repro.sched.engine import run_schedule
 from repro.sched.ir import Schedule, StepRow, StepTable
 from repro.sched.synth import (
     build_synth_schedule,
@@ -52,6 +52,5 @@ __all__ = [
     "chunk_table",
     "known_algorithm",
     "run_schedule",
-    "schedule_for",
     "synthesize",
 ]

@@ -8,11 +8,13 @@ message's program (the protocol's ``program``: what
 :meth:`EagerChannels.message <repro.rckmpi.channel.EagerChannels.message>`
 runs, blocking or as a request's sub-process) and the request layer's
 issue, completion, copy and reduce charges.  :func:`replay_measurement`
-expands every rank's schedule rows (:meth:`Communicator.resolve
-<repro.core.comm.Communicator.resolve>`, then
-:func:`~repro.sched.engine.schedule_for`, as the simulated call does)
-into those programs and executes them without generators, processes or
-payload bytes.  It returns every rank's ``(latency, exit)`` in ps, what
+expands every call into those programs from the definitions the
+simulated call runs (:meth:`Communicator.schedule
+<repro.core.comm.Communicator.schedule>`, :func:`repro.sched.engine.lower`,
+:func:`repro.rcce.api.barrier_runs`,
+:func:`repro.core.barrier.dissemination_rounds`) and executes them
+without generators, processes or payload bytes.  It returns every
+rank's ``(latency, exit)`` in ps, what
 :func:`~repro.bench.runner.launch_collective` measures, to the
 picosecond (``tests/sched/test_replay.py`` pins it against
 ``engine_golden.json`` and the kernel-identity runs).  The programs are
@@ -71,6 +73,7 @@ from collections import deque
 from heapq import heappop, heappush
 from typing import Optional, Sequence
 
+from repro.core.barrier import dissemination_rounds
 from repro.core.comm import Communicator
 from repro.core.registry import make_communicator
 from repro.hw.config import SCCConfig
@@ -78,24 +81,15 @@ from repro.hw.machine import Machine
 from repro.hw.protocol import (ACQUIRE, CLEAR, DEQUEUE, ENQUEUE, NOTE, SET,
                                WAIT, bind)
 from repro.ircce.requests import NonBlockingLayer
-from repro.rcce.api import (BARRIER_COLLECT, BARRIER_RELEASE,
-                            BARRIER_WORKER, RCCE)
+from repro.rcce.api import RCCE, barrier_runs
 from repro.rckmpi.api import RCKMPICommunicator
 from repro.rckmpi.channel import WINDOW_PACKETS
-from repro.sched.cost import row_hold
-from repro.sched.engine import schedule_for
-from repro.sched.ir import F_SEND_FIRST, OP_EXCHANGE
+from repro.sched import engine
 from repro.sched.select import TunedCommunicator
 
 #: The kinds a measured call can be (``bench.runner.collective_call``).
 KINDS = frozenset(("allreduce", "reduce", "reduce_scatter", "allgather",
                    "alltoall", "bcast", "barrier", "scan", "exscan"))
-#: Kinds whose algorithm :meth:`Communicator.resolve` decides; the
-#: others run one fixed schedule (``barrier`` none).
-_RESOLVED = frozenset(("allreduce", "reduce", "reduce_scatter", "allgather",
-                       "alltoall", "bcast", "scan"))
-_FIXED = {"exscan": "recursive_doubling", "scatter": "binomial",
-          "gather": "binomial"}
 #: Bytes per element: measured operands are float64 vectors.
 _ITEMSIZE = 8
 
@@ -130,7 +124,7 @@ class Escalation(Exception):
 # -- what a replay binds on --------------------------------------------------
 class _Context:
     """A never-run machine to bind programs on, the stack's communicator
-    (for ``resolve``, the partition and the request layer's charges) and
+    (for its ``schedule`` and the request layer's charges) and
     the protocol whose ``program`` gives a message's bound program."""
 
     __slots__ = ("machine", "comm", "proto", "blocking", "call_ps",
@@ -262,54 +256,21 @@ class _Binder:
 
 # -- what each rank runs -----------------------------------------------------
 def _schedule(ctx: _Context, p: int, call: tuple):
-    """The schedule one call runs (None for a barrier), resolved as the
-    communicator resolves it."""
+    """The schedule one call runs (None for a barrier): the
+    communicator's own :meth:`~repro.core.comm.Communicator.schedule`."""
     kind, n, algo, root, part = call
     if kind == "barrier":
         if algo is not None:
             raise Escalation("barrier takes no algorithm")
         return None
-    if kind in _RESOLVED:
-        try:
-            name = ctx.comm.resolve(kind, p, n, n * _ITEMSIZE, algo)
-        except KeyError:
-            raise Escalation(f"unknown {kind} algorithm {algo!r}") from None
-        if name == "mpb":
-            raise Escalation("the mpb algorithm")
-    elif kind in _FIXED and algo is None:
-        name = _FIXED[kind]
-    else:
-        raise Escalation(f"{kind} takes no algorithm" if kind in _FIXED
-                         else f"unknown kind {kind!r}")
     try:
-        return schedule_for(ctx.comm, kind, name, p, n, root, part)
+        sched = ctx.comm.schedule(kind, p, n, n * _ITEMSIZE, algo, root,
+                                  part)
     except (KeyError, ValueError) as exc:
         raise Escalation(f"{type(exc).__name__}: {exc}") from None
-
-
-def _rank_steps(sched, rank: int, rows: list, cores: list[int],
-                latency) -> list[tuple]:
-    """Rank ``rank``'s schedule rows, lowered as the schedule executor
-    lowers them, as ``(send, recv, exchange, send_first, hold)``:
-    ``send`` is ``(dst core, nbytes)`` and ``recv`` ``(src core,
-    nbytes)``, None where the row has no such side; ``send_first`` says
-    the blocking calls run send before recv; ``hold`` is the CPU time
-    the row takes after its messages (None: it takes none)."""
-    cuts = sched._cuts
-    steps = []
-    for (_, _, code, speer, sbuf, slo, shi, rpeer, rbuf, rlo, rhi,
-         flags) in rows[cuts[rank]:cuts[rank + 1]]:
-        hold = row_hold(latency, code, flags, shi - slo, rhi - rlo)
-        if code > OP_EXCHANGE:
-            if hold is not None:
-                steps.append((None, None, False, True, hold))
-            continue
-        exchange = code == OP_EXCHANGE
-        steps.append((
-            (cores[speer], (shi - slo) * _ITEMSIZE) if sbuf >= 0 else None,
-            (cores[rpeer], (rhi - rlo) * _ITEMSIZE) if rbuf >= 0 else None,
-            exchange, not exchange or bool(flags & F_SEND_FIRST), hold))
-    return steps
+    if sched is None:
+        raise Escalation("the mpb algorithm")
+    return sched
 
 
 class _Programs:
@@ -366,26 +327,18 @@ class _BlockingPrograms(_Programs):
             self.pending[rank] += hold
 
     def barrier(self, call_ps: int) -> None:
-        """``RCCE.barrier``: the workers report to rank 0, which collects
-        them all, then releases them."""
+        """``RCCE.barrier``: every rank's :func:`barrier_runs`, bound on
+        this replay's slots."""
         binder = self.binder
         cores = binder.cores
-        root = cores[0]
         for rank in range(self.p):
             self.pending[rank] += call_ps
-        self.pending[0] += self.enter_ps
-        collect: list[int] = []
-        release: list[int] = []
-        for rank in range(1, self.p):
-            owners = (root, cores[rank])
-            slots = (binder.slot((root, f"rcce.bar.{rank}")),
-                     binder.slot((cores[rank], "rcce.bar.go")))
-            self.splice(rank, _fuse(binder.table(
-                cores[rank], BARRIER_WORKER, owners, slots,
-                cost=self.enter_ps)))
-            collect += binder.table(root, BARRIER_COLLECT, owners, slots)
-            release += binder.table(root, BARRIER_RELEASE, owners, slots)
-        self.splice(0, _fuse(tuple(collect + release)))
+            flat: list[int] = []
+            for table, flags in barrier_runs(rank, self.p, cores.__getitem__):
+                flat += binder.table(
+                    cores[rank], table, tuple(owner for owner, _ in flags),
+                    tuple(map(binder.slot, flags)), cost=self.enter_ps)
+            self.splice(rank, _fuse(tuple(flat)))
 
     def collective(self, sched, call_ps: int) -> None:
         binder = self.binder
@@ -394,27 +347,22 @@ class _BlockingPrograms(_Programs):
         fused = binder.fused
         splice = self.splice
         pending = self.pending
-        rows = sched.table.rows.tolist()
+        cycles = (self.recv_cycles, self.send_cycles)
         for rank in range(self.p):
             me = cores[rank]
             pending[rank] += call_ps
-            for send, recv, _, send_first, hold in _rank_steps(
-                    sched, rank, rows, cores, latency):
-                if send is not None:
-                    send = fused(me, send[0], True, send[1],
-                                 self.send_cycles)
-                    # RCCE's send and recv each synchronize with the peer:
-                    # an exchange runs them in the builder's baked order.
-                    if send_first:
-                        splice(rank, send)
-                        send = None
-                if recv is not None:
-                    splice(rank, fused(recv[0], me, False, recv[1],
-                                       self.recv_cycles))
-                if send is not None:
-                    splice(rank, send)
-                if hold is not None:
-                    pending[rank] += hold
+            for _, _, sides, _, pre, post in engine.lower(
+                    sched, rank, True, latency, _ITEMSIZE):
+                if pre is not None:
+                    pending[rank] += pre
+                for sending, peer, _, lo, hi in sides:
+                    peer = cores[peer]
+                    splice(rank, fused(me if sending else peer,
+                                       peer if sending else me, sending,
+                                       (hi - lo) * _ITEMSIZE,
+                                       cycles[sending]))
+                if post is not None:
+                    pending[rank] += post
 
 
 def _run_blocking(progs: list[list], nslots: int) -> list[list[int]]:
@@ -494,10 +442,8 @@ class _RequestPrograms(_Programs):
         rows = self.issues.get(key)
         if rows is None:
             binder = self.binder
-            # A core's sends share its send lock; its receives from one
-            # source share that pair's receive lock.
-            lock = binder.slot(("send", src) if sending
-                               else ("recv", dst, src))
+            lock = binder.slot(NonBlockingLayer.lock_key(
+                *(("send", src, dst) if sending else ("recv", dst, src))))
             # A list, as a main program's rows are: the executor's
             # indexing sites then see one type.
             self.templates.append(
@@ -516,19 +462,16 @@ class _RequestPrograms(_Programs):
             prog += (_CHARGE, -1, hold)
 
     def barrier(self, call_ps: int) -> None:
-        """``dissemination_barrier``: ceil(log2 p) rounds of zero-byte
-        exchanges at doubling strides."""
-        p = self.p
+        """``dissemination_barrier``: a zero-byte exchange per
+        :func:`dissemination_rounds` round."""
         cores = self.binder.cores
-        rounds = 0 if p == 1 else (p - 1).bit_length()
         wait_all = (_JOIN_ALL, -1, 0) + self.complete * 2
         for rank, prog in enumerate(self.progs):
             prog += (_CHARGE, -1, call_ps)
             me = cores[rank]
-            for k in range(rounds):
-                stride = 1 << k
-                prog += self.request(me, cores[(rank + stride) % p], True, 0)
-                prog += self.request(cores[(rank - stride) % p], me, False, 0)
+            for dst, src in dissemination_rounds(rank, self.p):
+                prog += self.request(me, cores[dst], True, 0)
+                prog += self.request(cores[src], me, False, 0)
                 prog += wait_all
 
     def collective(self, sched, call_ps: int) -> None:
@@ -536,26 +479,23 @@ class _RequestPrograms(_Programs):
         latency = self.binder.ctx.machine.latency
         request = self.request
         complete = self.complete
-        rows = sched.table.rows.tolist()
         for rank, prog in enumerate(self.progs):
             me = cores[rank]
             prog += (_CHARGE, -1, call_ps)
-            for send, recv, exchange, _, hold in _rank_steps(
-                    sched, rank, rows, cores, latency):
-                issued = 0
-                if send is not None:
-                    prog += request(me, send[0], True, send[1])
-                    issued += 1
-                if recv is not None:
-                    prog += request(recv[0], me, False, recv[1])
-                    issued += 1
-                if issued:
-                    # comm.send / comm.recv wait on their one request
-                    # alone; an exchange issues both sides and waits once.
-                    prog += (_JOIN_ALL if exchange else _JOIN, -1, 0)
-                    prog += complete * issued
-                if hold is not None:
-                    prog += (_CHARGE, -1, hold)
+            for _, _, sides, wait_all, pre, post in engine.lower(
+                    sched, rank, False, latency, _ITEMSIZE):
+                if pre is not None:
+                    prog += (_CHARGE, -1, pre)
+                for sending, peer, _, lo, hi in sides:
+                    peer = cores[peer]
+                    prog += request(me if sending else peer,
+                                    peer if sending else me, sending,
+                                    (hi - lo) * _ITEMSIZE)
+                if sides:
+                    prog += (_JOIN_ALL if wait_all else _JOIN, -1, 0)
+                    prog += complete * len(sides)
+                if post is not None:
+                    prog += (_CHARGE, -1, post)
 
 
 def _run_requests(progs: list[list], templates: list[list],

@@ -45,6 +45,7 @@ from repro.hw.config import SCCConfig
 from repro.hw.machine import Machine
 from repro.rckmpi import channel
 from repro.sched import builders, replay
+from repro.sched import engine as sched_engine
 from repro.sched.ir import OP, OP_EXCHANGE, OP_RECV, SBUF, SHI, SLO, SPEER
 from repro.sched.replay import (KINDS, Escalation, Session, replay_calls,
                                 replay_measurement)
@@ -216,6 +217,40 @@ def test_replay_equals_sim_on_price_search_validation(kind, stack, size, k):
     assert_replay_equals_sim(kind, stack, size + k, 48)
 
 
+# -- one lowering --------------------------------------------------------------
+#: A CPU hold (ps) the patched lowering puts before every row.
+EXTRA_PRE = 1_234_567
+
+
+def sim_and_replay(kind, stack, size, cores):
+    """Every rank's latency, simulated and replayed."""
+    _machine, run = launch_collective(kind, stack, size, cores=cores)
+    return run.values, [latency for latency, _ in replay_measurement(
+        kind, stack, size, cores=cores)]
+
+
+@pytest.mark.parametrize("kind,stack,size", [
+    ("allreduce", "blocking", 64), ("allgather", "lightweight", 20),
+    ("reduce_scatter", "rckmpi", 30)])
+def test_replay_reads_the_executors_lowering(kind, stack, size,
+                                             monkeypatch):
+    """A change to the one lowering moves the simulator and replay
+    alike: with a hold before every row, both engines still agree, and
+    both differ from the unpatched run."""
+    sim, replayed = sim_and_replay(kind, stack, size, 5)
+    assert sim == replayed
+    real = sched_engine.lower
+
+    def lower(*args):
+        return [(rnd, row, sides, wait_all, (pre or 0) + EXTRA_PRE, post)
+                for rnd, row, sides, wait_all, pre, post in real(*args)]
+
+    monkeypatch.setattr(sched_engine, "lower", lower)
+    patched_sim, patched_replay = sim_and_replay(kind, stack, size, 5)
+    assert patched_sim == patched_replay
+    assert patched_sim != sim
+
+
 # -- escalation --------------------------------------------------------------
 POINT = dict(kind="allreduce", stack="lightweight", size=16, cores=4)
 
@@ -314,14 +349,14 @@ POISON = 13
 
 @pytest.fixture
 def poisoned(monkeypatch):
-    real = replay._rank_steps
+    real = sched_engine.lower
 
-    def rank_steps(sched, rank, *args):
+    def lower(sched, rank, *args):
         if sched.n == POISON and rank == sched.p - 1:
             raise Escalation("poisoned")
         return real(sched, rank, *args)
 
-    monkeypatch.setattr(replay, "_rank_steps", rank_steps)
+    monkeypatch.setattr(sched_engine, "lower", lower)
 
 
 @pytest.mark.parametrize("stack", ["blocking", "lightweight"])

@@ -12,7 +12,7 @@ simulator; ``synth/...`` picks are simulated too.)
 import numpy as np
 import pytest
 
-from repro.bench.analytic import _priced_schedule_name
+from repro.bench.analytic import _priced_schedule
 from repro.core.comm import LONG_THRESHOLD_BYTES
 from repro.core.registry import STACKS, make_communicator
 from repro.hw.config import SCCConfig
@@ -40,7 +40,8 @@ def assert_single_decision(kind, stack, cores, size, config=None):
     comm = make_communicator(machine, stack)
     vec = np.arange(size, dtype=np.float64)
     name = comm.resolve(kind, cores, size, size * 8, None)
-    priced = _priced_schedule_name(comm, kind, size, cores, None)
+    priced = _priced_schedule(comm, kind, size, cores, None)
+    priced = None if priced is None else priced.name
 
     def program(env):
         buf = np.tile(vec, (env.size, 1)) if kind == "alltoall" else vec
