@@ -69,5 +69,21 @@ class GCMCConfig:
     def volume(self) -> float:
         return self.box ** 3
 
+    # -- compute charges (core cycles): the SPMD driver's ``env.compute``
+    # and the serial run's call log both read these -----------------------
+    def pair_cycles(self, pairs: int) -> int:
+        """A rank's short-range energy evaluation over ``pairs`` pairs."""
+        return self.cycles_energy_base + pairs * self.cycles_per_pair
+
+    def structure_factor_cycles(self, atoms: int, nk: int) -> int:
+        """A rank's structure factor: ``atoms`` local atoms times ``nk``
+        k-vectors."""
+        return self.cycles_energy_base + atoms * nk * self.cycles_per_kvec_term
+
+    def energy_sum_cycles(self, nk: int) -> int:
+        """The ``|F|^2`` energy sum over ``nk`` k-vectors after the
+        Allreduce."""
+        return nk * self.cycles_per_kvec_energy
+
     def copy(self, **overrides: Any) -> "GCMCConfig":
         return replace(self, **overrides)

@@ -97,8 +97,7 @@ def _short_en(env: CoreEnv, comm: Communicator, cfg: GCMCConfig,
     else:
         e_local, pairs = insertion_energy_local(system, pos, charge,
                                                 env.rank, env.size)
-    yield from env.compute(cfg.cycles_energy_base
-                           + pairs * cfg.cycles_per_pair)
+    yield from env.compute(cfg.pair_cycles(pairs))
     total = yield from comm.allreduce(env, np.array([e_local]), algo=algo)
     return float(total[0])
 
@@ -110,13 +109,11 @@ def _long_en(env: CoreEnv, comm: Communicator, cfg: GCMCConfig,
     Allreduce, then the |F|^2 energy sum."""
     f_local, n_local = local_structure_factor(system, kvecs, env.rank,
                                               env.size)
-    yield from env.compute(
-        cfg.cycles_energy_base
-        + n_local * len(kvecs) * cfg.cycles_per_kvec_term)
+    yield from env.compute(cfg.structure_factor_cycles(n_local, len(kvecs)))
     packed = pack_complex(f_local)
     total = yield from comm.allreduce(env, packed, algo=algo)
     f_total = unpack_complex(total)
-    yield from env.compute(len(kvecs) * cfg.cycles_per_kvec_energy)
+    yield from env.compute(cfg.energy_sum_cycles(len(kvecs)))
     return reciprocal_energy(f_total, coeff, cfg.volume)
 
 
@@ -133,8 +130,7 @@ def _initial_energy(env: CoreEnv, comm: Communicator, cfg: GCMCConfig,
         e_short += e
     e_self = sum(self_energy(float(system.charges[i]), cfg.alpha)
                  for i in local)
-    yield from env.compute(cfg.cycles_energy_base
-                           + pairs * cfg.cycles_per_pair)
+    yield from env.compute(cfg.pair_cycles(pairs))
     partial = np.array([e_short, e_self])
     total = yield from comm.allreduce(env, partial, algo=algo)
     e_long = yield from _long_en(env, comm, cfg, system, kvecs, coeff,

@@ -77,9 +77,7 @@ def _short_en(system: ParticleSystem, nranks: int, slot=None, pos=None,
         if log is not None:
             pairs.append(n)
     if log is not None:
-        cfg = system.config
-        log.compute([cfg.cycles_energy_base + n * cfg.cycles_per_pair
-                     for n in pairs])
+        log.compute([system.config.pair_cycles(n) for n in pairs])
         log.collective("allreduce", 1, 0)
     return total
 
@@ -97,10 +95,9 @@ def _long_en(system: ParticleSystem, kvecs, coeff, nranks: int,
     if log is not None:
         cfg = system.config
         nk = len(kvecs)
-        log.compute([cfg.cycles_energy_base
-                     + n * nk * cfg.cycles_per_kvec_term for n in atoms])
+        log.compute([cfg.structure_factor_cycles(n, nk) for n in atoms])
         log.collective("allreduce", 2 * nk, 0)
-        log.compute([nk * cfg.cycles_per_kvec_energy] * nranks)
+        log.compute([cfg.energy_sum_cycles(nk)] * nranks)
     return reciprocal_energy(f_total, coeff, system.config.volume)
 
 
@@ -121,9 +118,7 @@ def full_energy(system: ParticleSystem, kvecs, coeff, nranks: int,
         if log is not None:
             pairs.append(rank_pairs)
     if log is not None:
-        cfg = system.config
-        log.compute([cfg.cycles_energy_base + n * cfg.cycles_per_pair
-                     for n in pairs])
+        log.compute([system.config.pair_cycles(n) for n in pairs])
         log.collective("allreduce", 2, 0)
     return e_short + e_self + _long_en(system, kvecs, coeff, nranks,
                                        log=log)

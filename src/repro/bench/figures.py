@@ -19,7 +19,6 @@ from repro.bench.report import (
     Series,
     format_series_table,
     format_speedup_summary,
-    max_speedup,
     mean_speedup,
 )
 from repro.bench.runner import default_cores, default_sizes, sweep
@@ -66,9 +65,6 @@ class Fig9Result:
     def mean_speedup_vs_blocking(self, label: str) -> float:
         other = next(s for s in self.series if s.label == label)
         return mean_speedup(self.baseline, other)
-
-    def max_speedup_vs_blocking(self) -> tuple[float, int]:
-        return max_speedup(self.baseline, self.optimized())
 
     def render(self) -> str:
         parts = [

@@ -76,11 +76,17 @@ class Communicator:
         """Split ``n`` elements over ``p`` ranks with this stack's scheme."""
         return self.partitioner(n, p)
 
+    @property
+    def call_ps(self) -> int:
+        """The collective layer's per-call entry charge (ps): what
+        :meth:`_enter` holds the CPU for, and what replay charges."""
+        machine = self.machine
+        return machine.latency.core_cycles(
+            machine.config.collective_call_cycles)
+
     def _enter(self, env: CoreEnv) -> Generator:
         """Per-call entry overhead of the collective layer."""
-        yield from env.consume(
-            env.latency.core_cycles(self.machine.config.collective_call_cycles),
-            "overhead")
+        yield from env.consume(self.call_ps, "overhead")
 
     def resolve(self, kind: str, p: int, n: int, nbytes: int,
                 algo: Optional[str] = None) -> str:

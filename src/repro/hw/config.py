@@ -255,9 +255,6 @@ class SCCConfig:
     def mesh_clock(self) -> Clock:
         return Clock(self.mesh_freq_hz)
 
-    def dram_clock(self) -> Clock:
-        return Clock(self.dram_freq_hz)
-
     def copy(self, **overrides: Any) -> "SCCConfig":
         """A new config with ``overrides`` applied."""
         return replace(self, **overrides)

@@ -119,10 +119,6 @@ class Topology:
         return self.cols * self.rows
 
     @property
-    def cores_per_chip(self) -> int:
-        return self.tiles_per_chip * self.cores_per_tile
-
-    @property
     def num_tiles(self) -> int:
         return self.tiles_per_chip * self.chips
 

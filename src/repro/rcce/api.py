@@ -141,6 +141,21 @@ class RCCE:
         self._buffers: dict[int, MPBRegion] = {}
         self._channels: dict[tuple[int, int], tuple] = {}
 
+    @property
+    def call_cycles(self) -> tuple[int, int]:
+        """The blocking API's per-call software overhead in core cycles,
+        indexed by ``sending``: what :meth:`recv` (False) and
+        :meth:`send` (True) charge, and replay with them."""
+        config = self.machine.config
+        return config.rcce_recv_call_cycles, config.rcce_send_call_cycles
+
+    @property
+    def barrier_ps(self) -> int:
+        """The charge (ps) every table of :meth:`barrier` is bound at,
+        and replay's barrier with it."""
+        machine = self.machine
+        return machine.latency.core_cycles(machine.config.barrier_flag_cycles)
+
     # ------------------------------------------------------------------ #
 
     def send(self, env: CoreEnv, data: np.ndarray, dst: int) -> Generator:
@@ -148,7 +163,7 @@ class RCCE:
         if dst == env.rank:
             raise RCCEError("RCCE cannot send to self")
         yield from bracketed(env, "send", dst, self.message(
-            env, as_bytes(data), dst, True, env.config.rcce_send_call_cycles))
+            env, as_bytes(data), dst, True, self.call_cycles[True]))
 
     def recv(self, env: CoreEnv, out: np.ndarray, src: int) -> Generator:
         """Blocking receive into ``out`` from rank ``src``.
@@ -159,8 +174,7 @@ class RCCE:
         if src == env.rank:
             raise RCCEError("RCCE cannot receive from self")
         yield from bracketed(env, "recv", src, self.message(
-            env, byte_view(out), src, False,
-            env.config.rcce_recv_call_cycles))
+            env, byte_view(out), src, False, self.call_cycles[False]))
         return out
 
     def message(self, env: CoreEnv, raw: np.ndarray, peer: int,
@@ -298,7 +312,7 @@ class RCCE:
         machine's flags."""
         flag = self.machine.flag
         core = env.core
-        enter_ps = env.latency.core_cycles(env.config.barrier_flag_cycles)
+        enter_ps = self.barrier_ps
         for table, flags in barrier_runs(env.rank, env.size,
                                          env.core_of_rank):
             handles = tuple(flag(*pair) for pair in flags)

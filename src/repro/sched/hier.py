@@ -201,21 +201,3 @@ def hier_candidate_names(kind: str, p: int,
         if 2 <= g <= p // 2 and f"hier/g{g}" not in names:
             names.append(f"hier/g{g}")
     return tuple(names)
-
-
-def hier_repertoire(ps: tuple[int, ...] = (4, 6, 8, 48),
-                    sizes: tuple[int, ...] = (1, 2, 8, 70),
-                    groups: tuple[int, ...] = (2, 3, 4)):
-    """Yield the hierarchical repertoire over a (p, groups, size) grid --
-    every kind, with both a corner and an interior root for the rooted
-    kinds.  Used by the schedule-verifier gate."""
-    for p in ps:
-        for g in groups:
-            if g < 2 or g > p // 2:
-                continue
-            for n in sizes:
-                for kind in HIER_KINDS:
-                    roots = (0,) if kind == "allreduce" else (0, p - 1)
-                    for root in roots:
-                        yield build_hier_schedule(kind, f"hier/g{g}", p, n,
-                                                  root=root)

@@ -21,21 +21,23 @@ picosecond (``tests/sched/test_replay.py`` pins it against
 the simulator's own objects, shared through the configuration's tables;
 a replay only maps each row's role to one of its int slots.
 
-Two executors, by stack:
+Every rank's program is one list of compiled ``(op, slot, charge)``
+rows (:func:`_compile`), on every stack; two executors run them:
 
-* **Blocking RCCE** (one actor per core).  Each rank's programs fuse
-  into a list of flag operations separated by CPU time.  A ``SET``
-  records when its write lands; the k-th ``WAIT`` on a flag matches that
-  flag's k-th ``SET`` and completes at ``max(clock, set) + notify``,
+* **Blocking RCCE** (one actor per core).  Each rank walks its rows
+  with its own pc, adding every charge to its clock.  A ``SET`` records
+  when its write lands; the k-th ``WAIT`` on a flag matches that flag's
+  k-th ``SET`` and completes at ``max(clock, set) + notify``,
   ``Gate.wait_true``'s rule.  Every RCCE flag is cleared by its only
   waiter, so the order of same-instant operations cannot move time: the
   ranks run in any order, each until it waits on a ``SET`` not yet made.
-  No heap.
+  No heap.  The request executor gives the same marks on these
+  programs, two to three times slower.
 * **Request stacks** (iRCCE, lightweight, lightweight_balanced, tuned,
   rckmpi).  A core's CPU is a FIFO lock shared by the main program and
   its request sub-processes, so the order of same-instant entries
-  decides who holds it first.  Main programs compile into the rows
-  requests run, and one loop runs both.  Channel locks, RCKMPI windows
+  decides who holds it first.  Main programs are rows as requests are,
+  and one loop runs both.  Channel locks, RCKMPI windows
   and packet queues are FIFO slots beside the flags.  The executor
   pushes where the kernel pushes: a process's bootstrap, a lock or
   window grant (one hop even when a place is free), a CPU grant, a
@@ -108,9 +110,6 @@ _STEP = 3
 (_CHARGE, _SET, _CLEAR, _ISSUE, _WAIT, _ACQUIRE, _RELEASE, _ENQUEUE,
  _DEQUEUE, _JOIN, _JOIN_ALL, _MARK) = range(12)
 
-#: Blocking executor: fused operations ``(kind, slot, pre, post)``.
-_F_SET, _F_WAIT, _F_MARK = range(3)
-
 #: Request executor: why a process is resumed (``_RUN``: at its pc,
 #: which a process that waits moves past the row it waits on).
 _RUN, _GRANTED, _HELD, _COMPLETED = range(4)
@@ -124,11 +123,12 @@ class Escalation(Exception):
 # -- what a replay binds on --------------------------------------------------
 class _Context:
     """A never-run machine to bind programs on, the stack's communicator
-    (for its ``schedule`` and the request layer's charges) and
-    the protocol whose ``program`` gives a message's bound program."""
+    (for its ``schedule``, its entry charge and the request layer's
+    charges) and the protocol whose ``program`` gives a message's bound
+    program."""
 
-    __slots__ = ("machine", "comm", "proto", "blocking", "call_ps",
-                 "issue_ps", "complete_ps")
+    __slots__ = ("machine", "comm", "proto", "blocking", "issue_ps",
+                 "complete_ps")
 
     def __init__(self, stack: str, config: SCCConfig):
         machine = Machine(config.copy())
@@ -153,8 +153,6 @@ class _Context:
             raise Escalation(f"{type(p2p).__name__} layer")
         self.machine = machine
         self.comm = comm
-        self.call_ps = machine.latency.core_cycles(
-            config.collective_call_cycles)
 
 
 # -- binding -----------------------------------------------------------------
@@ -184,26 +182,6 @@ def _compile(bound: tuple, slots: tuple) -> tuple:
     return tuple(out)
 
 
-def _fuse(flat: tuple) -> tuple[list, int]:
-    """A compiled program for a single-actor core: its flag operations
-    ``(kind, slot, pre, post)``, the CPU time before each folded into
-    ``pre`` (a wait's notify charge is its ``post``), and the CPU time
-    after the last one."""
-    ops = []
-    pending = 0
-    for i in range(0, len(flat), _STEP):
-        op, slot, charge = flat[i:i + _STEP]
-        if op == _SET:
-            ops.append((_F_SET, slot, pending + charge, 0))
-            pending = 0
-        elif op == _WAIT:
-            ops.append((_F_WAIT, slot, pending, charge))
-            pending = 0
-        else:
-            pending += charge
-    return ops, pending
-
-
 class _Binder:
     """One replay's flags, windows, queues and locks as int slots, and
     its programs compiled over them, once per ``(side, nbytes, call)``.
@@ -216,7 +194,6 @@ class _Binder:
         self.cores = cores
         self.slots: dict[tuple, int] = {}
         self.memo: dict[tuple, tuple] = {}
-        self.fused_memo: dict[tuple, tuple[list, int]] = {}
 
     def slot(self, key: tuple) -> int:
         slot = self.slots.get(key)
@@ -238,15 +215,6 @@ class _Binder:
                                   src, dst, sending, nbytes, call_cycles),
                 tuple(self.slot((src, dst, role)) for role in range(3)))
         return flat
-
-    def fused(self, src: int, dst: int, sending: bool, nbytes: int,
-              call_cycles: int) -> tuple[list, int]:
-        key = (src, dst, sending, nbytes, call_cycles)
-        fused = self.fused_memo.get(key)
-        if fused is None:
-            fused = self.fused_memo[key] = _fuse(
-                self.message(src, dst, sending, nbytes, call_cycles))
-        return fused
 
     def table(self, core: int, table: tuple, owners: tuple, slots: tuple,
               cost: Optional[int] = None) -> tuple:
@@ -274,146 +242,115 @@ def _schedule(ctx: _Context, p: int, call: tuple):
 
 
 class _Programs:
-    """Every rank's program, appended to call by call: ``progs``, and on
-    the blocking stack the CPU time ``pending`` after each rank's last
-    flag operation."""
+    """Every rank's program, compiled rows appended to call by call."""
 
     def __init__(self, binder: _Binder, p: int):
         self.binder = binder
         self.p = p
         self.progs: list[list] = [[] for _ in range(p)]
-        self.pending = [0] * p
 
-    def state(self) -> tuple:
+    def state(self) -> list[list]:
         """A copy of what the calls so far appended."""
-        return [list(prog) for prog in self.progs], list(self.pending)
+        return [list(prog) for prog in self.progs]
 
-    def restore(self, state: tuple) -> None:
+    def restore(self, state: list[list]) -> None:
         """Continue from a copy of ``state``, which stays as it is."""
-        progs, pending = state
-        self.progs = [list(prog) for prog in progs]
-        self.pending = list(pending)
+        self.progs = [list(prog) for prog in state]
+
+    def mark(self) -> None:
+        for prog in self.progs:
+            prog += (_MARK, -1, 0)
+
+    def compute(self, holds: list[int]) -> None:
+        for prog, hold in zip(self.progs, holds):
+            prog += (_CHARGE, -1, hold)
 
 
 class _BlockingPrograms(_Programs):
-    """Every rank's fused program on the blocking stack."""
-
-    def __init__(self, binder: _Binder, p: int):
-        super().__init__(binder, p)
-        config = binder.ctx.machine.config
-        latency = binder.ctx.machine.latency
-        self.send_cycles = config.rcce_send_call_cycles
-        self.recv_cycles = config.rcce_recv_call_cycles
-        self.enter_ps = latency.core_cycles(config.barrier_flag_cycles)
-
-    def splice(self, rank: int, fused: tuple[list, int]) -> None:
-        ops, tail = fused
-        if ops:
-            kind, slot, pre, post = ops[0]
-            prog = self.progs[rank]
-            prog.append((kind, slot, pre + self.pending[rank], post))
-            prog += ops[1:]
-            self.pending[rank] = tail
-        else:
-            self.pending[rank] += tail
-
-    def mark(self) -> None:
-        for rank, prog in enumerate(self.progs):
-            prog.append((_F_MARK, -1, self.pending[rank], 0))
-            self.pending[rank] = 0
-
-    def compute(self, holds: list[int]) -> None:
-        for rank, hold in enumerate(holds):
-            self.pending[rank] += hold
+    """Every rank's program on the blocking stack: each message side is
+    the protocol's program with RCCE's call charge."""
 
     def barrier(self, call_ps: int) -> None:
         """``RCCE.barrier``: every rank's :func:`barrier_runs`, bound on
         this replay's slots."""
         binder = self.binder
         cores = binder.cores
-        for rank in range(self.p):
-            self.pending[rank] += call_ps
-            flat: list[int] = []
+        enter_ps = binder.ctx.proto.barrier_ps
+        for rank, prog in enumerate(self.progs):
+            prog += (_CHARGE, -1, call_ps)
             for table, flags in barrier_runs(rank, self.p, cores.__getitem__):
-                flat += binder.table(
+                prog += binder.table(
                     cores[rank], table, tuple(owner for owner, _ in flags),
-                    tuple(map(binder.slot, flags)), cost=self.enter_ps)
-            self.splice(rank, _fuse(tuple(flat)))
+                    tuple(map(binder.slot, flags)), cost=enter_ps)
 
     def collective(self, sched, call_ps: int) -> None:
         binder = self.binder
         cores = binder.cores
         latency = binder.ctx.machine.latency
-        fused = binder.fused
-        splice = self.splice
-        pending = self.pending
-        cycles = (self.recv_cycles, self.send_cycles)
-        for rank in range(self.p):
+        message = binder.message
+        cycles = binder.ctx.proto.call_cycles
+        for rank, prog in enumerate(self.progs):
             me = cores[rank]
-            pending[rank] += call_ps
+            prog += (_CHARGE, -1, call_ps)
             for _, _, sides, _, pre, post in engine.lower(
                     sched, rank, True, latency, _ITEMSIZE):
                 if pre is not None:
-                    pending[rank] += pre
+                    prog += (_CHARGE, -1, pre)
                 for sending, peer, _, lo, hi in sides:
                     peer = cores[peer]
-                    splice(rank, fused(me if sending else peer,
-                                       peer if sending else me, sending,
-                                       (hi - lo) * _ITEMSIZE,
-                                       cycles[sending]))
+                    prog += message(me if sending else peer,
+                                    peer if sending else me, sending,
+                                    (hi - lo) * _ITEMSIZE, cycles[sending])
                 if post is not None:
-                    pending[rank] += post
+                    prog += (_CHARGE, -1, post)
 
 
 def _run_blocking(progs: list[list], nslots: int) -> list[list[int]]:
-    """Execute fused programs; every rank's marks."""
+    """Execute the blocking stack's programs; every rank's marks."""
     p = len(progs)
     sets: list[list[int]] = [[] for _ in range(nslots)]
     taken = [0] * nslots
     blocked = [-1] * nslots
     clocks = [0] * p
+    pcs = [0] * p
     marks: list[list[int]] = [[] for _ in range(p)]
-    steps = [iter(prog) for prog in progs]
-    # A rank blocked on a wait resumes with it: (slot, pre, post).
-    retry: list[Optional[tuple]] = [None] * p
     finished = 0
     work = list(range(p - 1, -1, -1))
     while work:
         rank = work.pop()
+        rows = progs[rank]
+        i = pcs[rank]
         t = clocks[rank]
-        stalled = retry[rank]
-        if stalled is not None:
-            retry[rank] = None
-            slot, pre, post = stalled
-            k = taken[slot]
-            taken[slot] = k + 1
-            t += pre
-            s = sets[slot][k]
-            t = (t if t > s else s) + post
-        for kind, slot, pre, post in steps[rank]:
-            if kind == _F_WAIT:
+        n = len(rows)
+        while i < n:
+            op = rows[i]
+            if op < _WAIT:
+                # A hold (_CHARGE, _CLEAR or _SET); a set lands after it.
+                t += rows[i + 2]
+                if op == _SET:
+                    slot = rows[i + 1]
+                    sets[slot].append(t)
+                    waiter = blocked[slot]
+                    if waiter >= 0:
+                        blocked[slot] = -1
+                        work.append(waiter)
+            elif op == _WAIT:
+                # A blocked rank keeps its pc on the wait and retries it.
+                slot = rows[i + 1]
                 k = taken[slot]
                 times = sets[slot]
                 if k == len(times):
                     blocked[slot] = rank
-                    retry[rank] = (slot, pre, post)
                     break
                 taken[slot] = k + 1
-                t += pre
                 s = times[k]
-                t = (t if t > s else s) + post
-            elif kind == _F_SET:
-                t += pre
-                sets[slot].append(t)
-                waiter = blocked[slot]
-                if waiter >= 0:
-                    blocked[slot] = -1
-                    work.append(waiter)
-            else:
-                t += pre
+                t = (t if t > s else s) + rows[i + 2]
+            else:  # _MARK
                 marks[rank].append(t)
+            i += _STEP
         else:
             finished += 1
+        pcs[rank] = i
         clocks[rank] = t
     if finished != p:
         raise Escalation("no progress: a wait no set satisfies")
@@ -452,14 +389,6 @@ class _RequestPrograms(_Programs):
             rows = self.issues[key] = (_ISSUE, len(self.templates) - 1,
                                        self.issue_ps)
         return rows
-
-    def mark(self) -> None:
-        for prog in self.progs:
-            prog += (_MARK, -1, 0)
-
-    def compute(self, holds: list[int]) -> None:
-        for prog, hold in zip(self.progs, holds):
-            prog += (_CHARGE, -1, hold)
 
     def barrier(self, call_ps: int) -> None:
         """``dissemination_barrier``: a zero-byte exchange per
@@ -679,8 +608,8 @@ def _run_requests(progs: list[list], templates: list[list],
 # -- entry points ------------------------------------------------------------
 class Session:
     """Replays on one ``(stack, cores, config, rank_order)``: the
-    communicator, the binder with its compiled and fused programs and
-    request templates, and a measurement's barrier prefix are built once
+    communicator, the binder with its compiled programs and request
+    templates, and a measurement's barrier prefix are built once
     and shared by every call; each call runs on fresh copies of the
     program lists.  Lives as long as its caller keeps it (one sweep
     group): nothing is kept between sessions.
@@ -758,9 +687,9 @@ class Session:
         else:
             sched = _schedule(self.ctx, self.cores, call)
             if sched is None:
-                self.programs.barrier(self.ctx.call_ps)
+                self.programs.barrier(self.ctx.comm.call_ps)
             else:
-                self.programs.collective(sched, self.ctx.call_ps)
+                self.programs.collective(sched, self.ctx.comm.call_ps)
         self.programs.mark()
 
     def _run(self, start: tuple, calls: Sequence[tuple]) -> list[list[int]]:

@@ -341,6 +341,43 @@ def test_session_equals_per_point_replay(stack, p):
     assert not any(isinstance(value, str) for value in grouped)
 
 
+# -- the blocking executor against the request executor ----------------------
+@pytest.fixture
+def both_executors(monkeypatch):
+    """Every blocking replay also runs its programs on the request
+    executor, the kernel's ``(time, seq)`` order; the list of ``(blocking
+    marks, request-executor marks)`` of each run."""
+    runs = []
+    fast = replay._run_blocking
+
+    def run_both(progs, nslots):
+        marks = fast(progs, nslots)
+        runs.append((marks, replay._run_requests(progs, [], nslots)))
+        return marks
+
+    monkeypatch.setattr(replay, "_run_blocking", run_both)
+    return runs
+
+
+@pytest.mark.parametrize("case", [
+    key for key in GOLDEN_KEYS if key.endswith("/blocking")] + [
+    f"session/p{p}" for p in (2, 5, 8, 48)])
+def test_blocking_executors_agree(case, both_executors):
+    """The heap-free blocking executor gives the request executor's marks
+    on the same programs: every blocking golden key, and every session
+    member of p in {2, 5, 8, 48}."""
+    if case.startswith("session/"):
+        p = int(case[len("session/p"):])
+        session = Session("blocking", p)
+        for member in session_members(p):
+            session.measure(*member)
+    else:
+        golden_replay(case)
+    assert both_executors
+    for fast, ordered in both_executors:
+        assert fast == ordered
+
+
 #: A member that escalates part-way through building its programs: the
 #: last rank of a ``POISON``-element schedule raises after every other
 #: rank's program and its own entry charge are appended.
