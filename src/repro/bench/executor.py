@@ -23,14 +23,15 @@ per-point exact value (replayed from the bound programs by
    figure, ablation or chaos campaign skips already-simulated points;
    editing *any* simulator source file changes the code hash and
    invalidates the whole cache — there is no way to read a stale latency
-   out of it short of hand-editing cache files.
+   out of it short of hand-editing the cache file.
 
 3. **Deterministic reassembly** — cache hits and fresh results are merged
    back into the caller's point order, so sweeps see one flat
    ``list[float]`` regardless of which layer produced each value.
 
-The cache lives in ``benchmarks/results/.cache/`` by default (override
-with ``REPRO_BENCH_CACHE_DIR``); disable it wholesale with
+The cache is one SQLite file, ``results.sqlite3``, in
+``benchmarks/results/.cache/`` by default (override the directory with
+``REPRO_BENCH_CACHE_DIR``); disable it wholesale with
 ``REPRO_BENCH_CACHE=0``.  See ``docs/performance.md`` for the full knob
 reference and the fingerprint scheme.
 """
@@ -43,6 +44,7 @@ import logging
 import multiprocessing
 import os
 import pathlib
+import sqlite3
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -174,6 +176,43 @@ def code_fingerprint() -> str:
 _encode = json.JSONEncoder(sort_keys=True, default=repr).encode
 
 
+def _fingerprints(config_key: Callable[[SCCConfig], str]
+                  ) -> Callable[[SweepPoint], str]:
+    """:func:`fingerprint` for many points: the code hash, the NumPy
+    version and each distinct kind, stack, op and algo string are
+    encoded once, by this call, and spliced into every point's text."""
+    code = _encode(code_fingerprint())
+    numpy = _encode(np.__version__)
+    schema = _encode(CACHE_SCHEMA)
+    strings: dict[str, str] = {}
+
+    def text(value) -> str:
+        if type(value) is not str:
+            return "null" if value is None else _encode(value)
+        found = strings.get(value)
+        if found is None:
+            found = strings[value] = _encode(value)
+        return found
+
+    def number(value) -> str:
+        return str(value) if type(value) is int else _encode(value)
+
+    def fingerprint_of(point: SweepPoint) -> str:
+        order = point.rank_order
+        canonical = (
+            f'{{"algo": {text(point.algo)}, "code": {code}, '
+            f'"config": {config_key(point.config)}, '
+            f'"cores": {number(point.cores)}, "kind": {text(point.kind)}, '
+            f'"numpy": {numpy}, "op": {text(point.op)}, "rank_order": '
+            f'{"null" if order is None else _encode(list(order))}, '
+            f'"schema": {schema}, "seed": {number(point.seed)}, '
+            f'"size": {number(point.size)}, '
+            f'"stack": {text(point.stack)}}}')
+        return hashlib.sha256(canonical.encode()).hexdigest()
+
+    return fingerprint_of
+
+
 def fingerprint(point: SweepPoint,
                 config_key: Callable[[SCCConfig], str] = config_key) -> str:
     """Stable content address of one sweep point (sha256 hex digest).
@@ -181,26 +220,11 @@ def fingerprint(point: SweepPoint,
     The hashed text is ``json.dumps`` of ``{"schema", "kind", "stack",
     "size", "cores", "op", "seed", "rank_order", "algo", "config":
     config_state(...), "code": code_fingerprint(), "numpy"}`` with sorted
-    keys, the config's part spliced in as ``config_key`` serialises it
-    (:func:`~repro.hw.config.config_keys` shares one serialisation
-    between a sweep's equal configs)."""
-    rest = _encode({
-        "schema": CACHE_SCHEMA,
-        "kind": point.kind,
-        "stack": point.stack,
-        "size": point.size,
-        "cores": point.cores,
-        "op": point.op,
-        "seed": point.seed,
-        "rank_order": (list(point.rank_order)
-                       if point.rank_order is not None else None),
-        "numpy": np.__version__,
-    })
-    # "algo" < "code" < "config" < "cores", the first key of ``rest``.
-    canonical = (f'{{"algo": {_encode(point.algo)}, '
-                 f'"code": {_encode(code_fingerprint())}, '
-                 f'"config": {config_key(point.config)}, {rest[1:]}')
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    keys, written piece by piece: the config's part as ``config_key``
+    serialises it (:func:`~repro.hw.config.config_keys` shares one
+    serialisation between a sweep's equal configs), every other value as
+    ``json.dumps`` would."""
+    return _fingerprints(config_key)(point)
 
 
 # --------------------------------------------------------------------- #
@@ -223,72 +247,133 @@ def cache_enabled_by_default() -> bool:
     return value not in ("0", "off", "false", "no")
 
 
-class ResultCache:
-    """Content-addressed store of simulated latencies.
+#: One row per fingerprint; ``latency_us`` is an IEEE double, so a served
+#: latency is the stored float bit for bit.
+_TABLE = ("CREATE TABLE IF NOT EXISTS results (fp TEXT PRIMARY KEY, "
+          "schema INTEGER, latency_us REAL, point TEXT) WITHOUT ROWID")
 
-    One JSON file per fingerprint, sharded by the first two hex digits
-    (``.cache/ab/ab12....json``).  Writes go through a per-process
-    temporary file and an atomic rename, so concurrent workers racing on
-    the same point at worst both write the same bytes.
+class ResultCache:
+    """Content-addressed store of exact latencies.
+
+    One SQLite database, ``<root>/results.sqlite3``, with one row per
+    fingerprint (schema, latency, point description).  It runs in WAL
+    mode with ``synchronous=NORMAL``: a put is one transaction, so a
+    killed sweep never leaves a torn row, and concurrent writers (other
+    sweeps, other processes) wait for each other, up to SQLite's busy
+    timeout.  The connection is opened on first use, and again in any
+    process whose pid differs from the opener's: a forked child never
+    touches its parent's connection.
     """
+
+    FILE = "results.sqlite3"
 
     def __init__(self, root: Union[str, pathlib.Path, None] = None):
         self.root = pathlib.Path(root) if root is not None else default_cache_dir()
+        self.path = self.root / self.FILE
+        #: Connections by opener pid.  One inherited over a fork is left
+        #: as it is: closing it would act on the parent's locks.
+        self._connections: dict[int, sqlite3.Connection] = {}
+        #: A damaged file was reported: reads miss until a put replaces it.
+        self._damaged = False
 
-    def path_for(self, fp: str) -> pathlib.Path:
-        return self.root / fp[:2] / f"{fp}.json"
+    def _db(self, create: bool) -> Optional[sqlite3.Connection]:
+        """This process's connection, or None where a read-only call
+        finds no store (it creates nothing) or a reported damaged one,
+        which the next put replaces."""
+        pid = os.getpid()
+        db = self._connections.get(pid)
+        if db is not None:
+            return db
+        if not create and (self._damaged or not self.path.exists()):
+            return None
+        if self._damaged:
+            for suffix in ("", "-wal", "-shm"):
+                pathlib.Path(f"{self.path}{suffix}").unlink(missing_ok=True)
+            self._damaged = False
+        self.root.mkdir(parents=True, exist_ok=True)
+        db = sqlite3.connect(self.path, isolation_level=None)
+        try:
+            db.execute("PRAGMA journal_mode=WAL")
+            db.execute("PRAGMA synchronous=NORMAL")
+            db.execute(_TABLE)
+        except sqlite3.Error:
+            db.close()
+            raise
+        self._connections[pid] = db
+        return db
+
+    def _unusable(self, exc: sqlite3.DatabaseError) -> None:
+        """Report a damaged store once.  SQLite's not-a-database and
+        corrupt codes raise ``DatabaseError`` itself; any subclass (a lock
+        held past the busy timeout, an unwritable directory) is re-raised."""
+        if type(exc) is not sqlite3.DatabaseError:
+            raise exc
+        if not self._damaged:
+            _log.warning("result cache %s is unusable (%s: %s); "
+                         "re-pricing its points", self.path,
+                         type(exc).__name__, exc)
+        self._damaged = True
+        self.close()
+
+    def _one(self, sql: str, *args) -> Optional[tuple]:
+        """The first row of ``sql`` on an existing store; None where
+        there is none, or it is damaged."""
+        try:
+            db = self._db(create=False)
+            return None if db is None else db.execute(sql, args).fetchone()
+        except sqlite3.DatabaseError as exc:
+            self._unusable(exc)
+            return None
 
     def get(self, fp: str) -> Optional[float]:
         """Cached latency for a fingerprint, or None.
 
-        A missing entry is a silent miss.  An entry that exists but is
-        truncated, not JSON or of another schema is a miss too (the
-        re-simulated point overwrites it), logged with its path.
+        An absent entry or store is a silent miss.  A row of another
+        schema or without a number, and a damaged file, are misses too,
+        logged with the file's path (the re-priced point's put replaces
+        them).
         """
-        path = self.path_for(fp)
-        try:
-            with open(path) as fh:
-                record = json.load(fh)
-            if record["schema"] != CACHE_SCHEMA:
-                raise ValueError(f"schema {record['schema']!r}, "
-                                 f"expected {CACHE_SCHEMA}")
-            return float(record["latency_us"])
-        except FileNotFoundError:
+        row = self._one("SELECT schema, latency_us FROM results WHERE fp = ?",
+                        fp)
+        if row is None:
             return None
-        except (OSError, ValueError, KeyError, TypeError) as exc:
-            _log.warning(
-                "result cache entry %s is unusable (%s: %s); "
-                "re-simulating the point",
-                path, type(exc).__name__, exc)
-            return None
+        schema, latency = row
+        if schema == CACHE_SCHEMA and type(latency) is float:
+            return latency
+        problem = (f"schema {schema!r}, expected {CACHE_SCHEMA}"
+                   if schema != CACHE_SCHEMA
+                   else f"latency {latency!r} is not a number")
+        _log.warning("result cache %s: entry %s is unusable (%s); "
+                     "re-pricing the point", self.path, fp, problem)
+        return None
 
     def put(self, fp: str, latency_us: float, point: SweepPoint) -> None:
-        path = self.path_for(fp)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        record = {
-            "schema": CACHE_SCHEMA,
-            "latency_us": latency_us,
-            "point": point.describe(),
-            "written_at": time.time(),
-        }
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        tmp.write_text(json.dumps(record, sort_keys=True))
-        os.replace(tmp, path)
+        """Store a latency; a damaged store is replaced by a new one."""
+        row = (fp, CACHE_SCHEMA, latency_us, point.describe())
+        insert = "INSERT OR REPLACE INTO results VALUES (?, ?, ?, ?)"
+        try:
+            self._db(create=True).execute(insert, row)
+        except sqlite3.DatabaseError as exc:
+            self._unusable(exc)
+            self._db(create=True).execute(insert, row)
 
     def clear(self) -> int:
         """Delete every cache entry; returns the number removed."""
-        removed = 0
-        if not self.root.is_dir():
-            return 0
-        for path in self.root.rglob("*.json"):
-            path.unlink(missing_ok=True)
-            removed += 1
+        removed = len(self)
+        if removed:
+            self._one("DELETE FROM results")
         return removed
 
     def __len__(self) -> int:
-        if not self.root.is_dir():
-            return 0
-        return sum(1 for _ in self.root.rglob("*.json"))
+        row = self._one("SELECT count(*) FROM results")
+        return 0 if row is None else row[0]
+
+    def close(self) -> None:
+        """Close this process's connection; the next call opens another.
+        Closing the last connection to the file folds its WAL into it."""
+        db = self._connections.pop(os.getpid(), None)
+        if db is not None:
+            db.close()
 
 
 # --------------------------------------------------------------------- #
@@ -401,8 +486,8 @@ def run_sweep(points: Sequence[SweepPoint], *,
     default.  With the default ``engine="sim"`` results are bit-identical
     across all (jobs, cache) combinations and to
     :func:`~repro.bench.runner.measure_collective`: every point is an
-    independent deterministic run and floats round-trip exactly through
-    the cache's JSON encoding.
+    independent deterministic run and the cache stores each latency as
+    an IEEE double.
 
     ``engine`` selects how points are priced (see
     :mod:`repro.bench.analytic` and ``docs/engines.md``):
@@ -423,7 +508,9 @@ def run_sweep(points: Sequence[SweepPoint], *,
     the simulated value to the picosecond) and simulated only where
     replay escalates; ``replayed``/``simulated`` count which, and the
     ``repro.bench.executor`` logger says which, per point in point
-    order, at DEBUG.
+    order, at DEBUG; one INFO line per call gives the point count, cache
+    hits and misses, replayed, simulated, wall seconds and the cache
+    file.
     Every point's ``op`` is resolved first, so an unknown reduce op
     raises :class:`KeyError` under every engine.  Analytic estimates are
     never written to (or read from) the result cache — it stores exact
@@ -481,8 +568,9 @@ def run_sweep(points: Sequence[SweepPoint], *,
     exact: dict[int, float] = {}
     pending: list[int] = []
     if store is not None:
+        fingerprint_of = _fingerprints(keys)
         for i in to_exact:
-            fp = fingerprints[i] = fingerprint(points[i], keys)
+            fp = fingerprints[i] = fingerprint_of(points[i])
             hit = store.get(fp)
             if hit is None:
                 pending.append(i)
@@ -535,7 +623,7 @@ def run_sweep(points: Sequence[SweepPoint], *,
             drifts.sort(key=lambda d: -abs(d[3]))
             raise EngineDriftError(drifts, DEFAULT_DRIFT_TOL)
 
-    return SweepOutcome(
+    outcome = SweepOutcome(
         latencies=latencies,  # type: ignore[arg-type]  # all filled above
         hits=hits,
         misses=misses,
@@ -547,3 +635,8 @@ def run_sweep(points: Sequence[SweepPoint], *,
         replayed=replayed,
         simulated=len(pending) - replayed,
     )
+    _log.info("sweep: %d points, cache hits %d, misses %d, replayed %d, "
+              "simulated %d, %.3f s, cache %s", outcome.points, hits, misses,
+              replayed, outcome.simulated, outcome.wall_s,
+              store.path if store is not None else "no cache")
+    return outcome

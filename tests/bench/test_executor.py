@@ -6,6 +6,10 @@ running ``measure_collective`` in a plain sequential loop.
 """
 
 import dataclasses
+import multiprocessing
+import os
+import re
+import sqlite3
 
 import pytest
 
@@ -85,6 +89,31 @@ class TestDeterminism:
                                    config=SCCConfig(**SMALL_CONFIG))
                 for n in (16, 20)
             ]
+
+
+class TestReport:
+    def test_one_info_line_per_call(self, tmp_path, caplog):
+        store = ResultCache(tmp_path)
+        points = [small_point(size=n) for n in (16, 20)]
+        with caplog.at_level("INFO", logger="repro.bench.executor"):
+            run_sweep(points, jobs=1, cache=store)
+            run_sweep(points, jobs=1, cache=store)
+            run_sweep(points[:1], jobs=1, cache=False)
+        lines = [r.getMessage() for r in caplog.records
+                 if r.levelname == "INFO"]
+        wall = r"\d+\.\d{3} s"
+        assert len(lines) == 3
+        assert re.fullmatch(
+            r"sweep: 2 points, cache hits 0, misses 2, replayed 2, "
+            rf"simulated 0, {wall}, cache {re.escape(str(store.path))}",
+            lines[0])
+        assert re.fullmatch(
+            r"sweep: 2 points, cache hits 2, misses 0, replayed 0, "
+            rf"simulated 0, {wall}, cache {re.escape(str(store.path))}",
+            lines[1])
+        assert re.fullmatch(
+            r"sweep: 1 points, cache hits 0, misses 0, replayed 1, "
+            rf"simulated 0, {wall}, cache no cache", lines[2])
 
 
 class TestFingerprint:
@@ -213,11 +242,44 @@ class TestFingerprint:
             assert fingerprint(point, keys) == whole_payload(point)
             assert fingerprint(point) == whole_payload(point)
 
+    def test_coordinates_of_other_types_encode_as_json(self):
+        """A coordinate that is not an ``int`` or ``str`` (a bool, a
+        float, a NumPy integer, a tuple) is encoded as ``json.dumps``
+        with ``default=repr`` encodes it."""
+        import hashlib
+        import json
+
+        import numpy as np
+
+        from repro.hw.config import config_state
+
+        point = SweepPoint(kind=("allreduce",), stack="lightweight",
+                           size=16.0, cores=True, seed=np.int64(7),
+                           op="sum", algo=np.str_("ring"),
+                           rank_order=(np.int64(0),))
+        payload = {
+            "schema": CACHE_SCHEMA, "kind": point.kind,
+            "stack": point.stack, "size": point.size,
+            "cores": point.cores, "op": point.op, "seed": point.seed,
+            "rank_order": list(point.rank_order), "algo": point.algo,
+            "config": config_state(point.config),
+            "code": code_fingerprint(), "numpy": np.__version__}
+        assert fingerprint(point) == hashlib.sha256(json.dumps(
+            payload, sort_keys=True, default=repr).encode()).hexdigest()
+
     def test_code_fingerprint_is_hex_and_cached(self):
         fp = code_fingerprint()
         assert len(fp) == 64
         int(fp, 16)
         assert code_fingerprint() is fp  # lru_cache
+
+
+def _put_from_a_child(store, fp, value, k):
+    """A forked child's puts go through a connection of its own."""
+    inherited = set(store._connections)
+    store.put(fp, value, small_point())
+    store.put(f"{k:064x}", value + k, small_point())
+    assert set(store._connections) - inherited == {os.getpid()}
 
 
 class TestResultCache:
@@ -228,29 +290,50 @@ class TestResultCache:
             assert ResultCache(tmp_path).get("ab" * 32) is None
         assert not caplog.records  # an absent entry is an ordinary miss
 
+    def test_read_only_calls_create_nothing(self, tmp_path):
+        store = ResultCache(tmp_path / "cache")
+        assert store.get("ab" * 32) is None
+        assert len(store) == 0
+        assert store.clear() == 0
+        assert not (tmp_path / "cache").exists()
+        empty = ResultCache(tmp_path)
+        assert empty.get("ab" * 32) is None and len(empty) == 0
+        assert empty.clear() == 0
+        assert not any(tmp_path.iterdir())
+
     def test_corrupt_entry_is_a_miss(self, tmp_path, caplog):
         store = ResultCache(tmp_path)
         fp = fingerprint(small_point())
-        path = store.path_for(fp)
-        path.parent.mkdir(parents=True)
-        path.write_text("{not json")
+        store.put(fp, 12.5, small_point())
+        with sqlite3.connect(store.path) as db:
+            db.execute("UPDATE results SET latency_us = 'garbage'")
         with caplog.at_level("WARNING", logger=self.LOGGER):
             assert store.get(fp) is None
-        assert str(path) in caplog.text
+        assert str(store.path) in caplog.text and fp in caplog.text
+        caplog.clear()
+        garbage = ResultCache(tmp_path / "other")
+        garbage.root.mkdir()
+        garbage.path.write_text("{not a database")
+        with caplog.at_level("WARNING", logger=self.LOGGER):
+            assert garbage.get(fp) is None
+        assert str(garbage.path) in caplog.text
 
     def test_truncated_entry_warns_once_then_is_overwritten(self, tmp_path,
                                                             caplog):
+        points = [small_point(), small_point(size=20)]
         store = ResultCache(tmp_path)
-        point = small_point()
-        expected = run_sweep([point], jobs=1, cache=store).latencies
-        path = store.path_for(fingerprint(point))
-        path.write_text(path.read_text()[:20])
+        expected = run_sweep(points, jobs=1, cache=store).latencies
+        store.close()  # as the end of the sweep's process does
+        path = store.path
+        assert not (tmp_path / f"{ResultCache.FILE}-wal").exists()
+        path.write_bytes(path.read_bytes()[:20])
         with caplog.at_level("WARNING", logger=self.LOGGER):
-            again = run_sweep([point], jobs=1, cache=store)
-            healed = run_sweep([point], jobs=1, cache=store)
-        assert again.misses == 1 and again.latencies == expected
-        assert healed.hits == 1 and healed.latencies == expected
-        warnings = [r for r in caplog.records if r.name == self.LOGGER]
+            again = run_sweep(points, jobs=1, cache=store)
+            healed = run_sweep(points, jobs=1, cache=store)
+        assert again.misses == 2 and again.latencies == expected
+        assert healed.hits == 2 and healed.latencies == expected
+        warnings = [r for r in caplog.records if r.name == self.LOGGER
+                    and r.levelname == "WARNING"]
         assert len(warnings) == 1
         assert str(path) in warnings[0].getMessage()
 
@@ -258,12 +341,13 @@ class TestResultCache:
         store = ResultCache(tmp_path)
         fp = fingerprint(small_point())
         store.put(fp, 12.5, small_point())
-        record = store.path_for(fp).read_text()
-        store.path_for(fp).write_text(
-            record.replace(f'"schema": {CACHE_SCHEMA}', '"schema": 999'))
+        with sqlite3.connect(store.path) as db:
+            db.execute("UPDATE results SET schema = 999")
         with caplog.at_level("WARNING", logger=self.LOGGER):
             assert store.get(fp) is None
         assert "schema 999" in caplog.text
+        store.put(fp, 12.5, small_point())
+        assert store.get(fp) == 12.5
 
     def test_len_and_clear(self, tmp_path):
         store = ResultCache(tmp_path)
@@ -273,6 +357,47 @@ class TestResultCache:
         assert store.clear() == 2
         assert len(store) == 0
 
+    def test_open_store_survives_a_pooled_sweep(self, tmp_path):
+        store = ResultCache(tmp_path)
+        points = [small_point(size=n) for n in (13, 16, 21)]
+        store.put("ab" * 32, 1.5, points[0])  # the parent's connection
+        cold = run_sweep(points, jobs=2, cache=store)
+        warm = run_sweep(points, jobs=2, cache=store)
+        assert cold.latencies == warm.latencies
+        assert cold.misses == 3 and warm.hits == 3
+        store.put("cd" * 32, 2.5, points[0])
+        assert store.get("cd" * 32) == 2.5 and store.get("ab" * 32) == 1.5
+        assert len(store) == 5
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="needs the fork start method")
+    def test_concurrent_writers_of_one_fingerprint(self, tmp_path):
+        """More writers than CPUs put one shared fingerprint and one of
+        their own, through a store the parent opened before forking."""
+        store = ResultCache(tmp_path)
+        store.put("ab" * 32, 1.5, small_point())
+        fp = fingerprint(small_point())
+        value = 35.231056000000004
+        ctx = multiprocessing.get_context("fork")
+        writers = [ctx.Process(target=_put_from_a_child,
+                               args=(store, fp, value, k))
+                   for k in range((os.cpu_count() or 1) + 2)]
+        for writer in writers:
+            writer.start()
+        for writer in writers:
+            writer.join(timeout=60)
+        stuck = [writer for writer in writers if writer.is_alive()]
+        for writer in stuck:
+            writer.kill()
+        assert not stuck
+        assert [writer.exitcode for writer in writers] == [0] * len(writers)
+        assert store.get(fp) == value
+        assert ResultCache(tmp_path).get(fp) == value
+        assert [store.get(f"{k:064x}") for k in range(len(writers))] == [
+            value + k for k in range(len(writers))]
+        assert len(store) == 2 + len(writers)
+
 
 class TestKnobs:
     def test_default_jobs_env(self, monkeypatch):
@@ -280,7 +405,6 @@ class TestKnobs:
         assert default_jobs() == 3
 
     def test_default_jobs_auto(self, monkeypatch):
-        import os
         monkeypatch.setenv("REPRO_BENCH_JOBS", "0")
         assert default_jobs() == (os.cpu_count() or 1)
 

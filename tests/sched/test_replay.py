@@ -442,7 +442,8 @@ def test_context_escalation_simulates_the_whole_group(caplog, change, why):
     assert result.latencies == [measure_collective(
         p.kind, p.stack, p.size, cores=p.cores, config=p.config)
         for p in points]
-    assert [r.getMessage() for r in caplog.records] == [
+    assert [r.getMessage() for r in caplog.records
+            if r.levelname == "DEBUG"] == [
         f"{p.describe()}: {'replay' if why is None else 'sim: ' + why}"
         for p in points]
 
@@ -549,7 +550,8 @@ def test_sweep_counts_and_logs_each_point(caplog, jobs):
                            algo=point.algo) for point in points[2:]]
     whys = {6: "sim: the mpb algorithm"}
     assert [r.getMessage() for r in caplog.records
-            if r.name == "repro.bench.executor"] == [
+            if r.name == "repro.bench.executor"
+            and r.levelname == "DEBUG"] == [
         f"{point.describe()}: {whys.get(i, 'replay')}"
         for i, point in enumerate(points)]
 

@@ -148,7 +148,7 @@ class TestBenchCommand:
                      "--sizes", "8", "--cores", "4", "--jobs", "1",
                      "--no-cache"]) == 0
         assert "cache hits 0" in capsys.readouterr().out
-        assert not any(tmp_path.rglob("*.json"))
+        assert not any(tmp_path.iterdir())
 
     def test_sweep_jobs_2_prints_the_same_table(self, capsys):
         tables = []
