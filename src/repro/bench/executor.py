@@ -130,17 +130,17 @@ def _exact_group(points: list[SweepPoint]
 
 
 def _groups(points: Sequence[SweepPoint], indices: list[int],
-            config_key: Callable[[SCCConfig], str],
-            jobs: int) -> list[list[int]]:
-    """``indices`` grouped by (stack, cores, ``config_key``, rank order),
-    in first-seen order, each group cut into ``min(jobs, len)``
-    contiguous pieces so that a pool still gets one task per worker."""
+            configs: dict[int, str], jobs: int) -> list[list[int]]:
+    """``indices`` grouped by (stack, cores, serialised config, rank
+    order), ``configs[i]`` being point i's config as ``config_key``
+    serialises it, in first-seen order, each group cut into
+    ``min(jobs, len)`` contiguous pieces so that a pool still gets one
+    task per worker."""
     groups: dict[tuple, list[int]] = {}
     for i in indices:
         point = points[i]
-        groups.setdefault((point.stack, point.cores,
-                           config_key(point.config), point.rank_order),
-                          []).append(i)
+        groups.setdefault((point.stack, point.cores, configs[i],
+                           point.rank_order), []).append(i)
     tasks = []
     for group in groups.values():
         pieces = min(jobs, len(group))
@@ -176,11 +176,11 @@ def code_fingerprint() -> str:
 _encode = json.JSONEncoder(sort_keys=True, default=repr).encode
 
 
-def _fingerprints(config_key: Callable[[SCCConfig], str]
-                  ) -> Callable[[SweepPoint], str]:
-    """:func:`fingerprint` for many points: the code hash, the NumPy
-    version and each distinct kind, stack, op and algo string are
-    encoded once, by this call, and spliced into every point's text."""
+def _fingerprints() -> Callable[[SweepPoint, str], str]:
+    """:func:`fingerprint` for many points, each given with its config
+    as ``config_key`` serialises it: the code hash, the NumPy version
+    and each distinct kind, stack, op and algo string are encoded once,
+    by this call, and spliced into every point's text."""
     code = _encode(code_fingerprint())
     numpy = _encode(np.__version__)
     schema = _encode(CACHE_SCHEMA)
@@ -197,11 +197,11 @@ def _fingerprints(config_key: Callable[[SCCConfig], str]
     def number(value) -> str:
         return str(value) if type(value) is int else _encode(value)
 
-    def fingerprint_of(point: SweepPoint) -> str:
+    def fingerprint_of(point: SweepPoint, config: str) -> str:
         order = point.rank_order
         canonical = (
             f'{{"algo": {text(point.algo)}, "code": {code}, '
-            f'"config": {config_key(point.config)}, '
+            f'"config": {config}, '
             f'"cores": {number(point.cores)}, "kind": {text(point.kind)}, '
             f'"numpy": {numpy}, "op": {text(point.op)}, "rank_order": '
             f'{"null" if order is None else _encode(list(order))}, '
@@ -224,7 +224,7 @@ def fingerprint(point: SweepPoint,
     serialises it (:func:`~repro.hw.config.config_keys` shares one
     serialisation between a sweep's equal configs), every other value as
     ``json.dumps`` would."""
-    return _fingerprints(config_key)(point)
+    return _fingerprints()(point, config_key(point.config))
 
 
 # --------------------------------------------------------------------- #
@@ -563,14 +563,18 @@ def run_sweep(points: Sequence[SweepPoint], *,
                                            DEFAULT_VALIDATE)]
 
     to_exact = exact_idx + validate_idx  # disjoint by construction
-    keys = config_keys()  # one serialisation per distinct config
+    # Each point's config serialised once (its ``repr`` looked up in a
+    # memo; one JSON text per distinct config), for its fingerprint and
+    # its group alike.
+    keys = config_keys()
+    configs = {i: keys(points[i].config) for i in to_exact}
     fingerprints: dict[int, str] = {}
     exact: dict[int, float] = {}
     pending: list[int] = []
     if store is not None:
-        fingerprint_of = _fingerprints(keys)
+        fingerprint_of = _fingerprints()
         for i in to_exact:
-            fp = fingerprints[i] = fingerprint_of(points[i])
+            fp = fingerprints[i] = fingerprint_of(points[i], configs[i])
             hit = store.get(fp)
             if hit is None:
                 pending.append(i)
@@ -583,7 +587,7 @@ def run_sweep(points: Sequence[SweepPoint], *,
 
     # One fan-out for every exact value: a replay session per group of
     # points, the simulator where replay escalates.
-    tasks = _groups(points, pending, keys, jobs)
+    tasks = _groups(points, pending, configs, jobs)
     fresh: dict[int, tuple[float, Optional[str]]] = {}
     for task, results in zip(tasks, parallel_map(
             _exact_group, [[points[i] for i in task] for task in tasks],

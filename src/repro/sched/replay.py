@@ -54,7 +54,33 @@ rows (:func:`_compile`), on every stack; two executors run them:
 A :class:`Session` binds once per ``(stack, cores, config,
 rank_order)`` and replays any number of calls on it (a sweep group's
 points); :func:`replay_calls` and :func:`replay_measurement` are
-one-call sessions.  A call is a collective, a barrier, or a
+one-call sessions.  Every measured point starts with the same barrier
+prefix, so a session runs it once: later points resume from a
+snapshot of the executor's state where the prefix ends, and each
+executor says where that is.
+
+* **Blocking.**  The ranks run in any order, so every rank may run its
+  whole prefix first: the snapshot is the state once all have (``sets``,
+  ``taken``, ``clocks``, ``pcs``, ``marks``), and a point's rows
+  continue from each rank's pc.
+* **Request stacks.**  The cut is T*, the first instant at which any
+  main program passes the prefix's ``_MARK``: the least of the ranks'
+  first marks.  Before T* every entry runs prefix rows only, so the
+  state at the start of instant T* (the instants and their lanes, the
+  processes, the CPU locks and queues, every slot's level, count,
+  places and waiters) is the same for every point.  The snapshot is
+  that state, left by a run of the prefix alone that stops at T*; a
+  resumed run copies it, points each main program at its whole rows and
+  extends the slot arrays to the slots bound since.
+
+The snapshot is taken lazily: the first measured call runs from t = 0
+and gives T* in its own marks, and the second builds the snapshot and
+resumes from it, as does every later one.  A one-call session
+(:func:`replay_measurement`, a single-point sweep group) thus makes
+one executor pass and builds no snapshot it would not use.
+:meth:`Session.calls` always runs from t = 0.
+
+A call is a collective, a barrier, or a
 ``compute`` of per-rank core cycles (``env.compute`` on every rank:
 blocking adds it to the rank's CPU time, a request stack runs it as one
 CPU-lock hold of the main program), so a whole application's call list
@@ -305,15 +331,28 @@ class _BlockingPrograms(_Programs):
                     prog += (_CHARGE, -1, post)
 
 
-def _run_blocking(progs: list[list], nslots: int) -> list[list[int]]:
-    """Execute the blocking stack's programs; every rank's marks."""
+def _blocking_state(p: int, nslots: int,
+                    start: Optional[tuple] = None) -> tuple:
+    """The blocking executor's state, ``(sets, taken, clocks, pcs,
+    marks)``: every rank at pc 0 and t = 0, or a copy of ``start`` with
+    its flag arrays extended to ``nslots``."""
+    if start is None:
+        return ([[] for _ in range(nslots)], [0] * nslots, [0] * p, [0] * p,
+                [[] for _ in range(p)])
+    sets, taken, clocks, pcs, marks = start
+    extra = nslots - len(taken)
+    return ([list(times) for times in sets] + [[] for _ in range(extra)],
+            taken + [0] * extra, list(clocks), list(pcs),
+            [list(rank_marks) for rank_marks in marks])
+
+
+def _blocking_pass(progs: list[list], sets: list[list[int]],
+                   taken: list[int], clocks: list[int], pcs: list[int],
+                   marks: list[list[int]]) -> None:
+    """Run every rank from its pc and clock to the end of its rows,
+    updating the state in place."""
     p = len(progs)
-    sets: list[list[int]] = [[] for _ in range(nslots)]
-    taken = [0] * nslots
-    blocked = [-1] * nslots
-    clocks = [0] * p
-    pcs = [0] * p
-    marks: list[list[int]] = [[] for _ in range(p)]
+    blocked = [-1] * len(taken)
     finished = 0
     work = list(range(p - 1, -1, -1))
     while work:
@@ -354,7 +393,25 @@ def _run_blocking(progs: list[list], nslots: int) -> list[list[int]]:
         clocks[rank] = t
     if finished != p:
         raise Escalation("no progress: a wait no set satisfies")
-    return marks
+
+
+def _run_blocking(progs: list[list], nslots: int,
+                  start: Optional[tuple] = None) -> list[list[int]]:
+    """Execute the blocking stack's programs from t = 0, or from
+    ``start`` (a :func:`_blocking_start` state: ``progs`` then continue
+    its prefix); every rank's marks."""
+    state = _blocking_state(len(progs), nslots, start)
+    _blocking_pass(progs, *state)
+    return state[-1]
+
+
+def _blocking_start(prefix: list[list], nslots: int) -> tuple:
+    """The blocking executor's state once every rank has run all of
+    ``prefix``: ranks run in any order, so a program that continues the
+    prefix resumes from here."""
+    state = _blocking_state(len(prefix), nslots)
+    _blocking_pass(prefix, *state)
+    return state
 
 
 class _RequestPrograms(_Programs):
@@ -427,10 +484,40 @@ class _RequestPrograms(_Programs):
                     prog += (_CHARGE, -1, post)
 
 
-def _run_requests(progs: list[list], templates: list[list],
-                  nslots: int) -> list[list[int]]:
-    """Execute the main programs and the requests they start in the
-    kernel's ``(time, seq)`` order; every rank's marks.
+def _request_state(progs: list[list], nslots: int,
+                   start: Optional[tuple] = None) -> tuple:
+    """The request executor's state, ``(times, lanes, procs, locked,
+    queues, level, count, places, waiting)``: every main program's
+    bootstrap at t = 0, or a copy of ``start`` whose main programs run
+    ``progs`` (each continuing its prefix) and whose slot arrays are
+    extended to ``nslots``."""
+    p = len(progs)
+    if start is None:
+        return ([0], {0: list(range(p))},  # every bootstrap at t = 0
+                [[rows, 0, _RUN, rank, [], 0, [], False, None]
+                 for rank, rows in enumerate(progs)],
+                [False] * p, [deque() for _ in range(p)], bytearray(nslots),
+                [0] * nslots, {}, [[] for _ in range(nslots)])
+    times, lanes, procs, locked, queues, level, count, places, waiting = start
+    extra = nslots - len(count)
+    # A finished request is never written again: it is shared.
+    procs = [st if st[7] else list(st) for st in procs]
+    for rank, rows in enumerate(progs):
+        st = procs[rank]
+        st[0], st[4], st[6] = rows, list(st[4]), list(st[6])
+    return (list(times), {at: list(lane) for at, lane in lanes.items()},
+            procs, list(locked), [deque(queue) for queue in queues],
+            level + bytes(extra), count + [0] * extra,
+            {slot: deque(queue) for slot, queue in places.items()},
+            [list(waiters) for waiters in waiting]
+            + [[] for _ in range(extra)])
+
+
+def _request_pass(p: int, state: tuple, templates: list[list],
+                  cut: Optional[int] = None) -> None:
+    """Run the main programs (pids below ``p``) and the requests they
+    start in the kernel's ``(time, seq)`` order, updating ``state`` in
+    place, until no entry is left or the next instant is ``cut``.
 
     Each instant is a FIFO lane of pids, run in push order; a push at
     the instant being run appends to its lane.  A process is ``[rows,
@@ -442,9 +529,7 @@ def _run_requests(progs: list[list], templates: list[list],
     count of packets queued; window and lock slots the count of their
     holders and queued processes, and the FIFO of the queued ones.
     """
-    p = len(progs)
-    times = [0]
-    lanes = {0: list(range(p))}  # every bootstrap at t = 0
+    times, lanes, procs, locked, queues, level, count, places, waiting = state
 
     def later(at: int, pid: int) -> None:
         lane = lanes.get(at)
@@ -454,15 +539,9 @@ def _run_requests(progs: list[list], templates: list[list],
         else:
             lane.append(pid)
 
-    procs: list[list] = [[rows, 0, _RUN, rank, [], 0, [], False, None]
-                         for rank, rows in enumerate(progs)]
-    locked = [False] * p
-    queues = [deque() for _ in range(p)]
-    level = bytearray(nslots)
-    count = [0] * nslots
-    places: dict[int, deque] = {}
-    waiting: list[list] = [[] for _ in range(nslots)]
     while times:
+        if cut is not None and times[0] >= cut:
+            return
         now = heappop(times)
         lane = lanes[now]
         for pid in lane:
@@ -600,9 +679,31 @@ def _run_requests(progs: list[list], templates: list[list],
                 st[1] = i
                 break
         del lanes[now]
+
+
+def _run_requests(progs: list[list], templates: list[list], nslots: int,
+                  start: Optional[tuple] = None) -> list[list[int]]:
+    """Execute the main programs and the requests they start from t = 0,
+    or from ``start`` (a :func:`_request_start` state: ``progs`` then
+    continue its prefix); every rank's marks."""
+    p = len(progs)
+    state = _request_state(progs, nslots, start)
+    _request_pass(p, state, templates)
+    procs = state[2]
     if any(st[1] != len(st[0]) for st in procs[:p]):
         raise Escalation("no progress: a main program never finished")
     return [st[6] for st in procs[:p]]
+
+
+def _request_start(prefix: list[list], templates: list[list], nslots: int,
+                   cut: int) -> tuple:
+    """The request executor's state at the start of instant ``cut``, the
+    first at which a main program passes the end of its ``prefix``:
+    every entry before it belongs to the prefix alone, so a program
+    that continues the prefix resumes from here."""
+    state = _request_state(prefix, nslots)
+    _request_pass(len(prefix), state, templates, cut)
+    return state
 
 
 # -- entry points ------------------------------------------------------------
@@ -611,7 +712,9 @@ class Session:
     communicator, the binder with its compiled programs and request
     templates, and a measurement's barrier prefix are built once
     and shared by every call; each call runs on fresh copies of the
-    program lists.  Lives as long as its caller keeps it (one sweep
+    program lists, and from the second measured call on, from a copy of
+    the executor's state at the prefix's cut (see the module
+    docstring).  Lives as long as its caller keeps it (one sweep
     group): nothing is kept between sessions.
 
     The constructor raises :class:`Escalation` where no call on the
@@ -642,7 +745,12 @@ class Session:
         self.programs = (_BlockingPrograms if self.ctx.blocking
                          else _RequestPrograms)(self.binder, cores)
         self.empty = self.programs.state()
-        self.prefix: Optional[tuple] = None
+        self.prefix: Optional[list[list]] = None
+        #: T*: the first instant a main program passes the prefix's mark,
+        #: read from the first measured call's marks.
+        self.cut: Optional[int] = None
+        #: The executor's state at the cut, built on the second.
+        self.start: Optional[tuple] = None
 
     def calls(self, calls: Sequence[tuple]) -> list[list[int]]:
         """Every rank's virtual time (ps) after each of ``calls``, made
@@ -659,7 +767,10 @@ class Session:
         call's times are its ranks' exits
         (:func:`repro.ensemble.engines.replay_gcmc` replays a GCMC run
         so)."""
-        return self._run(self.empty, calls)
+        self.programs.restore(self.empty)
+        for call in calls:
+            self._append(call)
+        return self._execute(None)
 
     def measure(self, kind: str, size: int,
                 algo: Optional[str] = None) -> list[tuple[int, int]]:
@@ -669,11 +780,22 @@ class Session:
         reports)."""
         if kind not in KINDS:
             raise Escalation(f"unknown kind {kind!r}")
+        programs = self.programs
         if self.prefix is None:
-            self.programs.restore(self.empty)
+            programs.restore(self.empty)
             self._append(("barrier", 0, None, 0, None))
-            self.prefix = self.programs.state()
-        marks = self._run(self.prefix, ((kind, size, algo, 0, None),))
+            self.prefix = programs.state()
+        programs.restore(self.prefix)
+        self._append((kind, size, algo, 0, None))
+        nslots = len(self.binder.slots)
+        if self.cut is not None and self.start is None:
+            self.start = (
+                _blocking_start(self.prefix, nslots) if self.ctx.blocking
+                else _request_start(self.prefix, programs.templates, nslots,
+                                    self.cut))
+        marks = self._execute(self.start)
+        if self.cut is None:
+            self.cut = min(rank_marks[0] for rank_marks in marks)
         return [(done - start, done) for start, done in marks]
 
     def _append(self, call: tuple) -> None:
@@ -692,15 +814,14 @@ class Session:
                 self.programs.collective(sched, self.ctx.comm.call_ps)
         self.programs.mark()
 
-    def _run(self, start: tuple, calls: Sequence[tuple]) -> list[list[int]]:
+    def _execute(self, start: Optional[tuple]) -> list[list[int]]:
+        """Run the programs from t = 0, or from ``start``."""
         programs = self.programs
-        programs.restore(start)
-        for call in calls:
-            self._append(call)
         nslots = len(self.binder.slots)
         if self.ctx.blocking:
-            return _run_blocking(programs.progs, nslots)
-        return _run_requests(programs.progs, programs.templates, nslots)
+            return _run_blocking(programs.progs, nslots, start)
+        return _run_requests(programs.progs, programs.templates, nslots,
+                             start)
 
 
 def replay_calls(stack: str, cores: int, calls: Sequence[tuple], *,

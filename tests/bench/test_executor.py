@@ -267,6 +267,47 @@ class TestFingerprint:
         assert fingerprint(point) == hashlib.sha256(json.dumps(
             payload, sort_keys=True, default=repr).encode()).hexdigest()
 
+    def test_one_config_serialisation_per_point_per_call(self, tmp_path,
+                                                         monkeypatch):
+        """``run_sweep`` serialises each exact point's config once per
+        call (the ``repr`` that ``config_keys`` finds it by), for its
+        fingerprint and its replay group alike: cold and warm on a
+        cache, and with none."""
+        serialised = []
+        dataclass_repr = SCCConfig.__repr__
+
+        def counted(config):
+            serialised.append(config)
+            return dataclass_repr(config)
+
+        monkeypatch.setattr(SCCConfig, "__repr__", counted)
+        configs = (SCCConfig(**SMALL_CONFIG),
+                   SCCConfig(**SMALL_CONFIG, erratum_enabled=False))
+        points = [small_point(size=n, cores=2, config=configs[n % 2])
+                  for n in range(1, 7)]
+        store = ResultCache(tmp_path)
+        for cache, misses in ((store, 6), (store, 0), (False, 0)):
+            serialised.clear()
+            outcome = run_sweep(points, jobs=1, cache=cache)
+            assert outcome.misses == misses
+            assert len(serialised) == len(points)
+
+    def test_groups_keep_first_seen_order(self):
+        """Groups are keyed by (stack, cores, serialised config, rank
+        order) in first-seen order, each cut into ``min(jobs, len)``
+        contiguous pieces."""
+        from repro.bench.executor import _groups
+
+        points = [small_point(size=n, cores=2, stack=stack)
+                  for n, stack in enumerate(("blocking", "lightweight",
+                                             "blocking", "blocking",
+                                             "lightweight"))]
+        configs = {0: "a", 1: "a", 2: "b", 3: "a", 4: "a"}
+        assert _groups(points, [4, 3, 2, 1, 0], configs, 2) == [
+            [4], [1], [3], [0], [2]]
+        assert _groups(points, [0, 1, 2, 3, 4], configs, 1) == [
+            [0, 3], [1, 4], [2]]
+
     def test_code_fingerprint_is_hex_and_cached(self):
         fp = code_fingerprint()
         assert len(fp) == 64

@@ -30,6 +30,7 @@ Regenerate :data:`KERNEL_EXITS` (on a commit whose simulator is the
 reference): ``PYTHONPATH=src python tests/sched/test_replay.py``.
 """
 
+import functools
 import hashlib
 
 import numpy as np
@@ -341,18 +342,144 @@ def test_session_equals_per_point_replay(stack, p):
     assert not any(isinstance(value, str) for value in grouped)
 
 
+# -- the snapshot ------------------------------------------------------------
+#: The topologies a resumed session is checked on (None: the default mesh).
+SNAPSHOT_TOPOLOGIES = (None, "torus:6x4", "cluster:2x24")
+
+
+def topology_config(topology):
+    return None if topology is None else SCCConfig(topology=topology)
+
+
+@functools.lru_cache(maxsize=None)
+def fresh_values(stack: str, p: int, topology=None,
+                 rank_order=None) -> tuple:
+    """Every :func:`session_members` value of ``p``, each replayed on a
+    session of its own: one executor pass from t = 0."""
+    return tuple(replayed_or_why(replay_measurement, kind, stack, n, cores=p,
+                                 config=topology_config(topology),
+                                 rank_order=rank_order, algo=algo)
+                 for kind, n, algo in session_members(p))
+
+
+def assert_resumed_equals_fresh(stack, p, topology=None, rank_order=None):
+    """A session's members, in listed and in reversed order, give the
+    fresh values: every call after the first resumes from the executor's
+    state at the barrier prefix's cut, built by the second."""
+    fresh = list(fresh_values(stack, p, topology, rank_order))
+    assert not any(isinstance(value, str) for value in fresh)
+    members = session_members(p)
+    for order, expected in ((members, fresh), (members[::-1], fresh[::-1])):
+        session = Session(stack, p, config=topology_config(topology),
+                          rank_order=rank_order)
+        assert [session.measure(*member) for member in order] == expected
+
+
+@pytest.mark.parametrize("topology", SNAPSHOT_TOPOLOGIES,
+                         ids=lambda topology: topology or "mesh")
+@pytest.mark.parametrize("p", [2, 3, 5, 8, 48])
+@pytest.mark.parametrize("stack", SESSION_STACKS)
+def test_resumed_session_equals_fresh_replay(stack, p, topology):
+    assert_resumed_equals_fresh(stack, p, topology)
+
+
+@pytest.mark.parametrize("stack", SESSION_STACKS)
+def test_resumed_session_equals_fresh_replay_with_a_rank_order(stack):
+    assert_resumed_equals_fresh(stack, 8, rank_order=tuple(range(7, -1, -1)))
+
+
+#: Members that escalate before any value is replayed: the ``mpb``
+#: algorithm and a kind replay does not know.
+ESCALATING_FIRST = [("allreduce", 552, "mpb"), ("scatter", 8, None)]
+
+
+@pytest.mark.parametrize("stack", SESSION_STACKS)
+def test_session_whose_first_calls_escalate(stack):
+    """The cut is read from the first call that replays a value, not
+    from one that escalated."""
+    members = ESCALATING_FIRST + session_members(5)
+    session = Session(stack, 5)
+    grouped = [replayed_or_why(session.measure, *member)
+               for member in members]
+    assert grouped[:2] == ["escalation: the mpb algorithm",
+                           "escalation: unknown kind 'scatter'"]
+    assert grouped[2:] == list(fresh_values(stack, 5))
+
+
+@pytest.fixture
+def executor_passes(monkeypatch):
+    """Every executor pass a session makes, in order: ``"t=0"`` for a run
+    from t = 0, ``("snapshot", state)`` for a snapshot built, and the
+    snapshot itself for a run resumed from it."""
+    passes = []
+
+    def run_from(name):
+        real = getattr(replay, name)
+
+        def run(*args):
+            *args, start = args
+            passes.append("t=0" if start is None else start)
+            return real(*args, start)
+
+        monkeypatch.setattr(replay, name, run)
+
+    def snapshot_by(name):
+        real = getattr(replay, name)
+
+        def snapshot(*args):
+            state = real(*args)
+            passes.append(("snapshot", state))
+            return state
+
+        monkeypatch.setattr(replay, name, snapshot)
+
+    run_from("_run_blocking")
+    run_from("_run_requests")
+    snapshot_by("_blocking_start")
+    snapshot_by("_request_start")
+    return passes
+
+
+@pytest.mark.parametrize("stack", ["blocking", "lightweight", "rckmpi"])
+def test_snapshot_is_built_on_the_second_call(stack, executor_passes):
+    """A one-call session makes one executor pass; the snapshot is built
+    on the second measured call and reused from the third on, and
+    ``Session.calls`` runs from t = 0."""
+    replay_measurement("allreduce", stack, 8, cores=4)
+    assert executor_passes == ["t=0"]
+    executor_passes.clear()
+    session = Session(stack, 4)
+    for member in ESCALATING_FIRST:
+        with pytest.raises(Escalation):
+            session.measure(*member)
+    assert executor_passes == []
+    session.measure("allreduce", 8)
+    assert executor_passes == ["t=0"]
+    session.measure("bcast", 5)
+    assert executor_passes[1][0] == "snapshot"
+    snapshot = executor_passes[1][1]
+    assert executor_passes[2:] == [snapshot]
+    session.measure("allgather", 3)
+    session.measure("alltoall", 2)
+    session.calls([("barrier", 0, None, 0, None)])
+    assert executor_passes[3:] == [snapshot, snapshot, "t=0"]
+
+
 # -- the blocking executor against the request executor ----------------------
 @pytest.fixture
 def both_executors(monkeypatch):
     """Every blocking replay also runs its programs on the request
-    executor, the kernel's ``(time, seq)`` order; the list of ``(blocking
-    marks, request-executor marks)`` of each run."""
+    executor, the kernel's ``(time, seq)`` order, from t = 0 over the
+    whole programs; the list of ``(blocking marks, request-executor
+    marks, whether the blocking run resumed from a session's snapshot)``
+    of each run."""
     runs = []
     fast = replay._run_blocking
 
-    def run_both(progs, nslots):
-        marks = fast(progs, nslots)
-        runs.append((marks, replay._run_requests(progs, [], nslots)))
+    def run_both(progs, nslots, start=None):
+        marks = fast(progs, nslots, start)
+        runs.append((marks, replay._run_requests(progs, [], nslots),
+                     start is not None))
         return marks
 
     monkeypatch.setattr(replay, "_run_blocking", run_both)
@@ -365,17 +492,22 @@ def both_executors(monkeypatch):
 def test_blocking_executors_agree(case, both_executors):
     """The heap-free blocking executor gives the request executor's marks
     on the same programs: every blocking golden key, and every session
-    member of p in {2, 5, 8, 48}."""
+    member of p in {2, 5, 8, 48}, all but the first resumed from the
+    session's snapshot and checked against a run from t = 0."""
+    resumed = 0
     if case.startswith("session/"):
         p = int(case[len("session/p"):])
         session = Session("blocking", p)
         for member in session_members(p):
             session.measure(*member)
+        resumed = len(session_members(p)) - 1
     else:
         golden_replay(case)
     assert both_executors
-    for fast, ordered in both_executors:
+    for fast, ordered, _ in both_executors:
         assert fast == ordered
+    assert sum(from_snapshot for *_, from_snapshot in both_executors) == (
+        resumed)
 
 
 #: A member that escalates part-way through building its programs: the
