@@ -787,8 +787,8 @@ class Session:
             self.prefix = programs.state()
         programs.restore(self.prefix)
         self._append((kind, size, algo, 0, None))
-        nslots = len(self.binder.slots)
         if self.cut is not None and self.start is None:
+            nslots = len(self.binder.slots)
             self.start = (
                 _blocking_start(self.prefix, nslots) if self.ctx.blocking
                 else _request_start(self.prefix, programs.templates, nslots,
