@@ -426,7 +426,7 @@ def verify_repertoire(ps=(1, 2, 3, 4, 5, 7, 8, 48),
 def verify_hier_repertoire(specs=("mesh:4x4", "cluster:2x24"),
                            sizes=(1, 8, 70)) -> int:
     """Verify the hierarchical repertoire at the rank counts of real
-    registry topologies (non-default shapes included); returns the
+    topology families (non-default shapes included); returns the
     number of schedules checked.  The static-checks gate runs this so
     ``hier/g<G>`` names meet the same bar as the hand repertoire on
     every shape they would be selected for."""

@@ -179,7 +179,7 @@ def sweep_points(kind: str, stacks: Sequence[str], sizes: Sequence[int],
                  topology: Optional[str] = None) -> list[SweepPoint]:
     """The plan of one sweep: a point per (stack, size), stacks-major.
 
-    ``topology`` is a registry spec (``repro.hw.topo``, e.g.
+    ``topology`` is a topology spec (``repro.hw.topo``, e.g.
     ``"cluster:2x24"``): every point's machine is built on that shape,
     and ``cores`` defaults to the shape's full core count instead of
     the benchmark default.

@@ -50,7 +50,8 @@ from repro.bench.runner import (
     sweep,
     sweep_points,
 )
-from repro.core.registry import STACKS, available_stacks, launch
+from repro.core.registry import STACK_FACTORIES, STACKS, launch
+from repro.faults.campaign import CHAOS_PROFILES
 from repro.hw.config import CLOCK_PRESETS, SCCConfig
 from repro.hw.machine import Machine
 from repro.obs.profile import profile_collective
@@ -230,7 +231,6 @@ def _parse_seeds(spec: str) -> list[int]:
 def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.faults.campaign import (
         CHAOS_KINDS,
-        CHAOS_PROFILES,
         GCMC_CHAOS_STACKS,
         run_campaign,
         run_gcmc_campaign,
@@ -571,7 +571,6 @@ def _cmd_ensemble_check(args: argparse.Namespace) -> int:
         DEFAULT_THRESHOLD,
         EnsembleSummary,
     )
-    from repro.faults.campaign import CHAOS_PROFILES
 
     summary = EnsembleSummary.load(
         pathlib.Path(args.summary) if args.summary else None)
@@ -633,7 +632,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pinfo = sub.add_parser("info", help="describe the simulated chip")
     pinfo.add_argument("--topology", default=None,
-                       help="describe a topology registry spec instead "
+                       help="describe a topology spec instead "
                             "of the default chip (e.g. 'torus:6x4', "
                             "'cluster:2x24')")
     pinfo.set_defaults(func=_cmd_info)
@@ -667,14 +666,14 @@ def build_parser() -> argparse.ArgumentParser:
                         help="sweep several collectives in one run "
                              "(alternative to the positional kind)")
     psweep.add_argument("--stacks", nargs="+",
-                        choices=list(available_stacks()),
+                        choices=list(STACK_FACTORIES),
                         default=["blocking", "lightweight_balanced"])
     psweep.add_argument("--sizes", default=None,
                         help="start:stop:step or comma list "
                              "(default: 64,552)")
     psweep.add_argument("--cores", type=int, default=None)
     psweep.add_argument("--topology", default=None,
-                        help="topology registry spec to build every "
+                        help="topology spec to build every "
                              "machine on (e.g. 'mesh:4x4', "
                              "'cluster:2x24'); --cores defaults to the "
                              "shape's full core count — see "
@@ -707,7 +706,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-phase wait profile + trace/metrics export")
     pprof.add_argument("kind", choices=list(KINDS))
     pprof.add_argument("--stack", default="mpb",
-                       choices=list(available_stacks()))
+                       choices=list(STACK_FACTORIES))
     pprof.add_argument("--sizes", required=True,
                        help="start:stop:step or comma list")
     pprof.add_argument("--cores", type=int, default=None)
@@ -721,7 +720,7 @@ def build_parser() -> argparse.ArgumentParser:
         "chaos",
         help="randomized fault campaign over collectives x stacks")
     pchaos.add_argument("--profile", default="default",
-                        choices=["off", "light", "default", "heavy"])
+                        choices=list(CHAOS_PROFILES))
     pchaos.add_argument("--kinds", nargs="+", choices=list(KINDS))
     pchaos.add_argument("--stacks", nargs="+", choices=list(STACKS))
     pchaos.add_argument("--seeds", default="1:4",
@@ -763,7 +762,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="start:stop:step or comma list (default: the "
                             "built-in grid)")
     ptune.add_argument("--topology", default=None,
-                       help="tune for a topology registry spec (e.g. "
+                       help="tune for a topology spec (e.g. "
                             "'cluster:2x24'); the result merges into the "
                             "table's per-topology slot")
     ptune.add_argument("--out", default=None,
@@ -909,7 +908,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default) or through the serial physics "
                              "runner")
     pcheck.add_argument("--stack", default="lightweight_balanced",
-                        choices=list(available_stacks()))
+                        choices=list(STACK_FACTORIES))
     pcheck.add_argument("--seed", type=int, default=None,
                         help="GCMC seed (default: the summary's held-out "
                              "base seed)")
@@ -918,7 +917,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "energy reduction (algorithm name, "
                              "'sched:' prefix optional)")
     pcheck.add_argument("--profile", default="off",
-                        choices=["off", "light", "default", "heavy"],
+                        choices=list(CHAOS_PROFILES),
                         help="chaos profile to run the candidate under")
     pcheck.add_argument("--fault-seed", type=int, default=1,
                         help="fault-injector seed for --profile/"
@@ -941,14 +940,14 @@ def build_parser() -> argparse.ArgumentParser:
     pcmp.add_argument("--summary", default=None,
                       help="summary JSON (default: the committed one)")
     pcmp.add_argument("--stack", default="lightweight_balanced",
-                      choices=list(available_stacks()))
+                      choices=list(STACK_FACTORIES))
     pcmp.add_argument("--seed", type=int, default=None,
                       help="GCMC seed (default: the held-out base seed)")
     pcmp.set_defaults(func=_cmd_ensemble_compare)
 
     pg = sub.add_parser("gcmc", help="run the GCMC application")
     pg.add_argument("--stack", default="mpb",
-                    choices=list(available_stacks()))
+                    choices=list(STACK_FACTORIES))
     pg.add_argument("--cycles", type=int, default=4)
     pg.add_argument("--particles", type=int, default=240)
     pg.set_defaults(func=_cmd_gcmc)

@@ -16,20 +16,18 @@ label                        composition
                              schedules (:mod:`repro.sched.select`)
 ===========================  ================================================
 
-The registry is table-driven: :func:`register_stack` maps a label to a
-factory ``Machine -> Communicator``, and :func:`make_communicator` looks
-labels up in the table.  :func:`launch` is the recipe that wires a fresh
-machine, its observers and the communicator for a run.  The paper's six
-stacks are registered below;
-extension stacks (like ``tuned``) are registered the same way without
-touching this module's figure-ordering tuples — :data:`STACKS` stays
-exactly the Fig.-9 label set, so figure drivers, the chaos harness and
-the sanitizer sweep never pick up experimental stacks by accident.
+The labels are fixed: :data:`STACK_FACTORIES` is the one table of them,
+mapping each label to the factory that builds its communicator on a
+machine, and :func:`make_communicator` looks labels up in it.
+:func:`launch` is the recipe that wires a fresh machine, its observers
+and the communicator for a run.  :data:`STACKS` is exactly the Fig.-9
+label set (every label but ``tuned``), so figure drivers, the chaos
+harness and the sanitizer sweep never pick up the selection stack.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.core.blocks import balanced_partition, standard_partition
 from repro.core.comm import Communicator
@@ -37,56 +35,13 @@ from repro.hw.config import SCCConfig
 from repro.hw.machine import Machine
 from repro.sim.trace import Tracer
 
-#: The order the paper's figures present the stacks in.
-STACKS: tuple[str, ...] = (
-    "rckmpi",
-    "blocking",
-    "ircce",
-    "lightweight",
-    "lightweight_balanced",
-    "mpb",
-)
-
-#: Stacks Fig. 9 shows for every collective (mpb only exists for Allreduce).
-NON_MPB_STACKS: tuple[str, ...] = STACKS[:-1]
-
-StackFactory = Callable[[Machine], "Communicator"]
-
-_FACTORIES: Dict[str, StackFactory] = {}
-
-
-def register_stack(name: str, factory: StackFactory, *,
-                   replace: bool = False) -> None:
-    """Register a communicator factory under stack label ``name``.
-
-    Re-registering an existing label is an error unless ``replace=True``
-    — silent shadowing of a paper stack would corrupt every figure.
-    """
-    if name in _FACTORIES and not replace:
-        raise ValueError(
-            f"stack {name!r} is already registered "
-            f"(pass replace=True to override)")
-    _FACTORIES[name] = factory
-
-
-def available_stacks() -> tuple[str, ...]:
-    """Every registered label: the Fig.-9 stacks in figure order, then
-    extension stacks sorted alphabetically."""
-    extras = sorted(name for name in _FACTORIES if name not in STACKS)
-    return STACKS + tuple(extras)
-
 
 def make_communicator(machine: Machine, stack: str) -> "Communicator":
-    """Build the communicator for a registered stack label.
-
-    For ``rckmpi`` this returns an
-    :class:`repro.rckmpi.api.RCKMPICommunicator`, which implements the same
-    collective interface over the modeled MPICH-style channel.
-    """
+    """Build the communicator for a stack label."""
     try:
-        factory = _FACTORIES[stack]
+        factory = STACK_FACTORIES[stack]
     except KeyError:
-        known = ", ".join(sorted(_FACTORIES))
+        known = ", ".join(sorted(STACK_FACTORIES))
         raise KeyError(
             f"unknown stack {stack!r}; known: {known}") from None
     return factory(machine)
@@ -148,8 +103,10 @@ def _make_mpb(machine: Machine) -> Communicator:
 
 
 def _make_rckmpi(machine: Machine) -> Communicator:
-    from repro.rckmpi.api import RCKMPICommunicator
-    return RCKMPICommunicator(machine)
+    from repro.rckmpi.channel import RCKMPIP2P
+    # MPICH spreads the remainder across ranks (balanced).
+    return Communicator(machine, RCKMPIP2P(machine),
+                        partitioner=balanced_partition, name="rckmpi")
 
 
 def _make_tuned(machine: Machine) -> Communicator:
@@ -157,12 +114,20 @@ def _make_tuned(machine: Machine) -> Communicator:
     return TunedCommunicator(machine)
 
 
-register_stack("blocking", _make_blocking)
-register_stack("ircce", _make_ircce)
-register_stack("lightweight", _make_lightweight)
-register_stack("lightweight_balanced", _make_lightweight_balanced)
-register_stack("mpb", _make_mpb)
-register_stack("rckmpi", _make_rckmpi)
-# Table-driven selection (repro.sched.select); the figure tuples above
-# stay untouched.
-register_stack("tuned", _make_tuned)
+#: Every stack label and its communicator factory: the paper's Fig.-9
+#: stacks in figure order, then the cost-model-selected ``tuned``.
+STACK_FACTORIES: dict[str, Callable[[Machine], Communicator]] = {
+    "rckmpi": _make_rckmpi,
+    "blocking": _make_blocking,
+    "ircce": _make_ircce,
+    "lightweight": _make_lightweight,
+    "lightweight_balanced": _make_lightweight_balanced,
+    "mpb": _make_mpb,
+    "tuned": _make_tuned,
+}
+
+#: The order the paper's figures present the stacks in.
+STACKS: tuple[str, ...] = tuple(STACK_FACTORIES)[:-1]
+
+#: Stacks Fig. 9 shows for every collective (mpb only exists for Allreduce).
+NON_MPB_STACKS: tuple[str, ...] = STACKS[:-1]

@@ -4,12 +4,11 @@ Subsystems:
 
 * :mod:`repro.hw.config` — every timing/geometry parameter (`SCCConfig`),
   clock presets, the erratum toggle, the active topology spec.
-* :mod:`repro.hw.topology` — tile meshes (the paper's 6x4 chip by
-  default), tori, multi-chip clusters, XY routing, hop counts,
+* :mod:`repro.hw.topo` — the fixed topology families: ``family:body``
+  specs (``mesh:6x4``, the paper's chip and the default; ``torus:8x8``;
+  ``cluster:2x24``) resolving to shared :class:`~repro.hw.topo.Topology`
+  instances with XY routing, hop counts, chip crossings and
   memory-controller placement.
-* :mod:`repro.hw.topo` — the topology registry: named ``family:body``
-  specs (``mesh:6x4``, ``torus:8x8``, ``cluster:2x24``) resolving to
-  shared :class:`~repro.hw.topology.Topology` instances.
 * :mod:`repro.hw.timing` — the latency model (MPB/DRAM/cache access costs,
   bulk copy pipelines, reduction arithmetic, the inter-chip link tier),
   memoized in tables shared by every machine on one configuration.
@@ -25,9 +24,7 @@ from repro.hw.flags import Flag
 from repro.hw.machine import Core, CoreEnv, Machine, SPMDResult
 from repro.hw.mpb import MPB, MPBError, MPBRegion, as_bytes
 from repro.hw.timing import LatencyModel
-from repro.hw.topo import (available_topologies, get_topology,
-                           register_topology)
-from repro.hw.topology import Topology
+from repro.hw.topo import Topology, get_topology
 
 __all__ = [
     "CLOCK_PRESETS",
@@ -43,8 +40,6 @@ __all__ = [
     "SPMDResult",
     "Topology",
     "as_bytes",
-    "available_topologies",
     "config_for_preset",
     "get_topology",
-    "register_topology",
 ]

@@ -29,8 +29,7 @@ import json
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Callable
 
-from repro.hw.topo import get_topology
-from repro.hw.topology import Topology
+from repro.hw.topo import Topology, get_topology
 from repro.sim.clock import Clock
 
 
@@ -51,7 +50,7 @@ class SCCConfig:
     dram_freq_hz: int = 800_000_000
 
     # ------------------------------------------------------------------ #
-    # Topology: a registry spec (see repro.hw.topo, e.g. "mesh:8x8",
+    # Topology: a spec string (see repro.hw.topo, e.g. "mesh:8x8",
     # "mesh:2x1x4", "torus:6x4", "cluster:2x24").  The default is the
     # paper's chip: a 6x4 tile mesh, 2 cores per tile -> 48 cores.
     # ------------------------------------------------------------------ #
@@ -229,7 +228,7 @@ class SCCConfig:
 
     # -- derived quantities ---------------------------------------------
     def resolved_topology(self) -> Topology:
-        """The active :class:`Topology` (cached by the registry)."""
+        """The active :class:`Topology` (cached by :func:`get_topology`)."""
         return get_topology(self.topology)
 
     @property

@@ -22,7 +22,7 @@ from repro.hw.config import SCCConfig
 from repro.hw.flags import Flag
 from repro.hw.mpb import MPB
 from repro.hw.timing import LatencyModel
-from repro.hw.topology import Topology
+from repro.hw.topo import Topology
 from repro.sim.clock import ps_to_us
 from repro.sim.engine import Simulator
 from repro.sim.events import Event, Interrupt, Timeout
@@ -157,7 +157,7 @@ class Machine:
         self.sim = Simulator(tracer)
         # Topology is immutable, so machines with the same geometry share
         # one instance (a sweep builds thousands of Machines; rebuilding
-        # the mesh helpers per point is pure waste).  The registry cache
+        # the mesh helpers per point is pure waste).  The get_topology cache
         # behind resolved_topology() provides the sharing.
         self.topology: Topology = self.config.resolved_topology()
         self.latency = LatencyModel(self.config, self.topology)

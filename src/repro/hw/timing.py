@@ -57,7 +57,7 @@ from typing import Optional
 import numpy as np
 
 from repro.hw.config import SCCConfig, config_key
-from repro.hw.topology import Topology
+from repro.hw.topo import Topology
 
 
 @lru_cache(maxsize=32)

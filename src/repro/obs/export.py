@@ -32,7 +32,7 @@ from repro.sim.clock import ps_to_us
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.hw.machine import Machine, SPMDResult
-    from repro.hw.topology import Topology
+    from repro.hw.topo import Topology
     from repro.sim.trace import TraceRecord
 
 #: TimeAccount states counted as waiting (the complement is busy).

@@ -41,7 +41,7 @@ from repro.sched.builders import (_binomial_bcast_rows,
 from repro.sched.ir import Schedule, make_table
 
 if TYPE_CHECKING:
-    from repro.hw.topology import Topology
+    from repro.hw.topo import Topology
 
 #: Name prefix of hierarchical schedules.
 HIER_PREFIX = "hier/"

@@ -110,7 +110,6 @@ from repro.hw.protocol import (ACQUIRE, CLEAR, DEQUEUE, ENQUEUE, NOTE, SET,
                                WAIT, bind)
 from repro.ircce.requests import NonBlockingLayer
 from repro.rcce.api import RCCE, barrier_runs
-from repro.rckmpi.api import RCKMPICommunicator
 from repro.rckmpi.channel import WINDOW_PACKETS
 from repro.sched import engine
 from repro.sched.select import TunedCommunicator
@@ -162,8 +161,7 @@ class _Context:
             comm = make_communicator(machine, stack)
         except KeyError:
             raise Escalation(f"unknown stack {stack!r}") from None
-        if type(comm) not in (Communicator, TunedCommunicator,
-                              RCKMPICommunicator):
+        if type(comm) not in (Communicator, TunedCommunicator):
             raise Escalation(f"{type(comm).__name__} communicator")
         p2p = comm.p2p
         self.blocking = type(p2p) is RCCE

@@ -4,7 +4,7 @@ import pytest
 
 from repro.hw.config import SCCConfig
 from repro.hw.timing import LatencyModel
-from repro.hw.topology import Topology
+from repro.hw.topo import Topology
 
 
 @pytest.fixture

@@ -18,7 +18,7 @@ import pytest
 from repro.core.blocks import balanced_partition
 from repro.hw.config import SCCConfig
 from repro.hw.timing import LatencyModel, shared_tables
-from repro.hw.topology import Topology
+from repro.hw.topo import Topology
 from repro.sched import cost
 from repro.sched.builders import build_schedule
 

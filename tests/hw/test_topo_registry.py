@@ -1,15 +1,10 @@
-"""The topology registry: spec parsing, caching, config/timing plumbing."""
+"""Topology specs: parsing, caching, config/timing plumbing."""
 
 import pytest
 
 from repro.hw.config import SCCConfig
 from repro.hw.machine import Machine
-from repro.hw.topo import (
-    available_topologies,
-    get_topology,
-    register_topology,
-)
-from repro.hw.topology import Topology
+from repro.hw.topo import Topology, get_topology
 
 
 class TestSpecParsing:
@@ -68,29 +63,13 @@ class TestSpecParsing:
             get_topology("hypercube:4")
 
     def test_builtin_families_listed(self):
-        assert {"mesh", "torus", "cluster"} <= set(available_topologies())
+        with pytest.raises(KeyError, match="known: cluster, mesh, torus"):
+            get_topology("hypercube:4")
 
 
 class TestRegistry:
     def test_instances_are_cached(self):
         assert get_topology("mesh:5x5") is get_topology("mesh:5x5")
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_topology("mesh", lambda body: Topology())
-
-    def test_replace_allows_override(self):
-        from repro.hw import topo
-
-        marker = Topology(cols=2, rows=2)
-        register_topology("_test_family", lambda body: marker)
-        try:
-            register_topology("_test_family", lambda body: marker,
-                              replace=True)
-            assert get_topology("_test_family:anything") is marker
-        finally:
-            topo._FACTORIES.pop("_test_family", None)
-            get_topology.cache_clear()
 
 
 class TestConfigPlumbing:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.hw.config import SCCConfig
-from repro.hw.topology import Topology
+from repro.hw.topo import Topology
 
 
 @pytest.fixture
@@ -31,10 +31,6 @@ class TestGeometry:
     def test_cores_of_tile(self, topo):
         assert topo.cores_of_tile(0) == (0, 1)
         assert topo.cores_of_tile(23) == (46, 47)
-
-    def test_same_tile(self, topo):
-        assert topo.same_tile(0, 1)
-        assert not topo.same_tile(1, 2)
 
     def test_out_of_range_rejected(self, topo):
         with pytest.raises(ValueError):
@@ -108,9 +104,6 @@ class TestMemoryControllers:
 
 
 class TestOrderings:
-    def test_ring_order_is_identity(self, topo):
-        assert topo.ring_order() == list(range(48))
-
     def test_snake_ring_visits_every_core_once(self, topo):
         order = topo.snake_ring_order()
         assert sorted(order) == list(range(48))
@@ -119,12 +112,6 @@ class TestOrderings:
         order = topo.snake_ring_order()
         for a, b in zip(order, order[1:]):
             assert topo.hops(a, b) <= 1
-
-    def test_neighbors_of_corner_tile(self, topo):
-        assert sorted(topo.neighbors(0)) == [1, 6]
-
-    def test_neighbors_of_center_tile(self, topo):
-        assert len(list(topo.neighbors(8))) == 4
 
 
 def test_default_topology_cached():

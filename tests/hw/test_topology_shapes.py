@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.hw.topology import Topology
+from repro.hw.topo import Topology
 
 
 class TestDegenerateShapes:
@@ -77,10 +77,6 @@ class TestTorus:
         torus = Topology(cols=4, rows=1, torus=True)
         # (0,0) -> (2,0): both directions are 2 hops; route must not wrap.
         assert torus.xy_route(0, 4) == [(0, 0), (1, 0), (2, 0)]
-
-    def test_torus_neighbors_include_wrap_links(self):
-        torus = Topology(cols=6, rows=4, torus=True)
-        assert set(torus.neighbors(0)) == {1, 5, 6, 18}
 
 
 class TestLinkWeights:

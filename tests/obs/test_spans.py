@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import make_communicator
-from repro.core.registry import available_stacks
+from repro.core.registry import STACK_FACTORIES
 from repro.hw import Machine, SCCConfig
 from repro.obs.spans import (
     COLLECTIVE_SPANS,
@@ -276,7 +276,7 @@ class TestInstrumentedCollectives:
         assert all(s.parent.name in ("round", "allreduce")
                    for s in phases)
 
-    @pytest.mark.parametrize("stack", available_stacks())
+    @pytest.mark.parametrize("stack", list(STACK_FACTORIES))
     def test_rounds_nest_under_a_schedule_span_on_every_stack(self, stack):
         tracer = Tracer(enabled=True)
         machine = Machine(SCCConfig(), tracer=tracer)

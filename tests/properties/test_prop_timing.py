@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from repro.hw.config import SCCConfig
 from repro.hw.timing import LatencyModel
-from repro.hw.topology import Topology
+from repro.hw.topo import Topology
 
 
 def model(erratum=True):

@@ -3,7 +3,7 @@
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.hw.topology import Topology
+from repro.hw.topo import Topology
 
 dims = st.tuples(st.integers(min_value=1, max_value=10),
                  st.integers(min_value=1, max_value=10),
@@ -34,7 +34,7 @@ def test_hops_bounded_by_diameter(args):
 @given(topo_and_cores())
 def test_hops_zero_iff_same_tile(args):
     topo, a, b = args
-    assert (topo.hops(a, b) == 0) == topo.same_tile(a, b)
+    assert (topo.hops(a, b) == 0) == (topo.tile_of(a) == topo.tile_of(b))
 
 
 @given(topo_and_cores())

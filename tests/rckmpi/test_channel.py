@@ -5,8 +5,8 @@ import pytest
 
 from repro.hw.config import SCCConfig
 from repro.hw.machine import Machine
+from repro.core.registry import make_communicator
 from repro.rckmpi.channel import RCKMPIP2P, WINDOW_PACKETS
-from repro.rckmpi.api import RCKMPICommunicator
 
 
 def machine(cores=4):
@@ -88,7 +88,7 @@ class TestChannel:
     def test_unordered_ring_does_not_deadlock(self):
         """Eager buffering removes the odd-even requirement entirely."""
         m = machine(4)
-        comm = RCKMPICommunicator(m)
+        comm = make_communicator(m, "rckmpi")
 
         def program(env):
             right = (env.rank + 1) % env.size
@@ -203,15 +203,23 @@ class TestRCKMPICommunicator:
             assert (result.elapsed_ps, m.sim.events_processed) == (
                 306_613_392, 253)
 
+    def test_is_a_plain_communicator(self):
+        from repro.core.comm import Communicator
+
+        comm = make_communicator(machine(), "rckmpi")
+        assert type(comm) is Communicator
+        assert type(comm.p2p) is RCKMPIP2P
+        assert comm.name == "rckmpi"
+
     def test_uses_balanced_partition(self):
         m = machine()
-        comm = RCKMPICommunicator(m)
+        comm = make_communicator(m, "rckmpi")
         part = comm.partition(10, 4)
         assert part.sizes == (3, 3, 2, 2)
 
     def test_allreduce_correct_at_48_cores(self):
         m = Machine(SCCConfig())
-        comm = RCKMPICommunicator(m)
+        comm = make_communicator(m, "rckmpi")
         rng = np.random.default_rng(0)
         inputs = [rng.normal(size=100) for _ in range(48)]
 

@@ -329,37 +329,39 @@ def session_members(p: int) -> list[tuple]:
             for kind in sorted(KINDS)]
 
 
+def topology_config(topology):
+    return None if topology is None else SCCConfig(topology=topology)
+
+
+def fresh_values(stack: str, p: int, topology=None,
+                 rank_order=None) -> tuple:
+    """Every :func:`session_members` value of ``p``, each replayed on a
+    session of its own: one executor pass from t = 0.  Computed once per
+    argument tuple, however the arguments are spelt."""
+    return _fresh_values(stack, p, topology, rank_order)
+
+
+@functools.lru_cache(maxsize=None)
+def _fresh_values(stack, p, topology, rank_order) -> tuple:
+    return tuple(replayed_or_why(replay_measurement, kind, stack, n, cores=p,
+                                 config=topology_config(topology),
+                                 rank_order=rank_order, algo=algo)
+                 for kind, n, algo in session_members(p))
+
+
 @pytest.mark.parametrize("p", [2, 5, 8, 48])
 @pytest.mark.parametrize("stack", SESSION_STACKS)
 def test_session_equals_per_point_replay(stack, p):
-    members = session_members(p)
     session = Session(stack, p)
     grouped = [replayed_or_why(session.measure, *member)
-               for member in members]
-    assert grouped == [replayed_or_why(replay_measurement, kind, stack, n,
-                                       cores=p, algo=algo)
-                       for kind, n, algo in members]
+               for member in session_members(p)]
+    assert grouped == list(fresh_values(stack, p))
     assert not any(isinstance(value, str) for value in grouped)
 
 
 # -- the snapshot ------------------------------------------------------------
 #: The topologies a resumed session is checked on (None: the default mesh).
 SNAPSHOT_TOPOLOGIES = (None, "torus:6x4", "cluster:2x24")
-
-
-def topology_config(topology):
-    return None if topology is None else SCCConfig(topology=topology)
-
-
-@functools.lru_cache(maxsize=None)
-def fresh_values(stack: str, p: int, topology=None,
-                 rank_order=None) -> tuple:
-    """Every :func:`session_members` value of ``p``, each replayed on a
-    session of its own: one executor pass from t = 0."""
-    return tuple(replayed_or_why(replay_measurement, kind, stack, n, cores=p,
-                                 config=topology_config(topology),
-                                 rank_order=rank_order, algo=algo)
-                 for kind, n, algo in session_members(p))
 
 
 def assert_resumed_equals_fresh(stack, p, topology=None, rank_order=None):
