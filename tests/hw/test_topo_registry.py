@@ -71,6 +71,17 @@ class TestRegistry:
     def test_instances_are_cached(self):
         assert get_topology("mesh:5x5") is get_topology("mesh:5x5")
 
+    @pytest.mark.parametrize("spec", ["mesh:6x4", "torus:6x4",
+                                      "cluster:2x24"])
+    def test_every_family_is_cached(self, spec):
+        assert get_topology(spec) is get_topology(spec)
+
+    def test_torus_is_the_mesh_with_wraparound(self):
+        mesh, torus = get_topology("mesh:6x4"), get_topology("torus:6x4")
+        assert (torus.cols, torus.rows, torus.cores_per_tile) == (
+            mesh.cols, mesh.rows, mesh.cores_per_tile)
+        assert torus.torus and not mesh.torus
+
 
 class TestConfigPlumbing:
     def test_default_key_matches_mesh_fields(self):

@@ -181,6 +181,11 @@ class TestRegistry:
         assert listed == sorted(listed)
         assert "tuned" in listed
 
+    @pytest.mark.parametrize("label", list(STACK_FACTORIES))
+    def test_each_label_builds_its_named_stack(self, label):
+        comm = make_communicator(Machine(SCCConfig(topology="mesh:2x2")), label)
+        assert comm.name == label
+
 
 class TestTunedStack:
     def make(self, **kwargs):

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import argparse
+
 import pytest
 
 from repro.cli import _parse_seeds, _parse_sizes, build_parser, main
@@ -68,6 +70,27 @@ class TestParser:
     def test_fig9_requires_valid_panel(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fig9", "9z"])
+
+    @pytest.mark.parametrize("command", [("chaos",), ("ensemble", "check")])
+    def test_profile_choices_follow_chaos_profiles(self, command):
+        from repro.faults.campaign import CHAOS_PROFILES
+
+        assert _choices(command, "profile") == list(CHAOS_PROFILES)
+
+    def test_stack_choices_follow_stack_table(self):
+        assert _choices(("sweep",), "stacks") == [
+            "rckmpi", "blocking", "ircce", "lightweight",
+            "lightweight_balanced", "mpb", "tuned"]
+
+
+def _choices(command, dest):
+    """The ``choices`` of option ``dest`` on the (nested) subcommand."""
+    parser = build_parser()
+    for name in command:
+        sub = next(a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        parser = sub.choices[name]
+    return list(next(a for a in parser._actions if a.dest == dest).choices)
 
 
 class TestCommands:
