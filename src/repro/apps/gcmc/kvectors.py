@@ -5,14 +5,18 @@ coefficients.  We enumerate integer k-vectors of the half-space
 (``kz > 0``, or ``kz = 0 and ky > 0``, or ``kz = ky = 0 and kx > 0`` —
 the inversion-symmetric half, since ``F[-k] = conj(F[k])``), order them by
 ``|k|^2`` (ties broken lexicographically for determinism), and keep the
-first ``n``.
+first ``n``.  Every rank of every run asks for the same vectors, so they
+are built once per ``(n, box, alpha, kmax)`` and handed out read-only.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 
+@lru_cache(maxsize=32)
 def build_kvectors(n: int, box: float, alpha: float,
                    kmax: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Return ``(kvecs, coeff)``.
@@ -39,6 +43,8 @@ def build_kvectors(n: int, box: float, alpha: float,
     kvecs = chosen * two_pi_over_l
     k2 = np.sum(kvecs * kvecs, axis=1)
     coeff = 2.0 * 4.0 * np.pi * np.exp(-k2 / (4.0 * alpha * alpha)) / k2
+    kvecs.setflags(write=False)
+    coeff.setflags(write=False)
     return kvecs, coeff
 
 

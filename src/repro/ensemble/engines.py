@@ -1,13 +1,13 @@
 """Exact GCMC timing by replay, and the replay-vs-simulator acceptance test.
 
 A GCMC run is a long deterministic sequence of collectives interleaved
-with each rank's own compute.  The serial runner records that sequence
-as the SPMD driver issues it (:class:`repro.apps.gcmc.serial.GCMCOpLog`)
-and one :class:`repro.sched.replay.Session` replays it, so the run's
-virtual time comes out to the picosecond without the discrete-event
-simulator (:func:`replay_gcmc`).  What replay cannot answer (the ``mpb``
-algorithm, MPB contention) is simulated, and the reason is returned
-with the time.
+with each rank's own compute.  The serial runner runs every rank of the
+one GCMC loop, the driver's, in lockstep, so its call log
+(:class:`repro.apps.gcmc.serial.GCMCOpLog`) is the sequence the ranks
+issue; one :class:`repro.sched.replay.Session` replays it, so the run's
+virtual time comes out to the picosecond without the simulator
+(:func:`replay_gcmc`).  What replay cannot answer (the ``mpb``
+algorithm, MPB contention) is simulated, and the reason returned.
 
 The acceptance test (:func:`compare_engines`) runs the simulator too and
 pushes both runs through the statistical envelope: "replay agrees with

@@ -1,12 +1,11 @@
 """Running ensemble members and candidate runs.
 
-Two execution paths, one physics:
+One GCMC loop (the driver's ``gcmc_program``), run two ways:
 
-* **Members** (the accepted seed ensemble) run through the *serial*
-  GCMC runner — bit-identical physics to the SPMD driver (asserted by
-  ``tests/apps/test_serial.py``) at a fraction of the cost, fanned out
-  over the bench layer's fork pool (:func:`repro.bench.executor
-  .parallel_map`, the ``REPRO_BENCH_JOBS`` knob).
+* **Members** (the accepted seed ensemble) run every rank of it in
+  lockstep without a machine (:mod:`repro.apps.gcmc.serial`), at a
+  fraction of the cost, fanned out over the bench layer's fork pool
+  (:func:`repro.bench.executor.parallel_map`, ``REPRO_BENCH_JOBS``).
 * **Candidates** (the runs under test) run wherever the question lives:
   on the simulated machine with a fault injector installed, under a
   forced collective algorithm, on a different stack — or through the
@@ -104,8 +103,8 @@ def run_candidate(spec: CandidateSpec, cfg: GCMCConfig, cycles: int,
     """Execute one candidate run and return its :class:`GCMCResult`.
 
     Raises whatever the run raises (typed fault errors, watchdog,
-    divergence ``RuntimeError``) — classification is the caller's job
-    (:func:`repro.faults.campaign.run_gcmc_trial`).
+    divergence ``RuntimeError``); the callers (``ensemble check`` and
+    :mod:`repro.ensemble.engines`) score the result themselves.
     """
     spec.validate()
     run_cfg = cfg if spec.seed is None else cfg.copy(seed=spec.seed)

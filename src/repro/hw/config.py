@@ -177,7 +177,7 @@ class SCCConfig:
     def validate(self) -> None:
         if not isinstance(self.topology, str):
             raise ValueError(
-                f"topology must be a registry spec string such as "
+                f"topology must be a topology spec string such as "
                 f"'mesh:6x4', got {self.topology!r}")
         self.resolved_topology()  # raises on a malformed spec
         if self.l1_line_bytes <= 0 or self.l1_line_bytes % 8:

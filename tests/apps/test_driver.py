@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.apps.gcmc import GCMCConfig, run_gcmc, run_gcmc_serial
+from repro.apps.gcmc import GCMCConfig, driver, run_gcmc, run_gcmc_serial
 from repro.apps.gcmc.kvectors import build_kvectors
-from repro.apps.gcmc.serial import full_energy
+from repro.apps.gcmc.longrange import total_long_energy
+from repro.apps.gcmc.shortrange import self_energy, total_short_energy
 from repro.core.registry import make_communicator
 from repro.hw.config import SCCConfig
 from repro.hw.machine import Machine
@@ -33,7 +34,10 @@ class TestSerial:
         result, system = run_gcmc_serial(CFG, 30, nranks=RANKS,
                                          return_system=True)
         kvecs, coeff = build_kvectors(CFG.n_kvectors, CFG.box, CFG.alpha)
-        fresh = full_energy(system, kvecs, coeff, RANKS)
+        fresh = (total_short_energy(system)
+                 + sum(self_energy(float(system.charges[i]), CFG.alpha)
+                       for i in system.active_indices())
+                 + total_long_energy(system, kvecs, coeff))
         assert fresh == pytest.approx(result.final_energy, abs=1e-8)
 
     def test_observables_recorded(self):
@@ -50,6 +54,22 @@ class TestSerial:
         inserts = by.get("INSERT", {}).get("accepted", 0)
         deletes = by.get("DELETE", {}).get("accepted", 0)
         assert result.final_particles == CFG.initial_particles + inserts - deletes
+
+    def test_divergent_rank_raises_naming_it(self, monkeypatch):
+        """The serial runner runs the driver's ranks in lockstep, so a
+        rank whose call differs from rank 0's is caught and named."""
+        real_long_en = driver._long_en
+
+        def long_en(env, comm, *args, **kwargs):
+            if env.rank == 5:
+                yield from comm.allreduce(env, np.zeros(3))
+            return (yield from real_long_en(env, comm, *args, **kwargs))
+
+        monkeypatch.setattr(driver, "_long_en", long_en)
+        with pytest.raises(RuntimeError, match=r"^rank 5 diverged") as err:
+            run_gcmc_serial(CFG, 1, nranks=RANKS)
+        assert "allreduce of 3 doubles rooted at 0" in str(err.value)
+        assert "rank 0 issued compute" in str(err.value)
 
 
 class TestDistributed:

@@ -64,3 +64,14 @@ def test_invalid_count():
 def test_explicit_kmax_too_small():
     with pytest.raises(ValueError):
         build_kvectors(1000, box=8.0, alpha=1.0, kmax=1)
+
+
+def test_memoised_and_read_only():
+    """Every rank of every run shares one build of the vectors."""
+    kvecs, coeff = build_kvectors(276, box=8.0, alpha=0.9)
+    again, coeff_again = build_kvectors(276, box=8.0, alpha=0.9)
+    assert again is kvecs and coeff_again is coeff
+    with pytest.raises(ValueError):
+        kvecs[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        coeff[0] = 0.0

@@ -101,7 +101,7 @@ class TestValidationMessages:
             SCCConfig(topology="mesh:6x4x0")
 
     def test_non_string_topology_message(self):
-        with pytest.raises(ValueError, match="registry spec string"):
+        with pytest.raises(ValueError, match="topology spec string"):
             SCCConfig(topology=None)
 
     def test_flag_region_not_line_multiple(self):
