@@ -11,9 +11,41 @@ computes which interaction terms and which rank proposes coordinates.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from repro.apps.gcmc.config import GCMCConfig
+
+
+@lru_cache(maxsize=32)
+def _lattice(capacity: int, n: int, box: float,
+             seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Deterministic initial configuration ``(positions, charges,
+    active)``: a jittered cubic lattice with alternating unit charges
+    (net charge ~ 0).
+
+    The first ``n`` sites in C order (x slowest), each jittered by three
+    uniform draws in site order — one ``(n, 3)`` draw is the same
+    stream.  Every rank of every run with this configuration starts from
+    it, so it is built once and handed out read-only.
+    """
+    positions = np.zeros((capacity, 3), dtype=np.float64)
+    charges = np.zeros(capacity, dtype=np.float64)
+    active = np.zeros(capacity, dtype=bool)
+    if n > 0:
+        per_side = int(np.ceil(n ** (1.0 / 3.0)))
+        spacing = box / per_side
+        rng = np.random.default_rng(seed ^ 0xC0FFEE)
+        sites = np.indices((per_side,) * 3).reshape(3, -1).T[:n]
+        jitter = rng.uniform(-0.05, 0.05, size=(n, 3)) * spacing
+        positions[:n] = (sites + 0.5) * spacing + jitter
+        charges[:n] = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+        active[:n] = True
+        positions %= box
+    for array in (positions, charges, active):
+        array.setflags(write=False)
+    return positions, charges, active
 
 
 class ParticleSystem:
@@ -21,31 +53,12 @@ class ParticleSystem:
 
     def __init__(self, config: GCMCConfig):
         self.config = config
-        cap = config.capacity
-        self.positions = np.zeros((cap, 3), dtype=np.float64)
-        self.charges = np.zeros(cap, dtype=np.float64)
-        self.active = np.zeros(cap, dtype=bool)
-        self._init_lattice(config.initial_particles)
-
-    def _init_lattice(self, n: int) -> None:
-        """Deterministic initial configuration: a jittered cubic lattice
-        with alternating unit charges (net charge ~ 0).
-
-        The first ``n`` sites in C order (x slowest), each jittered by
-        three uniform draws in site order — one ``(n, 3)`` draw is the
-        same stream.
-        """
-        if n == 0:
-            return
-        per_side = int(np.ceil(n ** (1.0 / 3.0)))
-        spacing = self.config.box / per_side
-        rng = np.random.default_rng(self.config.seed ^ 0xC0FFEE)
-        sites = np.indices((per_side,) * 3).reshape(3, -1).T[:n]
-        jitter = rng.uniform(-0.05, 0.05, size=(n, 3)) * spacing
-        self.positions[:n] = (sites + 0.5) * spacing + jitter
-        self.charges[:n] = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-        self.active[:n] = True
-        self.positions %= self.config.box
+        positions, charges, active = _lattice(
+            config.capacity, config.initial_particles, config.box,
+            config.seed)
+        self.positions = positions.copy()
+        self.charges = charges.copy()
+        self.active = active.copy()
 
     # -- queries -----------------------------------------------------------
     @property

@@ -32,7 +32,6 @@ import sys
 from typing import Optional, Sequence
 
 from repro.apps.gcmc.config import GCMCConfig
-from repro.apps.gcmc.driver import run_gcmc
 from repro.bench.executor import ResultCache, run_sweep
 from repro.bench.figures import (
     FIG9_PANELS,
@@ -50,8 +49,8 @@ from repro.bench.runner import (
     sweep,
     sweep_points,
 )
-from repro.core.registry import STACK_FACTORIES, STACKS, launch
-from repro.faults.campaign import CHAOS_PROFILES
+from repro.core.registry import STACK_FACTORIES, STACKS
+from repro.faults.campaign import CHAOS_PROFILES, GCMC_WATCHDOG_US
 from repro.hw.config import CLOCK_PRESETS, SCCConfig
 from repro.hw.machine import Machine
 from repro.obs.profile import profile_collective
@@ -177,12 +176,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_gcmc(args: argparse.Namespace) -> int:
+    from repro.ensemble.members import CandidateSpec, run_candidate
+
     cfg = GCMCConfig(initial_particles=args.particles,
                      capacity=max(2 * args.particles, args.particles + 16))
-    machine, comm = launch(args.stack)
-    result = run_gcmc(machine, comm, cfg, args.cycles)
+    cores = SCCConfig().num_cores
+    result = run_candidate(CandidateSpec(stack=args.stack), cfg,
+                           args.cycles, cores)
     obs = result.observables
-    print(f"GCMC on {machine.config.num_cores} simulated cores, "
+    print(f"GCMC on {cores} simulated cores, "
           f"stack {args.stack!r}:")
     print(f"  cycles            : {result.cycles}")
     print(f"  final energy      : {result.final_energy:.4f}")
@@ -239,6 +241,9 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
     kinds = tuple(args.kinds) if args.kinds else CHAOS_KINDS
     seeds = _parse_seeds(args.seeds)
+    # No --watchdog-us: each app keeps its own default budget.
+    budget = ({} if args.watchdog_us is None
+              else {"watchdog_us": args.watchdog_us})
     if args.app == "gcmc":
         import pathlib
 
@@ -249,13 +254,12 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         summary = EnsembleSummary.load(
             pathlib.Path(args.summary) if args.summary else None)
         camp = run_gcmc_campaign(summary, profile=args.profile,
-                                 stacks=stacks, seeds=seeds)
+                                 stacks=stacks, seeds=seeds, **budget)
     else:
         stacks = tuple(args.stacks) if args.stacks else tuple(STACKS)
         camp = run_campaign(profile=args.profile, kinds=kinds,
                             stacks=stacks, seeds=seeds, size=args.size,
-                            cores=args.cores, iters=args.iters,
-                            watchdog_us=args.watchdog_us)
+                            cores=args.cores, iters=args.iters, **budget)
     print(camp.survival_table())
     print()
     print("injected faults:",
@@ -267,15 +271,14 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     if args.trace_out and args.app == "collectives":
         import os
 
-        from repro.faults.plan import FaultPlan
         from repro.obs.export import write_chrome_trace
         from repro.obs.spans import extract_spans
 
         plan = CHAOS_PROFILES[args.profile]
         traced = run_trial(kinds[0], stacks[0],
                            plan.with_seed(seeds[0]), size=args.size,
-                           cores=args.cores, iters=args.iters,
-                           watchdog_us=args.watchdog_us, trace=True)
+                           cores=args.cores, iters=args.iters, trace=True,
+                           **budget)
         os.makedirs(args.trace_out, exist_ok=True)
         path = os.path.join(
             args.trace_out,
@@ -564,13 +567,13 @@ def _cmd_ensemble_check(args: argparse.Namespace) -> int:
     import pathlib
     from dataclasses import replace as _replace
 
-    from repro.ensemble.features import extract_features
     from repro.ensemble.members import CandidateSpec, run_candidate
     from repro.ensemble.summary import (
         DEFAULT_MAX_PC_FAIL,
         DEFAULT_THRESHOLD,
         EnsembleSummary,
     )
+    from repro.faults.injector import FaultInjector
 
     summary = EnsembleSummary.load(
         pathlib.Path(args.summary) if args.summary else None)
@@ -593,14 +596,14 @@ def _cmd_ensemble_check(args: argparse.Namespace) -> int:
         return 2
     spec = CandidateSpec(label=" ".join(label_bits), engine=args.engine,
                          stack=args.stack, seed=args.seed,
-                         allreduce_algo=args.algorithm, plan=plan,
+                         allreduce_algo=args.algorithm,
                          watchdog_us=(args.watchdog_us
                                       if args.engine == "sim" else None))
-    cfg = summary.config()
-    result = run_candidate(spec, cfg, int(summary.meta["cycles"]),
-                           int(summary.meta["cores"]))
-    check = summary.check(
-        extract_features(result, int(summary.meta["block_size"])),
+    result = run_candidate(
+        spec, summary.config(), summary.cycles, summary.cores,
+        observers=[FaultInjector(plan)] if plan is not None else ())
+    check = summary.score(
+        result,
         threshold=(DEFAULT_THRESHOLD if args.threshold is None
                    else args.threshold),
         max_pc_fail=(DEFAULT_MAX_PC_FAIL if args.max_pc_fail is None
@@ -731,8 +734,9 @@ def build_parser() -> argparse.ArgumentParser:
     pchaos.add_argument("--iters", type=int, default=1,
                         help="repeat each collective (exercises the MPB "
                              "degradation fallback)")
-    pchaos.add_argument("--watchdog-us", type=float, default=50_000.0,
-                        help="virtual-time watchdog budget per trial")
+    pchaos.add_argument("--watchdog-us", type=float, default=None,
+                        help="virtual-time budget per trial (default: 50000, "
+                             f"or {GCMC_WATCHDOG_US:.0f} with --app gcmc)")
     pchaos.add_argument("--trace-out", default=None,
                         help="directory for a Chrome trace of one "
                              "traced trial")
@@ -930,7 +934,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="per-PC z-score bound (default 3.0)")
     pcheck.add_argument("--max-pc-fail", type=int, default=None,
                         help="PCs allowed outside the bound (default 1)")
-    pcheck.add_argument("--watchdog-us", type=float, default=2_000_000.0,
+    pcheck.add_argument("--watchdog-us", type=float, default=GCMC_WATCHDOG_US,
                         help="virtual-time budget for the candidate run")
     pcheck.set_defaults(func=_cmd_ensemble_check)
 

@@ -23,14 +23,8 @@ from typing import Optional
 from repro.apps.gcmc.config import GCMCConfig
 from repro.apps.gcmc.driver import GCMCResult
 from repro.apps.gcmc.serial import GCMCOpLog, run_gcmc_serial
-from repro.ensemble.features import extract_features
 from repro.ensemble.members import DEFAULT_STACK, CandidateSpec, run_candidate
-from repro.ensemble.summary import (
-    DEFAULT_MAX_PC_FAIL,
-    DEFAULT_THRESHOLD,
-    CheckResult,
-    EnsembleSummary,
-)
+from repro.ensemble.summary import CheckResult, EnsembleSummary
 from repro.hw.config import SCCConfig
 from repro.sched.replay import Escalation, Session
 
@@ -104,8 +98,6 @@ class EngineComparison:
 def compare_engines(summary: EnsembleSummary, *,
                     stack: str = DEFAULT_STACK,
                     seed: Optional[int] = None,
-                    threshold: float = DEFAULT_THRESHOLD,
-                    max_pc_fail: int = DEFAULT_MAX_PC_FAIL,
                     scc_config: Optional[SCCConfig] = None
                     ) -> EngineComparison:
     """The replay-vs-sim GCMC acceptance test.
@@ -117,22 +109,16 @@ def compare_engines(summary: EnsembleSummary, *,
     cfg = summary.config()
     if seed is not None:
         cfg = cfg.copy(seed=seed)
-    cycles = int(summary.meta["cycles"])
-    cores = int(summary.meta["cores"])
-    block = int(summary.meta["block_size"])
+    cycles, cores = summary.cycles, summary.cores
 
     sim_result = run_candidate(
         CandidateSpec(label="sim", engine="sim", stack=stack),
         cfg, cycles, cores, scc_config=scc_config)
-    sim_check = summary.check(extract_features(sim_result, block),
-                              threshold=threshold, max_pc_fail=max_pc_fail,
-                              label=f"sim/{stack}")
+    sim_check = summary.score(sim_result, label=f"sim/{stack}")
 
     serial_result, replay_ps, escalation = replay_gcmc(
         cfg, cycles, cores, stack=stack, scc_config=scc_config)
-    replay_check = summary.check(
-        extract_features(serial_result, block), threshold=threshold,
-        max_pc_fail=max_pc_fail, label=f"replay/{stack}")
+    replay_check = summary.score(serial_result, label=f"replay/{stack}")
 
     notes = []
     if (sim_result.final_particles != serial_result.final_particles

@@ -29,8 +29,6 @@ from repro.apps.gcmc.serial import run_gcmc_serial
 from repro.bench.executor import parallel_map
 from repro.core.registry import launch
 from repro.ensemble.features import DEFAULT_BLOCK_SIZE, extract_features
-from repro.faults.injector import FaultInjector
-from repro.faults.plan import FaultPlan
 from repro.hw.config import SCCConfig
 from repro.sim.clock import us_to_ps
 
@@ -73,9 +71,8 @@ def ensemble_features(cfg: GCMCConfig, cycles: int, cores: int,
 class CandidateSpec:
     """Everything that distinguishes one candidate run from a member.
 
-    ``seed=None`` means "the summary's held-out base seed".  A ``plan``
-    installs a fault injector on the candidate's machine (``engine``
-    must then be ``sim`` — faults need simulated hardware to bite).
+    ``seed=None`` means "the summary's held-out base seed".  A
+    ``watchdog_us`` budget needs the ``sim`` engine.
     """
 
     label: str = "candidate"
@@ -83,37 +80,35 @@ class CandidateSpec:
     stack: str = DEFAULT_STACK
     seed: Optional[int] = None
     allreduce_algo: Optional[str] = None
-    plan: Optional[FaultPlan] = None
     watchdog_us: Optional[float] = None
-
-    def validate(self) -> None:
-        if self.engine not in ("sim", "serial"):
-            raise ValueError(f"unknown candidate engine {self.engine!r}; "
-                             f"expected 'sim' or 'serial'")
-        if self.engine == "serial" and (
-                self.plan is not None or self.watchdog_us is not None):
-            raise ValueError("fault plans and watchdogs require the 'sim' "
-                             "engine — the serial runner has no machine "
-                             "to install them on")
 
 
 def run_candidate(spec: CandidateSpec, cfg: GCMCConfig, cycles: int,
-                  cores: int, *,
-                  scc_config: Optional[SCCConfig] = None) -> GCMCResult:
+                  cores: int, *, scc_config: Optional[SCCConfig] = None,
+                  observers: Sequence = ()) -> GCMCResult:
     """Execute one candidate run and return its :class:`GCMCResult`.
 
-    Raises whatever the run raises (typed fault errors, watchdog,
-    divergence ``RuntimeError``); the callers (``ensemble check`` and
-    :mod:`repro.ensemble.engines`) score the result themselves.
+    The one way a GCMC candidate runs on a machine (``ensemble check``,
+    :mod:`repro.ensemble.engines`, the chaos GCMC trial).  ``observers``
+    (a :class:`~repro.faults.injector.FaultInjector`, ...) are installed
+    through :func:`~repro.core.registry.launch`; a caller keeping one
+    reads the clock and the fault counts from it even when the run
+    raises — typed fault errors, watchdog, divergence ``RuntimeError``.
     """
-    spec.validate()
+    if spec.engine not in ("sim", "serial"):
+        raise ValueError(f"unknown candidate engine {spec.engine!r}; "
+                         f"expected 'sim' or 'serial'")
     run_cfg = cfg if spec.seed is None else cfg.copy(seed=spec.seed)
     if spec.engine == "serial":
+        if observers or spec.watchdog_us is not None:
+            raise ValueError("observers and watchdogs require the 'sim' "
+                             "engine — the serial runner has no machine "
+                             "to install them on")
         return run_gcmc_serial(run_cfg, cycles, nranks=cores)
     machine, comm = launch(
         spec.stack, cores,
         config=scc_config.copy() if scc_config is not None else None,
-        observers=[FaultInjector(spec.plan)] if spec.plan is not None else ())
+        observers=observers)
     watchdog_ps = (us_to_ps(spec.watchdog_us)
                    if spec.watchdog_us is not None else None)
     return run_gcmc(machine, comm, run_cfg, cycles,

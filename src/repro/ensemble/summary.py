@@ -35,7 +35,12 @@ from typing import Any, Optional, Sequence
 import numpy as np
 
 from repro.apps.gcmc.config import GCMCConfig
-from repro.ensemble.features import DEFAULT_BLOCK_SIZE, FEATURE_NAMES
+from repro.apps.gcmc.driver import GCMCResult
+from repro.ensemble.features import (
+    DEFAULT_BLOCK_SIZE,
+    FEATURE_NAMES,
+    extract_features,
+)
 from repro.ensemble.members import ensemble_features, member_seeds
 from repro.util.tables import format_table
 
@@ -191,6 +196,16 @@ class EnsembleSummary:
         """The GCMC configuration the ensemble was built with."""
         return GCMCConfig(**self.meta["config"])
 
+    @property
+    def cycles(self) -> int:
+        """GCMC cycles of every member run, and of a scored candidate."""
+        return int(self.meta["cycles"])
+
+    @property
+    def cores(self) -> int:
+        """Ranks every member run decomposed over."""
+        return int(self.meta["cores"])
+
     # -- scoring ---------------------------------------------------------
     def check(self, features: np.ndarray, *,
               threshold: float = DEFAULT_THRESHOLD,
@@ -220,6 +235,16 @@ class EnsembleSummary:
             failed_pcs=failed, degenerate_failures=deg_failed,
             threshold=threshold, max_pc_fail=max_pc_fail, features=x,
             pc_dominant=self.dominant_features(), label=label)
+
+    def score(self, result: GCMCResult, *,
+              threshold: float = DEFAULT_THRESHOLD,
+              max_pc_fail: int = DEFAULT_MAX_PC_FAIL,
+              label: str = "candidate") -> CheckResult:
+        """:meth:`check` a finished GCMC run, its features extracted
+        with the ensemble's own block size."""
+        features = extract_features(result, int(self.meta["block_size"]))
+        return self.check(features, threshold=threshold,
+                          max_pc_fail=max_pc_fail, label=label)
 
     # -- persistence -----------------------------------------------------
     def to_json(self) -> dict[str, Any]:

@@ -291,62 +291,44 @@ GCMC_CHAOS_STACKS = ("blocking", "lightweight_balanced", "mpb")
 
 def run_gcmc_trial(summary, plan: FaultPlan, *,
                    stack: str = "lightweight_balanced",
-                   allreduce_algo: Optional[str] = None,
                    watchdog_us: Optional[float] = GCMC_WATCHDOG_US,
-                   threshold: Optional[float] = None,
-                   max_pc_fail: Optional[int] = None,
                    config: Optional[SCCConfig] = None) -> TrialResult:
     """One GCMC run under ``plan``, classified against the envelope.
 
-    ``summary`` is an :class:`~repro.ensemble.summary.EnsembleSummary`;
-    the trial runs its committed reference configuration (config, cycle
-    count, rank count, block size all come from the summary's metadata,
-    so the features are commensurable with the envelope).  Outcomes are
-    the collective-trial ones plus :data:`STAT_WRONG` for runs that
+    The trial is a candidate of ``summary`` (an
+    :class:`~repro.ensemble.summary.EnsembleSummary`): ``run_candidate``
+    with the plan's injector as observer, then ``summary.score``.  A run
+    that raises takes its clock and counts from the injector.  Outcomes
+    are the collective-trial ones plus :data:`STAT_WRONG` for runs that
     completed with observables outside the envelope.
     """
-    from repro.apps.gcmc.driver import run_gcmc
-    from repro.ensemble.features import extract_features
-    from repro.ensemble.summary import (
-        DEFAULT_MAX_PC_FAIL,
-        DEFAULT_THRESHOLD,
-    )
+    from repro.ensemble.members import CandidateSpec, run_candidate
 
-    threshold = DEFAULT_THRESHOLD if threshold is None else threshold
-    max_pc_fail = DEFAULT_MAX_PC_FAIL if max_pc_fail is None else max_pc_fail
-    cfg = summary.config()
-    cycles = int(summary.meta["cycles"])
-    cores = int(summary.meta["cores"])
-    block = int(summary.meta["block_size"])
     injector = FaultInjector(plan)
-    machine, comm = launch(
-        stack, cores, config=config.copy() if config is not None else None,
-        observers=[injector])
-    watchdog_ps = us_to_ps(watchdog_us) if watchdog_us is not None else None
+    label = f"gcmc/{stack} seed={plan.seed}"
     try:
-        result = run_gcmc(machine, comm, cfg, cycles,
-                          ranks=list(range(cores)),
-                          allreduce_algo=allreduce_algo,
-                          watchdog_ps=watchdog_ps)
+        result = run_candidate(
+            CandidateSpec(label=label, stack=stack, watchdog_us=watchdog_us),
+            summary.config(), summary.cycles, summary.cores,
+            scc_config=config, observers=[injector])
     except Exception as exc:  # noqa: BLE001 - classified, not swallowed
+        if injector.machine is None:  # no machine: the caller's error
+            raise
         outcome, detail = _failure_outcome(exc)
-        elapsed = ps_to_us(machine.sim.now)
+        elapsed = ps_to_us(injector.machine.sim.now)
     else:
         elapsed = result.elapsed_us
         try:
-            features = extract_features(result, block)
+            check = summary.score(result, label=label)
         except ValueError as exc:
             outcome, detail = STAT_WRONG, f"unusable observables: {exc}"
         else:
-            check = summary.check(features, threshold=threshold,
-                                  max_pc_fail=max_pc_fail,
-                                  label=f"gcmc/{stack} seed={plan.seed}")
             if check.passed:
                 outcome, detail = "ok", ""
             else:
                 outcome = STAT_WRONG
                 detail = (f"{check.n_failed} PC(s) outside "
-                          f"|z| <= {threshold:g}: "
+                          f"|z| <= {check.threshold:g}: "
                           + "; ".join(
                               f"PC{i} z={check.z_scores[i]:+.1f}"
                               for i in check.failed_pcs[:4])
@@ -362,15 +344,12 @@ def run_gcmc_campaign(summary, *, profile: str = "light",
                       stacks: Sequence[str] = GCMC_CHAOS_STACKS,
                       seeds: Sequence[int] = (1,),
                       watchdog_us: Optional[float] = GCMC_WATCHDOG_US,
-                      threshold: Optional[float] = None,
-                      max_pc_fail: Optional[int] = None,
                       config: Optional[SCCConfig] = None) -> CampaignResult:
     """Sweep stacks × seeds of full GCMC runs under one fault profile."""
     base = _profile_plan(profile)
     trials = [
         run_gcmc_trial(summary, replace(base, seed=seed), stack=stack,
-                       watchdog_us=watchdog_us, threshold=threshold,
-                       max_pc_fail=max_pc_fail, config=config)
+                       watchdog_us=watchdog_us, config=config)
         for stack in stacks
         for seed in seeds
     ]

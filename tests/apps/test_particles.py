@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.apps.gcmc.config import GCMCConfig
-from repro.apps.gcmc.particles import ParticleSystem
+from repro.apps.gcmc.particles import ParticleSystem, _lattice
 
 
 def lattice_by_loop(config):
@@ -75,6 +75,30 @@ class TestInitialization:
             assert system.positions.tobytes() == positions.tobytes()
             assert system.charges.tobytes() == charges.tobytes()
             assert system.active.tobytes() == active.tobytes()
+
+    def test_ranks_share_one_read_only_lattice_but_no_arrays(self, cfg):
+        """The lattice is built once per configuration and copied: the
+        memo refuses writes, and each rank's replica is its own."""
+        a = ParticleSystem(cfg)
+        b = ParticleSystem(cfg)
+        memo = _lattice(cfg.capacity, cfg.initial_particles, cfg.box,
+                        cfg.seed)
+        assert _lattice(cfg.capacity, cfg.initial_particles, cfg.box,
+                        cfg.seed) is memo
+        for name, shared in zip(("positions", "charges", "active"), memo):
+            assert not np.shares_memory(getattr(a, name),
+                                        getattr(b, name))
+            assert not np.shares_memory(getattr(a, name), shared)
+            with pytest.raises(ValueError, match="read-only"):
+                shared[0] = 0
+        before = b.snapshot()
+        a.move_particle(0, np.array([1.0, 2.0, 3.0]))
+        a.delete_particle(1)
+        a.insert_particle(a.first_free_slot(), np.zeros(3), 1.0)
+        after = b.snapshot()
+        for key in before:
+            assert np.array_equal(before[key], after[key])
+        assert np.array_equal(ParticleSystem(cfg).positions, b.positions)
 
 
 class TestOwnership:

@@ -54,8 +54,7 @@ def test_logging_does_not_change_the_physics():
 
 def summary_run() -> tuple:
     """The committed summary's ``(config, cycles, cores)``."""
-    return (SUMMARY.config(), int(SUMMARY.meta["cycles"]),
-            int(SUMMARY.meta["cores"]))
+    return SUMMARY.config(), SUMMARY.cycles, SUMMARY.cores
 
 
 def simulated_ps(stack: str, algo=None) -> int:

@@ -11,10 +11,10 @@ from dataclasses import replace
 
 import pytest
 
-from repro.ensemble.features import extract_features
 from repro.ensemble.members import CandidateSpec, run_candidate
 from repro.ensemble.summary import EnsembleSummary
 from repro.faults.campaign import CHAOS_PROFILES
+from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.hw.config import SCCConfig
 
@@ -34,13 +34,12 @@ def summary():
     return EnsembleSummary.load()
 
 
-def _check(summary, spec):
-    result = run_candidate(spec, summary.config(),
-                           int(summary.meta["cycles"]),
-                           int(summary.meta["cores"]),
-                           scc_config=SCC)
-    features = extract_features(result, int(summary.meta["block_size"]))
-    return summary.check(features, label=spec.label), result
+def _check(summary, spec, plan=None):
+    result = run_candidate(
+        spec, summary.config(), summary.cycles, summary.cores,
+        scc_config=SCC,
+        observers=[FaultInjector(plan)] if plan is not None else ())
+    return summary.score(result, label=spec.label), result
 
 
 def test_clean_simulated_run_passes(summary):
@@ -55,8 +54,8 @@ def test_timing_perturbations_pass(summary):
                      core_stall_cycles=5000)
     clean, clean_result = _check(summary, CandidateSpec(label="clean"))
     noisy, noisy_result = _check(
-        summary, CandidateSpec(label="jitter+stalls", plan=plan,
-                               watchdog_us=5_000_000.0))
+        summary, CandidateSpec(label="jitter+stalls",
+                               watchdog_us=5_000_000.0), plan)
     assert noisy.passed
     # Timing faults never touch data: the physics is bit-identical and
     # only the simulated clock moved.
@@ -81,8 +80,8 @@ def test_forced_payload_corruption_rejected(summary):
                    payload_corrupt_prob=1.0, payload_corrupt_max=1,
                    checksums=False)
     check, result = _check(
-        summary, CandidateSpec(label="corrupt", plan=plan,
-                               watchdog_us=5_000_000.0))
+        summary, CandidateSpec(label="corrupt", watchdog_us=5_000_000.0),
+        plan)
     assert not check.passed
     # The corruption is silent: the run completed, ranks agreed, and
     # only the statistical gate catches that the physics is destroyed.
@@ -97,6 +96,17 @@ def test_checksums_repair_the_same_corruption(summary):
                    payload_corrupt_prob=1.0, payload_corrupt_max=1,
                    checksums=True)
     check, _ = _check(
-        summary, CandidateSpec(label="corrupt+checksums", plan=plan,
-                               watchdog_us=5_000_000.0))
+        summary, CandidateSpec(label="corrupt+checksums",
+                               watchdog_us=5_000_000.0), plan)
     assert check.passed
+
+
+@pytest.mark.parametrize("observers,watchdog_us", [
+    ([FaultInjector(FaultPlan(seed=1))], None),
+    ((), 1000.0),
+])
+def test_serial_engine_rejects_what_needs_a_machine(summary, observers,
+                                                    watchdog_us):
+    spec = CandidateSpec(engine="serial", watchdog_us=watchdog_us)
+    with pytest.raises(ValueError, match="no machine"):
+        run_candidate(spec, summary.config(), 1, 2, observers=observers)

@@ -7,6 +7,7 @@ import pytest
 
 from repro.faults.campaign import (
     CHAOS_PROFILES,
+    GCMC_WATCHDOG_US,
     STAT_WRONG,
     CampaignResult,
     TrialResult,
@@ -62,6 +63,71 @@ def test_gcmc_campaign_table_and_failures(summary):
     assert STAT_WRONG in table
     assert [t.outcome for t in camp.failures()] == [STAT_WRONG]
     assert camp.outcomes() == {"ok": 1, STAT_WRONG: 1}
+
+
+def test_raising_trial_reads_clock_and_counts_from_injector(summary):
+    """A trial whose run raises still reports the machine's clock and
+    the injected counts (values pinned on the default chip)."""
+    trial = run_gcmc_trial(summary, CHAOS_PROFILES["light"].with_seed(1),
+                           stack="mpb")
+    assert trial.outcome == "fault"
+    assert trial.elapsed_us == 9029.791668
+    assert trial.fault_counts["mpb_giveup"] == 1
+    assert "MPB half stayed corrupt" in trial.detail
+
+
+def test_watchdog_trial_stops_at_the_budget(summary):
+    trial = run_gcmc_trial(summary, CHAOS_PROFILES["light"].with_seed(1),
+                           stack="blocking", watchdog_us=200)
+    assert trial.outcome == "watchdog"
+    assert trial.elapsed_us == 113.331278
+    assert trial.survived
+
+
+def _table_cell(out, stack, column):
+    lines = out.splitlines()
+    header = next(line for line in lines if line.split()[:1] == ["stack"])
+    row = next(line for line in lines if line.split()[:1] == [stack])
+    return row.split()[header.split().index(column)]
+
+
+def test_chaos_cli_gcmc_honours_watchdog_us(capsys):
+    """``--watchdog-us`` reaches GCMC trials: a 100 us budget stops a
+    blocking run that needs far more virtual time."""
+    from repro.cli import main
+
+    rc = main(["chaos", "--app", "gcmc", "--stacks", "blocking",
+               "--seeds", "1", "--watchdog-us", "100"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert _table_cell(out, "blocking", "watchdog") == "1"
+    assert _table_cell(out, "blocking", "ok") == "0"
+
+
+@pytest.mark.parametrize("app,fake,default", [
+    ("gcmc", "run_gcmc_trial", GCMC_WATCHDOG_US),
+    ("collectives", "run_trial", 50_000.0),
+])
+def test_chaos_cli_watchdog_defaults_per_app(monkeypatch, capsys, app,
+                                             fake, default):
+    """Without ``--watchdog-us`` each app keeps its own budget."""
+    import repro.faults.campaign as campaign_mod
+    from repro.cli import main
+
+    budgets = []
+
+    def record(*args, watchdog_us, **kwargs):
+        budgets.append(watchdog_us)
+        return TrialResult(kind="k", stack="blocking", seed=1,
+                           outcome="ok")
+
+    monkeypatch.setattr(campaign_mod, fake, record)
+    argv = ["chaos", "--app", app, "--stacks", "blocking", "--seeds", "1",
+            "--kinds", "barrier"]
+    assert main(argv) == 0
+    assert main(argv + ["--watchdog-us", "123"]) == 0
+    capsys.readouterr()
+    assert budgets == [default, 123.0]
 
 
 def test_collective_campaign_table_has_no_gcmc_column():

@@ -30,7 +30,6 @@ def smoke() -> int:
     import numpy as np
 
     from repro.apps.gcmc.serial import run_gcmc_serial
-    from repro.ensemble.features import extract_features
     from repro.ensemble.summary import EnsembleSummary
 
     summary = EnsembleSummary.load()  # raises on schema/feature mismatch
@@ -45,13 +44,10 @@ def smoke() -> int:
           f"{summary.n_components} PCs")
 
     cfg = summary.config()
-    cycles = int(summary.meta["cycles"])
-    cores = int(summary.meta["cores"])
-    block = int(summary.meta["block_size"])
+    cycles, cores = summary.cycles, summary.cores
 
     held_out = run_gcmc_serial(cfg, cycles, nranks=cores)
-    check = summary.check(extract_features(held_out, block),
-                          label="held-out base seed (serial)")
+    check = summary.score(held_out, label="held-out base seed (serial)")
     print(check.table().splitlines()[0])
     if not check.passed:
         print("FAIL the held-out base seed must pass its own envelope",
@@ -62,8 +58,7 @@ def smoke() -> int:
     # functional itself — the envelope must reject the trajectory.
     wrecked = run_gcmc_serial(cfg.copy(cutoff=cfg.cutoff / 1.5), cycles,
                               nranks=cores)
-    check = summary.check(extract_features(wrecked, block),
-                          label="wrong-physics run (serial)")
+    check = summary.score(wrecked, label="wrong-physics run (serial)")
     print(check.table().splitlines()[0])
     if check.passed:
         print("FAIL the envelope accepted a wrong-physics run",
